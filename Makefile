@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-service typecheck lint docs-check bench bench-smoke bench-enum bench-plans bench-backend bench-parallel bench-service
+.PHONY: test test-service typecheck lint docs-check bench bench-smoke bench-enum bench-plans bench-backend bench-parallel bench-service bench-repo bench-diff
 
 ## Tier-1 verify: the command every PR must keep green.
 ## REPRO_VERIFY=1 statically re-checks every plan the engines emit.
@@ -55,3 +55,12 @@ bench-parallel:
 ## Service cache: delta merge vs rebuild, plan-cache hit rate.
 bench-service:
 	$(PYTEST) benchmarks/bench_service_cache.py -s
+
+## Repository benchmark: four workloads end to end (see bench/README.md).
+bench-repo:
+	python3 bench/run.py
+
+## Regression gate between two bench/run.py results files; fails when
+## any metric is worse.  Usage: make bench-diff BASE=a.json HEAD=b.json
+bench-diff:
+	python3 bench/compare.py $(BASE) $(HEAD)

@@ -3,6 +3,7 @@
 from .tgd_chase import (
     ChaseBudgetExceeded,
     ChaseResult,
+    ChaseRun,
     ChaseStep,
     chase,
     chase_query,
@@ -41,6 +42,7 @@ __all__ = [
     "ChaseBudgetExceeded",
     "ChaseComparison",
     "ChaseResult",
+    "ChaseRun",
     "ChaseStep",
     "EGDChaseFailure",
     "EGDChaseResult",

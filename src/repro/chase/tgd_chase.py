@@ -20,7 +20,17 @@ belongs to every chase result).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..datamodel import (
     Atom,
@@ -155,43 +165,24 @@ def _triggers_touching(
     return triggers
 
 
-def chase(
-    instance: Instance,
+def _chase_steps(
+    result: ChaseResult,
     tgds: Sequence[TGD],
-    variant: str = "restricted",
-    max_steps: int = 10_000,
-    max_depth: Optional[int] = None,
-    on_budget: str = "return",
-    term_factory: Optional[TermFactory] = None,
-) -> ChaseResult:
-    """Chase ``instance`` with ``tgds``.
+    variant: str,
+    max_depth: Optional[int],
+    factory: TermFactory,
+) -> Generator[bool, int, bool]:
+    """The chase loop of :class:`ChaseRun`, pausable at the step budget.
 
-    Args:
-        instance: the instance ``I`` to chase (it is not modified).
-        tgds: the finite set ``Σ``.
-        variant: ``"restricted"`` (default) or ``"oblivious"``.
-        max_steps: maximum number of chase steps before giving up.
-        max_depth: if given, triggers whose premise atoms already sit at this
-            depth are not fired (bounded / level-wise chase).
-        on_budget: ``"return"`` (default) returns a truncated result with
-            ``budget_exhausted=True``; ``"raise"`` raises
-            :class:`ChaseBudgetExceeded`.
-        term_factory: source of fresh nulls (a private one is created if omitted).
-
-    Returns:
-        A :class:`ChaseResult`; ``result.terminated`` tells whether the
-        result is an actual chase fixpoint.
+    It receives the step limit through ``send``, yields at the budget check
+    before the next trigger (reporting whether the depth budget has cut a
+    trigger so far) and returns that same flag when the loop ends.  It
+    holds no reference to its :class:`ChaseRun`, so a run paused at its
+    budget is freed by reference counting once its owner drops it.
     """
-    if variant not in ("restricted", "oblivious"):
-        raise ValueError(f"unknown chase variant {variant!r}")
-    factory = term_factory or TermFactory(null_prefix="chase_n")
-
-    result = ChaseResult(instance=instance.copy())
-    for atom in result.instance:
-        result.atom_depth[atom] = 0
-
     fired: Set[Tuple] = set()
-    steps_taken = 0
+    depth_cut = False
+    limit = yield depth_cut
 
     # Semi-naive trigger enumeration: after the first round only triggers
     # whose premise reads an atom added in the previous round are considered.
@@ -207,14 +198,8 @@ def chase(
         for tgd_index, tgd in enumerate(tgds):
             triggers = _triggers_touching(tgd, result.instance, delta)
             for trigger in triggers:
-                if steps_taken >= max_steps:
-                    result.terminated = False
-                    result.budget_exhausted = True
-                    if on_budget == "raise":
-                        raise ChaseBudgetExceeded(
-                            f"chase exceeded {max_steps} steps"
-                        )
-                    return result
+                while len(result.steps) >= limit:
+                    limit = yield depth_cut
 
                 premise = tuple(atom.apply(trigger) for atom in tgd.body)
                 depth = 1 + max(
@@ -223,8 +208,7 @@ def chase(
                 if max_depth is not None and depth > max_depth:
                     # Respect the depth budget: this trigger is never fired,
                     # so the result may not be a fixpoint.
-                    result.terminated = False
-                    result.budget_exhausted = True
+                    depth_cut = True
                     continue
 
                 if variant == "oblivious":
@@ -266,17 +250,100 @@ def chase(
                         depth=depth,
                     )
                 )
-                steps_taken += 1
                 if added_any or variant == "oblivious":
                     progressed = True
         if not progressed:
-            break
+            return depth_cut
         delta = added_this_round
 
-    # If the depth budget suppressed triggers, ``terminated`` was already set
-    # to False above; otherwise we reached a genuine fixpoint.
-    if not result.budget_exhausted:
-        result.terminated = True
+
+class ChaseRun:
+    """One chase of an instance that can be advanced budget by budget.
+
+    The chase loop pauses at the step-budget check, right before it would
+    consider the next trigger; :meth:`advance` raises the budget and resumes
+    it there, with the semi-naive delta, the round's pending triggers and
+    the oblivious chase's fired set intact.  Contract: a run advanced in
+    chunks whose budgets sum to ``N`` ends in the same state as one
+    ``advance(N)`` (same atoms, depths, steps and flags), which is what
+    :func:`chase` does.
+    """
+
+    def __init__(
+        self,
+        instance: Instance,
+        tgds: Sequence[TGD],
+        variant: str = "restricted",
+        max_depth: Optional[int] = None,
+        term_factory: Optional[TermFactory] = None,
+    ) -> None:
+        if variant not in ("restricted", "oblivious"):
+            raise ValueError(f"unknown chase variant {variant!r}")
+        self.result = ChaseResult(instance=instance.copy(), terminated=False)
+        for atom in self.result.instance:
+            self.result.atom_depth[atom] = 0
+        #: ``True`` once the loop has ended (fixpoint, or every remaining
+        #: trigger suppressed by the depth budget); no budget resumes it.
+        self.finished = False
+        self._depth_cut = False
+        self._loop = _chase_steps(
+            self.result,
+            list(tgds),
+            variant,
+            max_depth,
+            term_factory or TermFactory(null_prefix="chase_n"),
+        )
+        next(self._loop)
+
+    def advance(self, max_steps: int) -> ChaseResult:
+        """Fire at most ``max_steps`` more steps and return the (shared) result."""
+        if not self.finished:
+            try:
+                self._depth_cut = self._loop.send(len(self.result.steps) + max_steps)
+            except StopIteration as stop:
+                self._depth_cut = stop.value
+                self.finished = True
+        result = self.result
+        # A pause at the step budget leaves the run resumable; a finished run
+        # is a fixpoint unless the depth budget suppressed some trigger.
+        result.budget_exhausted = not self.finished or self._depth_cut
+        result.terminated = not result.budget_exhausted
+        return result
+
+
+def chase(
+    instance: Instance,
+    tgds: Sequence[TGD],
+    variant: str = "restricted",
+    max_steps: int = 10_000,
+    max_depth: Optional[int] = None,
+    on_budget: str = "return",
+    term_factory: Optional[TermFactory] = None,
+) -> ChaseResult:
+    """Chase ``instance`` with ``tgds``.
+
+    Args:
+        instance: the instance ``I`` to chase (it is not modified).
+        tgds: the finite set ``Σ``.
+        variant: ``"restricted"`` (default) or ``"oblivious"``.
+        max_steps: maximum number of chase steps before giving up.
+        max_depth: if given, triggers whose premise atoms already sit at this
+            depth are not fired (bounded / level-wise chase).
+        on_budget: ``"return"`` (default) returns a truncated result with
+            ``budget_exhausted=True``; ``"raise"`` raises
+            :class:`ChaseBudgetExceeded`.
+        term_factory: source of fresh nulls (a private one is created if omitted).
+
+    Returns:
+        A :class:`ChaseResult`; ``result.terminated`` tells whether the
+        result is an actual chase fixpoint.
+    """
+    run = ChaseRun(
+        instance, tgds, variant=variant, max_depth=max_depth, term_factory=term_factory
+    )
+    result = run.advance(max_steps)
+    if not run.finished and on_budget == "raise":
+        raise ChaseBudgetExceeded(f"chase exceeded {max_steps} steps")
     return result
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ..chase.egd_chase import egd_chase_query
-from ..chase.tgd_chase import chase
+from ..chase.tgd_chase import ChaseRun
 from ..datamodel import TermFactory, freeze_variable
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
@@ -74,46 +74,30 @@ def _chase_until_witness(
 ) -> ContainmentOutcome:
     """Shared incremental loop behind the chase-based containment checks.
 
-    The canonical database of ``left`` is chased in chunks of
-    ``config.check_interval`` steps; after every chunk the witness test
-    ``right_holds(instance)`` is evaluated.  A positive test on any prefix is
-    sound (the prefix embeds into every chase result), a negative test on a
-    terminated chase is exact, and running out of budget yields ``UNKNOWN``.
+    One resumable chase of the canonical database of ``left`` is advanced in
+    chunks of ``config.check_interval`` steps; after every chunk the witness
+    test ``right_holds(instance)`` is evaluated.  A positive test on any
+    prefix is sound (the prefix embeds into every chase result), a negative
+    test on a terminated chase is exact, and running out of budget (or a
+    depth budget that suppresses every remaining trigger) yields ``UNKNOWN``.
     """
     database, _ = left.freeze()
-    instance = database
-    steps_used = 0
-    terminated = False
-    # A single factory across all chunks keeps the invented nulls globally
-    # fresh when the chase is resumed on the previous chunk's result.
-    factory = TermFactory(null_prefix="cont_n")
-    while True:
-        if right_holds(instance):
+    run = ChaseRun(
+        database,
+        tgds,
+        variant=config.chase_variant,
+        max_depth=config.max_depth,
+        term_factory=TermFactory(null_prefix="cont_n"),
+    )
+    result = run.result
+    interval = max(config.check_interval, 1)
+    while not run.finished and len(result.steps) < config.max_steps:
+        if right_holds(result.instance):
             return ContainmentOutcome.TRUE
-        if terminated:
-            return ContainmentOutcome.FALSE
-        if steps_used >= config.max_steps:
-            return ContainmentOutcome.UNKNOWN
-        chunk = min(max(config.check_interval, 1), config.max_steps - steps_used)
-        result = chase(
-            instance,
-            list(tgds),
-            variant=config.chase_variant,
-            max_steps=chunk,
-            max_depth=config.max_depth,
-            term_factory=factory,
-        )
-        instance = result.instance
-        terminated = result.terminated
-        if result.step_count == 0 and not terminated:
-            # No step fired yet the chase is not a fixpoint: the depth budget
-            # suppressed every remaining trigger, so no progress is possible.
-            return (
-                ContainmentOutcome.TRUE
-                if right_holds(instance)
-                else ContainmentOutcome.UNKNOWN
-            )
-        steps_used += max(result.step_count, 1)
+        run.advance(min(interval, config.max_steps - len(result.steps)))
+    if right_holds(result.instance):
+        return ContainmentOutcome.TRUE
+    return ContainmentOutcome.FALSE if result.terminated else ContainmentOutcome.UNKNOWN
 
 
 def contained_under_tgds(

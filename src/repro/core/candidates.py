@@ -29,7 +29,13 @@ import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..datamodel import Atom, Constant, Instance, Term, Variable, is_frozen_constant
-from ..hypergraph import compact_acyclic_query, is_acyclic_instance
+from ..hypergraph import (
+    Hypergraph,
+    compact_acyclic_query,
+    instance_connectors,
+    is_acyclic_hypergraph,
+    is_acyclic_instance,
+)
 from ..queries.cq import ConjunctiveQuery, query_from_instance
 from ..queries.core_minimization import core
 from ..queries.homomorphism import find_homomorphism, homomorphisms
@@ -135,12 +141,42 @@ def _instance_atoms_to_query(
 # ----------------------------------------------------------------------
 # Generator 3: acyclic sub-instances of the chase admitting a hom from q
 # ----------------------------------------------------------------------
+def _minimal_hom_images(
+    query: ConjunctiveQuery,
+    instance: Instance,
+    atoms: Sequence[Atom],
+    seed: Dict[Term, Term],
+    max_atoms: int,
+    budget: int,
+) -> Optional[List[int]]:
+    """The minimal images ``μ(q)`` of head-preserving ``μ : q → instance``.
+
+    An image is a bitmask over the positions of the instance's ``atoms``;
+    only images of at most ``max_atoms`` atoms are kept.  Returns ``None``
+    when more than ``budget`` homomorphisms would have to be enumerated.
+    """
+    bit = {atom: 1 << position for position, atom in enumerate(atoms)}
+    images: Set[int] = set()
+    for count, mapping in enumerate(homomorphisms(query.body, instance, seed=seed), 1):
+        if count > budget:
+            return None
+        image = {atom.apply(mapping) for atom in query.body}
+        if len(image) <= max_atoms:
+            images.add(sum(bit[atom] for atom in image))
+    minimal: List[int] = []
+    for image in sorted(images, key=lambda mask: bin(mask).count("1")):
+        if not any(kept & image == kept for kept in minimal):
+            minimal.append(image)
+    return minimal
+
+
 def acyclic_chase_subinstances(
     query: ConjunctiveQuery,
     chase_instance: Instance,
     answer: Sequence[Constant],
     max_atoms: int,
     max_candidates: int = 5_000,
+    notes: Optional[List[str]] = None,
 ) -> Iterator[ConjunctiveQuery]:
     """Acyclic sub-instances ``J ⊆ chase(q, Σ)`` with a head-preserving hom ``q → J``.
 
@@ -149,22 +185,44 @@ def acyclic_chase_subinstances(
     so it is a certified witness whenever it is acyclic.
 
     The enumeration walks subsets of the chase atoms in increasing size and
-    stops after ``max_candidates`` subsets have been inspected; the deciders
-    treat this generator as heuristic (its exhaustion is reported separately).
+    stops after ``max_candidates`` subsets have been inspected, appending a
+    line to ``notes`` (when given) if that cut the enumeration short.  A
+    subset admits the homomorphism iff it contains the image ``μ(q)`` of a
+    head-preserving ``μ : q → chase``, so the subsets are tested against the
+    minimal such images; when enumerating the images would take more than
+    ``max_candidates`` homomorphisms, each subset is searched directly.
     """
     atoms = chase_instance.sorted_atoms()
-    inspected = 0
     upper = min(max_atoms, len(atoms))
+    seed: Dict[Term, Term] = {
+        variable: value for variable, value in zip(query.head, answer)
+    }
+    images = _minimal_hom_images(
+        query, chase_instance, atoms, seed, upper, max_candidates
+    )
+    bits = [1 << position for position in range(len(atoms))]
+    inspected = 0
     for size in range(1, upper + 1):
-        for subset in itertools.combinations(atoms, size):
+        for subset, subset_bits in zip(
+            itertools.combinations(atoms, size), itertools.combinations(bits, size)
+        ):
             inspected += 1
             if inspected > max_candidates:
+                if notes is not None:
+                    notes.append(
+                        f"chase sub-instance enumeration stopped after "
+                        f"{max_candidates} subsets; candidate space may be incomplete"
+                    )
                 return
-            sub_instance = Instance(subset)
-            seed = {variable: value for variable, value in zip(query.head, answer)}
-            if find_homomorphism(query.body, sub_instance, seed=seed) is None:
+            if images is not None:
+                mask = sum(subset_bits)
+                if not any(image & mask == image for image in images):
+                    continue
+            elif find_homomorphism(query.body, Instance(subset), seed=seed) is None:
                 continue
-            if not is_acyclic_instance(sub_instance):
+            # The hypergraph of ``Instance(subset)``, without building it:
+            # GYO acyclicity does not depend on the order of the edges.
+            if not is_acyclic_hypergraph(Hypergraph(subset, instance_connectors)):
                 continue
             candidate = _instance_atoms_to_query(
                 list(subset), answer, name=f"{query.name}_chase_sub"
@@ -326,12 +384,14 @@ def fast_candidates(
     answer: Sequence[Constant],
     size_bound: int,
     rewriting_disjuncts: Sequence[ConjunctiveQuery] = (),
+    notes: Optional[List[str]] = None,
 ) -> Iterator[ConjunctiveQuery]:
     """The default candidate stream used by the deciders.
 
     Order: subqueries of ``q``; their cores; subqueries of rewriting
-    disjuncts; quotients of ``q`` in the chase; acyclic chase sub-instances;
-    Lemma 9 compact witnesses (when the chase happens to be acyclic).
+    disjuncts; quotients of ``q`` in the chase; Lemma 9 compact witnesses
+    (when the chase happens to be acyclic); acyclic chase sub-instances,
+    whose budget cut is reported to ``notes``.
     """
     def stream() -> Iterator[ConjunctiveQuery]:
         yield from acyclic_subqueries(query)
@@ -346,7 +406,11 @@ def fast_candidates(
             query, chase_instance, answer
         )
         yield from acyclic_chase_subinstances(
-            query, chase_instance, answer, max_atoms=min(size_bound, 2 * len(query))
+            query,
+            chase_instance,
+            answer,
+            max_atoms=min(size_bound, 2 * len(query)),
+            notes=notes,
         )
 
     yield from _dedup(stream())

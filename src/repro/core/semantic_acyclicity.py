@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..chase.egd_chase import egd_chase_query
-from ..chase.tgd_chase import chase_query
+from ..chase.tgd_chase import ChaseResult, chase_query
 from ..containment.constrained import (
     ContainmentConfig,
     ContainmentOutcome,
@@ -152,7 +152,13 @@ def decide_semantic_acyclicity_unconstrained(query: ConjunctiveQuery) -> SemAcDe
 # Verification strategies
 # ----------------------------------------------------------------------
 class _TgdVerifier:
-    """Class-aware equivalence checks ``q ≡_Σ candidate`` for tgd sets."""
+    """Class-aware equivalence checks ``q ≡_Σ candidate`` for tgd sets.
+
+    ``query_chase`` is the decision's own chase of ``q`` (run with the
+    containment budgets) and ``answer`` its frozen head ``c(x̄)``; the
+    direction ``q ⊆_Σ candidate`` is read off it instead of re-chasing ``q``
+    for every candidate.
+    """
 
     def __init__(
         self,
@@ -160,11 +166,15 @@ class _TgdVerifier:
         tgds: Sequence[TGD],
         config: SemAcConfig,
         strategy: str,
+        query_chase: ChaseResult,
+        answer: Sequence[Constant],
     ) -> None:
         self.query = query
         self.tgds = list(tgds)
         self.config = config
         self.strategy = strategy
+        self.query_chase = query_chase
+        self.answer = tuple(answer)
         self.saw_unknown = False
         self._query_rewriting = None
         if strategy == "rewriting":
@@ -172,13 +182,6 @@ class _TgdVerifier:
                 self._query_rewriting = rewrite(query, self.tgds, config.rewriting)
             except RewritingBudgetExceeded:
                 self.strategy = "chase"
-
-    def _contained_chase(
-        self, left: ConjunctiveQuery, right: ConjunctiveQuery
-    ) -> ContainmentOutcome:
-        return contained_under_tgds(
-            left, right, self.tgds, self.config.containment_config()
-        )
 
     def candidate_contained_in_query(self, candidate: ConjunctiveQuery) -> bool:
         """``candidate ⊆_Σ q`` (definite answers only)."""
@@ -190,7 +193,9 @@ class _TgdVerifier:
                 config=self.config.rewriting,
                 rewriting=self._query_rewriting,
             )
-        outcome = self._contained_chase(candidate, self.query)
+        outcome = contained_under_tgds(
+            candidate, self.query, self.tgds, self.config.containment_config()
+        )
         if outcome is ContainmentOutcome.UNKNOWN:
             self.saw_unknown = True
             return False
@@ -205,11 +210,16 @@ class _TgdVerifier:
                 )
             except RewritingBudgetExceeded:
                 self.saw_unknown = True
-        outcome = self._contained_chase(self.query, candidate)
-        if outcome is ContainmentOutcome.UNKNOWN:
-            self.saw_unknown = True
+        # Lemma 1 on the chase of q computed once per decision.  A CQ that
+        # holds on a chase prefix holds on every longer one, so TRUE is
+        # exact on any prefix; a miss is FALSE only on a terminated chase.
+        if len(candidate.head) != len(self.answer):
             return False
-        return bool(outcome)
+        if candidate.holds_in(self.query_chase.instance, self.answer):
+            return True
+        if not self.query_chase.terminated:
+            self.saw_unknown = True
+        return False
 
     def equivalent(self, candidate: ConjunctiveQuery) -> bool:
         return self.query_contained_in_candidate(candidate) and self.candidate_contained_in_query(
@@ -266,8 +276,6 @@ def decide_semantic_acyclicity_tgds(
             True, query, f"syntactic/{class_label}", size_bound, 1, True, notes
         )
 
-    verifier = _TgdVerifier(query, tgd_list, config, strategy)
-
     chase_result, freezing = chase_query(
         query,
         tgd_list,
@@ -277,6 +285,8 @@ def decide_semantic_acyclicity_tgds(
     if not chase_result.terminated:
         notes.append("chase truncated by budget; candidate space may be incomplete")
     answer = tuple(freezing[v] for v in query.head)
+
+    verifier = _TgdVerifier(query, tgd_list, config, strategy, chase_result, answer)
 
     rewriting_disjuncts: Sequence[ConjunctiveQuery] = ()
     if config.use_rewriting_candidates and class_label in ("non-recursive", "sticky"):
@@ -292,6 +302,7 @@ def decide_semantic_acyclicity_tgds(
         answer,
         size_bound,
         rewriting_disjuncts=rewriting_disjuncts,
+        notes=notes,
     ):
         checked += 1
         if checked > config.max_candidates_checked:
@@ -424,7 +435,7 @@ def decide_semantic_acyclicity_egds(
 
     checked = 0
     for candidate in fast_candidates(
-        query, chase_result.instance, answer, size_bound
+        query, chase_result.instance, answer, size_bound, notes=notes
     ):
         checked += 1
         if checked > config.max_candidates_checked:
