@@ -48,7 +48,7 @@ bench-plans:
 bench-backend:
 	$(PYTEST) benchmarks/bench_yannakakis_scaling.py -k backend -s
 
-## Parallel kernels: worker-count sweep on the Yannakakis scaling workload.
+## Vectorised vs loop kernels on numpy storage (Yannakakis scaling workload).
 bench-parallel:
 	$(PYTEST) benchmarks/bench_parallel_scaling.py -s
 

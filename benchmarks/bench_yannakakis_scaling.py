@@ -30,23 +30,14 @@ from typing import Dict, List, Optional, Sequence
 
 import pytest
 
-from repro.evaluation import (
-    EncodedRelation,
-    ScanCache,
-    TermEncoder,
-    YannakakisEvaluator,
-    shard_counts,
-)
+from repro.evaluation import ScanCache, YannakakisEvaluator
 from repro.evaluation.relation import Partition
 
 # The quadratic baseline is a test-only oracle (tests/helpers/); its
 # historical module path is kept alive by a shim precisely for this import.
 from repro.evaluation.yannakakis_dict import DictYannakakisEvaluator
 from repro.reporting import BenchSnapshot
-from repro.workloads.generators import (
-    skewed_scaling_workload,
-    yannakakis_scaling_workload,
-)
+from repro.workloads.generators import yannakakis_scaling_workload
 from conftest import print_series, scaled_sizes, smoke_mode
 
 
@@ -254,74 +245,6 @@ def test_columnar_backend_speedup():
         f"columnar backend only {ratio:.2f}× faster than the tuple backend "
         f"at |D| = {rows[-1]['size']} (expected ≥ {MIN_BACKEND_SPEEDUP}×)"
     )
-
-
-def test_parallel_skew_panel():
-    """ISSUE 10 skew panel: shard balance under uniform vs Zipfian join keys.
-
-    Static ``key % P`` sharding balances uniform keys; a Zipfian hot key
-    drags its whole shard along.  The panel makes the imbalance visible as
-    per-worker shard row counts (:func:`repro.evaluation.parallel
-    .shard_counts`) on each relation of the chain workload — and checks
-    that even under heavy skew the parallel merge stays answer-identical
-    to the serial path (determinism is layout-independent).
-    """
-    workers = 4
-    size = SIZES[-1]
-    panels = []
-    for label, workload in (
-        ("uniform", yannakakis_scaling_workload(size, seed=0)),
-        ("zipf(2.0)", skewed_scaling_workload(size, skew=2.0, seed=0)),
-    ):
-        query, database = workload
-        scans = ScanCache(database)
-        encoder = TermEncoder()
-        rows = []
-        for atom in query.body:
-            relation = scans.scan(atom)
-            encoded = EncodedRelation.from_relation(relation, encoder)
-            # Shard on the variable shared with the next atom in the chain
-            # — the build key the parallel semi-joins/joins actually use.
-            key = [atom.terms[-1]]
-            counts = shard_counts(encoded, key, workers)
-            imbalance = max(counts) / (sum(counts) / len(counts))
-            rows.append(
-                (atom.predicate.name, label, counts, f"{imbalance:.2f}×")
-            )
-        serial = YannakakisEvaluator(query, scans).evaluate(
-            database, backend="columnar", parallel=1
-        )
-        parallel = YannakakisEvaluator(query, scans).evaluate(
-            database, backend="columnar", parallel=workers
-        )
-        assert parallel == serial  # merge determinism is layout-independent
-        panels.append((label, rows, max(r[3] for r in rows)))
-    print_series(
-        f"ISSUE 10: per-worker shard sizes (workers={workers})",
-        [row for _, rows, _ in panels for row in rows],
-        header=["relation", "keys", "shard rows", "imbalance"],
-    )
-
-    snapshot = BenchSnapshot("parallel_skew")
-    snapshot.record("workers", workers)
-    snapshot.record("size", size)
-    for label, rows, worst in panels:
-        snapshot.add_row(
-            "panels",
-            {
-                "distribution": label,
-                "worst_imbalance": worst,
-                "shards": {name: counts for name, _, counts, _ in rows},
-            },
-        )
-    snapshot.write()
-
-    # The hot key concentrates rows: the skewed panel must be measurably
-    # less balanced than the uniform one (that's what it demonstrates).
-    uniform_worst = float(panels[0][2].rstrip("×"))
-    zipf_worst = float(panels[1][2].rstrip("×"))
-    if not smoke_mode():
-        assert zipf_worst > uniform_worst
 
 
 @pytest.mark.parametrize("size", SIZES)

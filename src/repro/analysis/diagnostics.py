@@ -55,7 +55,6 @@ CODES: Dict[str, str] = {
     "PLAN014": "batch face out of sync (width or cached encoding vs schema)",
     "PLAN015": "bag node out of sync (bag vs schema or vs decomposition tree)",
     "PLAN016": "cached scan result is stamped with a stale database epoch",
-    "PLAN017": "parallel shard/morsel layout does not tile the operands",
     "SVC001": "service scan cache epoch desynchronised from its database",
     "SVC002": "cached plan's statistics drifted past the re-plan threshold",
     "WKL001": "malformed or unsafe query",

@@ -23,7 +23,6 @@ PLAN013  batch face: operator type is in the width registry         warning
 PLAN014  batch face: width/cached encoding agree with the schema    error
 PLAN015  bag nodes agree with their schema and decomposition tree   error
 PLAN016  cached scan results carry the expected database epoch      error
-PLAN017  parallel meta: shard/morsel layout tiles the operands      error
 ======== ========================================================== ========
 
 The key idea is *recomputation*: the verifier re-runs the same position
@@ -48,13 +47,6 @@ reported as PLAN013 — :mod:`scripts.lint_conventions` enforces that every
 operator overriding the batch face is registered here.  Batch checks run
 only on nodes whose tuple-face invariants verified clean, so a corrupted
 node reports the precise tuple-face code rather than a duplicate.
-
-A node executed by the morsel-driven parallel layer records its shard and
-morsel layout (``op._parallel_meta``, PR 10); PLAN017 re-adds the recorded
-sizes and compares them with the operand row counts — a merge that lost or
-duplicated a shard no longer tiles the operands and is caught without
-re-running the kernel.  Like PLAN016, this audits *executed* state, so it
-only fires on plans that have already run (the meta is ``None`` otherwise).
 
 :func:`verify_or_raise` turns ERROR findings into a
 :class:`PlanVerificationError`; :func:`maybe_verify` is the ``REPRO_VERIFY``
@@ -779,95 +771,6 @@ def _check_epochs(
             )
 
 
-#: Parallel kernels with a hash-sharded build side (``shard_sizes``) and,
-#: per binary kernel, which child feeds the probe/build side.  The unary
-#: kernels (project/select) morselise their single input and carry no
-#: shards.
-_BINARY_KERNELS = ("join", "semijoin")
-_PARALLEL_KERNELS = _BINARY_KERNELS + ("project", "select")
-
-
-def _check_parallel_meta(
-    nodes: Sequence[Operator], diagnostics: List[Diagnostic]
-) -> None:
-    """PLAN017: recorded shard/morsel layouts tile the operand relations.
-
-    A parallel kernel records the layout it executed with
-    (:class:`repro.evaluation.parallel.ParallelMeta`): the contiguous
-    probe morsels and, for the binary kernels, the hash shards of the
-    build side.  The deterministic merge is only answer-identical to the
-    serial path if that layout partitions the operands exactly — every
-    probe row in exactly one morsel, every build row in exactly one
-    shard.  The check re-adds the recorded sizes and compares them with
-    the row counts the meta claims and, where the children still cache
-    their encoded results, with the actual operand lengths.
-    """
-    for node in nodes:
-        meta = getattr(node, "_parallel_meta", None)
-        if meta is None:
-            continue
-        label = _label(node)
-
-        def report(message: str) -> None:
-            diagnostics.append(
-                Diagnostic("PLAN017", Severity.ERROR, message, subject=label)
-            )
-
-        kernel = getattr(meta, "kernel", None)
-        if kernel not in _PARALLEL_KERNELS:
-            report(f"unknown parallel kernel {kernel!r}")
-            continue
-        if meta.workers < 2:
-            report(
-                f"parallel meta records {meta.workers} worker(s) — a serial "
-                "run must not attach a parallel layout"
-            )
-        morsel_total = sum(meta.morsel_sizes)
-        if morsel_total != meta.probe_rows:
-            report(
-                f"morsel sizes {meta.morsel_sizes} sum to {morsel_total} but "
-                f"the probe side has {meta.probe_rows} row(s) — the merge "
-                "lost or duplicated a morsel"
-            )
-        shard_total = sum(meta.shard_sizes)
-        if kernel in _BINARY_KERNELS:
-            if shard_total != meta.build_rows:
-                report(
-                    f"shard sizes {meta.shard_sizes} sum to {shard_total} but "
-                    f"the build side has {meta.build_rows} row(s) — the hash "
-                    "sharding lost or duplicated a build row"
-                )
-        elif meta.shard_sizes or meta.build_rows:
-            report(
-                f"unary kernel '{kernel}' must not record build shards "
-                f"(got shard_sizes={meta.shard_sizes}, "
-                f"build_rows={meta.build_rows})"
-            )
-        # Where the children still cache their encoded inputs, the meta's
-        # claimed operand sizes must match what the kernel actually read.
-        children = tuple(node.children)
-        if not children:
-            continue
-        probe_encoded = getattr(children[0], "_encoded", None)
-        if probe_encoded is not None and len(probe_encoded) != meta.probe_rows:
-            report(
-                f"parallel meta records {meta.probe_rows} probe row(s) but "
-                f"the probe child caches {len(probe_encoded)} — the layout "
-                "is out of sync with the operand"
-            )
-        if kernel in _BINARY_KERNELS and len(children) > 1:
-            build_encoded = getattr(children[1], "_encoded", None)
-            if (
-                build_encoded is not None
-                and len(build_encoded) != meta.build_rows
-            ):
-                report(
-                    f"parallel meta records {meta.build_rows} build row(s) "
-                    f"but the build child caches {len(build_encoded)} — the "
-                    "shard layout is out of sync with the operand"
-                )
-
-
 # ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
@@ -891,7 +794,6 @@ def verify_plan(
         _check_node(node, diagnostics)
     _check_estimates(nodes, diagnostics)
     _check_bag_tree_sync(nodes, diagnostics)
-    _check_parallel_meta(nodes, diagnostics)
     if streaming:
         _check_streaming(root, nodes, diagnostics)
     if expected_epoch is not None:

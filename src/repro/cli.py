@@ -242,14 +242,9 @@ def _cmd_evaluate(args: argparse.Namespace, out: IO[str]) -> int:
                 route, evaluator = "reformulated", YannakakisEvaluator(decision.witness)
         how = "reformulated+yannakakis" if route == "reformulated" else route
         if evaluator is not None:
-            stream = evaluator.iter_answers(
-                database, limit=limit, backend=args.backend, parallel=args.parallel
-            )
+            stream = evaluator.iter_answers(database, limit=limit, backend=args.backend)
         else:
-            stream = iter_with_plan(
-                query, database, limit=limit, backend=args.backend,
-                parallel=args.parallel,
-            )
+            stream = iter_with_plan(query, database, limit=limit, backend=args.backend)
         answers = sorted(stream, key=str)
 
     print(f"evaluation: {how}", file=out)
@@ -292,8 +287,7 @@ def _cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
             query = parse_query(rest)
             answers = sorted(
                 service.stream(
-                    query, tgds=tgds, limit=args.limit, backend=args.backend,
-                    parallel=args.parallel,
+                    query, tgds=tgds, limit=args.limit, backend=args.backend
                 ),
                 key=str,
             )
@@ -459,10 +453,7 @@ def _cmd_explain(args: argparse.Namespace, out: IO[str]) -> int:
                     f"query: {query}",
                     "route: reformulated",
                     f"reformulation: {witness}",
-                    evaluator.explain(
-                        database, execute=execute, backend=args.backend,
-                        parallel=args.parallel,
-                    ),
+                    evaluator.explain(database, execute=execute, backend=args.backend),
                 ]
                 if args.verify:
                     lines.extend(_verification_lines(evaluator))
@@ -476,7 +467,6 @@ def _cmd_explain(args: argparse.Namespace, out: IO[str]) -> int:
             execute=execute,
             verify=args.verify,
             backend=args.backend,
-            parallel=args.parallel,
         )
     except (AcyclicityRequired, NotSemanticallyAcyclic) as error:
         raise SystemExit(str(error))
@@ -564,14 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend (default: the REPRO_BACKEND environment "
         "variable, else tuple)",
     )
-    evaluate_parser.add_argument(
-        "--parallel",
-        default=None,
-        metavar="N|auto",
-        help="worker count for the morsel-parallel columnar kernels "
-        "(default: the REPRO_PARALLEL environment variable, else serial; "
-        "'auto' uses the host CPU count)",
-    )
     evaluate_parser.set_defaults(handler=_cmd_evaluate)
 
     explain_parser = subparsers.add_parser(
@@ -603,14 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="execution backend (default: the REPRO_BACKEND environment "
         "variable, else tuple)",
-    )
-    explain_parser.add_argument(
-        "--parallel",
-        default=None,
-        metavar="N|auto",
-        help="worker count for the morsel-parallel columnar kernels "
-        "(default: the REPRO_PARALLEL environment variable, else serial; "
-        "'auto' uses the host CPU count)",
     )
     explain_parser.set_defaults(handler=_cmd_explain)
 
@@ -649,14 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="execution backend (default: the REPRO_BACKEND environment "
         "variable, else tuple)",
-    )
-    serve_parser.add_argument(
-        "--parallel",
-        default=None,
-        metavar="N|auto",
-        help="worker count for the morsel-parallel columnar kernels "
-        "(default: the REPRO_PARALLEL environment variable, else serial; "
-        "'auto' uses the host CPU count)",
     )
     serve_parser.add_argument(
         "--verify",

@@ -43,22 +43,30 @@ def predicate_graph(tgds: Iterable[TGD]) -> Dict[Predicate, Set[Predicate]]:
     return graph
 
 
+_WHITE, _GREY, _BLACK = 0, 1, 2
+
+
 def _has_directed_cycle(graph: Dict[object, Set[object]]) -> bool:
     """Standard three-colour DFS cycle detection."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: Dict[object, int] = {node: WHITE for node in graph}
+    colour: Dict[object, int] = {node: _WHITE for node in graph}
+    return any(
+        colour[node] == _WHITE and _reaches_grey(graph, node, colour)
+        for node in list(graph)
+    )
 
-    def visit(node: object) -> bool:
-        colour[node] = GREY
-        for neighbour in graph.get(node, ()):  # pragma: no branch
-            if colour[neighbour] == GREY:
-                return True
-            if colour[neighbour] == WHITE and visit(neighbour):
-                return True
-        colour[node] = BLACK
-        return False
 
-    return any(colour[node] == WHITE and visit(node) for node in list(graph))
+def _reaches_grey(
+    graph: Dict[object, Set[object]], node: object, colour: Dict[object, int]
+) -> bool:
+    """The DFS step of :func:`_has_directed_cycle` (a back edge is a cycle)."""
+    colour[node] = _GREY
+    for neighbour in graph.get(node, ()):  # pragma: no branch
+        if colour[neighbour] == _GREY:
+            return True
+        if colour[neighbour] == _WHITE and _reaches_grey(graph, neighbour, colour):
+            return True
+    colour[node] = _BLACK
+    return False
 
 
 def is_non_recursive(tgds: Sequence[TGD]) -> bool:
@@ -77,17 +85,20 @@ def stratification_depth(tgds: Sequence[TGD]) -> int:
         raise ValueError("stratification depth is defined for non-recursive sets only")
     graph = predicate_graph(tgds)
     depth: Dict[Predicate, int] = {}
+    return max((_longest_from(graph, node, depth) for node in graph), default=0)
 
-    def longest_from(node: Predicate) -> int:
-        if node in depth:
-            return depth[node]
-        best = 0
-        for neighbour in graph.get(node, ()):  # pragma: no branch
-            best = max(best, 1 + longest_from(neighbour))
-        depth[node] = best
-        return best
 
-    return max((longest_from(node) for node in graph), default=0)
+def _longest_from(
+    graph: Dict[Predicate, Set[Predicate]], node: Predicate, depth: Dict[Predicate, int]
+) -> int:
+    """The longest path length from ``node``, memoised in ``depth``."""
+    if node in depth:
+        return depth[node]
+    best = 0
+    for neighbour in graph.get(node, ()):  # pragma: no branch
+        best = max(best, 1 + _longest_from(graph, neighbour, depth))
+    depth[node] = best
+    return best
 
 
 # ----------------------------------------------------------------------

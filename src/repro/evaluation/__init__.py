@@ -21,11 +21,14 @@ dictionary-encoded integer columns (:mod:`repro.evaluation.encoding`);
 ``backend="columnar"`` (or ``REPRO_BACKEND=columnar``) routes any entry
 point through it, with the tuple backend kept as the differential oracle.
 
-The batch face can additionally run morsel-driven parallel kernels
-(:mod:`repro.evaluation.parallel`): ``parallel=`` on any entry point (or
-``REPRO_PARALLEL``) hash-shards the build sides and splits the probe sides
-into contiguous morsels, with a deterministic merge keeping the answers
-bit-identical to the serial path.
+On numpy storage (``REPRO_NUMPY=1``) the batch face's join, semi-join,
+projection and selection run one vectorised kernel each
+(:mod:`repro.evaluation.parallel`: sorted build keys probed with
+``searchsorted``, ``unique``-based dedup, selection masks) whenever the
+key packs into ``int64``, with answers bit-identical to the loop kernels.
+``parallel=`` (or ``REPRO_PARALLEL``) on :func:`evaluate_batch` and
+:meth:`BatchEvaluator.evaluate` schedules the independent queries of a
+batch on threads.
 
 Batches of queries over one database go through :func:`evaluate_batch`
 (:mod:`repro.evaluation.batch`), which shares the phase-1 atom scans and
@@ -61,9 +64,7 @@ from .operators import (
 from .parallel import (
     PARALLEL_ENV,
     PARALLEL_MIN_ROWS,
-    ParallelMeta,
     resolve_parallel,
-    shard_counts,
 )
 from .batch import BatchEvaluator, CacheBindingError, ScanCache, atom_signature
 from .yannakakis import (
@@ -139,7 +140,6 @@ __all__ = [
     "Operator",
     "PARALLEL_ENV",
     "PARALLEL_MIN_ROWS",
-    "ParallelMeta",
     "Partition",
     "PlanExecution",
     "PlanStep",
@@ -196,5 +196,4 @@ __all__ = [
     "resolve_planner",
     "resolve_route",
     "service_enabled",
-    "shard_counts",
 ]

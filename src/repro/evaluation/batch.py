@@ -453,16 +453,11 @@ class BatchEvaluator:
         database: Instance,
         scans: Optional[ScanProvider],
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> Set[Tuple[Term, ...]]:
         kind, evaluator = route
         if evaluator is not None:  # "yannakakis" and "reformulated"
-            return evaluator.evaluate(
-                database, scans=scans, backend=backend, parallel=parallel
-            )
-        return evaluate_with_plan(
-            query, database, scans=scans, backend=backend, parallel=parallel
-        )
+            return evaluator.evaluate(database, scans=scans, backend=backend)
+        return evaluate_with_plan(query, database, scans=scans, backend=backend)
 
     def evaluate(
         self,
@@ -506,13 +501,12 @@ class BatchEvaluator:
                         database,
                         scans,
                         backend,
-                        workers,
                     )
                     for query, route in zip(self.queries, self._routes)
                 ]
                 return [future.result() for future in futures]
         return [
-            self._evaluate_one(query, route, database, scans, backend, parallel)
+            self._evaluate_one(query, route, database, scans, backend)
             for query, route in zip(self.queries, self._routes)
         ]
 
@@ -523,7 +517,6 @@ class BatchEvaluator:
         scans: Optional[ScanProvider] = None,
         limit: Optional[int] = None,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> List[Iterator[Tuple[Term, ...]]]:
         """Per-query answer *generators* over one shared :class:`ScanCache`.
 
@@ -549,7 +542,6 @@ class BatchEvaluator:
                 scans=scans,
                 limit=limit,
                 backend=backend,
-                parallel=parallel,
             )
 
         iterators: List[Iterator[Tuple[Term, ...]]] = []
@@ -561,7 +553,6 @@ class BatchEvaluator:
                         scans=scans,
                         limit=limit,
                         backend=backend,
-                        parallel=parallel,
                     )
                 )
             else:
@@ -575,7 +566,6 @@ class BatchEvaluator:
         scans: Optional[ScanProvider] = None,
         execute: bool = True,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> List[str]:
         """Per-query ``EXPLAIN`` output over one shared :class:`ScanCache`.
 
@@ -600,7 +590,6 @@ class BatchEvaluator:
                         scans=scans,
                         execute=execute,
                         backend=backend,
-                        parallel=parallel,
                     )
                 )
             else:
@@ -612,7 +601,6 @@ class BatchEvaluator:
                         scans=scans,
                         execute=execute,
                         backend=backend,
-                        parallel=parallel,
                     )
                 )
             reports.append("\n".join(lines))
@@ -623,7 +611,6 @@ class BatchEvaluator:
         database: Instance,
         *,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> List[Set[Tuple[Term, ...]]]:
         """The per-query baseline: identical routing, no shared scans.
 
@@ -633,8 +620,6 @@ class BatchEvaluator:
         oracle for :meth:`evaluate`.
         """
         return [
-            self._evaluate_one(
-                query, route, database, None, backend=backend, parallel=parallel
-            )
+            self._evaluate_one(query, route, database, None, backend=backend)
             for query, route in zip(self.queries, self._routes)
         ]

@@ -140,9 +140,9 @@ class TermEncoder:
     shared), so relations encoded under the same encoder share a code space
     and can be joined without translation.
 
-    Encoding is thread-safe: concurrent batch scheduling and the parallel
-    morsel kernels may encode under one shared encoder from several workers
-    at once, so the append path takes a lock — the same discipline as
+    Encoding is thread-safe: concurrent batch scheduling may encode under
+    one shared encoder from several threads at once, so the append path
+    takes a lock — the same discipline as
     ``TermFactory`` in :mod:`repro.datamodel.terms`.  The fast path (term
     already assigned) stays a single lock-free dict read: codes are never
     retracted, so a hit is stable the moment it is visible.

@@ -490,7 +490,6 @@ def execute_plan(
     *,
     scans: Optional[ScanProvider] = None,
     backend: Optional[str] = None,
-    parallel: Optional[object] = None,
 ) -> PlanExecution:
     """Execute a join plan on its materialising face over the IR.
 
@@ -501,7 +500,7 @@ def execute_plan(
     up empty.  ``scans`` injects a shared scan provider for the base-atom
     scans (see :meth:`Relation.from_atom`).
     """
-    context = ExecutionContext(database, scans, backend=backend, parallel=parallel)
+    context = ExecutionContext(database, scans, backend=backend)
     ops = compile_plan(plan)
     if ops:
         _maybe_verify(ops[-1], where="join_plans.execute_plan")
@@ -544,7 +543,6 @@ def iter_plan_answers(
     scans: Optional[ScanProvider] = None,
     limit: Optional[int] = None,
     backend: Optional[str] = None,
-    parallel: Optional[object] = None,
 ) -> Iterator[Tuple[Term, ...]]:
     """Stream a plan's answers through the fully pipelined operator chain.
 
@@ -572,7 +570,7 @@ def iter_plan_answers(
     _maybe_verify(top, streaming=True, where="join_plans.iter_plan_answers")
     head_positions = tuple(head_schema.index(v) for v in plan.query.head)
 
-    context = ExecutionContext(database, scans, backend=backend, parallel=parallel)
+    context = ExecutionContext(database, scans, backend=backend)
     produced = 0
     if context.backend == "columnar":
         # The chain pipelines batch-at-a-time; codes are decoded only here.
@@ -599,7 +597,6 @@ def explain_plan(
     statistics: Optional[Statistics] = None,
     execute: bool = True,
     backend: Optional[str] = None,
-    parallel: Optional[object] = None,
 ) -> str:
     """Pretty-print a compiled plan with estimated vs. observed rows.
 
@@ -622,7 +619,7 @@ def explain_plan(
     )
     model.annotate(top)
     if execute:
-        context = ExecutionContext(database, scans, backend=backend, parallel=parallel)
+        context = ExecutionContext(database, scans, backend=backend)
         if context.backend == "columnar":
             top.materialize_encoded(context)
         else:
@@ -654,7 +651,6 @@ def evaluate_with_plan(
     *,
     scans: Optional[ScanProvider] = None,
     backend: Optional[str] = None,
-    parallel: Optional[object] = None,
 ) -> Set[Tuple[Term, ...]]:
     """Plan and execute ``query`` over ``database``; return the answer set.
 
@@ -665,7 +661,7 @@ def evaluate_with_plan(
     scans = _default_scans(database, scans)
     plan = planner(query, database, scans=scans)
     return execute_plan(
-        plan, database, scans=scans, backend=backend, parallel=parallel
+        plan, database, scans=scans, backend=backend
     ).answers
 
 
@@ -677,7 +673,6 @@ def iter_with_plan(
     scans: Optional[ScanProvider] = None,
     limit: Optional[int] = None,
     backend: Optional[str] = None,
-    parallel: Optional[object] = None,
 ) -> Iterator[Tuple[Term, ...]]:
     """Plan ``query`` and stream its answers (see :func:`iter_plan_answers`).
 
@@ -689,7 +684,7 @@ def iter_with_plan(
     scans = _default_scans(database, scans)
     plan = planner(query, database, scans=scans)
     return iter_plan_answers(
-        plan, database, scans=scans, limit=limit, backend=backend, parallel=parallel
+        plan, database, scans=scans, limit=limit, backend=backend
     )
 
 
@@ -700,7 +695,6 @@ def boolean_with_plan(
     *,
     scans: Optional[ScanProvider] = None,
     backend: Optional[str] = None,
-    parallel: Optional[object] = None,
 ) -> bool:
     """Boolean evaluation through a join plan (first-answer short-circuit).
 
@@ -714,7 +708,6 @@ def boolean_with_plan(
         scans=scans,
         limit=1,
         backend=backend,
-        parallel=parallel,
     ):
         return True
     return False

@@ -71,12 +71,10 @@ from ..datamodel import Atom, Instance, Predicate, Term, Variable
 from ..hypergraph import JoinTree
 from .encoding import EncodedRelation, IntRow, TermEncoder, resolve_backend
 from .parallel import (
-    ParallelMeta,
     parallel_join,
     parallel_project,
-    parallel_select,
+    parallel_select,  # noqa: F401  (unused; the layer trace wraps it here)
     parallel_semijoin,
-    resolve_parallel,
 )
 from .relation import (
     Partition,
@@ -87,7 +85,7 @@ from .relation import (
     compile_scan_pattern,
 )
 
-#: Environment variable overriding :data:`BATCH_ROWS` (the morsel size).
+#: Environment variable overriding :data:`BATCH_ROWS` (the batch size).
 BATCH_ROWS_ENV = "REPRO_BATCH_ROWS"
 
 #: The default batch-face row budget when ``REPRO_BATCH_ROWS`` is unset.
@@ -98,7 +96,7 @@ def _resolve_batch_rows() -> int:
     """Resolve ``REPRO_BATCH_ROWS`` to a positive int, warning on junk.
 
     Unlike ``REPRO_BACKEND``/``REPRO_PARALLEL`` (which raise on typos), a
-    bad morsel size degrades gracefully: batch execution is correct at any
+    bad batch size degrades gracefully: batch execution is correct at any
     size, so a non-positive or non-numeric value warns and falls back to
     :data:`DEFAULT_BATCH_ROWS` rather than making every entry point
     unusable.  Read once at import time — the batch tests monkeypatch the
@@ -156,15 +154,9 @@ class ExecutionContext:
     provider owns an encoder (``ScanCache.encoder``) it is reused, so
     encodings — like scans and partitions — amortise across every
     evaluation sharing the cache.
-
-    ``parallel`` sets the morsel worker count (resolved per
-    :func:`repro.evaluation.parallel.resolve_parallel`; fewer than two
-    workers means the serial kernels run).  Only the batch face consults
-    it: the tuple face and the streaming faces stay serial — they are the
-    differential oracles the parallel kernels are tested against.
     """
 
-    __slots__ = ("database", "scans", "backend", "encoder", "workers")
+    __slots__ = ("database", "scans", "backend", "encoder")
 
     def __init__(
         self,
@@ -173,12 +165,10 @@ class ExecutionContext:
         *,
         backend: Optional[str] = None,
         encoder: Optional[TermEncoder] = None,
-        parallel: Optional[object] = None,
     ) -> None:
         self.database = database
         self.scans = scans
         self.backend = resolve_backend(backend)
-        self.workers = resolve_parallel(parallel)
         if encoder is None:
             encoder = getattr(scans, "encoder", None)
             if encoder is None:
@@ -208,7 +198,6 @@ class Operator:
         "executed_face",
         "_result",
         "_encoded",
-        "_parallel_meta",
     )
 
     def __init__(
@@ -224,9 +213,6 @@ class Operator:
         self.executed_face: Optional[str] = None
         self._result: Optional[Relation] = None
         self._encoded: Optional[EncodedRelation] = None
-        #: The shard/morsel layout when a parallel kernel executed this
-        #: node (rendered by :func:`render_plan`, audited by PLAN017).
-        self._parallel_meta: Optional[ParallelMeta] = None
 
     # -- execution ------------------------------------------------------
     def materialize(self, context: ExecutionContext) -> Relation:
@@ -382,13 +368,7 @@ class Select(Operator):
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         child = self.children[0].materialize_encoded(context)
-        checks = self._encoded_checks(context)
-        if context.workers >= 2:
-            sharded = parallel_select(child, checks, context.workers)
-            if sharded is not None:
-                result, self._parallel_meta = sharded
-                return result
-        return child.select_codes(checks)
+        return child.select_codes(self._encoded_checks(context))
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
         self.observed_rows = 0
@@ -435,14 +415,8 @@ class Project(Operator):
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         child = self.children[0].materialize_encoded(context)
-        if context.workers >= 2:
-            sharded = parallel_project(
-                child, self.schema, self._positions, context.workers
-            )
-            if sharded is not None:
-                result, self._parallel_meta = sharded
-                return result
-        return child.project(self.schema)
+        result = parallel_project(child, self.schema, self._positions)
+        return child.project(self.schema) if result is None else result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
         self.observed_rows = 0
@@ -482,17 +456,8 @@ class Distinct(Operator):
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         child = self.children[0].materialize_encoded(context)
-        if context.workers >= 2:
-            sharded = parallel_project(
-                child,
-                self.schema,
-                tuple(range(len(self.schema))),
-                context.workers,
-            )
-            if sharded is not None:
-                result, self._parallel_meta = sharded
-                return result
-        return child.distinct()
+        result = parallel_project(child, self.schema, tuple(range(len(self.schema))))
+        return child.distinct() if result is None else result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
         self.observed_rows = 0
@@ -555,18 +520,13 @@ class SemiJoin(Operator):
         if left.is_empty():
             return EncodedRelation.empty(self.schema, context.encoder)
         right = self.children[1].materialize_encoded(context)
-        if context.workers >= 2 and self._shared:
-            sharded = parallel_semijoin(
-                left,
-                right,
-                self._left_key,
-                tuple(right.position(v) for v in self._shared),
-                context.workers,
-            )
-            if sharded is not None:
-                result, self._parallel_meta = sharded
-                return result
-        return left.semijoin(right)
+        result = parallel_semijoin(
+            left,
+            right,
+            self._left_key,
+            tuple(right.position(v) for v in self._shared),
+        )
+        return left.semijoin(right) if result is None else result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
         self.observed_rows = 0
@@ -658,24 +618,19 @@ class HashJoin(Operator):
         if left.is_empty():
             return EncodedRelation.empty(self.schema, context.encoder)
         right = self.children[1].materialize_encoded(context)
-        # Thread-local delta, as in the tuple face: the parallel kernel
-        # aggregates len(left) probes through Partition.add_probes on this
-        # (the coordinator) thread, so the delta is backend-identical and
-        # immune to concurrently scheduled queries' probes.
+        # Thread-local delta, as in the tuple face: the vectorised kernel
+        # adds len(left) probes through Partition.add_probes on this thread,
+        # so the delta is kernel-identical and immune to concurrently
+        # scheduled queries' probes.
         before = Partition.thread_probes()
-        result: Optional[EncodedRelation] = None
-        if context.workers >= 2 and self._shared:
-            sharded = parallel_join(
-                left,
-                right,
-                self._left_key,
-                tuple(right.position(v) for v in self._shared),
-                self._right_residual,
-                self.schema,
-                context.workers,
-            )
-            if sharded is not None:
-                result, self._parallel_meta = sharded
+        result = parallel_join(
+            left,
+            right,
+            self._left_key,
+            tuple(right.position(v) for v in self._shared),
+            self._right_residual,
+            self.schema,
+        )
         if result is None:
             result = left.join(right)
         self.observed_probes = (self.observed_probes or 0) + (
@@ -779,6 +734,66 @@ class _NodePlan:
         self.probe_variables = probe_variables
         self.children = children
         self.carry = carry
+
+
+class _Enumeration:
+    """One run of :meth:`CursorEnumerate._enumerate`: the per-node plans and
+    the cursors memoised per (node, probe key)."""
+
+    __slots__ = ("operator", "plans", "memos")
+
+    def __init__(self, operator: Operator, plans: Dict[int, _NodePlan]) -> None:
+        self.operator = operator
+        self.plans = plans
+        self.memos: Dict[Tuple[int, Row], _MemoCursor] = {}
+
+    def cursor(self, identifier: int, key: Row) -> _MemoCursor:
+        memo = self.memos.get((identifier, key))
+        if memo is None:
+            memo = _MemoCursor(self.source(identifier, key))
+            self.memos[(identifier, key)] = memo
+        return memo
+
+    def source(self, identifier: int, key: Row) -> Iterator[Row]:
+        plan = self.plans[identifier]
+        if plan.probe_variables:
+            self.operator._count_probe()
+            rows: Sequence[Row] = plan.relation.partition(plan.probe_variables).get(key)
+        else:
+            rows = plan.relation.rows
+        seen: Set[Row] = set()
+        assembled: List[Row] = [()] * len(plan.children)
+        for row in rows:
+            # Peek every child before combining: a dead child (possible
+            # only on unreduced relations) must not cost a scan of its
+            # siblings' cursors.
+            if all(
+                self.cursor(child_id, tuple(row[p] for p in key_positions)).has_any()
+                for child_id, key_positions in plan.children
+            ):
+                yield from self.expand(plan, row, 0, assembled, seen)
+
+    def expand(
+        self,
+        plan: _NodePlan,
+        row: Row,
+        depth: int,
+        assembled: List[Row],
+        seen: Set[Row],
+    ) -> Iterator[Row]:
+        if depth == len(plan.children):
+            out = tuple(
+                row[position] if source_index < 0 else assembled[source_index][position]
+                for source_index, position in plan.carry
+            )
+            if out not in seen:
+                seen.add(out)
+                yield out
+            return
+        child_id, key_positions = plan.children[depth]
+        for child_row in self.cursor(child_id, tuple(row[p] for p in key_positions)):
+            assembled[depth] = child_row
+            yield from self.expand(plan, row, depth + 1, assembled, seen)
 
 
 class CursorEnumerate(Operator):
@@ -925,57 +940,14 @@ class CursorEnumerate(Operator):
         cursors only ever touch ``rows``, cached ``partition`` probes and
         positional indexing — identical on both.
         """
-        plans = self._node_plans(relations)
-        memos: Dict[Tuple[int, Row], _MemoCursor] = {}
-
-        def cursor(identifier: int, key: Row) -> _MemoCursor:
-            memo = memos.get((identifier, key))
-            if memo is None:
-                memo = _MemoCursor(source(identifier, key))
-                memos[(identifier, key)] = memo
-            return memo
-
-        def source(identifier: int, key: Row) -> Iterator[Row]:
-            plan = plans[identifier]
-            if plan.probe_variables:
-                self._count_probe()
-                rows: Sequence[Row] = plan.relation.partition(
-                    plan.probe_variables
-                ).get(key)
-            else:
-                rows = plan.relation.rows
-            children = plan.children
-            instructions = plan.carry
-            seen: Set[Row] = set()
-            assembled: List[Row] = [()] * len(children)
-
-            def expand(row: Row, depth: int) -> Iterator[Row]:
-                if depth == len(children):
-                    out = tuple(
-                        row[position] if source_index < 0 else assembled[source_index][position]
-                        for source_index, position in instructions
-                    )
-                    if out not in seen:
-                        seen.add(out)
-                        yield out
-                    return
-                child_id, key_positions = children[depth]
-                child_key = tuple(row[p] for p in key_positions)
-                for child_row in cursor(child_id, child_key):
-                    assembled[depth] = child_row
-                    yield from expand(row, depth + 1)
-
-            for row in rows:
-                # Peek every child before combining: a dead child (possible
-                # only on unreduced relations) must not cost a scan of its
-                # siblings' cursors.
-                if all(
-                    cursor(child_id, tuple(row[p] for p in key_positions)).has_any()
-                    for child_id, key_positions in children
-                ):
-                    yield from expand(row, 0)
-
-        yield from cursor(self.tree.root, ())
+        enumeration = _Enumeration(self, self._node_plans(relations))
+        try:
+            yield from enumeration.cursor(self.tree.root, ())
+        finally:
+            # The memo table and the cursors' suspended generators reference
+            # each other through the enumeration; emptying it on exhaustion
+            # or close leaves no cycle for the garbage collector to find.
+            enumeration.memos.clear()
 
     def label(self) -> str:
         return f"CursorEnumerate[{', '.join(str(v) for v in self.schema)}]"
@@ -1395,13 +1367,11 @@ def render_plan(root: Operator, indent: str = "  ") -> str:
             if operator.observed_probes is not None
             else ""
         )
-        meta = operator._parallel_meta
-        parallel = f", {meta.describe()}" if meta is not None else ""
         face = ", face=batch" if operator.executed_face == "batch" else ""
         lines.append(
             f"{prefix}{operator.label()}  "
             f"(est={_format_count(operator.estimated_rows)}, "
-            f"obs={_format_count(operator.observed_rows)}{probes}{parallel}{face})"
+            f"obs={_format_count(operator.observed_rows)}{probes}{face})"
         )
         for child in operator.children:
             visit(child, depth + 1)

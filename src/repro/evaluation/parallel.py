@@ -1,102 +1,70 @@
-"""Morsel-driven parallel execution over the batch face.
+"""Vectorised numpy kernels for the batch face, and batch thread scheduling.
 
 The operator IR's batch face (:meth:`Operator.materialize_encoded`) moves
 dictionary-encoded column stores through ``Select``/``Project``/``Distinct``/
-``SemiJoin``/``HashJoin`` kernels.  Those kernels are embarrassingly
-partition-parallel in the style of morsel-driven execution (Leis et al.,
-SIGMOD'14, the HyPer architecture): the *build* side of a join is hash-
-sharded by join key into ``P`` shards, the *probe* side is split into ``P``
-contiguous morsels, and each (morsel × shard) unit of work is independent.
-This module supplies that layer:
+``SemiJoin``/``HashJoin`` kernels.  On numpy storage (``REPRO_NUMPY=1``)
+each of those operators has one single-pass vectorised kernel here:
 
-* :func:`resolve_parallel` resolves the ``parallel=`` keyword accepted by
-  every evaluation entry point, mirroring
-  :func:`repro.evaluation.encoding.resolve_backend`: an explicit argument
-  wins, then the ``REPRO_PARALLEL`` environment variable (``auto`` → CPU
-  count), then serial.  Fewer than two workers means the serial kernels run
-  untouched — the serial path stays the differential oracle.
+* :func:`parallel_join` / :func:`parallel_semijoin` — the build side is one
+  stable-argsorted key array (cached per store), probed with
+  ``searchsorted``;
+* :func:`parallel_project` — dedup by ``unique(return_index=True)``, then a
+  sort of the kept row indices;
+* selection is :meth:`EncodedRelation.select_codes`, already one mask on
+  numpy storage (:func:`parallel_select` only keeps the old name).
 
-* :func:`parallel_join` / :func:`parallel_semijoin` /
-  :func:`parallel_project` / :func:`parallel_select` are the morsel
-  kernels.  Each returns ``None`` when it does not apply (input below
-  :data:`PARALLEL_MIN_ROWS`, unpackable multi-column key, …) and the caller
-  falls back to the serial kernel; otherwise it returns the result plus a
-  :class:`ParallelMeta` describing the shard/morsel layout (rendered by
-  ``EXPLAIN`` as ``workers=P shards=S morsels=M`` and audited by the
-  static verifier's PLAN017 check).
+Each returns ``None`` when it does not apply — non-numpy storage, a probe
+side below :data:`PARALLEL_MIN_ROWS` rows, or a multi-column key whose
+packing would overflow ``int64`` — and the caller runs the
+:class:`~repro.evaluation.encoding.EncodedRelation` loop kernel instead.
+The function names are historical: nothing here runs on threads.
 
-**Determinism.**  Answers must be bit-identical to serial execution:
+**Determinism.**  Answers are bit-identical to the loop kernels.  The
+stable sort keeps each key's build rows in original row order — exactly
+the bucket order of the serial :class:`~repro.evaluation.encoding.IntIndex`
+— and join output is laid out probe row by probe row, so a join emits
+"for each left row, its bucket in order" just like
+:meth:`EncodedRelation.join_index`.  Dedup keeps global first occurrences
+in row order.
 
-* the build side is sharded by ``key % P`` (single int keys) or
-  ``hash(key) % P`` (tuple keys — value-based, hence stable across
-  processes), and within a shard the original build row order is preserved
-  by a *stable* sort, so each key's matches appear in exactly the bucket
-  order the serial :class:`~repro.evaluation.encoding.IntIndex` would
-  produce;
-* probe morsels are contiguous row ranges merged in morsel order, and
-  join results are stable-sorted by probe row within each morsel — so the
-  concatenated output is exactly the serial "for each left row, its bucket
-  in order" order;
-* dedup kernels (``Project``/``Distinct``) find per-morsel first
-  occurrences in parallel and the coordinator merges them serially in
-  morsel order against the set of keys seen so far, reproducing global
-  first-occurrence order.
+**Accounting.**  A hash join adds ``len(probe side)`` probes through
+:meth:`Partition.add_probes` (the loop kernel counts one ``IntIndex.get``
+per probe row); a semi-join adds none (membership is uncounted on every
+path), so the bounded-work assertions hold on either kernel.
 
-**Worker pools and the GIL.**  On the numpy storage path
-(``REPRO_NUMPY=1``) the kernels are vectorised (sorted shards probed with
-``searchsorted``, ``unique``-based dedup) and numpy releases the GIL inside
-those calls, so a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-scales with cores.  On the pure-python path threads cannot overlap, so
-morsels are dispatched to a :class:`~concurrent.futures.ProcessPoolExecutor`
-with pickled shards — but only above :data:`PROCESS_MIN_ROWS` *and* on
-multi-core hosts, because forking and pickling dominate below that; below
-the gate the same sharded kernels run inline on the coordinator, so the
-deterministic shard/merge machinery is exercised (and tested) everywhere
-even where a pool would not pay.
-
-**Accounting.**  Worker tasks never touch the process-wide probe counter.
-The coordinator aggregates once per operator through
-:meth:`Partition.add_probes` — ``len(probe side)`` for a hash join (the
-serial kernel counts one ``IntIndex.get`` per probe row), nothing for a
-semi-join (membership is deliberately uncounted on every path) — so the
-bounded-work assertions hold identically under parallel execution.
+:func:`resolve_parallel` is unrelated to the kernels: it resolves the
+thread count :class:`~repro.evaluation.batch.BatchEvaluator` and
+:meth:`repro.service.QueryService.submit_batch` schedule independent
+queries on (explicit argument, then ``REPRO_PARALLEL``, then serial).
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..datamodel import Variable
-from .encoding import (
-    EncodedRelation,
-    EncodedStore,
-    _numpy_module,
-    _take_column,
-)
+from .encoding import EncodedRelation, _numpy_module
 from .relation import Partition
 
-#: Environment variable naming the default worker count (``auto``/``0``/N).
+#: Environment variable naming the default batch thread count (``auto``/``0``/N).
 PARALLEL_ENV = "REPRO_PARALLEL"
 
-#: Probe-side rows below which the parallel kernels decline (serial wins on
-#: dispatch overhead).  Tests monkeypatch this to force the kernels on
-#: small inputs.
-PARALLEL_MIN_ROWS = 2048
-
-#: Pure-python probe-side rows below which morsels run inline instead of in
-#: the process pool (fork + pickling dominate below this).
-PROCESS_MIN_ROWS = 8192
+#: Probe-side rows below which the vectorised kernels decline.  Zero: on
+#: numpy storage they beat the loop kernels at every measured size (engine
+#: time of the layered chain workload, 2-core x86_64, numpy 2.4: 1.2× at
+#: |D| = 10, 1.8× at 200, 3.2× at 1k, 5.7× at 20k).  Tests and
+#: ``benchmarks/bench_parallel_scaling.py`` raise it to force the loop
+#: kernels.
+PARALLEL_MIN_ROWS = 0
 
 
 def resolve_parallel(parallel: Optional[object] = None) -> int:
     """Resolve the worker count with explicit-over-environment precedence.
 
     Accepts an int or a string (``"auto"`` → ``os.cpu_count()``); ``0`` and
-    ``1`` mean serial execution.  Raises ``ValueError`` on junk so a typo in
-    ``--parallel``/``REPRO_PARALLEL`` fails loudly rather than silently
+    ``1`` mean serial scheduling.  Raises ``ValueError`` on junk so a typo in
+    ``parallel=``/``REPRO_PARALLEL`` fails loudly rather than silently
     running serial.
     """
     value: object = (
@@ -125,148 +93,17 @@ def resolve_parallel(parallel: Optional[object] = None) -> int:
     return workers
 
 
-class ParallelMeta:
-    """The shard/morsel layout one parallel kernel executed with.
-
-    Attached to the operator node that ran the kernel (``_parallel_meta``):
-    ``EXPLAIN`` renders it as ``workers=P shards=S morsels=M`` (the shard
-    part only for the binary kernels, which hash-shard a build side) and
-    the static verifier's PLAN017 check audits that the recorded layout
-    tiles the operand relations exactly (no row lost or duplicated by the
-    merge).  ``shard_sizes`` describes the hash shards of the build side
-    (empty for the unary kernels); ``morsel_sizes`` the contiguous probe
-    morsels.
-    """
-
-    __slots__ = (
-        "kernel",
-        "workers",
-        "shard_sizes",
-        "morsel_sizes",
-        "probe_rows",
-        "build_rows",
-    )
-
-    def __init__(
-        self,
-        kernel: str,
-        workers: int,
-        shard_sizes: Tuple[int, ...],
-        morsel_sizes: Tuple[int, ...],
-        probe_rows: int,
-        build_rows: int,
-    ) -> None:
-        self.kernel = kernel
-        self.workers = workers
-        self.shard_sizes = shard_sizes
-        self.morsel_sizes = morsel_sizes
-        self.probe_rows = probe_rows
-        self.build_rows = build_rows
-
-    @property
-    def shards(self) -> int:
-        """The build-side hash shard count (0 for the unary kernels)."""
-        return len(self.shard_sizes)
-
-    @property
-    def morsels(self) -> int:
-        """The contiguous probe-morsel count."""
-        return len(self.morsel_sizes)
-
-    def describe(self) -> str:
-        if self.shard_sizes:
-            return (
-                f"workers={self.workers} shards={self.shards} "
-                f"morsels={self.morsels}"
-            )
-        return f"workers={self.workers} morsels={self.morsels}"
-
-
-# ----------------------------------------------------------------------
-# Worker pools
-# ----------------------------------------------------------------------
-_POOL_LOCK = threading.Lock()
-_THREAD_POOLS: Dict[int, ThreadPoolExecutor] = {}
-_PROCESS_POOLS: Dict[int, Executor] = {}
-_PROCESS_POOL_BROKEN = False
-
-
-def _thread_pool(workers: int) -> Optional[ThreadPoolExecutor]:
-    """The shared thread pool for ``workers`` (created once, reused).
-
-    Single-core hosts get ``None`` — threads cannot overlap numpy kernels
-    there, so the same sharded kernels run inline on the coordinator and
-    the futures hand-off cost disappears (the pool is a dispatch detail,
-    never a semantic one).
-    """
-    if (os.cpu_count() or 1) < 2:
-        return None
-    with _POOL_LOCK:
-        pool = _THREAD_POOLS.get(workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-morsel"
-            )
-            _THREAD_POOLS[workers] = pool
-        return pool
-
-
-def _process_pool(workers: int) -> Optional[Executor]:
-    """The shared process pool, or ``None`` where it cannot pay.
-
-    Single-core hosts and platforms where worker processes fail to start
-    get ``None`` — the caller then runs the same sharded kernels inline,
-    preserving behaviour (the pool is a dispatch detail, never a semantic
-    one).
-    """
-    global _PROCESS_POOL_BROKEN
-    if (os.cpu_count() or 1) < 2 or _PROCESS_POOL_BROKEN:
-        return None
-    with _POOL_LOCK:
-        pool = _PROCESS_POOLS.get(workers)
-        if pool is None:
-            try:
-                pool = ProcessPoolExecutor(max_workers=workers)
-            except Exception:  # pragma: no cover - platform-dependent
-                _PROCESS_POOL_BROKEN = True
-                return None
-            _PROCESS_POOLS[workers] = pool
-        return pool
-
-
-def _run_tasks(
-    tasks: Sequence[Tuple[object, Tuple[object, ...]]],
-    pool: Optional[Executor],
-) -> List[object]:
-    """Run ``(function, args)`` tasks, preserving submission order.
-
-    ``pool=None`` executes inline — same results, same merge order.
-    """
-    if pool is None or len(tasks) <= 1:
-        return [function(*args) for function, args in tasks]  # type: ignore[operator]
-    futures = [pool.submit(function, *args) for function, args in tasks]  # type: ignore[arg-type]
-    return [future.result() for future in futures]
-
-
-# ----------------------------------------------------------------------
-# Shard/morsel layout helpers
-# ----------------------------------------------------------------------
-def _morsel_bounds(length: int, workers: int) -> List[Tuple[int, int]]:
-    """Split ``length`` rows into at most ``workers`` contiguous morsels.
-
-    An empty probe side still yields one (empty) morsel so every kernel's
-    merge runs over at least one worker result — the layout then records
-    ``morsel_sizes == (0,)``, which tiles the empty operand exactly.
-    """
-    if length == 0:
-        return [(0, 0)]
-    step = max(1, -(-length // workers))
-    return [(start, min(start + step, length)) for start in range(0, length, step)]
-
-
 #: Cache-miss sentinel (``None`` is a legitimate cached value: a key
 #: packing that would overflow ``int64`` declines permanently).
 _ABSENT = object()
+
+
+def _applicable(probe: EncodedRelation, *others: EncodedRelation) -> bool:
+    return (
+        len(probe) >= PARALLEL_MIN_ROWS
+        and probe.store.use_numpy
+        and all(other.store.use_numpy for other in others)
+    )
 
 
 def _pack_base(relation: EncodedRelation) -> int:
@@ -283,8 +120,8 @@ def _pack_base(relation: EncodedRelation) -> int:
 
 
 def _pack_token(positions: Tuple[int, ...], base: int) -> int:
-    """The cache-key component tying packed keys (and derived shards) to
-    their packing base.
+    """The cache-key component tying packed keys (and their sorted build
+    array) to the packing base.
 
     Multi-column packings are only comparable when produced at the same
     base, so their cache entries carry it: when the shared encoder has grown
@@ -296,30 +133,6 @@ def _pack_token(positions: Tuple[int, ...], base: int) -> int:
     return base if len(positions) > 1 else 0
 
 
-def _shards_for(
-    relation: EncodedRelation, keys, positions, workers: int, token: int
-):
-    """The hash shards of a build side, cached per store.
-
-    The shard layout depends only on the store contents, the key positions,
-    the worker count and — on the numpy path — the packing base behind
-    ``keys`` (``token``, see :func:`_pack_token`; pure-python sharding is
-    hash-based and passes ``0``), so a warm serving path re-probing the same
-    cached scan amortises the shard build exactly like the serial path
-    amortises its :meth:`EncodedRelation.key_index`.
-    """
-    cache_key = ("parallel-shards", positions, workers, token)
-    cached = relation.store.caches.get(cache_key, _ABSENT)
-    if cached is not _ABSENT:
-        return cached
-    if relation.store.use_numpy:
-        shards = _np_build_shards(keys, workers)
-    else:
-        shards = _py_build_shards(keys, workers)
-    relation.store.caches[cache_key] = shards
-    return shards
-
-
 def _packed_keys(relation: EncodedRelation, positions: Tuple[int, ...], base: int):
     """The per-row join keys as one numpy ``int64`` array, or ``None``.
 
@@ -327,10 +140,7 @@ def _packed_keys(relation: EncodedRelation, positions: Tuple[int, ...], base: in
     into one integer per row under the caller-supplied mixed-radix ``base``
     (codes are dense, so any base bounding every code makes the packing a
     bijection); when the packed key space would overflow ``int64`` the
-    kernel declines and the serial path runs instead.  The caller samples
-    the base **once** per kernel call (:func:`_pack_base`) and passes the
-    same value for every operand, so concurrent encoder growth between two
-    ``_packed_keys`` calls cannot desynchronize the operands.
+    kernel declines and the loop kernel runs instead.
 
     Cached per store, like :meth:`EncodedRelation.key_index`: cached scans
     are re-probed on every query of a warm serving path, and the packing
@@ -338,292 +148,56 @@ def _packed_keys(relation: EncodedRelation, positions: Tuple[int, ...], base: in
     part of the cache key (:func:`_pack_token`), so entries packed before
     the shared encoder grew are never served at the new base.
     """
-    cache_key = ("parallel-packed", positions, _pack_token(positions, base))
+    cache_key = ("packed", positions, _pack_token(positions, base))
     cached = relation.store.caches.get(cache_key, _ABSENT)
     if cached is not _ABSENT:
         return cached
-    packed = _compute_packed_keys(relation, positions, base)
-    relation.store.caches[cache_key] = packed
-    return packed
-
-
-def _compute_packed_keys(
-    relation: EncodedRelation, positions: Tuple[int, ...], base: int
-):
     numpy = _numpy_module()
     columns = [
         numpy.asarray(relation.store.columns[p], dtype=numpy.int64)  # type: ignore[union-attr]
         for p in positions
     ]
-    if len(columns) == 1:
-        return columns[0]
-    if base ** len(columns) >= 2 ** 62:
-        return None
     packed = columns[0]
-    for column in columns[1:]:
-        packed = packed * base + column
+    if len(columns) > 1:
+        if base ** len(columns) >= 2 ** 62:
+            packed = None
+        else:
+            for column in columns[1:]:
+                packed = packed * base + column
+    relation.store.caches[cache_key] = packed
     return packed
 
 
-def shard_counts(
-    relation: EncodedRelation, variables: Sequence[Variable], workers: int
-) -> List[int]:
-    """Per-shard row counts of hash-sharding ``relation`` on ``variables``.
+def _sorted_build(relation: EncodedRelation, keys, positions: Tuple[int, ...], base: int):
+    """The build side as (sorted keys, row permutation), cached per store.
 
-    The observability hook behind the skew panel in
-    ``benchmarks/bench_yannakakis_scaling.py``: static ``key % P`` sharding
-    balances uniform keys but a Zipfian hot key drags its whole shard along,
-    and this makes that imbalance measurable without running a join.
+    The argsort is stable, so within equal keys the permutation keeps the
+    original build row order — the serial :class:`IntIndex` bucket order.
+    A warm serving path re-probing the same cached scan sorts it once.
     """
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    positions = tuple(relation.position(v) for v in variables)
-    counts = [0] * workers
-    if relation.store.use_numpy:
-        packed = _packed_keys(relation, positions, _pack_base(relation))
-        if packed is not None:
-            numpy = _numpy_module()
-            histogram = numpy.bincount(packed % workers, minlength=workers)  # type: ignore[union-attr]
-            return [int(c) for c in histogram]
-    for key in relation._key_column(positions):
-        counts[hash(key) % workers] += 1
-    return counts
-
-
-# ----------------------------------------------------------------------
-# numpy kernels (vectorised; threads overlap because numpy drops the GIL)
-# ----------------------------------------------------------------------
-def _np_build_shards(build_keys, workers: int):
-    """Hash-shard the build side: per shard, (sorted keys, row permutation).
-
-    The sort is stable, so within equal keys the permutation preserves the
-    original build row order — exactly the bucket order of the serial
-    :class:`IntIndex`.
-    """
-    numpy = _numpy_module()
-    shard_of_row = build_keys % workers
-    shards = []
-    for shard in range(workers):
-        rows = numpy.nonzero(shard_of_row == shard)[0]  # type: ignore[union-attr]
-        keys = build_keys[rows]
+    cache_key = ("sorted", positions, _pack_token(positions, base))
+    cached = relation.store.caches.get(cache_key)
+    if cached is None:
+        numpy = _numpy_module()
         order = numpy.argsort(keys, kind="stable")  # type: ignore[union-attr]
-        shards.append((keys[order], rows[order]))
-    return shards
+        cached = (keys[order], order)
+        relation.store.caches[cache_key] = cached
+    return cached
 
 
-def _np_join_morsel(probe_keys, start: int, shards, workers: int):
-    """Match one probe morsel against every shard; deterministic order.
-
-    Returns global (probe row, build row) index arrays sorted by probe row
-    (stable), i.e. the serial probe order restricted to this morsel.
-    """
-    numpy = _numpy_module()
-    length = len(probe_keys)
-    shard_of_row = probe_keys % workers
-    counts_full = numpy.zeros(length, dtype=numpy.int64)  # type: ignore[union-attr]
-    matches = []
-    for shard in range(workers):
-        local = numpy.nonzero(shard_of_row == shard)[0]  # type: ignore[union-attr]
-        if not local.size:
-            continue
-        sorted_keys, permutation = shards[shard]
-        keys = probe_keys[local]
-        lo = numpy.searchsorted(sorted_keys, keys, side="left")  # type: ignore[union-attr]
-        hi = numpy.searchsorted(sorted_keys, keys, side="right")  # type: ignore[union-attr]
-        counts = hi - lo
-        matched = numpy.nonzero(counts)[0]  # type: ignore[union-attr]
-        if not matched.size:
-            continue
-        matched_counts = counts[matched]
-        counts_full[local[matched]] = matched_counts
-        matches.append((permutation, local[matched], lo[matched], matched_counts))
-    total = int(counts_full.sum())
-    if not total:
-        empty = numpy.empty(0, dtype=numpy.int64)  # type: ignore[union-attr]
-        return empty, empty
-    # Output slots laid out in probe-row order up front, so per-shard match
-    # chunks scatter straight into place — O(output) instead of the
-    # O(output log output) stable sort of the concatenated chunks.
-    block_starts = numpy.concatenate(([0], numpy.cumsum(counts_full)[:-1]))  # type: ignore[union-attr]
-    probe_out = numpy.repeat(  # type: ignore[union-attr]
-        numpy.arange(length, dtype=numpy.int64) + start, counts_full  # type: ignore[union-attr]
-    )
-    build_out = numpy.empty(total, dtype=numpy.int64)  # type: ignore[union-attr]
-    for permutation, rows, lo, counts in matches:
-        chunk_total = int(counts.sum())
-        # Concatenated ranges lo[i]..lo[i]+counts[i]: position-within-group
-        # plus the group's left edge, all vectorised.  ``within`` is both
-        # the offset inside the build bucket and inside the output block.
-        offsets = numpy.concatenate(([0], numpy.cumsum(counts)[:-1]))  # type: ignore[union-attr]
-        within = numpy.arange(chunk_total) - numpy.repeat(offsets, counts)  # type: ignore[union-attr]
-        targets = numpy.repeat(block_starts[rows], counts) + within  # type: ignore[union-attr]
-        build_out[targets] = permutation[within + numpy.repeat(lo, counts)]  # type: ignore[union-attr]
-    return probe_out, build_out
-
-
-def _np_semijoin_morsel(probe_keys, start: int, shards, workers: int):
-    """The probe rows of one morsel with a partner, ascending (serial order)."""
-    numpy = _numpy_module()
-    shard_of_row = probe_keys % workers
-    keep = numpy.zeros(len(probe_keys), dtype=bool)  # type: ignore[union-attr]
-    for shard in range(workers):
-        local = numpy.nonzero(shard_of_row == shard)[0]  # type: ignore[union-attr]
-        if not local.size:
-            continue
-        sorted_keys, _ = shards[shard]
-        keys = probe_keys[local]
-        lo = numpy.searchsorted(sorted_keys, keys, side="left")  # type: ignore[union-attr]
-        hi = numpy.searchsorted(sorted_keys, keys, side="right")  # type: ignore[union-attr]
-        keep[local[hi > lo]] = True
-    return numpy.nonzero(keep)[0] + start  # type: ignore[union-attr]
-
-
-def _np_dedup_morsel(keys, start: int):
-    """Per-morsel first occurrences: (unique keys, their global row indices).
-
-    ``numpy.unique(return_index=True)`` returns, per distinct key, the index
-    of its *first* occurrence in the morsel; both arrays are aligned and
-    sorted by key value (the coordinator re-sorts kept indices into row
-    order).
-    """
-    numpy = _numpy_module()
-    unique, first = numpy.unique(keys, return_index=True)  # type: ignore[union-attr]
-    return unique, first + start
-
-
-def _np_select_morsel(columns, checks: Tuple[Tuple[int, int], ...], start: int):
-    """The morsel rows passing every equality check, ascending."""
-    numpy = _numpy_module()
-    mask = None
-    for position, code in checks:
-        this = columns[position] == code
-        mask = this if mask is None else (mask & this)
-    return numpy.nonzero(mask)[0] + start  # type: ignore[union-attr]
-
-
-# ----------------------------------------------------------------------
-# pure-python kernels (module-level so the process pool can pickle them)
-# ----------------------------------------------------------------------
-def _py_build_shards(build_keys: Sequence[object], workers: int):
-    """Hash-shard the build side into per-shard ``key -> [row, ...]`` dicts.
-
-    ``hash`` of ints and int tuples is value-based, hence identical in
-    every worker process; bucket lists are appended in row order, matching
-    the serial :class:`IntIndex` bucket order.
-    """
-    shards: List[Dict[object, List[int]]] = [{} for _ in range(workers)]
-    for row, key in enumerate(build_keys):
-        buckets = shards[hash(key) % workers]
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = [row]
-        else:
-            bucket.append(row)
-    return shards
-
-
-def _py_join_morsel(
-    probe_keys: Sequence[object],
-    start: int,
-    shards: Sequence[Dict[object, List[int]]],
-    workers: int,
-) -> Tuple[List[int], List[int]]:
-    probe_indices: List[int] = []
-    build_indices: List[int] = []
-    for offset, key in enumerate(probe_keys):
-        bucket = shards[hash(key) % workers].get(key)
-        if bucket:
-            probe_indices.extend([start + offset] * len(bucket))
-            build_indices.extend(bucket)
-    return probe_indices, build_indices
-
-
-def _py_semijoin_morsel(
-    probe_keys: Sequence[object],
-    start: int,
-    shards: Sequence[Dict[object, List[int]]],
-    workers: int,
-) -> List[int]:
-    return [
-        start + offset
-        for offset, key in enumerate(probe_keys)
-        if key in shards[hash(key) % workers]
-    ]
-
-
-def _py_dedup_morsel(
-    keys: Sequence[object], start: int
-) -> Dict[object, int]:
-    """Per-morsel first occurrences, in first-occurrence (insertion) order."""
-    firsts: Dict[object, int] = {}
-    for offset, key in enumerate(keys):
-        if key not in firsts:
-            firsts[key] = start + offset
-    return firsts
-
-
-def _py_select_morsel(
-    columns: Sequence[Sequence[int]],
-    checks: Tuple[Tuple[int, int], ...],
-    start: int,
-    length: int,
-) -> List[int]:
-    if len(checks) == 1:
-        position, code = checks[0]
-        column = columns[position]
-        return [start + i for i in range(length) if column[i] == code]
-    return [
-        start + i
-        for i in range(length)
-        if all(columns[position][i] == code for position, code in checks)
-    ]
-
-
-# ----------------------------------------------------------------------
-# Kernel entry points (coordinator side)
-# ----------------------------------------------------------------------
-def _applicable(probe: EncodedRelation, workers: int) -> bool:
-    return workers >= 2 and len(probe) >= PARALLEL_MIN_ROWS
-
-
-def _python_pool(probe: EncodedRelation, workers: int) -> Optional[Executor]:
-    if len(probe) >= PROCESS_MIN_ROWS:
-        return _process_pool(workers)
-    return None
-
-
-def _gather(
-    relation: EncodedRelation,
-    positions: Sequence[int],
-    indices,
-    schema: Sequence[Variable],
-) -> EncodedRelation:
-    """Build a fresh relation by gathering ``positions`` at ``indices``."""
-    use_numpy = relation.store.use_numpy
-    columns = [
-        _take_column(relation.store.columns[p], indices, use_numpy)
-        for p in positions
-    ]
-    store = EncodedStore(columns, len(indices), use_numpy)
-    return EncodedRelation(schema, store, relation.encoder)
-
-
-def _meta(
-    kernel: str,
-    workers: int,
-    shard_sizes: Sequence[int],
-    bounds: Sequence[Tuple[int, int]],
-    probe_rows: int,
-    build_rows: int,
-) -> ParallelMeta:
-    return ParallelMeta(
-        kernel,
-        workers,
-        tuple(int(size) for size in shard_sizes),
-        tuple(stop - start for start, stop in bounds),
-        probe_rows,
-        build_rows,
-    )
+def _probe_keys(
+    left: EncodedRelation,
+    right: EncodedRelation,
+    left_key: Tuple[int, ...],
+    right_key: Tuple[int, ...],
+):
+    """Packed probe keys plus the sorted build side, or ``None`` (decline)."""
+    base = _pack_base(left)
+    left_keys = _packed_keys(left, left_key, base)
+    right_keys = _packed_keys(right, right_key, base)
+    if left_keys is None or right_keys is None:
+        return None
+    return left_keys, _sorted_build(right, right_keys, right_key, base)
 
 
 def parallel_join(
@@ -633,66 +207,34 @@ def parallel_join(
     right_key: Tuple[int, ...],
     residual_positions: Tuple[int, ...],
     schema: Sequence[Variable],
-    workers: int,
-) -> Optional[Tuple[EncodedRelation, ParallelMeta]]:
-    """The morsel-parallel hash join, or ``None`` when serial should run.
+) -> Optional[EncodedRelation]:
+    """The vectorised hash join, or ``None`` when the loop kernel should run.
 
-    ``left`` is the probe side (morsels), ``right`` the build side
-    (shards); the output carries ``left``'s columns plus ``right``'s
-    residual columns under ``schema``, in exactly the serial
-    :meth:`EncodedRelation.join_index` row order.  Counts ``len(left)``
-    probes, matching the serial one-``get``-per-probe-row accounting.
+    ``left`` is the probe side, ``right`` the build side; the output carries
+    ``left``'s columns plus ``right``'s residual columns under ``schema``,
+    in exactly the :meth:`EncodedRelation.join_index` row order.  Counts
+    ``len(left)`` probes.
     """
-    if not _applicable(left, workers) or not left_key:
+    if not left_key or not _applicable(left, right):
         return None
-    bounds = _morsel_bounds(len(left), workers)
-    if left.store.use_numpy:
-        base = _pack_base(left)
-        left_keys = _packed_keys(left, left_key, base)
-        right_keys = _packed_keys(right, right_key, base)
-        if left_keys is None or right_keys is None:
-            return None
-        shards = _shards_for(
-            right, right_keys, right_key, workers, _pack_token(right_key, base)
-        )
-        results = _run_tasks(
-            [
-                (_np_join_morsel, (left_keys[start:stop], start, shards, workers))
-                for start, stop in bounds
-            ],
-            _thread_pool(workers),
-        )
-        numpy = _numpy_module()
-        probe_indices = numpy.concatenate([r[0] for r in results])  # type: ignore[union-attr]
-        build_indices = numpy.concatenate([r[1] for r in results])  # type: ignore[union-attr]
-        shard_sizes = [len(keys) for keys, _ in shards]
-    else:
-        left_keys = left._key_column(left_key)
-        right_keys = right._key_column(right_key)
-        shards = _shards_for(right, right_keys, right_key, workers, 0)
-        results = _run_tasks(
-            [
-                (_py_join_morsel, (left_keys[start:stop], start, shards, workers))
-                for start, stop in bounds
-            ],
-            _python_pool(left, workers),
-        )
-        probe_indices = [i for part, _ in results for i in part]
-        build_indices = [i for _, part in results for i in part]
-        shard_sizes = [sum(len(bucket) for bucket in shard.values()) for shard in shards]
-    use_numpy = left.store.use_numpy
-    columns = [
-        _take_column(column, probe_indices, use_numpy)
-        for column in left.store.columns
-    ]
-    columns.extend(
-        _take_column(right.store.columns[p], build_indices, use_numpy)
-        for p in residual_positions
-    )
-    store = EncodedStore(columns, len(probe_indices), use_numpy)
-    result = EncodedRelation(schema, store, left.encoder)
+    probed = _probe_keys(left, right, left_key, right_key)
+    if probed is None:
+        return None
+    keys, (sorted_keys, permutation) = probed
+    numpy = _numpy_module()
+    lo = numpy.searchsorted(sorted_keys, keys, side="left")  # type: ignore[union-attr]
+    counts = numpy.searchsorted(sorted_keys, keys, side="right") - lo  # type: ignore[union-attr]
+    # Row i's matches are permutation[lo[i]:lo[i] + counts[i]], laid out
+    # block by block in probe-row order: position-within-block plus the
+    # block's left edge, all vectorised.
+    probe_rows = numpy.repeat(numpy.arange(len(left)), counts)  # type: ignore[union-attr]
+    block_starts = numpy.cumsum(counts) - counts  # type: ignore[union-attr]
+    within = numpy.arange(len(probe_rows)) - block_starts[probe_rows]  # type: ignore[union-attr]
+    build_rows = permutation[lo[probe_rows] + within]
+    columns = [column[probe_rows] for column in left.store.columns]  # type: ignore[index]
+    columns.extend(right.store.columns[p][build_rows] for p in residual_positions)  # type: ignore[index]
     Partition.add_probes(len(left))
-    return result, _meta("join", workers, shard_sizes, bounds, len(left), len(right))
+    return left._derive(schema, columns, len(probe_rows))
 
 
 def parallel_semijoin(
@@ -700,149 +242,58 @@ def parallel_semijoin(
     right: EncodedRelation,
     left_key: Tuple[int, ...],
     right_key: Tuple[int, ...],
-    workers: int,
-) -> Optional[Tuple[EncodedRelation, ParallelMeta]]:
-    """The morsel-parallel semi-join ``left ⋉ right`` (membership uncounted)."""
-    if not _applicable(left, workers) or not left_key:
+) -> Optional[EncodedRelation]:
+    """The vectorised semi-join ``left ⋉ right`` (membership uncounted)."""
+    if not left_key or not _applicable(left, right):
         return None
-    bounds = _morsel_bounds(len(left), workers)
-    if left.store.use_numpy:
-        base = _pack_base(left)
-        left_keys = _packed_keys(left, left_key, base)
-        right_keys = _packed_keys(right, right_key, base)
-        if left_keys is None or right_keys is None:
-            return None
-        shards = _shards_for(
-            right, right_keys, right_key, workers, _pack_token(right_key, base)
-        )
-        results = _run_tasks(
-            [
-                (_np_semijoin_morsel, (left_keys[start:stop], start, shards, workers))
-                for start, stop in bounds
-            ],
-            _thread_pool(workers),
-        )
-        numpy = _numpy_module()
-        indices = numpy.concatenate(results)  # type: ignore[union-attr]
-        shard_sizes = [len(keys) for keys, _ in shards]
+    probed = _probe_keys(left, right, left_key, right_key)
+    if probed is None:
+        return None
+    keys, (sorted_keys, _) = probed
+    numpy = _numpy_module()
+    if not len(sorted_keys):
+        indices = numpy.empty(0, dtype=numpy.int64)  # type: ignore[union-attr]
     else:
-        left_keys = left._key_column(left_key)
-        right_keys = right._key_column(right_key)
-        shards = _shards_for(right, right_keys, right_key, workers, 0)
-        results = _run_tasks(
-            [
-                (_py_semijoin_morsel, (left_keys[start:stop], start, shards, workers))
-                for start, stop in bounds
-            ],
-            _python_pool(left, workers),
-        )
-        indices = [i for part in results for i in part]
-        shard_sizes = [sum(len(bucket) for bucket in shard.values()) for shard in shards]
-    result = _gather(left, range(len(left.schema)), indices, left.schema)
-    return result, _meta(
-        "semijoin", workers, shard_sizes, bounds, len(left), len(right)
-    )
+        slots = numpy.searchsorted(sorted_keys, keys)  # type: ignore[union-attr]
+        numpy.minimum(slots, len(sorted_keys) - 1, out=slots)  # type: ignore[union-attr]
+        indices = numpy.nonzero(sorted_keys[slots] == keys)[0]  # type: ignore[union-attr]
+    return left.take(indices)
 
 
 def parallel_project(
     relation: EncodedRelation,
     schema: Sequence[Variable],
     positions: Tuple[int, ...],
-    workers: int,
-) -> Optional[Tuple[EncodedRelation, ParallelMeta]]:
-    """The morsel-parallel dedup projection (``Project`` and ``Distinct``).
+) -> Optional[EncodedRelation]:
+    """The vectorised dedup projection (``Project`` and ``Distinct``).
 
-    Workers find per-morsel first occurrences; the coordinator merges in
-    morsel order against the keys seen in earlier morsels, so the kept row
-    indices are exactly the global first occurrences, in row order — the
-    serial output order.
+    ``unique(return_index=True)`` finds each key's first occurrence; sorting
+    those row indices restores the serial first-occurrence output order.
     """
-    if not _applicable(relation, workers) or not positions:
+    if not positions or not _applicable(relation):
         return None
-    bounds = _morsel_bounds(len(relation), workers)
-    if relation.store.use_numpy:
-        keys = _packed_keys(relation, positions, _pack_base(relation))
-        if keys is None:
-            return None
-        results = _run_tasks(
-            [
-                (_np_dedup_morsel, (keys[start:stop], start))
-                for start, stop in bounds
-            ],
-            _thread_pool(workers),
-        )
-        numpy = _numpy_module()
-        # One global merge, independent of morsel count.  Per-morsel first
-        # occurrences are concatenated in morsel order, so for each key the
-        # earliest concatenation position lies in the earliest morsel that
-        # saw it — whose recorded row index IS the global first occurrence.
-        # ``unique(return_index=True)`` sorts stably, so ``first_pos`` picks
-        # exactly those earliest positions; sorting the gathered row
-        # indices restores serial row order.
-        all_keys = numpy.concatenate([unique for unique, _ in results])  # type: ignore[union-attr]
-        all_first = numpy.concatenate([first for _, first in results])  # type: ignore[union-attr]
-        _, first_pos = numpy.unique(all_keys, return_index=True)  # type: ignore[union-attr]
-        indices = all_first[first_pos]
-        indices.sort()
-    else:
-        keys = relation._key_column(positions)
-        results = _run_tasks(
-            [
-                (_py_dedup_morsel, (keys[start:stop], start))
-                for start, stop in bounds
-            ],
-            _python_pool(relation, workers),
-        )
-        seen_set: set = set()
-        indices = []
-        for firsts in results:
-            for key, index in firsts.items():
-                if key not in seen_set:
-                    seen_set.add(key)
-                    indices.append(index)
-    result = _gather(relation, positions, indices, schema)
-    return result, _meta(
-        "project", workers, (), bounds, len(relation), 0
-    )
+    keys = _packed_keys(relation, positions, _pack_base(relation))
+    if keys is None:
+        return None
+    numpy = _numpy_module()
+    _, first = numpy.unique(keys, return_index=True)  # type: ignore[union-attr]
+    first.sort()
+    columns = [relation.store.columns[p][first] for p in positions]  # type: ignore[index]
+    return relation._derive(schema, columns, len(first))
 
 
 def parallel_select(
     relation: EncodedRelation,
     checks: Tuple[Tuple[int, int], ...],
-    workers: int,
-) -> Optional[Tuple[EncodedRelation, ParallelMeta]]:
-    """The morsel-parallel equality selection (order trivially preserved)."""
-    if not _applicable(relation, workers) or not checks:
+) -> Optional[EncodedRelation]:
+    """The equality selection under the kernel gate.
+
+    ``Select`` calls :meth:`EncodedRelation.select_codes` directly — on
+    numpy storage that is one mask over the checked columns already — so
+    nothing in the engine calls this; it stays importable from
+    :mod:`repro.evaluation.operators` for the repository benchmark's layer
+    trace, which wraps it by that path.
+    """
+    if not checks or not _applicable(relation):
         return None
-    bounds = _morsel_bounds(len(relation), workers)
-    if relation.store.use_numpy:
-        numpy = _numpy_module()
-        columns = [
-            numpy.asarray(column) for column in relation.store.columns  # type: ignore[union-attr]
-        ]
-        results = _run_tasks(
-            [
-                (
-                    _np_select_morsel,
-                    ([c[start:stop] for c in columns], checks, start),
-                )
-                for start, stop in bounds
-            ],
-            _thread_pool(workers),
-        )
-        indices = numpy.concatenate(results)  # type: ignore[union-attr]
-    else:
-        columns = list(relation.store.columns)
-        results = _run_tasks(
-            [
-                (
-                    _py_select_morsel,
-                    ([c[start:stop] for c in columns], checks, start, stop - start),
-                )
-                for start, stop in bounds
-            ],
-            _python_pool(relation, workers),
-        )
-        indices = [i for part in results for i in part]
-    result = _gather(relation, range(len(relation.schema)), indices, relation.schema)
-    return result, _meta("select", workers, (), bounds, len(relation), 0)
+    return relation.select_codes(checks)

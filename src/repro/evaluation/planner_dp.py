@@ -382,7 +382,7 @@ class DecompositionEvaluator(YannakakisEvaluator):
     after is Yannakakis.
     """
 
-    def __init__(self, query, scans=None, *, backend=None, parallel=None):
+    def __init__(self, query, scans=None, *, backend=None):
         atoms = list(query.body)
         graph = gaifman_graph_of_atoms(atoms)
         decomposition = _pruned_decomposition(tree_decomposition_min_fill(graph))
@@ -427,7 +427,7 @@ class DecompositionEvaluator(YannakakisEvaluator):
 
         tree = self._build_bag_tree()
         super().__init__(
-            query, scans, backend=backend, parallel=parallel, join_tree=tree
+            query, scans, backend=backend, join_tree=tree
         )
 
     def _build_bag_tree(self) -> JoinTree:

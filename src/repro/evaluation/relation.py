@@ -202,10 +202,9 @@ class Partition:
     def add_probes(cls, count: int) -> None:
         """Aggregate ``count`` probes into the counters.
 
-        The parallel morsel kernels (:mod:`repro.evaluation.parallel`) never
-        touch the counter from worker threads; the coordinator adds the
-        per-operator aggregate once, under a lock, so the bounded-work
-        assertions see the same totals the serial per-row probes produce.
+        The vectorised join kernel (:mod:`repro.evaluation.parallel`) adds
+        one aggregate per operator, under the lock, so the bounded-work
+        assertions see the same totals the per-row probes produce.
         """
         cls._thread.count += count
         with cls._probe_lock:

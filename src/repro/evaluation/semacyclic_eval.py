@@ -90,11 +90,10 @@ class SemAcEvaluation:
         *,
         scans: Optional[ScanProvider] = None,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> Set[Tuple[Term, ...]]:
         """Return ``q(D)`` (equal to ``q'(D)`` on every ``D ⊨ Σ``)."""
         return self._evaluator.evaluate(
-            database, scans=scans, backend=backend, parallel=parallel
+            database, scans=scans, backend=backend
         )
 
     def answer_relation(
@@ -103,7 +102,6 @@ class SemAcEvaluation:
         *,
         scans: Optional[ScanProvider] = None,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> Relation:
         """Return ``q(D)`` as a :class:`Relation` over the free variables.
 
@@ -113,7 +111,7 @@ class SemAcEvaluation:
         round-tripping through Python sets of tuples.
         """
         return self._evaluator.answer_relation(
-            database, scans=scans, backend=backend, parallel=parallel
+            database, scans=scans, backend=backend
         )
 
     def iter_answers(
@@ -123,7 +121,6 @@ class SemAcEvaluation:
         scans: Optional[ScanProvider] = None,
         limit: Optional[int] = None,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> Iterator[Tuple[Term, ...]]:
         """Stream ``q(D)`` one answer at a time through the reformulation.
 
@@ -133,7 +130,7 @@ class SemAcEvaluation:
         passes instead of after the whole output.
         """
         return self._evaluator.iter_answers(
-            database, scans=scans, limit=limit, backend=backend, parallel=parallel
+            database, scans=scans, limit=limit, backend=backend
         )
 
     def boolean(
@@ -142,10 +139,9 @@ class SemAcEvaluation:
         *,
         scans: Optional[ScanProvider] = None,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> bool:
         return self._evaluator.boolean(
-            database, scans=scans, backend=backend, parallel=parallel
+            database, scans=scans, backend=backend
         )
 
 
@@ -258,7 +254,6 @@ def evaluate_iter(
     scans: Optional[ScanProvider] = None,
     limit: Optional[int] = None,
     backend: Optional[str] = None,
-    parallel: Optional[object] = None,
 ) -> Iterator[Tuple[Term, ...]]:
     """Stream the distinct answers of ``q(D)`` one tuple at a time.
 
@@ -301,16 +296,15 @@ def evaluate_iter(
         from ..service import shared_service
 
         return shared_service(database).stream(
-            query, tgds=tgds, engine=engine, limit=limit, backend=backend,
-            parallel=parallel,
+            query, tgds=tgds, engine=engine, limit=limit, backend=backend
         )
     route, evaluator = resolve_route(query, tgds=tgds, engine=engine)
     if evaluator is not None:  # "yannakakis" and "reformulated"
         return evaluator.iter_answers(
-            database, scans=scans, limit=limit, backend=backend, parallel=parallel
+            database, scans=scans, limit=limit, backend=backend
         )
     return iter_with_plan(
-        query, database, scans=scans, limit=limit, backend=backend, parallel=parallel
+        query, database, scans=scans, limit=limit, backend=backend
     )
 
 
@@ -324,7 +318,6 @@ def explain(
     execute: bool = True,
     verify: bool = False,
     backend: Optional[str] = None,
-    parallel: Optional[object] = None,
 ) -> str:
     """Pretty-print the physical plan chosen for ``query`` over ``database``.
 
@@ -351,7 +344,6 @@ def explain(
     :func:`evaluate_iter` on impossible forced routes.
     """
     from .encoding import resolve_backend
-    from .parallel import resolve_parallel
 
     route, evaluator = resolve_route(query, tgds=tgds, engine=engine)
     if scans is None:
@@ -359,12 +351,9 @@ def explain(
         # the executed plan all draw the same base scans and partitions.
         scans = ScanCache(database)
     resolved = resolve_backend(backend)
-    workers = resolve_parallel(parallel)
     lines = [f"query: {query}", f"route: {route}"]
     if resolved != "tuple":
         lines.append(f"backend: {resolved}")
-    if workers >= 2:
-        lines.append(f"parallel: {workers}")
     plan = None
     if evaluator is not None:
         if route == "reformulated":
@@ -380,8 +369,7 @@ def explain(
             )
         lines.append(
             evaluator.explain(
-                database, scans=scans, execute=execute, backend=resolved,
-                parallel=parallel,
+                database, scans=scans, execute=execute, backend=resolved
             )
         )
     else:
@@ -396,7 +384,6 @@ def explain(
                 statistics=statistics,
                 execute=execute,
                 backend=resolved,
-                parallel=parallel,
             )
         )
     if verify:
@@ -450,6 +437,10 @@ def evaluate_batch(
     * ``"sequential"`` — the one-query-at-a-time baseline (identical
       routing, no sharing), kept for benchmarking and differential testing.
 
+    ``parallel`` (or ``REPRO_PARALLEL``) schedules the queries of an
+    ``engine="batch"`` run on that many threads (see
+    :meth:`~repro.evaluation.batch.BatchEvaluator.evaluate`).
+
     ``scans`` optionally supplies the cache to use with ``engine="batch"``,
     which amortises the *scan layer* across calls over an unchanged
     database.  Note that this convenience function re-routes the queries
@@ -476,7 +467,7 @@ def evaluate_batch(
         return batch.evaluate(
             database, scans=scans, backend=backend, parallel=parallel
         )
-    return batch.evaluate_sequential(database, backend=backend, parallel=parallel)
+    return batch.evaluate_sequential(database, backend=backend)
 
 
 def membership_via_cover_game_guarded(

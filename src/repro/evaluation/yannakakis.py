@@ -112,13 +112,11 @@ class YannakakisEvaluator:
         scans: Optional[ScanProvider] = None,
         *,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
         join_tree: Optional[JoinTree] = None,
     ) -> None:
         self.query = query
         self._scans = scans
         self._backend = backend
-        self._parallel = parallel
         if join_tree is not None:
             # Subclass seam: a pre-built tree over virtual atoms (see
             # DecompositionEvaluator) whose leaves compile via _leaf_op.
@@ -251,13 +249,11 @@ class YannakakisEvaluator:
         database: Instance,
         scans: Optional[ScanProvider],
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> ExecutionContext:
         return ExecutionContext(
             database,
             scans if scans is not None else self._scans,
             backend=backend if backend is not None else self._backend,
-            parallel=parallel if parallel is not None else self._parallel,
         )
 
     # ------------------------------------------------------------------
@@ -271,7 +267,6 @@ class YannakakisEvaluator:
         limit: Optional[int] = None,
         reduce: bool = True,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> Iterator[Tuple[Term, ...]]:
         """Stream the distinct answer tuples of ``q(D)`` one at a time.
 
@@ -301,7 +296,7 @@ class YannakakisEvaluator:
         plan = self.compile_stream_plan(reduce=reduce)
         root_carry = self._carry[self.join_tree.root]
         head_positions = tuple(root_carry.index(v) for v in self.query.head)
-        context = self._context(database, scans, backend, parallel)
+        context = self._context(database, scans, backend)
         produced = 0
         if context.backend == "columnar":
             # Enumerate dictionary codes; decode each carry row only as it
@@ -325,7 +320,6 @@ class YannakakisEvaluator:
         *,
         scans: Optional[ScanProvider] = None,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> bool:
         """Return ``True`` iff the (Boolean reading of the) query holds in ``database``.
 
@@ -339,7 +333,7 @@ class YannakakisEvaluator:
         order as a semi-join pass.
         """
         plan = self.compile_stream_plan(reduce=False, boolean=True)
-        context = self._context(database, scans, backend, parallel)
+        context = self._context(database, scans, backend)
         if context.backend == "columnar":
             for _ in plan.iter_rows_encoded(context):
                 return True
@@ -354,7 +348,6 @@ class YannakakisEvaluator:
         *,
         scans: Optional[ScanProvider] = None,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> Relation:
         """Return ``q(D)`` as a :class:`Relation` over the distinct free variables.
 
@@ -363,7 +356,7 @@ class YannakakisEvaluator:
         variables).
         """
         plan = self.compile_answer_plan()
-        context = self._context(database, scans, backend, parallel)
+        context = self._context(database, scans, backend)
         if context.backend == "columnar":
             return plan.materialize_encoded(context).to_relation()
         return plan.materialize(context)
@@ -374,11 +367,10 @@ class YannakakisEvaluator:
         *,
         scans: Optional[ScanProvider] = None,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> Set[Tuple[Term, ...]]:
         """Return the full answer set ``q(D)``."""
         plan = self.compile_answer_plan()
-        context = self._context(database, scans, backend, parallel)
+        context = self._context(database, scans, backend)
         if context.backend == "columnar":
             # Decode straight into the answer set: the whole plan ran on
             # int columns and only the head projection touches terms.
@@ -393,7 +385,6 @@ class YannakakisEvaluator:
         scans: Optional[ScanProvider] = None,
         execute: bool = True,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> str:
         """Pretty-print the materialising plan with estimated vs. observed rows.
 
@@ -403,7 +394,7 @@ class YannakakisEvaluator:
         reports its observed cardinality.
         """
         plan = self.compile_answer_plan()
-        context = self._context(database, scans, backend, parallel)
+        context = self._context(database, scans, backend)
         CostModel(Statistics(database, context.scans)).annotate(plan)
         if execute:
             if context.backend == "columnar":
@@ -419,11 +410,10 @@ def evaluate_acyclic(
     *,
     scans: Optional[ScanProvider] = None,
     backend: Optional[str] = None,
-    parallel: Optional[object] = None,
 ) -> Set[Tuple[Term, ...]]:
     """One-shot evaluation of an acyclic CQ with Yannakakis' algorithm."""
     return YannakakisEvaluator(query).evaluate(
-        database, scans=scans, backend=backend, parallel=parallel
+        database, scans=scans, backend=backend
     )
 
 
@@ -433,9 +423,8 @@ def boolean_acyclic(
     *,
     scans: Optional[ScanProvider] = None,
     backend: Optional[str] = None,
-    parallel: Optional[object] = None,
 ) -> bool:
     """One-shot Boolean evaluation of an acyclic CQ."""
     return YannakakisEvaluator(query).boolean(
-        database, scans=scans, backend=backend, parallel=parallel
+        database, scans=scans, backend=backend
     )

@@ -127,15 +127,7 @@ class JoinTree:
     def bottom_up_order(self) -> List[int]:
         """Return node ids so that every node appears before its parent."""
         order: List[int] = []
-        visited: Set[int] = set()
-
-        def visit(identifier: int) -> None:
-            for child in self._children[identifier]:
-                visit(child)
-            order.append(identifier)
-            visited.add(identifier)
-
-        visit(self._root)
+        _post_order(self._children, self._root, order)
         return order
 
     def top_down_order(self) -> List[int]:
@@ -177,6 +169,13 @@ class JoinTree:
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
+def _post_order(children: Dict[int, List[int]], identifier: int, order: List[int]) -> None:
+    """Append the subtree under ``identifier`` to ``order``, children first."""
+    for child in children[identifier]:
+        _post_order(children, child, order)
+    order.append(identifier)
+
+
 def build_join_tree(
     atoms: Iterable[Atom],
     connector_policy: ConnectorPolicy = query_connectors,

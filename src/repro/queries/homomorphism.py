@@ -132,23 +132,26 @@ def homomorphisms(
         return
 
     ordered = _order_atoms(source_atoms, target_instance)
+    yield from _search(ordered, 0, target_instance, initial)
 
-    def search(index: int, assignment: Homomorphism) -> Iterator[Homomorphism]:
-        if index == len(ordered):
-            yield dict(assignment)
-            return
-        atom = ordered[index]
-        for image in _candidate_atoms(atom, target_instance, assignment):
-            trail = _bind(atom, image, assignment)
-            if trail is not None:
-                try:
-                    yield from search(index + 1, assignment)
-                finally:
-                    # Unbind even when the consumer abandons the generator
-                    # mid-search, so the shared dict never leaks bindings.
-                    _unbind(trail, assignment)
 
-    yield from search(0, initial)
+def _search(
+    ordered: Sequence[Atom], index: int, target: Instance, assignment: Homomorphism
+) -> Iterator[Homomorphism]:
+    """Extend ``assignment`` over ``ordered[index:]`` by backtracking."""
+    if index == len(ordered):
+        yield dict(assignment)
+        return
+    atom = ordered[index]
+    for image in _candidate_atoms(atom, target, assignment):
+        trail = _bind(atom, image, assignment)
+        if trail is not None:
+            try:
+                yield from _search(ordered, index + 1, target, assignment)
+            finally:
+                # Unbind even when the consumer abandons the generator
+                # mid-search, so the shared dict never leaks bindings.
+                _unbind(trail, assignment)
 
 
 def find_homomorphism(

@@ -297,7 +297,6 @@ class QueryService:
         tgds: Sequence[TGD] = (),
         engine: str = "auto",
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> Set[Tuple[Term, ...]]:
         """The full answer set of ``query`` over the current database state.
 
@@ -305,20 +304,17 @@ class QueryService:
         answers for every isomorphic variant — answer tuples are positional,
         so they transfer verbatim) and the shared scan cache (mutations since
         the last request are absorbed incrementally before the scans are
-        served).  ``parallel`` selects the morsel-parallel batch kernels
-        exactly as on the one-shot entry points; writes arriving while the
-        submit runs wait for it (see :meth:`insert`).
+        served).  Writes arriving while the submit runs wait for it (see
+        :meth:`insert`).
         """
         entry = self._entry(query, tuple(tgds), engine)
         with self._tracked():
             if entry.evaluator is not None:  # yannakakis / reformulated / decomposition
                 return entry.evaluator.evaluate(  # type: ignore[attr-defined]
-                    self.database, scans=self.scans, backend=backend,
-                    parallel=parallel,
+                    self.database, scans=self.scans, backend=backend
                 )
             return evaluate_with_plan(
-                entry.query, self.database, scans=self.scans, backend=backend,
-                parallel=parallel,
+                entry.query, self.database, scans=self.scans, backend=backend
             )
 
     def submit_batch(
@@ -354,15 +350,12 @@ class QueryService:
                         tgds=tgds,
                         engine=engine,
                         backend=backend,
-                        parallel=workers,
                     )
                     for query in requests
                 ]
                 return [future.result() for future in futures]
         return [
-            self.submit(
-                query, tgds=tgds, engine=engine, backend=backend, parallel=parallel
-            )
+            self.submit(query, tgds=tgds, engine=engine, backend=backend)
             for query in requests
         ]
 
@@ -374,7 +367,6 @@ class QueryService:
         engine: str = "auto",
         limit: Optional[int] = None,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> Iterator[Tuple[Term, ...]]:
         """Stream distinct answers with an epoch guard and ``limit=`` cap.
 
@@ -388,13 +380,12 @@ class QueryService:
         entry = self._entry(query, tuple(tgds), engine)
         if entry.evaluator is not None:
             inner = entry.evaluator.iter_answers(  # type: ignore[attr-defined]
-                self.database, scans=self.scans, limit=limit, backend=backend,
-                parallel=parallel,
+                self.database, scans=self.scans, limit=limit, backend=backend
             )
         else:
             inner = iter_with_plan(
                 entry.query, self.database, scans=self.scans, limit=limit,
-                backend=backend, parallel=parallel,
+                backend=backend,
             )
         opened = getattr(self.database, "mutation_epoch", 0)
         return self._guarded(inner, opened)

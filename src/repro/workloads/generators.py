@@ -777,12 +777,10 @@ def skewed_chain_database(
     Identical in shape to :func:`layered_chain_database` (diagonal spine
     plus ``width · (fanout - 1)`` extra edges per relation), but the extra
     edges pick their endpoints with probability ``∝ 1/rank^skew`` instead
-    of uniformly: a handful of "hub" nodes receive most of the fan-in.
-    Under the morsel-driven parallel kernels this makes the hash shards
-    deliberately *imbalanced* — the skew panel of
-    ``benchmarks/bench_yannakakis_scaling.py`` uses it to show per-worker
-    shard sizes and that the merge stays answer-identical under skew.
-    ``skew=0`` degenerates to the uniform layered chain.
+    of uniformly: a handful of "hub" nodes receive most of the fan-in, so
+    join buckets are long and uneven — the case where kernels that lay out
+    one bucket per probe row must keep the serial bucket order.  ``skew=0``
+    degenerates to the uniform layered chain.
     """
     if layers < 1 or width < 1 or fanout < 1:
         raise ValueError("layers, width and fanout must all be positive")
@@ -823,8 +821,7 @@ def skewed_scaling_workload(
 
     Same chain query and ``≈ size`` total facts, but the database comes
     from :func:`skewed_chain_database`, so join-key frequencies are
-    Zipf-distributed.  Exercises the worst case of hash sharding: most
-    probe rows land in the shards of a few hub keys.
+    Zipf-distributed: most probe rows match the buckets of a few hub keys.
     """
     width = max(1, size // (layers * fanout))
     query = layered_chain_query(layers, free_ends=free_ends)

@@ -1,27 +1,32 @@
-"""Differential: morsel-parallel execution must equal serial, everywhere.
+"""Differential: the vectorised numpy kernels must equal the loop kernels.
 
-The parallel layer (:mod:`repro.evaluation.parallel`) promises *bit-identical*
-answers to the serial kernels — hash shards preserve bucket order, morsels
-merge in probe order, dedup reproduces global first occurrence.  This suite
-pins that promise with the repo's differential-oracle pattern on every route
-that accepts ``parallel=``:
+On numpy storage the batch face runs one vectorised kernel per operator
+(:mod:`repro.evaluation.parallel`) once the probe side reaches
+:data:`~repro.evaluation.parallel.PARALLEL_MIN_ROWS` rows, and the
+:class:`~repro.evaluation.encoding.EncodedRelation` loop kernels below it.
+Both promise *bit-identical* output — same rows, same row order, same probe
+counts — and the tuple engine stays the ground truth.  This suite pins that
+with the repo's differential-oracle pattern:
 
-* the one-shot evaluator (``YannakakisEvaluator.evaluate``) and the plan
-  executor (``evaluate_with_plan``) on randomized acyclic workloads — with
-  :data:`~repro.evaluation.parallel.PARALLEL_MIN_ROWS` forced to 0 so the
-  sharded kernels actually run on the small random inputs (constants,
-  repeated head variables, labelled nulls — the historical corner-cutters);
-* streaming (``iter_answers`` under ``limit=``);
-* the batch face (``BatchEvaluator.evaluate`` over a shared scan cache);
-* the standing service (``QueryService.submit``/``submit_batch``) under
-  insert/delete interleavings, where parallel reads must still see every
-  absorbed write;
+* whole plans on randomized acyclic workloads (constants, repeated head
+  variables) and on Zipf-skewed chains, run with the gate forced to 0
+  (vectorised everywhere) and past every input (loop everywhere), against
+  the tuple backend — encoded rows, per-node probe counts, answer sets,
+  the plan route and streaming under ``limit=``;
+* the kernels themselves on random multi-column keys, including encoder
+  growth between calls and keys whose packing would overflow ``int64``;
+* concurrent batch scheduling (``BatchEvaluator``/``submit_batch`` with
+  ``parallel=``) and the standing service under insert/delete
+  interleavings.
 
-each on *both* columnar storage paths (numpy and pure-python ``array('q')``).
+The storage-parametrised tests also run on the pure-python ``array('q')``
+path, where the vectorised kernels decline and the loop kernels are
+checked against the tuple engine alone.
 """
 
 import os
 import random
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -32,36 +37,43 @@ from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import (
     AcyclicityRequired,
     BatchEvaluator,
+    EncodedRelation,
+    ExecutionContext,
+    ScanCache,
+    TermEncoder,
     YannakakisEvaluator,
     evaluate_with_plan,
 )
 from repro.evaluation import parallel as parallel_module
 from repro.evaluation.encoding import NUMPY_ENV
+from repro.evaluation.relation import Partition
 from repro.queries.cq import ConjunctiveQuery
 from repro.service import QueryService
+from repro.workloads.generators import skewed_scaling_workload
 from helpers.workloads import randomized_acyclic_workload
 
 STORAGE_PARAMS = pytest.mark.parametrize(
     "storage", ["0", "1"], ids=["python", "numpy"]
 )
 
+#: The kernel gate per family: vectorised on every input, or on none.
+VECTORISED, LOOP = 0, sys.maxsize
+
 
 @contextmanager
-def _forced_storage(storage):
-    """One columnar storage path with the parallel kernels forced on.
+def _storage(storage, gate=VECTORISED):
+    """One columnar storage path with the kernel gate set to ``gate``.
 
     A plain context manager (not a fixture) so the hypothesis-driven tests
     can enter it per generated input — function-scoped fixtures don't reset
-    between hypothesis examples.  Small differential inputs sit far below
-    the production row gate; forcing ``PARALLEL_MIN_ROWS`` to 0 makes the
-    shard/merge machinery the thing under test.
+    between hypothesis examples.
     """
     if storage == "1":
         pytest.importorskip("numpy")
     previous_env = os.environ.get(NUMPY_ENV)
     previous_gate = parallel_module.PARALLEL_MIN_ROWS
     os.environ[NUMPY_ENV] = storage
-    parallel_module.PARALLEL_MIN_ROWS = 0
+    parallel_module.PARALLEL_MIN_ROWS = gate
     try:
         yield
     finally:
@@ -72,53 +84,180 @@ def _forced_storage(storage):
             os.environ[NUMPY_ENV] = previous_env
 
 
-def _assert_parallel_matches_serial(query, database):
+def _executed(evaluator, database, gate):
+    """Encoded rows, total probes and per-node probes of one fresh run."""
+    parallel_module.PARALLEL_MIN_ROWS = gate
+    plan = evaluator.compile_answer_plan()
+    context = ExecutionContext(database, ScanCache(database), backend="columnar")
+    before = Partition.thread_probes()
+    rows = plan.materialize_encoded(context).rows
+    probes = Partition.thread_probes() - before
+    return rows, probes, [node.observed_probes for node in plan.walk()]
+
+
+def _assert_kernels_agree(query, database):
     try:
         evaluator = YannakakisEvaluator(query)
     except AcyclicityRequired:
         return  # constant injection made the hypergraph cyclic; out of domain
-    serial = evaluator.evaluate(database, backend="columnar", parallel=0)
-    for workers in (2, 3, 4):
-        assert (
-            evaluator.evaluate(database, backend="columnar", parallel=workers)
-            == serial
-        ), f"evaluator diverged at workers={workers}"
-    assert (
-        evaluate_with_plan(query, database, backend="columnar", parallel=4)
-        == serial
-    )
-    # Streaming under a limit: the first k answers of the parallel route
-    # must be drawn from the same answer set (order is not part of the
-    # set-semantics contract, membership is).
-    limit = max(1, len(serial) // 2)
-    streamed = list(
-        evaluator.iter_answers(database, limit=limit, backend="columnar", parallel=4)
-    )
-    assert len(streamed) == min(limit, len(serial))
-    assert set(streamed) <= serial
+    truth = evaluator.evaluate(database, backend="tuple")
+    assert _executed(evaluator, database, VECTORISED) == _executed(
+        evaluator, database, LOOP
+    ), "vectorised kernels diverged from the loop kernels"
+    for gate in (VECTORISED, LOOP):
+        parallel_module.PARALLEL_MIN_ROWS = gate
+        assert evaluator.evaluate(database, backend="columnar") == truth
+        assert evaluate_with_plan(query, database, backend="columnar") == truth
+        limit = max(1, len(truth) // 2)
+        streamed = list(
+            evaluator.iter_answers(database, limit=limit, backend="columnar")
+        )
+        assert len(streamed) == min(limit, len(truth))
+        assert set(streamed) <= truth
 
 
 @STORAGE_PARAMS
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_parallel_agrees_on_randomized_workloads(storage, seed):
-    with _forced_storage(storage):
+    with _storage(storage):
         query, database = randomized_acyclic_workload(seed)
-        _assert_parallel_matches_serial(query, database)
+        _assert_kernels_agree(query, database)
 
 
 @STORAGE_PARAMS
 @pytest.mark.parametrize("seed", range(10))
 def test_parallel_agrees_on_seeded_grid(storage, seed):
     """A fixed, deterministic slice of the same space (fast CI signal)."""
-    with _forced_storage(storage):
+    with _storage(storage):
         query, database = randomized_acyclic_workload(seed * 7919)
-        _assert_parallel_matches_serial(query, database)
+        _assert_kernels_agree(query, database)
 
 
+@pytest.mark.parametrize("skew", [0.0, 2.0])
+def test_kernels_agree_on_skewed_chains(skew):
+    """Hub keys give long, uneven buckets: bucket order must survive."""
+    with _storage("1"):
+        query, database = skewed_scaling_workload(400, skew=skew, seed=1)
+        _assert_kernels_agree(query, database)
+
+
+# ----------------------------------------------------------------------
+# The kernels themselves, on random multi-column keys
+# ----------------------------------------------------------------------
+ROWS = st.lists(
+    st.tuples(*(st.integers(min_value=0, max_value=5) for _ in range(3))),
+    max_size=30,
+)
+
+
+def _relation(schema, rows, encoder):
+    return EncodedRelation.from_rows(
+        schema,
+        [encoder.encode_row(tuple(Constant(v) for v in row)) for row in rows],
+        encoder,
+    )
+
+
+def _with_probes(kernel):
+    before = Partition.thread_probes()
+    result = kernel()
+    return result, Partition.thread_probes() - before
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    left_rows=ROWS,
+    right_rows=ROWS,
+    width=st.integers(min_value=1, max_value=3),
+    growth=st.integers(min_value=0, max_value=300),
+    code=st.integers(min_value=0, max_value=5),
+)
+def test_vectorised_kernels_match_loop_kernels(
+    left_rows, right_rows, width, growth, code
+):
+    """Each kernel against its loop counterpart: rows, order and probes.
+
+    ``width`` join columns are shared; the encoder grows by ``growth``
+    codes between the first and second join, so keys cached at the old
+    packing base must not be served at the new one.
+    """
+    with _storage("1"):
+        encoder = TermEncoder()
+        xs = tuple(Variable(f"x{i}") for i in range(3))
+        ys = xs[:width] + tuple(Variable(f"y{i}") for i in range(width, 3))
+        left = _relation(xs, left_rows, encoder)
+        right = _relation(ys, right_rows, encoder)
+        key = tuple(range(width))
+        residual = tuple(range(width, 3))
+        schema = xs + ys[width:]
+
+        def check_join():
+            vectorised, probes = _with_probes(
+                lambda: parallel_module.parallel_join(
+                    left, right, key, key, residual, schema
+                )
+            )
+            expected, expected_probes = _with_probes(lambda: left.join(right))
+            assert vectorised is not None
+            assert vectorised.schema == expected.schema
+            assert vectorised.rows == expected.rows
+            assert probes == expected_probes == len(left)
+
+        check_join()
+        for value in range(1000, 1000 + growth):
+            encoder.encode(Constant(value))
+        right = _relation(ys, right_rows[::-1], encoder)
+        check_join()
+
+        semijoin, probes = _with_probes(
+            lambda: parallel_module.parallel_semijoin(left, right, key, key)
+        )
+        assert semijoin.rows == left.semijoin(right).rows
+        assert probes == 0  # membership is uncounted on every path
+        projected = parallel_module.parallel_project(left, xs[:width], key)
+        assert projected.rows == left.project(xs[:width]).rows
+        assert parallel_module.parallel_project(left, xs, (0, 1, 2)).rows == (
+            left.distinct().rows
+        )
+        checks = ((0, encoder.encode(Constant(code))),)
+        assert parallel_module.parallel_select(left, checks).rows == (
+            left.select_codes(checks).rows
+        )
+
+
+def test_int64_overflow_declines_to_the_loop_kernel():
+    """A key whose mixed-radix packing would overflow ``int64`` declines,
+    and the operator answers through the loop kernel instead."""
+    with _storage("1"):
+        # 300 distinct constants: an 8-column key packs at base 300, and
+        # 300**8 > 2**62.
+        encoder = TermEncoder()
+        xs = tuple(Variable(f"x{i}") for i in range(8))
+        rows = [tuple((i + 37 * j) % 300 for j in range(8)) for i in range(300)]
+        left = _relation(xs, rows, encoder)
+        right = _relation(xs, rows[::2], encoder)
+        key = tuple(range(8))
+        assert parallel_module.parallel_join(left, right, key, key, (), xs) is None
+        assert parallel_module.parallel_semijoin(left, right, key, key) is None
+        assert parallel_module.parallel_project(left, xs, key) is None
+        # Narrower keys of the same relations still pack.
+        assert parallel_module.parallel_project(left, xs[:2], (0, 1)) is not None
+
+        predicate = Predicate("W", 8)
+        database = Database(Atom(predicate, tuple(Constant(v) for v in row)) for row in rows)
+        query = ConjunctiveQuery(xs[:1], [Atom(predicate, xs)] * 2)
+        assert YannakakisEvaluator(query).evaluate(
+            database, backend="columnar"
+        ) == YannakakisEvaluator(query).evaluate(database, backend="tuple")
+
+
+# ----------------------------------------------------------------------
+# Concurrent batch scheduling
+# ----------------------------------------------------------------------
 @STORAGE_PARAMS
 def test_batch_evaluator_parallel_matches_sequential(storage):
-    with _forced_storage(storage):
+    with _storage(storage):
         _check_batch_evaluator()
 
 
@@ -142,7 +281,7 @@ def _check_batch_evaluator():
     evaluator = BatchEvaluator(queries)
     serial = evaluator.evaluate(merged, backend="columnar", parallel=0)
     assert evaluator.evaluate(merged, backend="columnar", parallel=4) == serial
-    assert evaluator.evaluate_sequential(merged, backend="columnar", parallel=4) == serial
+    assert evaluator.evaluate_sequential(merged, backend="columnar") == serial
 
 
 E = Predicate("E", 2)
@@ -158,13 +297,14 @@ SERVICE_QUERIES = [
 
 @STORAGE_PARAMS
 def test_service_parallel_submits_survive_mutation_interleaving(storage):
-    """Parallel submits against a long-lived service, interleaved with writes.
+    """Submits against a long-lived service, interleaved with writes.
 
-    Every read — single and batched, parallel workers on — must equal a
-    fresh-cache serial oracle on the current database state; a divergence
-    means a shard or packed-key cache survived a write it should not have.
+    Every read — single and batched on 4 threads, vectorised kernels on —
+    must equal a fresh-cache tuple oracle on the current database state; a
+    divergence means a packed-key or sorted-build cache survived a write
+    it should not have.
     """
-    with _forced_storage(storage):
+    with _storage(storage):
         _check_service_interleaving()
 
 
@@ -178,8 +318,8 @@ def _check_service_interleaving():
         roll = rng.random()
         if roll < 0.25:
             query = SERVICE_QUERIES[rng.randrange(len(SERVICE_QUERIES))]
-            got = service.submit(query, backend="columnar", parallel=4)
-            want = oracles[query.name].evaluate(database)  # fresh scans, serial
+            got = service.submit(query, backend="columnar")
+            want = oracles[query.name].evaluate(database)  # fresh scans, tuple
             assert got == want, f"{query.name} diverged after {service.writes} writes"
             evaluated += 1
         elif roll < 0.35:
