@@ -5,9 +5,11 @@ Two panels over the standing :class:`repro.service.QueryService`:
 * **Delta merge vs rebuild** — a mutate → scan loop: per round one fact is
   deleted and one inserted (a size-preserving mutation, exactly the shape
   the seed's size-snapshot guard could not see), then both cached
-  signatures of a two-hop path query are re-served.  The long-lived cache
-  absorbs each round's delta (``O(delta)`` journal replay + in-place
-  partition patch); the baseline builds a fresh ``ScanCache`` every round
+  signatures of a two-hop path query are re-served, encoded under the
+  cache's encoder as the columnar backend reads them.  The long-lived
+  cache absorbs each round's delta (``O(delta)`` journal replay, in-place
+  partition patch, and an encoded store carried forward by encoding only
+  the delta); the baseline builds a fresh ``ScanCache`` every round
   (``O(|D|)`` scan + repartition + re-encode).  Headline: wall-clock ratio
   per round, plus the deterministic work proxy (scans *built*: the
   long-lived cache materialises each signature once for the whole loop,
@@ -25,8 +27,10 @@ are noise-dominated); the counter-based assertions always run.
 
 from __future__ import annotations
 
+import os
+import platform
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import ScanCache
@@ -95,7 +99,7 @@ def run_delta_vs_rebuild(sizes: Sequence[int] = SIZES) -> List[Dict[str, object]
             database.discard(_edge(round_index, round_index + 1))
             database.add(_edge(size + 1 + round_index, size + 2 + round_index))
             for atom in atoms:
-                cache.scan(atom)
+                cache.scan(atom).encoded(cache.encoder)
         delta_seconds = time.perf_counter() - started
         delta_built = cache.built
 
@@ -111,7 +115,7 @@ def run_delta_vs_rebuild(sizes: Sequence[int] = SIZES) -> List[Dict[str, object]
             database.add(_edge(size + 1 + round_index, size + 2 + round_index))
             fresh = ScanCache(database)
             for atom in atoms:
-                fresh.scan(atom)
+                fresh.scan(atom).encoded(fresh.encoder)
             rebuild_built += fresh.built
         rebuild_seconds = time.perf_counter() - started
 
@@ -154,10 +158,27 @@ def run_plan_cache_hit_rate() -> Dict[str, object]:
     return row
 
 
+def _numpy_version() -> Optional[str]:
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy.__version__
+
+
 def _write_snapshot() -> None:
     delta = run_delta_vs_rebuild()
     plans = run_plan_cache_hit_rate()
     snapshot = BenchSnapshot("service_cache")
+    snapshot.record(
+        "host",
+        {
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": _numpy_version(),
+            "machine": platform.machine(),
+        },
+    )
     snapshot.record("sizes", [row["size"] for row in delta])
     snapshot.record("rounds", ROUNDS)
     snapshot.record("delta_speedups", [row["speedup"] for row in delta])

@@ -140,11 +140,15 @@ class ScanCache:
     access to a cached scan after a mutation merges its pending delta into
     the cached rows and partitions in place (:meth:`Relation.apply_delta`,
     ``O(delta)``), re-stamps the relation with the current epoch, and counts
-    a ``delta_merges``.  Only when the journal window was trimmed away does
-    the cache fall back to dropping everything (``full_rebuilds``).  The
-    :class:`TermEncoder` is append-only throughout: deletions may strand
-    term codes, which is harmless for correctness and auditable via
-    :meth:`dead_codes`.
+    a ``delta_merges``.  A cached encoded store is carried forward by the
+    same merge: a new store encoding only the delta replaces it, with fresh
+    caches, so no key index of the pre-merge store is served afterwards and
+    readers still holding the old store keep a consistent snapshot.  Only
+    when the journal window was trimmed away does the cache fall back to
+    dropping everything (``full_rebuilds``).  The :class:`TermEncoder` is
+    append-only throughout — which is what keeps the carried-forward codes
+    valid: deletions may strand term codes, which is harmless for
+    correctness and auditable via :meth:`dead_codes`.
     """
 
     def __init__(self, database: Instance) -> None:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 import threading
 from array import array
+from itertools import compress
 from typing import (
     Container,
     Dict,
@@ -66,6 +67,14 @@ _UNSET = object()
 _NUMPY: object = _UNSET
 
 _EMPTY_BUCKET: Tuple[int, ...] = ()
+
+#: :meth:`EncodedRelation.semijoin` probes a long-lived left store's key
+#: index instead of scanning it when the right side has at most one distinct
+#: key per this many left keys.  On the warm ``array('q')`` kernels the
+#: probe wins by 1.6–2× at that ratio for left bucket sizes 2 to 250, and
+#: loses (0.7–1.0×) only once the right side hits most left keys
+#: (docs/ARCHITECTURE.md, "Semi-join: probe or scan").
+SEMIJOIN_PROBE_FACTOR = 4
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
@@ -238,19 +247,26 @@ class EncodedStore:
     view reuses them — caches are positional, never name-dependent.  The
     usual immutability discipline applies: columns are never mutated after
     construction.
+
+    ``long_lived`` marks a store cached on its :class:`Relation` (see
+    :meth:`Relation.encoded`): it serves every later read of that relation,
+    so an index built on it pays off across calls.  Operator outputs,
+    batch chunks and enumeration stores are one-shot (``False``).
     """
 
-    __slots__ = ("columns", "length", "use_numpy", "caches")
+    __slots__ = ("columns", "length", "use_numpy", "caches", "long_lived")
 
     def __init__(
         self,
         columns: Sequence[Sequence[int]],
         length: int,
         use_numpy: bool,
+        long_lived: bool = False,
     ) -> None:
         self.columns: Tuple[Sequence[int], ...] = tuple(columns)
         self.length = length
         self.use_numpy = use_numpy
+        self.long_lived = long_lived
         self.caches: Dict[object, object] = {}
 
 
@@ -301,6 +317,46 @@ class EncodedRelation:
         store = EncodedStore(columns, len(encoded), use_numpy)
         store.caches["rows"] = encoded
         return store
+
+    @staticmethod
+    def merge_store(
+        store: EncodedStore,
+        encoder: TermEncoder,
+        inserted: Sequence[Row],
+        kept: Optional[List[bool]] = None,
+    ) -> EncodedStore:
+        """The successor of ``store`` after a delta merge, encoding only the delta.
+
+        ``kept`` flags, row by row, the rows of ``store`` that survive the
+        merge (``None``: all of them).  The new store holds the surviving
+        rows in order, then the encoded ``inserted`` rows — exactly the row
+        order :meth:`Relation.apply_delta` leaves behind — with ``store``'s
+        storage kind and fresh, empty caches.  Old codes stay valid because
+        the encoder is append-only.  ``store`` itself is not touched, so
+        readers still holding it keep a consistent snapshot.
+        """
+        codes = [encoder.encode_row(row) for row in inserted]
+        use_numpy = store.use_numpy
+        numpy = _numpy_module() if use_numpy else None
+        mask = None
+        if kept is not None and use_numpy:
+            mask = numpy.fromiter(kept, dtype=bool, count=store.length)  # type: ignore[union-attr]
+        columns: List[Sequence[int]] = []
+        for position, column in enumerate(store.columns):
+            added = [row[position] for row in codes]
+            if use_numpy:
+                survivors = column if mask is None else column[mask]  # type: ignore[index]
+                columns.append(
+                    numpy.concatenate(  # type: ignore[union-attr]
+                        (survivors, numpy.array(added, dtype=numpy.int64))  # type: ignore[union-attr]
+                    )
+                )
+            else:
+                merged = array("q", column if kept is None else list(compress(column, kept)))
+                merged.extend(added)
+                columns.append(merged)
+        length = (store.length if kept is None else kept.count(True)) + len(codes)
+        return EncodedStore(columns, length, use_numpy, store.long_lived)
 
     @classmethod
     def from_relation(cls, relation: Relation, encoder: TermEncoder) -> "EncodedRelation":
@@ -532,6 +588,7 @@ class EncodedRelation:
     ) -> "EncodedRelation":
         """Bulk bucket intersection: keep rows whose key is in ``index``.
 
+        The scan kernel: one membership check per row of ``self``.
         Membership checks are uncounted, mirroring the tuple semi-join.
         """
         keys = self._key_column(tuple(key_positions))
@@ -545,17 +602,54 @@ class EncodedRelation:
         indices = [i for i, key in enumerate(keys) if key in buckets]
         return self.take(indices)
 
+    def semijoin_probe(
+        self, key_positions: Sequence[int], index: IntIndex
+    ) -> "EncodedRelation":
+        """The probe kernel: the rows of :meth:`semijoin_index`, found by
+        looking each key of ``index`` up in this store's cached
+        :meth:`key_index` instead of scanning every row.
+
+        ``O(keys of index + output)`` once the key index exists.  The
+        gathered row indices are sorted, so the output is row for row the
+        scan kernel's.  Both indexes are read through ``buckets``, never
+        :meth:`IntIndex.get`: membership stays uncounted.
+        """
+        own = self.key_index(key_positions).buckets
+        indices: List[int] = []
+        extend = indices.extend
+        for key in index.buckets:
+            bucket = own.get(key)
+            if bucket is not None:
+                extend(bucket)
+        indices.sort()
+        return self.take(indices)
+
     def semijoin(self, other: "EncodedRelation") -> "EncodedRelation":
-        """``self ⋉ other`` by variable name — the encoded Relation.semijoin."""
+        """``self ⋉ other`` by variable name — the encoded Relation.semijoin.
+
+        Probes (:meth:`semijoin_probe`) when this store is long-lived and
+        ``other``'s distinct keys, times :data:`SEMIJOIN_PROBE_FACTOR`, are
+        at most this relation's row count (the gate for building the key
+        index) and its distinct key count (read off that index: the output
+        is then a small share of the rows).  Scans (:meth:`semijoin_index`)
+        otherwise, so one-shot stores never pay for an index they would use
+        once.
+        """
         shared = tuple(v for v in self.schema if v in other._positions)
         if not shared:
             if other.is_empty():
                 return EncodedRelation.empty(self.schema, self.encoder)
             return self.fresh_copy()
         index = other.key_index(tuple(other.position(v) for v in shared))
-        return self.semijoin_index(
-            tuple(self.position(v) for v in shared), index
-        )
+        key_positions = tuple(self.position(v) for v in shared)
+        wanted = len(index) * SEMIJOIN_PROBE_FACTOR
+        if (
+            self.store.long_lived
+            and wanted <= self.store.length
+            and wanted <= len(self.key_index(key_positions))
+        ):
+            return self.semijoin_probe(key_positions, index)
+        return self.semijoin_index(key_positions, index)
 
     def join_index(
         self,

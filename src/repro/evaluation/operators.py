@@ -484,6 +484,13 @@ class SemiJoin(Operator):
     deliberately not probe-counted, matching the reduction-pass accounting
     of the bounded-work tests).  Streaming face: the left input streams,
     the right side is materialised into its cached partition.
+
+    Batch face: the vectorised kernel on numpy storage, else
+    :meth:`EncodedRelation.semijoin`, which probes the left store's cached
+    key index with each right key when the left store is long-lived (a
+    cached scan) and the right side has few keys — a point query then
+    costs its answer, not the left relation — and scans the left rows
+    otherwise.  ``iter_batches`` always scans: its chunks are one-shot.
     """
 
     __slots__ = ("_shared", "_left_key")

@@ -41,6 +41,7 @@ rebuild.
 from __future__ import annotations
 
 import threading
+from itertools import compress
 from typing import (
     Callable,
     Dict,
@@ -420,17 +421,24 @@ class Relation:
         :meth:`with_schema` view sharing the storage stays fresh), every
         cached :class:`Partition` is patched bucket-by-bucket (``O(delta)``
         amortised, not ``O(rows)``), and the derived statistics — distinct
-        counts, pair sketches, the encoded column store — are dropped for
-        lazy recomputation on next use.  Callers guarantee ``inserted`` rows
-        are not already present and ``deleted`` rows are (the scan cache's
-        journal replay normalises deltas to this form).
+        counts, pair sketches — are dropped for lazy recomputation on next
+        use.  The encoded column store is carried forward: a **new** store
+        (:meth:`EncodedRelation.merge_store`) holds the old int rows minus
+        the deleted rows (the same survivor flags filter both) plus the
+        encoded inserted rows, in exactly :attr:`rows` order, with fresh
+        caches — only the delta is encoded, and the old store is left
+        untouched for readers still holding it.  Callers guarantee
+        ``inserted`` rows are not already present and ``deleted`` rows are
+        (the scan cache's journal replay normalises deltas to this form).
         """
         inserted = list(inserted)
         dead = set(deleted)
         if not inserted and not dead:
             return
+        kept = None
         if dead:
-            self.rows[:] = [row for row in self.rows if row not in dead]
+            kept = [row not in dead for row in self.rows]
+            self.rows[:] = list(compress(self.rows, kept))
         self.rows.extend(inserted)
         for partition in self._partitions.values():
             positions = partition.positions
@@ -450,9 +458,18 @@ class Relation:
                 key = tuple(row[p] for p in positions)
                 buckets.setdefault(key, []).append(row)
         epoch = self._stats.get("epoch")
+        encoded = self._stats.get("encoded")
         self._stats.clear()
         if epoch is not None:
             self._stats["epoch"] = epoch
+        if encoded is not None:
+            from .encoding import EncodedRelation  # local: avoid an import cycle
+
+            encoder, store = encoded  # type: ignore[misc]
+            self._stats["encoded"] = (
+                encoder,
+                EncodedRelation.merge_store(store, encoder, inserted, kept),
+            )
 
     # ------------------------------------------------------------------
     # Cached statistics (the substrate of the operator-IR cost model)
@@ -563,8 +580,10 @@ class Relation:
 
         The encoded column store is cached in ``_stats`` (keyed by encoder
         identity, single slot), so — exactly like partitions and distinct
-        counts — it is shared by reference across :meth:`with_schema` views
-        and rebuilt only on fresh row storage or a different encoder.  The
+        counts — it is shared by reference across :meth:`with_schema` views,
+        carried forward by :meth:`apply_delta`, and rebuilt only on fresh
+        row storage or a different encoder.  Being cached, the store is
+        marked ``long_lived`` (it may earn a semi-join key index).  The
         returned :class:`~repro.evaluation.encoding.EncodedRelation` is a
         cheap schema view over the cached store.
         """
@@ -573,6 +592,7 @@ class Relation:
         cached = self._stats.get("encoded")
         if cached is None or cached[0] is not encoder:  # type: ignore[index]
             store = EncodedRelation.build_store(self.rows, len(self.schema), encoder)
+            store.long_lived = True
             cached = (encoder, store)
             self._stats["encoded"] = cached
         return EncodedRelation(self.schema, cached[1], encoder)  # type: ignore[index]

@@ -12,6 +12,9 @@ Beyond route equality the suite pins down:
 
 * the encode/decode round trip of :class:`TermEncoder` and
   :class:`EncodedRelation` (property-based, ambiguous terms included);
+* the two semi-join kernels — probing a cached left key index and scanning
+  the left rows — agree row for row on both storages, and a point
+  semi-join on a cached store never re-reads its left key column;
 * probe accounting on the batch face — semi-join membership is uncounted,
   joins count one probe per left row, and the pipelined plan route does a
   bounded amount of work per pulled batch (the per-batch analogue of the
@@ -22,6 +25,9 @@ Beyond route equality the suite pins down:
 * the optional numpy storage path (``REPRO_NUMPY=1``) agrees with both the
   pure-python columnar path and the tuple oracle.
 """
+
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -299,11 +305,153 @@ def _encoded_pair():
     return left, right
 
 
+def _point_pair(left_rows=2000, right_keys=(3, 7, 11)):
+    """A cached (long-lived) left store and a small one-shot right side:
+    the shape on which ``semijoin`` takes the probe path."""
+    encoder = TermEncoder()
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    left = Relation(
+        (x, y),
+        [(Constant(i), Constant(i % 500)) for i in range(left_rows)],
+    ).encoded(encoder)
+    right = EncodedRelation.from_rows(
+        (y, z),
+        [(encoder.encode(Constant(key)), encoder.encode(Constant(-1))) for key in right_keys],
+        encoder,
+    )
+    return left, right
+
+
 def test_semijoin_membership_is_uncounted():
     left, right = _encoded_pair()
     result, probes = _probes(lambda: left.semijoin(right))
     assert probes == 0
     assert len(result) == 30  # every y ∈ {0,1,2} matches
+
+    # Large left, small right: the probe path, still uncounted.
+    left, right = _point_pair()
+    result, probes = _probes(lambda: left.semijoin(right))
+    assert ("index", (1,)) in left.store.caches  # the probe path ran
+    assert probes == 0
+    assert len(result) == 3 * 4  # each right key has 4 left rows
+
+
+# ----------------------------------------------------------------------
+# Semi-join kernels: probing the left key index vs scanning the left rows
+# ----------------------------------------------------------------------
+def _storage_env(use_numpy):
+    if use_numpy:
+        pytest.importorskip("numpy")
+    return mock.patch.dict(os.environ, {NUMPY_ENV: "1" if use_numpy else "0"})
+
+
+def _assert_probe_matches_scan(left_rows, right_rows, width, use_numpy):
+    """Both kernels, and ``semijoin``, return the tuple semi-join's rows in
+    the same order (``left_rows`` over x, y, w; the key is the first
+    ``width`` of x, y)."""
+    x, y, w, z = Variable("x"), Variable("y"), Variable("w"), Variable("z")
+    key = (x, y)[:width]
+    with _storage_env(use_numpy):
+        encoder = TermEncoder()
+        left_tuples = Relation((x, y, w), [tuple(map(Constant, row)) for row in left_rows])
+        right_tuples = Relation(
+            key + (z,), [tuple(map(Constant, row[:width])) + (Constant(-1),) for row in right_rows]
+        )
+        left = left_tuples.encoded(encoder)
+        right = right_tuples.encoded(encoder)
+        assert left.store.use_numpy == use_numpy
+        index = right.key_index(tuple(range(width)))
+        positions = tuple(range(width))
+        scanned = left.semijoin_index(positions, index)
+        probed = left.semijoin_probe(positions, index)
+        assert probed.rows == scanned.rows
+        assert left.semijoin(right).rows == scanned.rows
+        expected = left_tuples.semijoin(right_tuples).rows
+        assert list(scanned.decoded_rows()) == expected
+
+
+_LEFT_ROWS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=50),
+    ),
+    max_size=60,
+)
+#: Right keys drawn past the left domain too, so some are absent.
+_RIGHT_ROWS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=5)),
+    max_size=8,
+)
+
+
+@pytest.mark.parametrize("use_numpy", [False, True], ids=["array", "numpy"])
+@pytest.mark.parametrize("width", [1, 2])
+@settings(max_examples=60, deadline=None)
+@given(left_rows=_LEFT_ROWS, right_rows=_RIGHT_ROWS)
+def test_semijoin_probe_agrees_with_scan(use_numpy, width, left_rows, right_rows):
+    _assert_probe_matches_scan(left_rows, right_rows, width, use_numpy)
+
+
+@pytest.mark.parametrize("use_numpy", [False, True], ids=["array", "numpy"])
+@pytest.mark.parametrize(
+    "left_rows, right_rows",
+    [
+        # duplicate left keys, interleaved so buckets cross each other
+        ([(i % 4, i % 2, i) for i in range(40)], [(1, 1), (3, 1)]),
+        # right keys absent from the left, beside one present
+        ([(i, 0, i) for i in range(30)], [(100, 0), (7, 0), (200, 9)]),
+        # empty right side
+        ([(i, 0, i) for i in range(30)], []),
+        # empty left side
+        ([], [(1, 0)]),
+    ],
+    ids=["duplicate-keys", "absent-keys", "empty-right", "empty-left"],
+)
+@pytest.mark.parametrize("width", [1, 2])
+def test_semijoin_probe_agrees_with_scan_corners(use_numpy, left_rows, right_rows, width):
+    _assert_probe_matches_scan(left_rows, right_rows, width, use_numpy)
+
+
+def test_semijoin_probes_only_long_lived_stores():
+    left, right = _point_pair()
+    assert left.store.long_lived  # cached on its Relation
+    one_shot = left.fresh_copy()  # an operator output
+    assert not one_shot.store.long_lived
+    assert one_shot.semijoin(right).rows == left.semijoin(right).rows
+    assert ("index", (1,)) in left.store.caches
+    assert not one_shot.store.caches  # no index built on a one-shot store
+    # A right side with many keys keeps the scan on a long-lived store too.
+    left, _ = _point_pair()
+    wide = EncodedRelation.from_rows(
+        right.schema,
+        [(left.encoder.encode(Constant(key)), 0) for key in range(600)],
+        left.encoder,
+    )
+    assert len(left.semijoin(wide)) == len(left)
+    assert ("index", (1,)) not in left.store.caches
+
+
+def test_point_semijoin_on_a_cached_store_does_not_scan_the_left_keys(monkeypatch):
+    """Bounded work: once a cached store's key index exists, a point
+    semi-join costs its answer, not the relation — the left key column is
+    never read again."""
+    left, right = _point_pair(left_rows=20_000)
+    reads = []
+    original = EncodedRelation._key_column
+
+    def counting(self, positions):
+        if self.store is left.store:
+            reads.append(positions)
+        return original(self, positions)
+
+    monkeypatch.setattr(EncodedRelation, "_key_column", counting)
+    first = left.semijoin(right)
+    reads.clear()
+    second = left.semijoin(right)
+    assert reads == []
+    assert second.rows == first.rows
+    assert len(second) == 3 * 40
 
 
 def test_join_counts_one_probe_per_left_row():

@@ -10,12 +10,19 @@ served pre-mutation partitions and answers.  These tests pin the fix:
 * incremental maintenance — cached rows/partitions/encodings are patched by
   :meth:`Relation.apply_delta` (``delta_merges``), not rebuilt, and every
   pre-mutation ``with_schema`` view observes the merge (the aliasing audit);
+  the encoded store is carried forward as a new store equal to a fresh
+  encoding, with empty caches, leaving the pre-merge store untouched;
 * the distinct :class:`CacheBindingError` for foreign databases, with
   fact-identical copies accepted;
 * epoch-aware :class:`Statistics` and the PLAN016 verifier check.
 """
 
+import os
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import Severity, verify_plan
 from repro.datamodel import Atom, Constant, Database, Instance, Predicate, Variable
@@ -28,6 +35,7 @@ from repro.evaluation import (
     Statistics,
     YannakakisEvaluator,
 )
+from repro.evaluation.encoding import NUMPY_ENV, EncodedRelation
 from repro.queries.cq import ConjunctiveQuery
 
 E = Predicate("E", 2)
@@ -158,6 +166,35 @@ class TestStaleAnswerRegression:
 # ----------------------------------------------------------------------
 # Incremental maintenance: partitions, views, encodings
 # ----------------------------------------------------------------------
+#: One write: insert (True) or delete (False) the edge (a, b) over a tiny
+#: domain, so deletes often hit present facts and inserts collide.
+_DELTA_STEPS = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=6),
+    ),
+    min_size=1,
+    max_size=15,
+)
+
+
+def _int_rows(store):
+    columns = [list(column) for column in store.columns]
+    return list(zip(*columns)) if columns else [()] * store.length
+
+
+def _snapshot(store):
+    """Everything a reader of ``store`` can observe: its rows, storage kind
+    and the identity of every cache entry."""
+    return (
+        store.length,
+        store.use_numpy,
+        _int_rows(store),
+        {key: id(value) for key, value in store.caches.items()},
+    )
+
+
 class TestDeltaMerge:
     def test_cached_partitions_are_patched_in_place(self):
         database = _chain_db((1, 2), (1, 3), (2, 4))
@@ -201,6 +238,67 @@ class TestDeltaMerge:
         fresh_store = merged.encoded(cache.encoder)
         assert len(fresh_store) == 3
         assert len(stale_store.store.columns[0]) == 2  # old store untouched
+
+    def test_merge_carries_the_encoded_store_forward(self):
+        database = _chain_db(*((i, i + 1) for i in range(20)))
+        cache = ScanCache(database)
+        old = cache.scan(Atom(E, (x, y))).encoded(cache.encoder)
+        old.key_index((0,))
+        database.discard(_edge(2, 3))
+        database.add(_edge(50, 51))
+        relation = cache.scan(Atom(E, (x, y)))
+        new = relation.encoded(cache.encoder)
+        assert new.store is not old.store
+        assert new.store.caches == {}
+        assert new.store.long_lived
+        assert list(new.decoded_rows()) == relation.rows
+        # A point semi-join on the merged store probes its own key index,
+        # which sees the merge, not the pre-merge one.
+        key = new.schema[:1]
+        for source, present in ((2, False), (50, True)):
+            point = EncodedRelation.from_rows(
+                key, [(cache.encoder.encode(Constant(source)),)], cache.encoder
+            )
+            assert bool(new.semijoin(point)) is present
+        assert new.store.caches[("index", (0,))] is not old.store.caches[("index", (0,))]
+
+    @pytest.mark.parametrize("use_numpy", [False, True], ids=["array", "numpy"])
+    @settings(max_examples=40, deadline=None)
+    @given(steps=_DELTA_STEPS)
+    def test_carried_forward_store_matches_a_fresh_encoding(self, use_numpy, steps):
+        """The stale-cache class of bug: after every merge the carried
+        store equals a fresh encoding of the rows, starts with empty caches
+        (no pre-merge key index is served), and the pre-merge store is
+        untouched."""
+        if use_numpy:
+            pytest.importorskip("numpy")
+        with mock.patch.dict(os.environ, {NUMPY_ENV: "1" if use_numpy else "0"}):
+            database = _chain_db(*((i, i + 1) for i in range(6)))
+            cache = ScanCache(database)
+            atoms = (Atom(E, (x, y)), Atom(E, (Constant(0), y)))
+            for atom in atoms:
+                cache.scan(atom).encoded(cache.encoder).key_index((0,))
+            for added, a, b in steps:
+                befores = []
+                for atom in atoms:
+                    store = cache.scan(atom).encoded(cache.encoder).store
+                    befores.append((store, _snapshot(store)))
+                if added:
+                    database.add(_edge(a, b))
+                else:
+                    database.discard(_edge(a, b))
+                for atom, (old, snapshot) in zip(atoms, befores):
+                    relation = cache.scan(atom)
+                    store = relation.encoded(cache.encoder).store
+                    assert _snapshot(old) == snapshot
+                    if store is not old:
+                        assert store.caches == {}
+                        assert store.use_numpy == use_numpy
+                    fresh = EncodedRelation.build_store(
+                        relation.rows, len(relation.schema), cache.encoder
+                    )
+                    assert _int_rows(store) == fresh.caches["rows"]
+                    EncodedRelation(relation.schema, store, cache.encoder).key_index((0,))
 
     def test_apply_delta_noop_keeps_caches(self):
         relation = Relation((x, y), [(Constant(1), Constant(2))])
