@@ -130,17 +130,13 @@ def _decomposition_join_total(query, database) -> Tuple[int, frozenset]:
     """(total observed rows over the bag-tree plan's joins, answer set)."""
     evaluator = DecompositionEvaluator(query)
     plan = evaluator.compile_answer_plan()
-    relation = plan.materialize(ExecutionContext(database))
-    answers = relation.answer_tuples(query.head)
-    seen, stack, total = set(), [plan], 0
-    while stack:
-        operator = stack.pop()
-        if id(operator) in seen:
-            continue
-        seen.add(id(operator))
-        if isinstance(operator, (HashJoin, SemiJoin)):
-            total += operator.observed_rows or 0
-        stack.extend(operator.children)
+    context = ExecutionContext(database)
+    answers = plan.materialize(context).answer_tuples(query.head)
+    total = sum(
+        record.rows or 0
+        for operator, record in context.run.items()
+        if isinstance(operator, (HashJoin, SemiJoin))
+    )
     return total, frozenset(answers)
 
 

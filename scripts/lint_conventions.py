@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-convention lint — rules a generic linter cannot know.
 
-Five rules, each encoding a convention the codebase actually relies on:
+Six rules, each encoding a convention the codebase actually relies on:
 
 1. **Operator faces** — every concrete operator node in
    ``src/repro/evaluation/operators.py`` implements both execution faces
@@ -26,6 +26,10 @@ Five rules, each encoding a convention the codebase actually relies on:
    a ``database``, or an entry point taking a ``planner``) must accept a
    ``backend`` keyword, so any planner can be dropped into any entry
    point regardless of which execution backend runs the plan.
+6. **Operators are immutable** — an operator class in ``operators.py``
+   (``Operator`` or any subclass of it) assigns ``self.<attr>`` only inside
+   ``__init__``.  Run state belongs to the run's ``ExecutionContext``, so
+   one compiled plan can be shared by any number of runs and threads.
 
 Exit 0 when clean, 1 with one line per violation otherwise (run via
 ``make lint``).
@@ -34,7 +38,7 @@ Exit 0 when clean, 1 with one line per violation otherwise (run via
 import ast
 import pathlib
 import sys
-from typing import List
+from typing import List, Optional
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OPERATORS_FILE = REPO_ROOT / "src" / "repro" / "evaluation" / "operators.py"
@@ -219,6 +223,55 @@ def check_planner_backend_parameter() -> List[str]:
     return violations
 
 
+# ----------------------------------------------------------------------
+# Rule 6: operators assign their fields only in __init__
+# ----------------------------------------------------------------------
+def _self_assignments(function: ast.FunctionDef) -> List[ast.Attribute]:
+    """Every ``self.<attr>`` target assigned anywhere inside ``function``."""
+    targets: List[ast.expr] = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            targets.extend(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets.append(node.target)
+    found: List[ast.Attribute] = []
+    for target in targets:
+        for node in ast.walk(target):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                found.append(node)
+    return found
+
+
+def check_operator_immutability(source: Optional[str] = None) -> List[str]:
+    """Rule 6 over ``operators.py`` (or over ``source``, for the tests)."""
+    if source is None:
+        source = OPERATORS_FILE.read_text(encoding="utf-8")
+    violations: List[str] = []
+    operators = {"Operator"}
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {base.id for base in node.bases if isinstance(base, ast.Name)}
+        if node.name != "Operator" and not bases & operators:
+            continue
+        operators.add(node.name)
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef) or item.name == "__init__":
+                continue
+            for target in _self_assignments(item):
+                violations.append(
+                    f"{relative(OPERATORS_FILE)}:{target.lineno}: operator "
+                    f"{node.name}.{item.name} assigns self.{target.attr} "
+                    "outside __init__ (run state belongs to the "
+                    "ExecutionContext's run map)"
+                )
+    return violations
+
+
 def main() -> int:
     violations = (
         check_operator_faces()
@@ -226,6 +279,7 @@ def main() -> int:
         + check_bench_smoke()
         + check_batch_face_registry()
         + check_planner_backend_parameter()
+        + check_operator_immutability()
     )
     for violation in violations:
         print(violation)
@@ -235,7 +289,7 @@ def main() -> int:
     print(
         "lint: conventions hold "
         "(operator faces, defaults, BENCH_SMOKE, batch-face registry, "
-        "planner backend= parameter)"
+        "planner backend= parameter, immutable operators)"
     )
     return 0
 

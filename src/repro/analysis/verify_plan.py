@@ -20,9 +20,9 @@ PLAN010  scan atoms are well-formed (arity, no nulls)               error
 PLAN011  streaming: a cursor plan keeps CursorEnumerate at the root warning
 PLAN012  streaming: hash-join build sides are join subtrees         warning
 PLAN013  batch face: operator type is in the width registry         warning
-PLAN014  batch face: width/cached encoding agree with the schema    error
+PLAN014  batch face: width/run's encoding agree with the schema     error
 PLAN015  bag nodes agree with their schema and decomposition tree   error
-PLAN016  cached scan results carry the expected database epoch      error
+PLAN016  a run's scan results carry the expected database epoch     error
 ======== ========================================================== ========
 
 The key idea is *recomputation*: the verifier re-runs the same position
@@ -41,12 +41,13 @@ The batch face (:meth:`~repro.evaluation.operators.Operator.iter_batches`,
 PR 7's columnar backend) is covered by :data:`_BATCH_WIDTHS`: for every
 registered operator type the verifier recomputes the integer-column width
 its batch implementation produces and compares it with ``len(op.schema)``;
-a cached encoded result (``op._encoded``) must agree with the schema too
-(PLAN014).  An operator type outside the registry cannot be checked and is
-reported as PLAN013 — :mod:`scripts.lint_conventions` enforces that every
-operator overriding the batch face is registered here.  Batch checks run
-only on nodes whose tuple-face invariants verified clean, so a corrupted
-node reports the precise tuple-face code rather than a duplicate.
+given a run map (``run=``), the encoded result a run memoised for the node
+must agree with the schema too (PLAN014).  An operator type outside the
+registry cannot be checked and is reported as PLAN013 —
+:mod:`scripts.lint_conventions` enforces that every operator overriding
+the batch face is registered here.  Batch checks run only on nodes whose
+tuple-face invariants verified clean, so a corrupted node reports the
+precise tuple-face code rather than a duplicate.
 
 :func:`verify_or_raise` turns ERROR findings into a
 :class:`PlanVerificationError`; :func:`maybe_verify` is the ``REPRO_VERIFY``
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datamodel import Null, Variable
 from ..evaluation.operators import (
@@ -65,6 +66,7 @@ from ..evaluation.operators import (
     CursorEnumerate,
     Distinct,
     HashJoin,
+    NodeRun,
     Operator,
     Project,
     Scan,
@@ -74,6 +76,9 @@ from ..evaluation.operators import (
 )
 from ..evaluation.relation import compile_scan_pattern
 from .diagnostics import Diagnostic, Severity, errors
+
+#: A run map (:attr:`repro.evaluation.operators.ExecutionContext.run`).
+Run = Mapping[Operator, NodeRun]
 
 
 class PlanVerificationError(AssertionError):
@@ -557,7 +562,7 @@ def _check_enumerate(
         report(f"enumeration structure could not be checked: {error}")
 
 
-def _check_batch_face(operator: Operator, diagnostics: List[Diagnostic]) -> None:
+def _check_batch_face(operator: Operator, diagnostics: List[Diagnostic], run: Run) -> None:
     """PLAN013/PLAN014: the batch face agrees with the (clean) tuple face.
 
     Only called on nodes whose tuple-face checks produced no findings, so a
@@ -602,7 +607,8 @@ def _check_batch_face(operator: Operator, diagnostics: List[Diagnostic]) -> None
             )
         )
         return
-    encoded = getattr(operator, "_encoded", None)
+    record = run.get(operator)
+    encoded = record.encoded if record is not None else None
     if encoded is not None and (
         tuple(encoded.schema) != tuple(operator.schema)
         or len(encoded.store.columns) != len(operator.schema)
@@ -621,7 +627,7 @@ def _check_batch_face(operator: Operator, diagnostics: List[Diagnostic]) -> None
         )
 
 
-def _check_node(operator: Operator, diagnostics: List[Diagnostic]) -> None:
+def _check_node(operator: Operator, diagnostics: List[Diagnostic], run: Run) -> None:
     if not _check_schema(operator, diagnostics):
         return
     if not _check_child_count(operator, diagnostics):
@@ -654,18 +660,20 @@ def _check_node(operator: Operator, diagnostics: List[Diagnostic]) -> None:
             )
         )
     if len(diagnostics) == before:
-        _check_batch_face(operator, diagnostics)
+        _check_batch_face(operator, diagnostics, run)
 
 
 # ----------------------------------------------------------------------
 # Whole-plan checks
 # ----------------------------------------------------------------------
 def _check_estimates(
-    nodes: Sequence[Operator], diagnostics: List[Diagnostic]
+    nodes: Sequence[Operator],
+    estimates: Mapping[Operator, float],
+    diagnostics: List[Diagnostic],
 ) -> None:
-    annotated = [n for n in nodes if n.estimated_rows is not None]
+    annotated = [n for n in nodes if n in estimates]
     if annotated and len(annotated) < len(nodes):
-        missing = [_label(n) for n in nodes if n.estimated_rows is None]
+        missing = [_label(n) for n in nodes if n not in estimates]
         diagnostics.append(
             Diagnostic(
                 "PLAN008",
@@ -675,7 +683,7 @@ def _check_estimates(
             )
         )
     for node in annotated:
-        value = node.estimated_rows
+        value = estimates[node]
         valid = isinstance(value, (int, float)) and not isinstance(value, bool)
         if valid and math.isfinite(value) and value >= 0:
             continue
@@ -739,11 +747,11 @@ def _materialisable_build(node: Operator) -> bool:
 
 
 def _check_epochs(
-    nodes: List[Operator], expected_epoch: int, diagnostics: List[Diagnostic]
+    nodes: List[Operator], expected_epoch: int, run: Run, diagnostics: List[Diagnostic]
 ) -> None:
-    """PLAN016: cached scan results must carry the current database epoch.
+    """PLAN016: scan results a run holds must carry the current database epoch.
 
-    Scan nodes cache their materialised relation in ``_result``; relations
+    A run memoises each Scan's materialised relation in its record; relations
     served by an epoch-aware scan cache are stamped with the database
     mutation epoch they reflect (:meth:`repro.evaluation.relation.Relation
     .stamp_epoch`).  A stamp disagreeing with ``expected_epoch`` means the
@@ -752,11 +760,10 @@ def _check_epochs(
     flagged.
     """
     for node in nodes:
-        if not isinstance(node, Scan):
+        record = run.get(node)
+        if not isinstance(node, Scan) or record is None or record.result is None:
             continue
-        result = getattr(node, "_result", None)
-        if result is None:
-            continue
+        result = record.result
         stamped = getattr(result, "stamped_epoch", None)
         stamp = stamped() if callable(stamped) else None
         if stamp is not None and stamp != expected_epoch:
@@ -779,25 +786,31 @@ def verify_plan(
     *,
     streaming: bool = False,
     expected_epoch: Optional[int] = None,
+    run: Optional[Run] = None,
+    estimates: Optional[Mapping[Operator, float]] = None,
 ) -> List[Diagnostic]:
     """Statically verify an operator DAG; return all findings (never raises).
 
     ``streaming=True`` additionally applies the streaming-face shape checks
     (PLAN011/PLAN012) — use it for plans meant to run on
-    :meth:`~repro.evaluation.operators.Operator.iter_rows`.
-    ``expected_epoch`` (when given) additionally checks every scan node's
-    cached result against the database mutation epoch (PLAN016) — the
-    query-service layer passes its database's current epoch here.
+    :meth:`~repro.evaluation.operators.Operator.iter_rows`.  ``run`` is an
+    executed context's run map: the encoded results it memoised are
+    checked against their nodes' schemas (PLAN014) and, when
+    ``expected_epoch`` is given, its scan results against the database
+    mutation epoch (PLAN016).  ``estimates`` is a cost model's
+    :meth:`~repro.evaluation.operators.CostModel.row_estimates`, checked
+    for coverage and sanity (PLAN008/PLAN009).
     """
+    run = run or {}
     nodes, diagnostics = _collect(root)
     for node in nodes:
-        _check_node(node, diagnostics)
-    _check_estimates(nodes, diagnostics)
+        _check_node(node, diagnostics, run)
+    _check_estimates(nodes, estimates or {}, diagnostics)
     _check_bag_tree_sync(nodes, diagnostics)
     if streaming:
         _check_streaming(root, nodes, diagnostics)
     if expected_epoch is not None:
-        _check_epochs(nodes, expected_epoch, diagnostics)
+        _check_epochs(nodes, expected_epoch, run, diagnostics)
     return diagnostics
 
 

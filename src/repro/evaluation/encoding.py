@@ -211,11 +211,10 @@ class IntIndex:
     ``Partition.__contains__``.
     """
 
-    __slots__ = ("positions", "buckets", "probes")
+    __slots__ = ("positions", "buckets")
 
     def __init__(self, positions: Tuple[int, ...], keys: Iterable[object]) -> None:
         self.positions = positions
-        self.probes = 0
         buckets: Dict[object, List[int]] = {}
         for index, key in enumerate(keys):
             bucket = buckets.get(key)
@@ -233,8 +232,7 @@ class IntIndex:
 
     def get(self, key: object) -> Sequence[int]:
         """The row indices carrying ``key`` (empty when none do) — counted."""
-        self.probes += 1
-        Partition.count_probe()
+        Partition.add_probes(1)
         return self.buckets.get(key, _EMPTY_BUCKET)
 
 

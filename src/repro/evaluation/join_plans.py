@@ -61,6 +61,8 @@ from .operators import (
     Scan,
     Statistics,
     first_occurrence_schema,
+    maybe_verify_plan,
+    render_plan,
 )
 from .relation import Relation, ScanProvider
 
@@ -439,13 +441,6 @@ def resolve_planner(
 # ----------------------------------------------------------------------
 # Compilation and execution
 # ----------------------------------------------------------------------
-def _maybe_verify(root: Operator, *, streaming: bool = False, where: str = "") -> None:
-    """The ``REPRO_VERIFY`` seam for the plan route (lazy, env-gated)."""
-    from ..analysis.verify_plan import maybe_verify
-
-    maybe_verify(root, streaming=streaming, where=where)
-
-
 def compile_plan(plan: JoinPlan) -> List[Operator]:
     """Compile a plan into its operator DAG, one entry per step.
 
@@ -503,7 +498,7 @@ def execute_plan(
     context = ExecutionContext(database, scans, backend=backend)
     ops = compile_plan(plan)
     if ops:
-        _maybe_verify(ops[-1], where="join_plans.execute_plan")
+        maybe_verify_plan(ops[-1], where="join_plans.execute_plan")
     intermediate_sizes: List[int] = []
     answers: Set[Tuple[Term, ...]] = set()
     if context.backend == "columnar":
@@ -567,7 +562,7 @@ def iter_plan_answers(
     ops = compile_plan(plan)
     head_schema = first_occurrence_schema(plan.query.head)
     top = Project(ops[-1], head_schema)
-    _maybe_verify(top, streaming=True, where="join_plans.iter_plan_answers")
+    maybe_verify_plan(top, streaming=True, where="join_plans.iter_plan_answers")
     head_positions = tuple(head_schema.index(v) for v in plan.query.head)
 
     context = ExecutionContext(database, scans, backend=backend)
@@ -607,24 +602,22 @@ def explain_plan(
     :mod:`repro.evaluation.semacyclic_eval`; pass the ``statistics`` the
     planner already built to avoid re-deriving them.
     """
-    from .operators import render_plan
-
     if not plan.steps:
         return "(empty plan: the nullary query)"
     ops = compile_plan(plan)
     top: Operator = Project(ops[-1], first_occurrence_schema(plan.query.head))
-    _maybe_verify(top, where="join_plans.explain_plan")
+    maybe_verify_plan(top, where="join_plans.explain_plan")
     model = CostModel(
         statistics if statistics is not None else Statistics(database, scans)
     )
     model.annotate(top)
+    context = ExecutionContext(database, scans, backend=backend)
     if execute:
-        context = ExecutionContext(database, scans, backend=backend)
         if context.backend == "columnar":
             top.materialize_encoded(context)
         else:
             top.materialize(context)
-    return render_plan(top)
+    return render_plan(top, run=context.run, estimates=model.row_estimates())
 
 
 def _default_scans(

@@ -14,34 +14,33 @@ execution substrate, one accounting scheme and one cost model:
   supports **both** execution faces:
 
   - :meth:`Operator.materialize` — produce the full output
-    :class:`Relation` (cached on the node, so DAG-shared work is paid
-    once);
+    :class:`Relation` (memoised per run, so DAG-shared work is paid once);
   - :meth:`Operator.iter_rows` — *stream* the output rows.  Pipelining
     operators (:class:`HashJoin`, :class:`SemiJoin`, :class:`Project`,
     :class:`Select`, :class:`Distinct`) stream their left/only input and
     never materialise their own output; :class:`CursorEnumerate` streams a
     whole join tree through nested memoised cursors.
 
-* every operator records its **observed** cardinality
-  (:attr:`Operator.observed_rows`) and, where it probes hash partitions,
-  its bucket-probe count (:attr:`Operator.observed_probes`) — the raw
-  material of ``EXPLAIN`` output and of the bounded-work tests;
+* a plan is a **value**: operators hold only their schema, children and
+  compile-time fields, so one compiled plan serves any number of runs,
+  concurrently too.  Everything a run produces lives in its
+  :class:`ExecutionContext` — the *run map*, one :class:`NodeRun` per
+  executed node holding the memoised results, the **observed** cardinality
+  (``rows``), the bucket-probe count (``probes``) where the node probes
+  hash partitions, and the face it ran on — the raw material of
+  ``EXPLAIN`` output and of the bounded-work tests;
 
 * :class:`Statistics` + :class:`CostModel` supply the **estimated**
-  cardinalities (:attr:`Operator.estimated_rows`) from cached per-column
+  cardinalities (:meth:`CostModel.row_estimates`) from cached per-column
   distinct counts and bucket-size histograms
   (:meth:`Relation.column_distinct_counts`,
   :meth:`Relation.bucket_histogram`) with the textbook selection/join
   selectivities;
 
-* :func:`render_plan` pretty-prints an (annotated, possibly executed) plan
-  with estimated vs. observed cardinalities per operator — the body of the
-  public ``explain`` API in :mod:`repro.evaluation.semacyclic_eval`.
-
-A plan is compiled fresh per (query, database) evaluation call: compilation
-is pure position arithmetic (``O(query)``), and the per-node caches
-(results, observed counts) make a plan single-use by design — execute a
-plan against exactly one :class:`ExecutionContext`.
+* :func:`render_plan` pretty-prints a plan with estimated vs. observed
+  cardinalities per operator, read from a cost model's estimates and a
+  run map — the body of the public ``explain`` API in
+  :mod:`repro.evaluation.semacyclic_eval`.
 
 Compilation happens in the engines: ``yannakakis.py`` emits a
 semi-join-reducer DAG topped by either a hash-join/projection tree
@@ -54,7 +53,9 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections import defaultdict
 from typing import (
+    DefaultDict,
     Dict,
     FrozenSet,
     Iterable,
@@ -77,7 +78,6 @@ from .parallel import (
     parallel_semijoin,
 )
 from .relation import (
-    Partition,
     Relation,
     Row,
     ScanProvider,
@@ -140,8 +140,28 @@ def first_occurrence_schema(variables: Sequence[Variable]) -> Tuple[Variable, ..
     return tuple(schema)
 
 
+class NodeRun:
+    """What one run observed at one plan node.
+
+    ``result``/``encoded`` memoise the node's tuple and encoded outputs,
+    ``rows`` is the observed cardinality (rows pulled, on a streaming
+    face), ``probes`` the bucket probes the node issued (``None`` when it
+    probed nothing) and ``face`` is ``"batch"`` once the columnar face ran
+    the node.
+    """
+
+    __slots__ = ("result", "encoded", "rows", "probes", "face")
+
+    def __init__(self) -> None:
+        self.result: Optional[Relation] = None
+        self.encoded: Optional[EncodedRelation] = None
+        self.rows: Optional[int] = None
+        self.probes: Optional[int] = None
+        self.face: Optional[str] = None
+
+
 class ExecutionContext:
-    """What a plan runs against: one database plus an optional scan provider.
+    """One run of a plan: what it runs against and what it observed.
 
     ``scans`` is threaded into every :class:`Scan` exactly like the
     ``scans=`` parameter of the evaluator entry points (the canonical
@@ -154,9 +174,14 @@ class ExecutionContext:
     provider owns an encoder (``ScanCache.encoder``) it is reused, so
     encodings — like scans and partitions — amortise across every
     evaluation sharing the cache.
+
+    ``run`` is the run map: one :class:`NodeRun` per executed node, keyed
+    by the node itself and created on first use.  It is the only place
+    execution writes to, so runs of one shared plan never see each other's
+    state.
     """
 
-    __slots__ = ("database", "scans", "backend", "encoder")
+    __slots__ = ("database", "scans", "backend", "encoder", "run")
 
     def __init__(
         self,
@@ -174,53 +199,39 @@ class ExecutionContext:
             if encoder is None:
                 encoder = TermEncoder()
         self.encoder = encoder
+        self.run: DefaultDict["Operator", NodeRun] = defaultdict(NodeRun)
 
 
 # ----------------------------------------------------------------------
 # Operator base
 # ----------------------------------------------------------------------
 class Operator:
-    """One node of a physical plan.
+    """One node of a physical plan — an immutable value.
 
     Subclasses fix the static output ``schema`` at construction time (no
     database access) and implement ``_materialize``; streaming operators
-    additionally override :meth:`iter_rows`.  ``estimated_rows`` is filled
-    by :meth:`CostModel.annotate`, ``observed_rows``/``observed_probes`` by
-    execution.
+    additionally override :meth:`iter_rows`.  Nodes hold no run state:
+    every face writes what it computes and observes into the context's
+    :class:`NodeRun` for the node, so one compiled plan can run against
+    any number of contexts.
     """
 
-    __slots__ = (
-        "schema",
-        "children",
-        "estimated_rows",
-        "observed_rows",
-        "observed_probes",
-        "executed_face",
-        "_result",
-        "_encoded",
-    )
+    __slots__ = ("schema", "children")
 
     def __init__(
         self, schema: Tuple[Variable, ...], children: Tuple["Operator", ...]
     ) -> None:
         self.schema = schema
         self.children = children
-        self.estimated_rows: Optional[float] = None
-        self.observed_rows: Optional[int] = None
-        self.observed_probes: Optional[int] = None
-        #: ``"batch"`` once the columnar face executed this node (shown by
-        #: :func:`render_plan`); ``None`` on the default tuple face.
-        self.executed_face: Optional[str] = None
-        self._result: Optional[Relation] = None
-        self._encoded: Optional[EncodedRelation] = None
 
     # -- execution ------------------------------------------------------
     def materialize(self, context: ExecutionContext) -> Relation:
-        """The full output relation (computed once, cached on the node)."""
-        if self._result is None:
-            self._result = self._materialize(context)
-            self.observed_rows = len(self._result)
-        return self._result
+        """The full output relation (computed once per run)."""
+        record = context.run[self]
+        if record.result is None:
+            record.result = self._materialize(context)
+            record.rows = len(record.result)
+        return record.result
 
     def _materialize(self, context: ExecutionContext) -> Relation:
         raise NotImplementedError
@@ -230,26 +241,27 @@ class Operator:
 
         The base implementation materialises and iterates; pipelining
         subclasses override it to stream without materialising their own
-        output (their ``observed_rows`` then counts the rows actually
+        output (their recorded ``rows`` then counts the rows actually
         pulled).
         """
         yield from self.materialize(context).rows
 
     def materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
-        """The full output as a dictionary-encoded column store (cached).
+        """The full output as a dictionary-encoded column store (per run).
 
         The batch-face analogue of :meth:`materialize`: computed once per
-        node, so DAG-shared sub-operators pay once.  The base implementation
-        encodes the tuple materialisation — the encode boundary of
-        :class:`Scan` and of any operator without a native columnar kernel;
-        the vectorized operators override :meth:`_materialize_encoded`
-        instead and never touch term tuples.
+        node and run, so DAG-shared sub-operators pay once.  The base
+        implementation encodes the tuple materialisation — the encode
+        boundary of :class:`Scan` and of any operator without a native
+        columnar kernel; the vectorized operators override
+        :meth:`_materialize_encoded` instead and never touch term tuples.
         """
-        if self._encoded is None:
-            self._encoded = self._materialize_encoded(context)
-            self.observed_rows = len(self._encoded)
-            self.executed_face = "batch"
-        return self._encoded
+        record = context.run[self]
+        if record.encoded is None:
+            record.encoded = self._materialize_encoded(context)
+            record.rows = len(record.encoded)
+            record.face = "batch"
+        return record.encoded
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         return self.materialize(context).encoded(context.encoder)
@@ -267,8 +279,15 @@ class Operator:
         if len(encoded):
             yield from encoded.chunks(BATCH_ROWS)
 
-    def _count_probe(self) -> None:
-        self.observed_probes = (self.observed_probes or 0) + 1
+    def _stream_record(
+        self, context: ExecutionContext, face: Optional[str] = None
+    ) -> NodeRun:
+        """The record a streaming face counts into, its ``rows`` reset."""
+        record = context.run[self]
+        record.rows = 0
+        if face is not None:
+            record.face = face
+        return record
 
     # -- traversal ------------------------------------------------------
     def walk(self) -> Iterator["Operator"]:
@@ -355,11 +374,11 @@ class Select(Operator):
         return self.children[0].materialize(context).select(self.binding)
 
     def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        self.observed_rows = 0
+        record = self._stream_record(context)
         checks = self._checks
         for row in self.children[0].iter_rows(context):
             if all(row[position] == term for position, term in checks):
-                self.observed_rows += 1
+                record.rows += 1
                 yield row
 
     def _encoded_checks(self, context: ExecutionContext) -> Tuple[Tuple[int, int], ...]:
@@ -371,13 +390,12 @@ class Select(Operator):
         return child.select_codes(self._encoded_checks(context))
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        self.observed_rows = 0
-        self.executed_face = "batch"
+        record = self._stream_record(context, "batch")
         checks = self._encoded_checks(context)
         for batch in self.children[0].iter_batches(context):
             out = batch.select_codes(checks)
             if len(out):
-                self.observed_rows += len(out)
+                record.rows += len(out)
                 yield out
 
     def label(self) -> str:
@@ -403,14 +421,14 @@ class Project(Operator):
         return self.children[0].materialize(context).project(self.schema)
 
     def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        self.observed_rows = 0
+        record = self._stream_record(context)
         positions = self._positions
         seen: Set[Row] = set()
         for row in self.children[0].iter_rows(context):
             projected = tuple(row[p] for p in positions)
             if projected not in seen:
                 seen.add(projected)
-                self.observed_rows += 1
+                record.rows += 1
                 yield projected
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
@@ -419,13 +437,12 @@ class Project(Operator):
         return child.project(self.schema) if result is None else result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        self.observed_rows = 0
-        self.executed_face = "batch"
+        record = self._stream_record(context, "batch")
         seen: Set[object] = set()  # int keys, carried across batches
         for batch in self.children[0].iter_batches(context):
             out = batch.project(self.schema, seen)
             if len(out):
-                self.observed_rows += len(out)
+                record.rows += len(out)
                 yield out
 
     def label(self) -> str:
@@ -446,12 +463,12 @@ class Distinct(Operator):
         return self.children[0].materialize(context).distinct()
 
     def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        self.observed_rows = 0
+        record = self._stream_record(context)
         seen: Set[Row] = set()
         for row in self.children[0].iter_rows(context):
             if row not in seen:
                 seen.add(row)
-                self.observed_rows += 1
+                record.rows += 1
                 yield row
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
@@ -460,13 +477,12 @@ class Distinct(Operator):
         return child.distinct() if result is None else result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        self.observed_rows = 0
-        self.executed_face = "batch"
+        record = self._stream_record(context, "batch")
         seen: Set[object] = set()
         for batch in self.children[0].iter_batches(context):
             out = batch.distinct(seen)
             if len(out):
-                self.observed_rows += len(out)
+                record.rows += len(out)
                 yield out
 
     def label(self) -> str:
@@ -506,20 +522,20 @@ class SemiJoin(Operator):
         return left.semijoin(self.children[1].materialize(context))
 
     def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        self.observed_rows = 0
+        record = self._stream_record(context)
         right = self.children[1].materialize(context)
         if right.is_empty():
             return
         if not self._shared:
             for row in self.children[0].iter_rows(context):
-                self.observed_rows += 1
+                record.rows += 1
                 yield row
             return
         partition = right.partition(self._shared)
         left_key = self._left_key
         for row in self.children[0].iter_rows(context):
             if tuple(row[p] for p in left_key) in partition:
-                self.observed_rows += 1
+                record.rows += 1
                 yield row
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
@@ -536,14 +552,13 @@ class SemiJoin(Operator):
         return left.semijoin(right) if result is None else result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        self.observed_rows = 0
-        self.executed_face = "batch"
+        record = self._stream_record(context, "batch")
         right = self.children[1].materialize_encoded(context)
         if right.is_empty():
             return
         if not self._shared:
             for batch in self.children[0].iter_batches(context):
-                self.observed_rows += len(batch)
+                record.rows += len(batch)
                 yield batch
             return
         # One shared int index over the right side; each left batch is a
@@ -554,7 +569,7 @@ class SemiJoin(Operator):
         for batch in self.children[0].iter_batches(context):
             out = batch.semijoin_index(left_key, index)
             if len(out):
-                self.observed_rows += len(out)
+                record.rows += len(out)
                 yield out
 
     def label(self) -> str:
@@ -570,7 +585,8 @@ class HashJoin(Operator):
     probes the right side's cached partition, so a left-deep chain of
     streaming hash joins pipelines end to end — nothing but the base scans
     is ever materialised, and ``limit``-style consumers stop the whole
-    chain early.  Bucket probes are recorded per node either way.
+    chain early.  Either way the run record counts one bucket probe per
+    left row on a shared key.
     """
 
     __slots__ = ("_shared", "_left_key", "_right_residual")
@@ -583,41 +599,38 @@ class HashJoin(Operator):
         self._left_key = left_key
         self._right_residual = residual
 
+    def _record_probes(self, record: NodeRun, left_rows: int) -> None:
+        """Every kernel probes the build side once per left row on a shared
+        key and never on a cross product, so the count is known up front."""
+        record.probes = (record.probes or 0) + (left_rows if self._shared else 0)
+
     def _materialize(self, context: ExecutionContext) -> Relation:
         left = self.children[0].materialize(context)
         if left.is_empty():
             return Relation(self.schema, [])
         right = self.children[1].materialize(context)
-        # Diff the *thread-local* probe counter: this plan runs on one
-        # thread, so probes issued by concurrently scheduled queries (the
-        # batch/service schedulers) never land inside the delta.
-        before = Partition.thread_probes()
-        result = left.join(right)
-        self.observed_probes = (self.observed_probes or 0) + (
-            Partition.thread_probes() - before
-        )
-        return result
+        self._record_probes(context.run[self], len(left))
+        return left.join(right)
 
     def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        self.observed_rows = 0
+        record = self._stream_record(context)
         right = self.children[1].materialize(context)
         residual = self._right_residual
+        if right.is_empty():
+            return
         if not self._shared:
-            if right.is_empty():
-                return
             for row in self.children[0].iter_rows(context):
                 for match in right.rows:
-                    self.observed_rows += 1
+                    record.rows += 1
                     yield row + tuple(match[i] for i in residual)
-            return
-        if right.is_empty():
             return
         partition = right.partition(self._shared)
         left_key = self._left_key
+        record.probes = record.probes or 0
         for row in self.children[0].iter_rows(context):
-            self._count_probe()
+            record.probes += 1
             for match in partition.get(tuple(row[p] for p in left_key)):
-                self.observed_rows += 1
+                record.rows += 1
                 yield row + tuple(match[i] for i in residual)
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
@@ -625,11 +638,7 @@ class HashJoin(Operator):
         if left.is_empty():
             return EncodedRelation.empty(self.schema, context.encoder)
         right = self.children[1].materialize_encoded(context)
-        # Thread-local delta, as in the tuple face: the vectorised kernel
-        # adds len(left) probes through Partition.add_probes on this thread,
-        # so the delta is kernel-identical and immune to concurrently
-        # scheduled queries' probes.
-        before = Partition.thread_probes()
+        self._record_probes(context.run[self], len(left))
         result = parallel_join(
             left,
             right,
@@ -638,27 +647,19 @@ class HashJoin(Operator):
             self._right_residual,
             self.schema,
         )
-        if result is None:
-            result = left.join(right)
-        self.observed_probes = (self.observed_probes or 0) + (
-            Partition.thread_probes() - before
-        )
-        return result
+        return left.join(right) if result is None else result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        self.observed_rows = 0
-        self.executed_face = "batch"
+        record = self._stream_record(context, "batch")
         right = self.children[1].materialize_encoded(context)
         if right.is_empty():
             return
         for batch in self.children[0].iter_batches(context):
             if self._shared:
-                # One counted int-index probe per left row, mirroring the
-                # per-row accounting of the streaming tuple face.
-                self.observed_probes = (self.observed_probes or 0) + len(batch)
+                self._record_probes(record, len(batch))
             out = batch.join(right)
             if len(out):
-                self.observed_rows += len(out)
+                record.rows += len(out)
                 yield out
 
     def label(self) -> str:
@@ -744,13 +745,13 @@ class _NodePlan:
 
 
 class _Enumeration:
-    """One run of :meth:`CursorEnumerate._enumerate`: the per-node plans and
-    the cursors memoised per (node, probe key)."""
+    """One run of :meth:`CursorEnumerate._enumerate`: the per-node plans,
+    the cursors memoised per (node, probe key) and the operator's record."""
 
-    __slots__ = ("operator", "plans", "memos")
+    __slots__ = ("record", "plans", "memos")
 
-    def __init__(self, operator: Operator, plans: Dict[int, _NodePlan]) -> None:
-        self.operator = operator
+    def __init__(self, record: NodeRun, plans: Dict[int, _NodePlan]) -> None:
+        self.record = record
         self.plans = plans
         self.memos: Dict[Tuple[int, Row], _MemoCursor] = {}
 
@@ -764,7 +765,7 @@ class _Enumeration:
     def source(self, identifier: int, key: Row) -> Iterator[Row]:
         plan = self.plans[identifier]
         if plan.probe_variables:
-            self.operator._count_probe()
+            self.record.probes = (self.record.probes or 0) + 1
             rows: Sequence[Row] = plan.relation.partition(plan.probe_variables).get(key)
         else:
             rows = plan.relation.rows
@@ -897,16 +898,7 @@ class CursorEnumerate(Operator):
         )
 
     def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        self.observed_rows = 0
-        relations: Dict[int, Relation] = {}
-        for identifier in self._bottom_up:
-            relation = self.node_ops[identifier].materialize(context)
-            if relation.is_empty():
-                return
-            relations[identifier] = relation
-        for row in self._enumerate(relations):
-            self.observed_rows += 1
-            yield row
+        return self._enumerate(context, encoded=False)
 
     def iter_rows_encoded(self, context: ExecutionContext) -> Iterator[IntRow]:
         """Stream the carry tuples as dictionary codes (the batch face).
@@ -914,20 +906,10 @@ class CursorEnumerate(Operator):
         The node inputs are materialised *encoded* and the cursor machinery
         below runs on them verbatim — an :class:`EncodedRelation` serves the
         same ``schema``/``rows``/``partition`` surface as a
-        :class:`Relation`, with int tuples for rows and the probe counters
-        shared — so decoding is deferred entirely to the consumer.
+        :class:`Relation`, with int tuples for rows — so decoding is
+        deferred entirely to the consumer.
         """
-        self.observed_rows = 0
-        self.executed_face = "batch"
-        relations: Dict[int, EncodedRelation] = {}
-        for identifier in self._bottom_up:
-            relation = self.node_ops[identifier].materialize_encoded(context)
-            if relation.is_empty():
-                return
-            relations[identifier] = relation
-        for row in self._enumerate(relations):
-            self.observed_rows += 1
-            yield row
+        return self._enumerate(context, encoded=True)
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
         buffer: List[IntRow] = []
@@ -939,17 +921,28 @@ class CursorEnumerate(Operator):
         if buffer:
             yield EncodedRelation.from_rows(self.schema, buffer, context.encoder)
 
-    def _enumerate(self, relations: Dict[int, Relation]) -> Iterator[Row]:
+    def _enumerate(self, context: ExecutionContext, encoded: bool) -> Iterator[Row]:
         """The cursor enumeration itself, over materialised node relations.
 
-        Generic over the row representation: ``relations`` maps node ids to
-        tuple :class:`Relation` or :class:`EncodedRelation` objects, and the
-        cursors only ever touch ``rows``, cached ``partition`` probes and
-        positional indexing — identical on both.
+        Generic over the row representation: the node relations are tuple
+        :class:`Relation` or (``encoded``) :class:`EncodedRelation` objects,
+        and the cursors only ever touch ``rows``, cached ``partition``
+        probes and positional indexing — identical on both.
         """
-        enumeration = _Enumeration(self, self._node_plans(relations))
+        record = self._stream_record(context, "batch" if encoded else None)
+        relations: Dict[int, Relation] = {}
+        for identifier in self._bottom_up:
+            op = self.node_ops[identifier]
+            face = op.materialize_encoded if encoded else op.materialize
+            relation = face(context)
+            if relation.is_empty():
+                return
+            relations[identifier] = relation  # type: ignore[assignment]
+        enumeration = _Enumeration(record, self._node_plans(relations))
         try:
-            yield from enumeration.cursor(self.tree.root, ())
+            for row in enumeration.cursor(self.tree.root, ()):
+                record.rows += 1
+                yield row
         finally:
             # The memo table and the cursors' suspended generators reference
             # each other through the enumeration; emptying it on exhaustion
@@ -1132,10 +1125,10 @@ class CardinalityEstimate:
 class CostModel:
     """Textbook selection/join selectivities over cached statistics.
 
-    :meth:`annotate` walks a plan DAG once (memoised per node), computes a
-    :class:`CardinalityEstimate` per operator and stores the row estimate
-    in :attr:`Operator.estimated_rows` — the "est" column of ``EXPLAIN``
-    and the quantity the greedy planner minimises.
+    :meth:`annotate` walks a plan DAG once (memoised per node) and computes
+    a :class:`CardinalityEstimate` per operator; :meth:`row_estimates`
+    reads the row estimates back out — the "est" column of ``EXPLAIN`` and
+    the quantity the greedy planner minimises.
 
     The formulas (``d(v)`` = distinct count of ``v``, capped by rows):
 
@@ -1162,19 +1155,21 @@ class CostModel:
 
     def __init__(self, statistics: Statistics) -> None:
         self.statistics = statistics
-        self._memo: Dict[int, CardinalityEstimate] = {}
+        self._memo: Dict[Operator, CardinalityEstimate] = {}
         self._scan_memo: Dict[Atom, CardinalityEstimate] = {}
 
     # -- public entry ---------------------------------------------------
     def annotate(self, operator: Operator) -> CardinalityEstimate:
         """Estimate ``operator`` (and every descendant), memoised per node."""
-        memo = self._memo.get(id(operator))
+        memo = self._memo.get(operator)
         if memo is not None:
             return memo
-        estimate = self._estimate(operator)
-        operator.estimated_rows = estimate.rows
-        self._memo[id(operator)] = estimate
+        estimate = self._memo[operator] = self._estimate(operator)
         return estimate
+
+    def row_estimates(self) -> Dict[Operator, float]:
+        """The estimated rows of every annotated node."""
+        return {operator: estimate.rows for operator, estimate in self._memo.items()}
 
     def scan_estimate(self, atom: Atom) -> CardinalityEstimate:
         """The estimate of scanning ``atom`` (shared with the planner).
@@ -1352,16 +1347,27 @@ def _format_count(value: Optional[float]) -> str:
     return str(int(round(value)))
 
 
-def render_plan(root: Operator, indent: str = "  ") -> str:
+def render_plan(
+    root: Operator,
+    indent: str = "  ",
+    *,
+    run: Optional[Mapping[Operator, NodeRun]] = None,
+    estimates: Optional[Mapping[Operator, float]] = None,
+) -> str:
     """Pretty-print a plan tree with per-operator estimated vs. observed rows.
 
-    Reduction plans are DAGs (the top-down semi-join pass re-reads the
-    parent's reduced operator); a node already printed is referenced as
-    ``(shared, shown above)`` instead of being expanded again, keeping the
-    rendering linear in the DAG size.
+    ``estimates`` is a cost model's :meth:`CostModel.row_estimates` and
+    ``run`` an executed context's run map; a node missing from either
+    renders ``?``.  Reduction plans are DAGs (the top-down semi-join pass
+    re-reads the parent's reduced operator); a node already printed is
+    referenced as ``(shared, shown above)`` instead of being expanded
+    again, keeping the rendering linear in the DAG size.
     """
     lines: List[str] = []
     seen: Set[int] = set()
+    run = run or {}
+    estimates = estimates or {}
+    unrun = NodeRun()
 
     def visit(operator: Operator, depth: int) -> None:
         prefix = indent * depth
@@ -1369,19 +1375,25 @@ def render_plan(root: Operator, indent: str = "  ") -> str:
             lines.append(f"{prefix}{operator.label()}  (shared, shown above)")
             return
         seen.add(id(operator))
-        probes = (
-            f", probes={operator.observed_probes}"
-            if operator.observed_probes is not None
-            else ""
-        )
-        face = ", face=batch" if operator.executed_face == "batch" else ""
+        record = run.get(operator, unrun)
+        probes = f", probes={record.probes}" if record.probes is not None else ""
+        face = ", face=batch" if record.face == "batch" else ""
         lines.append(
             f"{prefix}{operator.label()}  "
-            f"(est={_format_count(operator.estimated_rows)}, "
-            f"obs={_format_count(operator.observed_rows)}{probes}{face})"
+            f"(est={_format_count(estimates.get(operator))}, "
+            f"obs={_format_count(record.rows)}{probes}{face})"
         )
         for child in operator.children:
             visit(child, depth + 1)
 
     visit(root, 0)
     return "\n".join(lines)
+
+
+def maybe_verify_plan(root: Operator, *, streaming: bool = False, where: str = "") -> None:
+    """The ``REPRO_VERIFY`` seam every plan compiler calls on what it emits
+    (:func:`repro.analysis.verify_plan.maybe_verify`, imported lazily: the
+    analysis layer imports this module)."""
+    from ..analysis.verify_plan import maybe_verify
+
+    maybe_verify(root, streaming=streaming, where=where)

@@ -156,27 +156,25 @@ class Partition:
     :meth:`Relation.apply_delta`, which patches the buckets in place to keep
     cached partitions synchronised with database mutations.
 
-    Bucket probes (:meth:`get` calls) are counted, per instance (``probes``),
-    per thread (:meth:`thread_probes`) and process-wide
-    (``Partition.total_probes``).  The counters exist so the
+    Bucket probes (:meth:`get` calls) are counted process-wide
+    (``Partition.total_probes``).  The counter exists so the
     streaming-enumeration tests and ``benchmarks/bench_enumeration.py``
     can *prove* bounded work — e.g. that the first answer of
     :meth:`repro.evaluation.yannakakis.YannakakisEvaluator.iter_answers`
     costs O(join-tree) probes while the materialising phase 4 pays one probe
     per intermediate row — without resorting to wall-clock timing.
     Membership checks (``key in partition``, the semi-join path) are
-    deliberately *not* counted: the counters isolate enumeration/join work
+    deliberately *not* counted: the counter isolates enumeration/join work
     from the reduction passes.
 
-    The process-wide counter is updated under a lock (concurrent batch
-    scheduling probes from several threads at once; an unguarded ``+= 1``
-    loses updates), and the per-thread counter is what operators diff for
-    their own ``observed_probes`` — a query runs its operator tree on one
-    thread, so probes issued by concurrently scheduled queries can never
-    land inside another operator's delta.
+    The counter is updated under a lock (concurrent batch scheduling probes
+    from several threads at once; an unguarded ``+= 1`` loses updates).
+    Partitions are shared across runs, so they count nothing per instance:
+    each operator records its own probes in its run's record (see
+    :class:`repro.evaluation.operators.NodeRun`).
     """
 
-    __slots__ = ("positions", "buckets", "probes")
+    __slots__ = ("positions", "buckets")
 
     #: Process-wide count of :meth:`get` probes across all partitions.
     total_probes: int = 0
@@ -184,42 +182,19 @@ class Partition:
     #: Guards every ``total_probes`` update (per-probe and bulk aggregation).
     _probe_lock = threading.Lock()
 
-    class _ThreadProbes(threading.local):
-        """Per-thread probe tally (the class attribute is each thread's
-        starting value)."""
-
-        count = 0
-
-    _thread = _ThreadProbes()
-
-    @classmethod
-    def count_probe(cls) -> None:
-        """Record one probe (thread-local and process-wide, exactly)."""
-        cls._thread.count += 1
-        with cls._probe_lock:
-            cls.total_probes += 1
-
     @classmethod
     def add_probes(cls, count: int) -> None:
-        """Aggregate ``count`` probes into the counters.
+        """Add ``count`` probes to the counter, exactly.
 
-        The vectorised join kernel (:mod:`repro.evaluation.parallel`) adds
-        one aggregate per operator, under the lock, so the bounded-work
-        assertions see the same totals the per-row probes produce.
+        The probe paths add one each; the vectorised join kernel
+        (:mod:`repro.evaluation.parallel`) adds one aggregate per operator,
+        so the bounded-work assertions see the same totals either way.
         """
-        cls._thread.count += count
         with cls._probe_lock:
             cls.total_probes += count
 
-    @classmethod
-    def thread_probes(cls) -> int:
-        """The calling thread's probe count (monotone; diff around a call
-        to attribute its probes to one operator)."""
-        return cls._thread.count
-
     def __init__(self, positions: Tuple[int, ...], rows: Iterable[Row]) -> None:
         self.positions = positions
-        self.probes = 0
         buckets: Dict[Row, List[Row]] = {}
         for row in rows:
             buckets.setdefault(tuple(row[p] for p in positions), []).append(row)
@@ -230,8 +205,7 @@ class Partition:
 
     def get(self, key: Row) -> Sequence[Row]:
         """The rows carrying ``key`` (empty when none do)."""
-        self.probes += 1
-        Partition.count_probe()
+        Partition.add_probes(1)
         return self.buckets.get(key, ())
 
     def __len__(self) -> int:

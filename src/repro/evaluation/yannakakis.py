@@ -37,19 +37,19 @@ semi-join reducers entirely and runs a ``CursorEnumerate`` directly over
 the raw scans with the Boolean carry schemas (memoising dead ends),
 stopping as soon as one witness combination exists.
 
-Because every operator records its observed cardinality, the same compiled
-plans back the ``explain`` API (:func:`repro.evaluation.semacyclic_eval
-.explain`): :meth:`YannakakisEvaluator.explain` annotates a materialising
-plan with the :class:`~repro.evaluation.operators.CostModel` estimates,
+Because every run records each operator's observed cardinality, the same
+compiled plans back the ``explain`` API (:func:`repro.evaluation
+.semacyclic_eval.explain`): :meth:`YannakakisEvaluator.explain` estimates a
+materialising plan with the :class:`~repro.evaluation.operators.CostModel`,
 executes it, and pretty-prints estimated vs. observed rows per operator.
 
-Plans are compiled fresh per evaluation call (pure position arithmetic,
-``O(query)``); everything that depends only on the query — the join tree,
-the traversal orders and the per-node carry schemas — is computed once in
-the constructor.  Phase 1 stays injectable: every entry point accepts a
-scan provider (``scans=``, see :class:`repro.evaluation.relation
-.ScanProvider`) so the per-atom base relations can come from a shared
-:class:`repro.evaluation.batch.ScanCache`.
+Plans are compiled once per evaluator and plan variant: a compiled plan is
+an immutable value depending only on the query, and every evaluation call
+runs it against a fresh :class:`~repro.evaluation.operators
+.ExecutionContext`, which holds everything that run computes.  Phase 1
+stays injectable: every entry point accepts a scan provider (``scans=``,
+see :class:`repro.evaluation.relation.ScanProvider`) so the per-atom base
+relations can come from a shared :class:`repro.evaluation.batch.ScanCache`.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ from .operators import (
     SemiJoin,
     Statistics,
     first_occurrence_schema,
+    maybe_verify_plan,
     render_plan,
 )
 from .relation import Relation, ScanProvider
@@ -79,25 +80,13 @@ class AcyclicityRequired(ValueError):
     """Raised when Yannakakis' algorithm is applied to a cyclic query."""
 
 
-def _maybe_verify(plan: Operator, *, streaming: bool = False, where: str = "") -> None:
-    """The ``REPRO_VERIFY`` seam: statically verify every emitted plan.
-
-    Lazy import so the evaluation layer carries no analysis dependency when
-    the hook is off; :func:`repro.analysis.verify_plan.maybe_verify` is a
-    no-op unless the ``REPRO_VERIFY`` environment variable enables it.
-    """
-    from ..analysis.verify_plan import maybe_verify
-
-    maybe_verify(plan, streaming=streaming, where=where)
-
-
 class YannakakisEvaluator:
     """Evaluator bound to one acyclic CQ; reusable across databases.
 
     Everything that depends only on the query — the join tree, the traversal
-    orders and the per-node carry schemas — is computed once in the
-    constructor; each evaluation call then compiles an O(query)-sized
-    operator plan and executes it against the database.
+    orders, the per-node carry schemas and the compiled plans — is computed
+    once per evaluator; each evaluation call runs a compiled plan against
+    the database in its own execution context.
 
     ``scans`` (constructor default, overridable per call) injects a scan
     provider for the base-atom scans — typically a
@@ -135,9 +124,10 @@ class YannakakisEvaluator:
         self._carry: Dict[int, Tuple[Variable, ...]] = self._carry_schemas(
             set(self.query.head)
         )
-        # Carry schemas for the Boolean reading (no free variables): computed
-        # lazily on the first boolean() call, None until then.
-        self._boolean_carry: Optional[Dict[int, Tuple[Variable, ...]]] = None
+        # Compiled plans, one per variant: "answer" for the materialising
+        # plan, (reduce, boolean) for the streaming ones.  Two threads racing
+        # on a miss compile equal plans and one of them is kept.
+        self._plans: Dict[object, Operator] = {}
 
     def _carry_schemas(self, free: Set[Variable]) -> Dict[int, Tuple[Variable, ...]]:
         """Per node, the variables its answer-assembly output must expose.
@@ -205,8 +195,14 @@ class YannakakisEvaluator:
         After the semi-join passes every row of every node participates in
         at least one answer, so each hash join is linear in its input plus
         its output; each node projects onto its carry schema, and the root
-        projects onto the distinct head variables.
+        projects onto the distinct head variables.  Compiled on first use,
+        then shared by every run.
         """
+        if "answer" not in self._plans:
+            self._plans["answer"] = self._compile_answer_plan()
+        return self._plans["answer"]
+
+    def _compile_answer_plan(self) -> Operator:
         ops = self.compile_reduction()
         partial: Dict[int, Operator] = {}
         for identifier in self._bottom_up:
@@ -218,7 +214,7 @@ class YannakakisEvaluator:
         head_schema = first_occurrence_schema(self.query.head)
         if head_schema != root.schema:
             root = Project(root, head_schema)
-        _maybe_verify(root, where="YannakakisEvaluator.compile_answer_plan")
+        maybe_verify_plan(root, where="YannakakisEvaluator.compile_answer_plan")
         return root
 
     def compile_stream_plan(
@@ -228,18 +224,19 @@ class YannakakisEvaluator:
 
         ``boolean=True`` swaps in the Boolean carry schemas (connecting
         variables only), which is how :meth:`boolean` stops at the first
-        witness combination.
+        witness combination.  Compiled once per ``(reduce, boolean)``.
         """
-        if boolean:
-            if self._boolean_carry is None:
-                self._boolean_carry = self._carry_schemas(set())
-            carry = self._boolean_carry
-        else:
-            carry = self._carry
+        key = (reduce, boolean)
+        if key not in self._plans:
+            self._plans[key] = self._compile_stream_plan(reduce, boolean)
+        return self._plans[key]  # type: ignore[return-value]
+
+    def _compile_stream_plan(self, reduce: bool, boolean: bool) -> CursorEnumerate:
+        carry = self._carry_schemas(set()) if boolean else self._carry
         plan = CursorEnumerate(
             self.join_tree, self.compile_reduction(reduce=reduce), carry
         )
-        _maybe_verify(
+        maybe_verify_plan(
             plan, streaming=True, where="YannakakisEvaluator.compile_stream_plan"
         )
         return plan
@@ -270,14 +267,14 @@ class YannakakisEvaluator:
     ) -> Iterator[Tuple[Term, ...]]:
         """Stream the distinct answer tuples of ``q(D)`` one at a time.
 
-        The generator compiles and runs the streaming plan on the first
-        ``next()`` call: the semi-join reducers execute, then the cursor
-        tree enumerates — no intermediate relation is ever materialised, so
-        the first answer arrives after the semi-join passes plus
-        O(join-tree) bucket probes, and stopping early (``limit``, or just
-        abandoning the iterator) abandons the remaining work.  The set of
-        yielded tuples equals :meth:`evaluate` exactly, with no tuple
-        yielded twice.
+        The generator runs the streaming plan (compiled once per
+        evaluator) on the first ``next()`` call: the semi-join reducers
+        execute, then the cursor tree enumerates — no intermediate relation
+        is ever materialised, so the first answer arrives after the
+        semi-join passes plus O(join-tree) bucket probes, and stopping
+        early (``limit``, or just abandoning the iterator) abandons the
+        remaining work.  The set of yielded tuples equals :meth:`evaluate`
+        exactly, with no tuple yielded twice.
 
         ``limit`` caps the number of answers (``None`` = all of them).
         ``reduce=False`` skips the semi-join reducers: the cursors then run
@@ -388,20 +385,21 @@ class YannakakisEvaluator:
     ) -> str:
         """Pretty-print the materialising plan with estimated vs. observed rows.
 
-        The plan is annotated with the statistics-calibrated
+        The plan is estimated with the statistics-calibrated
         :class:`~repro.evaluation.operators.CostModel` and, unless
         ``execute=False``, run against the database so every operator also
         reports its observed cardinality.
         """
         plan = self.compile_answer_plan()
         context = self._context(database, scans, backend)
-        CostModel(Statistics(database, context.scans)).annotate(plan)
+        model = CostModel(Statistics(database, context.scans))
+        model.annotate(plan)
         if execute:
             if context.backend == "columnar":
                 plan.materialize_encoded(context)
             else:
                 plan.materialize(context)
-        return render_plan(plan)
+        return render_plan(plan, run=context.run, estimates=model.row_estimates())
 
 
 def evaluate_acyclic(

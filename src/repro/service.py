@@ -22,8 +22,10 @@ substrate:
   is core-minimised (:func:`repro.queries.core_minimization.core`) and
   canonically relabelled (:func:`canonical_form`), so the million
   syntactically distinct variants of one query share a single cached route
-  and compiled evaluator.  Entries are re-planned when the database size
-  drifts past ``replan_drift`` of the size they were planned at;
+  and evaluator — and with it the evaluator's compiled plans, which every
+  request runs in its own execution context.  Entries are re-planned when
+  the database size drifts past ``replan_drift`` of the size they were
+  planned at;
 
 * :meth:`stream` wraps the streaming evaluators with an epoch guard: an
   open answer stream observes a concurrent write *before the next pull*
@@ -120,6 +122,10 @@ def canonical_form(query: ConjunctiveQuery) -> ConjunctiveQuery:
     return query.apply(mapping, name=query.name)
 
 
+#: Raw requests whose plan key is memoised; past it the oldest is forgotten.
+RAW_MEMO_LIMIT = 1024
+
+
 #: A plan-cache key: the canonical core's head and body, plus the routing
 #: inputs that shape the plan (tgds and the forced engine).
 PlanKey = Tuple[
@@ -210,8 +216,8 @@ class QueryService:
         if key is None:
             canonical = canonical_form(core(query))
             key = (canonical.head, frozenset(canonical.body), tgds, engine)
-            if len(self._keys) > 1024:  # bound the raw-request memo
-                self._keys.clear()
+            if len(self._keys) >= RAW_MEMO_LIMIT:  # evict the oldest request
+                del self._keys[next(iter(self._keys))]
             self._keys[memo_key] = key
         else:
             canonical = None  # only needed on a miss

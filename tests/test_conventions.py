@@ -1,6 +1,7 @@
 """The convention lint itself runs under tier-1, so a violating change
 fails `make test` even before CI runs `make lint`."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -21,6 +22,42 @@ def test_convention_lint_is_clean():
     result = run_script("lint_conventions.py")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "conventions hold" in result.stdout
+
+
+def _lint_module():
+    spec = importlib.util.spec_from_file_location(
+        "lint_conventions", REPO_ROOT / "scripts" / "lint_conventions.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_operator_run_state_outside_init_is_flagged():
+    snippet = """
+class Operator:
+    def __init__(self, schema):
+        self.schema = schema
+
+class Counting(Operator):
+    def __init__(self, schema):
+        super().__init__(schema)
+        self.calls = 0
+
+    def iter_rows(self, context):
+        self.calls += 1
+        self.last, other = context, None
+        context.run[self].rows = 0
+
+class NotAnOperator:
+    def pull(self):
+        self.source = None
+"""
+    violations = _lint_module().check_operator_immutability(snippet)
+    assert len(violations) == 2
+    assert all("Counting.iter_rows" in line for line in violations)
+    assert any("self.calls" in line for line in violations)
+    assert any("self.last" in line for line in violations)
 
 
 def test_typecheck_wrapper_runs():

@@ -384,9 +384,20 @@ class TestEpochSeams:
         database = _chain_db((1, 2))
         cache = ScanCache(database)
         node = Scan(Atom(E, (x, y)))
-        node.materialize(ExecutionContext(database, cache))
-        assert verify_plan(node, expected_epoch=database.mutation_epoch) == []
+        context = ExecutionContext(database, cache)
+        node.materialize(context)
+
+        def check():
+            return verify_plan(
+                node, expected_epoch=database.mutation_epoch, run=context.run
+            )
+
+        assert check() == []
         database.add(_edge(2, 3))
-        diagnostics = verify_plan(node, expected_epoch=database.mutation_epoch)
+        diagnostics = check()
         assert [d.code for d in diagnostics] == ["PLAN016"]
         assert diagnostics[0].severity is Severity.ERROR
+        # The plan holds no rows: a fresh run of it is current again.
+        context = ExecutionContext(database, cache)
+        node.materialize(context)
+        assert check() == []

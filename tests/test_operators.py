@@ -30,6 +30,7 @@ from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import (
     AcyclicityRequired,
     CostModel,
+    DecompositionEvaluator,
     Distinct,
     ExecutionContext,
     HashJoin,
@@ -86,9 +87,10 @@ def rows_of(op, context):
 class TestOperatorFaces:
     def test_scan_materializes_the_atom_relation(self):
         op = Scan(Atom(E, (x, y)))
-        relation = op.materialize(ctx())
+        context = ctx()
+        relation = op.materialize(context)
         assert set(relation.rows) == {(a, b), (b, c), (b, b)}
-        assert op.observed_rows == 3
+        assert context.run[op].rows == 3
         assert op.schema == (x, y)
 
     def test_scan_applies_constants_and_repeats(self):
@@ -148,15 +150,33 @@ class TestOperatorFaces:
     def test_hashjoin_cross_product_when_no_shared_variables(self):
         context = ctx()
         op = HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (Variable("u"), Variable("v")))))
-        assert op.observed_rows is None
+        assert op not in context.run
         assert len(op.materialize(context)) == 3 * 2
-        assert op.observed_rows == 6
+        assert context.run[op].rows == 6
+        assert context.run[op].probes == 0  # a cross product probes nothing
 
     def test_streaming_counts_rows_and_probes(self):
         op = HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z))))
-        streamed = rows_of(op, ctx())
-        assert op.observed_rows == len(streamed) == 3
-        assert op.observed_probes == 3  # one probe per left row
+        context = ctx()
+        streamed = rows_of(op, context)
+        assert context.run[op].rows == len(streamed) == 3
+        assert context.run[op].probes == 3  # one probe per left row
+
+    def test_materialized_join_records_one_probe_per_left_row(self):
+        op = HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z))))
+        context = ctx()
+        before = Partition.total_probes
+        op.materialize(context)
+        assert context.run[op].probes == 3 == Partition.total_probes - before
+
+    def test_runs_of_one_plan_keep_separate_records(self):
+        op = HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z))))
+        first, second = ctx(), ctx()
+        assert op.materialize(first) == op.materialize(second)
+        assert op.materialize(first) is not op.materialize(second)
+        rows_of(op, second)  # a streamed run re-counts only its own record
+        assert first.run[op].rows == 3 and first.run[op].probes == 3
+        assert second.run[op].probes == 6
 
     def test_materialized_results_are_cached_per_node(self):
         context = ctx()
@@ -200,18 +220,11 @@ class TestCostModel:
     def test_annotate_fills_every_node_of_a_dag(self):
         scan = Scan(Atom(E, (x, y)))
         plan = HashJoin(SemiJoin(scan, Scan(Atom(F, (y, z)))), scan)
-        CostModel(Statistics(small_database())).annotate(plan)
-        seen = set()
-
-        def walk(op):
-            if id(op) in seen:
-                return
-            seen.add(id(op))
-            assert op.estimated_rows is not None
-            for child in op.children:
-                walk(child)
-
-        walk(plan)
+        model = CostModel(Statistics(small_database()))
+        model.annotate(plan)
+        estimates = model.row_estimates()
+        assert set(estimates) == set(plan.walk())
+        assert all(value is not None for value in estimates.values())
 
     def test_repeated_variable_atom_over_an_empty_predicate(self):
         # Regression: scan_estimate used to skip computing the column
@@ -247,10 +260,13 @@ class TestExplain:
         context = ctx()
         scan = Scan(Atom(E, (x, y)))
         plan = HashJoin(SemiJoin(scan, Scan(Atom(F, (y, z)))), scan)
-        CostModel(Statistics(context.database)).annotate(plan)
+        model = CostModel(Statistics(context.database))
+        model.annotate(plan)
+        assert "est=?" in render_plan(plan) and "obs=?" in render_plan(plan)
         plan.materialize(context)
-        rendered = render_plan(plan)
-        assert "est=" in rendered and "obs=" in rendered
+        rendered = render_plan(plan, run=context.run, estimates=model.row_estimates())
+        assert "est=?" not in rendered and "obs=?" not in rendered
+        assert "probes=" in rendered  # the hash join's run record
         assert "(shared, shown above)" in rendered  # the scan appears twice
 
     def test_explain_reports_every_route(self):
@@ -311,6 +327,44 @@ def test_yannakakis_plans_agree_with_ground_truth(seed):
     limited = list(evaluate_iter(query, database, limit=k))
     assert len(limited) == min(k, len(expected))
     assert set(limited) <= expected
+
+
+@pytest.mark.parametrize("evaluator_class", [YannakakisEvaluator, DecompositionEvaluator])
+def test_evaluators_compile_each_plan_variant_once(monkeypatch, evaluator_class):
+    """Every entry point reuses the evaluator's compiled plans: one answer
+    plan and one streaming plan per (reduce, boolean), however often and
+    against however many databases the evaluator runs."""
+    calls = []
+    for name in ("_compile_answer_plan", "_compile_stream_plan"):
+        original = getattr(YannakakisEvaluator, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls.append((_name,) + args)
+            return _original(self, *args)
+
+        monkeypatch.setattr(YannakakisEvaluator, name, counted)
+    w = Variable("w")
+    query = ConjunctiveQuery(
+        (w, z), [Atom(E, (w, x)), Atom(E, (x, y)), Atom(F, (y, z))]
+    )
+    evaluator = evaluator_class(query)
+    for database in (small_database(), Database()):
+        truth = evaluate_generic(query, database)
+        for backend in ("tuple", "columnar"):
+            assert evaluator.evaluate(database, backend=backend) == truth
+            relation = evaluator.answer_relation(database, backend=backend)
+            assert relation.answer_tuples(query.head) == truth
+            assert set(evaluator.iter_answers(database, backend=backend)) == truth
+            streamed = evaluator.iter_answers(database, reduce=False, backend=backend)
+            assert set(streamed) == truth
+            assert evaluator.boolean(database, backend=backend) == bool(truth)
+            assert "obs=" in evaluator.explain(database, backend=backend)
+    assert sorted(calls) == [
+        ("_compile_answer_plan",),
+        ("_compile_stream_plan", False, False),
+        ("_compile_stream_plan", False, True),
+        ("_compile_stream_plan", True, False),
+    ]
 
 
 @settings(max_examples=30, deadline=None)

@@ -89,10 +89,14 @@ def _executed(evaluator, database, gate):
     parallel_module.PARALLEL_MIN_ROWS = gate
     plan = evaluator.compile_answer_plan()
     context = ExecutionContext(database, ScanCache(database), backend="columnar")
-    before = Partition.thread_probes()
+    before = Partition.total_probes
     rows = plan.materialize_encoded(context).rows
-    probes = Partition.thread_probes() - before
-    return rows, probes, [node.observed_probes for node in plan.walk()]
+    probes = Partition.total_probes - before
+    recorded = [
+        context.run[node].probes if node in context.run else None
+        for node in plan.walk()
+    ]
+    return rows, probes, recorded
 
 
 def _assert_kernels_agree(query, database):
@@ -160,9 +164,9 @@ def _relation(schema, rows, encoder):
 
 
 def _with_probes(kernel):
-    before = Partition.thread_probes()
+    before = Partition.total_probes
     result = kernel()
-    return result, Partition.thread_probes() - before
+    return result, Partition.total_probes - before
 
 
 @settings(max_examples=80, deadline=None)

@@ -4,7 +4,7 @@ Covers the seams the differential suite (``test_parallel_differential.py``)
 does not: ``resolve_parallel`` precedence and error behaviour, the
 ``REPRO_BATCH_ROWS`` knob, encoder thread-safety under a hammering pool,
 which kernel a default numpy run takes, verification of a vectorised plan,
-probe accounting parity, and the committed ``BENCH_parallel_scaling.json``
+probe accounting parity, runs of one shared plan, and the committed ``BENCH_parallel_scaling.json``
 record.
 """
 
@@ -233,56 +233,72 @@ def test_multi_column_packed_keys_track_encoder_growth(monkeypatch):
 # Probe accounting under concurrent scheduling
 # ----------------------------------------------------------------------
 def test_probe_counters_are_exact_under_concurrency():
-    """Concurrent probes must not lose process-wide updates, and each
-    thread's tally (what operators diff for ``observed_probes``) counts
-    exactly its own probes."""
+    """Concurrent probes must not lose process-wide updates."""
     partition = Partition((0,), [(value,) for value in range(4)])
     barrier = threading.Barrier(8)
 
     def hammer():
         barrier.wait()
-        before = Partition.thread_probes()
         for _ in range(5000):
             partition.get((1,))
-        return Partition.thread_probes() - before
 
     start = Partition.total_probes
     with ThreadPoolExecutor(max_workers=8) as pool:
-        deltas = [f.result() for f in [pool.submit(hammer) for _ in range(8)]]
-    assert deltas == [5000] * 8
+        for future in [pool.submit(hammer) for _ in range(8)]:
+            future.result()
     assert Partition.total_probes - start == 8 * 5000
 
 
-def test_hash_join_observed_probes_ignore_other_threads():
-    """EXPLAIN's per-operator probe counts diff the thread-local counter,
-    so probes from concurrently scheduled queries never inflate them."""
+def _observed(plan, context):
+    """Per node of ``plan``: the (rows, probes, face) one run recorded."""
+    return [
+        (record.rows, record.probes, record.face)
+        for record in (context.run.get(node) for node in plan.walk())
+        if record is not None
+    ]
+
+
+def test_runs_of_one_plan_share_nothing():
+    """One compiled plan runs serially and from more threads than cores at
+    once: every run gets the tuple-engine answers and records exactly the
+    rows and probes of a run on its own — a record shared between runs
+    would double them — so EXPLAIN's per-operator counts never mix runs."""
     query, database = yannakakis_scaling_workload(600, seed=3)
+    scans = ScanCache(database)
+    evaluator = YannakakisEvaluator(query, scans)
+    plan = evaluator.compile_answer_plan()
+    truth = evaluator.evaluate(database, backend="tuple")
+    workers = 4
 
-    def observed(noisy):
-        scans = ScanCache(database)
-        evaluator = YannakakisEvaluator(query, scans)
-        plan = evaluator.compile_answer_plan()
-        context = ExecutionContext(database, scans)
-        if not noisy:
-            plan.materialize(context)
+    def run(backend):
+        context = ExecutionContext(database, scans, backend=backend)
+        if context.backend == "columnar":
+            relation = plan.materialize_encoded(context).to_relation()
         else:
-            stop = threading.Event()
-            partition = Partition((0,), [(value,) for value in range(8)])
+            relation = plan.materialize(context)
+        return relation.answer_tuples(query.head), context
 
-            def hammer():
-                while not stop.is_set():
-                    partition.get((3,))
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for backend in ("tuple", "columnar"):
+            serial = [run(backend), run(backend)]
+            barrier = threading.Barrier(workers)
 
-            thread = threading.Thread(target=hammer)
-            thread.start()
-            try:
-                plan.materialize(context)
-            finally:
-                stop.set()
-                thread.join()
-        return [node.observed_probes for node in plan.walk()]
+            def concurrent():
+                barrier.wait(timeout=30)
+                return run(backend)
 
-    assert observed(noisy=False) == observed(noisy=True)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(concurrent) for _ in range(workers)]
+                parallel = [future.result(timeout=60) for future in futures]
+            expected = _observed(plan, serial[0][1])
+            assert any(probes for _rows, probes, _face in expected)
+            for answers, context in serial + parallel:
+                assert answers == truth
+                assert _observed(plan, context) == expected
+    finally:
+        sys.setswitchinterval(previous)
 
 
 # ----------------------------------------------------------------------

@@ -32,13 +32,16 @@ from repro.datamodel import Atom, Constant, Null, Predicate, Variable
 from repro.evaluation import (
     AcyclicityRequired,
     BagNode,
+    CostModel,
     DecompositionEvaluator,
     Distinct,
+    ExecutionContext,
     HashJoin,
     Project,
     Scan,
     Select,
     SemiJoin,
+    Statistics,
     YannakakisEvaluator,
     compile_plan,
     plan_dp,
@@ -47,6 +50,7 @@ from repro.evaluation import (
 )
 from repro.evaluation.operators import first_occurrence_schema
 from repro.parser import parse_query, parse_tgd
+from repro.workloads.generators import yannakakis_scaling_workload
 
 
 E = Predicate("E", 2)
@@ -215,22 +219,25 @@ class TestMutationCorpus:
 
     def test_plan008_partial_estimates_warn(self):
         join = HashJoin(scan_e(), scan_f())
-        join.estimated_rows = 5.0  # children remain unannotated
-        diagnostics = verify_plan(join)
+        estimates = {join: 5.0}  # children remain unannotated
+        diagnostics = verify_plan(join, estimates=estimates)
         assert codes(diagnostics) == ["PLAN008"]
         assert diagnostics[0].severity is Severity.WARNING
-        # warnings do not make the hook raise
-        assert verify_or_raise(join) == diagnostics
+
+    def test_cost_model_estimates_verify_clean(self):
+        query, database = yannakakis_scaling_workload(60, seed=0)
+        plan = YannakakisEvaluator(query).compile_answer_plan()
+        model = CostModel(Statistics(database))
+        model.annotate(plan)
+        assert verify_plan(plan, estimates=model.row_estimates()) == []
 
     def test_plan009_negative_estimate(self):
         scan = scan_e()
-        scan.estimated_rows = -3
-        assert codes(verify_plan(scan)) == ["PLAN009"]
+        assert codes(verify_plan(scan, estimates={scan: -3})) == ["PLAN009"]
 
     def test_plan009_non_finite_estimate(self):
         scan = scan_e()
-        scan.estimated_rows = math.nan
-        assert codes(verify_plan(scan)) == ["PLAN009"]
+        assert codes(verify_plan(scan, estimates={scan: math.nan})) == ["PLAN009"]
 
     def test_plan010_scan_arity_mismatch(self):
         scan = scan_e()
@@ -247,6 +254,8 @@ class TestMutationCorpus:
         diagnostics = verify_plan(wrapped, streaming=True)
         assert codes(diagnostics) == ["PLAN011"]
         assert diagnostics[0].severity is Severity.WARNING
+        # warnings do not make the hook raise
+        assert verify_or_raise(wrapped, streaming=True) == diagnostics
         # the same wrapper is legitimate on the materialising face
         assert verify_plan(wrapped) == []
 
@@ -270,17 +279,17 @@ class TestMutationCorpus:
         assert diagnostics[0].severity is Severity.WARNING
 
     def test_plan014_stale_cached_encoding(self):
-        from repro.evaluation import ExecutionContext
-        from repro.workloads.generators import yannakakis_scaling_workload
-
         query, database = yannakakis_scaling_workload(60, seed=0)
         ops = compile_plan(plan_greedy(query, database))
         top = Project(ops[-1], first_occurrence_schema(query.head))
         context = ExecutionContext(database, backend="columnar")
         top.materialize_encoded(context)
-        assert verify_plan(top) == []  # executed batch face verifies clean
-        top._encoded = top.children[0]._encoded  # wrong-width cached result
-        assert codes(verify_plan(top)) == ["PLAN014"]
+        # the executed batch face verifies clean
+        assert verify_plan(top, run=context.run) == []
+        # a wrong-width encoded result in the run record
+        context.run[top].encoded = context.run[top.children[0]].encoded
+        assert codes(verify_plan(top, run=context.run)) == ["PLAN014"]
+        assert verify_plan(top) == []  # no run, nothing to cross-check
 
     def test_plan014_takes_priority_only_on_clean_nodes(self):
         # A tuple-face corruption reports its own code, not a duplicate

@@ -19,9 +19,15 @@ import pytest
 
 from repro import cli
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
-from repro.evaluation import evaluate_batch, evaluate_iter
+from repro.evaluation import (
+    YannakakisEvaluator,
+    evaluate_batch,
+    evaluate_generic,
+    evaluate_iter,
+)
 from repro.queries.cq import ConjunctiveQuery
 from repro.service import (
+    RAW_MEMO_LIMIT,
     ConcurrentMutationError,
     QueryService,
     canonical_form,
@@ -122,6 +128,47 @@ class TestPlanCache:
         service.submit(query)
         service.submit(query)  # memoised raw-request key
         assert (query, (), "auto") in service._keys
+
+    def test_raw_request_memo_evicts_only_the_oldest_key(self):
+        service = QueryService(_db((1, 2), (2, 3)))
+        requests = [
+            _path_query(*(Variable(f"{name}{i}") for name in "abc"))
+            for i in range(RAW_MEMO_LIMIT + 1)
+        ]
+        for query in requests:
+            service.submit(query)
+        assert list(service._keys) == [
+            (query, (), "auto") for query in requests[1:]
+        ]
+        assert service.plan_misses == 1
+
+    def test_cached_evaluator_compiles_each_plan_once(self, monkeypatch):
+        calls = []
+        for name in ("_compile_answer_plan", "_compile_stream_plan"):
+            original = getattr(YannakakisEvaluator, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(YannakakisEvaluator, name, counted)
+        database = _db((1, 2), (2, 3), (3, 4))
+        service = QueryService(database, replan_drift=1.0)  # no drift replans
+        writes = [
+            lambda: service.insert(_edge(4, 5)),
+            lambda: service.delete(_edge(2, 3)),
+            lambda: service.insert(_edge(2, 6)),
+            lambda: None,
+        ]
+        for i, write in enumerate(writes):
+            query = _path_query(*(Variable(f"{name}{i}") for name in "xyz"))
+            truth = evaluate_generic(query, database)
+            assert service.submit(query) == truth
+            assert service.submit(query) == truth
+            assert set(service.stream(query)) == truth
+            write()
+        assert service.plan_misses == 1 and service.replans == 0
+        assert sorted(calls) == ["_compile_answer_plan", "_compile_stream_plan"]
 
     def test_drift_triggers_a_replan(self):
         database = _db((1, 2), (2, 3))
