@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-service typecheck lint docs-check bench bench-smoke bench-enum bench-plans bench-backend bench-parallel bench-service bench-repo bench-diff
+.PHONY: test test-service typecheck lint docs-check bench bench-smoke bench-enum bench-plans bench-backend bench-parallel bench-service bench-terms bench-repo bench-diff
 
 ## Tier-1 verify: the command every PR must keep green.
 ## REPRO_VERIFY=1 statically re-checks every plan the engines emit.
@@ -55,6 +55,10 @@ bench-parallel:
 ## Service cache: delta merge vs rebuild, plan-cache hit rate.
 bench-service:
 	$(PYTEST) benchmarks/bench_service_cache.py -s
+
+## Term layer: interned vs value-hashed terms (hash, answer sets, decode).
+bench-terms:
+	$(PYTEST) benchmarks/bench_terms.py -s
 
 ## Repository benchmark: four workloads end to end (see bench/README.md).
 bench-repo:

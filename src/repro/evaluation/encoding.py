@@ -2,9 +2,10 @@
 
 The tuple engine in :mod:`repro.evaluation.relation` moves one python tuple
 of :class:`~repro.datamodel.Term` objects at a time through dict-based
-partitions.  Every probe then hashes frozen dataclasses — a large constant
-factor on top of the linear-time bounds the operators already meet.  This
-module removes that constant without touching the algorithms:
+partitions.  Every probe then builds and hashes a tuple of term objects
+(interned, so each term hashes by identity) — a large constant factor on
+top of the linear-time bounds the operators already meet.  This module
+removes that constant without touching the algorithms:
 
 * a :class:`TermEncoder` maps each distinct term to a dense ``int`` code,
   once, and decodes by list indexing;
@@ -745,6 +746,12 @@ class EncodedRelation:
         inner loop with one C-speed list comprehension per output column —
         the dominant cost at the decode boundary — and repeated positions
         (repeated head variables) are decoded once.
+
+        On numpy storage the encoder's term list is first copied into an
+        object array with ``numpy.fromiter`` (object dtype needs numpy
+        1.23+); slice assignment probes every term as a possible
+        sequence and is several times slower (``BENCH_terms.json``).  The
+        copy costs time linear in the encoder's size, not the answer's.
         """
         terms = self.encoder.terms
         columns = self.store.columns
@@ -752,8 +759,7 @@ class EncodedRelation:
         terms_array = None
         if use_numpy and self.store.length:
             numpy = _numpy_module()
-            terms_array = numpy.empty(len(terms), dtype=object)  # type: ignore[union-attr]
-            terms_array[:] = terms
+            terms_array = numpy.fromiter(terms, dtype=object, count=len(terms))  # type: ignore[union-attr]
         cache: Dict[int, List[Term]] = {}
         decoded = []
         for position in positions:

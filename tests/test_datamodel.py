@@ -1,7 +1,15 @@
 """Tests for the relational data model (terms, atoms, schemas, instances)."""
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import pytest
 
+from repro.datamodel import terms as term_module
 from repro.datamodel import (
     Atom,
     Constant,
@@ -17,6 +25,16 @@ from repro.datamodel import (
     is_frozen_constant,
     unfreeze_constant,
 )
+
+
+TERM_CLASSES = [Constant, Null, Variable]
+
+#: The weak intern table of each term class.
+TABLES = {
+    Constant: term_module._CONSTANTS,
+    Null: term_module._NULLS,
+    Variable: term_module._VARIABLES,
+}
 
 
 class TestTerms:
@@ -61,6 +79,134 @@ class TestTerms:
     def test_plain_constant_is_not_frozen(self):
         assert not is_frozen_constant(Constant("a"))
         assert not is_frozen_constant(Variable("x"))
+
+    @pytest.mark.parametrize("cls", TERM_CLASSES)
+    def test_identity_equality_by_construction(self, cls):
+        assert cls.__hash__ is object.__hash__
+        assert cls.__eq__ is object.__eq__
+
+    @pytest.mark.parametrize("cls", TERM_CLASSES)
+    def test_same_key_same_object(self, cls):
+        assert cls("a") is cls("a")
+        assert cls("a") is not cls("b")
+
+    def test_equal_names_share_one_constant(self):
+        one = Constant(1)
+        assert Constant(True) is one
+        assert Constant(1.0) is one
+        assert Constant(True) == Constant(1.0) == one
+
+    def test_first_name_wins_while_the_term_is_alive(self):
+        first = Constant(("first-name-wins", 1))
+        assert Constant(("first-name-wins", True)) is first
+        assert type(Constant(("first-name-wins", 1.0)).name[1]) is int
+        ref = weakref.ref(first)
+        del first
+        gc.collect()
+        assert ref() is None
+        assert type(Constant(("first-name-wins", True)).name[1]) is bool
+
+    def test_names_of_different_types_that_differ_stay_distinct(self):
+        assert Constant(1) != Constant("1")
+        assert Constant(1) is not Constant("1")
+
+    def test_kinds_with_one_name_are_pairwise_distinct(self):
+        kinds = [Constant("a"), Null("a"), Variable("a")]
+        for index, left in enumerate(kinds):
+            for right in kinds[index + 1 :]:
+                assert left != right
+                assert left is not right
+
+    @pytest.mark.parametrize("cls, field", [(Constant, "name"), (Null, "label"), (Variable, "name")])
+    def test_frozen(self, cls, field):
+        term = cls("a")
+        with pytest.raises(AttributeError):
+            setattr(term, field, "b")
+        with pytest.raises(AttributeError):
+            delattr(term, field)
+        with pytest.raises(AttributeError):
+            term.other = 1
+        assert getattr(term, field) == "a"
+
+    @pytest.mark.parametrize("cls", TERM_CLASSES)
+    def test_order_within_a_class(self, cls):
+        terms = [cls("c"), cls("a"), cls("b")]
+        assert sorted(terms) == [cls("a"), cls("b"), cls("c")]
+        assert cls("a") < cls("b") <= cls("b")
+        assert cls("c") > cls("b") >= cls("b")
+
+    def test_order_across_classes_raises(self):
+        with pytest.raises(TypeError):
+            Constant("a") < Variable("b")
+        with pytest.raises(TypeError):
+            Null("a") >= Constant("a")
+        with pytest.raises(TypeError):
+            sorted([Constant("a"), Null("b")])
+
+    @pytest.mark.parametrize("cls", TERM_CLASSES)
+    def test_pickle_and_copy_return_the_same_object(self, cls):
+        term = cls("a")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(term, protocol=protocol)) is term
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+        assert copy.deepcopy([term, (term,)])[1][0] is term
+
+    @pytest.mark.parametrize("cls", TERM_CLASSES)
+    def test_unreferenced_term_dies_and_leaves_the_table(self, cls):
+        key = f"ephemeral-{cls.__name__}"
+        table = TABLES[cls]
+        term = cls(key)
+        ref = weakref.ref(term)
+        assert key in table.refs
+        del term
+        gc.collect()
+        assert ref() is None
+        assert key not in table.refs
+
+    def test_the_table_entry_of_a_reinterned_key_survives_the_old_callback(self):
+        old = Null("reinterned")
+        old_entry = term_module._NULLS.refs["reinterned"]
+        del old
+        gc.collect()
+        new = Null("reinterned")
+        # The dead entry's callback fired before the key was interned
+        # again; firing it once more must not drop the live entry.
+        term_module._NULLS._discard(old_entry)
+        assert term_module._NULLS.refs["reinterned"]() is new
+        assert Null("reinterned") is new
+
+    def test_concurrent_construction_yields_one_object_per_name(self):
+        names = [f"concurrent-{index}" for index in range(1000)]
+        results = [None] * 8
+        barrier = threading.Barrier(len(results))
+
+        def build(slot):
+            barrier.wait(timeout=30)
+            results[slot] = [Constant(name) for name in names]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(slot,)) for slot in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result is not None for result in results)
+        first = results[0]
+        for other in results[1:]:
+            assert all(left is right for left, right in zip(first, other))
+        assert len({id(term) for term in first}) == len(names)
+
+    @pytest.mark.parametrize("cls", TERM_CLASSES)
+    def test_repr_and_str_unchanged(self, cls):
+        term = cls("a")
+        assert repr(term) == f"{cls.__name__}('a')"
+        assert str(term) == {"Constant": "a", "Null": "_:a", "Variable": "a"}[cls.__name__]
 
 
 class TestAtoms:

@@ -8,7 +8,9 @@ on every streaming route with the cycle collector off and
 ``gc.DEBUG_SAVEALL`` on (which keeps whatever the collector then finds in
 ``gc.garbage``), and requires that no nested function, closure cell or
 enumeration cursor of this package survives the requests or turns up as
-garbage.
+garbage.  It also requires that a cold request under tgds leaves no term
+alive: the weak intern tables of nulls and variables end at their prior
+size.
 """
 
 import gc
@@ -18,6 +20,7 @@ import types
 import pytest
 
 import repro
+from repro.datamodel import terms as term_module
 from repro.evaluation.operators import _Enumeration, _MemoCursor
 
 SOURCE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
@@ -92,3 +95,42 @@ def test_cold_evaluate_iter_leaves_no_cyclic_garbage(backend):
         gc.enable()
     assert survivors == []
     assert garbage == []
+
+
+#: A request whose tgd has an existential variable, so both the chase of the
+#: query and the containment checks of the reformulation search mint nulls.
+EXISTENTIAL_REQUEST = ("q(x, y) :- E(x, y), E(y, z), E(z, x)", ["E(x, y) -> Owns(x, w)"])
+
+
+@pytest.mark.parametrize("backend", ["tuple", "columnar"])
+def test_cold_evaluate_iter_under_tgds_leaves_no_terms_behind(backend, monkeypatch):
+    """The chase's fresh nulls and the request's variables die with it.
+
+    Terms are interned in weak tables (``repro.datamodel.terms``).  A term
+    that something keeps alive past its request keeps its table entry, so
+    the tables' sizes show any term a cold request leaks.
+    """
+    database = repro.Database(repro.parse_atom(text) for text in DATA)
+    minted = []
+    intern_null = term_module._NULLS.intern
+
+    def counting_intern(label):
+        minted.append(label)
+        return intern_null(label)
+
+    monkeypatch.setattr(term_module._NULLS, "intern", counting_intern)
+    query, tgds = EXISTENTIAL_REQUEST
+    gc.collect()
+    before = (len(term_module._NULLS), len(term_module._VARIABLES))
+    answers = set(
+        repro.evaluate_iter(
+            repro.parse_query(query),
+            database,
+            tgds=[repro.parse_tgd(text) for text in tgds],
+            backend=backend,
+        )
+    )
+    assert answers
+    assert minted, "the request should have minted fresh nulls"
+    gc.collect()
+    assert (len(term_module._NULLS), len(term_module._VARIABLES)) == before
