@@ -18,7 +18,9 @@ Two panels over the standing :class:`repro.service.QueryService`:
 * **Plan-cache hit rate** — 64 syntactically distinct, variable-renamed
   variants of one query submitted to one service; core minimisation +
   canonical relabelling must collapse them onto a single cached plan
-  (the acceptance bar is a ≥ 90% hit rate).
+  (the acceptance bar is a ≥ 90% hit rate).  The anchored row does the
+  same over 64 anchors of one point-query shape: the plan key lifts the
+  anchor to a parameter, so they too share one plan (1 miss, 63 hits).
 
 Results land in ``BENCH_service_cache.json``.  ``BENCH_SMOKE=1`` shrinks
 sizes/rounds to milliseconds and skips the timing assertion (tiny inputs
@@ -158,6 +160,30 @@ def run_plan_cache_hit_rate() -> Dict[str, object]:
     return row
 
 
+def run_anchored_hit_rate() -> Dict[str, object]:
+    """Submit one point-query shape anchored at 64 constants to one service."""
+    if "anchored" in _CACHE:
+        return _CACHE["anchored"][0]
+    # Every anchor needs its two hops, whatever the smoke/full sizes are.
+    database = _chain_database(VARIANTS + 1)
+    service = QueryService(database)
+    for anchor in range(VARIANTS):
+        b, c = (Variable(f"a{anchor}_{j}") for j in range(2))
+        query = ConjunctiveQuery(
+            (c,), [Atom(E, (Constant(anchor), b)), Atom(E, (b, c))], name=f"anchor{anchor}"
+        )
+        answers = service.submit(query)
+        assert answers == {(Constant(anchor + 2),)}, "each anchor keeps its own answers"
+    row = {
+        "anchors": VARIANTS,
+        "plan_hits": service.plan_hits,
+        "plan_misses": service.plan_misses,
+        "hit_rate": service.plan_hits / VARIANTS,
+    }
+    _CACHE["anchored"] = [row]
+    return row
+
+
 def _numpy_version() -> Optional[str]:
     try:
         import numpy
@@ -169,6 +195,7 @@ def _numpy_version() -> Optional[str]:
 def _write_snapshot() -> None:
     delta = run_delta_vs_rebuild()
     plans = run_plan_cache_hit_rate()
+    anchored = run_anchored_hit_rate()
     snapshot = BenchSnapshot("service_cache")
     snapshot.record(
         "host",
@@ -183,6 +210,7 @@ def _write_snapshot() -> None:
     snapshot.record("rounds", ROUNDS)
     snapshot.record("delta_speedups", [row["speedup"] for row in delta])
     snapshot.record("plan_cache", plans)
+    snapshot.record("anchored_plan_cache", anchored)
     for row in delta:
         snapshot.add_row("curve", row)
     snapshot.write()
@@ -238,3 +266,14 @@ def test_plan_cache_hit_rate_across_isomorphic_variants():
     )
     _write_snapshot()
     assert row["hit_rate"] >= MIN_HIT_RATE
+
+
+def test_plan_cache_shares_one_plan_across_anchors():
+    row = run_anchored_hit_rate()
+    print_series(
+        "plan cache over anchored variants",
+        [(row["anchors"], row["plan_hits"], row["plan_misses"], f"{row['hit_rate']:.1%}")],
+        header=("anchors", "hits", "misses", "hit rate"),
+    )
+    _write_snapshot()
+    assert row["plan_misses"] == 1 and row["plan_hits"] == VARIANTS - 1

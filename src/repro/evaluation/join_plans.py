@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..datamodel import Atom, Constant, Instance, Term, Variable
 from ..queries.cq import ConjunctiveQuery
@@ -145,11 +145,24 @@ class JoinPlan:
     ``i>0`` the ``i``-th join in post-order, represented by the leftmost
     leaf of that join's right subtree — so per-step estimated vs.
     observed intermediate sizes stay aligned for calibration.
+
+    A plan is a value once built: :func:`execute_plan` and
+    :func:`iter_plan_answers` compile (and, under ``REPRO_VERIFY``, verify)
+    its operator chain on first use and every later run reuses it, so a
+    cached plan never recompiles.
     """
 
     query: ConjunctiveQuery
     steps: List[PlanStep] = field(default_factory=list)
     tree: Optional[PlanTree] = None
+    #: The compiled materialising chain (:func:`compile_plan`) and the
+    #: streaming root (the head projection over it), set on first run.
+    _chain: Optional[List[Operator]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _stream_top: Optional[Operator] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def atoms(self) -> List[Atom]:
         """The atoms in join order."""
@@ -485,6 +498,7 @@ def execute_plan(
     *,
     scans: Optional[ScanProvider] = None,
     backend: Optional[str] = None,
+    params: Optional[Mapping[Term, Term]] = None,
 ) -> PlanExecution:
     """Execute a join plan on its materialising face over the IR.
 
@@ -493,12 +507,17 @@ def execute_plan(
     so the ablation benchmarks and the calibration tests read real
     intermediate sizes.  Execution stops early when an intermediate comes
     up empty.  ``scans`` injects a shared scan provider for the base-atom
-    scans (see :meth:`Relation.from_atom`).
+    scans (see :meth:`Relation.from_atom`); ``params`` binds the placeholder
+    constants of a parameterised plan (see
+    :class:`~repro.evaluation.operators.ExecutionContext`).
     """
-    context = ExecutionContext(database, scans, backend=backend)
-    ops = compile_plan(plan)
-    if ops:
-        maybe_verify_plan(ops[-1], where="join_plans.execute_plan")
+    context = ExecutionContext(database, scans, backend=backend, params=params)
+    ops = plan._chain
+    if ops is None:
+        ops = compile_plan(plan)
+        if ops:
+            maybe_verify_plan(ops[-1], where="join_plans.execute_plan")
+        plan._chain = ops
     intermediate_sizes: List[int] = []
     answers: Set[Tuple[Term, ...]] = set()
     if context.backend == "columnar":
@@ -538,6 +557,7 @@ def iter_plan_answers(
     scans: Optional[ScanProvider] = None,
     limit: Optional[int] = None,
     backend: Optional[str] = None,
+    params: Optional[Mapping[Term, Term]] = None,
 ) -> Iterator[Tuple[Term, ...]]:
     """Stream a plan's answers through the fully pipelined operator chain.
 
@@ -550,7 +570,7 @@ def iter_plan_answers(
     answers pulled, not to the prefix size.
 
     The set of yielded tuples equals ``execute_plan(...).answers`` exactly,
-    with no tuple yielded twice.
+    with no tuple yielded twice.  ``params`` as in :func:`execute_plan`.
     """
     if limit is not None and limit <= 0:
         return
@@ -559,13 +579,15 @@ def iter_plan_answers(
             yield ()  # the nullary query: one empty answer over any database
         return
 
-    ops = compile_plan(plan)
     head_schema = first_occurrence_schema(plan.query.head)
-    top = Project(ops[-1], head_schema)
-    maybe_verify_plan(top, streaming=True, where="join_plans.iter_plan_answers")
+    top = plan._stream_top
+    if top is None:
+        top = Project(compile_plan(plan)[-1], head_schema)
+        maybe_verify_plan(top, streaming=True, where="join_plans.iter_plan_answers")
+        plan._stream_top = top
     head_positions = tuple(head_schema.index(v) for v in plan.query.head)
 
-    context = ExecutionContext(database, scans, backend=backend)
+    context = ExecutionContext(database, scans, backend=backend, params=params)
     produced = 0
     if context.backend == "columnar":
         # The chain pipelines batch-at-a-time; codes are decoded only here.

@@ -64,7 +64,7 @@ def service_enabled() -> bool:
     :func:`evaluate_iter` and :func:`evaluate_batch` that do *not* supply
     their own scan provider are served by the per-database
     :func:`repro.service.shared_service` — so repeated one-shot calls gain
-    the service's epoch-aware scan cache and core-isomorphism plan cache.
+    the service's epoch-aware scan cache and query-shape plan cache.
     An explicit ``scans=`` always wins over the service seam.
     """
     return os.environ.get(SERVICE_ENV, "").strip().lower() not in ("", "0", "false")

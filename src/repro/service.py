@@ -18,14 +18,23 @@ substrate:
   incrementally on the next read (see ``ScanCache.sync``) instead of being
   rebuilt;
 
-* routed plans are cached **by core-isomorphism class**: an incoming query
-  is core-minimised (:func:`repro.queries.core_minimization.core`) and
-  canonically relabelled (:func:`canonical_form`), so the million
-  syntactically distinct variants of one query share a single cached route
-  and evaluator — and with it the evaluator's compiled plans, which every
-  request runs in its own execution context.  Entries are re-planned when
-  the database size drifts past ``replan_drift`` of the size they were
-  planned at;
+* routed plans are cached **by parameterised query shape**: the constants
+  of a request that Σ does not name are lifted to positional parameters
+  (:func:`query_shape`), and the lifted query is core-minimised
+  (:func:`repro.queries.core_minimization.core`) and canonically relabelled
+  (:func:`canonical_form`).  So every renamed variant *and every anchor*
+  of one query shares a single cached route and evaluator — and with it
+  the evaluator's compiled plans, which each request runs in its own
+  execution context with its anchors bound as run state
+  (``ExecutionContext.params``).  The lifting is sound because
+  homomorphisms fix constants: an injective renaming of constants that
+  avoids Σ commutes with ``core`` and preserves semantic acyclicity under
+  Σ, and the cost model prices an anchored scan without looking at the
+  anchor.  A bounded memo from the request's structural pre-key (one
+  linear pass) to its plan key lets a warm request skip ``core``,
+  ``canonical_form``, routing and compilation altogether.  Entries are
+  re-planned when the database size drifts past ``replan_drift`` of the
+  size they were planned at;
 
 * :meth:`stream` wraps the streaming evaluators with an epoch guard: an
   open answer stream observes a concurrent write *before the next pull*
@@ -46,14 +55,29 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .analysis.diagnostics import Diagnostic, Severity
-from .datamodel import Atom, Instance, Term, Variable
+from .datamodel import Atom, Constant, Instance, Term, Variable
 from .dependencies.tgd import TGD
 from .evaluation.batch import ScanCache
-from .evaluation.join_plans import evaluate_with_plan, iter_with_plan
+from .evaluation.join_plans import (
+    JoinPlan,
+    execute_plan,
+    iter_plan_answers,
+    resolve_planner,
+)
 from .evaluation.operators import Statistics
 from .evaluation.parallel import resolve_parallel
 from .queries.core_minimization import core
@@ -88,7 +112,10 @@ def canonical_form(query: ConjunctiveQuery) -> ConjunctiveQuery:
     are relabelled ``_e0, _e1, ...`` by exhaustive permutation search
     minimising the sorted body-atom strings (up to
     :data:`CANONICAL_PERMUTE_LIMIT` existential variables; a deterministic
-    fallback beyond).  Constants are left untouched.
+    fallback beyond).  Constants are left untouched here; the service lifts
+    the ones Σ does not name to placeholder parameters *before* calling
+    this (:func:`query_shape`, :func:`lift_constants`), so the anchors of a
+    query do not split its class.
 
     Two queries that are variable-renamings of each other map to *equal*
     canonical forms (below the permutation limit), which is exactly the
@@ -122,8 +149,82 @@ def canonical_form(query: ConjunctiveQuery) -> ConjunctiveQuery:
     return query.apply(mapping, name=query.name)
 
 
-#: Raw requests whose plan key is memoised; past it the oldest is forgotten.
-RAW_MEMO_LIMIT = 1024
+#: Entries kept by the plan cache and by the pre-key memo in front of it;
+#: past it the oldest entry is forgotten.
+PLAN_CACHE_LIMIT = 1024
+
+
+def parameter(index: int) -> Constant:
+    """The placeholder constant standing for parameter ``index`` of a shape.
+
+    Follows the ``("__frozen__", name)`` idiom of
+    :func:`repro.datamodel.terms.freeze_variable`: the parser only makes
+    ``int``/``str`` constant names, so a placeholder never collides with a
+    data constant or with a constant named in Σ.
+    """
+    return Constant(("__param__", index))
+
+
+#: A request's structural pre-key: head and body with variables renamed to
+#: first-occurrence numbers and lifted constants to placeholders, plus the
+#: routing inputs (tgds and the forced engine).
+PreKey = Tuple[tuple, tuple, Tuple[TGD, ...], str]
+
+
+def query_shape(
+    query: ConjunctiveQuery, tgds: Tuple[TGD, ...] = (), engine: str = "auto"
+) -> Tuple[PreKey, Dict[Term, Term]]:
+    """One linear pass: the request's pre-key and its parameter binding.
+
+    Variables become their first-occurrence number (head first, then the
+    body in order).  Each constant that no tgd names becomes
+    :func:`parameter` ``i``, numbered by first occurrence, so equal
+    constants share an index and the equality pattern is kept; constants
+    named in ``tgds`` stay literal.  The binding maps each placeholder back
+    to the request's constant — the run state a shared plan executes with.
+
+    Equal pre-keys mean the two queries are isomorphic under a variable
+    renaming and an injective renaming of the lifted constants that keeps
+    head positions, so they can share one plan.
+    """
+    literal = {
+        term
+        for tgd in tgds
+        for atom in tgd.body + tgd.head
+        for term in atom.terms
+        if isinstance(term, Constant)
+    }
+    slots: Dict[Term, object] = {}
+    params: Dict[Term, Term] = {}
+    for variable in query.head:
+        if variable not in slots:
+            slots[variable] = len(slots)
+    body = []
+    for atom in query.body:
+        terms = []
+        for term in atom.terms:
+            slot = slots.get(term)
+            if slot is None:
+                if isinstance(term, Variable):
+                    slot = len(slots)
+                elif term in literal:
+                    slot = term
+                else:
+                    placeholder = parameter(len(params))
+                    params[placeholder] = term
+                    slot = placeholder
+                slots[term] = slot
+            terms.append(slot)
+        body.append((atom.predicate, tuple(terms)))
+    head = tuple(slots[variable] for variable in query.head)
+    return (head, tuple(body), tgds, engine), params
+
+
+def lift_constants(
+    query: ConjunctiveQuery, params: Mapping[Term, Term]
+) -> ConjunctiveQuery:
+    """``query`` with each bound constant replaced by its placeholder."""
+    return query.apply({value: placeholder for placeholder, value in params.items()})
 
 
 #: A plan-cache key: the canonical core's head and body, plus the routing
@@ -133,15 +234,25 @@ PlanKey = Tuple[
 ]
 
 
+def _remember(table: Dict, key: object, value: object) -> None:
+    """Insert into a bounded cache, forgetting the oldest entry when full."""
+    if key not in table and len(table) >= PLAN_CACHE_LIMIT:
+        del table[next(iter(table))]
+    table[key] = value
+
+
 @dataclass
 class _PlanEntry:
-    """One cached route: the canonical core plus its compiled evaluator."""
+    """One cached route: the canonical lifted core plus its compiled evaluator."""
 
     kind: str
     evaluator: Optional[object]  # YannakakisEvaluator-shaped, or None ("plan")
-    query: ConjunctiveQuery  # the canonical core the route was compiled for
+    query: ConjunctiveQuery  # the canonical lifted core the route was compiled for
     planned_epoch: int
     planned_size: int
+    #: The ``"plan"`` route's join plans, planned on first use: key ``False``
+    #: for the materialising mode, ``True`` for the streaming one.
+    join_plans: Dict[bool, JoinPlan] = field(default_factory=dict)
 
 
 class QueryService:
@@ -166,7 +277,7 @@ class QueryService:
         #: Relative database-size drift past which a cached plan is
         #: re-planned on next use (0.3 = 30%).
         self.replan_drift = replan_drift
-        # Plan-cache and raw-request-memo guard: concurrent submits (see
+        # Plan-cache and pre-key-memo guard: concurrent submits (see
         # :meth:`submit_batch`) route through one consistent cache.
         self._plan_lock = threading.RLock()
         # Reader-writer exclusion for materialised reads (see
@@ -180,11 +291,12 @@ class QueryService:
         self._in_flight = 0
         self._writers = 0
         self._writing = False
+        # Both bounded by PLAN_CACHE_LIMIT, oldest first.
         self._plans: Dict[PlanKey, _PlanEntry] = {}
-        # Memo from the *raw* request (query, tgds, engine) to its plan key,
-        # so repeat submissions of an already-seen query object skip the
-        # core minimisation + canonicalisation entirely.
-        self._keys: Dict[Tuple[ConjunctiveQuery, Tuple[TGD, ...], str], PlanKey] = {}
+        # Memo from a request's pre-key (see query_shape) to its plan key,
+        # so every renamed or re-anchored repeat of a seen shape skips core
+        # minimisation and canonicalisation entirely.
+        self._shapes: Dict[PreKey, PlanKey] = {}
         #: Requests answered from a cached plan entry.
         self.plan_hits = 0
         #: Requests that routed + compiled a fresh plan entry.
@@ -204,23 +316,22 @@ class QueryService:
 
     def _entry(
         self, query: ConjunctiveQuery, tgds: Tuple[TGD, ...], engine: str
-    ) -> _PlanEntry:
+    ) -> Tuple[_PlanEntry, Dict[Term, Term]]:
+        """The request's cached plan entry plus its parameter binding."""
+        shape, params = query_shape(query, tgds, engine)
         with self._plan_lock:
-            return self._entry_locked(query, tgds, engine)
+            return self._entry_locked(query, shape, params), params
 
     def _entry_locked(
-        self, query: ConjunctiveQuery, tgds: Tuple[TGD, ...], engine: str
+        self, query: ConjunctiveQuery, shape: PreKey, params: Dict[Term, Term]
     ) -> _PlanEntry:
-        memo_key = (query, tgds, engine)
-        key = self._keys.get(memo_key)
+        _, _, tgds, engine = shape
+        key = self._shapes.get(shape)
+        canonical = None  # only needed on a miss
         if key is None:
-            canonical = canonical_form(core(query))
+            canonical = canonical_form(core(lift_constants(query, params)))
             key = (canonical.head, frozenset(canonical.body), tgds, engine)
-            if len(self._keys) >= RAW_MEMO_LIMIT:  # evict the oldest request
-                del self._keys[next(iter(self._keys))]
-            self._keys[memo_key] = key
-        else:
-            canonical = None  # only needed on a miss
+            _remember(self._shapes, shape, key)
         entry = self._plans.get(key)
         size = len(self.database)
         if entry is not None and self._drifted(entry, size):
@@ -233,7 +344,7 @@ class QueryService:
         from .evaluation.semacyclic_eval import resolve_route
 
         if canonical is None:
-            canonical = canonical_form(core(query))
+            canonical = canonical_form(core(lift_constants(query, params)))
         kind, evaluator = resolve_route(canonical, tgds=tgds, engine=engine)
         entry = _PlanEntry(
             kind,
@@ -242,9 +353,33 @@ class QueryService:
             getattr(self.database, "mutation_epoch", 0),
             size,
         )
-        self._plans[key] = entry
+        _remember(self._plans, key, entry)
         self.plan_misses += 1
         return entry
+
+    def _join_plan(self, entry: _PlanEntry, streaming: bool) -> JoinPlan:
+        """The ``"plan"`` route's join plan for one mode, planned once per entry.
+
+        The plan compiles its operator chain on its first run and keeps it
+        (see :class:`~repro.evaluation.join_plans.JoinPlan`), so warm
+        requests on this route neither plan nor compile.
+
+        The planner sees the lifted query: its cost model prices an anchored
+        scan by the bucket histogram of the pinned columns, never by the
+        anchor, so the plan is right for every binding.  Two threads racing
+        on a miss plan equal plans and one of them is kept.
+        """
+        plan = entry.join_plans.get(streaming)
+        if plan is None:
+            planner = resolve_planner(None, streaming=streaming)
+            plan = planner(
+                entry.query,
+                self.database,
+                scans=self.scans,
+                statistics=self.statistics,
+            )
+            entry.join_plans[streaming] = plan
+        return plan
 
     # ------------------------------------------------------------------
     # Reader-writer exclusion (writes block new reads, then drain old ones)
@@ -306,22 +441,27 @@ class QueryService:
     ) -> Set[Tuple[Term, ...]]:
         """The full answer set of ``query`` over the current database state.
 
-        Routed through the plan cache (the canonical core's cached evaluator
-        answers for every isomorphic variant — answer tuples are positional,
-        so they transfer verbatim) and the shared scan cache (mutations since
-        the last request are absorbed incrementally before the scans are
-        served).  Writes arriving while the submit runs wait for it (see
-        :meth:`insert`).
+        Routed through the plan cache (the canonical lifted core's cached
+        evaluator answers for every isomorphic variant and every anchor of
+        the shape, with this request's constants bound as run state —
+        answer tuples are positional, so they transfer verbatim) and the
+        shared scan cache (mutations since the last request are absorbed
+        incrementally before the scans are served).  Writes arriving while
+        the submit runs wait for it (see :meth:`insert`).
         """
-        entry = self._entry(query, tuple(tgds), engine)
+        entry, params = self._entry(query, tuple(tgds), engine)
         with self._tracked():
             if entry.evaluator is not None:  # yannakakis / reformulated / decomposition
                 return entry.evaluator.evaluate(  # type: ignore[attr-defined]
-                    self.database, scans=self.scans, backend=backend
+                    self.database, scans=self.scans, backend=backend, params=params
                 )
-            return evaluate_with_plan(
-                entry.query, self.database, scans=self.scans, backend=backend
-            )
+            return execute_plan(
+                self._join_plan(entry, streaming=False),
+                self.database,
+                scans=self.scans,
+                backend=backend,
+                params=params,
+            ).answers
 
     def submit_batch(
         self,
@@ -383,15 +523,20 @@ class QueryService:
         pre- and post-mutation answers.  ``limit`` is the per-client
         backpressure knob: at most that many answers are ever computed.
         """
-        entry = self._entry(query, tuple(tgds), engine)
+        entry, params = self._entry(query, tuple(tgds), engine)
         if entry.evaluator is not None:
             inner = entry.evaluator.iter_answers(  # type: ignore[attr-defined]
-                self.database, scans=self.scans, limit=limit, backend=backend
+                self.database, scans=self.scans, limit=limit, backend=backend,
+                params=params,
             )
         else:
-            inner = iter_with_plan(
-                entry.query, self.database, scans=self.scans, limit=limit,
+            inner = iter_plan_answers(
+                self._join_plan(entry, streaming=True),
+                self.database,
+                scans=self.scans,
+                limit=limit,
                 backend=backend,
+                params=params,
             )
         opened = getattr(self.database, "mutation_epoch", 0)
         return self._guarded(inner, opened)

@@ -2,10 +2,12 @@
 
 Covers the three service contracts on top of the epoch machinery:
 
-* the plan cache keyed by core-isomorphism class — canonicalisation via
-  :func:`repro.service.canonical_form` over the query core, so renamed
-  variants (and core-reducible supersets) of one query share a single
-  cached route;
+* the plan cache keyed by parameterised query shape — constants Σ does not
+  name are lifted to placeholders (:func:`repro.service.query_shape`), and
+  canonicalisation via :func:`repro.service.canonical_form` runs over the
+  lifted core, so renamed variants, re-anchored variants and core-reducible
+  supersets of one query share a single cached route, bound to each
+  request's anchors at run time;
 * the read/write surface — ``submit``/``stream`` (with ``limit=``
   backpressure and the :class:`ConcurrentMutationError` stream guard),
   ``insert``/``delete``, drift-triggered re-planning, ``verify()`` with
@@ -14,10 +16,14 @@ Covers the three service contracts on top of the epoch machinery:
 """
 
 import io
+import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro import cli
+from repro import cli, parse_query, parse_tgd
+from repro import service as service_module
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import (
     YannakakisEvaluator,
@@ -25,12 +31,16 @@ from repro.evaluation import (
     evaluate_generic,
     evaluate_iter,
 )
+from repro.queries.core_minimization import core
 from repro.queries.cq import ConjunctiveQuery
 from repro.service import (
-    RAW_MEMO_LIMIT,
+    PLAN_CACHE_LIMIT,
     ConcurrentMutationError,
     QueryService,
     canonical_form,
+    lift_constants,
+    parameter,
+    query_shape,
     shared_service,
 )
 
@@ -51,6 +61,24 @@ def _db(*pairs):
 
 def _path_query(a, b, c, name="q"):
     return ConjunctiveQuery((a, c), [Atom(E, (a, b)), Atom(E, (b, c))], name=name)
+
+
+def _anchored_path(anchor, b, c):
+    """``q(c) :- E(anchor, b), E(b, c)``: a two-hop walk from one constant."""
+    return ConjunctiveQuery((c,), [Atom(E, (Constant(anchor), b)), Atom(E, (b, c))])
+
+
+def _counting(monkeypatch, name):
+    """Wrap ``repro.service.<name>`` and return the list of its calls."""
+    calls = []
+    original = getattr(service_module, name)
+
+    def counted(query):
+        calls.append(query)
+        return original(query)
+
+    monkeypatch.setattr(service_module, name, counted)
+    return calls
 
 
 # ----------------------------------------------------------------------
@@ -122,23 +150,43 @@ class TestPlanCache:
         assert service.submit(redundant) == first
         assert service.plan_misses == 1 and service.plan_hits == 1
 
-    def test_repeat_submission_skips_canonicalisation(self):
-        service = QueryService(_db((1, 2)))
-        query = _path_query(x, y, z)
-        service.submit(query)
-        service.submit(query)  # memoised raw-request key
-        assert (query, (), "auto") in service._keys
-
-    def test_raw_request_memo_evicts_only_the_oldest_key(self):
-        service = QueryService(_db((1, 2), (2, 3)))
-        requests = [
-            _path_query(*(Variable(f"{name}{i}") for name in "abc"))
-            for i in range(RAW_MEMO_LIMIT + 1)
+    def test_repeat_submission_skips_canonicalisation(self, monkeypatch):
+        cores = _counting(monkeypatch, "core")
+        canonicals = _counting(monkeypatch, "canonical_form")
+        database = _db((1, 2), (2, 3), (5, 3), (3, 4))
+        service = QueryService(database)
+        first = _anchored_path(1, y, z)
+        assert service.submit(first) == evaluate_generic(first, database)
+        assert len(cores) == len(canonicals) == 1
+        assert query_shape(first)[0] in service._shapes
+        variants = [
+            first,  # an exact repeat
+            _anchored_path(1, u, w),  # renamed
+            _anchored_path(5, y, z),  # re-anchored
+            _anchored_path(2, v, x),  # renamed and re-anchored
         ]
+        for query in variants:
+            assert service.submit(query) == evaluate_generic(query, database)
+        assert len(cores) == len(canonicals) == 1
+        assert list(service._shapes) == [query_shape(first)[0]]
+
+    def test_pre_key_memo_evicts_only_the_oldest_key(self):
+        # Every body order of one all-free path is its own pre-key, and all
+        # of them share one canonical core: PLAN_CACHE_LIMIT + 1 distinct
+        # pre-keys over a single plan entry.
+        chain = [Variable(f"p{i}") for i in range(8)]
+        atoms = [Atom(E, (chain[i], chain[i + 1])) for i in range(7)]
+        requests = [
+            ConjunctiveQuery(tuple(chain), order)
+            for order in itertools.islice(
+                itertools.permutations(atoms), PLAN_CACHE_LIMIT + 1
+            )
+        ]
+        service = QueryService(_db((1, 2), (2, 3)))
         for query in requests:
             service.submit(query)
-        assert list(service._keys) == [
-            (query, (), "auto") for query in requests[1:]
+        assert list(service._shapes) == [
+            query_shape(query)[0] for query in requests[1:]
         ]
         assert service.plan_misses == 1
 
@@ -180,6 +228,307 @@ class TestPlanCache:
         service.submit(query)
         assert service.replans == 1
         assert service.plan_misses == 2
+
+
+# ----------------------------------------------------------------------
+# Parameterised plan keys: one plan per query shape, anchors as run state
+# ----------------------------------------------------------------------
+R, S = Predicate("R", 2), Predicate("S", 2)
+
+
+def _rs_database():
+    database = Database()
+    for a, b in [(1, 2), (1, 3), (2, 2), (3, 1), (4, 4), (2, 5)]:
+        database.add(Atom(R, (Constant(a), Constant(b))))
+    for a, b in [(2, 1), (3, 1), (2, 3), (5, 2), (4, 4), (1, 1)]:
+        database.add(Atom(S, (Constant(a), Constant(b))))
+    return database
+
+
+def _triangle(anchor):
+    """A triangle entered from one constant: cyclic, so it takes the
+    decomposition route."""
+    return ConjunctiveQuery(
+        (y, z),
+        [Atom(E, (Constant(anchor), y)), Atom(E, (y, z)), Atom(E, (z, w)), Atom(E, (w, y))],
+    )
+
+
+def _triangle_database():
+    return _db((1, 2), (2, 3), (3, 1), (4, 2), (2, 5), (5, 4), (3, 4), (4, 1))
+
+
+class TestParameterisedPlans:
+    def test_two_anchors_share_one_plan_entry(self):
+        database = _db((1, 2), (2, 3), (5, 3), (3, 4))
+        service = QueryService(database)
+        for anchor in (1, 5, 2):
+            query = _anchored_path(anchor, y, z)
+            assert service.submit(query) == evaluate_generic(query, database)
+            assert set(service.stream(query)) == evaluate_generic(query, database)
+        assert service.plan_misses == 1 and len(service._plans) == 1
+        (entry,) = service._plans.values()
+        assert parameter(0) in entry.query.constants()
+
+    def test_equality_pattern_of_constants_splits_entries(self):
+        database = _rs_database()
+        service = QueryService(database)
+        same = ConjunctiveQuery(
+            (x,), [Atom(R, (Constant(1), x)), Atom(S, (x, Constant(1)))]
+        )
+        distinct = ConjunctiveQuery(
+            (x,), [Atom(R, (Constant(1), x)), Atom(S, (x, Constant(3)))]
+        )
+        assert query_shape(same)[0] != query_shape(distinct)[0]
+        for query in (same, distinct):
+            assert service.submit(query) == evaluate_generic(query, database)
+        assert service.plan_misses == 2 and len(service._plans) == 2
+        # Each pattern's other anchors reuse its entry.
+        same_again = ConjunctiveQuery(
+            (x,), [Atom(R, (Constant(2), x)), Atom(S, (x, Constant(2)))]
+        )
+        assert service.submit(same_again) == evaluate_generic(same_again, database)
+        assert service.plan_misses == 2
+
+    def test_constant_named_in_a_tgd_stays_literal(self):
+        tgds = (parse_tgd("R(x, 'a') -> T(x)"), parse_tgd("R(x, 'b') -> T(x)"))
+        database = Database()
+        for a, b in [(1, "a"), (2, "b"), (3, "c"), (4, "d")]:
+            database.add(Atom(R, (Constant(a), Constant(b))))
+        for a in (1, 2):
+            database.add(Atom(Predicate("T", 1), (Constant(a),)))
+        service = QueryService(database)
+        for name in ("a", "b", "c", "d"):
+            query = parse_query(f"q(x) :- R(x, '{name}')")
+            assert service.submit(query, tgds=tgds) == evaluate_generic(query, database)
+        # 'a' and 'b' are named in the tgds: one entry each.  'c' and 'd'
+        # are not: they lift to one parameter and share an entry.
+        assert service.plan_misses == 3
+        literal = query_shape(parse_query("q(x) :- R(x, 'a')"), tgds)
+        assert literal[1] == {}
+        lifted = query_shape(parse_query("q(x) :- R(x, 'c')"), tgds)
+        assert lifted[1] == {parameter(0): Constant("c")}
+
+    def test_reformulated_route_shares_one_plan_across_anchors(self):
+        tgds = (parse_tgd("Interest(x, s), Class(r, s) -> Owns(x, r)"),)
+        database = Database()
+        facts = [
+            "Interest('ann', 'math')", "Interest('bob', 'art')",
+            "Interest('bob', 'math')", "Class('c1', 'math')",
+            "Class('c2', 'art')", "Owns('ann', 'c1')", "Owns('bob', 'c1')",
+            "Owns('bob', 'c2')", "Owns('cy', 'c2')", "Room('c1', 'r1')",
+            "Room('c2', 'r2')", "Room('c2', 'r1')",
+        ]
+        for fact in facts:
+            database.add(parse_query(f"q() :- {fact}").body[0])
+        service = QueryService(database)
+        for room in ("r1", "r2", "r3"):
+            # Cyclic through x, y, z; the anchored Room atom keeps it so.
+            query = parse_query(
+                "q(x, y) :- Interest(x, z), Class(y, z), Owns(x, y), "
+                f"Room(y, '{room}')"
+            )
+            assert service.submit(query, tgds=tgds) == evaluate_generic(query, database)
+        assert service.plan_misses == 1
+        (entry,) = service._plans.values()
+        assert entry.kind == "reformulated"
+
+    def test_shared_plans_pass_the_static_verifier(self, monkeypatch):
+        from repro.analysis.verify_plan import verify_plan
+
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        database = _triangle_database()
+        service = QueryService(database)
+        for anchor in (1, 2, 4):
+            for query in (_anchored_path(anchor, y, z), _triangle(anchor)):
+                truth = evaluate_generic(query, database)
+                for engine in ("auto", "decomposition", "plan"):
+                    assert service.submit(query, engine=engine) == truth
+                    assert set(service.stream(query, engine=engine)) == truth
+        # Two shapes times three engines, each entry shared by the anchors.
+        assert service.plan_misses == 6
+        assert sorted(entry.kind for entry in service._plans.values()) == [
+            "decomposition", "decomposition", "decomposition", "plan", "plan", "yannakakis",
+        ]
+        for entry in service._plans.values():
+            if entry.evaluator is None:
+                continue
+            assert verify_plan(entry.evaluator.compile_answer_plan()) == []
+            assert verify_plan(
+                entry.evaluator.compile_stream_plan(), streaming=True
+            ) == []
+
+    def test_cost_model_prices_an_anchored_scan_without_the_anchor(self):
+        from repro.evaluation.operators import CostModel, Statistics
+
+        model = CostModel(Statistics(_triangle_database()))
+        estimates = {
+            model.scan_estimate(Atom(E, (term, y))).rows
+            for term in (Constant(1), Constant(2), Constant(99), parameter(0))
+        }
+        assert len(estimates) == 1
+
+    def test_plan_engine_plans_and_compiles_once_per_entry(self, monkeypatch):
+        from repro.evaluation import join_plans, planner_dp
+
+        monkeypatch.delenv("REPRO_PLANNER", raising=False)
+        modes = []
+        compiled = []
+        original = planner_dp.plan_dp
+        original_compile = join_plans.compile_plan
+
+        def counted(query, database, **kwargs):
+            modes.append(kwargs.get("linear", False))
+            assert not set(query.constants()) - {parameter(0)}
+            return original(query, database, **kwargs)
+
+        def counted_compile(plan):
+            compiled.append(plan)
+            return original_compile(plan)
+
+        monkeypatch.setattr(planner_dp, "plan_dp", counted)
+        monkeypatch.setattr(join_plans, "compile_plan", counted_compile)
+        database = _triangle_database()
+        service = QueryService(database, replan_drift=0.5)
+        names = itertools.cycle([(y, z), (u, v), (v, w)])
+        for anchor in (1, 2, 3, 4, 5, 1):
+            b, c = next(names)
+            for query in (_anchored_path(anchor, b, c), _triangle(anchor)):
+                truth = evaluate_generic(query, database)
+                assert service.submit(query, engine="plan") == truth
+                assert set(service.stream(query, engine="plan")) == truth
+        # Two shapes, each planned and compiled once per mode (materialising,
+        # streaming): warm requests neither plan nor compile.
+        assert sorted(modes) == [False, False, True, True]
+        assert len(compiled) == 4
+        assert service.plan_misses == 2
+        for i in range(10, 16):  # grow |D| past the drift threshold
+            service.insert(_edge(i, i + 1))
+        query = _anchored_path(2, y, z)
+        assert service.submit(query, engine="plan") == evaluate_generic(query, database)
+        assert service.replans == 1 and modes.count(False) == 3
+        assert len(compiled) == 5
+
+    def test_plan_cache_evicts_the_oldest_shape(self, monkeypatch):
+        monkeypatch.setattr(service_module, "PLAN_CACHE_LIMIT", 4)
+        database = Database()
+        predicates = [Predicate(f"P{i}", 2) for i in range(6)]
+        for i, predicate in enumerate(predicates):
+            database.add(Atom(predicate, (Constant(i), Constant(i + 1))))
+            database.add(Atom(predicate, (Constant(i + 1), Constant(i + 2))))
+
+        def shape(i, anchor):
+            return ConjunctiveQuery(
+                (z,),
+                [
+                    Atom(predicates[i], (Constant(anchor), y)),
+                    Atom(predicates[i], (y, z)),
+                ],
+            )
+
+        service = QueryService(database)
+        keys = []
+        for i in range(5):
+            query = shape(i, i)
+            assert service.submit(query) == evaluate_generic(query, database)
+            keys.append(service._shapes[query_shape(query)[0]])
+        assert list(service._plans) == keys[1:]
+        assert len(service._shapes) == 4
+        # The evicted shape comes back under another anchor: a fresh
+        # route and compile, still right.
+        query = shape(0, 7)
+        assert service.submit(query) == evaluate_generic(query, database)
+        query = shape(0, 0)
+        assert service.submit(query) == evaluate_generic(query, database)
+        assert service.plan_misses == 6
+        assert list(service._plans) == keys[2:] + [keys[0]]
+
+    def test_parallel_batch_binds_each_request_its_own_anchor(self):
+        """Concurrent runs of one shared plan never see each other's anchors."""
+        import sys
+
+        database = _db(*[(i, i + 1) for i in range(40)])
+        service = QueryService(database)
+        queries = [_anchored_path(anchor % 40, y, z) for anchor in range(160)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            answers = service.submit_batch(queries, parallel=4)
+            planned = service.submit_batch(queries, engine="plan", parallel=4)
+        finally:
+            sys.setswitchinterval(interval)
+        truth = [evaluate_generic(query, database) for query in queries]
+        assert answers == truth and planned == truth
+        assert answers[3] == {(Constant(5),)}
+        assert service.plan_misses == 2  # one shape, two engines
+
+    def test_placeholders_never_reach_the_encoder_or_scan_signatures(self):
+        database = _db(*[(i, (i * 7) % 50) for i in range(50)])
+        service = QueryService(database)
+        for i in range(200):
+            query = _anchored_path(i % 50, Variable(f"b{i}"), Variable(f"c{i}"))
+            assert service.submit(query, backend="columnar") == evaluate_generic(
+                query, database
+            )
+        assert service.plan_misses == 1
+
+        def is_placeholder(term):
+            name = getattr(term, "name", None)
+            return isinstance(name, tuple) and name[:1] == ("__param__",)
+
+        assert not any(is_placeholder(term) for term in service.scans.encoder.terms)
+        for predicate, slots in service.scans._scans:
+            assert not any(
+                kind == "c" and is_placeholder(term) for kind, term in slots
+            )
+
+
+@st.composite
+def _queries_with_repeated_constants(draw):
+    pool = [Variable(f"x{i}") for i in range(3)] + [Constant(i) for i in range(1, 4)]
+    body = [
+        Atom(draw(st.sampled_from([R, S])), tuple(draw(st.sampled_from(pool)) for _ in range(2)))
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    variables = sorted({t for atom in body for t in atom.terms if isinstance(t, Variable)}, key=str)
+    head = draw(st.lists(st.sampled_from(variables), max_size=2)) if variables else []
+    return ConjunctiveQuery(tuple(head), body)
+
+
+def _variant(query, data):
+    """An isomorphic copy: variables renamed, constants renamed injectively."""
+    targets = data.draw(st.permutations(list(range(1, 7))))
+    mapping = {Constant(i): Constant(targets[i - 1]) for i in range(1, 4)}
+    mapping.update({Variable(f"x{i}"): Variable(f"w{2 - i}") for i in range(3)})
+    return query.apply(mapping)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    _queries_with_repeated_constants(),
+    st.lists(
+        st.tuples(st.sampled_from([R, S]), st.integers(1, 6), st.integers(1, 6)),
+        max_size=14,
+    ),
+    st.data(),
+)
+def test_equal_pre_keys_mean_equal_plan_keys(query, facts, data):
+    variant = _variant(query, data)
+    (shape, params), (variant_shape, variant_params) = (
+        query_shape(query),
+        query_shape(variant),
+    )
+    assert shape == variant_shape
+    assert canonical_form(core(lift_constants(query, params))) == canonical_form(
+        core(lift_constants(variant, variant_params))
+    )
+    database = Database()
+    for predicate, a, b in facts:
+        database.add(Atom(predicate, (Constant(a), Constant(b))))
+    service = QueryService(database)
+    assert service.submit(query) == evaluate_generic(query, database)
+    assert service.submit(variant) == evaluate_generic(variant, database)
+    assert service.plan_misses == 1
 
 
 # ----------------------------------------------------------------------
