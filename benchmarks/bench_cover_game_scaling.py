@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
+from helpers.cover_game_naive import existential_one_cover_naive
 from repro.datamodel import Atom, Constant, Predicate, Variable
 from repro.evaluation import membership_generic, membership_via_cover_game_guarded
 from repro.queries.cq import ConjunctiveQuery
@@ -119,9 +120,9 @@ def run_scaling(
         query, database = cover_game_scaling_workload(
             size, layers=layers, fanout=fanout, seed=seed
         )
-        wins = membership_via_cover_game_guarded(query, database, engine="worklist")
+        wins = membership_via_cover_game_guarded(query, database)
         worklist_time = _best_of(
-            lambda: membership_via_cover_game_guarded(query, database, engine="worklist"),
+            lambda: membership_via_cover_game_guarded(query, database),
             repeats,
         )
 
@@ -133,16 +134,14 @@ def run_scaling(
             # run doubles as the differential check on the main query.
             start = time.perf_counter()
             naive_wins = membership_via_cover_game_guarded(
-                query, database, engine="naive"
+                query, database, engine=existential_one_cover_naive
             )
             naive_time = time.perf_counter() - start
             answers_agree = naive_wins == wins
             for label, probe in probes:
-                worklist_answer = membership_via_cover_game_guarded(
-                    probe, database, engine="worklist"
-                )
+                worklist_answer = membership_via_cover_game_guarded(probe, database)
                 naive_answer = membership_via_cover_game_guarded(
-                    probe, database, engine="naive"
+                    probe, database, engine=existential_one_cover_naive
                 )
                 agree = worklist_answer == naive_answer
                 if size == min(sizes):
@@ -236,7 +235,7 @@ def test_worklist_engine_outgrows_naive_engine():
 def test_worklist_engine_throughput(benchmark, size):
     query, database = cover_game_scaling_workload(size, layers=LAYERS)
     wins = benchmark(
-        lambda: membership_via_cover_game_guarded(query, database, engine="worklist")
+        lambda: membership_via_cover_game_guarded(query, database)
     )
     print_series(
         f"E12b: worklist engine, |D| = {len(database)}",

@@ -16,6 +16,7 @@ all — the reformulation, not the planner, is what removes the join blow-up.
 
 import pytest
 
+from helpers.ablation_planners import plan_in_query_order
 from repro.core import decide_semantic_acyclicity
 from repro.evaluation import (
     evaluate_acyclic,
@@ -23,7 +24,6 @@ from repro.evaluation import (
     evaluate_with_plan,
     execute_plan,
     plan_greedy,
-    plan_in_query_order,
 )
 from repro.workloads.generators import music_store_database
 from repro.workloads.paper_examples import example1_query, example1_tgd

@@ -2,8 +2,8 @@
 
 The greedy planner of :mod:`repro.evaluation.join_plans` historically
 scored atoms with a blind 1/10-per-constraint selectivity guess
-(:func:`repro.evaluation.estimate_cardinality`, preserved as
-:func:`repro.evaluation.plan_greedy_heuristic`).  The statistics-calibrated
+(``estimate_cardinality``, preserved with ``plan_greedy_heuristic`` in
+``tests/helpers/ablation_planners.py``).  The statistics-calibrated
 cost model (:class:`repro.evaluation.CostModel`: per-column distinct
 counts, bucket-size histograms, textbook join selectivities) replaced it,
 and the Selinger-style DP planner (:func:`repro.evaluation.plan_dp`) now
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from helpers.ablation_planners import plan_greedy_heuristic
 from repro.evaluation import (
     DecompositionEvaluator,
     ExecutionContext,
@@ -49,7 +50,6 @@ from repro.evaluation import (
     execute_plan,
     plan_dp,
     plan_greedy,
-    plan_greedy_heuristic,
 )
 from repro.reporting import BenchSnapshot
 from repro.workloads.generators import fanout_cycles_workload, plan_quality_workload

@@ -30,12 +30,11 @@ from typing import Dict, List, Optional, Sequence
 
 import pytest
 
+# The quadratic baseline is a test-only oracle (tests/helpers/, put on
+# sys.path by this directory's conftest).
+from helpers.yannakakis_dict import DictYannakakisEvaluator
 from repro.evaluation import ScanCache, YannakakisEvaluator
 from repro.evaluation.relation import Partition
-
-# The quadratic baseline is a test-only oracle (tests/helpers/); its
-# historical module path is kept alive by a shim precisely for this import.
-from repro.evaluation.yannakakis_dict import DictYannakakisEvaluator
 from repro.reporting import BenchSnapshot
 from repro.workloads.generators import yannakakis_scaling_workload
 from conftest import print_series, scaled_sizes, smoke_mode

@@ -16,13 +16,27 @@ benchmarks; thread it through the others as they are touched) to tiny
 inputs.  The tier-1 test suite uses this to import and execute the
 benchmark modules in milliseconds — so a broken benchmark fails fast in CI
 instead of at the next full benchmark run.
+
+Test helpers
+------------
+The baselines some benchmarks time — the assignment-dict Yannakakis, the
+round-based cover game, the ablation-only join planners — are test-only
+oracles under ``tests/helpers/``.  This conftest puts ``tests/`` on
+``sys.path``, so benchmarks import them as ``helpers.*`` exactly as the
+tier-1 tests do.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+_TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 
 def smoke_mode() -> bool:

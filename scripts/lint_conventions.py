@@ -21,11 +21,11 @@ Six rules, each encoding a convention the codebase actually relies on:
    ``src/repro/analysis/verify_plan.py``, so the static verifier's
    batch-face width check (PLAN013/PLAN014) can recompute its output
    width instead of warning it unchecked.
-5. **Planner entry points accept ``backend=``** — every public planner
-   in ``join_plans.py``/``planner_dp.py`` (a ``plan_*`` function taking
-   a ``database``, or an entry point taking a ``planner``) must accept a
-   ``backend`` keyword, so any planner can be dropped into any entry
-   point regardless of which execution backend runs the plan.
+5. **Plan entry points accept ``backend=``** — every public function in
+   ``join_plans.py``/``planner_dp.py`` that takes a ``planner`` and a
+   ``database`` plans *and executes*, so it must accept a ``backend``
+   keyword and run on either execution face.  Planners themselves only
+   order atoms and take no ``backend``.
 6. **Operators are immutable** — an operator class in ``operators.py``
    (``Operator`` or any subclass of it) assigns ``self.<attr>`` only inside
    ``__init__``.  Run state belongs to the run's ``ExecutionContext``, so
@@ -193,7 +193,7 @@ def check_batch_face_registry() -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# Rule 5: planner entry points accept backend=
+# Rule 5: plan entry points (planner= and execute) accept backend=
 # ----------------------------------------------------------------------
 PLANNER_FILES = (
     REPO_ROOT / "src" / "repro" / "evaluation" / "join_plans.py",
@@ -212,13 +212,12 @@ def check_planner_backend_parameter() -> List[str]:
                 argument.arg
                 for argument in node.args.args + node.args.kwonlyargs
             }
-            is_planner = node.name.startswith("plan_") and "database" in arguments
             is_entry_point = "planner" in arguments and "database" in arguments
-            if (is_planner or is_entry_point) and "backend" not in arguments:
+            if is_entry_point and "backend" not in arguments:
                 violations.append(
-                    f"{relative(path)}:{node.lineno}: planner entry point "
+                    f"{relative(path)}:{node.lineno}: plan entry point "
                     f"{node.name} does not accept backend= "
-                    "(planners must be backend-agnostic drop-ins)"
+                    "(it executes the plan, on either backend)"
                 )
     return violations
 
@@ -289,7 +288,7 @@ def main() -> int:
     print(
         "lint: conventions hold "
         "(operator faces, defaults, BENCH_SMOKE, batch-face registry, "
-        "planner backend= parameter, immutable operators)"
+        "plan entry point backend= parameter, immutable operators)"
     )
     return 0
 

@@ -10,10 +10,17 @@ and records per-operator estimated (statistics-calibrated
 :func:`evaluate_iter` (and :meth:`YannakakisEvaluator.iter_answers`,
 :func:`iter_with_plan`, :meth:`BatchEvaluator.evaluate_iter`) yields
 distinct answers one at a time instead of materialising the output — the
-``LIMIT``-style serving scenarios of the ROADMAP.  The original
-assignment-dict Yannakakis is a test-only differential oracle under
-``tests/helpers/yannakakis_dict.py`` and is no longer part of this
-package's API.
+``LIMIT``-style serving scenarios of the ROADMAP.
+
+Join plans come from one planner, the Selinger DP of
+:mod:`~repro.evaluation.planner_dp` (left-deep :func:`plan_dp_linear` on
+the streaming faces, :func:`plan_greedy` past :data:`DP_ATOM_LIMIT`
+atoms); ``planner=`` takes any other planner as a callable.  The cover
+game's ``engine=`` likewise takes the fixpoint as a callable, defaulting
+to the worklist propagator :func:`existential_one_cover`.  Differential
+oracles and ablation baselines (the assignment-dict Yannakakis, the
+round-based cover game, the ablation-only planners) live under
+``tests/helpers/`` and are not part of this package.
 
 Every operator additionally exposes a *batch* face
 (:meth:`~repro.evaluation.operators.Operator.iter_batches`) running over
@@ -26,9 +33,6 @@ projection and selection run one vectorised kernel each
 (:mod:`repro.evaluation.parallel`: sorted build keys probed with
 ``searchsorted``, ``unique``-based dedup, selection masks) whenever the
 key packs into ``int64``, with answers bit-identical to the loop kernels.
-``parallel=`` (or ``REPRO_PARALLEL``) on :func:`evaluate_batch` and
-:meth:`BatchEvaluator.evaluate` schedules the independent queries of a
-batch on threads.
 
 Batches of queries over one database go through :func:`evaluate_batch`
 (:mod:`repro.evaluation.batch`), which shares the phase-1 atom scans and
@@ -61,11 +65,7 @@ from .operators import (
     Statistics,
     render_plan,
 )
-from .parallel import (
-    PARALLEL_ENV,
-    PARALLEL_MIN_ROWS,
-    resolve_parallel,
-)
+from .parallel import PARALLEL_MIN_ROWS
 from .batch import BatchEvaluator, CacheBindingError, ScanCache, atom_signature
 from .yannakakis import (
     AcyclicityRequired,
@@ -81,17 +81,13 @@ from .join_plans import (
     PlanTree,
     boolean_with_plan,
     compile_plan,
-    estimate_cardinality,
     estimated_intermediate_sizes,
     evaluate_with_plan,
     execute_plan,
     explain_plan,
     iter_plan_answers,
     iter_with_plan,
-    plan_by_cardinality,
     plan_greedy,
-    plan_greedy_heuristic,
-    plan_in_query_order,
     resolve_planner,
 )
 from .planner_dp import DP_ATOM_LIMIT, DecompositionEvaluator, plan_dp, plan_dp_linear
@@ -102,7 +98,6 @@ from .cover_game import (
     instance_covers_database,
     query_covers_database,
 )
-from .cover_game_naive import existential_one_cover_naive
 from .semacyclic_eval import (
     NotSemanticallyAcyclic,
     SemAcEvaluation,
@@ -138,7 +133,6 @@ __all__ = [
     "JoinPlan",
     "NotSemanticallyAcyclic",
     "Operator",
-    "PARALLEL_ENV",
     "PARALLEL_MIN_ROWS",
     "Partition",
     "PlanExecution",
@@ -161,7 +155,6 @@ __all__ = [
     "boolean_generic",
     "boolean_with_plan",
     "compile_plan",
-    "estimate_cardinality",
     "estimated_intermediate_sizes",
     "evaluate_acyclic",
     "evaluate_batch",
@@ -171,7 +164,6 @@ __all__ = [
     "evaluate_with_plan",
     "execute_plan",
     "existential_one_cover",
-    "existential_one_cover_naive",
     "explain",
     "explain_plan",
     "instance_covers_database",
@@ -183,16 +175,12 @@ __all__ = [
     "membership_via_cover_game_egds",
     "membership_via_cover_game_guarded",
     "numpy_enabled",
-    "plan_by_cardinality",
     "plan_dp",
     "plan_dp_linear",
     "plan_greedy",
-    "plan_greedy_heuristic",
-    "plan_in_query_order",
     "query_covers_database",
     "render_plan",
     "resolve_backend",
-    "resolve_parallel",
     "resolve_planner",
     "resolve_route",
     "service_enabled",

@@ -35,7 +35,6 @@ shared-predicate workload of
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Dict,
     Iterable,
@@ -58,7 +57,6 @@ from .join_plans import (
     iter_with_plan,
     resolve_planner,
 )
-from .parallel import resolve_parallel
 from .relation import Relation, Row, ScanPattern, ScanProvider, compile_scan_pattern
 from .yannakakis import YannakakisEvaluator
 
@@ -469,7 +467,6 @@ class BatchEvaluator:
         *,
         scans: Optional[ScanProvider] = None,
         backend: Optional[str] = None,
-        parallel: Optional[object] = None,
     ) -> List[Set[Tuple[Term, ...]]]:
         """Return ``[q(D) for q in queries]`` with shared phase-1 work.
 
@@ -481,34 +478,12 @@ class BatchEvaluator:
         query adds its own linear semi-join/join cost and every plan-routed
         query its plan cost.
 
-        With ``parallel`` resolving to two or more workers (see
-        :func:`repro.evaluation.parallel.resolve_parallel`), the batch's
-        independent queries are *scheduled concurrently* over the shared
-        cache (scans serialise on the cache's lock; everything downstream is
-        read-path).  Results stay in query order, and each query's answer
-        set is identical to its serial evaluation — scheduling never changes
-        semantics, only wall-clock overlap.
+        The queries run one after another.  The shared cache is
+        thread-safe (scans serialise on its lock), so client threads may
+        call :meth:`evaluate` concurrently over one cache.
         """
-        workers = resolve_parallel(parallel)
         if scans is None:
             scans = ScanCache(database)
-        if workers >= 2 and len(self.queries) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(self.queries)),
-                thread_name_prefix="repro-batch",
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        self._evaluate_one,
-                        query,
-                        route,
-                        database,
-                        scans,
-                        backend,
-                    )
-                    for query, route in zip(self.queries, self._routes)
-                ]
-                return [future.result() for future in futures]
         return [
             self._evaluate_one(query, route, database, scans, backend)
             for query, route in zip(self.queries, self._routes)

@@ -40,13 +40,13 @@ acyclicity-sensitive bounds of Brault-Baron):
   bucket it guards.  Every (image, neighbour) support pair is touched O(1)
   times overall, instead of once per round of the classical fixpoint.
 
-The round-based reference implementation survives in
-:mod:`repro.evaluation.cover_game_naive` as the differential oracle and
-benchmark baseline (``benchmarks/bench_cover_game_scaling.py`` shows the
-growth-rate gap); every cover-game entry point — here and in
-:mod:`repro.evaluation.semacyclic_eval` — accepts ``engine="worklist"``
-(this module's AC-4 propagator, the default) or ``engine="naive"`` (the
-round-based fixpoint) to select between them.  The key consequences used by
+The round-based reference implementation lives under ``tests/helpers/``
+as the differential oracle and benchmark baseline
+(``benchmarks/bench_cover_game_scaling.py`` shows the growth-rate gap).
+Every cover-game entry point — here and in
+:mod:`repro.evaluation.semacyclic_eval` — takes the fixpoint as
+``engine=``, a :data:`CoverEngine` callable defaulting to this module's
+AC-4 propagator :func:`existential_one_cover`.  The key consequences used by
 the paper are Proposition 30 (winning the game transfers acyclic-CQ
 answers) and Proposition 31 / Lemma 32 (for semantically acyclic queries,
 and under guarded tgds, the game decides evaluation).
@@ -64,7 +64,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from ..datamodel import (
@@ -88,7 +87,7 @@ class CoverGameResult:
     strategy: Dict[Atom, Set[Atom]]
 
 
-#: Signature shared by the worklist and the naive engine.
+#: Signature of a cover-game fixpoint (the ``engine=`` of the entry points).
 CoverEngine = Callable[
     [Instance, Sequence[Term], Instance, Sequence[Term]], CoverGameResult
 ]
@@ -289,27 +288,12 @@ def existential_one_cover(
     return CoverGameResult(True, snapshot())
 
 
-def _resolve_engine(engine: Union[str, CoverEngine]) -> CoverEngine:
-    """Map an engine name (or a callable) to the fixpoint implementation."""
-    if callable(engine):
-        return engine
-    if engine == "worklist":
-        return existential_one_cover
-    if engine == "naive":
-        from .cover_game_naive import existential_one_cover_naive
-
-        return existential_one_cover_naive
-    raise ValueError(
-        f"unknown cover-game engine {engine!r} (expected 'worklist' or 'naive')"
-    )
-
-
 def query_covers_database(
     query: ConjunctiveQuery,
     database: Instance,
     answer: Sequence[GroundTerm] = (),
     *,
-    engine: Union[str, CoverEngine] = "worklist",
+    engine: CoverEngine = existential_one_cover,
 ) -> bool:
     """Decide ``(q, x̄) ≡∃1c (D, t̄)``.
 
@@ -321,8 +305,7 @@ def query_covers_database(
     """
     left = Instance(atom.map_terms(_variable_as_element) for atom in query.body)
     left_tuple = [_variable_as_element(v) for v in query.head]
-    play = _resolve_engine(engine)
-    return play(left, left_tuple, database, list(answer)).duplicator_wins
+    return engine(left, left_tuple, database, list(answer)).duplicator_wins
 
 
 def _variable_as_element(term: Term) -> Term:
@@ -340,8 +323,7 @@ def instance_covers_database(
     database: Instance,
     answer: Sequence[GroundTerm] = (),
     *,
-    engine: Union[str, CoverEngine] = "worklist",
+    engine: CoverEngine = existential_one_cover,
 ) -> bool:
     """Decide ``(I, t̄) ≡∃1c (D, t̄')`` for arbitrary instances (e.g. chases)."""
-    play = _resolve_engine(engine)
-    return play(left, list(left_tuple), database, list(answer)).duplicator_wins
+    return engine(left, list(left_tuple), database, list(answer)).duplicator_wins

@@ -7,7 +7,7 @@ a cost-based join order — so that the benchmarks can compare three points of
 the design space on the same workloads:
 
 1. naive backtracking in query order (``evaluate_generic``);
-2. hash joins over a greedily chosen join order (this module, compiled onto
+2. hash joins over a cost-based join order (this module, compiled onto
    the physical-operator IR of :mod:`repro.evaluation.operators`);
 3. Yannakakis' semi-join algorithm for acyclic queries
    (:mod:`repro.evaluation.yannakakis`) — the method semantic acyclicity is
@@ -19,10 +19,10 @@ compilation turns it into a chain (left-deep) or tree (bushy) of
 :class:`~repro.evaluation.operators.Scan` and
 :class:`~repro.evaluation.operators.HashJoin` operators.  The default
 planner is the Selinger-style dynamic program of
-:mod:`repro.evaluation.planner_dp` (``REPRO_PLANNER`` overrides it — see
-:func:`resolve_planner`); the greedy planner survives as
-:func:`plan_greedy`, the differential baseline.  The two execution faces
-come straight from the IR:
+:mod:`repro.evaluation.planner_dp` (see :func:`resolve_planner`); the
+greedy planner survives as :func:`plan_greedy`, the DP's fallback above
+:data:`~repro.evaluation.planner_dp.DP_ATOM_LIMIT` atoms.  The two
+execution faces come straight from the IR:
 
 * :func:`execute_plan` materialises step by step and records every
   intermediate-result size (the ablation benchmarks and the cost-model
@@ -37,19 +37,18 @@ Cardinality estimation is statistics-calibrated: the planners score
 candidate orders with the :class:`~repro.evaluation.operators.CostModel`
 (per-column distinct counts, bucket-size histograms, textbook join
 selectivities) instead of the historical 1/10-per-constraint guess.  The
-old heuristic survives as :func:`estimate_cardinality` /
-:func:`plan_greedy_heuristic` — the baseline that
+old heuristic and the ablation-only planners live with the tests
+(``tests/helpers/ablation_planners.py``), the baseline that
 ``benchmarks/bench_plan_quality.py`` and the calibration guard in
 ``tests/test_plan_calibration.py`` measure the calibrated model against.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..datamodel import Atom, Constant, Instance, Term, Variable
+from ..datamodel import Atom, Instance, Term, Variable
 from ..queries.cq import ConjunctiveQuery
 from .operators import (
     CardinalityEstimate,
@@ -202,30 +201,6 @@ class PlanExecution:
 # ----------------------------------------------------------------------
 # Cardinality estimation
 # ----------------------------------------------------------------------
-def estimate_cardinality(atom: Atom, database: Instance) -> int:
-    """The *legacy heuristic* estimate of the facts matching ``atom``.
-
-    Relation size, discounted by one fixed factor of 10 per constant or
-    repeated-variable constraint — monotone but blind to the actual value
-    distributions.  Superseded by the statistics-calibrated
-    :meth:`~repro.evaluation.operators.CostModel.scan_estimate` everywhere
-    the planners run; kept as the baseline of
-    :func:`plan_greedy_heuristic` and of
-    ``benchmarks/bench_plan_quality.py``.
-    """
-    base = len(database.atoms_with_predicate(atom.predicate))
-    constraints = sum(1 for term in atom.terms if isinstance(term, Constant))
-    seen: Set[Term] = set()
-    for term in atom.terms:
-        if isinstance(term, Variable):
-            if term in seen:
-                constraints += 1
-            seen.add(term)
-    for _ in range(constraints):
-        base = max(1, base // 10) if base else 0
-    return base
-
-
 def estimated_intermediate_sizes(plan: JoinPlan) -> List[int]:
     """The cost model's estimate of each step's intermediate-result size.
 
@@ -251,44 +226,12 @@ def _cost_model(
     return CostModel(statistics if statistics is not None else Statistics(database, scans))
 
 
-def plan_in_query_order(
-    query: ConjunctiveQuery,
-    database: Instance,
-    *,
-    scans: Optional[ScanProvider] = None,
-    statistics: Optional[Statistics] = None,
-    backend: Optional[str] = None,
-) -> JoinPlan:
-    """The "no planning" plan: atoms in the order they appear in the query."""
-    del backend  # planning is backend-independent; accepted for uniformity
-    model = _cost_model(database, scans, statistics)
-    return _plan_from_order(query, list(query.body), model)
-
-
-def plan_by_cardinality(
-    query: ConjunctiveQuery,
-    database: Instance,
-    *,
-    scans: Optional[ScanProvider] = None,
-    statistics: Optional[Statistics] = None,
-    backend: Optional[str] = None,
-) -> JoinPlan:
-    """Left-deep plan ordering atoms by estimated scan cardinality only."""
-    del backend
-    model = _cost_model(database, scans, statistics)
-    ordered = sorted(
-        query.body, key=lambda atom: (model.scan_estimate(atom).rows, str(atom))
-    )
-    return _plan_from_order(query, ordered, model)
-
-
 def plan_greedy(
     query: ConjunctiveQuery,
     database: Instance,
     *,
     scans: Optional[ScanProvider] = None,
     statistics: Optional[Statistics] = None,
-    backend: Optional[str] = None,
 ) -> JoinPlan:
     """Greedy connected plan under the statistics-calibrated cost model.
 
@@ -300,7 +243,6 @@ def plan_greedy(
     scans (and the partitions the planner's joint-distinct counts build)
     between planning and execution.
     """
-    del backend
     model = _cost_model(database, scans, statistics)
     body = list(query.body)
     if not body:
@@ -335,50 +277,6 @@ def plan_greedy(
     return _plan_from_order(query, ordered, model)
 
 
-def plan_greedy_heuristic(
-    query: ConjunctiveQuery,
-    database: Instance,
-    *,
-    scans: Optional[ScanProvider] = None,
-    statistics: Optional[Statistics] = None,
-    backend: Optional[str] = None,
-) -> JoinPlan:
-    """The historical greedy planner driven by :func:`estimate_cardinality`.
-
-    Connected atoms preferred, ordered by the 1/10-per-constraint scan
-    heuristic alone (no join selectivities).  Kept as the ablation baseline
-    for ``benchmarks/bench_plan_quality.py``; the step estimates recorded
-    on the plan still come from the calibrated model, so only the *order*
-    differs from :func:`plan_greedy`.
-    """
-    del backend
-    model = _cost_model(database, scans, statistics)
-    remaining = list(query.body)
-    if not remaining:
-        return JoinPlan(query)
-
-    ordered: List[Atom] = []
-    bound_variables: Set[Variable] = set()
-    first = min(
-        remaining, key=lambda atom: (estimate_cardinality(atom, database), str(atom))
-    )
-    ordered.append(first)
-    bound_variables.update(first.variables())
-    remaining.remove(first)
-
-    while remaining:
-        connected = [atom for atom in remaining if atom.variables() & bound_variables]
-        pool = connected or remaining
-        chosen = min(
-            pool, key=lambda atom: (estimate_cardinality(atom, database), str(atom))
-        )
-        ordered.append(chosen)
-        bound_variables.update(chosen.variables())
-        remaining.remove(chosen)
-
-    return _plan_from_order(query, ordered, model)
-
-
 def _plan_from_order(
     query: ConjunctiveQuery, ordered: Sequence[Atom], model: CostModel
 ) -> JoinPlan:
@@ -403,52 +301,28 @@ def _plan_from_order(
 # ----------------------------------------------------------------------
 # Default-planner resolution
 # ----------------------------------------------------------------------
-PLANNER_ENV = "REPRO_PLANNER"
-
 Planner = Callable[..., JoinPlan]
 
 
-def resolve_planner(
-    planner: Union[Planner, str, None] = None, *, streaming: bool = False
-) -> Planner:
-    """Resolve a planner callable from a name, the environment, or default.
+def resolve_planner(planner: Optional[Planner] = None, *, streaming: bool = False) -> Planner:
+    """The planner to run: ``planner`` itself, or the Selinger DP.
 
-    ``None`` consults the ``REPRO_PLANNER`` environment variable and falls
-    back to ``"dp"`` — the Selinger dynamic program of
-    :mod:`repro.evaluation.planner_dp` is the default planner.  Accepted
-    names: ``dp``, ``greedy``, ``heuristic``, ``cardinality``,
-    ``query-order``.  A callable passes through unchanged, so existing
-    ``planner=plan_greedy`` call sites keep working.
+    ``None`` resolves to :func:`~repro.evaluation.planner_dp.plan_dp`, the
+    dynamic program over bushy trees; a callable passes through unchanged
+    (``planner=plan_greedy`` pins the greedy baseline).
 
-    ``streaming=True`` resolves ``"dp"`` to the left-deep restriction
+    ``streaming=True`` resolves the default to the left-deep restriction
     :func:`~repro.evaluation.planner_dp.plan_dp_linear` instead: bushy
     build sides would have to be materialised before the first answer,
     breaking the streaming face's bounded-work-per-answer contract, so
     enumeration entry points plan left-deep chains only.
     """
-    if callable(planner):
+    if planner is not None:
         return planner
-    name = planner
-    if name is None:
-        name = os.environ.get(PLANNER_ENV, "").strip().lower() or "dp"
-    if name == "dp":
-        # Lazy: planner_dp imports this module.
-        from .planner_dp import plan_dp, plan_dp_linear
+    # Lazy: planner_dp imports this module.
+    from .planner_dp import plan_dp, plan_dp_linear
 
-        return plan_dp_linear if streaming else plan_dp
-    registry: dict = {
-        "greedy": plan_greedy,
-        "heuristic": plan_greedy_heuristic,
-        "cardinality": plan_by_cardinality,
-        "query-order": plan_in_query_order,
-    }
-    try:
-        return registry[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown planner {name!r}; expected one of "
-            "'dp', 'greedy', 'heuristic', 'cardinality', 'query-order'"
-        ) from None
+    return plan_dp_linear if streaming else plan_dp
 
 
 # ----------------------------------------------------------------------
@@ -498,7 +372,6 @@ def execute_plan(
     *,
     scans: Optional[ScanProvider] = None,
     backend: Optional[str] = None,
-    params: Optional[Mapping[Term, Term]] = None,
 ) -> PlanExecution:
     """Execute a join plan on its materialising face over the IR.
 
@@ -507,11 +380,9 @@ def execute_plan(
     so the ablation benchmarks and the calibration tests read real
     intermediate sizes.  Execution stops early when an intermediate comes
     up empty.  ``scans`` injects a shared scan provider for the base-atom
-    scans (see :meth:`Relation.from_atom`); ``params`` binds the placeholder
-    constants of a parameterised plan (see
-    :class:`~repro.evaluation.operators.ExecutionContext`).
+    scans (see :meth:`Relation.from_atom`).
     """
-    context = ExecutionContext(database, scans, backend=backend, params=params)
+    context = ExecutionContext(database, scans, backend=backend)
     ops = plan._chain
     if ops is None:
         ops = compile_plan(plan)
@@ -557,7 +428,6 @@ def iter_plan_answers(
     scans: Optional[ScanProvider] = None,
     limit: Optional[int] = None,
     backend: Optional[str] = None,
-    params: Optional[Mapping[Term, Term]] = None,
 ) -> Iterator[Tuple[Term, ...]]:
     """Stream a plan's answers through the fully pipelined operator chain.
 
@@ -570,7 +440,7 @@ def iter_plan_answers(
     answers pulled, not to the prefix size.
 
     The set of yielded tuples equals ``execute_plan(...).answers`` exactly,
-    with no tuple yielded twice.  ``params`` as in :func:`execute_plan`.
+    with no tuple yielded twice.
     """
     if limit is not None and limit <= 0:
         return
@@ -587,7 +457,7 @@ def iter_plan_answers(
         plan._stream_top = top
     head_positions = tuple(head_schema.index(v) for v in plan.query.head)
 
-    context = ExecutionContext(database, scans, backend=backend, params=params)
+    context = ExecutionContext(database, scans, backend=backend)
     produced = 0
     if context.backend == "columnar":
         # The chain pipelines batch-at-a-time; codes are decoded only here.
@@ -662,7 +532,7 @@ def _default_scans(
 def evaluate_with_plan(
     query: ConjunctiveQuery,
     database: Instance,
-    planner: Union[Planner, str, None] = None,
+    planner: Optional[Planner] = None,
     *,
     scans: Optional[ScanProvider] = None,
     backend: Optional[str] = None,
@@ -670,7 +540,7 @@ def evaluate_with_plan(
     """Plan and execute ``query`` over ``database``; return the answer set.
 
     ``planner`` defaults to :func:`resolve_planner`'s choice (the Selinger
-    DP unless ``REPRO_PLANNER`` overrides it); a name or callable pins one.
+    DP); a callable pins another.
     """
     planner = resolve_planner(planner)
     scans = _default_scans(database, scans)
@@ -683,7 +553,7 @@ def evaluate_with_plan(
 def iter_with_plan(
     query: ConjunctiveQuery,
     database: Instance,
-    planner: Union[Planner, str, None] = None,
+    planner: Optional[Planner] = None,
     *,
     scans: Optional[ScanProvider] = None,
     limit: Optional[int] = None,
@@ -706,7 +576,7 @@ def iter_with_plan(
 def boolean_with_plan(
     query: ConjunctiveQuery,
     database: Instance,
-    planner: Union[Planner, str, None] = None,
+    planner: Optional[Planner] = None,
     *,
     scans: Optional[ScanProvider] = None,
     backend: Optional[str] = None,

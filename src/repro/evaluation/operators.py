@@ -95,7 +95,7 @@ DEFAULT_BATCH_ROWS = 1024
 def _resolve_batch_rows() -> int:
     """Resolve ``REPRO_BATCH_ROWS`` to a positive int, warning on junk.
 
-    Unlike ``REPRO_BACKEND``/``REPRO_PARALLEL`` (which raise on typos), a
+    Unlike ``REPRO_BACKEND`` (which raises on typos), a
     bad batch size degrades gracefully: batch execution is correct at any
     size, so a non-positive or non-numeric value warns and falls back to
     :data:`DEFAULT_BATCH_ROWS` rather than making every entry point
@@ -175,19 +175,13 @@ class ExecutionContext:
     encodings — like scans and partitions — amortise across every
     evaluation sharing the cache.
 
-    ``params`` binds a parameterised plan's placeholder constants to this
-    run's values (placeholder -> constant; see
-    :func:`repro.service.query_shape`): every :class:`Scan` substitutes them
-    into its atom before reading, so one compiled plan serves every anchor
-    of a query shape.  Empty for plans compiled outside the service.
-
     ``run`` is the run map: one :class:`NodeRun` per executed node, keyed
     by the node itself and created on first use.  It is the only place
     execution writes to, so runs of one shared plan never see each other's
     state.
     """
 
-    __slots__ = ("database", "scans", "backend", "encoder", "params", "run")
+    __slots__ = ("database", "scans", "backend", "encoder", "run")
 
     def __init__(
         self,
@@ -196,11 +190,9 @@ class ExecutionContext:
         *,
         backend: Optional[str] = None,
         encoder: Optional[TermEncoder] = None,
-        params: Optional[Mapping[Term, Term]] = None,
     ) -> None:
         self.database = database
         self.scans = scans
-        self.params: Mapping[Term, Term] = params or {}
         self.backend = resolve_backend(backend)
         if encoder is None:
             encoder = getattr(scans, "encoder", None)
@@ -346,9 +338,7 @@ class Scan(Operator):
 
     Delegates to :meth:`Relation.from_atom`, so the context's scan provider
     (e.g. a shared :class:`~repro.evaluation.batch.ScanCache`) serves the
-    relation when one is injected.  The context's ``params`` are bound into
-    the atom first, so a parameterised plan reads this run's anchors and no
-    placeholder ever reaches the scan provider.
+    relation when one is injected.
     """
 
     __slots__ = ("atom",)
@@ -359,8 +349,7 @@ class Scan(Operator):
         self.atom = atom
 
     def _materialize(self, context: ExecutionContext) -> Relation:
-        atom = self.atom.apply(context.params) if context.params else self.atom
-        return Relation.from_atom(atom, context.database, context.scans)
+        return Relation.from_atom(self.atom, context.database, context.scans)
 
     def label(self) -> str:
         return f"Scan[{self.atom}]"

@@ -1,4 +1,4 @@
-"""Vectorised numpy kernels for the batch face, and batch thread scheduling.
+"""Vectorised numpy kernels for the batch face.
 
 The operator IR's batch face (:meth:`Operator.materialize_encoded`) moves
 dictionary-encoded column stores through ``Select``/``Project``/``Distinct``/
@@ -31,24 +31,15 @@ in row order.
 :meth:`Partition.add_probes` (the loop kernel counts one ``IntIndex.get``
 per probe row); a semi-join adds none (membership is uncounted on every
 path), so the bounded-work assertions hold on either kernel.
-
-:func:`resolve_parallel` is unrelated to the kernels: it resolves the
-thread count :class:`~repro.evaluation.batch.BatchEvaluator` and
-:meth:`repro.service.QueryService.submit_batch` schedule independent
-queries on (explicit argument, then ``REPRO_PARALLEL``, then serial).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence, Tuple
 
 from ..datamodel import Variable
 from .encoding import EncodedRelation, _numpy_module
 from .relation import Partition
-
-#: Environment variable naming the default batch thread count (``auto``/``0``/N).
-PARALLEL_ENV = "REPRO_PARALLEL"
 
 #: Probe-side rows below which the vectorised kernels decline.  Zero: on
 #: numpy storage they beat the loop kernels at every measured size (engine
@@ -57,40 +48,6 @@ PARALLEL_ENV = "REPRO_PARALLEL"
 #: ``benchmarks/bench_parallel_scaling.py`` raise it to force the loop
 #: kernels.
 PARALLEL_MIN_ROWS = 0
-
-
-def resolve_parallel(parallel: Optional[object] = None) -> int:
-    """Resolve the worker count with explicit-over-environment precedence.
-
-    Accepts an int or a string (``"auto"`` → ``os.cpu_count()``); ``0`` and
-    ``1`` mean serial scheduling.  Raises ``ValueError`` on junk so a typo in
-    ``parallel=``/``REPRO_PARALLEL`` fails loudly rather than silently
-    running serial.
-    """
-    value: object = (
-        parallel if parallel is not None else os.environ.get(PARALLEL_ENV, "")
-    )
-    if isinstance(value, bool):
-        raise ValueError(f"parallel must be an int or 'auto', not {value!r}")
-    if isinstance(value, int):
-        workers = value
-    else:
-        text = str(value).strip().lower()
-        if not text:
-            return 0
-        if text == "auto":
-            workers = os.cpu_count() or 1
-        else:
-            try:
-                workers = int(text)
-            except ValueError:
-                raise ValueError(
-                    f"unknown parallel setting {value!r}; "
-                    "expected 'auto', 0, or a worker count"
-                ) from None
-    if workers < 0:
-        raise ValueError(f"parallel worker count must be >= 0, got {workers}")
-    return workers
 
 
 #: Cache-miss sentinel (``None`` is a legitimate cached value: a key

@@ -85,7 +85,6 @@ def plan_dp(
     *,
     scans: Optional[ScanProvider] = None,
     statistics: Optional[Statistics] = None,
-    backend: Optional[str] = None,
     linear: bool = False,
 ) -> JoinPlan:
     """Selinger DP plan: optimal bushy join tree over connected subsets.
@@ -102,7 +101,6 @@ def plan_dp(
     must be a base scan whose partition comes from the cache (see
     :func:`plan_dp_linear`).
     """
-    del backend
     model = _cost_model(database, scans, statistics)
     body = list(query.body)
     if not body:
@@ -123,7 +121,6 @@ def plan_dp_linear(
     *,
     scans: Optional[ScanProvider] = None,
     statistics: Optional[Statistics] = None,
-    backend: Optional[str] = None,
 ) -> JoinPlan:
     """The DP planner restricted to left-deep orders (streaming default).
 
@@ -134,14 +131,7 @@ def plan_dp_linear(
     resolves the default planner to this restriction — still the DP's
     optimal order over *left-deep* connected plans.
     """
-    return plan_dp(
-        query,
-        database,
-        scans=scans,
-        statistics=statistics,
-        backend=backend,
-        linear=True,
-    )
+    return plan_dp(query, database, scans=scans, statistics=statistics, linear=True)
 
 
 # ----------------------------------------------------------------------

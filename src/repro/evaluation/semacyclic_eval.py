@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..chase.egd_chase import egd_chase_query
 from ..chase.tgd_chase import chase_query
@@ -40,7 +40,12 @@ from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
 from .batch import BatchEvaluator, ScanCache
-from .cover_game import CoverEngine, instance_covers_database, query_covers_database
+from .cover_game import (
+    CoverEngine,
+    existential_one_cover,
+    instance_covers_database,
+    query_covers_database,
+)
 from .generic import membership_generic
 from .join_plans import explain_plan, iter_with_plan, resolve_planner
 from .operators import Statistics
@@ -419,7 +424,6 @@ def evaluate_batch(
     engine: str = "batch",
     scans: Optional[ScanProvider] = None,
     backend: Optional[str] = None,
-    parallel: Optional[object] = None,
 ) -> List[Set[Tuple[Term, ...]]]:
     """Evaluate a batch of CQs over one database; return one answer set each.
 
@@ -436,10 +440,6 @@ def evaluate_batch(
       at most once for the whole batch;
     * ``"sequential"`` — the one-query-at-a-time baseline (identical
       routing, no sharing), kept for benchmarking and differential testing.
-
-    ``parallel`` (or ``REPRO_PARALLEL``) schedules the queries of an
-    ``engine="batch"`` run on that many threads (see
-    :meth:`~repro.evaluation.batch.BatchEvaluator.evaluate`).
 
     ``scans`` optionally supplies the cache to use with ``engine="batch"``,
     which amortises the *scan layer* across calls over an unchanged
@@ -464,9 +464,7 @@ def evaluate_batch(
         scans = shared_service(database).scans
     batch = BatchEvaluator(queries, tgds=tgds)
     if engine == "batch":
-        return batch.evaluate(
-            database, scans=scans, backend=backend, parallel=parallel
-        )
+        return batch.evaluate(database, scans=scans, backend=backend)
     return batch.evaluate_sequential(database, backend=backend)
 
 
@@ -475,16 +473,16 @@ def membership_via_cover_game_guarded(
     database: Instance,
     answer: Sequence[GroundTerm] = (),
     *,
-    engine: Union[str, CoverEngine] = "worklist",
+    engine: CoverEngine = existential_one_cover,
 ) -> bool:
     """Theorem 25: membership for semantically acyclic CQs under guarded tgds.
 
     For ``D ⊨ Σ`` with ``Σ`` guarded and ``q`` semantically acyclic under
     ``Σ``, ``t̄ ∈ q(D)`` iff the duplicator wins the existential 1-cover game
     on ``(q, x̄)`` and ``(D, t̄)`` — the constraints themselves never need to
-    be touched at evaluation time.  ``engine`` selects the fixpoint
-    implementation (``"worklist"`` — the AC-4 propagator — or ``"naive"``,
-    the round-based baseline).
+    be touched at evaluation time.  ``engine`` is the fixpoint implementation
+    (the AC-4 propagator :func:`~repro.evaluation.cover_game
+    .existential_one_cover` by default).
     """
     return query_covers_database(query, database, answer, engine=engine)
 
@@ -495,7 +493,7 @@ def membership_via_cover_game_egds(
     database: Instance,
     answer: Sequence[GroundTerm] = (),
     *,
-    engine: Union[str, CoverEngine] = "worklist",
+    engine: CoverEngine = existential_one_cover,
 ) -> bool:
     """Proposition 31 for egd classes with polynomial chase (e.g. FDs).
 
@@ -519,7 +517,7 @@ def membership_via_chase_and_cover_game_tgds(
     max_steps: int = 5_000,
     max_depth: Optional[int] = None,
     *,
-    engine: Union[str, CoverEngine] = "worklist",
+    engine: CoverEngine = existential_one_cover,
 ) -> bool:
     """Proposition 31 instantiated with a (possibly truncated) tgd chase.
 

@@ -54,7 +54,7 @@ relations can come from a shared :class:`repro.evaluation.batch.ScanCache`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..datamodel import Instance, Term, Variable
 from ..hypergraph import JoinTree, JoinTreeError, build_join_tree, query_connectors
@@ -246,13 +246,11 @@ class YannakakisEvaluator:
         database: Instance,
         scans: Optional[ScanProvider],
         backend: Optional[str] = None,
-        params: Optional[Mapping[Term, Term]] = None,
     ) -> ExecutionContext:
         return ExecutionContext(
             database,
             scans if scans is not None else self._scans,
             backend=backend if backend is not None else self._backend,
-            params=params,
         )
 
     # ------------------------------------------------------------------
@@ -266,7 +264,6 @@ class YannakakisEvaluator:
         limit: Optional[int] = None,
         reduce: bool = True,
         backend: Optional[str] = None,
-        params: Optional[Mapping[Term, Term]] = None,
     ) -> Iterator[Tuple[Term, ...]]:
         """Stream the distinct answer tuples of ``q(D)`` one at a time.
 
@@ -290,16 +287,13 @@ class YannakakisEvaluator:
         enumerated so far, so a *complete* run holds at most what the
         materialising assembly builds; a limited run holds proportionally
         less.
-
-        ``params`` binds the placeholder constants of a parameterised query
-        (see :class:`~repro.evaluation.operators.ExecutionContext`).
         """
         if limit is not None and limit <= 0:
             return
         plan = self.compile_stream_plan(reduce=reduce)
         root_carry = self._carry[self.join_tree.root]
         head_positions = tuple(root_carry.index(v) for v in self.query.head)
-        context = self._context(database, scans, backend, params)
+        context = self._context(database, scans, backend)
         produced = 0
         if context.backend == "columnar":
             # Enumerate dictionary codes; decode each carry row only as it
@@ -370,12 +364,10 @@ class YannakakisEvaluator:
         *,
         scans: Optional[ScanProvider] = None,
         backend: Optional[str] = None,
-        params: Optional[Mapping[Term, Term]] = None,
     ) -> Set[Tuple[Term, ...]]:
-        """Return the full answer set ``q(D)`` (``params`` as in
-        :meth:`iter_answers`)."""
+        """Return the full answer set ``q(D)``."""
         plan = self.compile_answer_plan()
-        context = self._context(database, scans, backend, params)
+        context = self._context(database, scans, backend)
         if context.backend == "columnar":
             # Decode straight into the answer set: the whole plan ran on
             # int columns and only the head projection touches terms.

@@ -25,14 +25,14 @@ substrate:
   (:func:`canonical_form`).  So every renamed variant *and every anchor*
   of one query shares a single cached route and evaluator — and with it
   the evaluator's compiled plans, which each request runs in its own
-  execution context with its anchors bound as run state
-  (``ExecutionContext.params``).  The lifting is sound because
-  homomorphisms fix constants: an injective renaming of constants that
-  avoids Σ commutes with ``core`` and preserves semantic acyclicity under
-  Σ, and the cost model prices an anchored scan without looking at the
-  anchor.  A bounded memo from the request's structural pre-key (one
-  linear pass) to its plan key lets a warm request skip ``core``,
-  ``canonical_form``, routing and compilation altogether.  Entries are
+  execution context through a per-request scan provider that binds its
+  anchors into every scanned atom (:class:`BoundScans`).  The lifting is
+  sound because homomorphisms fix constants: an injective renaming of
+  constants that avoids Σ commutes with ``core`` and preserves semantic
+  acyclicity under Σ, and the cost model prices an anchored scan without
+  looking at the anchor.  A bounded memo from the request's structural
+  pre-key (one linear pass) to its plan key lets a warm request skip
+  ``core``, ``canonical_form``, routing and compilation altogether.  Entries are
   re-planned when the database size drifts past ``replan_drift`` of the
   size they were planned at;
 
@@ -53,12 +53,10 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -79,7 +77,7 @@ from .evaluation.join_plans import (
     resolve_planner,
 )
 from .evaluation.operators import Statistics
-from .evaluation.parallel import resolve_parallel
+from .evaluation.relation import Relation, ScanProvider
 from .queries.core_minimization import core
 from .queries.cq import ConjunctiveQuery
 
@@ -234,6 +232,28 @@ PlanKey = Tuple[
 ]
 
 
+class BoundScans:
+    """One request's scan provider: the shared cache with the anchors bound.
+
+    A cached plan scans the lifted query's atoms, whose anchors are
+    placeholders (:func:`parameter`).  :meth:`scan` substitutes this
+    request's binding into each atom and reads it from the shared
+    :class:`~repro.evaluation.batch.ScanCache`, so one compiled plan serves
+    every anchor of its shape and no placeholder reaches a scan signature.
+    ``encoder`` is the cache's own, so encodings stay shared.
+    """
+
+    __slots__ = ("scans", "params", "encoder")
+
+    def __init__(self, scans: ScanCache, params: Mapping[Term, Term]) -> None:
+        self.scans = scans
+        self.params = params
+        self.encoder = scans.encoder
+
+    def scan(self, atom: Atom, database: Optional[Instance] = None) -> Relation:
+        return self.scans.scan(atom.apply(self.params), database)
+
+
 def _remember(table: Dict, key: object, value: object) -> None:
     """Insert into a bounded cache, forgetting the oldest entry when full."""
     if key not in table and len(table) >= PLAN_CACHE_LIMIT:
@@ -277,8 +297,8 @@ class QueryService:
         #: Relative database-size drift past which a cached plan is
         #: re-planned on next use (0.3 = 30%).
         self.replan_drift = replan_drift
-        # Plan-cache and pre-key-memo guard: concurrent submits (see
-        # :meth:`submit_batch`) route through one consistent cache.
+        # Plan-cache and pre-key-memo guard: submits from concurrent client
+        # threads route through one consistent cache.
         self._plan_lock = threading.RLock()
         # Reader-writer exclusion for materialised reads (see
         # :meth:`insert`): a mutation blocks new submits, waits for running
@@ -381,6 +401,10 @@ class QueryService:
             entry.join_plans[streaming] = plan
         return plan
 
+    def _scans_for(self, params: Mapping[Term, Term]) -> ScanProvider:
+        """The scan provider of one request: its anchors bound, if it has any."""
+        return BoundScans(self.scans, params) if params else self.scans
+
     # ------------------------------------------------------------------
     # Reader-writer exclusion (writes block new reads, then drain old ones)
     # ------------------------------------------------------------------
@@ -450,60 +474,18 @@ class QueryService:
         the submit runs wait for it (see :meth:`insert`).
         """
         entry, params = self._entry(query, tuple(tgds), engine)
+        scans = self._scans_for(params)
         with self._tracked():
             if entry.evaluator is not None:  # yannakakis / reformulated / decomposition
                 return entry.evaluator.evaluate(  # type: ignore[attr-defined]
-                    self.database, scans=self.scans, backend=backend, params=params
+                    self.database, scans=scans, backend=backend
                 )
             return execute_plan(
                 self._join_plan(entry, streaming=False),
                 self.database,
-                scans=self.scans,
+                scans=scans,
                 backend=backend,
-                params=params,
             ).answers
-
-    def submit_batch(
-        self,
-        queries: Iterable[ConjunctiveQuery],
-        *,
-        tgds: Sequence[TGD] = (),
-        engine: str = "auto",
-        backend: Optional[str] = None,
-        parallel: Optional[object] = None,
-    ) -> List[Set[Tuple[Term, ...]]]:
-        """Answer several independent queries; one answer set each, in order.
-
-        With ``parallel`` resolving to two or more workers the submits are
-        scheduled concurrently over the service's shared scan cache (scan
-        materialisation serialises on the cache's lock; everything else is
-        read-path).  Results are returned in query order and each equals the
-        corresponding serial :meth:`submit` — concurrency changes wall-clock
-        overlap, never answers.  Writes drain the whole batch first, exactly
-        as they drain single submits.
-        """
-        requests = list(queries)
-        workers = resolve_parallel(parallel)
-        if workers >= 2 and len(requests) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(requests)),
-                thread_name_prefix="repro-service",
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        self.submit,
-                        query,
-                        tgds=tgds,
-                        engine=engine,
-                        backend=backend,
-                    )
-                    for query in requests
-                ]
-                return [future.result() for future in futures]
-        return [
-            self.submit(query, tgds=tgds, engine=engine, backend=backend)
-            for query in requests
-        ]
 
     def stream(
         self,
@@ -524,19 +506,18 @@ class QueryService:
         backpressure knob: at most that many answers are ever computed.
         """
         entry, params = self._entry(query, tuple(tgds), engine)
+        scans = self._scans_for(params)
         if entry.evaluator is not None:
             inner = entry.evaluator.iter_answers(  # type: ignore[attr-defined]
-                self.database, scans=self.scans, limit=limit, backend=backend,
-                params=params,
+                self.database, scans=scans, limit=limit, backend=backend
             )
         else:
             inner = iter_plan_answers(
                 self._join_plan(entry, streaming=True),
                 self.database,
-                scans=self.scans,
+                scans=scans,
                 limit=limit,
                 backend=backend,
-                params=params,
             )
         opened = getattr(self.database, "mutation_epoch", 0)
         return self._guarded(inner, opened)
@@ -566,8 +547,8 @@ class QueryService:
 
         Runs under the write barrier (:meth:`_write_barrier`): new
         materialised submits are blocked, in-flight ones drained, and the
-        mutation applied under exclusivity — so a concurrently scheduled
-        batch never reads around a half-applied write; open streams are
+        mutation applied under exclusivity — so a concurrent client's submit
+        never reads around a half-applied write; open streams are
         left to their own epoch guard, which fails them loudly on the next
         pull.
         """

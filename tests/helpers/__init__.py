@@ -1,8 +1,11 @@
-"""Test-only helpers: legacy oracles and shared workload builders.
+"""Test-only helpers: differential oracles, ablation baselines and workloads.
 
-Modules under this package are *not* part of the library.  They exist so
-that the differential tests (and, via the compatibility shim in
-``src/repro/evaluation/yannakakis_dict.py``, the scaling benchmark) can
-keep exercising independent baseline implementations without those
-baselines living in — or being importable from — the production package.
+Modules under this package are *not* part of the library and nothing in
+``src/`` imports them.  They hold the independent implementations the
+differential tests check the engine against (``yannakakis_dict``,
+``cover_game_naive``, ``chase_subinstances``), the ablation-only join
+planners (``ablation_planners``) and shared workload builders
+(``workloads``).  The tier-1 suite imports them as ``helpers.*`` because
+pytest puts ``tests/`` on ``sys.path``; ``benchmarks/conftest.py`` does the
+same for the benchmarks that time these baselines.
 """

@@ -9,8 +9,10 @@ re-touches each (image, neighbour, neighbour-image) triple, so a cascade of
 deletions costs ``O(rounds · Σ |images|²)`` where the worklist engine of
 :mod:`repro.evaluation.cover_game` touches each support pair O(1) times.
 
-The naive implementation is kept for two purposes only (mirroring the
-dict-Yannakakis oracle in ``tests/helpers/yannakakis_dict.py``):
+The naive implementation lives with the tests and serves two purposes
+(mirroring the dict-Yannakakis oracle in ``yannakakis_dict.py`` next to
+it); pass :func:`existential_one_cover_naive` as the ``engine=`` of any
+cover-game entry point to run it:
 
 * it is the *performance baseline* of ``benchmarks/bench_cover_game_scaling``
   (the benchmark demonstrates the growth-rate gap per database doubling);
@@ -31,8 +33,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
 
-from ..datamodel import Atom, Constant, Instance, Term, is_frozen_constant
-from .cover_game import CoverGameResult
+from repro.datamodel import Atom, Constant, Instance, Term, is_frozen_constant
+from repro.evaluation.cover_game import CoverGameResult
 
 
 def _position_constraints_naive(

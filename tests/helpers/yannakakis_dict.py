@@ -11,11 +11,11 @@ is famous for.  The production evaluator lives in
 
 The dict implementation is a **test-only differential oracle**: it lives
 under ``tests/helpers/`` and is deliberately *not* importable from
-``repro.evaluation`` (its historical module path,
-``repro.evaluation.yannakakis_dict``, survives only as a thin shim so
-``benchmarks/bench_yannakakis_scaling.py`` can keep using it as the
-quadratic baseline from a source checkout).  Two unrelated implementations
-agreeing on randomized workloads is strong evidence for both.
+``repro.evaluation``.  ``benchmarks/bench_yannakakis_scaling.py`` imports
+it as ``helpers.yannakakis_dict`` for its quadratic baseline (the
+benchmarks' conftest puts ``tests/`` on ``sys.path``).  Two unrelated
+implementations agreeing on randomized workloads is strong evidence for
+both.
 
 One genuine bug of the original has been fixed here as well: deduplication
 used to key projected rows on ``(variable.name, str(term))``, which

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datamodel import Atom, Constant, Database, Instance, Null, Predicate, Variable
+from helpers.cover_game_naive import existential_one_cover_naive
 from helpers.yannakakis_dict import DictYannakakisEvaluator
 from repro.evaluation import (
     AcyclicityRequired,
@@ -120,8 +121,13 @@ def _assert_cover_game_decides_membership(query: ConjunctiveQuery, database: Ins
         return
     expected = membership_generic(query, database, ())
     assert boolean_acyclic(query, database) == expected
-    assert membership_via_cover_game_guarded(query, database, engine="worklist") == expected
-    assert membership_via_cover_game_guarded(query, database, engine="naive") == expected
+    assert membership_via_cover_game_guarded(query, database) == expected
+    assert (
+        membership_via_cover_game_guarded(
+            query, database, engine=existential_one_cover_naive
+        )
+        == expected
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers.cover_game_naive import existential_one_cover_naive
 from repro.datamodel import Atom, Constant, Database, Instance, Predicate, Variable
 from repro.evaluation import (
     AcyclicityRequired,
@@ -13,7 +14,6 @@ from repro.evaluation import (
     evaluate_generic,
     evaluate_via_reformulation,
     existential_one_cover,
-    existential_one_cover_naive,
     instance_covers_database,
     membership_baseline,
     membership_generic,
@@ -133,13 +133,17 @@ class TestCoverGame:
             existential_one_cover_naive(Instance(), (Constant("a"),), Instance(), ())
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
+        # The engine is the fixpoint itself; a name is no engine.
+        with pytest.raises(TypeError):
             query_covers_database(
                 parse_query("E(x, y)"), edge_db(("a", "b")), engine="no-such-engine"
             )
 
 
-COVER_ENGINES = ("worklist", "naive")
+COVER_ENGINES = [
+    pytest.param(existential_one_cover, id="worklist"),
+    pytest.param(existential_one_cover_naive, id="naive"),
+]
 
 
 class TestCoverGameConstants:

@@ -4,16 +4,18 @@ import random
 
 import pytest
 
+from helpers.ablation_planners import (
+    estimate_cardinality,
+    plan_by_cardinality,
+    plan_in_query_order,
+)
 from repro.datamodel import Atom, Constant, Database, Instance, Predicate, Variable
 from repro.evaluation import (
     boolean_with_plan,
-    estimate_cardinality,
     evaluate_generic,
     evaluate_with_plan,
     execute_plan,
-    plan_by_cardinality,
     plan_greedy,
-    plan_in_query_order,
 )
 from repro.parser import parse_query
 from repro.workloads.generators import (

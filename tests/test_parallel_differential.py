@@ -15,9 +15,9 @@ with the repo's differential-oracle pattern:
   the plan route and streaming under ``limit=``;
 * the kernels themselves on random multi-column keys, including encoder
   growth between calls and keys whose packing would overflow ``int64``;
-* concurrent batch scheduling (``BatchEvaluator``/``submit_batch`` with
-  ``parallel=``) and the standing service under insert/delete
-  interleavings.
+* client threads sharing one scan cache (``BatchEvaluator.evaluate``
+  called concurrently) or one standing service (``submit`` from four
+  threads) under insert/delete interleavings.
 
 The storage-parametrised tests also run on the pure-python ``array('q')``
 path, where the vectorised kernels decline and the loop kernels are
@@ -27,6 +27,7 @@ checked against the tuple engine alone.
 import os
 import random
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import pytest
@@ -257,8 +258,19 @@ def test_int64_overflow_declines_to_the_loop_kernel():
 
 
 # ----------------------------------------------------------------------
-# Concurrent batch scheduling
+# Client threads over shared caches
 # ----------------------------------------------------------------------
+@contextmanager
+def _switching_often():
+    """Switch threads every microsecond, so concurrent runs interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @STORAGE_PARAMS
 def test_batch_evaluator_parallel_matches_sequential(storage):
     with _storage(storage):
@@ -283,8 +295,16 @@ def _check_batch_evaluator():
         for atom in database.atoms():
             merged.add(atom)
     evaluator = BatchEvaluator(queries)
-    serial = evaluator.evaluate(merged, backend="columnar", parallel=0)
-    assert evaluator.evaluate(merged, backend="columnar", parallel=4) == serial
+    serial = evaluator.evaluate(merged, backend="columnar")
+    # Four client threads evaluate the batch at once over one shared cache.
+    shared = ScanCache(merged)
+    with _switching_often(), ThreadPoolExecutor(max_workers=4) as clients:
+        runs = [
+            clients.submit(evaluator.evaluate, merged, scans=shared, backend="columnar")
+            for _ in range(4)
+        ]
+        concurrent = [run.result(timeout=60) for run in runs]
+    assert concurrent == [serial] * 4
     assert evaluator.evaluate_sequential(merged, backend="columnar") == serial
 
 
@@ -303,12 +323,12 @@ SERVICE_QUERIES = [
 def test_service_parallel_submits_survive_mutation_interleaving(storage):
     """Submits against a long-lived service, interleaved with writes.
 
-    Every read — single and batched on 4 threads, vectorised kernels on —
-    must equal a fresh-cache tuple oracle on the current database state; a
-    divergence means a packed-key or sorted-build cache survived a write
-    it should not have.
+    Every read — single, or one per query from 4 client threads at once,
+    vectorised kernels on — must equal a fresh-cache tuple oracle on the
+    current database state; a divergence means a packed-key or
+    sorted-build cache survived a write it should not have.
     """
-    with _storage(storage):
+    with _storage(storage), _switching_often():
         _check_service_interleaving()
 
 
@@ -318,35 +338,40 @@ def _check_service_interleaving():
     service = QueryService(database)
     oracles = {q.name: YannakakisEvaluator(q) for q in SERVICE_QUERIES}
     evaluated = 0
-    for _ in range(120):
-        roll = rng.random()
-        if roll < 0.25:
-            query = SERVICE_QUERIES[rng.randrange(len(SERVICE_QUERIES))]
-            got = service.submit(query, backend="columnar")
-            want = oracles[query.name].evaluate(database)  # fresh scans, tuple
-            assert got == want, f"{query.name} diverged after {service.writes} writes"
-            evaluated += 1
-        elif roll < 0.35:
-            got = service.submit_batch(
-                SERVICE_QUERIES, backend="columnar", parallel=4
-            )
-            want = [oracles[q.name].evaluate(database) for q in SERVICE_QUERIES]
-            assert got == want, "batched submits diverged from serial oracle"
-            evaluated += len(SERVICE_QUERIES)
-        elif roll < 0.7:
-            a, b = rng.randrange(5), rng.randrange(5)
-            fact = (
-                Atom(E, (Constant(a), Constant(b)))
-                if rng.random() < 0.7
-                else Atom(F, (Constant(a),))
-            )
-            service.insert(fact)
-        else:
-            a, b = rng.randrange(5), rng.randrange(5)
-            fact = (
-                Atom(E, (Constant(a), Constant(b)))
-                if rng.random() < 0.7
-                else Atom(F, (Constant(a),))
-            )
-            service.delete(fact)
+    with ThreadPoolExecutor(max_workers=4) as clients:
+        for _ in range(120):
+            roll = rng.random()
+            if roll < 0.25:
+                query = SERVICE_QUERIES[rng.randrange(len(SERVICE_QUERIES))]
+                got = service.submit(query, backend="columnar")
+                want = oracles[query.name].evaluate(database)  # fresh scans, tuple
+                assert got == want, f"{query.name} diverged after {service.writes} writes"
+                evaluated += 1
+            elif roll < 0.35:
+                got = list(
+                    clients.map(
+                        lambda q: service.submit(q, backend="columnar"),
+                        SERVICE_QUERIES,
+                        timeout=60,
+                    )
+                )
+                want = [oracles[q.name].evaluate(database) for q in SERVICE_QUERIES]
+                assert got == want, "concurrent submits diverged from serial oracle"
+                evaluated += len(SERVICE_QUERIES)
+            elif roll < 0.7:
+                a, b = rng.randrange(5), rng.randrange(5)
+                fact = (
+                    Atom(E, (Constant(a), Constant(b)))
+                    if rng.random() < 0.7
+                    else Atom(F, (Constant(a),))
+                )
+                service.insert(fact)
+            else:
+                a, b = rng.randrange(5), rng.randrange(5)
+                fact = (
+                    Atom(E, (Constant(a), Constant(b)))
+                    if rng.random() < 0.7
+                    else Atom(F, (Constant(a),))
+                )
+                service.delete(fact)
     assert evaluated > 10

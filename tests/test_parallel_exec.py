@@ -1,11 +1,10 @@
-"""Unit tests for the vectorised kernels and the batch thread scheduling.
+"""Unit tests for the vectorised kernels and their thread-safety.
 
 Covers the seams the differential suite (``test_parallel_differential.py``)
-does not: ``resolve_parallel`` precedence and error behaviour, the
-``REPRO_BATCH_ROWS`` knob, encoder thread-safety under a hammering pool,
-which kernel a default numpy run takes, verification of a vectorised plan,
-probe accounting parity, runs of one shared plan, and the committed ``BENCH_parallel_scaling.json``
-record.
+does not: the ``REPRO_BATCH_ROWS`` knob, encoder thread-safety under a
+hammering pool, which kernel a default numpy run takes, verification of a
+vectorised plan, probe accounting parity, runs of one shared plan, and the
+committed ``BENCH_parallel_scaling.json`` record.
 """
 
 import json
@@ -21,11 +20,9 @@ from repro.datamodel import Constant, Variable
 from repro.evaluation import (
     ExecutionContext,
     EncodedRelation,
-    PARALLEL_ENV,
     ScanCache,
     TermEncoder,
     YannakakisEvaluator,
-    resolve_parallel,
 )
 from repro.evaluation import operators as operators_module
 from repro.evaluation import parallel as parallel_module
@@ -38,36 +35,6 @@ from repro.evaluation.relation import Partition
 from repro.workloads.generators import yannakakis_scaling_workload
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-# ----------------------------------------------------------------------
-# resolve_parallel: explicit > environment > serial, loud on junk
-# ----------------------------------------------------------------------
-def test_resolve_parallel_explicit_wins_over_environment(monkeypatch):
-    monkeypatch.setenv(PARALLEL_ENV, "8")
-    assert resolve_parallel(2) == 2
-    assert resolve_parallel(0) == 0  # explicit serial beats the env too
-
-
-def test_resolve_parallel_reads_environment(monkeypatch):
-    monkeypatch.setenv(PARALLEL_ENV, "3")
-    assert resolve_parallel() == 3
-    monkeypatch.delenv(PARALLEL_ENV)
-    assert resolve_parallel() == 0  # unset → serial
-
-
-def test_resolve_parallel_auto_uses_cpu_count(monkeypatch):
-    import os
-
-    monkeypatch.setenv(PARALLEL_ENV, "auto")
-    assert resolve_parallel() == (os.cpu_count() or 1)
-    assert resolve_parallel("auto") == (os.cpu_count() or 1)
-
-
-@pytest.mark.parametrize("junk", ["many", "-1", -1, True, "4.5"])
-def test_resolve_parallel_rejects_junk_loudly(junk):
-    with pytest.raises(ValueError):
-        resolve_parallel(junk)
 
 
 # ----------------------------------------------------------------------
@@ -136,12 +103,11 @@ def _count_vectorised_runs(monkeypatch):
 
 
 def test_default_numpy_run_takes_vectorised_kernel_above_threshold(monkeypatch):
-    """No ``parallel=`` and the shipped gate: a numpy run vectorises every
+    """The shipped gate: a numpy run vectorises every
     join and semi-join whose probe side reaches ``PARALLEL_MIN_ROWS`` (all
     of them at the shipped gate of 0), and ``array('q')`` storage never
     does."""
     pytest.importorskip("numpy")
-    monkeypatch.delenv(PARALLEL_ENV, raising=False)
     runs = _count_vectorised_runs(monkeypatch)
     query, database = yannakakis_scaling_workload(400, seed=3)
     assert all(

@@ -1,6 +1,7 @@
 """Plan-cost calibration: estimated vs observed intermediate cardinalities.
 
-The ROADMAP flagged ``join_plans.estimate_cardinality`` as a crude
+The ROADMAP flagged ``estimate_cardinality`` (now kept in
+``tests/helpers/ablation_planners.py``) as a crude
 1/10-per-constraint heuristic and asked for calibration against the
 intermediate sizes the executor records.  The statistics-calibrated
 :class:`repro.evaluation.CostModel` (per-column distinct counts,
@@ -154,7 +155,7 @@ def test_calibrated_model_outranks_the_legacy_running_product():
     """The point of the calibration: the statistics-based estimates must
     rank-correlate with reality strictly better than the legacy
     running-product-of-heuristics model they replaced."""
-    from repro.evaluation import estimate_cardinality
+    from helpers.ablation_planners import estimate_cardinality
 
     legacy_pairs: List[Tuple[int, int]] = []
     for size in SIZES:

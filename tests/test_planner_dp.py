@@ -12,7 +12,8 @@ Three families of checks lock the planner down:
   over a connected query ever joins variable-disjoint subtrees;
   disconnected queries chain their components at the top of the tree
   only.  Above :data:`DP_ATOM_LIMIT` the planner falls back to greedy's
-  left-deep plan.
+  left-deep plan, and every plan entry point runs that fallback to the
+  generic-join answers on both backends.
 * **Differentials.** On randomized acyclic workloads (constants,
   repeated head variables) the DP, greedy, linear-DP and Yannakakis
   engines agree with the generic-join ground truth on both backends; on
@@ -36,13 +37,15 @@ from repro.evaluation import (
     evaluate_generic,
     evaluate_with_plan,
     execute_plan,
+    iter_with_plan,
     plan_dp,
     plan_dp_linear,
     plan_greedy,
     resolve_planner,
 )
-from repro.evaluation.join_plans import PLANNER_ENV, PlanTree
+from repro.evaluation.join_plans import PlanTree
 from repro.queries.cq import ConjunctiveQuery
+from repro.service import QueryService
 
 x1, x2, x3, x4, x5 = (Variable(f"x{i}") for i in range(1, 6))
 
@@ -319,31 +322,103 @@ def _variable_components(query):
 
 
 # ----------------------------------------------------------------------
-# Planner resolution (REPRO_PLANNER, streaming mode)
+# Planner resolution (the DP by default, left-deep when streaming)
 # ----------------------------------------------------------------------
 class TestResolvePlanner:
-    def test_default_is_the_dp(self, monkeypatch):
-        monkeypatch.delenv(PLANNER_ENV, raising=False)
+    def test_default_is_the_dp(self):
         assert resolve_planner(None) is plan_dp
-        assert resolve_planner("dp") is plan_dp
+        assert resolve_planner() is plan_dp
 
-    def test_streaming_resolves_to_the_linear_dp(self, monkeypatch):
-        monkeypatch.delenv(PLANNER_ENV, raising=False)
+    def test_streaming_resolves_to_the_linear_dp(self):
         assert resolve_planner(None, streaming=True) is plan_dp_linear
-        assert resolve_planner("dp", streaming=True) is plan_dp_linear
-        # Explicit non-DP choices are honoured even when streaming.
-        assert resolve_planner("greedy", streaming=True) is plan_greedy
-
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(PLANNER_ENV, "greedy")
-        assert resolve_planner(None) is plan_greedy
+        # An explicit planner is honoured even when streaming.
+        assert resolve_planner(plan_greedy, streaming=True) is plan_greedy
 
     def test_callables_pass_through(self):
         assert resolve_planner(plan_greedy) is plan_greedy
 
-    def test_unknown_name_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown planner"):
-            resolve_planner("optimal")
+
+# ----------------------------------------------------------------------
+# The greedy fallback, through every plan entry point
+# ----------------------------------------------------------------------
+def _past_the_dp_limit():
+    """Two connected queries of ``DP_ATOM_LIMIT + 2`` atoms, one anchored.
+
+    Both are cycles of that many ``E`` edges.  On the successor graph
+    ``i -> i + 1 (mod n)`` with two ``i -> i + 2`` chords, only the all-
+    successor walks close, so every node starts exactly one answer; the
+    anchored variant pins the cycle's start to the constant 0 (a lifted
+    parameter in the service).
+    """
+    n = DP_ATOM_LIMIT + 2
+    E = Predicate("E", 2)
+    database = Database()
+    for i in range(n):
+        database.add(Atom(E, (Constant(i), Constant((i + 1) % n))))
+    for i in (0, 5):
+        database.add(Atom(E, (Constant(i), Constant((i + 2) % n))))
+    v = [Variable(f"v{i}") for i in range(n)]
+    cycle = [Atom(E, (v[i], v[(i + 1) % n])) for i in range(n)]
+    anchored = [atom.apply({v[0]: Constant(0)}) for atom in cycle]
+    return database, [
+        ConjunctiveQuery((v[0], v[n // 2]), cycle, name="cycle"),
+        ConjunctiveQuery((v[n // 2],), anchored, name="anchored"),
+    ]
+
+
+def _batch_plan_route(query, database, backend, stream):
+    from repro.evaluation import BatchEvaluator, semacyclic_eval
+
+    with pytest.MonkeyPatch.context() as patch:
+        route = semacyclic_eval.resolve_route
+        patch.setattr(
+            semacyclic_eval,
+            "resolve_route",
+            lambda q, tgds=(): route(q, tgds=tgds, engine="plan"),
+        )
+        batch = BatchEvaluator([query])
+    assert batch.routes() == ["plan"]
+    if stream:
+        return set(batch.evaluate_iter(database, backend=backend)[0])
+    return batch.evaluate(database, backend=backend)[0]
+
+
+PLAN_ENTRY_POINTS = {
+    "evaluate_with_plan": lambda q, db, b: evaluate_with_plan(q, db, backend=b),
+    "iter_with_plan": lambda q, db, b: set(iter_with_plan(q, db, backend=b)),
+    "service_submit": lambda q, db, b: QueryService(db).submit(
+        q, engine="plan", backend=b
+    ),
+    "service_stream": lambda q, db, b: set(
+        QueryService(db).stream(q, engine="plan", backend=b)
+    ),
+    "batch_evaluate": lambda q, db, b: _batch_plan_route(q, db, b, stream=False),
+    "batch_evaluate_iter": lambda q, db, b: _batch_plan_route(q, db, b, stream=True),
+}
+
+
+@pytest.mark.parametrize("backend", ["tuple", "columnar"])
+@pytest.mark.parametrize("entry", sorted(PLAN_ENTRY_POINTS))
+def test_greedy_fallback_at_every_plan_entry_point(entry, backend, monkeypatch):
+    """Past :data:`DP_ATOM_LIMIT` atoms the DP hands over to
+    :func:`plan_greedy`; every entry point that plans must run that plan
+    to the generic-join answers, with every emitted plan verified."""
+    from repro.evaluation import planner_dp
+
+    monkeypatch.setenv("REPRO_VERIFY", "1")
+    fallbacks = []
+
+    def counted(query, database, **kwargs):
+        fallbacks.append(len(query.body))
+        return plan_greedy(query, database, **kwargs)
+
+    monkeypatch.setattr(planner_dp, "plan_greedy", counted)
+    database, queries = _past_the_dp_limit()
+    for query in queries:
+        expected = evaluate_generic(query, database)
+        assert expected, query.name
+        assert PLAN_ENTRY_POINTS[entry](query, database, backend) == expected
+    assert fallbacks and set(fallbacks) == {DP_ATOM_LIMIT + 2}
 
 
 # ----------------------------------------------------------------------

@@ -371,7 +371,6 @@ class TestParameterisedPlans:
     def test_plan_engine_plans_and_compiles_once_per_entry(self, monkeypatch):
         from repro.evaluation import join_plans, planner_dp
 
-        monkeypatch.delenv("REPRO_PLANNER", raising=False)
         modes = []
         compiled = []
         original = planner_dp.plan_dp
@@ -444,21 +443,32 @@ class TestParameterisedPlans:
         assert list(service._plans) == keys[2:] + [keys[0]]
 
     def test_parallel_batch_binds_each_request_its_own_anchor(self):
-        """Concurrent runs of one shared plan never see each other's anchors."""
+        """Concurrent runs of one shared plan never see each other's anchors.
+
+        Four client threads submit to one service at once, so runs of the
+        shared plan interleave; a few rounds make a lost binding show.
+        """
         import sys
+        from concurrent.futures import ThreadPoolExecutor
 
         database = _db(*[(i, i + 1) for i in range(40)])
         service = QueryService(database)
         queries = [_anchored_path(anchor % 40, y, z) for anchor in range(160)]
+        truth = [evaluate_generic(query, database) for query in queries]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            answers = service.submit_batch(queries, parallel=4)
-            planned = service.submit_batch(queries, engine="plan", parallel=4)
+            with ThreadPoolExecutor(max_workers=4) as clients:
+                for _ in range(4):
+                    answers = list(clients.map(service.submit, queries, timeout=60))
+                    planned = list(
+                        clients.map(
+                            lambda q: service.submit(q, engine="plan"), queries, timeout=60
+                        )
+                    )
+                    assert answers == truth and planned == truth
         finally:
             sys.setswitchinterval(interval)
-        truth = [evaluate_generic(query, database) for query in queries]
-        assert answers == truth and planned == truth
         assert answers[3] == {(Constant(5),)}
         assert service.plan_misses == 2  # one shape, two engines
 
