@@ -15,6 +15,15 @@ Two panels over the standing :class:`repro.service.QueryService`:
   long-lived cache materialises each signature once for the whole loop,
   the baseline once per round).
 
+* **Columnar point reads after writes** — per round one fact is deleted
+  and one inserted, then the merged encoded store answers one point
+  semi-join (the probe kernel, through the store's key index).  A merge
+  carries every key index of the old store forward, patching only the
+  buckets the delta touches, so no round rebuilds one.  Headline: the
+  number of key-index builds on long-lived stores after warm-up (asserted
+  zero), next to the time per round and the time one fresh index build
+  would add to it.
+
 * **Plan-cache hit rate** — 64 syntactically distinct, variable-renamed
   variants of one query submitted to one service; core minimisation +
   canonical relabelling must collapse them onto a single cached plan
@@ -36,6 +45,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import ScanCache
+from repro.evaluation.encoding import EncodedRelation, IntIndex
 from repro.queries.cq import ConjunctiveQuery
 from repro.reporting import BenchSnapshot
 from repro.service import QueryService
@@ -137,6 +147,50 @@ def run_delta_vs_rebuild(sizes: Sequence[int] = SIZES) -> List[Dict[str, object]
     return rows
 
 
+def run_columnar_point_reads(sizes: Sequence[int] = SIZES) -> List[Dict[str, object]]:
+    """Time merge + one point semi-join per round; count index rebuilds."""
+    if "columnar" in _CACHE:
+        return _CACHE["columnar"]
+    rows: List[Dict[str, object]] = []
+    for size in sizes:
+        database = _chain_database(size)
+        cache = ScanCache(database)
+        encoder = cache.encoder
+
+        def point_read(anchor: int) -> EncodedRelation:
+            relation = cache.scan(Atom(E, (x, y))).encoded(encoder)
+            point = EncodedRelation.from_rows((x,), [(encoder.encode(Constant(anchor)),)], encoder)
+            return relation.semijoin(point)
+
+        point_read(size // 2)  # warm-up: builds the store's key index once
+        builds = IntIndex.long_lived_builds
+        started = time.perf_counter()
+        for round_index in range(ROUNDS):
+            database.discard(_edge(round_index, round_index + 1))
+            database.add(_edge(size + 1 + round_index, size + 2 + round_index))
+            answer = point_read(size + 1 + round_index)
+            assert len(answer) == 1, "the inserted edge must be found"
+        seconds = time.perf_counter() - started
+        post_merge_builds = IntIndex.long_lived_builds - builds
+
+        relation = cache.scan(Atom(E, (x, y))).encoded(encoder)
+        started = time.perf_counter()
+        relation.fresh_copy().key_index((0,))
+        build_seconds = time.perf_counter() - started
+        rows.append(
+            {
+                "size": size,
+                "rounds": ROUNDS,
+                "round_ms": seconds * 1000.0 / ROUNDS,
+                "index_build_ms": build_seconds * 1000.0,
+                "delta_merges": cache.delta_merges,
+                "post_merge_index_builds": post_merge_builds,
+            }
+        )
+    _CACHE["columnar"] = rows
+    return rows
+
+
 def run_plan_cache_hit_rate() -> Dict[str, object]:
     """Submit 64 renamed variants of one query to one service."""
     if "plans" in _CACHE:
@@ -194,6 +248,7 @@ def _numpy_version() -> Optional[str]:
 
 def _write_snapshot() -> None:
     delta = run_delta_vs_rebuild()
+    columnar = run_columnar_point_reads()
     plans = run_plan_cache_hit_rate()
     anchored = run_anchored_hit_rate()
     snapshot = BenchSnapshot("service_cache")
@@ -213,6 +268,8 @@ def _write_snapshot() -> None:
     snapshot.record("anchored_plan_cache", anchored)
     for row in delta:
         snapshot.add_row("curve", row)
+    for row in columnar:
+        snapshot.add_row("columnar_point_reads", row)
     snapshot.write()
 
 
@@ -255,6 +312,28 @@ def test_delta_merge_beats_full_rebuild():
         f"delta merge should beat the per-round rebuild at size "
         f"{last['size']}, got {last['speedup']:.2f}x"
     )
+
+
+def test_columnar_point_reads_carry_their_key_index():
+    rows = run_columnar_point_reads()
+    print_series(
+        "mutate→point semi-join: columnar, key index carried through each merge",
+        [
+            (
+                row["size"],
+                row["rounds"],
+                f"{row['round_ms']:.3f}",
+                f"{row['index_build_ms']:.3f}",
+                row["post_merge_index_builds"],
+            )
+            for row in rows
+        ],
+        header=("size", "rounds", "ms/round", "one build ms", "post-merge builds"),
+    )
+    _write_snapshot()
+    for row in rows:
+        assert row["delta_merges"] >= ROUNDS
+        assert row["post_merge_index_builds"] == 0
 
 
 def test_plan_cache_hit_rate_across_isomorphic_variants():

@@ -133,27 +133,38 @@ class ScanCache:
     The cache is *epoch-aware*: it tracks the bound database's
     :attr:`~repro.datamodel.instance.Instance.mutation_epoch` and, instead
     of going stale (or being thrown away) when the database mutates, it
-    absorbs the mutations incrementally.  :meth:`sync` replays the
-    database's journal into per-signature *pending delta* lists; the first
-    access to a cached scan after a mutation merges its pending delta into
-    the cached rows and partitions in place (:meth:`Relation.apply_delta`,
-    ``O(delta)``), re-stamps the relation with the current epoch, and counts
-    a ``delta_merges``.  A cached encoded store is carried forward by the
-    same merge: a new store encoding only the delta replaces it, with fresh
-    caches, so no key index of the pre-merge store is served afterwards and
-    readers still holding the old store keep a consistent snapshot.  Only
-    when the journal window was trimmed away does the cache fall back to
-    dropping everything (``full_rebuilds``).  The :class:`TermEncoder` is
-    append-only throughout — which is what keeps the carried-forward codes
-    valid: deletions may strand term codes, which is harmless for
+    absorbs the mutations incrementally:
+
+    * **Indexed replay.** :meth:`sync` replays the database's journal into
+      per-signature *pending delta* lists, in journal order.  A registry
+      maps predicate → pinned positions → pinned constants → signatures,
+      so a written fact is matched only against the signatures anchored at
+      its own constants, plus the unanchored ones — not against every
+      cached signature.
+    * **Lazy merge.** The first access to a cached scan after a mutation
+      merges its pending delta into the cached rows and partitions in
+      place (:meth:`Relation.apply_delta`, ``O(delta)``), re-stamps the
+      relation with the current epoch, and counts a ``delta_merges``.  A
+      deleted row's slot is refilled from the tail (swap-on-delete), so
+      only ``O(delta)`` rows move.
+    * **Carried indexes.** A cached encoded store is carried forward by
+      the same merge: a new store encodes only the delta and inherits
+      every key index of the old one, patched bucket by bucket.  Readers
+      still holding the old store keep a consistent snapshot, because
+      neither the old store nor its indexes are touched.
+
+    Only when the journal window was trimmed away does the cache fall back
+    to dropping everything (``full_rebuilds``).  The :class:`TermEncoder`
+    is append-only throughout — which is what keeps the carried-forward
+    codes valid: deletions may strand term codes, which is harmless for
     correctness and auditable via :meth:`dead_codes`.
     """
 
     def __init__(self, database: Instance) -> None:
         self.database = database
         #: Serialises :meth:`scan` (sync, materialisation, delta merges) so
-        #: concurrently scheduled queries of a batch can share one cache.
-        #: Reentrant because a miss materialises through :meth:`_base`.
+        #: client threads can share one cache.  Reentrant because a miss
+        #: materialises through :meth:`_base`.
         self._lock = threading.RLock()
         #: The dictionary encoder of the columnar backend.  Owned here so
         #: encodings — like scans and partitions — amortise across every
@@ -167,8 +178,15 @@ class ScanCache:
         self._synced_epoch = getattr(database, "mutation_epoch", 0)
         self._scans: Dict[ScanSignature, Relation] = {}
         #: Compiled match/project plans per cached signature, kept so journal
-        #: replay can route each mutated fact to the signatures it affects.
+        #: replay can match each mutated fact against the signatures it hits.
         self._patterns: Dict[ScanSignature, ScanPattern] = {}
+        #: Journal replay's routing table: predicate → pinned (constant)
+        #: positions → the constants pinned there → cached signatures.  A
+        #: written fact is matched only against the signatures whose anchor
+        #: it carries (unanchored ones sit under the empty position tuple).
+        self._anchors: Dict[
+            Predicate, Dict[Tuple[int, ...], Dict[Tuple[Constant, ...], List[ScanSignature]]]
+        ] = {}
         #: Projected journal entries awaiting their merge, per signature:
         #: ``(added, projected row)`` in journal order.  Invariant (checked
         #: by :meth:`verify_epochs`): a cached relation is stamped with an
@@ -200,11 +218,13 @@ class ScanCache:
 
         ``O(1)`` when the database did not mutate since the last call.
         Otherwise the database journal since the last synced epoch is
-        replayed: each mutated fact is matched against every cached
-        signature over its predicate and the projected row is queued in that
-        signature's pending delta (merged lazily, on the signature's next
-        scan).  Cached scans over *unmutated* predicates are simply
-        re-stamped.  If the journal window was trimmed away (more than
+        replayed: each mutated fact is looked up in the anchor registry —
+        one dict probe per pinned position set of its predicate — and
+        matched only against the signatures whose constants it carries,
+        plus the unanchored ones; the projected row is queued in each
+        matching signature's pending delta (merged lazily, on the
+        signature's next scan).  Every other cached scan is re-stamped.  If
+        the journal window was trimmed away (more than
         :attr:`~repro.datamodel.instance.Instance.JOURNAL_LIMIT` mutations
         behind), the cache drops all scans and rebuilds on demand.
         """
@@ -216,30 +236,43 @@ class ScanCache:
         if journal is None:
             self._scans.clear()
             self._patterns.clear()
+            self._anchors.clear()
             self._pending.clear()
             self.full_rebuilds += 1
             self._synced_epoch = current
             return
-        by_predicate: Dict[Predicate, List[Tuple[bool, Atom]]] = {}
+        # Identities, not signatures: re-stamping visits every cached scan,
+        # and a signature (nested tuples) rehashes on every lookup.
+        queued: Set[int] = set()
         for added, fact in journal:
-            by_predicate.setdefault(fact.predicate, []).append((added, fact))
-        for signature, relation in self._scans.items():
-            entries = by_predicate.get(signature[0])
-            if not entries:
-                relation.stamp_epoch(current)
+            anchors = self._anchors.get(fact.predicate)
+            if not anchors:
                 continue
-            pattern = self._patterns.get(signature)
-            if pattern is None:
-                pattern = compile_scan_pattern([value for _, value in signature[1]])
-                self._patterns[signature] = pattern
-            pending = self._pending.setdefault(signature, [])
-            for added, fact in entries:
-                if pattern.matches(fact.terms):
-                    pending.append((added, pattern.project(fact.terms)))
-            if not pending:  # nothing survived the signature's selections
-                del self._pending[signature]
+            terms = fact.terms
+            for pinned, by_key in anchors.items():
+                signatures = by_key.get(tuple(terms[position] for position in pinned))
+                if not signatures:
+                    continue
+                for signature in signatures:
+                    pattern = self._patterns[signature]
+                    if pattern.matches(terms):
+                        self._pending.setdefault(signature, []).append(
+                            (added, pattern.project(terms))
+                        )
+                        queued.add(id(self._scans[signature]))
+        for relation in self._scans.values():
+            if id(relation) not in queued:
                 relation.stamp_epoch(current)
         self._synced_epoch = current
+
+    def _register(self, signature: ScanSignature, pattern: ScanPattern) -> None:
+        """Enter a newly cached signature into the journal-replay registry."""
+        self._patterns[signature] = pattern
+        pinned = tuple(position for position, _ in pattern.constant_checks)
+        key = tuple(constant for _, constant in pattern.constant_checks)
+        self._anchors.setdefault(signature[0], {}).setdefault(pinned, {}).setdefault(
+            key, []
+        ).append(signature)
 
     def _absorb(self, signature: ScanSignature, relation: Relation) -> None:
         """Merge ``signature``'s pending delta into its cached relation.
@@ -287,6 +320,10 @@ class ScanCache:
             if stamp is None or stamp > self._synced_epoch or signature not in self._pending:
                 issues.append((signature, stamp, self._synced_epoch))
         return issues
+
+    def cached_scans(self) -> int:
+        """The number of cached signatures (each anchor of a shape is one)."""
+        return len(self._scans)
 
     def dead_codes(self) -> int:
         """Count encoder codes whose term left the database (audit sweep).
@@ -352,6 +389,7 @@ class ScanCache:
             relation = Relation(schema, rows)
             relation.stamp_epoch(self._synced_epoch)
             self._scans[signature] = relation
+            self._register(signature, compile_scan_pattern([value for _, value in signature[1]]))
             self.built += 1
             self.base_scans += 1
         else:
@@ -399,6 +437,7 @@ class ScanCache:
         schema = [Variable(f"_s{i}") for i in range(len(pattern.output_positions))]
         relation = Relation(schema, rows)
         relation.stamp_epoch(self._synced_epoch)
+        self._register(signature, pattern)
         return relation
 
 

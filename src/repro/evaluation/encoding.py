@@ -36,7 +36,6 @@ from __future__ import annotations
 import os
 import threading
 from array import array
-from itertools import compress
 from typing import (
     Container,
     Dict,
@@ -150,8 +149,8 @@ class TermEncoder:
     shared), so relations encoded under the same encoder share a code space
     and can be joined without translation.
 
-    Encoding is thread-safe: concurrent batch scheduling may encode under
-    one shared encoder from several threads at once, so the append path
+    Encoding is thread-safe: client threads sharing a scan cache or a
+    service may encode under one shared encoder at once, so the append path
     takes a lock — the same discipline as
     ``TermFactory`` in :mod:`repro.datamodel.terms`.  The fast path (term
     already assigned) stays a single lock-free dict read: codes are never
@@ -204,18 +203,33 @@ class IntIndex:
     """A hash index from int join keys to row indices of one store.
 
     The batch-face analogue of :class:`~repro.evaluation.relation.Partition`:
-    built once per (store, key columns) and cached on the store.  ``get``
-    probes are counted into the *same* process-wide
-    ``Partition.total_probes`` counter the tuple engine uses, so bounded-work
-    assertions span both backends; membership checks (``key in index``, the
-    semi-join path) are deliberately uncounted, mirroring
-    ``Partition.__contains__``.
+    built once per (store, key columns) and cached on the store.  Every
+    bucket lists its row indices in ascending order.  ``get`` probes are
+    counted into the *same* process-wide ``Partition.total_probes`` counter
+    the tuple engine uses, so bounded-work assertions span both backends;
+    membership checks (``key in index``, the semi-join path) are
+    deliberately uncounted, mirroring ``Partition.__contains__``.
+
+    An index is never mutated once built.  A delta merge derives the
+    successor store's index with :meth:`patched` instead of rebuilding it.
     """
 
     __slots__ = ("positions", "buckets")
 
-    def __init__(self, positions: Tuple[int, ...], keys: Iterable[object]) -> None:
+    #: Process-wide count of indexes built over long-lived stores (see
+    #: :meth:`EncodedRelation.key_index`): the deterministic witness that a
+    #: delta merge carries the indexes forward instead of rebuilding them.
+    long_lived_builds: int = 0
+
+    _build_lock = threading.Lock()
+
+    def __init__(self, positions: Tuple[int, ...], buckets: Dict[object, List[int]]) -> None:
         self.positions = positions
+        self.buckets = buckets
+
+    @classmethod
+    def build(cls, positions: Tuple[int, ...], keys: Iterable[object]) -> "IntIndex":
+        """Index ``keys`` (one per row, in row order) — one ``O(rows)`` pass."""
         buckets: Dict[object, List[int]] = {}
         for index, key in enumerate(keys):
             bucket = buckets.get(key)
@@ -223,7 +237,12 @@ class IntIndex:
                 buckets[key] = [index]
             else:
                 bucket.append(index)
-        self.buckets = buckets
+        return cls(positions, buckets)
+
+    @classmethod
+    def count_long_lived_build(cls) -> None:
+        with cls._build_lock:
+            cls.long_lived_builds += 1
 
     def __contains__(self, key: object) -> bool:
         return key in self.buckets
@@ -235,6 +254,55 @@ class IntIndex:
         """The row indices carrying ``key`` (empty when none do) — counted."""
         Partition.add_probes(1)
         return self.buckets.get(key, _EMPTY_BUCKET)
+
+    def _key_of(self, columns: Sequence[Sequence[int]], row: int) -> object:
+        """The key of row ``row`` of ``columns`` as this index spells it."""
+        positions = self.positions
+        if len(positions) == 1:
+            return int(columns[positions[0]][row])
+        return tuple(int(columns[p][row]) for p in positions)
+
+    def patched(
+        self,
+        columns: Sequence[Sequence[int]],
+        gone: Sequence[int],
+        moves: Sequence[Tuple[int, int]],
+        inserted: Sequence[IntRow],
+        cut: int,
+    ) -> "IntIndex":
+        """This index carried through one delta merge, ``O(touched buckets)``.
+
+        ``columns`` are the pre-merge store's; ``gone`` lists the deleted
+        row ids, ``moves`` the ``(hole, source)`` pairs that fill the holes
+        below ``cut`` with rows from above it, and ``inserted`` the encoded
+        rows appended from ``cut`` on (see
+        :func:`~repro.evaluation.relation.swap_moves`).  The buckets dict is
+        copied at C speed; only touched buckets are rebuilt, as new sorted
+        lists, so ``self`` and its lists stay untouched.
+        """
+        positions = self.positions
+        vacated = set(gone)
+        vacated.update(source for _, source in moves)
+        added: Dict[object, List[int]] = {}
+        for hole, source in moves:
+            added.setdefault(self._key_of(columns, source), []).append(hole)
+        for offset, row in enumerate(inserted, cut):
+            key = row[positions[0]] if len(positions) == 1 else tuple(row[p] for p in positions)
+            added.setdefault(key, []).append(offset)
+        touched = {self._key_of(columns, row) for row in vacated}
+        touched.update(added)
+        buckets = dict(self.buckets)
+        for key in touched:
+            bucket = [row for row in buckets.get(key, _EMPTY_BUCKET) if row not in vacated]
+            extra = added.get(key)
+            if extra:
+                bucket.extend(extra)
+                bucket.sort()
+            if bucket:
+                buckets[key] = bucket
+            else:
+                buckets.pop(key, None)
+        return IntIndex(positions, buckets)
 
 
 class EncodedStore:
@@ -322,40 +390,91 @@ class EncodedRelation:
         store: EncodedStore,
         encoder: TermEncoder,
         inserted: Sequence[Row],
-        kept: Optional[List[bool]] = None,
+        gone: Sequence[int] = (),
+        moves: Sequence[Tuple[int, int]] = (),
     ) -> EncodedStore:
-        """The successor of ``store`` after a delta merge, encoding only the delta.
+        """The successor of ``store`` after a delta merge, ``O(delta)`` in python.
 
-        ``kept`` flags, row by row, the rows of ``store`` that survive the
-        merge (``None``: all of them).  The new store holds the surviving
-        rows in order, then the encoded ``inserted`` rows — exactly the row
-        order :meth:`Relation.apply_delta` leaves behind — with ``store``'s
-        storage kind and fresh, empty caches.  Old codes stay valid because
-        the encoder is append-only.  ``store`` itself is not touched, so
-        readers still holding it keep a consistent snapshot.
+        ``gone`` lists the row ids of ``store`` that the merge deletes and
+        ``moves`` the ``(hole, source)`` pairs that fill the holes below the
+        new cut with surviving rows from above it (swap-on-delete, see
+        :func:`~repro.evaluation.relation.swap_moves`).  The new store holds
+        ``store``'s rows with those moves applied and the tail cut off, then
+        the encoded ``inserted`` rows — exactly the row order
+        :meth:`Relation.apply_delta` leaves behind — in ``store``'s storage
+        kind.  Only the delta is encoded: old codes stay valid because the
+        encoder is append-only.
+
+        Every key index of ``store`` is carried forward
+        (:meth:`IntIndex.patched`), so a point read after a write probes an
+        index without rebuilding it.  The other caches (int rows,
+        partitions, packed and sorted keys) start empty.  ``store`` itself
+        is not touched, so readers still holding it keep a consistent
+        snapshot; its caches are read from a snapshot because such readers
+        may add entries concurrently.
         """
         codes = [encoder.encode_row(row) for row in inserted]
+        cut = store.length - len(gone)
+        length = cut + len(codes)
         use_numpy = store.use_numpy
         numpy = _numpy_module() if use_numpy else None
-        mask = None
-        if kept is not None and use_numpy:
-            mask = numpy.fromiter(kept, dtype=bool, count=store.length)  # type: ignore[union-attr]
+        holes = [hole for hole, _ in moves]
+        sources = [source for _, source in moves]
         columns: List[Sequence[int]] = []
         for position, column in enumerate(store.columns):
             added = [row[position] for row in codes]
             if use_numpy:
-                survivors = column if mask is None else column[mask]  # type: ignore[index]
-                columns.append(
-                    numpy.concatenate(  # type: ignore[union-attr]
-                        (survivors, numpy.array(added, dtype=numpy.int64))  # type: ignore[union-attr]
-                    )
-                )
+                merged = numpy.empty(length, dtype=numpy.int64)  # type: ignore[union-attr]
+                merged[:cut] = column[:cut]  # type: ignore[index]
+                merged[holes] = column[sources]  # type: ignore[index]
+                merged[cut:] = added
             else:
-                merged = array("q", column if kept is None else list(compress(column, kept)))
-                merged.extend(added)
-                columns.append(merged)
-        length = (store.length if kept is None else kept.count(True)) + len(codes)
-        return EncodedStore(columns, length, use_numpy, store.long_lived)
+                merged = column[:cut]  # type: ignore[assignment]  # an array slice is a copy
+                for hole, source in moves:
+                    merged[hole] = column[source]  # type: ignore[index]
+                merged.extend(added)  # type: ignore[attr-defined]
+            columns.append(merged)
+        successor = EncodedStore(columns, length, use_numpy, store.long_lived)
+        for key, value in dict(store.caches).items():
+            if isinstance(value, IntIndex):
+                successor.caches[key] = value.patched(store.columns, gone, moves, codes, cut)
+        return successor
+
+    @staticmethod
+    def locate_rows(
+        store: EncodedStore,
+        encoder: TermEncoder,
+        rows: Sequence[Row],
+        wanted: Iterable[Row],
+    ) -> Optional[List[int]]:
+        """The ids of the ``wanted`` rows of ``store`` via a cached key index.
+
+        ``rows`` are the term rows ``store`` encodes, in store order.  Each
+        wanted row costs one bucket of the widest cached :class:`IntIndex`;
+        rows not present are skipped.  ``None`` when ``store`` has no key
+        index yet, so the caller falls back to a pass over ``rows``.
+        """
+        indexes = [value for value in dict(store.caches).values() if isinstance(value, IntIndex)]
+        if not indexes:
+            return None
+        index = max(indexes, key=lambda candidate: len(candidate.positions))
+        positions = index.positions
+        codes = encoder.codes
+        found: List[int] = []
+        for row in wanted:
+            try:
+                key = (
+                    codes[row[positions[0]]]
+                    if len(positions) == 1
+                    else tuple(codes[row[p]] for p in positions)
+                )
+            except KeyError:  # a term never encoded: the row is not stored
+                continue
+            for candidate in index.buckets.get(key, _EMPTY_BUCKET):
+                if rows[candidate] == row:
+                    found.append(candidate)
+                    break
+        return found
 
     @classmethod
     def from_relation(cls, relation: Relation, encoder: TermEncoder) -> "EncodedRelation":
@@ -487,7 +606,9 @@ class EncodedRelation:
         key = ("index", positions)
         cached = self.store.caches.get(key)
         if cached is None:
-            cached = IntIndex(positions, self._key_column(positions))
+            cached = IntIndex.build(positions, self._key_column(positions))
+            if self.store.long_lived:
+                IntIndex.count_long_lived_build()
             self.store.caches[key] = cached
         return cached  # type: ignore[return-value]
 

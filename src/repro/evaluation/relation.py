@@ -31,17 +31,17 @@ cache assumes the usual immutability discipline: ``rows`` is never mutated
 after the first partition is built (every operator already returns fresh
 relations instead of aliasing inputs).  The single sanctioned exception is
 :meth:`Relation.apply_delta`, which the scan cache uses to absorb database
-mutations *incrementally*: it edits ``rows`` in place, patches every cached
-:class:`Partition` bucket-by-bucket, and drops the derived statistics — so
-cached scans (and all their :meth:`Relation.with_schema` views, which share
-storage by reference) stay correct across inserts and deletes without a
-rebuild.
+mutations *incrementally*: it edits ``rows`` in place (a deleted row's slot
+is refilled from the tail), patches every cached :class:`Partition`
+bucket-by-bucket, carries the encoded store and its key indexes forward,
+and drops the derived statistics — so cached scans (and all their
+:meth:`Relation.with_schema` views, which share storage by reference) stay
+correct across inserts and deletes without a rebuild.
 """
 
 from __future__ import annotations
 
 import threading
-from itertools import compress
 from typing import (
     Callable,
     Dict,
@@ -140,6 +140,22 @@ def compile_scan_pattern(slots: Sequence[object]) -> ScanPattern:
     )
 
 
+def swap_moves(gone: Sequence[int], cut: int) -> List[Tuple[int, int]]:
+    """The row moves of a swap-on-delete: ``(hole, source)`` pairs.
+
+    ``gone`` are the distinct ids of the rows being deleted from a sequence
+    of ``cut + len(gone)`` rows.  Every deleted id below ``cut`` is a hole;
+    every surviving id at or above ``cut`` is a source, moved into a hole
+    so the survivors fill ``[0, cut)``.  Both sides are paired in ascending
+    order, so the result does not depend on the order of ``gone``.
+    ``O(len(gone) log len(gone))``.
+    """
+    vacated = set(gone)
+    holes = sorted(row for row in vacated if row < cut)
+    sources = [row for row in range(cut, cut + len(vacated)) if row not in vacated]
+    return list(zip(holes, sources))
+
+
 class SchemaError(ValueError):
     """Raised when an operator is applied to incompatible schemas."""
 
@@ -154,7 +170,10 @@ class Partition:
     :meth:`Relation.partition` and cached there, so they must never be
     mutated after construction — except through the owning relation's
     :meth:`Relation.apply_delta`, which patches the buckets in place to keep
-    cached partitions synchronised with database mutations.
+    cached partitions synchronised with database mutations: a deleted row
+    leaves its bucket, an inserted row is appended to its bucket.  A row
+    that the merge moves to another slot (swap-on-delete) keeps its place
+    in its bucket, so after a merge bucket order need not follow row order.
 
     Bucket probes (:meth:`get` calls) are counted process-wide
     (``Partition.total_probes``).  The counter exists so the
@@ -167,8 +186,9 @@ class Partition:
     deliberately *not* counted: the counter isolates enumeration/join work
     from the reduction passes.
 
-    The counter is updated under a lock (concurrent batch scheduling probes
-    from several threads at once; an unguarded ``+= 1`` loses updates).
+    The counter is updated under a lock (client threads sharing a cache or
+    a service probe from several threads at once; an unguarded ``+= 1``
+    loses updates).
     Partitions are shared across runs, so they count nothing per instance:
     each operator records its own probes in its run's record (see
     :class:`repro.evaluation.operators.NodeRun`).
@@ -392,28 +412,43 @@ class Relation:
         This is the one sanctioned mutation of a relation's row storage: the
         scan cache calls it to bring a cached scan up to date with database
         mutations without rebuilding.  Rows are edited in place (so every
-        :meth:`with_schema` view sharing the storage stays fresh), every
-        cached :class:`Partition` is patched bucket-by-bucket (``O(delta)``
-        amortised, not ``O(rows)``), and the derived statistics — distinct
-        counts, pair sketches — are dropped for lazy recomputation on next
-        use.  The encoded column store is carried forward: a **new** store
-        (:meth:`EncodedRelation.merge_store`) holds the old int rows minus
-        the deleted rows (the same survivor flags filter both) plus the
-        encoded inserted rows, in exactly :attr:`rows` order, with fresh
-        caches — only the delta is encoded, and the old store is left
-        untouched for readers still holding it.  Callers guarantee
-        ``inserted`` rows are not already present and ``deleted`` rows are
-        (the scan cache's journal replay normalises deltas to this form).
+        :meth:`with_schema` view sharing the storage stays fresh):
+
+        * a deleted row's slot is filled by moving a surviving row from the
+          tail into it (swap-on-delete, :func:`swap_moves`), so only
+          ``O(delta)`` rows change position; inserted rows are appended;
+        * every cached :class:`Partition` is patched bucket by bucket;
+        * the derived statistics (distinct counts, pair sketches) are
+          dropped for lazy recomputation on next use;
+        * the encoded column store is carried forward: a **new** store
+          (:meth:`EncodedRelation.merge_store`) applies the same moves to
+          copies of the old columns, appends the encoded inserted rows and
+          patches every cached key index, so store row order stays
+          :attr:`rows` order.  The old store is left untouched for readers
+          still holding it.
+
+        Deleted rows are located through the store's key index when one is
+        cached (``O(bucket)`` each), otherwise by one pass over the rows.
+        Callers guarantee ``inserted`` rows are not already present and
+        ``deleted`` rows are (the scan cache's journal replay normalises
+        deltas to this form).
         """
         inserted = list(inserted)
         dead = set(deleted)
         if not inserted and not dead:
             return
-        kept = None
+        rows = self.rows
+        encoded = self._stats.get("encoded")
+        gone: List[int] = []
+        moves: List[Tuple[int, int]] = []
         if dead:
-            kept = [row not in dead for row in self.rows]
-            self.rows[:] = list(compress(self.rows, kept))
-        self.rows.extend(inserted)
+            gone = self._locate(dead, encoded)
+            cut = len(rows) - len(gone)
+            moves = swap_moves(gone, cut)
+            for hole, source in moves:
+                rows[hole] = rows[source]
+            del rows[cut:]
+        rows.extend(inserted)
         for partition in self._partitions.values():
             positions = partition.positions
             buckets = partition.buckets
@@ -432,7 +467,6 @@ class Relation:
                 key = tuple(row[p] for p in positions)
                 buckets.setdefault(key, []).append(row)
         epoch = self._stats.get("epoch")
-        encoded = self._stats.get("encoded")
         self._stats.clear()
         if epoch is not None:
             self._stats["epoch"] = epoch
@@ -442,8 +476,19 @@ class Relation:
             encoder, store = encoded  # type: ignore[misc]
             self._stats["encoded"] = (
                 encoder,
-                EncodedRelation.merge_store(store, encoder, inserted, kept),
+                EncodedRelation.merge_store(store, encoder, inserted, gone, moves),
             )
+
+    def _locate(self, dead: Set[Row], encoded: object) -> List[int]:
+        """The row ids of the ``dead`` rows that are present."""
+        if encoded is not None:
+            from .encoding import EncodedRelation  # local: avoid an import cycle
+
+            encoder, store = encoded  # type: ignore[misc]
+            found = EncodedRelation.locate_rows(store, encoder, self.rows, dead)
+            if found is not None:
+                return found
+        return [index for index, row in enumerate(self.rows) if row in dead]
 
     # ------------------------------------------------------------------
     # Cached statistics (the substrate of the operator-IR cost model)

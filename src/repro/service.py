@@ -583,6 +583,7 @@ class QueryService:
             "scans_built": self.scans.built,
             "delta_merges": self.scans.delta_merges,
             "full_rebuilds": self.scans.full_rebuilds,
+            "cached_scans": self.scans.cached_scans(),
         }
 
     def verify(self) -> List[Diagnostic]:

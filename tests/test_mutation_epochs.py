@@ -11,7 +11,8 @@ served pre-mutation partitions and answers.  These tests pin the fix:
   :meth:`Relation.apply_delta` (``delta_merges``), not rebuilt, and every
   pre-mutation ``with_schema`` view observes the merge (the aliasing audit);
   the encoded store is carried forward as a new store equal to a fresh
-  encoding, with empty caches, leaving the pre-merge store untouched;
+  encoding, whose carried key indexes are new objects equal to fresh
+  builds, leaving the pre-merge store untouched;
 * the distinct :class:`CacheBindingError` for foreign databases, with
   fact-identical copies accepted;
 * epoch-aware :class:`Statistics` and the PLAN016 verifier check.
@@ -35,8 +36,11 @@ from repro.evaluation import (
     Statistics,
     YannakakisEvaluator,
 )
-from repro.evaluation.encoding import NUMPY_ENV, EncodedRelation
+from repro.evaluation.batch import atom_signature
+from repro.evaluation.encoding import NUMPY_ENV, EncodedRelation, IntIndex
+from repro.evaluation.relation import swap_moves
 from repro.queries.cq import ConjunctiveQuery
+from repro.service import QueryService
 
 E = Predicate("E", 2)
 F = Predicate("F", 1)
@@ -195,6 +199,17 @@ def _snapshot(store):
     )
 
 
+def _assert_carried_caches(old, store, schema, encoder):
+    """Every cache entry of the merged ``store`` is a new object, and every
+    carried key index equals one built fresh on the merged rows."""
+    old_values = list(old.caches.values())
+    for value in store.caches.values():
+        assert all(value is not stale for stale in old_values)
+        if isinstance(value, IntIndex):
+            fresh = EncodedRelation(schema, store, encoder).fresh_copy()
+            assert value.buckets == fresh.key_index(value.positions).buckets
+
+
 class TestDeltaMerge:
     def test_cached_partitions_are_patched_in_place(self):
         database = _chain_db((1, 2), (1, 3), (2, 4))
@@ -249,7 +264,8 @@ class TestDeltaMerge:
         relation = cache.scan(Atom(E, (x, y)))
         new = relation.encoded(cache.encoder)
         assert new.store is not old.store
-        assert new.store.caches == {}
+        assert ("index", (0,)) in new.store.caches
+        _assert_carried_caches(old.store, new.store, new.schema, cache.encoder)
         assert new.store.long_lived
         assert list(new.decoded_rows()) == relation.rows
         # A point semi-join on the merged store probes its own key index,
@@ -267,8 +283,9 @@ class TestDeltaMerge:
     @given(steps=_DELTA_STEPS)
     def test_carried_forward_store_matches_a_fresh_encoding(self, use_numpy, steps):
         """The stale-cache class of bug: after every merge the carried
-        store equals a fresh encoding of the rows, starts with empty caches
-        (no pre-merge key index is served), and the pre-merge store is
+        store equals a fresh encoding of the rows, its caches are new
+        objects and its carried key indexes equal fresh builds (no
+        pre-merge key index is served), and the pre-merge store is
         untouched."""
         if use_numpy:
             pytest.importorskip("numpy")
@@ -292,7 +309,7 @@ class TestDeltaMerge:
                     store = relation.encoded(cache.encoder).store
                     assert _snapshot(old) == snapshot
                     if store is not old:
-                        assert store.caches == {}
+                        _assert_carried_caches(old, store, relation.schema, cache.encoder)
                         assert store.use_numpy == use_numpy
                     fresh = EncodedRelation.build_store(
                         relation.rows, len(relation.schema), cache.encoder
@@ -306,6 +323,188 @@ class TestDeltaMerge:
         relation.apply_delta([], [])
         assert relation.partition((x,)) is partition
         assert relation.rows == [(Constant(1), Constant(2))]
+
+
+# ----------------------------------------------------------------------
+# Carried key indexes under interleaved writes
+# ----------------------------------------------------------------------
+#: Key columns indexed on the binary scan (the anchored scan is unary).
+_INDEXED = ((0,), (1,), (0, 1))
+
+_EDGE_VALUES = st.integers(min_value=0, max_value=5)
+
+#: One write pattern, applied between two reads:
+#: ("add"/"delete", a, b), ("flip", a, b) deletes (a, b) and re-inserts it,
+#: ("delete_last",) deletes the binary scan's last row, and ("delete_all",)
+#: deletes every edge.
+_WRITE = st.one_of(
+    st.tuples(st.sampled_from(["add", "delete", "flip"]), _EDGE_VALUES, _EDGE_VALUES),
+    st.just(("delete_last",)),
+    st.just(("delete_all",)),
+)
+
+#: Rounds of writes; each round is one multi-row delta per merge.
+_ROUNDS = st.lists(st.lists(_WRITE, min_size=1, max_size=6), min_size=1, max_size=8)
+
+
+def _apply_write(database, base, write):
+    kind = write[0]
+    if kind == "add":
+        database.add(_edge(write[1], write[2]))
+    elif kind == "delete":
+        database.discard(_edge(write[1], write[2]))
+    elif kind == "flip":
+        if database.discard(_edge(write[1], write[2])):
+            database.add(_edge(write[1], write[2]))
+    elif kind == "delete_last":
+        if base.rows:
+            database.discard(Atom(E, base.rows[-1]))
+    else:
+        for row in list(base.rows):
+            database.discard(Atom(E, row))
+
+
+def _probe_keys(store, positions):
+    """Keys present in ``store`` plus one that is not, for the probe check."""
+    keys = {
+        row[positions[0]] if len(positions) == 1 else tuple(row[p] for p in positions)
+        for row in _int_rows(store)[::2]
+    }
+    keys.add(-1 if len(positions) == 1 else (-1,) * len(positions))
+    return sorted(keys)
+
+
+class TestCarriedIndexes:
+    @pytest.mark.parametrize("use_numpy", [False, True], ids=["array", "numpy"])
+    @settings(max_examples=40, deadline=None)
+    @given(rounds=_ROUNDS)
+    def test_interleaved_writes_keep_every_index_equal_to_a_fresh_build(
+        self, use_numpy, rounds
+    ):
+        if use_numpy:
+            pytest.importorskip("numpy")
+        with mock.patch.dict(os.environ, {NUMPY_ENV: "1" if use_numpy else "0"}):
+            database = _chain_db(*((i, i + 1) for i in range(5)), (0, 3), (2, 3))
+            cache = ScanCache(database)
+            atoms = {Atom(E, (x, y)): _INDEXED, Atom(E, (Constant(0), y)): ((0,),)}
+            for atom, indexed in atoms.items():
+                encoded = cache.scan(atom).encoded(cache.encoder)
+                for positions in indexed:
+                    encoded.key_index(positions)
+            builds = IntIndex.long_lived_builds  # warm-up done
+            for writes in rounds:
+                base = cache.scan(Atom(E, (x, y)))
+                for write in writes:
+                    _apply_write(database, base, write)
+                for atom, indexed in atoms.items():
+                    relation = cache.scan(atom)
+                    encoded = relation.encoded(cache.encoder)
+                    store = encoded.store
+                    fresh = EncodedRelation.build_store(
+                        relation.rows, len(relation.schema), cache.encoder
+                    )
+                    assert _int_rows(store) == fresh.caches["rows"]
+                    assert store.use_numpy == use_numpy
+                    for positions in indexed:
+                        carried = store.caches[("index", positions)]
+                        rebuilt = encoded.fresh_copy().key_index(positions)
+                        assert carried.buckets == rebuilt.buckets
+                        schema = tuple(encoded.schema[p] for p in positions)
+                        point = EncodedRelation.from_rows(
+                            schema,
+                            [k if isinstance(k, tuple) else (k,) for k in _probe_keys(store, positions)],
+                            cache.encoder,
+                        ).key_index(tuple(range(len(positions))))
+                        probed = encoded.semijoin_probe(positions, point)
+                        scanned = encoded.semijoin_index(positions, point)
+                        assert probed.rows == scanned.rows
+                assert IntIndex.long_lived_builds == builds
+
+    def test_delete_moves_the_last_row_into_the_hole(self):
+        database = _chain_db((1, 2), (2, 3), (3, 4), (4, 5))
+        cache = ScanCache(database)
+        relation = cache.scan(Atom(E, (x, y)))
+        relation.encoded(cache.encoder).key_index((0,))
+        rows = list(relation.rows)
+        database.discard(Atom(E, rows[1]))
+        merged = cache.scan(Atom(E, (x, y)))
+        assert merged.rows == [rows[0], rows[3], rows[2]]
+        assert list(merged.encoded(cache.encoder).decoded_rows()) == merged.rows
+
+    def test_swap_moves_pair_holes_with_surviving_tail_rows(self):
+        assert swap_moves([1, 4], 4) == [(1, 5)]
+        assert swap_moves([5, 4], 4) == []
+        assert swap_moves([3, 0, 1], 3) == [(0, 4), (1, 5)]
+
+
+# ----------------------------------------------------------------------
+# Journal replay: a written fact reaches only the scans it can match
+# ----------------------------------------------------------------------
+class TestIndexedReplay:
+    def test_a_write_queues_only_the_signatures_anchored_at_its_constants(self):
+        database = _chain_db((1, 2), (2, 3), (3, 3))
+        cache = ScanCache(database)
+        atoms = {
+            "base": Atom(E, (x, y)),
+            "loop": Atom(E, (x, x)),
+            "from1": Atom(E, (Constant(1), y)),
+            "from2": Atom(E, (Constant(2), y)),
+            "to2": Atom(E, (x, Constant(2))),
+            "to3": Atom(E, (x, Constant(3))),
+        }
+        signatures = {name: atom_signature(atom)[0] for name, atom in atoms.items()}
+        for atom in atoms.values():
+            cache.scan(atom)
+        database.add(_edge(2, 2))
+        cache.sync()
+        assert set(cache._pending) == {
+            signatures["base"], signatures["loop"], signatures["from2"], signatures["to2"]
+        }
+        # Queued scans keep their pre-write stamp until they merge; the
+        # rest are re-stamped at the synced epoch.
+        for signature, relation in cache._scans.items():
+            behind = relation.stamped_epoch() < cache.current_epoch()
+            assert behind == (signature in cache._pending)
+        database.add(_edge(1, 4))
+        cache.sync()
+        assert signatures["from1"] in cache._pending
+        assert signatures["to3"] not in cache._pending
+        assert cache.verify_epochs() == []
+        for name, atom in atoms.items():
+            expected = Relation.from_atom(atom, database)
+            assert set(cache.scan(atom).rows) == set(expected.rows), name
+        assert cache.verify_epochs() == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        writes=st.lists(st.tuples(st.booleans(), _EDGE_VALUES, _EDGE_VALUES), max_size=25),
+        anchors=st.lists(_EDGE_VALUES, min_size=1, max_size=4),
+    )
+    def test_random_writes_keep_the_service_consistent(self, writes, anchors):
+        database = _chain_db(*((i, i + 1) for i in range(5)))
+        service = QueryService(database)
+        queries = [
+            ConjunctiveQuery((z,), [Atom(E, (Constant(a), y)), Atom(E, (y, z))])
+            for a in anchors
+        ] + [ConjunctiveQuery((x, z), [Atom(E, (x, y)), Atom(E, (y, z))])]
+        for query in queries:
+            service.submit(query)
+        # One cached scan per anchor, plus the unanchored base scan.
+        assert service.counters()["cached_scans"] == len(set(anchors)) + 1
+        for step, (added, a, b) in enumerate(writes):
+            if added:
+                service.insert(_edge(a, b))
+            else:
+                service.delete(_edge(a, b))
+            if step % 3 == 0:
+                query = queries[step % len(queries)]
+                assert service.submit(query) == YannakakisEvaluator(query).evaluate(database)
+        assert service.scans.verify_epochs() == []
+        assert "SVC001" not in [d.code for d in service.verify()]
+        for query in queries:
+            expected = YannakakisEvaluator(query).evaluate(database, scans=ScanCache(database))
+            assert service.submit(query) == expected
+        assert service.scans.verify_epochs() == []
 
 
 # ----------------------------------------------------------------------
