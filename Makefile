@@ -44,7 +44,7 @@ bench-enum:
 bench-plans:
 	$(PYTEST) benchmarks/bench_plan_quality.py -s
 
-## Backend comparison: tuple vs columnar on the Yannakakis scaling workload.
+## Columnar engine vs the tuple-at-a-time oracle on the Yannakakis scaling workload.
 bench-backend:
 	$(PYTEST) benchmarks/bench_yannakakis_scaling.py -k backend -s
 

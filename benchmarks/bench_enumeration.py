@@ -10,6 +10,9 @@ database stays essentially constant while the answer count grows
 geometrically with the ray count — and reports, per size:
 
 * ``materialise`` — wall time of ``evaluate()`` (full answer set);
+* ``tuple`` / ``ratio`` — the same materialising plan on the tuple-at-a-time
+  oracle (``tests/helpers/tuple_engine.py``), and its time over the
+  engine's;
 * ``first`` — wall time until ``next(iter_answers(...))`` returns the first
   answer (the semi-join passes plus O(join-tree) bucket probes);
 * ``delay`` — mean inter-answer delay of the streaming path over the first
@@ -40,7 +43,8 @@ from typing import Dict, List, Optional, Sequence
 
 import pytest
 
-from repro.evaluation import ScanCache, YannakakisEvaluator
+from helpers import tuple_engine
+from repro.evaluation import YannakakisEvaluator
 from repro.evaluation.relation import Partition
 from repro.reporting import BenchSnapshot
 from repro.workloads.generators import wide_output_workload
@@ -121,19 +125,11 @@ def run_enumeration(
             lambda: next(evaluator.iter_answers(database)), repeats
         )
 
-        # ISSUE 7: the columnar backend on the same materialising face —
-        # cross-checked against the tuple answers, cache per backend so the
-        # encodings amortise across the timed repeats.
-        columnar_scans = ScanCache(database)
-        columnar_answers = evaluator.evaluate(
-            database, scans=columnar_scans, backend="columnar"
-        )
-        assert columnar_answers == answers
-        columnar_time = _best_of(
-            lambda: evaluator.evaluate(
-                database, scans=columnar_scans, backend="columnar"
-            ),
-            repeats,
+        # The tuple oracle on the same materialising plan: cross-checks the
+        # answers and measures what the columnar engine saves.
+        assert tuple_engine.evaluate(evaluator, database) == answers
+        tuple_time = _best_of(
+            lambda: tuple_engine.evaluate(evaluator, database), repeats
         )
 
         sample = min(DELAY_SAMPLE, len(answers))
@@ -158,8 +154,8 @@ def run_enumeration(
                 "db": len(database),
                 "answers": len(answers),
                 "materialise_time": materialise_time,
-                "columnar_time": columnar_time,
-                "backend_ratio": materialise_time / columnar_time,
+                "tuple_time": tuple_time,
+                "oracle_ratio": tuple_time / materialise_time,
                 "first_time": first_time,
                 "delay": delay,
                 "materialise_probes": materialise_probes,
@@ -183,8 +179,8 @@ def test_streaming_first_answer_flat_materialising_grows():
                 row["db"],
                 row["answers"],
                 _format(row["materialise_time"], "s"),
-                _format(row["columnar_time"], "s"),
-                f"{row['backend_ratio']:.2f}×",
+                _format(row["tuple_time"], "s"),
+                f"{row['oracle_ratio']:.2f}×",
                 _format(row["first_time"], "s"),
                 _format(row["delay"], "s"),
                 f"{row['first_probes']}/{row['materialise_probes']}",
@@ -196,7 +192,7 @@ def test_streaming_first_answer_flat_materialising_grows():
             "|D|",
             "answers",
             "materialise",
-            "columnar",
+            "tuple",
             "ratio",
             "first answer",
             "delay",
@@ -206,7 +202,7 @@ def test_streaming_first_answer_flat_materialising_grows():
     snapshot = BenchSnapshot("enumeration")
     snapshot.record("rays", [row["rays"] for row in rows])
     snapshot.record("answers", [row["answers"] for row in rows])
-    snapshot.record("backend_ratios", [row["backend_ratio"] for row in rows])
+    snapshot.record("oracle_ratios", [row["oracle_ratio"] for row in rows])
     snapshot.record(
         "first_probes", [row["first_probes"] for row in rows]
     )

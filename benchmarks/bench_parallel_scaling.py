@@ -18,7 +18,7 @@ of each.  *Engine* time is :meth:`PlanTree.materialize_encoded` — the part
 the kernels execute; *end to end* is ``evaluate`` including decoding the
 answer set.  Every vectorised run is checked for bit-identical encoded
 rows against the loop kernels, and the smallest size against the tuple
-backend.
+oracle (``tests/helpers/tuple_engine.py``).
 
 Acceptance: at the largest non-smoke size the vectorised engine is at
 least :data:`MIN_VECTORISED_SPEEDUP` × faster than the loop engine (median
@@ -42,6 +42,7 @@ from typing import Dict, List
 
 import pytest
 
+from helpers import tuple_engine
 from repro.evaluation import ExecutionContext, ScanCache, YannakakisEvaluator
 from repro.evaluation import parallel as kernels
 from repro.evaluation.encoding import NUMPY_ENV
@@ -80,11 +81,11 @@ def _sweep(size: int) -> Dict[str, object]:
 
     def engine():
         plan = evaluator.compile_answer_plan()
-        context = ExecutionContext(database, scans, backend="columnar")
+        context = ExecutionContext(database, scans)
         return plan.materialize_encoded(context)
 
     def end_to_end():
-        return evaluator.evaluate(database, backend="columnar")
+        return evaluator.evaluate(database)
 
     previous_gate = kernels.PARALLEL_MIN_ROWS
     engine_times: Dict[str, List[float]] = {name: [] for name in GATES}
@@ -129,11 +130,10 @@ def test_vectorised_vs_loop_kernels(monkeypatch):
     monkeypatch.setenv(NUMPY_ENV, "1")
     rows = [_sweep(size) for size in SIZES]
 
-    # Differential oracle: the tuple backend on the smallest workload.
+    # Differential oracle: the tuple engine on the smallest workload.
     query, database = yannakakis_scaling_workload(SIZES[0], seed=SEED)
-    assert YannakakisEvaluator(query).evaluate(
-        database, backend="tuple"
-    ) == YannakakisEvaluator(query).evaluate(database, backend="columnar")
+    evaluator = YannakakisEvaluator(query)
+    assert tuple_engine.evaluate(evaluator, database) == evaluator.evaluate(database)
 
     def ms(stats: Dict[str, float]) -> str:
         return (

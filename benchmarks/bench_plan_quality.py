@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from helpers import tuple_engine
 from helpers.ablation_planners import plan_greedy_heuristic
 from repro.evaluation import (
     DecompositionEvaluator,
@@ -97,14 +98,12 @@ def run_plan_quality(sizes: Sequence[int] = SIZES, seed: int = 0) -> List[Dict[s
         assert calibrated.answers == heuristic.answers == dp.answers, (
             "the planners must agree"
         )
-        # ISSUE 7: the columnar backend executes the same calibrated plan
-        # with identical answers and intermediate sizes (the backend changes
-        # representation, never semantics).
-        columnar = execute_plan(
-            plan_greedy(query, database), database, backend="columnar"
-        )
-        assert columnar.answers == calibrated.answers
-        assert columnar.intermediate_sizes == calibrated.intermediate_sizes
+        # The tuple oracle executes the same calibrated plan with identical
+        # answers and intermediate sizes (encoding changes representation,
+        # never semantics).
+        oracle = tuple_engine.execute_plan(greedy_plan, database)
+        assert oracle.answers == calibrated.answers
+        assert oracle.intermediate_sizes == calibrated.intermediate_sizes
         rows.append(
             {
                 "size": size,

@@ -6,7 +6,7 @@ Two panels over the standing :class:`repro.service.QueryService`:
   deleted and one inserted (a size-preserving mutation, exactly the shape
   the seed's size-snapshot guard could not see), then both cached
   signatures of a two-hop path query are re-served, encoded under the
-  cache's encoder as the columnar backend reads them.  The long-lived
+  cache's encoder as the operators read them.  The long-lived
   cache absorbs each round's delta (``O(delta)`` journal replay, in-place
   partition patch, and an encoded store carried forward by encoding only
   the delta); the baseline builds a fresh ``ScanCache`` every round

@@ -1,12 +1,15 @@
 #!/usr/bin/env python
 """Repository-convention lint — rules a generic linter cannot know.
 
-Six rules, each encoding a convention the codebase actually relies on:
+Five rules, each encoding a convention the codebase actually relies on:
 
 1. **Operator faces** — every concrete operator node in
-   ``src/repro/evaluation/operators.py`` implements both execution faces
-   (``_materialize``/``materialize`` and ``iter_rows``) and ``label()``,
-   so plans can always be materialised, streamed and rendered.
+   ``src/repro/evaluation/operators.py`` implements the batch faces
+   (``_materialize_encoded``, and ``iter_batches`` unless the base
+   chunking default serves) and ``label()``, so plans can always be
+   materialised, streamed and rendered.  No operator defines a
+   tuple-at-a-time face (``_materialize``/``iter_rows``): that engine is
+   the differential oracle in ``tests/helpers/tuple_engine.py``.
 2. **No mutable default arguments** anywhere under ``src/`` — a default
    ``[]``/``{}``/``set()`` is shared across calls; the engines pass
    relations and bindings through deep call chains where that aliasing is
@@ -21,12 +24,7 @@ Six rules, each encoding a convention the codebase actually relies on:
    ``src/repro/analysis/verify_plan.py``, so the static verifier's
    batch-face width check (PLAN013/PLAN014) can recompute its output
    width instead of warning it unchecked.
-5. **Plan entry points accept ``backend=``** — every public function in
-   ``join_plans.py``/``planner_dp.py`` that takes a ``planner`` and a
-   ``database`` plans *and executes*, so it must accept a ``backend``
-   keyword and run on either execution face.  Planners themselves only
-   order atoms and take no ``backend``.
-6. **Operators are immutable** — an operator class in ``operators.py``
+5. **Operators are immutable** — an operator class in ``operators.py``
    (``Operator`` or any subclass of it) assigns ``self.<attr>`` only inside
    ``__init__``.  Run state belongs to the run's ``ExecutionContext``, so
    one compiled plan can be shared by any number of runs and threads.
@@ -38,7 +36,7 @@ Exit 0 when clean, 1 with one line per violation otherwise (run via
 import ast
 import pathlib
 import sys
-from typing import List, Optional
+from typing import List, Optional, Set
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OPERATORS_FILE = REPO_ROOT / "src" / "repro" / "evaluation" / "operators.py"
@@ -54,8 +52,11 @@ def relative(path: pathlib.Path) -> str:
 
 
 # ----------------------------------------------------------------------
-# Rule 1: operator nodes implement both faces
+# Rule 1: operator nodes implement the batch faces, and only those
 # ----------------------------------------------------------------------
+TUPLE_FACES = ("_materialize", "iter_rows")
+
+
 def check_operator_faces() -> List[str]:
     violations: List[str] = []
     tree = ast.parse(OPERATORS_FILE.read_text(encoding="utf-8"))
@@ -67,33 +68,36 @@ def check_operator_faces() -> List[str]:
         if isinstance(node, ast.ClassDef)
     }
     # The streaming face of nodes that do not pipeline resolves through the
-    # base default (materialise-and-iterate); if that default ever goes
-    # away, every non-overriding node below becomes a violation.
-    base_has_stream_default = "iter_rows" in class_methods.get("Operator", set())
+    # base default (chunk the encoded materialisation); if that default
+    # ever goes away, every non-overriding node below becomes a violation.
+    base_has_stream_default = "iter_batches" in class_methods.get("Operator", set())
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
-        bases = {base.id for base in node.bases if isinstance(base, ast.Name)}
-        if "Operator" not in bases:
+        is_node = "Operator" in _bases(node)
+        if not is_node and node.name != "Operator":
             continue
         methods = class_methods[node.name]
-        if not methods & {"_materialize", "materialize"}:
-            violations.append(
-                f"{relative(OPERATORS_FILE)}:{node.lineno}: operator "
-                f"{node.name} has no materialising face "
-                "(_materialize or materialize)"
-            )
-        if "iter_rows" not in methods and not base_has_stream_default:
-            violations.append(
-                f"{relative(OPERATORS_FILE)}:{node.lineno}: operator "
-                f"{node.name} has no streaming face (iter_rows)"
-            )
+        where = f"{relative(OPERATORS_FILE)}:{node.lineno}: operator {node.name}"
+        for face in TUPLE_FACES:
+            if face in methods:
+                violations.append(
+                    f"{where} defines the tuple face {face} (the tuple engine "
+                    "is the oracle in tests/helpers/tuple_engine.py)"
+                )
+        if not is_node:
+            continue
+        if "_materialize_encoded" not in methods:
+            violations.append(f"{where} has no materialising face (_materialize_encoded)")
+        if "iter_batches" not in methods and not base_has_stream_default:
+            violations.append(f"{where} has no streaming face (iter_batches)")
         if "label" not in methods:
-            violations.append(
-                f"{relative(OPERATORS_FILE)}:{node.lineno}: operator "
-                f"{node.name} cannot be rendered (label)"
-            )
+            violations.append(f"{where} cannot be rendered (label)")
     return violations
+
+
+def _bases(node: ast.ClassDef) -> Set[str]:
+    return {base.id for base in node.bases if isinstance(base, ast.Name)}
 
 
 # ----------------------------------------------------------------------
@@ -193,37 +197,7 @@ def check_batch_face_registry() -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# Rule 5: plan entry points (planner= and execute) accept backend=
-# ----------------------------------------------------------------------
-PLANNER_FILES = (
-    REPO_ROOT / "src" / "repro" / "evaluation" / "join_plans.py",
-    REPO_ROOT / "src" / "repro" / "evaluation" / "planner_dp.py",
-)
-
-
-def check_planner_backend_parameter() -> List[str]:
-    violations: List[str] = []
-    for path in PLANNER_FILES:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-                continue
-            arguments = {
-                argument.arg
-                for argument in node.args.args + node.args.kwonlyargs
-            }
-            is_entry_point = "planner" in arguments and "database" in arguments
-            if is_entry_point and "backend" not in arguments:
-                violations.append(
-                    f"{relative(path)}:{node.lineno}: plan entry point "
-                    f"{node.name} does not accept backend= "
-                    "(it executes the plan, on either backend)"
-                )
-    return violations
-
-
-# ----------------------------------------------------------------------
-# Rule 6: operators assign their fields only in __init__
+# Rule 5: operators assign their fields only in __init__
 # ----------------------------------------------------------------------
 def _self_assignments(function: ast.FunctionDef) -> List[ast.Attribute]:
     """Every ``self.<attr>`` target assigned anywhere inside ``function``."""
@@ -246,7 +220,7 @@ def _self_assignments(function: ast.FunctionDef) -> List[ast.Attribute]:
 
 
 def check_operator_immutability(source: Optional[str] = None) -> List[str]:
-    """Rule 6 over ``operators.py`` (or over ``source``, for the tests)."""
+    """Rule 5 over ``operators.py`` (or over ``source``, for the tests)."""
     if source is None:
         source = OPERATORS_FILE.read_text(encoding="utf-8")
     violations: List[str] = []
@@ -277,7 +251,6 @@ def main() -> int:
         + check_mutable_defaults()
         + check_bench_smoke()
         + check_batch_face_registry()
-        + check_planner_backend_parameter()
         + check_operator_immutability()
     )
     for violation in violations:
@@ -288,7 +261,7 @@ def main() -> int:
     print(
         "lint: conventions hold "
         "(operator faces, defaults, BENCH_SMOKE, batch-face registry, "
-        "plan entry point backend= parameter, immutable operators)"
+        "immutable operators)"
     )
     return 0
 

@@ -37,17 +37,16 @@ plausible.
 (PLAN011/PLAN012); materialising plans — e.g. the bushy Yannakakis answer
 assembly — are verified without them.
 
-The batch face (:meth:`~repro.evaluation.operators.Operator.iter_batches`,
-PR 7's columnar backend) is covered by :data:`_BATCH_WIDTHS`: for every
-registered operator type the verifier recomputes the integer-column width
-its batch implementation produces and compares it with ``len(op.schema)``;
-given a run map (``run=``), the encoded result a run memoised for the node
-must agree with the schema too (PLAN014).  An operator type outside the
-registry cannot be checked and is reported as PLAN013 —
-:mod:`scripts.lint_conventions` enforces that every operator overriding
-the batch face is registered here.  Batch checks run only on nodes whose
-tuple-face invariants verified clean, so a corrupted node reports the
-precise tuple-face code rather than a duplicate.
+The encoded columns the operators run on are covered by
+:data:`_BATCH_WIDTHS`: for every registered operator type the verifier
+recomputes the integer-column width its batch implementation produces and
+compares it with ``len(op.schema)``; given a run map (``run=``), the
+encoded result a run memoised for the node must agree with the schema too
+(PLAN014).  An operator type outside the registry cannot be checked and is
+reported as PLAN013 — :mod:`scripts.lint_conventions` enforces that every
+operator overriding the batch face is registered here.  Batch checks run
+only on nodes whose schema invariants verified clean, so a corrupted node
+reports the precise schema code rather than a duplicate.
 
 :func:`verify_or_raise` turns ERROR findings into a
 :class:`PlanVerificationError`; :func:`maybe_verify` is the ``REPRO_VERIFY``
@@ -167,8 +166,7 @@ _CHILD_COUNTS = {
 #: of integer columns its ``iter_batches``/``_materialize_encoded``
 #: implementation produces, from the child schemas and the operator's own
 #: stored position arithmetic.  Keyed by exact type — a subclass may change
-#: the batch semantics, so it must register (or fall back to the generic
-#: encode-after-materialize path) explicitly.  ``lint_conventions.py``
+#: the batch semantics, so it must register explicitly.  ``lint_conventions.py``
 #: cross-checks this registry against ``operators.py``.
 _BATCH_WIDTHS = {
     Scan: lambda op: len(compile_scan_pattern(op.atom.terms).variables),
@@ -563,10 +561,10 @@ def _check_enumerate(
 
 
 def _check_batch_face(operator: Operator, diagnostics: List[Diagnostic], run: Run) -> None:
-    """PLAN013/PLAN014: the batch face agrees with the (clean) tuple face.
+    """PLAN013/PLAN014: the encoded width agrees with the (clean) schema.
 
-    Only called on nodes whose tuple-face checks produced no findings, so a
-    single corruption reports the precise tuple-face code instead of being
+    Only called on nodes whose schema checks produced no findings, so a
+    single corruption reports the precise schema code instead of being
     duplicated as a width mismatch.
     """
     label = _label(operator)
@@ -751,8 +749,8 @@ def _check_epochs(
 ) -> None:
     """PLAN016: scan results a run holds must carry the current database epoch.
 
-    A run memoises each Scan's materialised relation in its record; relations
-    served by an epoch-aware scan cache are stamped with the database
+    A run memoises each Scan's encoded relation in its record; the stores
+    of relations served by an epoch-aware scan cache carry the database
     mutation epoch they reflect (:meth:`repro.evaluation.relation.Relation
     .stamp_epoch`).  A stamp disagreeing with ``expected_epoch`` means the
     plan holds pre-mutation rows — the stale-answer bug the epoch machinery
@@ -761,11 +759,9 @@ def _check_epochs(
     """
     for node in nodes:
         record = run.get(node)
-        if not isinstance(node, Scan) or record is None or record.result is None:
+        if not isinstance(node, Scan) or record is None or record.encoded is None:
             continue
-        result = record.result
-        stamped = getattr(result, "stamped_epoch", None)
-        stamp = stamped() if callable(stamped) else None
+        stamp = record.encoded.store.epoch
         if stamp is not None and stamp != expected_epoch:
             diagnostics.append(
                 Diagnostic(
@@ -793,7 +789,7 @@ def verify_plan(
 
     ``streaming=True`` additionally applies the streaming-face shape checks
     (PLAN011/PLAN012) — use it for plans meant to run on
-    :meth:`~repro.evaluation.operators.Operator.iter_rows`.  ``run`` is an
+    :meth:`~repro.evaluation.operators.Operator.iter_batches`.  ``run`` is an
     executed context's run map: the encoded results it memoised are
     checked against their nodes' schemas (PLAN014) and, when
     ``expected_epoch`` is given, its scan results against the database

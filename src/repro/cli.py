@@ -242,9 +242,9 @@ def _cmd_evaluate(args: argparse.Namespace, out: IO[str]) -> int:
                 route, evaluator = "reformulated", YannakakisEvaluator(decision.witness)
         how = "reformulated+yannakakis" if route == "reformulated" else route
         if evaluator is not None:
-            stream = evaluator.iter_answers(database, limit=limit, backend=args.backend)
+            stream = evaluator.iter_answers(database, limit=limit)
         else:
-            stream = iter_with_plan(query, database, limit=limit, backend=args.backend)
+            stream = iter_with_plan(query, database, limit=limit)
         answers = sorted(stream, key=str)
 
     print(f"evaluation: {how}", file=out)
@@ -286,9 +286,7 @@ def _cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
         if op == "?":
             query = parse_query(rest)
             answers = sorted(
-                service.stream(
-                    query, tgds=tgds, limit=args.limit, backend=args.backend
-                ),
+                service.stream(query, tgds=tgds, limit=args.limit),
                 key=str,
             )
             print(f"? {query}", file=out)
@@ -453,7 +451,7 @@ def _cmd_explain(args: argparse.Namespace, out: IO[str]) -> int:
                     f"query: {query}",
                     "route: reformulated",
                     f"reformulation: {witness}",
-                    evaluator.explain(database, execute=execute, backend=args.backend),
+                    evaluator.explain(database, execute=execute),
                 ]
                 if args.verify:
                     lines.extend(_verification_lines(evaluator))
@@ -466,7 +464,6 @@ def _cmd_explain(args: argparse.Namespace, out: IO[str]) -> int:
             engine=args.engine,
             execute=execute,
             verify=args.verify,
-            backend=args.backend,
         )
     except (AcyclicityRequired, NotSemanticallyAcyclic) as error:
         raise SystemExit(str(error))
@@ -547,13 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="stream only the first N answers (evaluate_iter)",
     )
-    evaluate_parser.add_argument(
-        "--backend",
-        choices=("tuple", "columnar"),
-        default=None,
-        help="execution backend (default: the REPRO_BACKEND environment "
-        "variable, else tuple)",
-    )
     evaluate_parser.set_defaults(handler=_cmd_evaluate)
 
     explain_parser = subparsers.add_parser(
@@ -578,13 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the static plan verifier on the explained plan and append "
         "its diagnostics",
-    )
-    explain_parser.add_argument(
-        "--backend",
-        choices=("tuple", "columnar"),
-        default=None,
-        help="execution backend (default: the REPRO_BACKEND environment "
-        "variable, else tuple)",
     )
     explain_parser.set_defaults(handler=_cmd_explain)
 
@@ -616,13 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="per-query answer cap (the service's backpressure knob)",
-    )
-    serve_parser.add_argument(
-        "--backend",
-        choices=("tuple", "columnar"),
-        default=None,
-        help="execution backend (default: the REPRO_BACKEND environment "
-        "variable, else tuple)",
     )
     serve_parser.add_argument(
         "--verify",

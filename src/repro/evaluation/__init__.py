@@ -3,14 +3,17 @@
 Every set-at-a-time engine compiles to the shared physical-operator IR of
 :mod:`repro.evaluation.operators` (``Scan`` / ``SemiJoin`` / ``HashJoin`` /
 ``Project`` / ``Select`` / ``Distinct`` / ``CursorEnumerate``), which runs
-on the hash-partitioned :class:`~repro.evaluation.relation.Relation` layer
-and records per-operator estimated (statistics-calibrated
-:class:`CostModel`) and observed cardinalities — pretty-printed by the
-:func:`explain` API.  Every route also has a *streaming* face:
-:func:`evaluate_iter` (and :meth:`YannakakisEvaluator.iter_answers`,
-:func:`iter_with_plan`, :meth:`BatchEvaluator.evaluate_iter`) yields
-distinct answers one at a time instead of materialising the output — the
-``LIMIT``-style serving scenarios of the ROADMAP.
+batch-at-a-time over dictionary-encoded integer columns
+(:mod:`repro.evaluation.encoding`) read from the scans of the
+:class:`~repro.evaluation.relation.Relation` layer, decodes terms only at
+the output boundary, and records per-operator estimated
+(statistics-calibrated :class:`CostModel`) and observed cardinalities —
+pretty-printed by the :func:`explain` API.  Every route also has a
+*streaming* face: :func:`evaluate_iter` (and
+:meth:`YannakakisEvaluator.iter_answers`, :func:`iter_with_plan`,
+:meth:`BatchEvaluator.evaluate_iter`) yields distinct answers one at a
+time instead of materialising the output — the ``LIMIT``-style serving
+scenarios of the ROADMAP.
 
 Join plans come from one planner, the Selinger DP of
 :mod:`~repro.evaluation.planner_dp` (left-deep :func:`plan_dp_linear` on
@@ -18,15 +21,9 @@ the streaming faces, :func:`plan_greedy` past :data:`DP_ATOM_LIMIT`
 atoms); ``planner=`` takes any other planner as a callable.  The cover
 game's ``engine=`` likewise takes the fixpoint as a callable, defaulting
 to the worklist propagator :func:`existential_one_cover`.  Differential
-oracles and ablation baselines (the assignment-dict Yannakakis, the
-round-based cover game, the ablation-only planners) live under
-``tests/helpers/`` and are not part of this package.
-
-Every operator additionally exposes a *batch* face
-(:meth:`~repro.evaluation.operators.Operator.iter_batches`) running over
-dictionary-encoded integer columns (:mod:`repro.evaluation.encoding`);
-``backend="columnar"`` (or ``REPRO_BACKEND=columnar``) routes any entry
-point through it, with the tuple backend kept as the differential oracle.
+oracles and ablation baselines (the tuple-at-a-time operator engine, the
+assignment-dict Yannakakis, the round-based cover game, the ablation-only
+planners) live under ``tests/helpers/`` and are not part of this package.
 
 On numpy storage (``REPRO_NUMPY=1``) the batch face's join, semi-join,
 projection and selection run one vectorised kernel each
@@ -42,13 +39,7 @@ cache can be injected into any single-query entry point through its
 """
 
 from .relation import Partition, Relation, ScanProvider, SchemaError
-from .encoding import (
-    BACKENDS,
-    EncodedRelation,
-    TermEncoder,
-    numpy_enabled,
-    resolve_backend,
-)
+from .encoding import EncodedRelation, TermEncoder, numpy_enabled
 from .operators import (
     BagNode,
     CardinalityEstimate,
@@ -115,7 +106,6 @@ from .semacyclic_eval import (
 
 __all__ = [
     "AcyclicityRequired",
-    "BACKENDS",
     "BagNode",
     "BatchEvaluator",
     "CacheBindingError",
@@ -180,7 +170,6 @@ __all__ = [
     "plan_greedy",
     "query_covers_database",
     "render_plan",
-    "resolve_backend",
     "resolve_planner",
     "resolve_route",
     "service_enabled",

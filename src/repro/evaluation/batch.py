@@ -166,7 +166,7 @@ class ScanCache:
         #: client threads can share one cache.  Reentrant because a miss
         #: materialises through :meth:`_base`.
         self._lock = threading.RLock()
-        #: The dictionary encoder of the columnar backend.  Owned here so
+        #: The dictionary encoder the operators encode scans under.  Owned here so
         #: encodings — like scans and partitions — amortise across every
         #: evaluation sharing the cache (``ExecutionContext`` picks it up
         #: via the scan provider).  Append-only across mutations: deleted
@@ -493,19 +493,17 @@ class BatchEvaluator:
         route: Tuple[str, Optional[YannakakisEvaluator]],
         database: Instance,
         scans: Optional[ScanProvider],
-        backend: Optional[str] = None,
     ) -> Set[Tuple[Term, ...]]:
         kind, evaluator = route
         if evaluator is not None:  # "yannakakis" and "reformulated"
-            return evaluator.evaluate(database, scans=scans, backend=backend)
-        return evaluate_with_plan(query, database, scans=scans, backend=backend)
+            return evaluator.evaluate(database, scans=scans)
+        return evaluate_with_plan(query, database, scans=scans)
 
     def evaluate(
         self,
         database: Instance,
         *,
         scans: Optional[ScanProvider] = None,
-        backend: Optional[str] = None,
     ) -> List[Set[Tuple[Term, ...]]]:
         """Return ``[q(D) for q in queries]`` with shared phase-1 work.
 
@@ -524,7 +522,7 @@ class BatchEvaluator:
         if scans is None:
             scans = ScanCache(database)
         return [
-            self._evaluate_one(query, route, database, scans, backend)
+            self._evaluate_one(query, route, database, scans)
             for query, route in zip(self.queries, self._routes)
         ]
 
@@ -534,7 +532,6 @@ class BatchEvaluator:
         *,
         scans: Optional[ScanProvider] = None,
         limit: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> List[Iterator[Tuple[Term, ...]]]:
         """Per-query answer *generators* over one shared :class:`ScanCache`.
 
@@ -554,24 +551,13 @@ class BatchEvaluator:
         def stream_plan(query: ConjunctiveQuery) -> Iterator[Tuple[Term, ...]]:
             # Wrapped in a generator so even the *planning* (which scans
             # per-predicate cardinalities) waits for the first pull.
-            yield from iter_with_plan(
-                query,
-                database,
-                scans=scans,
-                limit=limit,
-                backend=backend,
-            )
+            yield from iter_with_plan(query, database, scans=scans, limit=limit)
 
         iterators: List[Iterator[Tuple[Term, ...]]] = []
         for query, (kind, evaluator) in zip(self.queries, self._routes):
             if evaluator is not None:  # "yannakakis" and "reformulated"
                 iterators.append(
-                    evaluator.iter_answers(
-                        database,
-                        scans=scans,
-                        limit=limit,
-                        backend=backend,
-                    )
+                    evaluator.iter_answers(database, scans=scans, limit=limit)
                 )
             else:
                 iterators.append(stream_plan(query))
@@ -583,7 +569,6 @@ class BatchEvaluator:
         *,
         scans: Optional[ScanProvider] = None,
         execute: bool = True,
-        backend: Optional[str] = None,
     ) -> List[str]:
         """Per-query ``EXPLAIN`` output over one shared :class:`ScanCache`.
 
@@ -603,33 +588,17 @@ class BatchEvaluator:
                 if kind == "reformulated":
                     lines.append(f"reformulation: {evaluator.query}")
                 lines.append(
-                    evaluator.explain(
-                        database,
-                        scans=scans,
-                        execute=execute,
-                        backend=backend,
-                    )
+                    evaluator.explain(database, scans=scans, execute=execute)
                 )
             else:
                 plan = resolve_planner(None)(query, database, scans=scans)
                 lines.append(
-                    explain_plan(
-                        plan,
-                        database,
-                        scans=scans,
-                        execute=execute,
-                        backend=backend,
-                    )
+                    explain_plan(plan, database, scans=scans, execute=execute)
                 )
             reports.append("\n".join(lines))
         return reports
 
-    def evaluate_sequential(
-        self,
-        database: Instance,
-        *,
-        backend: Optional[str] = None,
-    ) -> List[Set[Tuple[Term, ...]]]:
+    def evaluate_sequential(self, database: Instance) -> List[Set[Tuple[Term, ...]]]:
         """The per-query baseline: identical routing, no shared scans.
 
         Every query re-runs its own phase-1 scans via
@@ -638,6 +607,6 @@ class BatchEvaluator:
         oracle for :meth:`evaluate`.
         """
         return [
-            self._evaluate_one(query, route, database, None, backend=backend)
+            self._evaluate_one(query, route, database, None)
             for query, route in zip(self.queries, self._routes)
         ]

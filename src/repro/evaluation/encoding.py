@@ -1,10 +1,9 @@
-"""Dictionary encoding and the columnar storage behind the batch face.
+"""Dictionary encoding and the columnar storage every operator runs on.
 
-The tuple engine in :mod:`repro.evaluation.relation` moves one python tuple
-of :class:`~repro.datamodel.Term` objects at a time through dict-based
-partitions.  Every probe then builds and hashes a tuple of term objects
-(interned, so each term hashes by identity) — a large constant factor on
-top of the linear-time bounds the operators already meet.  This module
+A scan produces a :class:`~repro.evaluation.relation.Relation` of
+:class:`~repro.datamodel.Term` tuples.  Joining those tuples directly
+would build and hash a tuple of term objects per probe — a large constant
+factor on top of the linear-time bounds the operators meet.  This module
 removes that constant without touching the algorithms:
 
 * a :class:`TermEncoder` maps each distinct term to a dense ``int`` code,
@@ -13,22 +12,19 @@ removes that constant without touching the algorithms:
   ``array('q')`` buffers (optionally numpy ``int64`` arrays, see
   :func:`numpy_enabled`) plus the caches shared by schema views;
 * an :class:`EncodedRelation` is the schema-carrying view over a store and
-  mirrors the :class:`~repro.evaluation.relation.Relation` operator API
-  (``semijoin``/``join``/``project``/``select``/``partition``) over int
-  keys, so the operator IR can execute batch-at-a-time and decode only at
-  the output boundary.
+  offers the relational operators
+  (``semijoin``/``join``/``project``/``select_codes``/``partition``) over
+  int keys, so the operator IR executes batch-at-a-time and decodes only
+  at the output boundary.
 
-Backend selection is explicit: :func:`resolve_backend` resolves the
-``backend=`` keyword accepted by every evaluation entry point, falling back
-to the ``REPRO_BACKEND`` environment variable and then to ``"tuple"``.  The
-tuple backend stays the differential oracle; the columnar backend must agree
-with it bit-for-bit on answer sets (see ``tests/test_columnar_backend.py``).
+The tuple-at-a-time engine under ``tests/helpers/tuple_engine.py`` is the
+differential oracle: the operators must agree with it bit-for-bit on
+answer sets (see ``tests/test_columnar_backend.py``).
 
-Probe accounting mirrors the tuple engine exactly: :meth:`IntIndex.get`
-(the join-probe path) increments the *same* process-wide
-``Partition.total_probes`` counter, while membership checks (the semi-join
-path) are deliberately uncounted — so the bounded-work assertions in the
-streaming tests and benchmarks hold under either backend.
+Probe accounting: :meth:`IntIndex.get` (the join-probe path) increments
+the process-wide ``Partition.total_probes`` counter, while membership
+checks (the semi-join path) are deliberately uncounted — the accounting
+the bounded-work assertions in the streaming tests and benchmarks read.
 """
 
 from __future__ import annotations
@@ -51,14 +47,8 @@ from typing import (
 from ..datamodel import Term, Variable
 from .relation import Partition, Relation, Row, SchemaError
 
-#: Environment variable naming the default execution backend.
-BACKEND_ENV = "REPRO_BACKEND"
-
 #: Environment variable gating the optional numpy column storage.
 NUMPY_ENV = "REPRO_NUMPY"
-
-#: The recognised backends, in oracle-first order.
-BACKENDS = ("tuple", "columnar")
 
 #: A row of dictionary codes, positionally aligned with a schema.
 IntRow = Tuple[int, ...]
@@ -75,24 +65,6 @@ _EMPTY_BUCKET: Tuple[int, ...] = ()
 #: loses (0.7–1.0×) only once the right side hits most left keys
 #: (docs/ARCHITECTURE.md, "Semi-join: probe or scan").
 SEMIJOIN_PROBE_FACTOR = 4
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve the execution backend with explicit-over-environment precedence.
-
-    An explicit ``backend=`` argument wins; otherwise the ``REPRO_BACKEND``
-    environment variable is consulted; otherwise the tuple backend (the
-    differential oracle) is used.  Raises ``ValueError`` on unknown names so
-    a typo in ``--backend``/``REPRO_BACKEND`` fails loudly rather than
-    silently falling back.
-    """
-    value = backend if backend is not None else os.environ.get(BACKEND_ENV, "")
-    value = value.strip().lower() or "tuple"
-    if value not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {value!r}; expected one of {', '.join(BACKENDS)}"
-        )
-    return value
 
 
 def _numpy_module() -> object:
@@ -202,13 +174,13 @@ class TermEncoder:
 class IntIndex:
     """A hash index from int join keys to row indices of one store.
 
-    The batch-face analogue of :class:`~repro.evaluation.relation.Partition`:
+    The encoded analogue of :class:`~repro.evaluation.relation.Partition`:
     built once per (store, key columns) and cached on the store.  Every
     bucket lists its row indices in ascending order.  ``get`` probes are
-    counted into the *same* process-wide ``Partition.total_probes`` counter
-    the tuple engine uses, so bounded-work assertions span both backends;
-    membership checks (``key in index``, the semi-join path) are
-    deliberately uncounted, mirroring ``Partition.__contains__``.
+    counted into the process-wide ``Partition.total_probes`` counter, which
+    the bounded-work assertions read; membership checks (``key in index``,
+    the semi-join path) are deliberately uncounted, mirroring
+    ``Partition.__contains__``.
 
     An index is never mutated once built.  A delta merge derives the
     successor store's index with :meth:`patched` instead of rebuilding it.
@@ -319,9 +291,12 @@ class EncodedStore:
     :meth:`Relation.encoded`): it serves every later read of that relation,
     so an index built on it pays off across calls.  Operator outputs,
     batch chunks and enumeration stores are one-shot (``False``).
+    ``epoch`` mirrors the owning relation's stamped database epoch
+    (:meth:`Relation.stamp_epoch`; ``None`` when unstamped), so a run that
+    holds a store superseded by a delta merge can be told apart (PLAN016).
     """
 
-    __slots__ = ("columns", "length", "use_numpy", "caches", "long_lived")
+    __slots__ = ("columns", "length", "use_numpy", "caches", "long_lived", "epoch")
 
     def __init__(
         self,
@@ -335,6 +310,7 @@ class EncodedStore:
         self.use_numpy = use_numpy
         self.long_lived = long_lived
         self.caches: Dict[object, object] = {}
+        self.epoch: Optional[int] = None
 
 
 class EncodedRelation:
@@ -514,8 +490,8 @@ class EncodedRelation:
     def fresh_copy(self) -> "EncodedRelation":
         """A fresh relation over the same (immutable) columns, fresh caches.
 
-        The encoded analogue of the tuple engine's "outputs never alias
-        inputs" rule: columns may be shared because they are immutable, but
+        Operator outputs never alias their inputs' caches: columns may be
+        shared because they are immutable, but
         caches never are.
         """
         return self._derive(self.schema, self.store.columns, self.store.length)
@@ -632,9 +608,8 @@ class EncodedRelation:
     ) -> "EncodedRelation":
         """Keep the rows whose column at each position equals the given code.
 
-        The vectorized face of ``Relation.select``: one bulk compare per
-        checked column (a numpy mask when enabled, a C-speed comprehension
-        otherwise).
+        One bulk compare per checked column (a numpy mask when enabled, a
+        C-speed comprehension otherwise).
         """
         if not checks:
             return self.fresh_copy()
@@ -709,7 +684,7 @@ class EncodedRelation:
         """Bulk bucket intersection: keep rows whose key is in ``index``.
 
         The scan kernel: one membership check per row of ``self``.
-        Membership checks are uncounted, mirroring the tuple semi-join.
+        Membership checks are uncounted (see :class:`IntIndex`).
         """
         keys = self._key_column(tuple(key_positions))
         buckets = index.buckets
@@ -745,7 +720,7 @@ class EncodedRelation:
         return self.take(indices)
 
     def semijoin(self, other: "EncodedRelation") -> "EncodedRelation":
-        """``self ⋉ other`` by variable name — the encoded Relation.semijoin.
+        """``self ⋉ other`` by variable name.
 
         Probes (:meth:`semijoin_probe`) when this store is long-lived and
         ``other``'s distinct keys, times :data:`SEMIJOIN_PROBE_FACTOR`, are
@@ -807,7 +782,7 @@ class EncodedRelation:
         return self._derive(schema, columns, len(left_indices))
 
     def join(self, other: "EncodedRelation") -> "EncodedRelation":
-        """Natural hash join by variable name — the encoded Relation.join."""
+        """Natural hash join by variable name."""
         shared = tuple(v for v in self.schema if v in other._positions)
         residual_positions = tuple(
             index
@@ -818,8 +793,7 @@ class EncodedRelation:
             other.schema[index] for index in residual_positions
         )
         if not shared:
-            # Cross product: no index to probe (and, mirroring the tuple
-            # engine, no probes counted).
+            # Cross product: no index to probe (and no probes counted).
             left_indices = [
                 i for i in range(self.store.length) for _ in range(other.store.length)
             ]

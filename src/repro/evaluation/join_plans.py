@@ -28,10 +28,10 @@ execution faces come straight from the IR:
   intermediate-result size (the ablation benchmarks and the cost-model
   calibration want them);
 * :func:`iter_plan_answers` runs the *streaming* face: the whole left-deep
-  chain pipelines (each pulled row probes the next scan's cached
-  partition), so nothing but the base scans is ever materialised and
-  ``limit``-style consumers stop the entire chain after a handful of
-  bucket probes — there is no materialised join prefix any more.
+  chain pipelines batch-at-a-time (each pulled row probes the next scan's
+  int index), so nothing but the base scans is ever materialised and
+  ``limit``-style consumers stop the entire chain after a bounded number
+  of batches — there is no materialised join prefix.
 
 Cardinality estimation is statistics-calibrated: the planners score
 candidate orders with the :class:`~repro.evaluation.operators.CostModel`
@@ -371,18 +371,18 @@ def execute_plan(
     database: Instance,
     *,
     scans: Optional[ScanProvider] = None,
-    backend: Optional[str] = None,
 ) -> PlanExecution:
     """Execute a join plan on its materialising face over the IR.
 
-    Each chain operator is materialised in order (a step costs time linear
-    in its inputs plus its output) and its observed cardinality recorded,
+    Each chain operator is materialised encoded, in order (a step costs
+    time linear in its inputs plus its output), and its observed
+    cardinality recorded; decoding happens once, at the head,
     so the ablation benchmarks and the calibration tests read real
     intermediate sizes.  Execution stops early when an intermediate comes
     up empty.  ``scans`` injects a shared scan provider for the base-atom
     scans (see :meth:`Relation.from_atom`).
     """
-    context = ExecutionContext(database, scans, backend=backend)
+    context = ExecutionContext(database, scans)
     ops = plan._chain
     if ops is None:
         ops = compile_plan(plan)
@@ -391,33 +391,20 @@ def execute_plan(
         plan._chain = ops
     intermediate_sizes: List[int] = []
     answers: Set[Tuple[Term, ...]] = set()
-    if context.backend == "columnar":
-        # Same step-by-step shape, on the batch face: each chain operator
-        # materialises encoded and decoding happens once, at the head.
-        encoded = None
-        for op in ops:
-            encoded = op.materialize_encoded(context)
-            intermediate_sizes.append(len(encoded))
-            if encoded.is_empty():
-                break
-        if (encoded is None or not encoded.is_empty()) and (
-            plan.steps or not plan.query.body
-        ):
-            answers = (
-                encoded.answer_tuples(plan.query.head)
-                if encoded is not None
-                else Relation.unit().answer_tuples(plan.query.head)
-            )
-        return PlanExecution(answers=answers, intermediate_sizes=intermediate_sizes)
-    relation = Relation.unit()
+    encoded = None
     for op in ops:
-        relation = op.materialize(context)
-        intermediate_sizes.append(len(relation))
-        if relation.is_empty():
+        encoded = op.materialize_encoded(context)
+        intermediate_sizes.append(len(encoded))
+        if encoded.is_empty():
             break
-
-    if relation and (plan.steps or not plan.query.body):
-        answers = relation.answer_tuples(plan.query.head)
+    if (encoded is None or not encoded.is_empty()) and (
+        plan.steps or not plan.query.body
+    ):
+        answers = (
+            encoded.answer_tuples(plan.query.head)
+            if encoded is not None
+            else Relation.unit().answer_tuples(plan.query.head)
+        )
     return PlanExecution(answers=answers, intermediate_sizes=intermediate_sizes)
 
 
@@ -427,17 +414,15 @@ def iter_plan_answers(
     *,
     scans: Optional[ScanProvider] = None,
     limit: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Iterator[Tuple[Term, ...]]:
     """Stream a plan's answers through the fully pipelined operator chain.
 
-    The streaming face of the left-deep chain: every pulled row flows from
-    the first scan through one cached-partition probe per later step, a
-    head :class:`~repro.evaluation.operators.Project` deduplicates on the
-    fly, and nothing but the base scans is ever materialised — the join
-    prefix that the pre-IR implementation used to build is gone, so
+    The streaming face of the left-deep chain: every pulled batch flows
+    from the first scan through one int-index probe per row and later
+    step, a head :class:`~repro.evaluation.operators.Project` deduplicates
+    on the fly, and nothing but the base scans is ever materialised, so
     ``limit``-style consumption costs bucket probes proportional to the
-    answers pulled, not to the prefix size.
+    batches pulled, not to the prefix size.
 
     The set of yielded tuples equals ``execute_plan(...).answers`` exactly,
     with no tuple yielded twice.
@@ -457,23 +442,16 @@ def iter_plan_answers(
         plan._stream_top = top
     head_positions = tuple(head_schema.index(v) for v in plan.query.head)
 
-    context = ExecutionContext(database, scans, backend=backend)
+    context = ExecutionContext(database, scans)
     produced = 0
-    if context.backend == "columnar":
-        # The chain pipelines batch-at-a-time; codes are decoded only here.
-        terms = context.encoder.terms
-        for batch in top.iter_batches(context):
-            for code_row in batch.rows:
-                yield tuple(terms[code_row[p]] for p in head_positions)
-                produced += 1
-                if limit is not None and produced >= limit:
-                    return
-        return
-    for row in top.iter_rows(context):
-        yield tuple(row[p] for p in head_positions)
-        produced += 1
-        if limit is not None and produced >= limit:
-            return
+    # The chain pipelines batch-at-a-time; codes are decoded only here.
+    terms = context.encoder.terms
+    for batch in top.iter_batches(context):
+        for code_row in batch.rows:
+            yield tuple(terms[code_row[p]] for p in head_positions)
+            produced += 1
+            if limit is not None and produced >= limit:
+                return
 
 
 def explain_plan(
@@ -483,7 +461,6 @@ def explain_plan(
     scans: Optional[ScanProvider] = None,
     statistics: Optional[Statistics] = None,
     execute: bool = True,
-    backend: Optional[str] = None,
 ) -> str:
     """Pretty-print a compiled plan with estimated vs. observed rows.
 
@@ -503,12 +480,9 @@ def explain_plan(
         statistics if statistics is not None else Statistics(database, scans)
     )
     model.annotate(top)
-    context = ExecutionContext(database, scans, backend=backend)
+    context = ExecutionContext(database, scans)
     if execute:
-        if context.backend == "columnar":
-            top.materialize_encoded(context)
-        else:
-            top.materialize(context)
+        top.materialize_encoded(context)
     return render_plan(top, run=context.run, estimates=model.row_estimates())
 
 
@@ -535,7 +509,6 @@ def evaluate_with_plan(
     planner: Optional[Planner] = None,
     *,
     scans: Optional[ScanProvider] = None,
-    backend: Optional[str] = None,
 ) -> Set[Tuple[Term, ...]]:
     """Plan and execute ``query`` over ``database``; return the answer set.
 
@@ -545,9 +518,7 @@ def evaluate_with_plan(
     planner = resolve_planner(planner)
     scans = _default_scans(database, scans)
     plan = planner(query, database, scans=scans)
-    return execute_plan(
-        plan, database, scans=scans, backend=backend
-    ).answers
+    return execute_plan(plan, database, scans=scans).answers
 
 
 def iter_with_plan(
@@ -557,7 +528,6 @@ def iter_with_plan(
     *,
     scans: Optional[ScanProvider] = None,
     limit: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Iterator[Tuple[Term, ...]]:
     """Plan ``query`` and stream its answers (see :func:`iter_plan_answers`).
 
@@ -568,9 +538,7 @@ def iter_with_plan(
     planner = resolve_planner(planner, streaming=True)
     scans = _default_scans(database, scans)
     plan = planner(query, database, scans=scans)
-    return iter_plan_answers(
-        plan, database, scans=scans, limit=limit, backend=backend
-    )
+    return iter_plan_answers(plan, database, scans=scans, limit=limit)
 
 
 def boolean_with_plan(
@@ -579,20 +547,12 @@ def boolean_with_plan(
     planner: Optional[Planner] = None,
     *,
     scans: Optional[ScanProvider] = None,
-    backend: Optional[str] = None,
 ) -> bool:
     """Boolean evaluation through a join plan (first-answer short-circuit).
 
     The pipelined chain stops at the first answer, so only the base scans —
     never a join prefix — are materialised in full.
     """
-    for _ in iter_with_plan(
-        query,
-        database,
-        planner=planner,
-        scans=scans,
-        limit=1,
-        backend=backend,
-    ):
+    for _ in iter_with_plan(query, database, planner=planner, scans=scans, limit=1):
         return True
     return False

@@ -11,24 +11,32 @@ execution substrate, one accounting scheme and one cost model:
 
 * an :class:`Operator` is a node of a physical plan (a DAG — reduction
   plans share sub-operators between the semi-join passes).  Every operator
-  supports **both** execution faces:
+  runs over dictionary-encoded integer columns
+  (:mod:`repro.evaluation.encoding`) on two faces:
 
-  - :meth:`Operator.materialize` — produce the full output
-    :class:`Relation` (memoised per run, so DAG-shared work is paid once);
-  - :meth:`Operator.iter_rows` — *stream* the output rows.  Pipelining
-    operators (:class:`HashJoin`, :class:`SemiJoin`, :class:`Project`,
+  - :meth:`Operator.materialize_encoded` — produce the full output
+    :class:`~repro.evaluation.encoding.EncodedRelation` (memoised per run,
+    so DAG-shared work is paid once); :meth:`Operator.materialize` decodes
+    it into a term :class:`Relation`;
+  - :meth:`Operator.iter_batches` — *stream* the output in batches of at
+    most :data:`BATCH_ROWS` rows.  Pipelining operators
+    (:class:`HashJoin`, :class:`SemiJoin`, :class:`Project`,
     :class:`Select`, :class:`Distinct`) stream their left/only input and
     never materialise their own output; :class:`CursorEnumerate` streams a
     whole join tree through nested memoised cursors.
+
+  Terms are decoded only at the output boundary.  The tuple-at-a-time
+  engine these faces replaced is kept as the differential oracle under
+  ``tests/helpers/``.
 
 * a plan is a **value**: operators hold only their schema, children and
   compile-time fields, so one compiled plan serves any number of runs,
   concurrently too.  Everything a run produces lives in its
   :class:`ExecutionContext` — the *run map*, one :class:`NodeRun` per
   executed node holding the memoised results, the **observed** cardinality
-  (``rows``), the bucket-probe count (``probes``) where the node probes
-  hash partitions, and the face it ran on — the raw material of
-  ``EXPLAIN`` output and of the bounded-work tests;
+  (``rows``) and the bucket-probe count (``probes``) where the node
+  probes hash partitions — the raw material of ``EXPLAIN`` output and of
+  the bounded-work tests;
 
 * :class:`Statistics` + :class:`CostModel` supply the **estimated**
   cardinalities (:meth:`CostModel.row_estimates`) from cached per-column
@@ -51,8 +59,6 @@ streaming face pipelines the whole prefix.
 
 from __future__ import annotations
 
-import os
-import warnings
 from collections import defaultdict
 from typing import (
     DefaultDict,
@@ -70,7 +76,7 @@ from typing import (
 
 from ..datamodel import Atom, Instance, Predicate, Term, Variable
 from ..hypergraph import JoinTree
-from .encoding import EncodedRelation, IntRow, TermEncoder, resolve_backend
+from .encoding import EncodedRelation, IntRow, TermEncoder
 from .parallel import (
     parallel_join,
     parallel_project,
@@ -85,47 +91,10 @@ from .relation import (
     compile_scan_pattern,
 )
 
-#: Environment variable overriding :data:`BATCH_ROWS` (the batch size).
-BATCH_ROWS_ENV = "REPRO_BATCH_ROWS"
-
-#: The default batch-face row budget when ``REPRO_BATCH_ROWS`` is unset.
-DEFAULT_BATCH_ROWS = 1024
-
-
-def _resolve_batch_rows() -> int:
-    """Resolve ``REPRO_BATCH_ROWS`` to a positive int, warning on junk.
-
-    Unlike ``REPRO_BACKEND`` (which raises on typos), a
-    bad batch size degrades gracefully: batch execution is correct at any
-    size, so a non-positive or non-numeric value warns and falls back to
-    :data:`DEFAULT_BATCH_ROWS` rather than making every entry point
-    unusable.  Read once at import time — the batch tests monkeypatch the
-    module constant, not the environment.
-    """
-    raw = os.environ.get(BATCH_ROWS_ENV, "").strip()
-    if not raw:
-        return DEFAULT_BATCH_ROWS
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        warnings.warn(
-            f"ignoring {BATCH_ROWS_ENV}={raw!r}: expected a positive integer,"
-            f" using the default of {DEFAULT_BATCH_ROWS}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return DEFAULT_BATCH_ROWS
-    return value
-
-
 #: Row budget of one batch on the batch face (:meth:`Operator.iter_batches`).
 #: Large enough to amortise per-batch dispatch, small enough that ``limit=``
-#: consumers stop a pipelined chain after O(batch) extra work.  Tunable per
-#: machine through ``REPRO_BATCH_ROWS`` (positive int; junk warns and keeps
-#: the default).
-BATCH_ROWS = _resolve_batch_rows()
+#: consumers stop a pipelined chain after O(batch) extra work.
+BATCH_ROWS = 1024
 
 
 def first_occurrence_schema(variables: Sequence[Variable]) -> Tuple[Variable, ...]:
@@ -143,21 +112,17 @@ def first_occurrence_schema(variables: Sequence[Variable]) -> Tuple[Variable, ..
 class NodeRun:
     """What one run observed at one plan node.
 
-    ``result``/``encoded`` memoise the node's tuple and encoded outputs,
-    ``rows`` is the observed cardinality (rows pulled, on a streaming
-    face), ``probes`` the bucket probes the node issued (``None`` when it
-    probed nothing) and ``face`` is ``"batch"`` once the columnar face ran
-    the node.
+    ``encoded`` memoises the node's encoded output, ``rows`` is the
+    observed cardinality (rows pulled, on a streaming face) and ``probes``
+    the bucket probes the node issued (``None`` when it probed nothing).
     """
 
-    __slots__ = ("result", "encoded", "rows", "probes", "face")
+    __slots__ = ("encoded", "rows", "probes")
 
     def __init__(self) -> None:
-        self.result: Optional[Relation] = None
         self.encoded: Optional[EncodedRelation] = None
         self.rows: Optional[int] = None
         self.probes: Optional[int] = None
-        self.face: Optional[str] = None
 
 
 class ExecutionContext:
@@ -167,11 +132,8 @@ class ExecutionContext:
     ``scans=`` parameter of the evaluator entry points (the canonical
     provider is :class:`repro.evaluation.batch.ScanCache`).
 
-    ``backend`` selects the execution face the engines route through
-    (``"tuple"`` or ``"columnar"``, resolved per
-    :func:`repro.evaluation.encoding.resolve_backend`), and ``encoder`` is
-    the dictionary encoder the batch face encodes under.  When the scan
-    provider owns an encoder (``ScanCache.encoder``) it is reused, so
+    ``encoder`` is the dictionary encoder the run encodes under.  When the
+    scan provider owns an encoder (``ScanCache.encoder``) it is reused, so
     encodings — like scans and partitions — amortise across every
     evaluation sharing the cache.
 
@@ -181,19 +143,17 @@ class ExecutionContext:
     state.
     """
 
-    __slots__ = ("database", "scans", "backend", "encoder", "run")
+    __slots__ = ("database", "scans", "encoder", "run")
 
     def __init__(
         self,
         database: Instance,
         scans: Optional[ScanProvider] = None,
         *,
-        backend: Optional[str] = None,
         encoder: Optional[TermEncoder] = None,
     ) -> None:
         self.database = database
         self.scans = scans
-        self.backend = resolve_backend(backend)
         if encoder is None:
             encoder = getattr(scans, "encoder", None)
             if encoder is None:
@@ -209,11 +169,11 @@ class Operator:
     """One node of a physical plan — an immutable value.
 
     Subclasses fix the static output ``schema`` at construction time (no
-    database access) and implement ``_materialize``; streaming operators
-    additionally override :meth:`iter_rows`.  Nodes hold no run state:
-    every face writes what it computes and observes into the context's
-    :class:`NodeRun` for the node, so one compiled plan can run against
-    any number of contexts.
+    database access) and implement ``_materialize_encoded``; pipelining
+    operators additionally override :meth:`iter_batches`.  Nodes hold no
+    run state: every face writes what it computes and observes into the
+    context's :class:`NodeRun` for the node, so one compiled plan can run
+    against any number of contexts.
     """
 
     __slots__ = ("schema", "children")
@@ -226,48 +186,28 @@ class Operator:
 
     # -- execution ------------------------------------------------------
     def materialize(self, context: ExecutionContext) -> Relation:
-        """The full output relation (computed once per run)."""
-        record = context.run[self]
-        if record.result is None:
-            record.result = self._materialize(context)
-            record.rows = len(record.result)
-        return record.result
-
-    def _materialize(self, context: ExecutionContext) -> Relation:
-        raise NotImplementedError
-
-    def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        """Stream the output rows.
-
-        The base implementation materialises and iterates; pipelining
-        subclasses override it to stream without materialising their own
-        output (their recorded ``rows`` then counts the rows actually
-        pulled).
-        """
-        yield from self.materialize(context).rows
+        """The full output decoded into a term :class:`Relation` — the one
+        decode boundary of a materialised plan (a fresh relation per call;
+        the encoded output underneath is computed once per run)."""
+        return self.materialize_encoded(context).to_relation()
 
     def materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         """The full output as a dictionary-encoded column store (per run).
 
-        The batch-face analogue of :meth:`materialize`: computed once per
-        node and run, so DAG-shared sub-operators pay once.  The base
-        implementation encodes the tuple materialisation — the encode
-        boundary of :class:`Scan` and of any operator without a native
-        columnar kernel; the vectorized operators override
-        :meth:`_materialize_encoded` instead and never touch term tuples.
+        Computed once per node and run, so DAG-shared sub-operators pay
+        once.
         """
         record = context.run[self]
         if record.encoded is None:
             record.encoded = self._materialize_encoded(context)
             record.rows = len(record.encoded)
-            record.face = "batch"
         return record.encoded
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
-        return self.materialize(context).encoded(context.encoder)
+        raise NotImplementedError
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        """Stream the output as encoded column batches (the third face).
+        """Stream the output as encoded column batches.
 
         Batches are small :class:`EncodedRelation` slices of at most
         ``BATCH_ROWS`` rows.  Pipelining operators override this to stream
@@ -279,14 +219,10 @@ class Operator:
         if len(encoded):
             yield from encoded.chunks(BATCH_ROWS)
 
-    def _stream_record(
-        self, context: ExecutionContext, face: Optional[str] = None
-    ) -> NodeRun:
+    def _stream_record(self, context: ExecutionContext) -> NodeRun:
         """The record a streaming face counts into, its ``rows`` reset."""
         record = context.run[self]
         record.rows = 0
-        if face is not None:
-            record.face = face
         return record
 
     # -- traversal ------------------------------------------------------
@@ -338,7 +274,8 @@ class Scan(Operator):
 
     Delegates to :meth:`Relation.from_atom`, so the context's scan provider
     (e.g. a shared :class:`~repro.evaluation.batch.ScanCache`) serves the
-    relation when one is injected.
+    relation when one is injected, then to :meth:`Relation.encoded` — the
+    encode boundary, whose column store is cached on the relation.
     """
 
     __slots__ = ("atom",)
@@ -348,8 +285,9 @@ class Scan(Operator):
         super().__init__(tuple(pattern.variables), ())  # type: ignore[arg-type]
         self.atom = atom
 
-    def _materialize(self, context: ExecutionContext) -> Relation:
-        return Relation.from_atom(self.atom, context.database, context.scans)
+    def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
+        relation = Relation.from_atom(self.atom, context.database, context.scans)
+        return relation.encoded(context.encoder)
 
     def label(self) -> str:
         return f"Scan[{self.atom}]"
@@ -370,17 +308,6 @@ class Select(Operator):
             if variable in child.schema
         )
 
-    def _materialize(self, context: ExecutionContext) -> Relation:
-        return self.children[0].materialize(context).select(self.binding)
-
-    def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        record = self._stream_record(context)
-        checks = self._checks
-        for row in self.children[0].iter_rows(context):
-            if all(row[position] == term for position, term in checks):
-                record.rows += 1
-                yield row
-
     def _encoded_checks(self, context: ExecutionContext) -> Tuple[Tuple[int, int], ...]:
         encode = context.encoder.encode
         return tuple((position, encode(term)) for position, term in self._checks)
@@ -390,7 +317,7 @@ class Select(Operator):
         return child.select_codes(self._encoded_checks(context))
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        record = self._stream_record(context, "batch")
+        record = self._stream_record(context)
         checks = self._encoded_checks(context)
         for batch in self.children[0].iter_batches(context):
             out = batch.select_codes(checks)
@@ -406,7 +333,7 @@ class Select(Operator):
 
 
 class Project(Operator):
-    """Project onto distinct variables, deduplicating (both faces)."""
+    """Project onto distinct variables, deduplicating."""
 
     __slots__ = ("_positions",)
 
@@ -417,27 +344,13 @@ class Project(Operator):
         super().__init__(variables, (child,))
         self._positions = tuple(child.schema.index(v) for v in variables)
 
-    def _materialize(self, context: ExecutionContext) -> Relation:
-        return self.children[0].materialize(context).project(self.schema)
-
-    def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        record = self._stream_record(context)
-        positions = self._positions
-        seen: Set[Row] = set()
-        for row in self.children[0].iter_rows(context):
-            projected = tuple(row[p] for p in positions)
-            if projected not in seen:
-                seen.add(projected)
-                record.rows += 1
-                yield projected
-
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         child = self.children[0].materialize_encoded(context)
         result = parallel_project(child, self.schema, self._positions)
         return child.project(self.schema) if result is None else result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        record = self._stream_record(context, "batch")
+        record = self._stream_record(context)
         seen: Set[object] = set()  # int keys, carried across batches
         for batch in self.children[0].iter_batches(context):
             out = batch.project(self.schema, seen)
@@ -459,25 +372,13 @@ class Distinct(Operator):
     def __init__(self, child: Operator) -> None:
         super().__init__(child.schema, (child,))
 
-    def _materialize(self, context: ExecutionContext) -> Relation:
-        return self.children[0].materialize(context).distinct()
-
-    def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        record = self._stream_record(context)
-        seen: Set[Row] = set()
-        for row in self.children[0].iter_rows(context):
-            if row not in seen:
-                seen.add(row)
-                record.rows += 1
-                yield row
-
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         child = self.children[0].materialize_encoded(context)
         result = parallel_project(child, self.schema, tuple(range(len(self.schema))))
         return child.distinct() if result is None else result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        record = self._stream_record(context, "batch")
+        record = self._stream_record(context)
         seen: Set[object] = set()
         for batch in self.children[0].iter_batches(context):
             out = batch.distinct(seen)
@@ -495,18 +396,16 @@ class Distinct(Operator):
 class SemiJoin(Operator):
     """``left ⋉ right``: keep the left rows with a join partner in right.
 
-    Materialising face: :meth:`Relation.semijoin` (hash partition of the
-    right side, one filtering pass over the left — membership checks are
-    deliberately not probe-counted, matching the reduction-pass accounting
-    of the bounded-work tests).  Streaming face: the left input streams,
-    the right side is materialised into its cached partition.
-
-    Batch face: the vectorised kernel on numpy storage, else
+    Materialising face: the vectorised kernel on numpy storage, else
     :meth:`EncodedRelation.semijoin`, which probes the left store's cached
     key index with each right key when the left store is long-lived (a
     cached scan) and the right side has few keys — a point query then
     costs its answer, not the left relation — and scans the left rows
-    otherwise.  ``iter_batches`` always scans: its chunks are one-shot.
+    otherwise.  Streaming face (``iter_batches``): the left input streams
+    batch-at-a-time against the right side's int index, always scanning
+    (its chunks are one-shot).  Membership checks are deliberately not
+    probe-counted, matching the reduction-pass accounting of the
+    bounded-work tests.
     """
 
     __slots__ = ("_shared", "_left_key")
@@ -514,29 +413,6 @@ class SemiJoin(Operator):
     def __init__(self, left: Operator, right: Operator) -> None:
         super().__init__(left.schema, (left, right))
         self._shared, self._left_key, _ = _shared_schema(left, right)
-
-    def _materialize(self, context: ExecutionContext) -> Relation:
-        left = self.children[0].materialize(context)
-        if left.is_empty():
-            return Relation(self.schema, [])
-        return left.semijoin(self.children[1].materialize(context))
-
-    def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        record = self._stream_record(context)
-        right = self.children[1].materialize(context)
-        if right.is_empty():
-            return
-        if not self._shared:
-            for row in self.children[0].iter_rows(context):
-                record.rows += 1
-                yield row
-            return
-        partition = right.partition(self._shared)
-        left_key = self._left_key
-        for row in self.children[0].iter_rows(context):
-            if tuple(row[p] for p in left_key) in partition:
-                record.rows += 1
-                yield row
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         left = self.children[0].materialize_encoded(context)
@@ -552,7 +428,7 @@ class SemiJoin(Operator):
         return left.semijoin(right) if result is None else result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        record = self._stream_record(context, "batch")
+        record = self._stream_record(context)
         right = self.children[1].materialize_encoded(context)
         if right.is_empty():
             return
@@ -562,8 +438,7 @@ class SemiJoin(Operator):
                 yield batch
             return
         # One shared int index over the right side; each left batch is a
-        # bulk bucket intersection (membership only — never probe-counted,
-        # matching the tuple semi-join accounting).
+        # bulk bucket intersection (membership only — never probe-counted).
         index = right.key_index(tuple(right.position(v) for v in self._shared))
         left_key = self._left_key
         for batch in self.children[0].iter_batches(context):
@@ -580,13 +455,14 @@ class HashJoin(Operator):
     """Natural hash join — ``left ⋈ right`` (cross product when no variable
     is shared).
 
-    Materialising face: :meth:`Relation.join` (linear in the operands plus
-    the output).  Streaming face: the left input streams and each row
-    probes the right side's cached partition, so a left-deep chain of
-    streaming hash joins pipelines end to end — nothing but the base scans
-    is ever materialised, and ``limit``-style consumers stop the whole
-    chain early.  Either way the run record counts one bucket probe per
-    left row on a shared key.
+    Materialising face: the vectorised kernel on numpy storage, else
+    :meth:`EncodedRelation.join` (linear in the operands plus the output).
+    Streaming face (``iter_batches``): the left input streams
+    batch-at-a-time and each batch probes the right side's int index, so a
+    left-deep chain of streaming hash joins pipelines end to end — nothing
+    but the base scans is ever materialised, and ``limit``-style consumers
+    stop the whole chain early.  Either way the run record counts one
+    bucket probe per left row on a shared key.
     """
 
     __slots__ = ("_shared", "_left_key", "_right_residual")
@@ -603,35 +479,6 @@ class HashJoin(Operator):
         """Every kernel probes the build side once per left row on a shared
         key and never on a cross product, so the count is known up front."""
         record.probes = (record.probes or 0) + (left_rows if self._shared else 0)
-
-    def _materialize(self, context: ExecutionContext) -> Relation:
-        left = self.children[0].materialize(context)
-        if left.is_empty():
-            return Relation(self.schema, [])
-        right = self.children[1].materialize(context)
-        self._record_probes(context.run[self], len(left))
-        return left.join(right)
-
-    def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        record = self._stream_record(context)
-        right = self.children[1].materialize(context)
-        residual = self._right_residual
-        if right.is_empty():
-            return
-        if not self._shared:
-            for row in self.children[0].iter_rows(context):
-                for match in right.rows:
-                    record.rows += 1
-                    yield row + tuple(match[i] for i in residual)
-            return
-        partition = right.partition(self._shared)
-        left_key = self._left_key
-        record.probes = record.probes or 0
-        for row in self.children[0].iter_rows(context):
-            record.probes += 1
-            for match in partition.get(tuple(row[p] for p in left_key)):
-                record.rows += 1
-                yield row + tuple(match[i] for i in residual)
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         left = self.children[0].materialize_encoded(context)
@@ -650,7 +497,7 @@ class HashJoin(Operator):
         return left.join(right) if result is None else result
 
     def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        record = self._stream_record(context, "batch")
+        record = self._stream_record(context)
         right = self.children[1].materialize_encoded(context)
         if right.is_empty():
             return
@@ -659,8 +506,11 @@ class HashJoin(Operator):
                 self._record_probes(record, len(batch))
             out = batch.join(right)
             if len(out):
-                record.rows += len(out)
-                yield out
+                # The fan-out can outgrow the batch budget; re-slice it so a
+                # ``limit=`` consumer pays later steps only for what it pulls.
+                for chunk in out.chunks(BATCH_ROWS):
+                    record.rows += len(chunk)
+                    yield chunk
 
     def label(self) -> str:
         joined = ", ".join(str(v) for v in self._shared)
@@ -715,8 +565,8 @@ class _NodePlan:
     """The compiled enumeration plan of one join-tree node (per execution).
 
     All positions are resolved against the node's (already materialised)
-    relation schema once, so the inner enumeration loop runs on tuples and
-    integer indexes only:
+    relation schema once, so the inner enumeration loop runs on code tuples
+    and integer indexes only:
 
     * ``probe_variables`` — the variables this node is keyed by (shared with
       the parent atom), in this relation's schema order; the node's
@@ -733,7 +583,7 @@ class _NodePlan:
 
     def __init__(
         self,
-        relation: Relation,
+        relation: EncodedRelation,
         probe_variables: Tuple[Variable, ...],
         children: Tuple[Tuple[int, Tuple[int, ...]], ...],
         carry: Tuple[Tuple[int, int], ...],
@@ -745,7 +595,7 @@ class _NodePlan:
 
 
 class _Enumeration:
-    """One run of :meth:`CursorEnumerate._enumerate`: the per-node plans,
+    """One run of :meth:`CursorEnumerate.iter_rows_encoded`: the per-node plans,
     the cursors memoised per (node, probe key) and the operator's record."""
 
     __slots__ = ("record", "plans", "memos")
@@ -843,12 +693,8 @@ class CursorEnumerate(Operator):
         self.node_carry = dict(node_carry)
         self._bottom_up = bottom_up
 
-    def _materialize(self, context: ExecutionContext) -> Relation:
-        # The streamed carry tuples are distinct by construction.
-        return Relation(self.schema, list(self.iter_rows(context)))
-
     def _node_plans(
-        self, relations: Dict[int, Relation]
+        self, relations: Dict[int, EncodedRelation]
     ) -> Dict[int, _NodePlan]:
         """Compile the per-node enumeration plans against concrete schemas.
 
@@ -893,51 +739,26 @@ class CursorEnumerate(Operator):
         return plans
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
+        # The streamed carry tuples are distinct by construction.
         return EncodedRelation.from_rows(
             self.schema, list(self.iter_rows_encoded(context)), context.encoder
         )
 
-    def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        return self._enumerate(context, encoded=False)
-
     def iter_rows_encoded(self, context: ExecutionContext) -> Iterator[IntRow]:
-        """Stream the carry tuples as dictionary codes (the batch face).
+        """Stream the carry tuples as dictionary codes.
 
-        The node inputs are materialised *encoded* and the cursor machinery
-        below runs on them verbatim — an :class:`EncodedRelation` serves the
-        same ``schema``/``rows``/``partition`` surface as a
-        :class:`Relation`, with int tuples for rows — so decoding is
-        deferred entirely to the consumer.
+        The node inputs are materialised encoded and the cursors run on
+        them: they only ever touch ``rows``, cached ``partition`` probes
+        and positional indexing, so decoding is deferred entirely to the
+        consumer.
         """
-        return self._enumerate(context, encoded=True)
-
-    def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        buffer: List[IntRow] = []
-        for row in self.iter_rows_encoded(context):
-            buffer.append(row)
-            if len(buffer) >= BATCH_ROWS:
-                yield EncodedRelation.from_rows(self.schema, buffer, context.encoder)
-                buffer = []
-        if buffer:
-            yield EncodedRelation.from_rows(self.schema, buffer, context.encoder)
-
-    def _enumerate(self, context: ExecutionContext, encoded: bool) -> Iterator[Row]:
-        """The cursor enumeration itself, over materialised node relations.
-
-        Generic over the row representation: the node relations are tuple
-        :class:`Relation` or (``encoded``) :class:`EncodedRelation` objects,
-        and the cursors only ever touch ``rows``, cached ``partition``
-        probes and positional indexing — identical on both.
-        """
-        record = self._stream_record(context, "batch" if encoded else None)
-        relations: Dict[int, Relation] = {}
+        record = self._stream_record(context)
+        relations: Dict[int, EncodedRelation] = {}
         for identifier in self._bottom_up:
-            op = self.node_ops[identifier]
-            face = op.materialize_encoded if encoded else op.materialize
-            relation = face(context)
+            relation = self.node_ops[identifier].materialize_encoded(context)
             if relation.is_empty():
                 return
-            relations[identifier] = relation  # type: ignore[assignment]
+            relations[identifier] = relation
         enumeration = _Enumeration(record, self._node_plans(relations))
         try:
             for row in enumeration.cursor(self.tree.root, ()):
@@ -948,6 +769,16 @@ class CursorEnumerate(Operator):
             # each other through the enumeration; emptying it on exhaustion
             # or close leaves no cycle for the garbage collector to find.
             enumeration.memos.clear()
+
+    def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
+        buffer: List[IntRow] = []
+        for row in self.iter_rows_encoded(context):
+            buffer.append(row)
+            if len(buffer) >= BATCH_ROWS:
+                yield EncodedRelation.from_rows(self.schema, buffer, context.encoder)
+                buffer = []
+        if buffer:
+            yield EncodedRelation.from_rows(self.schema, buffer, context.encoder)
 
     def label(self) -> str:
         return f"CursorEnumerate[{', '.join(str(v) for v in self.schema)}]"
@@ -974,12 +805,6 @@ class BagNode(Operator):
         super().__init__(tuple(child.schema), (child,))
         self.bag: FrozenSet[Variable] = frozenset(bag)
         self.node_id = node_id
-
-    def _materialize(self, context: ExecutionContext) -> Relation:
-        return self.children[0].materialize(context)
-
-    def iter_rows(self, context: ExecutionContext) -> Iterator[Row]:
-        return self.children[0].iter_rows(context)
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         return self.children[0].materialize_encoded(context)
@@ -1377,11 +1202,10 @@ def render_plan(
         seen.add(id(operator))
         record = run.get(operator, unrun)
         probes = f", probes={record.probes}" if record.probes is not None else ""
-        face = ", face=batch" if record.face == "batch" else ""
         lines.append(
             f"{prefix}{operator.label()}  "
             f"(est={_format_count(estimates.get(operator))}, "
-            f"obs={_format_count(record.rows)}{probes}{face})"
+            f"obs={_format_count(record.rows)}{probes})"
         )
         for child in operator.children:
             visit(child, depth + 1)

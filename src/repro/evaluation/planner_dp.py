@@ -367,12 +367,12 @@ class DecompositionEvaluator(YannakakisEvaluator):
     bag relation carries the full bag, the bag tree has the running
     intersection property — a valid join tree — and the inherited
     Yannakakis semijoin reduction, assembly and streaming faces run over
-    it unchanged, on both backends.  The cost is the standard hypertree
+    it unchanged.  The cost is the standard hypertree
     bound: materialising a bag is polynomial for fixed width, everything
     after is Yannakakis.
     """
 
-    def __init__(self, query, scans=None, *, backend=None):
+    def __init__(self, query, scans=None):
         atoms = list(query.body)
         graph = gaifman_graph_of_atoms(atoms)
         decomposition = _pruned_decomposition(tree_decomposition_min_fill(graph))
@@ -416,9 +416,7 @@ class DecompositionEvaluator(YannakakisEvaluator):
             raise ValueError(f"tree decomposition left atoms uncovered: {uncovered}")
 
         tree = self._build_bag_tree()
-        super().__init__(
-            query, scans, backend=backend, join_tree=tree
-        )
+        super().__init__(query, scans, join_tree=tree)
 
     def _build_bag_tree(self) -> JoinTree:
         nodes = {

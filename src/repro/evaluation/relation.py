@@ -1,35 +1,28 @@
-"""A tuple-based relation engine with hash-partitioned join operators.
-
-The evaluators in this package used to manipulate per-row assignment dicts
-(``Dict[Variable, Term]``) and decide semi-joins with nested ``any(...)``
-scans, which made every semi-join pass of Yannakakis' algorithm quadratic in
-the database size — the exact opposite of the linear-time guarantee the
-algorithm exists to provide (Yannakakis [27]; complexity revisited by
-Durand–Grandjean).  This module supplies the missing abstraction:
+"""Term relations: the scans every plan reads, with cached partitions.
 
 * a :class:`Relation` is an ordered variable schema plus a list of term
-  tuples (one position per schema variable);
-* :meth:`Relation.semijoin`, :meth:`Relation.join`, :meth:`Relation.project`
-  and :meth:`Relation.select` are all implemented by single-pass hash
-  partitioning on the tuple of shared-variable values, so each operator runs
-  in time linear in the sizes of its operands (plus output, for joins).
+  tuples (one position per schema variable).  :meth:`Relation.from_atom`
+  scans one query atom in a single pass (constants and repeated variables
+  act as selections), optionally through a shared scan provider such as
+  :class:`repro.evaluation.batch.ScanCache`;
+* :meth:`Relation.encoded` dictionary-encodes a relation into the column
+  store the operators of :mod:`repro.evaluation.operators` run on, once
+  per encoder; :meth:`Relation.answer_tuples` and :meth:`Relation.project`
+  serve decoded outputs.
 
-Rows are kept *set-free on purpose*: the operators preserve the invariant
-that rows are pairwise distinct (scanning a base atom produces distinct
-rows, and every operator maps distinct inputs to distinct outputs), so a
-list keeps iteration cheap and deterministic.  ``project`` is the one
-operator that can merge rows and therefore deduplicates explicitly.
+Rows are kept *set-free on purpose*: scanning a base atom produces distinct
+rows, so a list keeps iteration cheap and deterministic.  ``project`` is
+the one operation that can merge rows and therefore deduplicates
+explicitly.
 
 Partitions are first-class and reusable: :meth:`Relation.partition` builds
-the hash partition of the rows by a tuple of join variables *once* and
-caches it on the relation (keyed by column positions, so renamed views share
-it), and ``semijoin``/``join`` probe these cached :class:`Partition` objects.
-A relation that is semi-joined or joined on the same columns repeatedly —
-the common case when a batch of queries shares base-atom scans through
-:class:`repro.evaluation.batch.ScanCache` — pays the build pass once.  The
-cache assumes the usual immutability discipline: ``rows`` is never mutated
-after the first partition is built (every operator already returns fresh
-relations instead of aliasing inputs).  The single sanctioned exception is
+the hash partition of the rows by a tuple of variables *once* and caches it
+on the relation (keyed by column positions, so renamed views share it).
+The cost model's statistics (distinct counts, bucket-size histograms) read
+these cached :class:`Partition` objects, so a batch of queries sharing
+base-atom scans through a scan cache pays each build pass once.  The cache
+assumes the usual immutability discipline: ``rows`` is never mutated after
+the first partition is built.  The single sanctioned exception is
 :meth:`Relation.apply_delta`, which the scan cache uses to absorb database
 mutations *incrementally*: it edits ``rows`` in place (a deleted row's slot
 is refilled from the tail), patches every cached :class:`Partition`
@@ -43,12 +36,10 @@ from __future__ import annotations
 
 import threading
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -251,9 +242,8 @@ class Relation:
     """An ordered variable schema together with a list of term tuples.
 
     The schema is a tuple of *distinct* variables; every row has exactly one
-    term per schema position.  All binary operators align the operands by
-    variable name, never by position, so relations with differently ordered
-    schemas compose freely.
+    term per schema position.  Equality aligns the operands by variable
+    name, never by position.
     """
 
     __slots__ = ("schema", "rows", "_positions", "_partitions", "_stats")
@@ -340,11 +330,6 @@ class Relation:
         except KeyError:
             raise SchemaError(f"{variable} is not in schema {self.schema}") from None
 
-    def assignments(self) -> Iterator[Dict[Variable, Term]]:
-        """Yield the rows as variable→term dicts (compatibility helper)."""
-        for row in self.rows:
-            yield dict(zip(self.schema, row))
-
     def __str__(self) -> str:
         header = ", ".join(str(v) for v in self.schema)
         return f"Relation[{header}]({len(self.rows)} rows)"
@@ -364,23 +349,15 @@ class Relation:
     __hash__ = None  # type: ignore[assignment]  # mutable rows
 
     # ------------------------------------------------------------------
-    # Hash-partitioned operators
+    # Hash partitions
     # ------------------------------------------------------------------
-    def _key_function(self, variables: Sequence[Variable]) -> Callable[[Row], Row]:
-        positions = tuple(self.position(variable) for variable in variables)
-        return lambda row: tuple(row[p] for p in positions)
-
-    def shared_variables(self, other: "Relation") -> Tuple[Variable, ...]:
-        """The join variables, in this relation's schema order."""
-        return tuple(v for v in self.schema if v in other._positions)
-
     def partition(self, variables: Sequence[Variable]) -> Partition:
         """The hash partition of the rows by ``variables`` (built once).
 
         Partitions are cached per column-position tuple, so repeated
-        semi-joins/joins against this relation on the same columns — and on
-        any schema view of it (:meth:`with_schema`) — reuse one ``O(rows)``
-        build pass.
+        probes of this relation on the same columns — and of any schema
+        view of it (:meth:`with_schema`) — reuse one ``O(rows)`` build
+        pass.
         """
         positions = tuple(self.position(variable) for variable in variables)
         part = self._partitions.get(positions)
@@ -397,9 +374,13 @@ class Relation:
 
         Stored in ``_stats`` so the stamp — like every positional statistic —
         is shared by reference across :meth:`with_schema` views: re-stamping
-        a cached scan re-stamps every view of it at once.
+        a cached scan re-stamps every view of it at once.  The cached
+        encoded store carries the stamp too.
         """
         self._stats["epoch"] = epoch
+        encoded = self._stats.get("encoded")
+        if encoded is not None:
+            encoded[1].epoch = epoch  # type: ignore[index]
 
     def stamped_epoch(self) -> Optional[int]:
         """The stamped mutation epoch, or ``None`` if never stamped."""
@@ -612,6 +593,7 @@ class Relation:
         if cached is None or cached[0] is not encoder:  # type: ignore[index]
             store = EncodedRelation.build_store(self.rows, len(self.schema), encoder)
             store.long_lived = True
+            store.epoch = self.stamped_epoch()
             cached = (encoder, store)
             self._stats["encoded"] = cached
         return EncodedRelation(self.schema, cached[1], encoder)  # type: ignore[index]
@@ -619,11 +601,11 @@ class Relation:
     def with_schema(self, schema: Sequence[Variable]) -> "Relation":
         """An ``O(1)`` view of this relation under a renamed schema.
 
-        Unlike :meth:`rename`, the view *shares* this relation's row storage
-        and partition cache (column positions are unchanged by renaming, so
-        every cached partition remains valid).  Used by the batch scan cache
-        to serve one materialised scan to many queries under their own
-        variable names; both sides must observe the no-mutation discipline.
+        The view *shares* this relation's row storage and partition cache
+        (column positions are unchanged by renaming, so every cached
+        partition remains valid).  Used by the batch scan cache to serve one
+        materialised scan to many queries under their own variable names;
+        both sides must observe the no-mutation discipline.
         """
         schema = tuple(schema)
         if len(schema) != len(self.schema):
@@ -641,55 +623,6 @@ class Relation:
         view._stats = self._stats
         return view
 
-    def semijoin(self, other: "Relation") -> "Relation":
-        """Keep the rows with a matching row in ``other`` — ``self ⋉ other``.
-
-        ``other``'s cached :class:`Partition` on the shared variables supplies
-        the key set (built on first use, ``O(|other|)``); one pass over
-        ``self`` filters.  Total time ``O(|self| + |other|)``, and only
-        ``O(|self|)`` when the partition is already cached.
-        """
-        shared = self.shared_variables(other)
-        if not shared:
-            # Degenerate semi-join: cross-product semantics.  Returned as a
-            # fresh relation (never ``self``) so mutating an operator's
-            # output can never corrupt its input.
-            return Relation(self.schema, self.rows if other.rows else [])
-        partition = other.partition(shared)
-        key_of = self._key_function(shared)
-        return Relation(
-            self.schema, [row for row in self.rows if key_of(row) in partition]
-        )
-
-    def join(self, other: "Relation") -> "Relation":
-        """Natural hash join — ``self ⋈ other``.
-
-        Each row of ``self`` probes ``other``'s cached partition on the
-        shared variables.  Time is linear in the operand sizes plus the
-        output size (the cross product when no variable is shared), and the
-        ``O(|other|)`` partition pass is skipped when already cached.
-        """
-        shared = self.shared_variables(other)
-        residual_positions = tuple(
-            index for index, variable in enumerate(other.schema) if variable not in self._positions
-        )
-        schema = self.schema + tuple(other.schema[index] for index in residual_positions)
-
-        rows: List[Row] = []
-        if not shared:
-            # Cross product: no partition to build (or cache pointlessly).
-            for row in self.rows:
-                for match in other.rows:
-                    rows.append(row + tuple(match[index] for index in residual_positions))
-            return Relation(schema, rows)
-
-        partition = other.partition(shared)
-        key_of = self._key_function(shared)
-        for row in self.rows:
-            for match in partition.get(key_of(row)):
-                rows.append(row + tuple(match[index] for index in residual_positions))
-        return Relation(schema, rows)
-
     def project(self, variables: Sequence[Variable]) -> "Relation":
         """Project onto ``variables`` (deduplicating, order preserved).
 
@@ -704,49 +637,6 @@ class Relation:
                 seen.add(projected)
                 rows.append(projected)
         return Relation(tuple(variables), rows)
-
-    def select(self, binding: Mapping[Variable, Term]) -> "Relation":
-        """Keep the rows agreeing with ``binding`` on its variables.
-
-        Variables of ``binding`` outside the schema are ignored (they cannot
-        disagree), matching the semantics of seeding a partial assignment.
-        """
-        checks = tuple(
-            (self._positions[variable], term)
-            for variable, term in binding.items()
-            if variable in self._positions
-        )
-        if not checks:
-            # Fresh relation, not ``self``: outputs never alias inputs.
-            return Relation(self.schema, self.rows)
-        return Relation(
-            self.schema,
-            [
-                row
-                for row in self.rows
-                if all(row[position] == term for position, term in checks)
-            ],
-        )
-
-    def select_equal(self, left: Variable, right: Variable) -> "Relation":
-        """Keep the rows where the two columns carry the same term."""
-        left_position = self.position(left)
-        right_position = self.position(right)
-        return Relation(
-            self.schema,
-            [row for row in self.rows if row[left_position] == row[right_position]],
-        )
-
-    def rename(self, mapping: Mapping[Variable, Variable]) -> "Relation":
-        """Return the relation with schema variables renamed via ``mapping``."""
-        return Relation(
-            tuple(mapping.get(variable, variable) for variable in self.schema),
-            self.rows,
-        )
-
-    def distinct(self) -> "Relation":
-        """Return the relation with duplicate rows removed (order preserved)."""
-        return self.project(self.schema)
 
     # ------------------------------------------------------------------
     # Answers

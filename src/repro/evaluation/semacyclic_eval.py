@@ -94,19 +94,15 @@ class SemAcEvaluation:
         database: Instance,
         *,
         scans: Optional[ScanProvider] = None,
-        backend: Optional[str] = None,
     ) -> Set[Tuple[Term, ...]]:
         """Return ``q(D)`` (equal to ``q'(D)`` on every ``D ⊨ Σ``)."""
-        return self._evaluator.evaluate(
-            database, scans=scans, backend=backend
-        )
+        return self._evaluator.evaluate(database, scans=scans)
 
     def answer_relation(
         self,
         database: Instance,
         *,
         scans: Optional[ScanProvider] = None,
-        backend: Optional[str] = None,
     ) -> Relation:
         """Return ``q(D)`` as a :class:`Relation` over the free variables.
 
@@ -115,9 +111,7 @@ class SemAcEvaluation:
         further joins) can stay inside the hash-relation engine instead of
         round-tripping through Python sets of tuples.
         """
-        return self._evaluator.answer_relation(
-            database, scans=scans, backend=backend
-        )
+        return self._evaluator.answer_relation(database, scans=scans)
 
     def iter_answers(
         self,
@@ -125,7 +119,6 @@ class SemAcEvaluation:
         *,
         scans: Optional[ScanProvider] = None,
         limit: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> Iterator[Tuple[Term, ...]]:
         """Stream ``q(D)`` one answer at a time through the reformulation.
 
@@ -134,20 +127,15 @@ class SemAcEvaluation:
         .iter_answers`), so the first answer arrives after the semi-join
         passes instead of after the whole output.
         """
-        return self._evaluator.iter_answers(
-            database, scans=scans, limit=limit, backend=backend
-        )
+        return self._evaluator.iter_answers(database, scans=scans, limit=limit)
 
     def boolean(
         self,
         database: Instance,
         *,
         scans: Optional[ScanProvider] = None,
-        backend: Optional[str] = None,
     ) -> bool:
-        return self._evaluator.boolean(
-            database, scans=scans, backend=backend
-        )
+        return self._evaluator.boolean(database, scans=scans)
 
 
 def evaluate_via_reformulation(
@@ -258,7 +246,6 @@ def evaluate_iter(
     engine: str = "auto",
     scans: Optional[ScanProvider] = None,
     limit: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Iterator[Tuple[Term, ...]]:
     """Stream the distinct answers of ``q(D)`` one tuple at a time.
 
@@ -283,10 +270,7 @@ def evaluate_iter(
 
     ``limit`` caps the number of answers at ``min(limit, |q(D)|)``; ``scans``
     injects a shared scan provider (e.g. a
-    :class:`~repro.evaluation.batch.ScanCache`) for phase 1; ``backend``
-    selects the execution face (``"tuple"`` or ``"columnar"``, defaulting
-    to the ``REPRO_BACKEND`` environment variable — see
-    :func:`repro.evaluation.encoding.resolve_backend`).  Routing (join
+    :class:`~repro.evaluation.batch.ScanCache`) for phase 1.  Routing (join
     tree / reformulation search / planning) happens eagerly at call time, so
     route errors surface here rather than at the first ``next()``.
 
@@ -301,16 +285,12 @@ def evaluate_iter(
         from ..service import shared_service
 
         return shared_service(database).stream(
-            query, tgds=tgds, engine=engine, limit=limit, backend=backend
+            query, tgds=tgds, engine=engine, limit=limit
         )
     route, evaluator = resolve_route(query, tgds=tgds, engine=engine)
     if evaluator is not None:  # "yannakakis" and "reformulated"
-        return evaluator.iter_answers(
-            database, scans=scans, limit=limit, backend=backend
-        )
-    return iter_with_plan(
-        query, database, scans=scans, limit=limit, backend=backend
-    )
+        return evaluator.iter_answers(database, scans=scans, limit=limit)
+    return iter_with_plan(query, database, scans=scans, limit=limit)
 
 
 def explain(
@@ -322,7 +302,6 @@ def explain(
     scans: Optional[ScanProvider] = None,
     execute: bool = True,
     verify: bool = False,
-    backend: Optional[str] = None,
 ) -> str:
     """Pretty-print the physical plan chosen for ``query`` over ``database``.
 
@@ -348,17 +327,12 @@ def explain(
     clean`` on a plan with no diagnostics.  Raises like
     :func:`evaluate_iter` on impossible forced routes.
     """
-    from .encoding import resolve_backend
-
     route, evaluator = resolve_route(query, tgds=tgds, engine=engine)
     if scans is None:
         # One cache for everything explain does — statistics, planning and
         # the executed plan all draw the same base scans and partitions.
         scans = ScanCache(database)
-    resolved = resolve_backend(backend)
     lines = [f"query: {query}", f"route: {route}"]
-    if resolved != "tuple":
-        lines.append(f"backend: {resolved}")
     plan = None
     if evaluator is not None:
         if route == "reformulated":
@@ -372,11 +346,7 @@ def explain(
             lines.append(
                 f"decomposition: width {decomposition.width}, bags {bags}"
             )
-        lines.append(
-            evaluator.explain(
-                database, scans=scans, execute=execute, backend=resolved
-            )
-        )
+        lines.append(evaluator.explain(database, scans=scans, execute=execute))
     else:
         statistics = Statistics(database, scans)
         planner = resolve_planner(None)
@@ -388,7 +358,6 @@ def explain(
                 scans=scans,
                 statistics=statistics,
                 execute=execute,
-                backend=resolved,
             )
         )
     if verify:
@@ -423,7 +392,6 @@ def evaluate_batch(
     tgds: Sequence[TGD] = (),
     engine: str = "batch",
     scans: Optional[ScanProvider] = None,
-    backend: Optional[str] = None,
 ) -> List[Set[Tuple[Term, ...]]]:
     """Evaluate a batch of CQs over one database; return one answer set each.
 
@@ -464,8 +432,8 @@ def evaluate_batch(
         scans = shared_service(database).scans
     batch = BatchEvaluator(queries, tgds=tgds)
     if engine == "batch":
-        return batch.evaluate(database, scans=scans, backend=backend)
-    return batch.evaluate_sequential(database, backend=backend)
+        return batch.evaluate(database, scans=scans)
+    return batch.evaluate_sequential(database)
 
 
 def membership_via_cover_game_guarded(

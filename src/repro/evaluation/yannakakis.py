@@ -100,12 +100,10 @@ class YannakakisEvaluator:
         query: ConjunctiveQuery,
         scans: Optional[ScanProvider] = None,
         *,
-        backend: Optional[str] = None,
         join_tree: Optional[JoinTree] = None,
     ) -> None:
         self.query = query
         self._scans = scans
-        self._backend = backend
         if join_tree is not None:
             # Subclass seam: a pre-built tree over virtual atoms (see
             # DecompositionEvaluator) whose leaves compile via _leaf_op.
@@ -242,16 +240,9 @@ class YannakakisEvaluator:
         return plan
 
     def _context(
-        self,
-        database: Instance,
-        scans: Optional[ScanProvider],
-        backend: Optional[str] = None,
+        self, database: Instance, scans: Optional[ScanProvider]
     ) -> ExecutionContext:
-        return ExecutionContext(
-            database,
-            scans if scans is not None else self._scans,
-            backend=backend if backend is not None else self._backend,
-        )
+        return ExecutionContext(database, scans if scans is not None else self._scans)
 
     # ------------------------------------------------------------------
     # Evaluation entry points
@@ -263,7 +254,6 @@ class YannakakisEvaluator:
         scans: Optional[ScanProvider] = None,
         limit: Optional[int] = None,
         reduce: bool = True,
-        backend: Optional[str] = None,
     ) -> Iterator[Tuple[Term, ...]]:
         """Stream the distinct answer tuples of ``q(D)`` one at a time.
 
@@ -293,20 +283,13 @@ class YannakakisEvaluator:
         plan = self.compile_stream_plan(reduce=reduce)
         root_carry = self._carry[self.join_tree.root]
         head_positions = tuple(root_carry.index(v) for v in self.query.head)
-        context = self._context(database, scans, backend)
+        context = self._context(database, scans)
         produced = 0
-        if context.backend == "columnar":
-            # Enumerate dictionary codes; decode each carry row only as it
-            # crosses the output boundary.
-            terms = context.encoder.terms
-            for code_row in plan.iter_rows_encoded(context):
-                yield tuple(terms[code_row[p]] for p in head_positions)
-                produced += 1
-                if limit is not None and produced >= limit:
-                    return
-            return
-        for carry_row in plan.iter_rows(context):
-            yield tuple(carry_row[p] for p in head_positions)
+        # Enumerate dictionary codes; decode each carry row only as it
+        # crosses the output boundary.
+        terms = context.encoder.terms
+        for code_row in plan.iter_rows_encoded(context):
+            yield tuple(terms[code_row[p]] for p in head_positions)
             produced += 1
             if limit is not None and produced >= limit:
                 return
@@ -316,7 +299,6 @@ class YannakakisEvaluator:
         database: Instance,
         *,
         scans: Optional[ScanProvider] = None,
-        backend: Optional[str] = None,
     ) -> bool:
         """Return ``True`` iff the (Boolean reading of the) query holds in ``database``.
 
@@ -330,12 +312,7 @@ class YannakakisEvaluator:
         order as a semi-join pass.
         """
         plan = self.compile_stream_plan(reduce=False, boolean=True)
-        context = self._context(database, scans, backend)
-        if context.backend == "columnar":
-            for _ in plan.iter_rows_encoded(context):
-                return True
-            return False
-        for _ in plan.iter_rows(context):
+        for _ in plan.iter_rows_encoded(self._context(database, scans)):
             return True
         return False
 
@@ -344,7 +321,6 @@ class YannakakisEvaluator:
         database: Instance,
         *,
         scans: Optional[ScanProvider] = None,
-        backend: Optional[str] = None,
     ) -> Relation:
         """Return ``q(D)`` as a :class:`Relation` over the distinct free variables.
 
@@ -353,26 +329,20 @@ class YannakakisEvaluator:
         variables).
         """
         plan = self.compile_answer_plan()
-        context = self._context(database, scans, backend)
-        if context.backend == "columnar":
-            return plan.materialize_encoded(context).to_relation()
-        return plan.materialize(context)
+        return plan.materialize(self._context(database, scans))
 
     def evaluate(
         self,
         database: Instance,
         *,
         scans: Optional[ScanProvider] = None,
-        backend: Optional[str] = None,
     ) -> Set[Tuple[Term, ...]]:
         """Return the full answer set ``q(D)``."""
         plan = self.compile_answer_plan()
-        context = self._context(database, scans, backend)
-        if context.backend == "columnar":
-            # Decode straight into the answer set: the whole plan ran on
-            # int columns and only the head projection touches terms.
-            return plan.materialize_encoded(context).answer_tuples(self.query.head)
-        return plan.materialize(context).answer_tuples(self.query.head)
+        # Decode straight into the answer set: the whole plan ran on int
+        # columns and only the head projection touches terms.
+        encoded = plan.materialize_encoded(self._context(database, scans))
+        return encoded.answer_tuples(self.query.head)
 
     # ------------------------------------------------------------------
     def explain(
@@ -381,7 +351,6 @@ class YannakakisEvaluator:
         *,
         scans: Optional[ScanProvider] = None,
         execute: bool = True,
-        backend: Optional[str] = None,
     ) -> str:
         """Pretty-print the materialising plan with estimated vs. observed rows.
 
@@ -391,14 +360,11 @@ class YannakakisEvaluator:
         reports its observed cardinality.
         """
         plan = self.compile_answer_plan()
-        context = self._context(database, scans, backend)
+        context = self._context(database, scans)
         model = CostModel(Statistics(database, context.scans))
         model.annotate(plan)
         if execute:
-            if context.backend == "columnar":
-                plan.materialize_encoded(context)
-            else:
-                plan.materialize(context)
+            plan.materialize_encoded(context)
         return render_plan(plan, run=context.run, estimates=model.row_estimates())
 
 
@@ -407,12 +373,9 @@ def evaluate_acyclic(
     database: Instance,
     *,
     scans: Optional[ScanProvider] = None,
-    backend: Optional[str] = None,
 ) -> Set[Tuple[Term, ...]]:
     """One-shot evaluation of an acyclic CQ with Yannakakis' algorithm."""
-    return YannakakisEvaluator(query).evaluate(
-        database, scans=scans, backend=backend
-    )
+    return YannakakisEvaluator(query).evaluate(database, scans=scans)
 
 
 def boolean_acyclic(
@@ -420,9 +383,6 @@ def boolean_acyclic(
     database: Instance,
     *,
     scans: Optional[ScanProvider] = None,
-    backend: Optional[str] = None,
 ) -> bool:
     """One-shot Boolean evaluation of an acyclic CQ."""
-    return YannakakisEvaluator(query).boolean(
-        database, scans=scans, backend=backend
-    )
+    return YannakakisEvaluator(query).boolean(database, scans=scans)

@@ -461,7 +461,6 @@ class QueryService:
         *,
         tgds: Sequence[TGD] = (),
         engine: str = "auto",
-        backend: Optional[str] = None,
     ) -> Set[Tuple[Term, ...]]:
         """The full answer set of ``query`` over the current database state.
 
@@ -478,13 +477,10 @@ class QueryService:
         with self._tracked():
             if entry.evaluator is not None:  # yannakakis / reformulated / decomposition
                 return entry.evaluator.evaluate(  # type: ignore[attr-defined]
-                    self.database, scans=scans, backend=backend
+                    self.database, scans=scans
                 )
             return execute_plan(
-                self._join_plan(entry, streaming=False),
-                self.database,
-                scans=scans,
-                backend=backend,
+                self._join_plan(entry, streaming=False), self.database, scans=scans
             ).answers
 
     def stream(
@@ -494,7 +490,6 @@ class QueryService:
         tgds: Sequence[TGD] = (),
         engine: str = "auto",
         limit: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> Iterator[Tuple[Term, ...]]:
         """Stream distinct answers with an epoch guard and ``limit=`` cap.
 
@@ -509,7 +504,7 @@ class QueryService:
         scans = self._scans_for(params)
         if entry.evaluator is not None:
             inner = entry.evaluator.iter_answers(  # type: ignore[attr-defined]
-                self.database, scans=scans, limit=limit, backend=backend
+                self.database, scans=scans, limit=limit
             )
         else:
             inner = iter_plan_answers(
@@ -517,7 +512,6 @@ class QueryService:
                 self.database,
                 scans=scans,
                 limit=limit,
-                backend=backend,
             )
         opened = getattr(self.database, "mutation_epoch", 0)
         return self._guarded(inner, opened)

@@ -1,10 +1,10 @@
-"""Differential tests for the columnar backend (ISSUE 7).
+"""Differential tests for the columnar engine.
 
-The tuple engine is the differential oracle: for every route
-(``yannakakis``, ``reformulated``, ``plan``) and every entry point
-(``evaluate``, ``iter_answers``/``iter_with_plan`` with and without
-``limit=``, ``BatchEvaluator``), the columnar backend must produce exactly
-the same answer set — including the corners where representations
+The tuple-at-a-time engine (``tests/helpers/tuple_engine.py``) is the
+differential oracle: for every route (``yannakakis``, ``reformulated``,
+``plan``) and every entry point (``evaluate``, ``iter_answers``/
+``iter_with_plan`` with and without ``limit=``, ``BatchEvaluator``), the
+engine must produce exactly the same answer set — including the corners where representations
 historically diverge: injected constants, repeated head variables, empty
 predicates, and terms with colliding string forms.
 
@@ -23,7 +23,7 @@ Beyond route equality the suite pins down:
   identity, shared across ``with_schema`` views, rebuilt on an encoder
   change, and never aliased into operator outputs;
 * the optional numpy storage path (``REPRO_NUMPY=1``) agrees with both the
-  pure-python columnar path and the tuple oracle.
+  pure-python ``array('q')`` path and the tuple oracle.
 """
 
 import os
@@ -45,9 +45,8 @@ from repro.evaluation import (
     evaluate_with_plan,
     iter_with_plan,
     plan_greedy,
-    resolve_backend,
 )
-from repro.evaluation.encoding import BACKEND_ENV, EncodedRelation, NUMPY_ENV
+from repro.evaluation.encoding import EncodedRelation, NUMPY_ENV
 from repro.evaluation.operators import BATCH_ROWS
 from repro.evaluation.relation import Partition
 from repro.queries.cq import ConjunctiveQuery
@@ -55,6 +54,7 @@ from repro.workloads.generators import yannakakis_scaling_workload
 from repro.workloads.paper_examples import example1_query, example1_tgd
 from repro.workloads import music_store_database
 
+from helpers import tuple_engine as oracle
 from helpers.workloads import (
     randomized_acyclic_workload,
     randomized_cyclic_workload,
@@ -68,25 +68,23 @@ def _probes(run):
 
 
 # ----------------------------------------------------------------------
-# Route differentials: tuple backend is the oracle
+# Route differentials: the tuple engine is the oracle
 # ----------------------------------------------------------------------
-def _assert_backends_agree_acyclic(query, database):
+def _assert_matches_oracle_acyclic(query, database):
     try:
         evaluator = YannakakisEvaluator(query)
     except AcyclicityRequired:
         # Constant injection can, in rare corners, make the variable
         # hypergraph cyclic; the acyclic route only covers acyclic CQs.
         return
-    expected = evaluator.evaluate(database, backend="tuple")
-    assert evaluator.evaluate(database, backend="columnar") == expected
+    expected = oracle.evaluate(evaluator, database)
+    assert evaluator.evaluate(database) == expected
 
-    streamed = list(evaluator.iter_answers(database, backend="columnar"))
+    streamed = list(evaluator.iter_answers(database))
     assert len(set(streamed)) == len(streamed)  # no duplicates yielded
     assert set(streamed) == expected
 
-    limited = list(
-        evaluator.iter_answers(database, limit=3, backend="columnar")
-    )
+    limited = list(evaluator.iter_answers(database, limit=3))
     assert len(limited) == min(3, len(expected))
     assert set(limited) <= expected
 
@@ -95,27 +93,25 @@ def _assert_backends_agree_acyclic(query, database):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_yannakakis_route_backends_agree(seed):
     query, database = randomized_acyclic_workload(seed)
-    _assert_backends_agree_acyclic(query, database)
+    _assert_matches_oracle_acyclic(query, database)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_yannakakis_route_backends_agree_on_seeded_grid(seed):
     """A fixed, deterministic slice of the same space (fast CI signal)."""
     query, database = randomized_acyclic_workload(seed * 7717)
-    _assert_backends_agree_acyclic(query, database)
+    _assert_matches_oracle_acyclic(query, database)
 
 
-def _assert_backends_agree_plan(query, database):
-    expected = evaluate_with_plan(query, database, backend="tuple")
-    assert evaluate_with_plan(query, database, backend="columnar") == expected
+def _assert_matches_oracle_plan(query, database):
+    expected = oracle.evaluate_with_plan(query, database)
+    assert evaluate_with_plan(query, database) == expected
 
-    streamed = list(iter_with_plan(query, database, backend="columnar"))
+    streamed = list(iter_with_plan(query, database))
     assert len(set(streamed)) == len(streamed)
     assert set(streamed) == expected
 
-    limited = list(
-        iter_with_plan(query, database, limit=3, backend="columnar")
-    )
+    limited = list(iter_with_plan(query, database, limit=3))
     assert len(limited) == min(3, len(expected))
     assert set(limited) <= expected
 
@@ -124,13 +120,13 @@ def _assert_backends_agree_plan(query, database):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_plan_route_backends_agree(seed):
     query, database = randomized_cyclic_workload(seed)
-    _assert_backends_agree_plan(query, database)
+    _assert_matches_oracle_plan(query, database)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_plan_route_backends_agree_on_seeded_grid(seed):
     query, database = randomized_cyclic_workload(seed * 6151)
-    _assert_backends_agree_plan(query, database)
+    _assert_matches_oracle_plan(query, database)
 
 
 def test_reformulated_route_backends_agree():
@@ -140,17 +136,17 @@ def test_reformulated_route_backends_agree():
 
     batch = BatchEvaluator([query], tgds=[tgd])
     assert batch.routes() == ["reformulated"]
-    [expected] = batch.evaluate(database, backend="tuple")
-    [columnar] = batch.evaluate(database, backend="columnar")
+    expected = oracle.evaluate_route(query, database, tgds=[tgd])
+    [columnar] = batch.evaluate(database)
     assert columnar == expected
 
-    [stream] = batch.evaluate_iter(database, backend="columnar")
+    [stream] = batch.evaluate_iter(database)
     streamed = list(stream)
     assert len(set(streamed)) == len(streamed)
     assert set(streamed) == expected
 
     streamed_limited = list(
-        evaluate_iter(query, database, tgds=[tgd], limit=2, backend="columnar")
+        evaluate_iter(query, database, tgds=[tgd], limit=2)
     )
     assert len(streamed_limited) == min(2, len(expected))
     assert set(streamed_limited) <= expected
@@ -175,9 +171,9 @@ def test_empty_predicate_agrees_across_backends():
     x, y, z = Variable("x"), Variable("y"), Variable("z")
     query = _chain_query((x, z))
     evaluator = YannakakisEvaluator(query)
-    assert evaluator.evaluate(database, backend="columnar") == set()
-    assert list(evaluator.iter_answers(database, backend="columnar")) == []
-    assert evaluator.evaluate(database, backend="tuple") == set()
+    assert evaluator.evaluate(database) == set()
+    assert list(evaluator.iter_answers(database)) == []
+    assert oracle.evaluate(evaluator, database) == set()
 
 
 def test_boolean_query_agrees_across_backends():
@@ -189,10 +185,11 @@ def test_boolean_query_agrees_across_backends():
     )
     query = _chain_query(())
     evaluator = YannakakisEvaluator(query)
-    assert evaluator.evaluate(database, backend="columnar") == {()}
-    assert evaluator.boolean(database, backend="columnar") is True
+    assert evaluator.evaluate(database) == {()}
+    assert evaluator.boolean(database) is True
+    assert oracle.boolean(evaluator, database) is True
     empty = Database([Atom(E, (Constant("a"), Constant("b")))])
-    assert YannakakisEvaluator(query).evaluate(empty, backend="columnar") == set()
+    assert YannakakisEvaluator(query).evaluate(empty) == set()
 
 
 def test_repeated_head_variables_and_constants_agree():
@@ -208,21 +205,19 @@ def test_repeated_head_variables_and_constants_agree():
         (x, x, z), [Atom(E, (x, y)), Atom(F, (y, z))], name="rep"
     )
     evaluator = YannakakisEvaluator(query)
-    expected = evaluator.evaluate(database, backend="tuple")
+    expected = oracle.evaluate(evaluator, database)
     assert expected == {
         (Constant("a"), Constant("a"), Constant("d")),
         (Constant("c"), Constant("c"), Constant("d")),
     }
-    assert evaluator.evaluate(database, backend="columnar") == expected
+    assert evaluator.evaluate(database) == expected
 
     # A constant selection in the body, on top of the repeated head.
     selected = ConjunctiveQuery(
         (x, x), [Atom(E, (x, y)), Atom(F, (y, Constant("d")))], name="sel"
     )
     sel_eval = YannakakisEvaluator(selected)
-    assert sel_eval.evaluate(database, backend="columnar") == sel_eval.evaluate(
-        database, backend="tuple"
-    )
+    assert sel_eval.evaluate(database) == oracle.evaluate(sel_eval, database)
 
 
 def test_string_colliding_terms_stay_distinct_under_encoding():
@@ -237,9 +232,9 @@ def test_string_colliding_terms_stay_distinct_under_encoding():
     x, y = Variable("x"), Variable("y")
     query = ConjunctiveQuery((x,), [Atom(E, (x, y))], name="collide")
     evaluator = YannakakisEvaluator(query)
-    expected = evaluator.evaluate(database, backend="tuple")
+    expected = oracle.evaluate(evaluator, database)
     assert len(expected) == 2
-    assert evaluator.evaluate(database, backend="columnar") == expected
+    assert evaluator.evaluate(database) == expected
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +341,7 @@ def _storage_env(use_numpy):
 
 
 def _assert_probe_matches_scan(left_rows, right_rows, width, use_numpy):
-    """Both kernels, and ``semijoin``, return the tuple semi-join's rows in
+    """Both kernels, and ``semijoin``, return the oracle semi-join's rows in
     the same order (``left_rows`` over x, y, w; the key is the first
     ``width`` of x, y)."""
     x, y, w, z = Variable("x"), Variable("y"), Variable("w"), Variable("z")
@@ -366,7 +361,7 @@ def _assert_probe_matches_scan(left_rows, right_rows, width, use_numpy):
         probed = left.semijoin_probe(positions, index)
         assert probed.rows == scanned.rows
         assert left.semijoin(right).rows == scanned.rows
-        expected = left_tuples.semijoin(right_tuples).rows
+        expected = oracle.semijoin(left_tuples, right_tuples).rows
         assert list(scanned.decoded_rows()) == expected
 
 
@@ -472,8 +467,8 @@ def test_cross_product_counts_no_probes():
 
 
 def test_columnar_iter_with_plan_does_bounded_work_per_batch():
-    """The per-batch analogue of the per-tuple pipelining bounds in
-    tests/test_operators.py: a ``limit=`` consumer of the columnar plan
+    """The per-batch pipelining bound (tests/test_operators.py checks the
+    same bound at one row per batch): a ``limit=`` consumer of the plan
     route pulls O(chain · BATCH_ROWS) probes, not the full pipeline."""
     # Large enough that every base scan spans several BATCH_ROWS batches —
     # below that the single-batch pipeline legitimately does all its work
@@ -481,11 +476,9 @@ def test_columnar_iter_with_plan_does_bounded_work_per_batch():
     query, database = yannakakis_scaling_workload(12000, seed=2)
     plan = plan_greedy(query, database)
     _, probes_limited = _probes(
-        lambda: list(iter_with_plan(query, database, limit=3, backend="columnar"))
+        lambda: list(iter_with_plan(query, database, limit=3))
     )
-    _, probes_full = _probes(
-        lambda: list(iter_with_plan(query, database, backend="columnar"))
-    )
+    _, probes_full = _probes(lambda: list(iter_with_plan(query, database)))
     # One pulled batch per chain step, with slack for join fan-out growing
     # an intermediate batch past BATCH_ROWS.
     assert probes_limited <= 4 * (len(plan) + 1) * BATCH_ROWS
@@ -495,10 +488,8 @@ def test_columnar_iter_with_plan_does_bounded_work_per_batch():
 def test_columnar_first_streamed_answer_is_cheap():
     query, database = yannakakis_scaling_workload(800, seed=1)
     evaluator = YannakakisEvaluator(query)
-    _, full_probes = _probes(
-        lambda: evaluator.evaluate(database, backend="columnar")
-    )
-    stream = evaluator.iter_answers(database, backend="columnar")
+    _, full_probes = _probes(lambda: evaluator.evaluate(database))
+    stream = evaluator.iter_answers(database)
     first, first_probes = _probes(lambda: next(stream))
     assert first in evaluator.evaluate(database)
     assert 10 * first_probes <= full_probes
@@ -536,7 +527,7 @@ def test_relation_operator_outputs_never_alias_stats_caches():
     left = Relation((x, y), [(Constant(1), Constant(2))])
     right = Relation((y, z), [(Constant(2), Constant(3))])
     left.column_distinct_counts()  # populate the stats cache
-    joined = left.join(right)
+    joined = oracle.join(left, right)
     assert joined._stats is not left._stats
     assert joined._stats is not right._stats
     projected = joined.project((x,))
@@ -561,19 +552,8 @@ def test_encoded_operator_outputs_get_fresh_caches():
 
 
 # ----------------------------------------------------------------------
-# Backend resolution and the numpy storage path
+# The numpy storage path
 # ----------------------------------------------------------------------
-def test_resolve_backend_precedence(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    assert resolve_backend() == "tuple"
-    assert resolve_backend("columnar") == "columnar"
-    monkeypatch.setenv(BACKEND_ENV, "columnar")
-    assert resolve_backend() == "columnar"
-    assert resolve_backend("tuple") == "tuple"  # explicit wins
-    with pytest.raises(ValueError):
-        resolve_backend("vectorised")
-
-
 def test_numpy_path_agrees_with_tuple_oracle(monkeypatch):
     pytest.importorskip("numpy")
     monkeypatch.setenv(NUMPY_ENV, "1")
@@ -590,13 +570,11 @@ def test_numpy_path_agrees_with_tuple_oracle(monkeypatch):
 
     query, database = yannakakis_scaling_workload(150, seed=4)
     evaluator = YannakakisEvaluator(query)
-    expected = evaluator.evaluate(database, backend="tuple")
-    assert evaluator.evaluate(
-        database, scans=ScanCache(database), backend="columnar"
-    ) == expected
+    expected = oracle.evaluate(evaluator, database)
+    assert evaluator.evaluate(database, scans=ScanCache(database)) == expected
 
     # The same workload through the plan executor's numpy batch face.
     cyclic_query, cyclic_db = randomized_cyclic_workload(11)
-    assert evaluate_with_plan(
-        cyclic_query, cyclic_db, backend="columnar"
-    ) == evaluate_with_plan(cyclic_query, cyclic_db, backend="tuple")
+    assert evaluate_with_plan(cyclic_query, cyclic_db) == oracle.evaluate_with_plan(
+        cyclic_query, cyclic_db
+    )

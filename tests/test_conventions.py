@@ -44,7 +44,7 @@ class Counting(Operator):
         super().__init__(schema)
         self.calls = 0
 
-    def iter_rows(self, context):
+    def iter_batches(self, context):
         self.calls += 1
         self.last, other = context, None
         context.run[self].rows = 0
@@ -55,7 +55,7 @@ class NotAnOperator:
 """
     violations = _lint_module().check_operator_immutability(snippet)
     assert len(violations) == 2
-    assert all("Counting.iter_rows" in line for line in violations)
+    assert all("Counting.iter_batches" in line for line in violations)
     assert any("self.calls" in line for line in violations)
     assert any("self.last" in line for line in violations)
 

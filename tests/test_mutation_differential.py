@@ -3,8 +3,10 @@
 Hypothesis drives random interleavings of ``insert`` / ``delete`` /
 ``evaluate`` against one long-lived :class:`QueryService` (cache reused
 across the whole interleaving, mutations absorbed incrementally) and
-checks every evaluation against a fresh-scan-per-call oracle — on both the
-tuple and the columnar backend.  This is the repo's established
+checks every evaluation against a fresh-scan-per-call oracle: the tuple
+engine (``tests/helpers/tuple_engine.py``, ground truth) or the columnar
+engine itself (which isolates a caching bug from a kernel bug).  This is
+the repo's established
 differential-oracle pattern applied to the mutation axis: any divergence
 means a cached partition, statistic, or encoding survived a write it
 should not have.
@@ -18,6 +20,8 @@ from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import YannakakisEvaluator, evaluate_iter
 from repro.queries.cq import ConjunctiveQuery
 from repro.service import QueryService
+
+from helpers import tuple_engine
 
 E = Predicate("E", 2)
 F = Predicate("F", 1)
@@ -55,19 +59,29 @@ def _fact(predicate_name, a, b):
     return Atom(F, (Constant(a),))
 
 
-def _run_interleaving(steps, backend):
+#: The fresh-scan oracles a warm service is checked against, by name.
+ORACLES = {
+    "tuple": tuple_engine.evaluate,
+    "columnar": lambda evaluator, database: evaluator.evaluate(database),
+}
+
+
+def _run_interleaving(steps, oracle):
     database = Database()
     service = QueryService(database)
-    oracles = {query.name: YannakakisEvaluator(query) for query in QUERIES}
+    evaluators = {query.name: YannakakisEvaluator(query) for query in QUERIES}
+
+    def want(query):
+        return ORACLES[oracle](evaluators[query.name], database)  # fresh scans
+
     evaluated = 0
     for step in steps:
         if step[0] == "?":
             query = QUERIES[step[1]]
-            got = service.submit(query, backend=backend)
-            want = oracles[query.name].evaluate(database)  # fresh scans
-            assert got == want, (
+            got = service.submit(query)
+            assert got == want(query), (
                 f"{query.name} diverged after {service.writes} writes "
-                f"(backend={backend})"
+                f"(oracle={oracle})"
             )
             evaluated += 1
         elif step[0] == "+":
@@ -76,21 +90,19 @@ def _run_interleaving(steps, backend):
             service.delete(_fact(step[1], step[2], step[3]))
     # Final sweep: every shape must agree on the terminal state.
     for query in QUERIES:
-        assert service.submit(query, backend=backend) == oracles[
-            query.name
-        ].evaluate(database)
+        assert service.submit(query) == want(query)
     return evaluated
 
 
-@pytest.mark.parametrize("backend", ["tuple", "columnar"])
+@pytest.mark.parametrize("oracle", ["tuple", "columnar"])
 @settings(max_examples=40, deadline=None)
 @given(steps=_STEPS)
-def test_interleavings_match_fresh_cache_oracle(backend, steps):
-    _run_interleaving(steps, backend)
+def test_interleavings_match_fresh_cache_oracle(oracle, steps):
+    _run_interleaving(steps, oracle)
 
 
-@pytest.mark.parametrize("backend", ["tuple", "columnar"])
-def test_seeded_long_interleaving(backend):
+@pytest.mark.parametrize("oracle", ["tuple", "columnar"])
+def test_seeded_long_interleaving(oracle):
     """A fixed, long interleaving (fast deterministic CI signal)."""
     import random
 
@@ -108,7 +120,7 @@ def test_seeded_long_interleaving(backend):
                     rng.randrange(5),
                 )
             )
-    assert _run_interleaving(steps, backend) > 10
+    assert _run_interleaving(steps, oracle) > 10
 
 
 def test_open_plain_generator_survives_mutation(monkeypatch):

@@ -2,9 +2,11 @@
 
 Three layers of guarantees:
 
-1. **Operator semantics** — every operator's ``materialize()`` and
-   ``iter_rows()`` faces agree with the reference ``Relation`` algebra and
-   with each other, and record their observed cardinalities.
+1. **Operator semantics** — every operator's materialising face
+   (``materialize()``, decoded from ``materialize_encoded()``) and
+   streaming face (``iter_batches()``) agree with the tuple-at-a-time
+   oracle (``tests/helpers/tuple_engine.py``) and with each other, and
+   record their observed cardinalities.
 
 2. **Engine ↔ IR differentials** — the plans the engines compile
    (Yannakakis' reducer + cursor/hash-join plans, the greedy left-deep
@@ -14,9 +16,9 @@ Three layers of guarantees:
    ``limit=`` semantics.
 
 3. **Bounded work** — the streaming face of the plan route pipelines its
-   whole chain: ``iter_with_plan`` with a small ``limit`` must cost bucket
-   probes proportional to the answers pulled, not to the join prefix the
-   pre-IR implementation used to materialise.  Asserted with the
+   whole chain: at one row per batch, ``iter_with_plan`` with a small
+   ``limit`` must cost bucket probes proportional to the answers pulled,
+   not to the join prefix.  Asserted with the
    deterministic :class:`repro.evaluation.relation.Partition` probe
    counters, not wall clocks.
 """
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import tuple_engine as oracle
 from helpers.workloads import randomized_acyclic_workload, randomized_cyclic_workload
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import (
@@ -50,6 +53,7 @@ from repro.evaluation import (
     plan_greedy,
     render_plan,
 )
+from repro.evaluation import operators
 from repro.evaluation.relation import Partition, Relation
 from repro.queries.cq import ConjunctiveQuery
 from repro.workloads.generators import yannakakis_scaling_workload
@@ -78,11 +82,12 @@ def ctx(database=None):
 
 
 def rows_of(op, context):
-    return list(op.iter_rows(context))
+    """The decoded rows of the streaming face, in stream order."""
+    return [row for batch in op.iter_batches(context) for row in batch.decoded_rows()]
 
 
 # ----------------------------------------------------------------------
-# Operator semantics: materialize() and iter_rows() agree
+# Operator semantics: materialize() and iter_batches() agree
 # ----------------------------------------------------------------------
 class TestOperatorFaces:
     def test_scan_materializes_the_atom_relation(self):
@@ -139,8 +144,9 @@ class TestOperatorFaces:
     def test_hashjoin_matches_relation_join(self):
         context = ctx()
         op = HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z))))
-        expected = Relation.from_atom(Atom(E, (x, y)), context.database).join(
-            Relation.from_atom(Atom(F, (y, z)), context.database)
+        expected = oracle.join(
+            Relation.from_atom(Atom(E, (x, y)), context.database),
+            Relation.from_atom(Atom(F, (y, z)), context.database),
         )
         assert op.materialize(context) == expected
         assert set(rows_of(HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z)))), ctx())) == set(
@@ -173,7 +179,7 @@ class TestOperatorFaces:
         op = HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z))))
         first, second = ctx(), ctx()
         assert op.materialize(first) == op.materialize(second)
-        assert op.materialize(first) is not op.materialize(second)
+        assert op.materialize_encoded(first) is not op.materialize_encoded(second)
         rows_of(op, second)  # a streamed run re-counts only its own record
         assert first.run[op].rows == 3 and first.run[op].probes == 3
         assert second.run[op].probes == 6
@@ -181,7 +187,8 @@ class TestOperatorFaces:
     def test_materialized_results_are_cached_per_node(self):
         context = ctx()
         op = Scan(Atom(E, (x, y)))
-        assert op.materialize(context) is op.materialize(context)
+        assert op.materialize_encoded(context) is op.materialize_encoded(context)
+        assert op.materialize(context) == op.materialize(context)
 
     def test_empty_left_input_short_circuits_binary_operators(self):
         context = ctx()
@@ -291,8 +298,7 @@ class TestExplain:
         query, database = yannakakis_scaling_workload(150, seed=1)
         report = explain(query, database)
         answers = len(evaluate_generic(query, database))
-        # The plan root is the first operator line (index shifts by one when
-        # a `backend:` line is present, and the batch face appends a marker).
+        # The plan root is the first operator line.
         root = next(line for line in report.splitlines() if "est=" in line)
         assert f"obs={answers}" in root
 
@@ -350,15 +356,15 @@ def test_evaluators_compile_each_plan_variant_once(monkeypatch, evaluator_class)
     evaluator = evaluator_class(query)
     for database in (small_database(), Database()):
         truth = evaluate_generic(query, database)
-        for backend in ("tuple", "columnar"):
-            assert evaluator.evaluate(database, backend=backend) == truth
-            relation = evaluator.answer_relation(database, backend=backend)
-            assert relation.answer_tuples(query.head) == truth
-            assert set(evaluator.iter_answers(database, backend=backend)) == truth
-            streamed = evaluator.iter_answers(database, reduce=False, backend=backend)
-            assert set(streamed) == truth
-            assert evaluator.boolean(database, backend=backend) == bool(truth)
-            assert "obs=" in evaluator.explain(database, backend=backend)
+        assert oracle.evaluate(evaluator, database) == truth
+        assert evaluator.evaluate(database) == truth
+        relation = evaluator.answer_relation(database)
+        assert relation.answer_tuples(query.head) == truth
+        assert set(evaluator.iter_answers(database)) == truth
+        streamed = evaluator.iter_answers(database, reduce=False)
+        assert set(streamed) == truth
+        assert evaluator.boolean(database) == bool(truth)
+        assert "obs=" in evaluator.explain(database)
     assert sorted(calls) == [
         ("_compile_answer_plan",),
         ("_compile_stream_plan", False, False),
@@ -434,22 +440,21 @@ def _probes(run):
     return result, Partition.total_probes - before
 
 
-def test_iter_with_plan_no_longer_materialises_its_join_prefix():
-    """Pre-IR, ``iter_with_plan`` executed every prefix step as a
-    materialised hash join — the probes before the first answer grew with
-    the prefix's intermediate sizes.  The pipelined chain must reach the
-    first answers after O(chain · limit) bucket probes instead."""
+def test_iter_with_plan_no_longer_materialises_its_join_prefix(monkeypatch):
+    """A plan route that executed every prefix step as a materialised hash
+    join would pay probes before the first answer that grow with the
+    prefix's intermediate sizes.  The pipelined chain must reach the first
+    answers after O(chain · limit) bucket probes instead — checked at one
+    row per batch, where the batch bound is the per-row bound (the
+    default batch size has its own bound in
+    tests/test_columnar_backend.py)."""
+    monkeypatch.setattr(operators, "BATCH_ROWS", 1)
     query, database = yannakakis_scaling_workload(600, seed=2)
     plan = plan_greedy(query, database)
-    # Per-tuple pipelining is a property of the tuple face; the columnar
-    # face streams in BATCH_ROWS chunks and has its own per-batch bound
-    # (tests/test_columnar_backend.py).
     _, probes_limited = _probes(
-        lambda: list(iter_with_plan(query, database, limit=3, backend="tuple"))
+        lambda: list(iter_with_plan(query, database, limit=3))
     )
-    _, probes_full = _probes(
-        lambda: list(iter_with_plan(query, database, backend="tuple"))
-    )
+    _, probes_full = _probes(lambda: list(iter_with_plan(query, database)))
     # The limited run touches a handful of buckets (≈ limit · chain depth),
     # nowhere near the full pipeline, and far below the prefix sizes the
     # old implementation had to pay before the first answer.
@@ -457,13 +462,14 @@ def test_iter_with_plan_no_longer_materialises_its_join_prefix():
     assert probes_limited * 10 <= probes_full
 
 
-def test_iter_with_plan_first_answer_is_cheap_across_sizes():
-    """Probes before the first answer stay flat as |D| doubles (the old
-    prefix materialisation grew linearly)."""
+def test_iter_with_plan_first_answer_is_cheap_across_sizes(monkeypatch):
+    """At one row per batch, probes before the first answer stay flat as
+    |D| quadruples (a materialised prefix would grow linearly)."""
+    monkeypatch.setattr(operators, "BATCH_ROWS", 1)
     first_probes = []
     for size in (300, 1200):
         query, database = yannakakis_scaling_workload(size, seed=1)
-        stream = iter_with_plan(query, database, backend="tuple")
+        stream = iter_with_plan(query, database)
         _, probes = _probes(lambda: next(stream))
         first_probes.append(probes)
     assert first_probes[0] == first_probes[1]

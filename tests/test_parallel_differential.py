@@ -5,13 +5,14 @@ On numpy storage the batch face runs one vectorised kernel per operator
 :data:`~repro.evaluation.parallel.PARALLEL_MIN_ROWS` rows, and the
 :class:`~repro.evaluation.encoding.EncodedRelation` loop kernels below it.
 Both promise *bit-identical* output — same rows, same row order, same probe
-counts — and the tuple engine stays the ground truth.  This suite pins that
+counts — and the tuple-at-a-time oracle (``tests/helpers/tuple_engine.py``)
+stays the ground truth.  This suite pins that
 with the repo's differential-oracle pattern:
 
 * whole plans on randomized acyclic workloads (constants, repeated head
   variables) and on Zipf-skewed chains, run with the gate forced to 0
   (vectorised everywhere) and past every input (loop everywhere), against
-  the tuple backend — encoded rows, per-node probe counts, answer sets,
+  the tuple oracle — encoded rows, per-node probe counts, answer sets,
   the plan route and streaming under ``limit=``;
 * the kernels themselves on random multi-column keys, including encoder
   growth between calls and keys whose packing would overflow ``int64``;
@@ -21,7 +22,7 @@ with the repo's differential-oracle pattern:
 
 The storage-parametrised tests also run on the pure-python ``array('q')``
 path, where the vectorised kernels decline and the loop kernels are
-checked against the tuple engine alone.
+checked against the tuple oracle alone.
 """
 
 import os
@@ -51,6 +52,7 @@ from repro.evaluation.relation import Partition
 from repro.queries.cq import ConjunctiveQuery
 from repro.service import QueryService
 from repro.workloads.generators import skewed_scaling_workload
+from helpers import tuple_engine as oracle
 from helpers.workloads import randomized_acyclic_workload
 
 STORAGE_PARAMS = pytest.mark.parametrize(
@@ -89,7 +91,7 @@ def _executed(evaluator, database, gate):
     """Encoded rows, total probes and per-node probes of one fresh run."""
     parallel_module.PARALLEL_MIN_ROWS = gate
     plan = evaluator.compile_answer_plan()
-    context = ExecutionContext(database, ScanCache(database), backend="columnar")
+    context = ExecutionContext(database, ScanCache(database))
     before = Partition.total_probes
     rows = plan.materialize_encoded(context).rows
     probes = Partition.total_probes - before
@@ -105,18 +107,16 @@ def _assert_kernels_agree(query, database):
         evaluator = YannakakisEvaluator(query)
     except AcyclicityRequired:
         return  # constant injection made the hypergraph cyclic; out of domain
-    truth = evaluator.evaluate(database, backend="tuple")
+    truth = oracle.evaluate(evaluator, database)
     assert _executed(evaluator, database, VECTORISED) == _executed(
         evaluator, database, LOOP
     ), "vectorised kernels diverged from the loop kernels"
     for gate in (VECTORISED, LOOP):
         parallel_module.PARALLEL_MIN_ROWS = gate
-        assert evaluator.evaluate(database, backend="columnar") == truth
-        assert evaluate_with_plan(query, database, backend="columnar") == truth
+        assert evaluator.evaluate(database) == truth
+        assert evaluate_with_plan(query, database) == truth
         limit = max(1, len(truth) // 2)
-        streamed = list(
-            evaluator.iter_answers(database, limit=limit, backend="columnar")
-        )
+        streamed = list(evaluator.iter_answers(database, limit=limit))
         assert len(streamed) == min(limit, len(truth))
         assert set(streamed) <= truth
 
@@ -252,9 +252,8 @@ def test_int64_overflow_declines_to_the_loop_kernel():
         predicate = Predicate("W", 8)
         database = Database(Atom(predicate, tuple(Constant(v) for v in row)) for row in rows)
         query = ConjunctiveQuery(xs[:1], [Atom(predicate, xs)] * 2)
-        assert YannakakisEvaluator(query).evaluate(
-            database, backend="columnar"
-        ) == YannakakisEvaluator(query).evaluate(database, backend="tuple")
+        evaluator = YannakakisEvaluator(query)
+        assert evaluator.evaluate(database) == oracle.evaluate(evaluator, database)
 
 
 # ----------------------------------------------------------------------
@@ -295,17 +294,17 @@ def _check_batch_evaluator():
         for atom in database.atoms():
             merged.add(atom)
     evaluator = BatchEvaluator(queries)
-    serial = evaluator.evaluate(merged, backend="columnar")
+    serial = evaluator.evaluate(merged)
     # Four client threads evaluate the batch at once over one shared cache.
     shared = ScanCache(merged)
     with _switching_often(), ThreadPoolExecutor(max_workers=4) as clients:
         runs = [
-            clients.submit(evaluator.evaluate, merged, scans=shared, backend="columnar")
+            clients.submit(evaluator.evaluate, merged, scans=shared)
             for _ in range(4)
         ]
         concurrent = [run.result(timeout=60) for run in runs]
     assert concurrent == [serial] * 4
-    assert evaluator.evaluate_sequential(merged, backend="columnar") == serial
+    assert evaluator.evaluate_sequential(merged) == serial
 
 
 E = Predicate("E", 2)
@@ -343,19 +342,13 @@ def _check_service_interleaving():
             roll = rng.random()
             if roll < 0.25:
                 query = SERVICE_QUERIES[rng.randrange(len(SERVICE_QUERIES))]
-                got = service.submit(query, backend="columnar")
-                want = oracles[query.name].evaluate(database)  # fresh scans, tuple
+                got = service.submit(query)
+                want = oracle.evaluate(oracles[query.name], database)  # fresh scans
                 assert got == want, f"{query.name} diverged after {service.writes} writes"
                 evaluated += 1
             elif roll < 0.35:
-                got = list(
-                    clients.map(
-                        lambda q: service.submit(q, backend="columnar"),
-                        SERVICE_QUERIES,
-                        timeout=60,
-                    )
-                )
-                want = [oracles[q.name].evaluate(database) for q in SERVICE_QUERIES]
+                got = list(clients.map(service.submit, SERVICE_QUERIES, timeout=60))
+                want = [oracle.evaluate(oracles[q.name], database) for q in SERVICE_QUERIES]
                 assert got == want, "concurrent submits diverged from serial oracle"
                 evaluated += len(SERVICE_QUERIES)
             elif roll < 0.7:

@@ -1,10 +1,10 @@
 """Unit tests for the vectorised kernels and their thread-safety.
 
 Covers the seams the differential suite (``test_parallel_differential.py``)
-does not: the ``REPRO_BATCH_ROWS`` knob, encoder thread-safety under a
-hammering pool, which kernel a default numpy run takes, verification of a
-vectorised plan, probe accounting parity, runs of one shared plan, and the
-committed ``BENCH_parallel_scaling.json`` record.
+does not: encoder thread-safety under a hammering pool, which kernel a
+default numpy run takes, verification of a vectorised plan, probe
+accounting parity, runs of one shared plan, and the committed
+``BENCH_parallel_scaling.json`` record.
 """
 
 import json
@@ -26,13 +26,10 @@ from repro.evaluation import (
 )
 from repro.evaluation import operators as operators_module
 from repro.evaluation import parallel as parallel_module
-from repro.evaluation.operators import (
-    BATCH_ROWS_ENV,
-    DEFAULT_BATCH_ROWS,
-    _resolve_batch_rows,
-)
 from repro.evaluation.relation import Partition
 from repro.workloads.generators import yannakakis_scaling_workload
+
+from helpers import tuple_engine as oracle
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,23 +61,6 @@ def test_term_encoder_concurrent_encoding_stays_bijective():
     for codes in results:
         for code in codes:
             assert encoder.encode(encoder.decode(code)) == code
-
-
-# ----------------------------------------------------------------------
-# Satellite 2: REPRO_BATCH_ROWS validation
-# ----------------------------------------------------------------------
-def test_batch_rows_env_overrides(monkeypatch):
-    monkeypatch.setenv(BATCH_ROWS_ENV, "4096")
-    assert _resolve_batch_rows() == 4096
-    monkeypatch.delenv(BATCH_ROWS_ENV)
-    assert _resolve_batch_rows() == DEFAULT_BATCH_ROWS
-
-
-@pytest.mark.parametrize("junk", ["0", "-5", "lots", "3.5"])
-def test_batch_rows_junk_warns_and_defaults(monkeypatch, junk):
-    monkeypatch.setenv(BATCH_ROWS_ENV, junk)
-    with pytest.warns(RuntimeWarning, match=BATCH_ROWS_ENV):
-        assert _resolve_batch_rows() == DEFAULT_BATCH_ROWS
 
 
 # ----------------------------------------------------------------------
@@ -116,14 +96,13 @@ def test_default_numpy_run_takes_vectorised_kernel_above_threshold(monkeypatch):
         for atom in query.body
     )
     monkeypatch.setenv("REPRO_NUMPY", "0")
-    expected = YannakakisEvaluator(query).evaluate(database, backend="columnar")
+    expected = YannakakisEvaluator(query).evaluate(database)
     assert runs == [], "vectorised kernels ran on array('q') storage"
     monkeypatch.setenv("REPRO_NUMPY", "1")
-    answers = YannakakisEvaluator(query).evaluate(database, backend="columnar")
+    evaluator = YannakakisEvaluator(query)
+    answers = evaluator.evaluate(database)
     assert {"parallel_join", "parallel_semijoin"} <= set(runs)
-    assert answers == expected == YannakakisEvaluator(query).evaluate(
-        database, backend="tuple"
-    )
+    assert answers == expected == oracle.evaluate(evaluator, database)
 
 
 def test_verifier_passes_clean_parallel_plan(monkeypatch):
@@ -135,7 +114,7 @@ def test_verifier_passes_clean_parallel_plan(monkeypatch):
     query, database = yannakakis_scaling_workload(400, seed=3)
     scans = ScanCache(database)
     plan = YannakakisEvaluator(query, scans).compile_answer_plan()
-    plan.materialize_encoded(ExecutionContext(database, scans, backend="columnar"))
+    plan.materialize_encoded(ExecutionContext(database, scans))
     assert runs, "no vectorised kernel ran despite a zero gate"
     assert verify_plan(plan) == []
 
@@ -155,7 +134,7 @@ def test_probe_accounting_matches_serial(monkeypatch):
         monkeypatch.setattr(parallel_module, "PARALLEL_MIN_ROWS", gate)
         evaluator = YannakakisEvaluator(query)
         before = Partition.total_probes
-        answers = evaluator.evaluate(database, backend="columnar")
+        answers = evaluator.evaluate(database)
         return answers, Partition.total_probes - before
 
     assert probes(0) == probes(sys.maxsize)
@@ -216,9 +195,9 @@ def test_probe_counters_are_exact_under_concurrency():
 
 
 def _observed(plan, context):
-    """Per node of ``plan``: the (rows, probes, face) one run recorded."""
+    """Per node of ``plan``: the (rows, probes) one run recorded."""
     return [
-        (record.rows, record.probes, record.face)
+        (record.rows, record.probes)
         for record in (context.run.get(node) for node in plan.walk())
         if record is not None
     ]
@@ -233,36 +212,31 @@ def test_runs_of_one_plan_share_nothing():
     scans = ScanCache(database)
     evaluator = YannakakisEvaluator(query, scans)
     plan = evaluator.compile_answer_plan()
-    truth = evaluator.evaluate(database, backend="tuple")
+    truth = oracle.evaluate(evaluator, database)
     workers = 4
 
-    def run(backend):
-        context = ExecutionContext(database, scans, backend=backend)
-        if context.backend == "columnar":
-            relation = plan.materialize_encoded(context).to_relation()
-        else:
-            relation = plan.materialize(context)
-        return relation.answer_tuples(query.head), context
+    def run():
+        context = ExecutionContext(database, scans)
+        return plan.materialize(context).answer_tuples(query.head), context
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for backend in ("tuple", "columnar"):
-            serial = [run(backend), run(backend)]
-            barrier = threading.Barrier(workers)
+        serial = [run(), run()]
+        barrier = threading.Barrier(workers)
 
-            def concurrent():
-                barrier.wait(timeout=30)
-                return run(backend)
+        def concurrent():
+            barrier.wait(timeout=30)
+            return run()
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(concurrent) for _ in range(workers)]
-                parallel = [future.result(timeout=60) for future in futures]
-            expected = _observed(plan, serial[0][1])
-            assert any(probes for _rows, probes, _face in expected)
-            for answers, context in serial + parallel:
-                assert answers == truth
-                assert _observed(plan, context) == expected
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(concurrent) for _ in range(workers)]
+            parallel = [future.result(timeout=60) for future in futures]
+        expected = _observed(plan, serial[0][1])
+        assert any(probes for _rows, probes in expected)
+        for answers, context in serial + parallel:
+            assert answers == truth
+            assert _observed(plan, context) == expected
     finally:
         sys.setswitchinterval(previous)
 

@@ -282,9 +282,9 @@ class TestMutationCorpus:
         query, database = yannakakis_scaling_workload(60, seed=0)
         ops = compile_plan(plan_greedy(query, database))
         top = Project(ops[-1], first_occurrence_schema(query.head))
-        context = ExecutionContext(database, backend="columnar")
+        context = ExecutionContext(database)
         top.materialize_encoded(context)
-        # the executed batch face verifies clean
+        # the executed plan verifies clean
         assert verify_plan(top, run=context.run) == []
         # a wrong-width encoded result in the run record
         context.run[top].encoded = context.run[top.children[0]].encoded
@@ -292,7 +292,7 @@ class TestMutationCorpus:
         assert verify_plan(top) == []  # no run, nothing to cross-check
 
     def test_plan014_takes_priority_only_on_clean_nodes(self):
-        # A tuple-face corruption reports its own code, not a duplicate
+        # A schema corruption reports its own code, not a duplicate
         # PLAN014 — the batch check runs only on clean nodes.
         project = Project(scan_e(), (x,))
         project.schema = (x, w)  # len(_positions) == 1 != 2 == len(schema)

@@ -13,10 +13,11 @@ Three families of checks lock the planner down:
   disconnected queries chain their components at the top of the tree
   only.  Above :data:`DP_ATOM_LIMIT` the planner falls back to greedy's
   left-deep plan, and every plan entry point runs that fallback to the
-  generic-join answers on both backends.
+  generic-join answers, which a fresh tuple-oracle or columnar run of the
+  plan route reproduces.
 * **Differentials.** On randomized acyclic workloads (constants,
   repeated head variables) the DP, greedy, linear-DP and Yannakakis
-  engines agree with the generic-join ground truth on both backends; on
+  engines agree with the generic-join ground truth and the tuple oracle; on
   randomized cyclic workloads the decomposition route agrees with
   generic join, including its streaming and boolean faces.
 """
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import tuple_engine
 from helpers.workloads import randomized_acyclic_workload, randomized_cyclic_workload
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import (
@@ -199,10 +201,9 @@ class TestDpBeatsGreedyOnTheMispickFixtures:
 
     def test_dp_matches_greedy_on_both_backends(self):
         query, database = chain_fixture()
-        for backend in (None, "columnar"):
-            assert evaluate_with_plan(
-                query, database, plan_dp, backend=backend
-            ) == evaluate_with_plan(query, database, plan_greedy, backend=backend)
+        expected = tuple_engine.evaluate_with_plan(query, database, plan_greedy)
+        assert evaluate_with_plan(query, database, plan_dp) == expected
+        assert evaluate_with_plan(query, database, plan_greedy) == expected
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +367,7 @@ def _past_the_dp_limit():
     ]
 
 
-def _batch_plan_route(query, database, backend, stream):
+def _batch_plan_route(query, database, stream):
     from repro.evaluation import BatchEvaluator, semacyclic_eval
 
     with pytest.MonkeyPatch.context() as patch:
@@ -379,30 +380,35 @@ def _batch_plan_route(query, database, backend, stream):
         batch = BatchEvaluator([query])
     assert batch.routes() == ["plan"]
     if stream:
-        return set(batch.evaluate_iter(database, backend=backend)[0])
-    return batch.evaluate(database, backend=backend)[0]
+        return set(batch.evaluate_iter(database)[0])
+    return batch.evaluate(database)[0]
 
 
 PLAN_ENTRY_POINTS = {
-    "evaluate_with_plan": lambda q, db, b: evaluate_with_plan(q, db, backend=b),
-    "iter_with_plan": lambda q, db, b: set(iter_with_plan(q, db, backend=b)),
-    "service_submit": lambda q, db, b: QueryService(db).submit(
-        q, engine="plan", backend=b
-    ),
-    "service_stream": lambda q, db, b: set(
-        QueryService(db).stream(q, engine="plan", backend=b)
-    ),
-    "batch_evaluate": lambda q, db, b: _batch_plan_route(q, db, b, stream=False),
-    "batch_evaluate_iter": lambda q, db, b: _batch_plan_route(q, db, b, stream=True),
+    "evaluate_with_plan": evaluate_with_plan,
+    "iter_with_plan": lambda q, db: set(iter_with_plan(q, db)),
+    "service_submit": lambda q, db: QueryService(db).submit(q, engine="plan"),
+    "service_stream": lambda q, db: set(QueryService(db).stream(q, engine="plan")),
+    "batch_evaluate": lambda q, db: _batch_plan_route(q, db, stream=False),
+    "batch_evaluate_iter": lambda q, db: _batch_plan_route(q, db, stream=True),
+}
+
+#: Fresh one-shot runs of the plan route the entry points are checked
+#: against: the tuple engine (ground truth), or the columnar engine with a
+#: fresh scan cache (isolating an entry point's own caching and streaming).
+PLAN_ORACLES = {
+    "tuple": tuple_engine.evaluate_with_plan,
+    "columnar": evaluate_with_plan,
 }
 
 
-@pytest.mark.parametrize("backend", ["tuple", "columnar"])
+@pytest.mark.parametrize("oracle", ["tuple", "columnar"])
 @pytest.mark.parametrize("entry", sorted(PLAN_ENTRY_POINTS))
-def test_greedy_fallback_at_every_plan_entry_point(entry, backend, monkeypatch):
+def test_greedy_fallback_at_every_plan_entry_point(entry, oracle, monkeypatch):
     """Past :data:`DP_ATOM_LIMIT` atoms the DP hands over to
     :func:`plan_greedy`; every entry point that plans must run that plan
-    to the generic-join answers, with every emitted plan verified."""
+    to the generic-join answers, which a fresh run of the oracle
+    reproduces, with every emitted plan verified."""
     from repro.evaluation import planner_dp
 
     monkeypatch.setenv("REPRO_VERIFY", "1")
@@ -417,7 +423,8 @@ def test_greedy_fallback_at_every_plan_entry_point(entry, backend, monkeypatch):
     for query in queries:
         expected = evaluate_generic(query, database)
         assert expected, query.name
-        assert PLAN_ENTRY_POINTS[entry](query, database, backend) == expected
+        assert PLAN_ORACLES[oracle](query, database) == expected
+        assert PLAN_ENTRY_POINTS[entry](query, database) == expected
     assert fallbacks and set(fallbacks) == {DP_ATOM_LIMIT + 2}
 
 
@@ -429,12 +436,9 @@ def test_greedy_fallback_at_every_plan_entry_point(entry, backend, monkeypatch):
 def test_dp_greedy_and_yannakakis_agree_on_acyclic_workloads(seed):
     query, database = randomized_acyclic_workload(seed)
     expected = evaluate_generic(query, database)
-    for backend in (None, "columnar"):
-        for planner in (plan_dp, plan_dp_linear, plan_greedy):
-            assert (
-                evaluate_with_plan(query, database, planner, backend=backend)
-                == expected
-            ), planner.__name__
+    for planner in (plan_dp, plan_dp_linear, plan_greedy):
+        assert evaluate_with_plan(query, database, planner) == expected, planner.__name__
+        assert tuple_engine.evaluate_with_plan(query, database, planner) == expected
     try:
         evaluator = YannakakisEvaluator(query)
     except AcyclicityRequired:
@@ -465,10 +469,10 @@ def test_decomposition_route_agrees_with_generic_on_cyclic_workloads(seed):
     query, database = randomized_cyclic_workload_with_constants(seed)
     expected = evaluate_generic(query, database)
     evaluator = DecompositionEvaluator(query)
-    for backend in (None, "columnar"):
-        assert evaluator.evaluate(database, backend=backend) == expected
-        assert set(evaluator.iter_answers(database, backend=backend)) == expected
-        assert evaluator.boolean(database, backend=backend) == bool(expected)
+    assert tuple_engine.evaluate(evaluator, database) == expected
+    assert evaluator.evaluate(database) == expected
+    assert set(evaluator.iter_answers(database)) == expected
+    assert evaluator.boolean(database) == bool(expected)
     # The flat plans agree too (the differential closes the triangle).
     assert evaluate_with_plan(query, database, plan_dp) == expected
 

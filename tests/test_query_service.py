@@ -477,7 +477,7 @@ class TestParameterisedPlans:
         service = QueryService(database)
         for i in range(200):
             query = _anchored_path(i % 50, Variable(f"b{i}"), Variable(f"c{i}"))
-            assert service.submit(query, backend="columnar") == evaluate_generic(
+            assert service.submit(query) == evaluate_generic(
                 query, database
             )
         assert service.plan_misses == 1

@@ -10,18 +10,23 @@ on every streaming route with the cycle collector off and
 enumeration cursor of this package survives the requests or turns up as
 garbage.  It also requires that a cold request under tgds leaves no term
 alive: the weak intern tables of nulls and variables end at their prior
-size.
+size.  Each request runs through the engine (``evaluate_iter``) and through
+the tuple oracle, which shares the engine's routing and cursor machinery.
 """
 
 import gc
 import os
 import types
+from collections import OrderedDict
 
 import pytest
 
 import repro
+from repro import service as service_module
 from repro.datamodel import terms as term_module
 from repro.evaluation.operators import _Enumeration, _MemoCursor
+
+from helpers import tuple_engine
 
 SOURCE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -44,6 +49,10 @@ REQUESTS = [
 ]
 
 
+#: The two ways a request is streamed: the engine, or the tuple oracle.
+STREAMS = {"columnar": repro.evaluate_iter, "tuple": tuple_engine.iter_route}
+
+
 def _ours(obj) -> bool:
     """A nested function, closure cell, cursor or enumeration of this package."""
     if isinstance(obj, (_MemoCursor, _Enumeration)):
@@ -62,8 +71,8 @@ def _ours(obj) -> bool:
     )
 
 
-@pytest.mark.parametrize("backend", ["tuple", "columnar"])
-def test_cold_evaluate_iter_leaves_no_cyclic_garbage(backend):
+@pytest.mark.parametrize("engine", ["tuple", "columnar"])
+def test_cold_evaluate_iter_leaves_no_cyclic_garbage(engine, isolated_registry):
     database = repro.Database(repro.parse_atom(text) for text in DATA)
     gc.collect()
     before = {id(obj) for obj in gc.get_objects() if _ours(obj)}
@@ -73,11 +82,10 @@ def test_cold_evaluate_iter_leaves_no_cyclic_garbage(backend):
         for query, tgds in REQUESTS:
 
             def stream():
-                return repro.evaluate_iter(
+                return STREAMS[engine](
                     repro.parse_query(query),
                     database,
                     tgds=[repro.parse_tgd(text) for text in tgds],
-                    backend=backend,
                 )
 
             assert set(stream())
@@ -102,14 +110,32 @@ def test_cold_evaluate_iter_leaves_no_cyclic_garbage(backend):
 EXISTENTIAL_REQUEST = ("q(x, y) :- E(x, y), E(y, z), E(z, x)", ["E(x, y) -> Owns(x, w)"])
 
 
-@pytest.mark.parametrize("backend", ["tuple", "columnar"])
-def test_cold_evaluate_iter_under_tgds_leaves_no_terms_behind(backend, monkeypatch):
-    """The chase's fresh nulls and the request's variables die with it.
+@pytest.fixture
+def isolated_registry(monkeypatch):
+    """An empty service registry for the test.
 
-    Terms are interned in weak tables (``repro.datamodel.terms``).  A term
-    that something keeps alive past its request keeps its table entry, so
-    the tables' sizes show any term a cold request leaks.
+    Under ``REPRO_SERVICE=1`` a cold request registers a new service; in a
+    full registry that evicts the least recently used one, and with it
+    whatever terms only that service held — the intern tables would then
+    shrink mid-test for reasons the request does not control.
     """
+    isolate_registry(monkeypatch)
+
+
+def isolate_registry(monkeypatch):
+    monkeypatch.setattr(service_module, "_services", OrderedDict())
+
+
+def _fill_registry():
+    """Register as many services as the registry holds, each keeping the
+    variables of its own query alive — what earlier requests leave."""
+    for index in range(service_module.SERVICE_REGISTRY_LIMIT):
+        database = repro.Database([repro.parse_atom("E('a', 'b')")])
+        query = repro.parse_query(f"q(u{index}) :- E(u{index}, w{index})")
+        service_module.shared_service(database).submit(query)
+
+
+def _assert_no_terms_behind(stream, monkeypatch):
     database = repro.Database(repro.parse_atom(text) for text in DATA)
     minted = []
     intern_null = term_module._NULLS.intern
@@ -123,14 +149,44 @@ def test_cold_evaluate_iter_under_tgds_leaves_no_terms_behind(backend, monkeypat
     gc.collect()
     before = (len(term_module._NULLS), len(term_module._VARIABLES))
     answers = set(
-        repro.evaluate_iter(
+        stream(
             repro.parse_query(query),
             database,
             tgds=[repro.parse_tgd(text) for text in tgds],
-            backend=backend,
         )
     )
     assert answers
     assert minted, "the request should have minted fresh nulls"
+    # Measured while a service the request registered (REPRO_SERVICE=1) is
+    # still standing: it must keep none of the chase's fresh nulls.
     gc.collect()
-    assert (len(term_module._NULLS), len(term_module._VARIABLES)) == before
+    assert len(term_module._NULLS) == before[0]
+    # That service keeps its plan, and so the query's variables, by design;
+    # drop it before measuring the variables.
+    service_module._services.clear()
+    gc.collect()
+    assert len(term_module._VARIABLES) == before[1]
+
+
+@pytest.mark.parametrize("engine", ["tuple", "columnar"])
+def test_cold_evaluate_iter_under_tgds_leaves_no_terms_behind(
+    engine, monkeypatch, isolated_registry
+):
+    """The chase's fresh nulls and the request's variables die with it.
+
+    Terms are interned in weak tables (``repro.datamodel.terms``).  A term
+    that something keeps alive past its request keeps its table entry, so
+    the tables' sizes show any term a cold request leaks.
+    """
+    _assert_no_terms_behind(STREAMS[engine], monkeypatch)
+
+
+def test_no_terms_behind_after_a_full_service_registry(monkeypatch):
+    """The same request through the service seam, after other services
+    filled the registry: isolating the registry keeps their eviction (and
+    the terms it frees) out of the measurement."""
+    monkeypatch.setenv("REPRO_SERVICE", "1")
+    isolate_registry(monkeypatch)
+    _fill_registry()
+    isolate_registry(monkeypatch)
+    _assert_no_terms_behind(repro.evaluate_iter, monkeypatch)
