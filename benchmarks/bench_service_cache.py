@@ -1,19 +1,21 @@
-"""Service-cache benchmark: delta merge vs rebuild, plan-cache hit rate.
+"""Service-cache benchmark: delta merge vs rebuild, plan-cache hit rate,
+latency over uptime.
 
-Two panels over the standing :class:`repro.service.QueryService`:
+Panels over the standing :class:`repro.service.QueryService` and its
+:class:`~repro.evaluation.batch.ScanCache`:
 
 * **Delta merge vs rebuild** — a mutate → scan loop: per round one fact is
   deleted and one inserted (a size-preserving mutation, exactly the shape
-  the seed's size-snapshot guard could not see), then both cached
-  signatures of a two-hop path query are re-served, encoded under the
-  cache's encoder as the operators read them.  The long-lived
-  cache absorbs each round's delta (``O(delta)`` journal replay, in-place
-  partition patch, and an encoded store carried forward by encoding only
-  the delta); the baseline builds a fresh ``ScanCache`` every round
-  (``O(|D|)`` scan + repartition + re-encode).  Headline: wall-clock ratio
-  per round, plus the deterministic work proxy (scans *built*: the
-  long-lived cache materialises each signature once for the whole loop,
-  the baseline once per round).
+  the seed's size-snapshot guard could not see), then both scans of a
+  two-hop path query — the whole predicate and one anchored at a
+  constant — are re-served, encoded as the operators read them.  The
+  long-lived cache absorbs each round's delta (``O(delta)`` journal
+  replay, in-place partition patch, and an encoded store carried forward
+  by encoding only the delta); the baseline builds a fresh ``ScanCache``
+  every round (``O(|D|)`` scan + re-encode).  Headline: wall-clock ratio
+  per round, plus the deterministic work proxy (base relations *built*:
+  the long-lived cache builds the predicate once for the whole loop, the
+  baseline once per round).
 
 * **Columnar point reads after writes** — per round one fact is deleted
   and one inserted, then the merged encoded store answers one point
@@ -24,6 +26,14 @@ Two panels over the standing :class:`repro.service.QueryService`:
   zero), next to the time per round and the time one fresh index build
   would add to it.
 
+* **Long uptime** — point reads with 20% inserts and deletes (the
+  ``serve_mixed`` shape of ``bench/``) against one service for
+  :data:`UPTIME_SECONDS`, cut into :data:`UPTIME_SEGMENTS` equal segments.
+  Anchored scans are bucket lookups in one cached store per predicate, so
+  a write's sync work does not grow with the anchors read since start,
+  and neither may latency: the last segment's median ms/op must stay
+  within :data:`MAX_UPTIME_SLOWDOWN` of the first's.
+
 * **Plan-cache hit rate** — 64 syntactically distinct, variable-renamed
   variants of one query submitted to one service; core minimisation +
   canonical relabelling must collapse them onto a single cached plan
@@ -32,14 +42,17 @@ Two panels over the standing :class:`repro.service.QueryService`:
   anchor to a parameter, so they too share one plan (1 miss, 63 hits).
 
 Results land in ``BENCH_service_cache.json``.  ``BENCH_SMOKE=1`` shrinks
-sizes/rounds to milliseconds and skips the timing assertion (tiny inputs
-are noise-dominated); the counter-based assertions always run.
+sizes/rounds to milliseconds (the uptime panel to a few seconds) and skips
+the timing assertions (tiny inputs are noise-dominated); the counter-based
+assertions always run.
 """
 
 from __future__ import annotations
 
 import os
 import platform
+import random
+import statistics
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -69,6 +82,21 @@ VARIANTS = 64
 #: cached plan).
 MIN_HIT_RATE = 0.9
 
+#: Long-uptime panel: seconds of mixed traffic against one service, the
+#: number of equal segments it is cut into, and the bound on the last
+#: segment's median ms/op over the first's.
+UPTIME_SECONDS = 3.0 if smoke_mode() else 30.0
+UPTIME_SEGMENTS = 6
+MAX_UPTIME_SLOWDOWN = 1.25
+
+#: Layered graph of the uptime panel: layers, nodes per layer, out-degree.
+UPTIME_LAYERS = 4
+UPTIME_WIDTH = 60 if smoke_mode() else 400
+UPTIME_FANOUT = 3
+
+#: One write per this many operations (20% writes).
+UPTIME_WRITE_EVERY = 5
+
 _CACHE: Dict[str, List[Dict[str, object]]] = {}
 
 
@@ -87,8 +115,8 @@ def _path_query(a: Variable, b: Variable, c: Variable, name: str = "path"):
     return ConjunctiveQuery((a, c), [Atom(E, (a, b)), Atom(E, (b, c))], name=name)
 
 
-#: The two signatures the path query pins in the cache: the full binary
-#: scan and a constant-anchored one.
+#: The two scans the path query reads: the whole predicate and one
+#: constant-anchored atom.
 def _signatures(size: int):
     return (Atom(E, (x, y)), Atom(E, (Constant(size // 2), y)))
 
@@ -104,14 +132,14 @@ def run_delta_vs_rebuild(sizes: Sequence[int] = SIZES) -> List[Dict[str, object]
         # --- long-lived cache: deltas absorbed in place ------------------
         database = _chain_database(size)
         cache = ScanCache(database)
-        for atom in atoms:  # warm both signatures (and their encodings)
-            cache.scan(atom).encoded(cache.encoder)
+        for atom in atoms:  # warm both scans (and the base encoding)
+            cache.scan(atom)
         started = time.perf_counter()
         for round_index in range(ROUNDS):
             database.discard(_edge(round_index, round_index + 1))
             database.add(_edge(size + 1 + round_index, size + 2 + round_index))
             for atom in atoms:
-                cache.scan(atom).encoded(cache.encoder)
+                cache.scan(atom)
         delta_seconds = time.perf_counter() - started
         delta_built = cache.built
 
@@ -119,7 +147,7 @@ def run_delta_vs_rebuild(sizes: Sequence[int] = SIZES) -> List[Dict[str, object]
         database = _chain_database(size)
         warm = ScanCache(database)
         for atom in atoms:
-            warm.scan(atom).encoded(warm.encoder)  # same warmup cost paid
+            warm.scan(atom)  # same warmup cost paid
         rebuild_built = 0
         started = time.perf_counter()
         for round_index in range(ROUNDS):
@@ -127,7 +155,7 @@ def run_delta_vs_rebuild(sizes: Sequence[int] = SIZES) -> List[Dict[str, object]
             database.add(_edge(size + 1 + round_index, size + 2 + round_index))
             fresh = ScanCache(database)
             for atom in atoms:
-                fresh.scan(atom).encoded(fresh.encoder)
+                fresh.scan(atom)
             rebuild_built += fresh.built
         rebuild_seconds = time.perf_counter() - started
 
@@ -158,7 +186,7 @@ def run_columnar_point_reads(sizes: Sequence[int] = SIZES) -> List[Dict[str, obj
         encoder = cache.encoder
 
         def point_read(anchor: int) -> EncodedRelation:
-            relation = cache.scan(Atom(E, (x, y))).encoded(encoder)
+            relation = cache.scan(Atom(E, (x, y)))
             point = EncodedRelation.from_rows((x,), [(encoder.encode(Constant(anchor)),)], encoder)
             return relation.semijoin(point)
 
@@ -173,7 +201,7 @@ def run_columnar_point_reads(sizes: Sequence[int] = SIZES) -> List[Dict[str, obj
         seconds = time.perf_counter() - started
         post_merge_builds = IntIndex.long_lived_builds - builds
 
-        relation = cache.scan(Atom(E, (x, y))).encoded(encoder)
+        relation = cache.scan(Atom(E, (x, y)))
         started = time.perf_counter()
         relation.fresh_copy().key_index((0,))
         build_seconds = time.perf_counter() - started
@@ -189,6 +217,73 @@ def run_columnar_point_reads(sizes: Sequence[int] = SIZES) -> List[Dict[str, obj
         )
     _CACHE["columnar"] = rows
     return rows
+
+
+def _node(layer: int, index: int) -> Constant:
+    return Constant(f"n{layer}_{index}")
+
+
+def run_long_uptime() -> Dict[str, object]:
+    """Mixed point reads and writes against one service; ms/op per segment."""
+    if "uptime" in _CACHE:
+        return _CACHE["uptime"][0]
+    rng = random.Random(1)
+    database = Database()
+    for layer in range(UPTIME_LAYERS - 1):
+        for index in range(UPTIME_WIDTH):
+            for _ in range(UPTIME_FANOUT):
+                target = _node(layer + 1, rng.randrange(UPTIME_WIDTH))
+                database.add(Atom(E, (_node(layer, index), target)))
+    service = QueryService(database)
+
+    def read() -> None:
+        hops = rng.choice((2, 3))
+        anchor = _node(rng.randrange(UPTIME_LAYERS - hops), rng.randrange(UPTIME_WIDTH))
+        path = [Variable(f"h{i}") for i in range(hops)]
+        body = [Atom(E, (anchor, path[0]))] + [
+            Atom(E, (path[i], path[i + 1])) for i in range(hops - 1)
+        ]
+        service.submit(ConjunctiveQuery((path[-1],), body))
+
+    inserted: List[Atom] = []
+
+    def write() -> None:
+        if inserted and rng.random() < 0.5:
+            service.delete(inserted.pop(rng.randrange(len(inserted))))
+            return
+        layer = rng.randrange(UPTIME_LAYERS - 1)
+        edge = Atom(
+            E,
+            (_node(layer, rng.randrange(UPTIME_WIDTH)), _node(layer + 1, rng.randrange(UPTIME_WIDTH))),
+        )
+        if service.insert(edge):
+            inserted.append(edge)
+
+    for _ in range(50):  # warm both shapes' plans and the base store's index
+        read()
+    samples: List[List[float]] = [[] for _ in range(UPTIME_SEGMENTS)]
+    segment_seconds = UPTIME_SECONDS / UPTIME_SEGMENTS
+    started = time.perf_counter()
+    operations = 0
+    while True:
+        begin = time.perf_counter()
+        segment = int((begin - started) / segment_seconds)
+        if segment >= UPTIME_SEGMENTS:
+            break
+        operations += 1
+        (write if operations % UPTIME_WRITE_EVERY == 0 else read)()
+        samples[segment].append((time.perf_counter() - begin) * 1000.0)
+    medians = [statistics.median(segment) for segment in samples]
+    row = {
+        "seconds": UPTIME_SECONDS,
+        "operations": operations,
+        "writes": service.writes,
+        "segment_ms_per_op": medians,
+        "last_over_first": medians[-1] / medians[0],
+        "cached_scans": service.counters()["cached_scans"],
+    }
+    _CACHE["uptime"] = [row]
+    return row
 
 
 def run_plan_cache_hit_rate() -> Dict[str, object]:
@@ -251,6 +346,7 @@ def _write_snapshot() -> None:
     columnar = run_columnar_point_reads()
     plans = run_plan_cache_hit_rate()
     anchored = run_anchored_hit_rate()
+    uptime = run_long_uptime()
     snapshot = BenchSnapshot("service_cache")
     snapshot.record(
         "host",
@@ -266,6 +362,7 @@ def _write_snapshot() -> None:
     snapshot.record("delta_speedups", [row["speedup"] for row in delta])
     snapshot.record("plan_cache", plans)
     snapshot.record("anchored_plan_cache", anchored)
+    snapshot.record("long_uptime", uptime)
     for row in delta:
         snapshot.add_row("curve", row)
     for row in columnar:
@@ -301,8 +398,8 @@ def test_delta_merge_beats_full_rebuild():
     )
     _write_snapshot()
     for row in rows:
-        # Deterministic work proxy: the long-lived cache materialises each
-        # signature once for the whole loop; the baseline pays per round.
+        # Deterministic work proxy: the long-lived cache builds the base
+        # relation once for the whole loop; the baseline pays per round.
         assert row["delta_built"] < row["rebuild_built"]
         assert row["delta_merges"] >= ROUNDS
     if smoke_mode():
@@ -334,6 +431,32 @@ def test_columnar_point_reads_carry_their_key_index():
     for row in rows:
         assert row["delta_merges"] >= ROUNDS
         assert row["post_merge_index_builds"] == 0
+
+
+def test_latency_does_not_grow_with_uptime():
+    row = run_long_uptime()
+    print_series(
+        "mixed reads and writes on one service: median ms/op per segment",
+        [
+            (
+                f"{row['seconds']:.0f}",
+                row["operations"],
+                row["writes"],
+                " ".join(f"{ms:.3f}" for ms in row["segment_ms_per_op"]),
+                f"{row['last_over_first']:.2f}x",
+                row["cached_scans"],
+            )
+        ],
+        header=("s", "ops", "writes", "ms/op per segment", "last/first", "cached scans"),
+    )
+    _write_snapshot()
+    assert row["cached_scans"] == 1  # one predicate, however many anchors
+    if smoke_mode():
+        return
+    assert row["last_over_first"] <= MAX_UPTIME_SLOWDOWN, (
+        f"the last segment's median ms/op is {row['last_over_first']:.2f}x the "
+        f"first's (bound {MAX_UPTIME_SLOWDOWN}x)"
+    )
 
 
 def test_plan_cache_hit_rate_across_isomorphic_variants():

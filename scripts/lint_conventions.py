@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-convention lint — rules a generic linter cannot know.
 
-Five rules, each encoding a convention the codebase actually relies on:
+Six rules, each encoding a convention the codebase actually relies on:
 
 1. **Operator faces** — every concrete operator node in
    ``src/repro/evaluation/operators.py`` implements the batch faces
@@ -28,6 +28,12 @@ Five rules, each encoding a convention the codebase actually relies on:
    (``Operator`` or any subclass of it) assigns ``self.<attr>`` only inside
    ``__init__``.  Run state belongs to the run's ``ExecutionContext``, so
    one compiled plan can be shared by any number of runs and threads.
+6. **One scan path** — apart from ``batch.py``, no module of the
+   evaluation stack (``operators.py``, ``yannakakis.py``,
+   ``join_plans.py``, ``planner_dp.py``, ``semacyclic_eval.py``,
+   ``service.py``) reads facts itself: no call to ``atoms_with_predicate``
+   or ``Relation.from_atom``.  Every scan goes through ``ScanCache``,
+   which keeps one base relation per predicate and its epoch stamps.
 
 Exit 0 when clean, 1 with one line per violation otherwise (run via
 ``make lint``).
@@ -36,12 +42,22 @@ Exit 0 when clean, 1 with one line per violation otherwise (run via
 import ast
 import pathlib
 import sys
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OPERATORS_FILE = REPO_ROOT / "src" / "repro" / "evaluation" / "operators.py"
 VERIFIER_FILE = REPO_ROOT / "src" / "repro" / "analysis" / "verify_plan.py"
 SOURCE_ROOT = REPO_ROOT / "src"
+EVALUATION_STACK = [
+    REPO_ROOT / "src" / "repro" / "evaluation" / name
+    for name in (
+        "operators.py",
+        "yannakakis.py",
+        "join_plans.py",
+        "planner_dp.py",
+        "semacyclic_eval.py",
+    )
+] + [REPO_ROOT / "src" / "repro" / "service.py"]
 BENCH_ROOT = REPO_ROOT / "benchmarks"
 
 MUTABLE_CALLS = {"list", "dict", "set"}
@@ -245,6 +261,34 @@ def check_operator_immutability(source: Optional[str] = None) -> List[str]:
     return violations
 
 
+# ----------------------------------------------------------------------
+# Rule 6: the evaluation stack scans only through ScanCache
+# ----------------------------------------------------------------------
+FACT_READERS = {"atoms_with_predicate", "from_atom"}
+
+
+def check_scan_path(sources: Optional[Dict[str, str]] = None) -> List[str]:
+    """Rule 6 over the evaluation stack (or over ``sources``, name ->
+    text, for the tests)."""
+    if sources is None:
+        sources = {
+            relative(path): path.read_text(encoding="utf-8") for path in EVALUATION_STACK
+        }
+    violations: List[str] = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in FACT_READERS
+            ):
+                violations.append(
+                    f"{name}:{node.lineno}: calls {node.func.attr} (read facts "
+                    "through ScanCache.scan or ScanCache.base_relation)"
+                )
+    return violations
+
+
 def main() -> int:
     violations = (
         check_operator_faces()
@@ -252,6 +296,7 @@ def main() -> int:
         + check_bench_smoke()
         + check_batch_face_registry()
         + check_operator_immutability()
+        + check_scan_path()
     )
     for violation in violations:
         print(violation)
@@ -261,7 +306,7 @@ def main() -> int:
     print(
         "lint: conventions hold "
         "(operator faces, defaults, BENCH_SMOKE, batch-face registry, "
-        "immutable operators)"
+        "immutable operators, one scan path)"
     )
     return 0
 

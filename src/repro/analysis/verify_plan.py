@@ -749,13 +749,15 @@ def _check_epochs(
 ) -> None:
     """PLAN016: scan results a run holds must carry the current database epoch.
 
-    A run memoises each Scan's encoded relation in its record; the stores
-    of relations served by an epoch-aware scan cache carry the database
-    mutation epoch they reflect (:meth:`repro.evaluation.relation.Relation
-    .stamp_epoch`).  A stamp disagreeing with ``expected_epoch`` means the
-    plan holds pre-mutation rows — the stale-answer bug the epoch machinery
-    exists to prevent.  Unstamped results (plain per-call scans) are not
-    flagged.
+    A run memoises each Scan's encoded relation in its record.  Every scan
+    is served by an epoch-aware scan cache, and its store carries the
+    database mutation epoch of the base store it was read from
+    (:meth:`repro.evaluation.relation.Relation.stamp_epoch`): the base
+    store itself for an unanchored atom, a one-shot gather of its key
+    index bucket for an anchored one.  A stamp disagreeing with
+    ``expected_epoch`` means the plan holds pre-mutation rows — the
+    stale-answer bug the epoch machinery exists to prevent.  Unstamped
+    stores (built by hand, outside any cache) are not flagged.
     """
     for node in nodes:
         record = run.get(node)

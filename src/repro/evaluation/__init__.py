@@ -57,7 +57,7 @@ from .operators import (
     render_plan,
 )
 from .parallel import PARALLEL_MIN_ROWS
-from .batch import BatchEvaluator, CacheBindingError, ScanCache, atom_signature
+from .batch import BatchEvaluator, CacheBindingError, ScanCache
 from .yannakakis import (
     AcyclicityRequired,
     YannakakisEvaluator,
@@ -140,7 +140,6 @@ __all__ = [
     "Statistics",
     "TermEncoder",
     "YannakakisEvaluator",
-    "atom_signature",
     "boolean_acyclic",
     "boolean_generic",
     "boolean_with_plan",

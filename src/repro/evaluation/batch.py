@@ -1,23 +1,24 @@
-"""Batched multi-query evaluation with shared scans and partitions.
+"""Batched multi-query evaluation over one scan cache per database.
 
 The serving-path scenario of the ROADMAP — many users issuing many CQs over
 one shared database — repeats an enormous amount of phase-1 work when the
 queries are evaluated one at a time: every evaluator call re-scans each body
-atom's relation (:meth:`Relation.from_atom`) and rebuilds the hash
-partitions the semi-joins and joins probe.  Across a batch of queries over
+atom's relation and re-encodes it.  Across a batch of queries over
 overlapping predicates those scans are overwhelmingly identical.
 
 This module amortises them:
 
-* :class:`ScanCache` is a per-database cache of base-atom scans keyed by the
-  atom's *scan signature* — its predicate plus the pattern of constants and
-  repeated variables over its positions.  Two atoms with the same signature
-  (``R(x, y)`` and ``R(u, v)``; ``R(x, 3)`` and ``R(u, 3)``) denote the same
-  relation up to variable naming, so the cache materialises it once and
-  serves ``O(1)`` schema views of it.  Because views share the underlying
-  partition cache (:meth:`Relation.with_schema`), the hash partitions built
-  by one query's semi-joins are reused by every later query joining the same
-  scan on the same columns.
+* :class:`ScanCache` is the one scan path of the engine.  It caches exactly
+  one base :class:`Relation` per predicate — its rows, its partitions and
+  its dictionary-encoded store with the store's key indexes — and serves
+  every atom over that predicate from it.  An atom with only distinct
+  variables is an ``O(1)`` schema view of the base store; an atom with
+  constants or repeated variables is a lookup in the base store's cached
+  key index on the pinned positions, filtered by the repeated-variable
+  equalities and gathered into a one-shot store (Durand–Grandjean's RAM
+  model, where an anchored atom is an index lookup, not a relation of its
+  own).  Every execution context reads its scans through a cache: an
+  injected one, or one built for the run.
 
 * :class:`BatchEvaluator` routes each query of a batch to the cheapest
   applicable engine — Yannakakis for acyclic queries, Yannakakis on an
@@ -44,13 +45,12 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
-from ..datamodel import Atom, Constant, Instance, Predicate, Term, Variable
+from ..datamodel import Atom, Instance, Predicate, Term, Variable
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
-from .encoding import TermEncoder
+from .encoding import EncodedRelation, TermEncoder
 from .join_plans import (
     evaluate_with_plan,
     explain_plan,
@@ -59,14 +59,6 @@ from .join_plans import (
 )
 from .relation import Relation, Row, ScanPattern, ScanProvider, compile_scan_pattern
 from .yannakakis import YannakakisEvaluator
-
-
-#: One signature slot: a constant pinned at the position, or the index
-#: (in first-occurrence order) of the distinct variable at the position.
-SignatureSlot = Tuple[str, Union[Constant, int]]
-
-#: A scan signature: the predicate plus one slot per position.
-ScanSignature = Tuple[Predicate, Tuple[SignatureSlot, ...]]
 
 
 class CacheBindingError(ValueError):
@@ -82,76 +74,51 @@ class CacheBindingError(ValueError):
     """
 
 
-def atom_signature(atom: Atom) -> Tuple[ScanSignature, Tuple[Variable, ...]]:
-    """Return the scan signature of ``atom`` plus its distinct variables.
-
-    The signature abstracts variable *names* away: each position carries
-    either ``("c", constant)`` or ``("v", i)`` where ``i`` numbers the
-    atom's distinct variables in first-occurrence order.  Two atoms have
-    equal signatures iff they denote the same relation up to renaming, which
-    is exactly the granularity at which scans can be shared.  ``O(arity)``.
-    """
-    slots: List[SignatureSlot] = []
-    order: List[Variable] = []
-    index: Dict[Variable, int] = {}
-    for term in atom.terms:
-        if isinstance(term, Variable):
-            slot = index.get(term)
-            if slot is None:
-                slot = len(order)
-                index[term] = slot
-                order.append(term)
-            slots.append(("v", slot))
-        else:
-            slots.append(("c", term))
-    return (atom.predicate, tuple(slots)), tuple(order)
-
-
 class ScanCache:
-    """Shared phase-1 scans and hash partitions for one database.
+    """The scans of one database: one cached base relation per predicate.
 
-    One cache is bound to one :class:`Instance`; :meth:`scan` then serves
-    every base-atom relation a batch of evaluators needs:
+    One cache is bound to one :class:`Instance`.  The first request for a
+    predicate pays one ``O(|R|)`` pass that builds its *base* relation
+    (every position a distinct variable); the first scan through the
+    cache encodes it under the cache's :class:`TermEncoder` into a
+    long-lived column store, cached on the relation
+    (:meth:`Relation.encoded`).  :meth:`scan` then serves every atom over
+    the predicate from that store:
 
-    * first request for a predicate: one ``O(|R|)`` pass materialises the
-      *base* relation (every position a distinct variable);
-    * first request for a signature with constants: the base relation is
-      hash-partitioned by the constant positions **once** (cached on the
-      relation), after which *every* signature pinning those positions —
-      e.g. the same atom anchored at each of many different constants —
-      costs one ``O(1)`` bucket lookup plus work linear in the bucket,
-      not in ``|R|``;
-    * repeated request for a signature: ``O(arity)`` (an ``O(1)``-storage
-      schema view of the cached relation).
+    * only distinct variables: an ``O(arity)`` schema view of the store;
+    * constants or repeated variables: the bucket of the store's cached key
+      index on the pinned positions (one ``O(|R|)`` index build per pinned
+      position set, then ``O(1)`` per anchor), filtered by the
+      repeated-variable equalities and gathered into a one-shot store —
+      ``O(bucket)``, with no cache entry of its own.  A constant the
+      encoder has never seen scans empty without growing the encoder.
 
-    Served relations share row storage and partition caches across queries
-    (see :meth:`Relation.with_schema`), so semi-join/join partitions built
-    by one query are reused by the rest of the batch.  The counters
-    ``served``/``built``/``base_scans`` make the amortisation observable for
-    tests and benchmarks.
+    Served stores share their caches across queries, so the key indexes
+    and partitions one query builds on a base store serve the rest of the
+    batch.  The counters ``served``/``built`` make the amortisation
+    observable for tests and benchmarks; ``built`` counts base builds, at
+    most one per predicate between full rebuilds.
 
     The cache is *epoch-aware*: it tracks the bound database's
     :attr:`~repro.datamodel.instance.Instance.mutation_epoch` and, instead
     of going stale (or being thrown away) when the database mutates, it
     absorbs the mutations incrementally:
 
-    * **Indexed replay.** :meth:`sync` replays the database's journal into
-      per-signature *pending delta* lists, in journal order.  A registry
-      maps predicate → pinned positions → pinned constants → signatures,
-      so a written fact is matched only against the signatures anchored at
-      its own constants, plus the unanchored ones — not against every
-      cached signature.
-    * **Lazy merge.** The first access to a cached scan after a mutation
+    * **Replay by predicate.** :meth:`sync` appends each journal entry to
+      its predicate's *pending delta*, in journal order, and re-stamps the
+      base relations no entry touched: ``O(journal + predicates)``, however
+      many anchors were ever read.
+    * **Lazy merge.** The first access to a base relation after a mutation
       merges its pending delta into the cached rows and partitions in
-      place (:meth:`Relation.apply_delta`, ``O(delta)``), re-stamps the
-      relation with the current epoch, and counts a ``delta_merges``.  A
-      deleted row's slot is refilled from the tail (swap-on-delete), so
-      only ``O(delta)`` rows move.
-    * **Carried indexes.** A cached encoded store is carried forward by
-      the same merge: a new store encodes only the delta and inherits
-      every key index of the old one, patched bucket by bucket.  Readers
-      still holding the old store keep a consistent snapshot, because
-      neither the old store nor its indexes are touched.
+      place (:meth:`Relation.apply_delta`, ``O(delta)``), re-stamps it with
+      the current epoch, and counts a ``delta_merges``.  A deleted row's
+      slot is refilled from the tail (swap-on-delete), so only ``O(delta)``
+      rows move.
+    * **Carried indexes.** The encoded store is carried forward by the same
+      merge: a new store encodes only the delta and inherits every key
+      index of the old one, patched bucket by bucket.  Readers still
+      holding the old store keep a consistent snapshot, because neither
+      the old store nor its indexes are touched.
 
     Only when the journal window was trimmed away does the cache fall back
     to dropping everything (``full_rebuilds``).  The :class:`TermEncoder`
@@ -162,44 +129,31 @@ class ScanCache:
 
     def __init__(self, database: Instance) -> None:
         self.database = database
-        #: Serialises :meth:`scan` (sync, materialisation, delta merges) so
-        #: client threads can share one cache.  Reentrant because a miss
-        #: materialises through :meth:`_base`.
+        #: Serialises :meth:`scan` and :meth:`base_relation` (sync, base
+        #: builds, delta merges) so client threads can share one cache.
+        #: Reentrant because :meth:`scan` reads through :meth:`base_relation`.
         self._lock = threading.RLock()
-        #: The dictionary encoder the operators encode scans under.  Owned here so
-        #: encodings — like scans and partitions — amortise across every
-        #: evaluation sharing the cache (``ExecutionContext`` picks it up
-        #: via the scan provider).  Append-only across mutations: deleted
-        #: facts never retract codes (see :meth:`dead_codes`).
+        #: The dictionary encoder every served store is encoded under.
+        #: Owned here so encodings — like scans and partitions — amortise
+        #: across every evaluation sharing the cache (``ExecutionContext``
+        #: picks it up from its scan provider).  Append-only across
+        #: mutations: deleted facts never retract codes (see
+        #: :meth:`dead_codes`).
         self.encoder = TermEncoder()
-        # Epoch the cached scans reflect.  Every entry point calls sync(),
-        # which is O(1) while the database is unchanged and otherwise
-        # replays the journal into per-signature pending deltas.
+        # Epoch the cached relations reflect.  Every entry point calls
+        # sync(), which is O(1) while the database is unchanged.
         self._synced_epoch = getattr(database, "mutation_epoch", 0)
-        self._scans: Dict[ScanSignature, Relation] = {}
-        #: Compiled match/project plans per cached signature, kept so journal
-        #: replay can match each mutated fact against the signatures it hits.
-        self._patterns: Dict[ScanSignature, ScanPattern] = {}
-        #: Journal replay's routing table: predicate → pinned (constant)
-        #: positions → the constants pinned there → cached signatures.  A
-        #: written fact is matched only against the signatures whose anchor
-        #: it carries (unanchored ones sit under the empty position tuple).
-        self._anchors: Dict[
-            Predicate, Dict[Tuple[int, ...], Dict[Tuple[Constant, ...], List[ScanSignature]]]
-        ] = {}
-        #: Projected journal entries awaiting their merge, per signature:
-        #: ``(added, projected row)`` in journal order.  Invariant (checked
-        #: by :meth:`verify_epochs`): a cached relation is stamped with an
-        #: epoch older than ``_synced_epoch`` iff its pending delta is here.
-        self._pending: Dict[ScanSignature, List[Tuple[bool, Row]]] = {}
-        #: Scan requests answered (cache hits + misses).
+        self._bases: Dict[Predicate, Relation] = {}
+        #: Journal entries awaiting their merge, per predicate:
+        #: ``(added, fact terms)`` in journal order.  Invariant (checked by
+        #: :meth:`verify_epochs`): a base relation is stamped with an epoch
+        #: older than ``_synced_epoch`` iff its pending delta is here.
+        self._pending: Dict[Predicate, List[Tuple[bool, Row]]] = {}
+        #: Scan requests answered.
         self.served = 0
-        #: Distinct signatures materialised (cache misses).  Maintained by
-        #: the build paths so base and derived builds are each counted once.
+        #: Base relations built (one full pass over a predicate's facts).
         self.built = 0
-        #: Full passes over a predicate's facts (base-relation builds).
-        self.base_scans = 0
-        #: Cached scans brought up to date by an in-place delta merge.
+        #: Base relations brought up to date by an in-place delta merge.
         self.delta_merges = 0
         #: Wholesale cache drops (journal window trimmed away).
         self.full_rebuilds = 0
@@ -210,7 +164,7 @@ class ScanCache:
     # Epoch synchronisation
     # ------------------------------------------------------------------
     def current_epoch(self) -> int:
-        """The database mutation epoch the cached scans reflect."""
+        """The database mutation epoch the cached relations reflect."""
         return self._synced_epoch
 
     def sync(self) -> None:
@@ -218,15 +172,13 @@ class ScanCache:
 
         ``O(1)`` when the database did not mutate since the last call.
         Otherwise the database journal since the last synced epoch is
-        replayed: each mutated fact is looked up in the anchor registry —
-        one dict probe per pinned position set of its predicate — and
-        matched only against the signatures whose constants it carries,
-        plus the unanchored ones; the projected row is queued in each
-        matching signature's pending delta (merged lazily, on the
-        signature's next scan).  Every other cached scan is re-stamped.  If
-        the journal window was trimmed away (more than
-        :attr:`~repro.datamodel.instance.Instance.JOURNAL_LIMIT` mutations
-        behind), the cache drops all scans and rebuilds on demand.
+        replayed: each mutated fact of a cached predicate is queued in that
+        predicate's pending delta (merged lazily, on the predicate's next
+        read), and every other base relation is re-stamped — ``O(journal
+        + predicates)``.  If the journal window was trimmed away (more
+        than :attr:`~repro.datamodel.instance.Instance.JOURNAL_LIMIT`
+        mutations behind), the cache drops every relation and rebuilds on
+        demand.
         """
         current = getattr(self.database, "mutation_epoch", 0)
         if current == self._synced_epoch:
@@ -234,57 +186,27 @@ class ScanCache:
         journal_since = getattr(self.database, "journal_since", None)
         journal = journal_since(self._synced_epoch) if journal_since else None
         if journal is None:
-            self._scans.clear()
-            self._patterns.clear()
-            self._anchors.clear()
+            self._bases.clear()
             self._pending.clear()
             self.full_rebuilds += 1
             self._synced_epoch = current
             return
-        # Identities, not signatures: re-stamping visits every cached scan,
-        # and a signature (nested tuples) rehashes on every lookup.
-        queued: Set[int] = set()
         for added, fact in journal:
-            anchors = self._anchors.get(fact.predicate)
-            if not anchors:
-                continue
-            terms = fact.terms
-            for pinned, by_key in anchors.items():
-                signatures = by_key.get(tuple(terms[position] for position in pinned))
-                if not signatures:
-                    continue
-                for signature in signatures:
-                    pattern = self._patterns[signature]
-                    if pattern.matches(terms):
-                        self._pending.setdefault(signature, []).append(
-                            (added, pattern.project(terms))
-                        )
-                        queued.add(id(self._scans[signature]))
-        for relation in self._scans.values():
-            if id(relation) not in queued:
+            if fact.predicate in self._bases:
+                self._pending.setdefault(fact.predicate, []).append((added, fact.terms))
+        for predicate, relation in self._bases.items():
+            if predicate not in self._pending:
                 relation.stamp_epoch(current)
         self._synced_epoch = current
 
-    def _register(self, signature: ScanSignature, pattern: ScanPattern) -> None:
-        """Enter a newly cached signature into the journal-replay registry."""
-        self._patterns[signature] = pattern
-        pinned = tuple(position for position, _ in pattern.constant_checks)
-        key = tuple(constant for _, constant in pattern.constant_checks)
-        self._anchors.setdefault(signature[0], {}).setdefault(pinned, {}).setdefault(
-            key, []
-        ).append(signature)
-
-    def _absorb(self, signature: ScanSignature, relation: Relation) -> None:
-        """Merge ``signature``'s pending delta into its cached relation.
+    def _absorb(self, predicate: Predicate, relation: Relation) -> None:
+        """Merge ``predicate``'s pending delta into its base relation.
 
         The pending entries are normalised to net inserted/deleted row sets
-        first.  This is sound because the journal is *effective* (entries
-        for one fact alternate add/remove) and the signature projection is
-        injective on matching facts — constants and repeated positions are
-        recoverable from the projected row — so the projected entries
-        alternate exactly like the facts they came from.
+        first.  This is sound because the journal is *effective*: the
+        entries for one fact alternate add/remove.
         """
-        pending = self._pending.pop(signature, None)
+        pending = self._pending.pop(predicate, None)
         if pending is None:
             return
         inserted: Set[Row] = set()
@@ -304,26 +226,26 @@ class ScanCache:
         relation.stamp_epoch(self._synced_epoch)
         self.delta_merges += 1
 
-    def verify_epochs(self) -> List[Tuple[ScanSignature, Optional[int], int]]:
-        """Audit the epoch stamps of every cached scan (for the verifier).
+    def verify_epochs(self) -> List[Tuple[Predicate, Optional[int], int]]:
+        """Audit the epoch stamps of every base relation (for the verifier).
 
-        Returns ``(signature, stamped epoch, expected epoch)`` for every
-        cached relation violating the sync invariant: a stamp *ahead* of the
+        Returns ``(predicate, stamped epoch, expected epoch)`` for every
+        base relation violating the sync invariant: a stamp *ahead* of the
         synced epoch, or a stamp behind it without a pending delta to close
         the gap.  Empty on a healthy cache.
         """
-        issues: List[Tuple[ScanSignature, Optional[int], int]] = []
-        for signature, relation in self._scans.items():
+        issues: List[Tuple[Predicate, Optional[int], int]] = []
+        for predicate, relation in self._bases.items():
             stamp = relation.stamped_epoch()
             if stamp == self._synced_epoch:
                 continue
-            if stamp is None or stamp > self._synced_epoch or signature not in self._pending:
-                issues.append((signature, stamp, self._synced_epoch))
+            if stamp is None or stamp > self._synced_epoch or predicate not in self._pending:
+                issues.append((predicate, stamp, self._synced_epoch))
         return issues
 
     def cached_scans(self) -> int:
-        """The number of cached signatures (each anchor of a shape is one)."""
-        return len(self._scans)
+        """The number of cached base relations (one per predicate read)."""
+        return len(self._bases)
 
     def dead_codes(self) -> int:
         """Count encoder codes whose term left the database (audit sweep).
@@ -338,15 +260,38 @@ class ScanCache:
         return self.encoder.dead_codes(self.database.active_domain())
 
     # ------------------------------------------------------------------
-    def scan(self, atom: Atom, database: Optional[Instance] = None) -> Relation:
-        """The relation of ``atom`` over the cache's database.
+    def base_relation(self, predicate: Predicate) -> Relation:
+        """The current relation of ``predicate``, every position a variable.
 
-        Amortised cost: ``O(arity)`` after the first request for the atom's
-        signature (see the class docstring for the miss costs), plus — only
-        on the first access after database mutations — the :meth:`sync`
-        journal replay and an ``O(delta)`` merge.  Mutating the bound
-        database between scans is fully supported; answers always reflect
-        the database's current facts.
+        Built by one ``O(|R|)`` pass on first request and cached; after
+        database mutations, the first request merges the pending delta
+        (``O(delta)``).  The cost model's statistics read this relation,
+        so planning and execution see the same rows.
+        """
+        with self._lock:
+            self.sync()
+            relation = self._bases.get(predicate)
+            if relation is None:
+                schema = [Variable(f"_s{i}") for i in range(predicate.arity)]
+                rows = [fact.terms for fact in self.database.atoms_with_predicate(predicate)]
+                relation = Relation(schema, rows)
+                relation.stamp_epoch(self._synced_epoch)
+                self._bases[predicate] = relation
+                self.built += 1
+            else:
+                self._absorb(predicate, relation)
+            return relation
+
+    def scan(self, atom: Atom, database: Optional[Instance] = None) -> EncodedRelation:
+        """The encoded relation of ``atom`` over the cache's database.
+
+        Its schema lists the atom's variables in order of first occurrence;
+        constants and repeated variables act as selections.  Cost:
+        ``O(arity)`` for an atom with only distinct variables, ``O(bucket)``
+        for an anchored one (see the class docstring), plus — only on the
+        first access after database mutations — the :meth:`sync` journal
+        replay and an ``O(delta)`` merge.  Every served store carries the
+        epoch of the base store it was read from.
 
         Raises:
             CacheBindingError: if ``database`` is given and is neither the
@@ -363,82 +308,42 @@ class ScanCache:
                     "build a ScanCache(database) for the instance you are "
                     "querying, or query through the cache's own database"
                 )
+        pattern = compile_scan_pattern(atom.terms)
         with self._lock:
-            self.sync()
+            base = self.base_relation(atom.predicate).encoded(self.encoder)
             self.served += 1
-            signature, variables = atom_signature(atom)
-            relation = self._scans.get(signature)
-            if relation is None:
-                relation = self._materialise(signature)
-                self._scans[signature] = relation
-            else:
-                self._absorb(signature, relation)
-            return relation.with_schema(variables)
+        variables: Sequence[Variable] = pattern.variables  # type: ignore[assignment]
+        if not pattern.constant_checks and not pattern.equality_checks:
+            return base.with_schema(variables)
+        found = base.take(self._matching_rows(base, pattern), variables, pattern.output_positions)
+        found.store.epoch = base.store.epoch
+        return found
 
-    # ------------------------------------------------------------------
-    def _base(self, predicate: Predicate) -> Relation:
-        """The full relation of ``predicate`` (one cached ``O(|R|)`` pass)."""
-        signature: ScanSignature = (
-            predicate,
-            tuple(("v", i) for i in range(predicate.arity)),
-        )
-        relation = self._scans.get(signature)
-        if relation is None:
-            schema = [Variable(f"_s{i}") for i in range(predicate.arity)]
-            rows = [fact.terms for fact in self.database.atoms_with_predicate(predicate)]
-            relation = Relation(schema, rows)
-            relation.stamp_epoch(self._synced_epoch)
-            self._scans[signature] = relation
-            self._register(signature, compile_scan_pattern([value for _, value in signature[1]]))
-            self.built += 1
-            self.base_scans += 1
-        else:
-            # Derived signatures materialise from the base rows, so the base
-            # must absorb its pending delta before anything reads it.
-            self._absorb(signature, relation)
-        return relation
+    def _matching_rows(self, base: EncodedRelation, pattern: ScanPattern) -> Sequence[int]:
+        """The row ids of ``base`` passing ``pattern``'s selections, ascending.
 
-    def _materialise(self, signature: ScanSignature) -> Relation:
-        """Build the canonical relation of a non-base signature.
-
-        The selection/projection plan comes from the same
-        :func:`~repro.evaluation.relation.compile_scan_pattern` that
-        :meth:`Relation.from_atom` uses (one source of truth for
-        atom-matching semantics).  Constant selections go through a cached
-        partition of the base relation (``O(|R|)`` the first time a position
-        set is pinned, ``O(bucket)`` afterwards); repeated-variable
-        equalities and the projection onto first occurrences are linear in
-        the selected rows.
+        Constants select one bucket of the base store's key index on the
+        pinned positions; repeated variables filter that bucket (or every
+        row, without constants).  Bucket lists are copied, never returned:
+        they belong to the cached index.
         """
-        predicate, slots = signature
-        base = self._base(predicate)
-        if slots == tuple(("v", i) for i in range(predicate.arity)):
-            return base
-        self.built += 1
-
-        # A slot is a Constant (selection) or a distinct-variable index;
-        # feeding those indexes to the pattern compiler reproduces exactly
-        # the variable-identity structure of the original atom.
-        pattern = compile_scan_pattern([value for _, value in slots])
-
-        # Constant selections are answered by a cached partition bucket
-        # instead of pattern.matches' per-row constant comparisons.
-        source: Sequence[Row] = base.rows
+        rows: Sequence[int] = range(len(base))
         if pattern.constant_checks:
-            pinned = [base.schema[position] for position, _ in pattern.constant_checks]
-            key = tuple(constant for _, constant in pattern.constant_checks)
-            source = base.partition(pinned).get(key)
-
-        rows: List[Row] = []
-        for row in source:
-            if any(row[position] != row[first] for position, first in pattern.equality_checks):
-                continue
-            rows.append(pattern.project(row))
-        schema = [Variable(f"_s{i}") for i in range(len(pattern.output_positions))]
-        relation = Relation(schema, rows)
-        relation.stamp_epoch(self._synced_epoch)
-        self._register(signature, pattern)
-        return relation
+            codes = self.encoder.codes
+            key: List[int] = []
+            for _, constant in pattern.constant_checks:
+                code = codes.get(constant)
+                if code is None:  # never encoded, so no stored fact has it
+                    return []
+                key.append(code)
+            index = base.key_index(tuple(position for position, _ in pattern.constant_checks))
+            rows = index.buckets.get(key[0] if len(key) == 1 else tuple(key), [])
+        columns = base.store.columns
+        return [
+            row
+            for row in rows
+            if all(columns[p][row] == columns[first][row] for p, first in pattern.equality_checks)
+        ]
 
 
 class BatchEvaluator:
@@ -459,8 +364,8 @@ class BatchEvaluator:
       in the query, as CQ evaluation must be).
 
     :meth:`evaluate` then drives every route against one shared
-    :class:`ScanCache`, so the batch pays each distinct (predicate,
-    constant-signature) scan and each distinct partition once;
+    :class:`ScanCache`, so the batch pays each base scan, key index and
+    partition once;
     :meth:`evaluate_sequential` is the one-at-a-time baseline with identical
     routing, used by the differential tests and the benchmark.
     """
@@ -510,8 +415,8 @@ class BatchEvaluator:
         A fresh :class:`ScanCache` for ``database`` is created unless
         ``scans`` supplies one (pass an explicit cache to amortise across
         *calls* as well, e.g. for a standing query batch over a database
-        that did not change).  Data complexity: each distinct scan signature
-        is materialised once, after which every acyclic (or reformulated)
+        that did not change).  Data complexity: each predicate's base
+        relation is scanned and encoded once, after which every acyclic (or reformulated)
         query adds its own linear semi-join/join cost and every plan-routed
         query its plan cost.
 
@@ -542,8 +447,8 @@ class BatchEvaluator:
         join for the ``"plan"`` route.  Nothing touches the database until a
         generator is pulled; the generators may be consumed in any order and
         interleaved, and they all draw their phase-1 scans from the same
-        cache, so whichever generator first needs a scan signature pays for
-        it and the rest reuse it.  ``limit`` applies per query.
+        cache, so whichever generator first needs a predicate pays for its
+        base scan and the rest reuse it.  ``limit`` applies per query.
         """
         if scans is None:
             scans = ScanCache(database)
@@ -601,9 +506,8 @@ class BatchEvaluator:
     def evaluate_sequential(self, database: Instance) -> List[Set[Tuple[Term, ...]]]:
         """The per-query baseline: identical routing, no shared scans.
 
-        Every query re-runs its own phase-1 scans via
-        :meth:`Relation.from_atom`, exactly as the one-query-at-a-time entry
-        points do — this is the benchmark baseline and the differential
+        Every query scans through a cache of its own, exactly as the
+        one-query-at-a-time entry points do — this is the benchmark baseline and the differential
         oracle for :meth:`evaluate`.
         """
         return [

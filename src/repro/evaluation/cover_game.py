@@ -25,9 +25,9 @@ acyclicity-sensitive bounds of Brault-Baron):
 
 * **Candidate images** per left atom are materialised with single-pass
   scans of the right instance, bucketed by the atom's forced pebble
-  positions (the same constant-selection discipline as
-  :meth:`repro.evaluation.relation.Relation.from_atom`); atoms sharing a
-  predicate and pebble-position signature share one index.
+  positions (the same constant-selection discipline as an atom scan of
+  :class:`repro.evaluation.batch.ScanCache`); atoms sharing a predicate
+  and pebble-position signature share one index.
 * **Supports** are counted per shared-term projection key: two left atoms
   constrain each other exactly on the terms they share, and — because every
   candidate image is internally consistent (equal source terms map to equal

@@ -1,16 +1,20 @@
 """Dictionary encoding and the columnar storage every operator runs on.
 
-A scan produces a :class:`~repro.evaluation.relation.Relation` of
-:class:`~repro.datamodel.Term` tuples.  Joining those tuples directly
-would build and hash a tuple of term objects per probe — a large constant
-factor on top of the linear-time bounds the operators meet.  This module
-removes that constant without touching the algorithms:
+The scan cache (:class:`repro.evaluation.batch.ScanCache`) keeps one base
+:class:`~repro.evaluation.relation.Relation` of
+:class:`~repro.datamodel.Term` tuples per predicate.  Joining those tuples
+directly would build and hash a tuple of term objects per probe — a large
+constant factor on top of the linear-time bounds the operators meet.  This
+module removes that constant without touching the algorithms:
 
 * a :class:`TermEncoder` maps each distinct term to a dense ``int`` code,
   once, and decodes by list indexing;
 * an :class:`EncodedStore` keeps a relation's rows column-wise as
   ``array('q')`` buffers (optionally numpy ``int64`` arrays, see
-  :func:`numpy_enabled`) plus the caches shared by schema views;
+  :func:`numpy_enabled`) plus the caches shared by schema views.  A base
+  relation's store is encoded once and long-lived; every scan of its
+  predicate is a view of it, or a one-shot gather of one bucket of its
+  cached key index (an anchored atom);
 * an :class:`EncodedRelation` is the schema-carrying view over a store and
   offers the relational operators
   (``semijoin``/``join``/``project``/``select_codes``/``partition``) over
@@ -116,10 +120,10 @@ class TermEncoder:
 
     Encoding is one dict lookup per cell; decoding is one list index.  The
     encoder is owned by the scan layer (one per
-    :class:`~repro.evaluation.batch.ScanCache`, or per
-    :class:`~repro.evaluation.operators.ExecutionContext` when no cache is
-    shared), so relations encoded under the same encoder share a code space
-    and can be joined without translation.
+    :class:`~repro.evaluation.batch.ScanCache`; an
+    :class:`~repro.evaluation.operators.ExecutionContext` without an
+    injected cache builds one for its run), so relations encoded under the
+    same encoder share a code space and can be joined without translation.
 
     Encoding is thread-safe: client threads sharing a scan cache or a
     service may encode under one shared encoder at once, so the append path
@@ -289,11 +293,13 @@ class EncodedStore:
 
     ``long_lived`` marks a store cached on its :class:`Relation` (see
     :meth:`Relation.encoded`): it serves every later read of that relation,
-    so an index built on it pays off across calls.  Operator outputs,
-    batch chunks and enumeration stores are one-shot (``False``).
-    ``epoch`` mirrors the owning relation's stamped database epoch
-    (:meth:`Relation.stamp_epoch`; ``None`` when unstamped), so a run that
-    holds a store superseded by a delta merge can be told apart (PLAN016).
+    so an index built on it pays off across calls.  Anchored scans,
+    operator outputs, batch chunks and enumeration stores are one-shot
+    (``False``).  ``epoch`` mirrors the owning relation's stamped database
+    epoch (:meth:`Relation.stamp_epoch`; ``None`` when unstamped), and an
+    anchored scan copies it from the base store it was read from, so a run
+    that holds a store superseded by a delta merge can be told apart
+    (PLAN016).
     """
 
     __slots__ = ("columns", "length", "use_numpy", "caches", "long_lived", "epoch")
@@ -453,10 +459,6 @@ class EncodedRelation:
         return found
 
     @classmethod
-    def from_relation(cls, relation: Relation, encoder: TermEncoder) -> "EncodedRelation":
-        return relation.encoded(encoder)
-
-    @classmethod
     def from_rows(
         cls,
         schema: Sequence[Variable],
@@ -592,13 +594,18 @@ class EncodedRelation:
     # Columnar operators
     # ------------------------------------------------------------------
     def take(
-        self, indices: Sequence[int], schema: Optional[Sequence[Variable]] = None
+        self,
+        indices: Sequence[int],
+        schema: Optional[Sequence[Variable]] = None,
+        positions: Optional[Sequence[int]] = None,
     ) -> "EncodedRelation":
-        """Gather the rows at ``indices`` into a fresh relation."""
+        """Gather the rows at ``indices`` into a fresh relation, keeping the
+        columns at ``positions`` (all of them by default)."""
         use_numpy = self.store.use_numpy
-        columns = [
-            _take_column(column, indices, use_numpy) for column in self.store.columns
-        ]
+        source = self.store.columns
+        if positions is not None:
+            source = tuple(source[p] for p in positions)
+        columns = [_take_column(column, indices, use_numpy) for column in source]
         return self._derive(
             self.schema if schema is None else schema, columns, len(indices)
         )

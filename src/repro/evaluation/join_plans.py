@@ -59,6 +59,7 @@ from .operators import (
     Project,
     Scan,
     Statistics,
+    default_scans,
     first_occurrence_schema,
     maybe_verify_plan,
     render_plan,
@@ -380,7 +381,7 @@ def execute_plan(
     so the ablation benchmarks and the calibration tests read real
     intermediate sizes.  Execution stops early when an intermediate comes
     up empty.  ``scans`` injects a shared scan provider for the base-atom
-    scans (see :meth:`Relation.from_atom`).
+    scans (see :meth:`~repro.evaluation.batch.ScanCache.scan`).
     """
     context = ExecutionContext(database, scans)
     ops = plan._chain
@@ -486,23 +487,6 @@ def explain_plan(
     return render_plan(top, run=context.run, estimates=model.row_estimates())
 
 
-def _default_scans(
-    database: Instance, scans: Optional[ScanProvider]
-) -> ScanProvider:
-    """One :class:`ScanCache` shared by planning statistics and execution.
-
-    Without it, the planner's :class:`Statistics` would materialise every
-    base relation for its distinct counts and the compiled ``Scan``
-    operators would then re-scan the same relations from scratch — two
-    full passes over the database per single-query call.
-    """
-    if scans is not None:
-        return scans
-    from .batch import ScanCache  # lazy: batch imports this module
-
-    return ScanCache(database)
-
-
 def evaluate_with_plan(
     query: ConjunctiveQuery,
     database: Instance,
@@ -516,7 +500,9 @@ def evaluate_with_plan(
     DP); a callable pins another.
     """
     planner = resolve_planner(planner)
-    scans = _default_scans(database, scans)
+    # One cache for the planner's statistics and the executed scans, so a
+    # one-shot call reads each base relation once.
+    scans = default_scans(database, scans)
     plan = planner(query, database, scans=scans)
     return execute_plan(plan, database, scans=scans).answers
 
@@ -536,7 +522,7 @@ def iter_with_plan(
     of materialising a bushy build side first.
     """
     planner = resolve_planner(planner, streaming=True)
-    scans = _default_scans(database, scans)
+    scans = default_scans(database, scans)
     plan = planner(query, database, scans=scans)
     return iter_plan_answers(plan, database, scans=scans, limit=limit)
 

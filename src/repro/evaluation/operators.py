@@ -109,6 +109,16 @@ def first_occurrence_schema(variables: Sequence[Variable]) -> Tuple[Variable, ..
     return tuple(schema)
 
 
+def default_scans(database: Instance, scans: Optional[ScanProvider]) -> ScanProvider:
+    """``scans``, or a new :class:`~repro.evaluation.batch.ScanCache` over
+    ``database`` when none is given: every scan goes through a cache."""
+    if scans is not None:
+        return scans
+    from .batch import ScanCache  # lazy: batch imports the engines
+
+    return ScanCache(database)
+
+
 class NodeRun:
     """What one run observed at one plan node.
 
@@ -128,14 +138,15 @@ class NodeRun:
 class ExecutionContext:
     """One run of a plan: what it runs against and what it observed.
 
-    ``scans`` is threaded into every :class:`Scan` exactly like the
-    ``scans=`` parameter of the evaluator entry points (the canonical
-    provider is :class:`repro.evaluation.batch.ScanCache`).
+    ``scans`` serves every :class:`Scan` of the run, exactly like the
+    ``scans=`` parameter of the evaluator entry points: an injected
+    provider (a shared :class:`repro.evaluation.batch.ScanCache`, or a
+    service request's anchor-binding wrapper of one), else a
+    ``ScanCache(database)`` built for the run.  So there is one scan path.
 
-    ``encoder`` is the dictionary encoder the run encodes under.  When the
-    scan provider owns an encoder (``ScanCache.encoder``) it is reused, so
-    encodings — like scans and partitions — amortise across every
-    evaluation sharing the cache.
+    ``encoder`` is the dictionary encoder the run encodes under: the scan
+    provider's own, so encodings — like scans and partitions — amortise
+    across every evaluation sharing the cache.
 
     ``run`` is the run map: one :class:`NodeRun` per executed node, keyed
     by the node itself and created on first use.  It is the only place
@@ -145,20 +156,11 @@ class ExecutionContext:
 
     __slots__ = ("database", "scans", "encoder", "run")
 
-    def __init__(
-        self,
-        database: Instance,
-        scans: Optional[ScanProvider] = None,
-        *,
-        encoder: Optional[TermEncoder] = None,
-    ) -> None:
+    def __init__(self, database: Instance, scans: Optional[ScanProvider] = None) -> None:
+        scans = default_scans(database, scans)
         self.database = database
         self.scans = scans
-        if encoder is None:
-            encoder = getattr(scans, "encoder", None)
-            if encoder is None:
-                encoder = TermEncoder()
-        self.encoder = encoder
+        self.encoder: TermEncoder = scans.encoder
         self.run: DefaultDict["Operator", NodeRun] = defaultdict(NodeRun)
 
 
@@ -269,13 +271,13 @@ def _shared_schema(
 # Leaf and unary operators
 # ----------------------------------------------------------------------
 class Scan(Operator):
-    """Materialise the matches of one query atom (constants and repeated
-    variables applied as selections during the single pass).
+    """The matches of one query atom (constants and repeated variables act
+    as selections).
 
-    Delegates to :meth:`Relation.from_atom`, so the context's scan provider
-    (e.g. a shared :class:`~repro.evaluation.batch.ScanCache`) serves the
-    relation when one is injected, then to :meth:`Relation.encoded` — the
-    encode boundary, whose column store is cached on the relation.
+    Reads through the context's scan provider only
+    (:meth:`repro.evaluation.batch.ScanCache.scan`): a view of the
+    predicate's cached base store, or the bucket of its key index on the
+    pinned positions.
     """
 
     __slots__ = ("atom",)
@@ -286,8 +288,7 @@ class Scan(Operator):
         self.atom = atom
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
-        relation = Relation.from_atom(self.atom, context.database, context.scans)
-        return relation.encoded(context.encoder)
+        return context.scans.scan(self.atom, context.database)
 
     def label(self) -> str:
         return f"Scan[{self.atom}]"
@@ -823,16 +824,13 @@ class BagNode(Operator):
 class Statistics:
     """Per-database cardinality statistics, computed lazily and cached.
 
-    One instance is bound to one database and tracks its mutation epoch:
-    when the database mutates, the per-predicate relation cache here is
-    dropped on next access and re-requested through the scan provider — so a
-    long-lived :class:`~repro.evaluation.batch.ScanCache` serves the delta-
-    merged relations and planning always sees post-mutation cardinalities.
-    Base relations are served through the optional scan provider — so a
-    batch that already shares a ``ScanCache`` pays nothing extra for
-    planning statistics, and the partitions the planner builds for joint
-    distinct counts are the very partitions the executor later probes — or
-    materialised directly (one ``O(|R|)`` pass per predicate, cached here).
+    One instance is bound to one database.  Base relations are read from
+    the scan provider's cache (:meth:`repro.evaluation.batch.ScanCache
+    .base_relation`; a ``ScanCache(database)`` of its own when none is
+    given), which absorbs every mutation before it serves a relation — so
+    planning always sees post-mutation cardinalities, and a batch that
+    already shares a ``ScanCache`` pays nothing extra for planning
+    statistics.
 
     The statistics themselves live on the relations:
     :meth:`Relation.column_distinct_counts` (per-column distinct counts)
@@ -845,25 +843,11 @@ class Statistics:
         self, database: Instance, scans: Optional[ScanProvider] = None
     ) -> None:
         self.database = database
-        self._scans = scans
-        self._base: Dict[Predicate, Relation] = {}
-        self._epoch = getattr(database, "mutation_epoch", 0)
+        self._scans = default_scans(database, scans)
 
     def base_relation(self, predicate: Predicate) -> Relation:
-        """The full relation of ``predicate`` (cached until the DB mutates)."""
-        epoch = getattr(self.database, "mutation_epoch", 0)
-        if epoch != self._epoch:
-            self._base.clear()
-            self._epoch = epoch
-        relation = self._base.get(predicate)
-        if relation is None:
-            atom = Atom(
-                predicate,
-                tuple(Variable(f"_stat{i}") for i in range(predicate.arity)),
-            )
-            relation = Relation.from_atom(atom, self.database, self._scans)
-            self._base[predicate] = relation
-        return relation
+        """The current full relation of ``predicate``."""
+        return self._scans.base_relation(predicate)
 
 
 class CardinalityEstimate:

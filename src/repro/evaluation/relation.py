@@ -1,41 +1,40 @@
-"""Term relations: the scans every plan reads, with cached partitions.
+"""Term relations: the base scans of the scan cache, with cached partitions.
 
 * a :class:`Relation` is an ordered variable schema plus a list of term
-  tuples (one position per schema variable).  :meth:`Relation.from_atom`
-  scans one query atom in a single pass (constants and repeated variables
-  act as selections), optionally through a shared scan provider such as
-  :class:`repro.evaluation.batch.ScanCache`;
+  tuples (one position per schema variable).  The scan cache
+  (:class:`repro.evaluation.batch.ScanCache`) keeps one per predicate —
+  the predicate's *base* relation, every position a distinct variable —
+  and the cost model reads its statistics from it;
 * :meth:`Relation.encoded` dictionary-encodes a relation into the column
   store the operators of :mod:`repro.evaluation.operators` run on, once
-  per encoder; :meth:`Relation.answer_tuples` and :meth:`Relation.project`
+  per encoder; the scan cache serves every atom over the predicate from
+  that store.  :meth:`Relation.answer_tuples` and :meth:`Relation.project`
   serve decoded outputs.
 
-Rows are kept *set-free on purpose*: scanning a base atom produces distinct
-rows, so a list keeps iteration cheap and deterministic.  ``project`` is
-the one operation that can merge rows and therefore deduplicates
-explicitly.
+Rows are kept *set-free on purpose*: a base relation holds distinct facts,
+so a list keeps iteration cheap and deterministic.  ``project`` is the one
+operation that can merge rows and therefore deduplicates explicitly.
 
 Partitions are first-class and reusable: :meth:`Relation.partition` builds
 the hash partition of the rows by a tuple of variables *once* and caches it
-on the relation (keyed by column positions, so renamed views share it).
-The cost model's statistics (distinct counts, bucket-size histograms) read
-these cached :class:`Partition` objects, so a batch of queries sharing
-base-atom scans through a scan cache pays each build pass once.  The cache
-assumes the usual immutability discipline: ``rows`` is never mutated after
-the first partition is built.  The single sanctioned exception is
-:meth:`Relation.apply_delta`, which the scan cache uses to absorb database
-mutations *incrementally*: it edits ``rows`` in place (a deleted row's slot
-is refilled from the tail), patches every cached :class:`Partition`
-bucket-by-bucket, carries the encoded store and its key indexes forward,
-and drops the derived statistics — so cached scans (and all their
-:meth:`Relation.with_schema` views, which share storage by reference) stay
-correct across inserts and deletes without a rebuild.
+on the relation (keyed by column positions).  The cost model's statistics
+(distinct counts, bucket-size histograms) read these cached
+:class:`Partition` objects, so queries sharing a scan cache pay each build
+pass once.  The cache assumes the usual immutability discipline: ``rows``
+is never mutated after the first partition is built.  The single
+sanctioned exception is :meth:`Relation.apply_delta`, which the scan cache
+uses to absorb database mutations *incrementally*: it edits ``rows`` in
+place (a deleted row's slot is refilled from the tail), patches every
+cached :class:`Partition` bucket-by-bucket, carries the encoded store and
+its key indexes forward, and drops the derived statistics — so a base
+relation stays correct across inserts and deletes without a rebuild.
 """
 
 from __future__ import annotations
 
 import threading
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -47,7 +46,10 @@ from typing import (
     Tuple,
 )
 
-from ..datamodel import Atom, Constant, Instance, Term, Variable
+from ..datamodel import Atom, Constant, Instance, Predicate, Term, Variable
+
+if TYPE_CHECKING:  # the encoding module imports this one
+    from .encoding import EncodedRelation, TermEncoder
 
 
 #: One row of a relation: ground terms, positionally aligned with the schema.
@@ -55,23 +57,29 @@ Row = Tuple[Term, ...]
 
 
 class ScanProvider(Protocol):
-    """Anything that can serve base-atom scans (see :meth:`Relation.from_atom`).
+    """Anything that can serve base-atom scans and base relations.
 
     The canonical implementation is :class:`repro.evaluation.batch.ScanCache`,
-    which shares scans and their partitions across a batch of queries.
+    which serves every atom over a predicate from one cached base relation;
+    ``repro.service.BoundScans`` wraps one to bind a request's anchors.
     """
 
-    def scan(self, atom: Atom, database: Optional[Instance] = None) -> "Relation":
+    encoder: "TermEncoder"
+
+    def scan(self, atom: Atom, database: Optional[Instance] = None) -> "EncodedRelation":
+        ...
+
+    def base_relation(self, predicate: Predicate) -> "Relation":
         ...
 
 
 class ScanPattern:
     """The compiled selection/projection plan of one atom scan.
 
-    Shared by :meth:`Relation.from_atom` (compiling from real atom terms)
-    and :class:`repro.evaluation.batch.ScanCache` (compiling from canonical
-    signature slots), so atom-matching semantics live in exactly one place.
-    All positions index into the *fact* tuple.
+    Shared by the scan cache (:meth:`repro.evaluation.batch.ScanCache.scan`),
+    the ``Scan`` operator's schema and the cost model, so atom-matching
+    semantics live in exactly one place.  All positions index into the
+    *fact* tuple.
     """
 
     __slots__ = ("variables", "output_positions", "constant_checks", "equality_checks")
@@ -87,18 +95,6 @@ class ScanPattern:
         self.output_positions = output_positions
         self.constant_checks = constant_checks
         self.equality_checks = equality_checks
-
-    def matches(self, terms: Sequence[Term]) -> bool:
-        """Whether a fact's terms pass the constant and equality selections."""
-        return all(
-            terms[position] == expected for position, expected in self.constant_checks
-        ) and all(
-            terms[position] == terms[first] for position, first in self.equality_checks
-        )
-
-    def project(self, terms: Sequence[Term]) -> Row:
-        """The output row of a matching fact (first occurrence per variable)."""
-        return tuple(terms[position] for position in self.output_positions)
 
 
 def compile_scan_pattern(slots: Sequence[object]) -> ScanPattern:
@@ -257,9 +253,9 @@ class Relation:
             variable: index for index, variable in enumerate(self.schema)
         }
         self._partitions: Dict[Tuple[int, ...], Partition] = {}
-        # Cached, position-keyed statistics (column distinct counts).  Shared
-        # by reference across with_schema views — statistics, like
-        # partitions, depend on column positions only, never on names.
+        # Cached, position-keyed statistics (column distinct counts, the
+        # epoch stamp, the encoded store) — like partitions, they depend on
+        # column positions only, never on names.
         self._stats: Dict[object, object] = {}
 
     # ------------------------------------------------------------------
@@ -274,32 +270,6 @@ class Relation:
     def empty(cls, schema: Sequence[Variable] = ()) -> "Relation":
         """The relation over ``schema`` with no rows."""
         return cls(schema, [])
-
-    @classmethod
-    def from_atom(
-        cls, atom: Atom, database: Instance, scans: Optional["ScanProvider"] = None
-    ) -> "Relation":
-        """Materialise the matches of one query atom in a single pass.
-
-        The schema lists the atom's variables in order of first occurrence;
-        constants and repeated variables act as selections and are checked
-        per fact, so the scan stays linear in the size of the atom's
-        relation.
-
-        When ``scans`` is given (any object with a
-        ``scan(atom, database) -> Relation`` method, e.g.
-        :class:`repro.evaluation.batch.ScanCache`), the scan is delegated to
-        it so that identical atoms — across the phases of one evaluator or
-        across a whole batch of queries — are materialised only once.
-        """
-        if scans is not None:
-            return scans.scan(atom, database)
-        pattern = compile_scan_pattern(atom.terms)
-        rows: List[Row] = []
-        for fact in database.atoms_with_predicate(atom.predicate):
-            if pattern.matches(fact.terms):
-                rows.append(pattern.project(fact.terms))
-        return cls(pattern.variables, rows)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -355,9 +325,8 @@ class Relation:
         """The hash partition of the rows by ``variables`` (built once).
 
         Partitions are cached per column-position tuple, so repeated
-        probes of this relation on the same columns — and of any schema
-        view of it (:meth:`with_schema`) — reuse one ``O(rows)`` build
-        pass.
+        probes of this relation on the same columns reuse one ``O(rows)``
+        build pass.
         """
         positions = tuple(self.position(variable) for variable in variables)
         part = self._partitions.get(positions)
@@ -372,10 +341,9 @@ class Relation:
     def stamp_epoch(self, epoch: int) -> None:
         """Record the database mutation epoch this relation reflects.
 
-        Stored in ``_stats`` so the stamp — like every positional statistic —
-        is shared by reference across :meth:`with_schema` views: re-stamping
-        a cached scan re-stamps every view of it at once.  The cached
-        encoded store carries the stamp too.
+        Stored in ``_stats`` beside the positional statistics.  The cached
+        encoded store carries the stamp too, and so does every scan the
+        scan cache serves from that store.
         """
         self._stats["epoch"] = epoch
         encoded = self._stats.get("encoded")
@@ -391,9 +359,8 @@ class Relation:
         """Absorb row insertions and deletions *in place* (delta merge).
 
         This is the one sanctioned mutation of a relation's row storage: the
-        scan cache calls it to bring a cached scan up to date with database
-        mutations without rebuilding.  Rows are edited in place (so every
-        :meth:`with_schema` view sharing the storage stays fresh):
+        scan cache calls it to bring a base relation up to date with
+        database mutations without rebuilding.  Rows are edited in place:
 
         * a deleted row's slot is filled by moving a surviving row from the
           tail into it (swap-on-delete, :func:`swap_moves`), so only
@@ -477,9 +444,7 @@ class Relation:
     def column_distinct_counts(self) -> Tuple[int, ...]:
         """Per-column distinct term counts, computed once and cached.
 
-        One ``O(rows · arity)`` pass; the result is shared across
-        :meth:`with_schema` views (distinct counts are positional).  Like
-        the partition cache, the statistics assume the rows are never
+        One ``O(rows · arity)`` pass.  Like the partition cache, the statistics assume the rows are never
         mutated after the first call.
         """
         cached = self._stats.get("column_distincts")
@@ -535,8 +500,7 @@ class Relation:
         observed count is scaled by the sampling ratio (then clamped between
         the single-column counts and the row count, the information-theoretic
         bounds).  Cached positionally in ``_stats`` like
-        :meth:`column_distinct_counts`, hence shared across
-        :meth:`with_schema` views.
+        :meth:`column_distinct_counts`.
         """
         cached = self._stats.get("pair_distincts")
         if cached is None:
@@ -580,9 +544,8 @@ class Relation:
 
         The encoded column store is cached in ``_stats`` (keyed by encoder
         identity, single slot), so — exactly like partitions and distinct
-        counts — it is shared by reference across :meth:`with_schema` views,
-        carried forward by :meth:`apply_delta`, and rebuilt only on fresh
-        row storage or a different encoder.  Being cached, the store is
+        counts — it is carried forward by :meth:`apply_delta` and rebuilt
+        only on fresh row storage or a different encoder.  Being cached, the store is
         marked ``long_lived`` (it may earn a semi-join key index).  The
         returned :class:`~repro.evaluation.encoding.EncodedRelation` is a
         cheap schema view over the cached store.
@@ -597,31 +560,6 @@ class Relation:
             cached = (encoder, store)
             self._stats["encoded"] = cached
         return EncodedRelation(self.schema, cached[1], encoder)  # type: ignore[index]
-
-    def with_schema(self, schema: Sequence[Variable]) -> "Relation":
-        """An ``O(1)`` view of this relation under a renamed schema.
-
-        The view *shares* this relation's row storage and partition cache
-        (column positions are unchanged by renaming, so every cached
-        partition remains valid).  Used by the batch scan cache to serve one
-        materialised scan to many queries under their own variable names;
-        both sides must observe the no-mutation discipline.
-        """
-        schema = tuple(schema)
-        if len(schema) != len(self.schema):
-            raise SchemaError(
-                f"view schema {schema} has arity {len(schema)}, "
-                f"relation has {len(self.schema)}"
-            )
-        if len(set(schema)) != len(schema):
-            raise SchemaError(f"duplicate variable in schema {schema}")
-        view = Relation.__new__(Relation)
-        view.schema = schema
-        view.rows = self.rows
-        view._positions = {variable: index for index, variable in enumerate(schema)}
-        view._partitions = self._partitions
-        view._stats = self._stats
-        return view
 
     def project(self, variables: Sequence[Variable]) -> "Relation":
         """Project onto ``variables`` (deduplicating, order preserved).

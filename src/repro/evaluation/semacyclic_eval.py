@@ -403,9 +403,9 @@ def evaluate_batch(
     ``engine`` selects the phase-1 strategy:
 
     * ``"batch"`` (default) — all queries share one
-      :class:`~repro.evaluation.batch.ScanCache`, so each distinct
-      (predicate, constant-signature) scan and each hash partition is built
-      at most once for the whole batch;
+      :class:`~repro.evaluation.batch.ScanCache`, so each predicate's base
+      scan, key index and hash partition is built at most once for the
+      whole batch;
     * ``"sequential"`` — the one-query-at-a-time baseline (identical
       routing, no sharing), kept for benchmarking and differential testing.
 

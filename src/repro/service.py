@@ -67,9 +67,10 @@ from typing import (
 )
 
 from .analysis.diagnostics import Diagnostic, Severity
-from .datamodel import Atom, Constant, Instance, Term, Variable
+from .datamodel import Atom, Constant, Instance, Predicate, Term, Variable
 from .dependencies.tgd import TGD
 from .evaluation.batch import ScanCache
+from .evaluation.encoding import EncodedRelation
 from .evaluation.join_plans import (
     JoinPlan,
     execute_plan,
@@ -239,8 +240,9 @@ class BoundScans:
     placeholders (:func:`parameter`).  :meth:`scan` substitutes this
     request's binding into each atom and reads it from the shared
     :class:`~repro.evaluation.batch.ScanCache`, so one compiled plan serves
-    every anchor of its shape and no placeholder reaches a scan signature.
-    ``encoder`` is the cache's own, so encodings stay shared.
+    every anchor of its shape and no placeholder reaches the encoder.
+    ``encoder`` is the cache's own, so encodings stay shared, and base
+    relations (which carry no anchors) come straight from the cache.
     """
 
     __slots__ = ("scans", "params", "encoder")
@@ -250,8 +252,11 @@ class BoundScans:
         self.params = params
         self.encoder = scans.encoder
 
-    def scan(self, atom: Atom, database: Optional[Instance] = None) -> Relation:
+    def scan(self, atom: Atom, database: Optional[Instance] = None) -> EncodedRelation:
         return self.scans.scan(atom.apply(self.params), database)
+
+    def base_relation(self, predicate: Predicate) -> Relation:
+        return self.scans.base_relation(predicate)
 
 
 def _remember(table: Dict, key: object, value: object) -> None:
@@ -583,16 +588,16 @@ class QueryService:
     def verify(self) -> List[Diagnostic]:
         """Audit the service's cache invariants (SVC001/SVC002).
 
-        SVC001 (ERROR): a cached scan's epoch stamp disagrees with the scan
-        cache's synced epoch without a pending delta to close the gap — the
-        stale-answer condition the epoch machinery must make impossible.
+        SVC001 (ERROR): a cached base relation's epoch stamp disagrees with
+        the scan cache's synced epoch without a pending delta to close the
+        gap — the stale-answer condition the epoch machinery must make
+        impossible.
         SVC002 (WARNING): a cached plan's planning-time statistics drifted
         past ``replan_drift`` (it will be re-planned on next use).
         """
         self.scans.sync()
         diagnostics: List[Diagnostic] = []
-        for signature, stamp, expected in self.scans.verify_epochs():
-            predicate = signature[0]
+        for predicate, stamp, expected in self.scans.verify_epochs():
             diagnostics.append(
                 Diagnostic(
                     "SVC001",

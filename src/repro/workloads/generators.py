@@ -645,12 +645,10 @@ def shared_predicate_batch_workload(
     constants and each predicate from the shared pool — the "point lookups
     joined on a shared key" shape of a serving workload.
 
-    The batch is built so that scan signatures (predicate plus constant
-    pattern, see :func:`repro.evaluation.batch.atom_signature`) repeat
-    heavily: the number of distinct signatures is bounded by
-    ``predicate_count · (anchor_pool + 1)`` no matter how large the batch,
-    while one-at-a-time evaluation pays a full ``O(|R|)`` scan per atom per
-    query.  Because *every* atom is constant-selected, the per-query join
+    The batch is built so that scans repeat heavily: every atom reads one
+    of ``predicate_count`` base relations, at one of ``anchor_pool``
+    anchors, no matter how large the batch, while one-at-a-time evaluation
+    pays a full ``O(|R|)`` scan per predicate per query.  Because *every* atom is constant-selected, the per-query join
     work after phase 1 is only the size of the selected buckets
     (``≈ facts / domain_size``), so the shared scans and partitions of
     :class:`repro.evaluation.batch.ScanCache` dominate the sequential cost —

@@ -14,6 +14,8 @@ or batching — never in the plan both executed.
   left/only input and never materialise their own output).  Both record
   observed rows and bucket probes in the context's run map, like the
   engine does.
+* :func:`scan_atom` scans one atom's facts straight from the database:
+  the oracle never reads through the engine's scan cache.
 * :func:`semijoin`, :func:`join`, :func:`select` and :func:`distinct` are
   the single-pass hash-partitioned relational operators the faces use.
 * :func:`evaluate`, :func:`iter_answers`, :func:`boolean`,
@@ -24,7 +26,7 @@ or batching — never in the plan both executed.
 
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.datamodel import Instance, Term, Variable
+from repro.datamodel import Atom, Instance, Term, Variable
 from repro.evaluation import (
     BagNode,
     CursorEnumerate,
@@ -43,7 +45,7 @@ from repro.evaluation import (
     resolve_route,
 )
 from repro.evaluation.operators import _Enumeration, first_occurrence_schema
-from repro.evaluation.relation import Row
+from repro.evaluation.relation import Row, compile_scan_pattern
 from repro.queries.cq import ConjunctiveQuery
 
 Memo = Dict[Operator, Relation]
@@ -53,6 +55,23 @@ Answers = Set[Tuple[Term, ...]]
 # ----------------------------------------------------------------------
 # Relational operators over term tuples
 # ----------------------------------------------------------------------
+def scan_atom(atom: Atom, database: Instance) -> Relation:
+    """The matches of one query atom, in one pass over its predicate's facts.
+
+    The schema lists the atom's variables in order of first occurrence;
+    constants and repeated variables act as selections, checked per fact.
+    """
+    pattern = compile_scan_pattern(atom.terms)
+    rows: List[Row] = []
+    for fact in database.atoms_with_predicate(atom.predicate):
+        terms = fact.terms
+        if all(terms[p] == constant for p, constant in pattern.constant_checks) and all(
+            terms[p] == terms[first] for p, first in pattern.equality_checks
+        ):
+            rows.append(tuple(terms[p] for p in pattern.output_positions))
+    return Relation(pattern.variables, rows)
+
+
 def _shared(left: Relation, right: Relation) -> Tuple[Variable, ...]:
     """The join variables, in ``left``'s schema order."""
     return tuple(v for v in left.schema if v in right.variables())
@@ -134,7 +153,7 @@ def materialize(
 
 def _materialize(op: Operator, context: ExecutionContext, memo: Memo) -> Relation:
     if isinstance(op, Scan):
-        return Relation.from_atom(op.atom, context.database, context.scans)
+        return scan_atom(op.atom, context.database)
     if isinstance(op, CursorEnumerate):
         # The streamed carry tuples are distinct by construction.
         return Relation(op.schema, list(iter_rows(op, context, memo)))

@@ -6,8 +6,8 @@ answers: for every query the batched result must equal the one-at-a-time
 result of the matching single-query engine (``evaluate_acyclic`` for
 acyclic queries, the plan executor for cyclic ones, the reformulation route
 under tgds) and the generic homomorphism oracle.  The :class:`ScanCache`
-is additionally pinned down by counting: each distinct (predicate,
-constant-signature) is materialised at most once per cache.
+is additionally pinned down by counting: each predicate's base relation
+is built at most once per cache, and every atom over it is served from it.
 """
 
 import random
@@ -21,13 +21,14 @@ from repro.evaluation import (
     BatchEvaluator,
     Relation,
     ScanCache,
-    atom_signature,
+    TermEncoder,
     evaluate_acyclic,
     evaluate_batch,
     evaluate_generic,
     evaluate_via_reformulation,
     evaluate_with_plan,
 )
+from repro.evaluation.encoding import NUMPY_ENV, IntIndex
 from repro.queries.cq import ConjunctiveQuery
 from repro.workloads.generators import (
     random_acyclic_query,
@@ -41,6 +42,8 @@ from repro.workloads.paper_examples import (
     guarded_triangle_example,
 )
 from repro.workloads import music_store_database
+
+from helpers.tuple_engine import scan_atom
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +191,7 @@ def test_batch_without_tgds_routes_cyclic_to_decomposition():
 
 
 # ----------------------------------------------------------------------
-# ScanCache: each signature is materialised at most once
+# ScanCache: one base build per predicate serves every atom over it
 # ----------------------------------------------------------------------
 class TestScanCache:
     E = Predicate("E", 2)
@@ -206,42 +209,45 @@ class TestScanCache:
         cache = ScanCache(database)
         x, y, u, v = (Variable(n) for n in "xyuv")
         first = cache.scan(Atom(self.E, (x, y)))
-        second = cache.scan(Atom(self.E, (u, v)))  # same signature, new names
+        second = cache.scan(Atom(self.E, (u, v)))  # same shape, new names
         assert cache.served == 2
         assert cache.built == 1
-        assert first.rows is second.rows  # one materialisation, two views
+        assert first.store is second.store  # one base store, two views
         assert first.schema == (x, y) and second.schema == (u, v)
 
-    def test_distinct_signatures_are_distinct_builds(self):
+    def test_every_atom_of_a_predicate_shares_one_build(self):
         database = self._database()
         cache = ScanCache(database)
         x, y = Variable("x"), Variable("y")
         cache.scan(Atom(self.E, (x, y)))
-        cache.scan(Atom(self.E, (Constant(1), y)))  # constant pattern differs
-        cache.scan(Atom(self.E, (x, x)))  # repeated-variable pattern differs
+        cache.scan(Atom(self.E, (Constant(1), y)))  # anchored: a bucket
+        cache.scan(Atom(self.E, (x, x)))  # repeated variable: a filter
         cache.scan(Atom(self.F, (x, y)))  # predicate differs
-        assert cache.built == 4
-        # Re-requesting each signature adds no builds.
+        assert cache.built == 2
+        assert cache.cached_scans() == 2
+        # Re-requesting any shape, at any anchor, adds no builds.
         cache.scan(Atom(self.E, (y, x)))
-        cache.scan(Atom(self.E, (Constant(1), x)))
+        cache.scan(Atom(self.E, (Constant(2), x)))
         cache.scan(Atom(self.E, (y, y)))
         cache.scan(Atom(self.F, (y, x)))
-        assert cache.built == 4
+        assert cache.built == 2
         assert cache.served == 8
 
     def test_constant_scans_reuse_one_base_partition(self):
         """Anchoring the same position at different constants costs one full
-        pass (the base partition), then one bucket lookup per constant."""
+        pass (the base store's key index), then one bucket per constant."""
         database = self._database()
         cache = ScanCache(database)
         y = Variable("y")
+        builds = IntIndex.long_lived_builds
         for constant in range(4):
             cache.scan(Atom(self.E, (Constant(constant), y)))
-        # One base build (for partitioning) + one derived build per constant.
-        assert cache.base_scans == 1
-        assert cache.built == 5
+        assert cache.built == 1
+        assert IntIndex.long_lived_builds == builds + 1
+        assert cache.cached_scans() == 1
 
     def test_scan_agrees_with_from_atom(self):
+        """The cache's scans equal the oracle's one-pass fact scan."""
         database = self._database()
         cache = ScanCache(database)
         x, y = Variable("x"), Variable("y")
@@ -250,9 +256,10 @@ class TestScanCache:
             Atom(self.E, (Constant(2), y)),
             Atom(self.E, (x, x)),
             Atom(self.E, (Constant(0), Constant(0))),
+            Atom(self.E, (Constant(0), Constant(1))),
             Atom(self.F, (y, Constant(1))),
         ]:
-            assert cache.scan(atom) == Relation.from_atom(atom, database)
+            assert cache.scan(atom).to_relation() == scan_atom(atom, database)
 
     def test_cache_rejects_foreign_database(self):
         cache = ScanCache(self._database())
@@ -265,10 +272,10 @@ class TestScanCache:
         database = self._database()
         cache = ScanCache(database)
         atom = Atom(self.E, (Variable("x"), Variable("y")))
-        before = set(cache.scan(atom).rows)
+        before = set(cache.scan(atom).decoded_rows())
         fresh = Atom(self.E, (Constant("fresh"), Constant("fresh")))
         database.add(fresh)
-        after = set(cache.scan(atom).rows)
+        after = set(cache.scan(atom).decoded_rows())
         assert after == before | {fresh.terms}
         assert cache.delta_merges == 1 and cache.full_rebuilds == 0
 
@@ -277,43 +284,39 @@ class TestScanCache:
         missing = Predicate("Missing", 1)
         assert cache.scan(Atom(missing, (Variable("x"),))).is_empty()
 
+    @pytest.mark.parametrize("use_numpy", [False, True], ids=["array", "numpy"])
+    def test_anchor_without_facts_scans_empty_and_encodes_nothing(
+        self, monkeypatch, use_numpy
+    ):
+        """An anchor absent from the predicate, or never encoded at all,
+        gives an empty scan and leaves the encoder as it was."""
+        if use_numpy:
+            pytest.importorskip("numpy")
+        monkeypatch.setenv(NUMPY_ENV, "1" if use_numpy else "0")
+        database = self._database()
+        cache = ScanCache(database)
+        y = Variable("y")
+        cache.scan(Atom(self.F, (Constant(4), y)))  # encodes F's terms, 4 among them
+        terms = len(cache.encoder)
+        for anchor in (Constant(4), Constant("never-seen")):
+            for atom in (Atom(self.E, (anchor, y)), Atom(self.E, (y, anchor))):
+                scanned = cache.scan(atom)
+                assert scanned.is_empty() and list(scanned.decoded_rows()) == []
+                assert scanned.store.use_numpy == use_numpy
+        assert len(cache.encoder) == terms
+
 
 # ----------------------------------------------------------------------
-# Signatures and partition sharing
+# Partition sharing
 # ----------------------------------------------------------------------
-class TestAtomSignature:
-    E = Predicate("E", 3)
-
-    def test_signature_abstracts_variable_names(self):
-        x, y, z, u, v, w = (Variable(n) for n in "xyzuvw")
-        sig1, vars1 = atom_signature(Atom(self.E, (x, y, x)))
-        sig2, vars2 = atom_signature(Atom(self.E, (u, v, u)))
-        assert sig1 == sig2
-        assert vars1 == (x, y) and vars2 == (u, v)
-
-    def test_signature_distinguishes_constants_from_variables(self):
-        x, y = Variable("x"), Variable("y")
-        sig_var, _ = atom_signature(Atom(self.E, (x, y, y)))
-        sig_const, _ = atom_signature(Atom(self.E, (Constant("x"), y, y)))
-        assert sig_var != sig_const
-
-    def test_signature_distinguishes_constant_values_and_types(self):
-        y, z = Variable("y"), Variable("z")
-        signatures = {
-            atom_signature(Atom(self.E, (constant, y, z)))[0]
-            for constant in [Constant(1), Constant("1"), Constant(2)]
-        }
-        assert len(signatures) == 3
-
-
 class TestPartitionSharing:
     def test_views_share_partitions(self):
         a, b = Constant("a"), Constant("b")
         x, y, u, v = (Variable(n) for n in "xyuv")
-        relation = Relation((x, y), [(a, b), (b, a), (a, a)])
-        view = relation.with_schema((u, v))
-        assert view.partition((u,)) is relation.partition((x,))
-        assert view.rows is relation.rows
+        encoded = Relation((x, y), [(a, b), (b, a), (a, a)]).encoded(TermEncoder())
+        view = encoded.with_schema((u, v))
+        assert view.partition((u,)) is encoded.partition((x,))
+        assert view.store is encoded.store
 
     def test_partition_is_cached_per_position_tuple(self):
         a, b = Constant("a"), Constant("b")

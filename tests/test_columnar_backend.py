@@ -507,9 +507,12 @@ def test_encoded_store_cached_per_encoder_and_shared_across_views():
     first = relation.encoded(encoder)
     assert relation.encoded(encoder).store is first.store  # built once
 
-    # with_schema views share row storage, hence the encoded store too.
-    view = relation.with_schema((Variable("u"), Variable("v")))
-    assert view.encoded(encoder).store is first.store
+    # Scans of one predicate under any variable names are views of its
+    # base relation's one encoded store.
+    E = Predicate("E", 2)
+    cache = ScanCache(Database([Atom(E, row) for row in relation.rows]))
+    view = cache.scan(Atom(E, (x, y)))
+    assert cache.scan(Atom(E, (Variable("u"), Variable("v")))).store is view.store
 
     # A different encoder invalidates the single-slot cache...
     other = TermEncoder()

@@ -60,6 +60,19 @@ class NotAnOperator:
     assert any("self.last" in line for line in violations)
 
 
+def test_fact_reads_outside_the_scan_cache_are_flagged():
+    snippet = """
+def scan(atom, database, scans):
+    rows = [fact.terms for fact in database.atoms_with_predicate(atom.predicate)]
+    relation = Relation.from_atom(atom, database)
+    return scans.scan(atom), scans.base_relation(atom.predicate)
+"""
+    violations = _lint_module().check_scan_path({"operators.py": snippet})
+    assert len(violations) == 2
+    assert any("operators.py:3: calls atoms_with_predicate" in line for line in violations)
+    assert any("operators.py:4: calls from_atom" in line for line in violations)
+
+
 def test_typecheck_wrapper_runs():
     """Exit 0 both where mypy exists (clean tree) and where it is absent
     (graceful skip) — either way the wrapper must not crash."""

@@ -7,12 +7,14 @@ served pre-mutation partitions and answers.  These tests pin the fix:
 * ``Instance`` mutation epochs, the bounded journal, and content tokens;
 * the regression itself — a same-size delete+insert must be answered from
   post-mutation facts (this test fails on the seed);
-* incremental maintenance — cached rows/partitions/encodings are patched by
-  :meth:`Relation.apply_delta` (``delta_merges``), not rebuilt, and every
-  pre-mutation ``with_schema`` view observes the merge (the aliasing audit);
-  the encoded store is carried forward as a new store equal to a fresh
-  encoding, whose carried key indexes are new objects equal to fresh
-  builds, leaving the pre-merge store untouched;
+* incremental maintenance — a predicate's cached base rows, partitions
+  and encoding are patched by :meth:`Relation.apply_delta`
+  (``delta_merges``), not rebuilt, and partitions taken before the merge
+  observe it (the aliasing audit); the encoded store is carried forward as
+  a new store equal to a fresh encoding, whose carried key indexes are new
+  objects equal to fresh builds, leaving the pre-merge store untouched;
+* journal replay by predicate — a write queues only its own predicate's
+  delta, and its sync work does not grow with the anchors ever read;
 * the distinct :class:`CacheBindingError` for foreign databases, with
   fact-identical copies accepted;
 * epoch-aware :class:`Statistics` and the PLAN016 verifier check.
@@ -36,11 +38,12 @@ from repro.evaluation import (
     Statistics,
     YannakakisEvaluator,
 )
-from repro.evaluation.batch import atom_signature
 from repro.evaluation.encoding import NUMPY_ENV, EncodedRelation, IntIndex
 from repro.evaluation.relation import swap_moves
 from repro.queries.cq import ConjunctiveQuery
 from repro.service import QueryService
+
+from helpers.tuple_engine import scan_atom
 
 E = Predicate("E", 2)
 F = Predicate("F", 1)
@@ -117,13 +120,13 @@ class TestStaleAnswerRegression:
         database = _chain_db((1, 2), (2, 3))
         cache = ScanCache(database)
         atom = Atom(E, (x, y))
-        assert set(cache.scan(atom).rows) == {
+        assert set(cache.scan(atom).decoded_rows()) == {
             (Constant(1), Constant(2)),
             (Constant(2), Constant(3)),
         }
         database.discard(_edge(1, 2))
         database.add(_edge(7, 8))  # |D| unchanged
-        assert set(cache.scan(atom).rows) == {
+        assert set(cache.scan(atom).decoded_rows()) == {
             (Constant(2), Constant(3)),
             (Constant(7), Constant(8)),
         }
@@ -153,7 +156,7 @@ class TestStaleAnswerRegression:
         database.add(_edge(1, 9))
         database.add(_edge(5, 6))  # does not match the anchored signature
         scanned = cache.scan(anchored)
-        assert set(scanned.rows) == {(Constant(2),), (Constant(3),), (Constant(9),)}
+        assert set(scanned.decoded_rows()) == {(Constant(2),), (Constant(3),), (Constant(9),)}
 
     def test_journal_overflow_falls_back_to_full_rebuild(self, monkeypatch):
         monkeypatch.setattr(Instance, "JOURNAL_LIMIT", 2)
@@ -214,13 +217,14 @@ class TestDeltaMerge:
     def test_cached_partitions_are_patched_in_place(self):
         database = _chain_db((1, 2), (1, 3), (2, 4))
         cache = ScanCache(database)
-        relation = cache.scan(Atom(E, (x, y)))
-        partition = relation.partition((x,))
+        relation = cache.base_relation(E)
+        key = relation.schema[:1]
+        partition = relation.partition(key)
         database.discard(_edge(1, 2))
         database.add(_edge(2, 5))
-        merged = cache.scan(Atom(E, (x, y)))
+        merged = cache.base_relation(E)
         # Same partition object, post-mutation buckets.
-        assert merged.partition((x,)) is partition
+        assert merged.partition(key) is partition
         assert set(partition.get((Constant(1),))) == {(Constant(1), Constant(3))}
         assert set(partition.get((Constant(2),))) == {
             (Constant(2), Constant(4)),
@@ -228,46 +232,46 @@ class TestDeltaMerge:
         }
 
     def test_pre_mutation_view_observes_the_merge(self):
-        """The aliasing audit: old views must not pin pre-mutation buckets."""
+        """The aliasing audit: a pre-merge reader of the base relation must
+        not pin pre-mutation buckets."""
         database = _chain_db((1, 2), (2, 3))
         cache = ScanCache(database)
-        old_view = cache.scan(Atom(E, (x, y)))
-        old_partition = old_view.partition((x,))
+        old = cache.base_relation(E)
+        old_partition = old.partition(old.schema[:1])
         database.discard(_edge(1, 2))
         database.add(_edge(4, 5))
         new_view = cache.scan(Atom(E, (z, y)))  # triggers the delta merge
-        assert set(old_view.rows) == set(new_view.rows)
+        assert set(old.rows) == set(new_view.decoded_rows())
         assert (Constant(1),) not in old_partition.buckets
         assert set(old_partition.get((Constant(4),))) == {(Constant(4), Constant(5))}
-        assert old_view.stamped_epoch() == new_view.stamped_epoch()
+        assert old.stamped_epoch() == new_view.store.epoch == database.mutation_epoch
 
     def test_stats_and_encoded_store_are_refreshed_after_merge(self):
         database = _chain_db((1, 2), (2, 3))
         cache = ScanCache(database)
-        relation = cache.scan(Atom(E, (x, y)))
+        relation = cache.base_relation(E)
         assert relation.column_distinct_counts() == (2, 2)
-        stale_store = relation.encoded(cache.encoder)
+        stale_store = cache.scan(Atom(E, (x, y)))
         database.add(_edge(3, 1))
-        merged = cache.scan(Atom(E, (x, y)))
+        merged = cache.base_relation(E)
         assert merged.column_distinct_counts() == (3, 3)
-        fresh_store = merged.encoded(cache.encoder)
+        fresh_store = cache.scan(Atom(E, (x, y)))
         assert len(fresh_store) == 3
         assert len(stale_store.store.columns[0]) == 2  # old store untouched
 
     def test_merge_carries_the_encoded_store_forward(self):
         database = _chain_db(*((i, i + 1) for i in range(20)))
         cache = ScanCache(database)
-        old = cache.scan(Atom(E, (x, y))).encoded(cache.encoder)
+        old = cache.scan(Atom(E, (x, y)))
         old.key_index((0,))
         database.discard(_edge(2, 3))
         database.add(_edge(50, 51))
-        relation = cache.scan(Atom(E, (x, y)))
-        new = relation.encoded(cache.encoder)
+        new = cache.scan(Atom(E, (x, y)))
         assert new.store is not old.store
         assert ("index", (0,)) in new.store.caches
         _assert_carried_caches(old.store, new.store, new.schema, cache.encoder)
         assert new.store.long_lived
-        assert list(new.decoded_rows()) == relation.rows
+        assert list(new.decoded_rows()) == cache.base_relation(E).rows
         # A point semi-join on the merged store probes its own key index,
         # which sees the merge, not the pre-merge one.
         key = new.schema[:1]
@@ -285,37 +289,37 @@ class TestDeltaMerge:
         """The stale-cache class of bug: after every merge the carried
         store equals a fresh encoding of the rows, its caches are new
         objects and its carried key indexes equal fresh builds (no
-        pre-merge key index is served), and the pre-merge store is
-        untouched."""
+        pre-merge key index is served: an anchored scan reads the carried
+        one), and the pre-merge store is untouched."""
         if use_numpy:
             pytest.importorskip("numpy")
         with mock.patch.dict(os.environ, {NUMPY_ENV: "1" if use_numpy else "0"}):
             database = _chain_db(*((i, i + 1) for i in range(6)))
             cache = ScanCache(database)
-            atoms = (Atom(E, (x, y)), Atom(E, (Constant(0), y)))
-            for atom in atoms:
-                cache.scan(atom).encoded(cache.encoder).key_index((0,))
+            whole, anchored = Atom(E, (x, y)), Atom(E, (Constant(0), y))
+            cache.scan(whole).key_index((0,))
             for added, a, b in steps:
-                befores = []
-                for atom in atoms:
-                    store = cache.scan(atom).encoded(cache.encoder).store
-                    befores.append((store, _snapshot(store)))
+                old = cache.scan(whole).store
+                snapshot = _snapshot(old)
                 if added:
                     database.add(_edge(a, b))
                 else:
                     database.discard(_edge(a, b))
-                for atom, (old, snapshot) in zip(atoms, befores):
-                    relation = cache.scan(atom)
-                    store = relation.encoded(cache.encoder).store
-                    assert _snapshot(old) == snapshot
-                    if store is not old:
-                        _assert_carried_caches(old, store, relation.schema, cache.encoder)
-                        assert store.use_numpy == use_numpy
-                    fresh = EncodedRelation.build_store(
-                        relation.rows, len(relation.schema), cache.encoder
-                    )
-                    assert _int_rows(store) == fresh.caches["rows"]
-                    EncodedRelation(relation.schema, store, cache.encoder).key_index((0,))
+                encoded = cache.scan(whole)
+                store = encoded.store
+                assert _snapshot(old) == snapshot
+                if store is not old:
+                    _assert_carried_caches(old, store, encoded.schema, cache.encoder)
+                    assert store.use_numpy == use_numpy
+                rows = cache.base_relation(E).rows
+                fresh = EncodedRelation.build_store(rows, 2, cache.encoder)
+                assert _int_rows(store) == fresh.caches["rows"]
+                point = cache.scan(anchored)
+                assert list(point.decoded_rows()) == [
+                    (target,) for source, target in rows if source == Constant(0)
+                ]
+                assert point.store.epoch == store.epoch == database.mutation_epoch
+                encoded.key_index((0,))
 
     def test_apply_delta_noop_keeps_caches(self):
         relation = Relation((x, y), [(Constant(1), Constant(2))])
@@ -328,7 +332,7 @@ class TestDeltaMerge:
 # ----------------------------------------------------------------------
 # Carried key indexes under interleaved writes
 # ----------------------------------------------------------------------
-#: Key columns indexed on the binary scan (the anchored scan is unary).
+#: Key columns indexed on the base store (the anchored scan reads (0,)).
 _INDEXED = ((0,), (1,), (0, 1))
 
 _EDGE_VALUES = st.integers(min_value=0, max_value=5)
@@ -386,50 +390,47 @@ class TestCarriedIndexes:
         with mock.patch.dict(os.environ, {NUMPY_ENV: "1" if use_numpy else "0"}):
             database = _chain_db(*((i, i + 1) for i in range(5)), (0, 3), (2, 3))
             cache = ScanCache(database)
-            atoms = {Atom(E, (x, y)): _INDEXED, Atom(E, (Constant(0), y)): ((0,),)}
-            for atom, indexed in atoms.items():
-                encoded = cache.scan(atom).encoded(cache.encoder)
-                for positions in indexed:
-                    encoded.key_index(positions)
+            whole, anchored = Atom(E, (x, y)), Atom(E, (Constant(0), y))
+            for positions in _INDEXED:
+                cache.scan(whole).key_index(positions)
             builds = IntIndex.long_lived_builds  # warm-up done
             for writes in rounds:
-                base = cache.scan(Atom(E, (x, y)))
+                base = cache.base_relation(E)
                 for write in writes:
                     _apply_write(database, base, write)
-                for atom, indexed in atoms.items():
-                    relation = cache.scan(atom)
-                    encoded = relation.encoded(cache.encoder)
-                    store = encoded.store
-                    fresh = EncodedRelation.build_store(
-                        relation.rows, len(relation.schema), cache.encoder
-                    )
-                    assert _int_rows(store) == fresh.caches["rows"]
-                    assert store.use_numpy == use_numpy
-                    for positions in indexed:
-                        carried = store.caches[("index", positions)]
-                        rebuilt = encoded.fresh_copy().key_index(positions)
-                        assert carried.buckets == rebuilt.buckets
-                        schema = tuple(encoded.schema[p] for p in positions)
-                        point = EncodedRelation.from_rows(
-                            schema,
-                            [k if isinstance(k, tuple) else (k,) for k in _probe_keys(store, positions)],
-                            cache.encoder,
-                        ).key_index(tuple(range(len(positions))))
-                        probed = encoded.semijoin_probe(positions, point)
-                        scanned = encoded.semijoin_index(positions, point)
-                        assert probed.rows == scanned.rows
+                encoded = cache.scan(whole)
+                store = encoded.store
+                rows = cache.base_relation(E).rows
+                fresh = EncodedRelation.build_store(rows, 2, cache.encoder)
+                assert _int_rows(store) == fresh.caches["rows"]
+                assert store.use_numpy == use_numpy
+                assert list(cache.scan(anchored).decoded_rows()) == [
+                    (target,) for source, target in rows if source == Constant(0)
+                ]
+                for positions in _INDEXED:
+                    carried = store.caches[("index", positions)]
+                    rebuilt = encoded.fresh_copy().key_index(positions)
+                    assert carried.buckets == rebuilt.buckets
+                    schema = tuple(encoded.schema[p] for p in positions)
+                    point = EncodedRelation.from_rows(
+                        schema,
+                        [k if isinstance(k, tuple) else (k,) for k in _probe_keys(store, positions)],
+                        cache.encoder,
+                    ).key_index(tuple(range(len(positions))))
+                    probed = encoded.semijoin_probe(positions, point)
+                    scanned = encoded.semijoin_index(positions, point)
+                    assert probed.rows == scanned.rows
                 assert IntIndex.long_lived_builds == builds
 
     def test_delete_moves_the_last_row_into_the_hole(self):
         database = _chain_db((1, 2), (2, 3), (3, 4), (4, 5))
         cache = ScanCache(database)
-        relation = cache.scan(Atom(E, (x, y)))
-        relation.encoded(cache.encoder).key_index((0,))
-        rows = list(relation.rows)
+        cache.scan(Atom(E, (x, y))).key_index((0,))
+        rows = list(cache.base_relation(E).rows)
         database.discard(Atom(E, rows[1]))
-        merged = cache.scan(Atom(E, (x, y)))
+        merged = cache.base_relation(E)
         assert merged.rows == [rows[0], rows[3], rows[2]]
-        assert list(merged.encoded(cache.encoder).decoded_rows()) == merged.rows
+        assert list(cache.scan(Atom(E, (x, y))).decoded_rows()) == merged.rows
 
     def test_swap_moves_pair_holes_with_surviving_tail_rows(self):
         assert swap_moves([1, 4], 4) == [(1, 5)]
@@ -441,39 +442,61 @@ class TestCarriedIndexes:
 # Journal replay: a written fact reaches only the scans it can match
 # ----------------------------------------------------------------------
 class TestIndexedReplay:
-    def test_a_write_queues_only_the_signatures_anchored_at_its_constants(self):
+    def test_a_write_queues_only_its_own_predicate(self):
         database = _chain_db((1, 2), (2, 3), (3, 3))
+        database.add(Atom(F, (Constant(1),)))
         cache = ScanCache(database)
-        atoms = {
-            "base": Atom(E, (x, y)),
-            "loop": Atom(E, (x, x)),
-            "from1": Atom(E, (Constant(1), y)),
-            "from2": Atom(E, (Constant(2), y)),
-            "to2": Atom(E, (x, Constant(2))),
-            "to3": Atom(E, (x, Constant(3))),
-        }
-        signatures = {name: atom_signature(atom)[0] for name, atom in atoms.items()}
-        for atom in atoms.values():
+        atoms = [
+            Atom(E, (x, y)),
+            Atom(E, (x, x)),
+            Atom(E, (Constant(1), y)),
+            Atom(E, (x, Constant(3))),
+            Atom(F, (x,)),
+        ]
+        for atom in atoms:
             cache.scan(atom)
         database.add(_edge(2, 2))
         cache.sync()
-        assert set(cache._pending) == {
-            signatures["base"], signatures["loop"], signatures["from2"], signatures["to2"]
-        }
-        # Queued scans keep their pre-write stamp until they merge; the
-        # rest are re-stamped at the synced epoch.
-        for signature, relation in cache._scans.items():
-            behind = relation.stamped_epoch() < cache.current_epoch()
-            assert behind == (signature in cache._pending)
+        assert list(cache._pending) == [E]
+        assert len(cache._pending[E]) == 1
+        # E keeps its pre-write stamp until it merges; F is re-stamped at
+        # the synced epoch.
+        assert cache.base_relation(F).stamped_epoch() == cache.current_epoch()
+        assert cache._bases[E].stamped_epoch() < cache.current_epoch()
         database.add(_edge(1, 4))
         cache.sync()
-        assert signatures["from1"] in cache._pending
-        assert signatures["to3"] not in cache._pending
+        assert len(cache._pending[E]) == 2
         assert cache.verify_epochs() == []
-        for name, atom in atoms.items():
-            expected = Relation.from_atom(atom, database)
-            assert set(cache.scan(atom).rows) == set(expected.rows), name
+        for atom in atoms:
+            assert cache.scan(atom).to_relation() == scan_atom(atom, database), atom
+        assert cache._pending == {}
         assert cache.verify_epochs() == []
+
+    def test_sync_work_per_write_does_not_grow_with_warm_anchors(self, monkeypatch):
+        """10 and 5,000 warm anchors cost the same stamps per write."""
+        calls = []
+        stamp = Relation.stamp_epoch
+
+        def counted(relation, epoch):
+            calls.append(epoch)
+            stamp(relation, epoch)
+
+        def stamps_per_write(anchors):
+            database = _chain_db(*((i, i + 1) for i in range(anchors)))
+            database.add(Atom(F, (Constant(0),)))
+            service = QueryService(database)
+            for anchor in range(anchors):
+                service.submit(ConjunctiveQuery((z,), [Atom(E, (Constant(anchor), z))]))
+            service.submit(ConjunctiveQuery((x,), [Atom(F, (x,))]))
+            assert service.counters()["cached_scans"] == 2
+            calls.clear()
+            monkeypatch.setattr(Relation, "stamp_epoch", counted)
+            service.insert(_edge(-1, -2))
+            service.submit(ConjunctiveQuery((z,), [Atom(E, (Constant(0), z))]))
+            monkeypatch.setattr(Relation, "stamp_epoch", stamp)
+            return len(calls)
+
+        assert stamps_per_write(10) == stamps_per_write(5000) == 2
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -489,8 +512,8 @@ class TestIndexedReplay:
         ] + [ConjunctiveQuery((x, z), [Atom(E, (x, y)), Atom(E, (y, z))])]
         for query in queries:
             service.submit(query)
-        # One cached scan per anchor, plus the unanchored base scan.
-        assert service.counters()["cached_scans"] == len(set(anchors)) + 1
+        # One cached base relation: every anchor is a bucket of E's store.
+        assert service.counters()["cached_scans"] == 1
         for step, (added, a, b) in enumerate(writes):
             if added:
                 service.insert(_edge(a, b))
@@ -561,7 +584,7 @@ class TestEpochSeams:
     def test_dead_code_audit_counts_stranded_terms(self):
         database = _chain_db((1, 2), (2, 3))
         cache = ScanCache(database)
-        cache.scan(Atom(E, (x, y))).encoded(cache.encoder)
+        cache.scan(Atom(E, (x, y)))
         assert cache.dead_codes() == 0
         database.discard(_edge(1, 2))  # Constant(1) leaves the active domain
         cache.scan(Atom(E, (x, y)))
@@ -571,13 +594,14 @@ class TestEpochSeams:
     def test_verify_epochs_is_clean_and_catches_corruption(self):
         database = _chain_db((1, 2))
         cache = ScanCache(database)
-        relation = cache.scan(Atom(E, (x, y)))
+        cache.scan(Atom(E, (x, y)))
+        relation = cache.base_relation(E)
         assert cache.verify_epochs() == []
         relation.stamp_epoch(relation.stamped_epoch() + 5)  # corrupt
         issues = cache.verify_epochs()
         assert len(issues) == 1
-        signature, stamp, expected = issues[0]
-        assert signature[0] == E and stamp == expected + 5
+        predicate, stamp, expected = issues[0]
+        assert predicate == E and stamp == expected + 5
 
     def test_plan016_flags_a_stale_cached_scan(self):
         database = _chain_db((1, 2))

@@ -54,7 +54,7 @@ from repro.evaluation import (
     render_plan,
 )
 from repro.evaluation import operators
-from repro.evaluation.relation import Partition, Relation
+from repro.evaluation.relation import Partition
 from repro.queries.cq import ConjunctiveQuery
 from repro.workloads.generators import yannakakis_scaling_workload
 
@@ -145,8 +145,8 @@ class TestOperatorFaces:
         context = ctx()
         op = HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z))))
         expected = oracle.join(
-            Relation.from_atom(Atom(E, (x, y)), context.database),
-            Relation.from_atom(Atom(F, (y, z)), context.database),
+            oracle.scan_atom(Atom(E, (x, y)), context.database),
+            oracle.scan_atom(Atom(F, (y, z)), context.database),
         )
         assert op.materialize(context) == expected
         assert set(rows_of(HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z)))), ctx())) == set(
@@ -254,9 +254,9 @@ class TestCostModel:
         database = small_database()
         cache = ScanCache(database)
         statistics = Statistics(database, cache)
-        statistics.base_relation(E)
-        statistics.base_relation(E)
-        assert cache.base_scans == 1
+        relation = statistics.base_relation(E)
+        assert statistics.base_relation(E) is relation is cache.base_relation(E)
+        assert cache.built == 1
 
 
 # ----------------------------------------------------------------------

@@ -472,6 +472,25 @@ class TestParameterisedPlans:
         assert answers[3] == {(Constant(5),)}
         assert service.plan_misses == 2  # one shape, two engines
 
+    def test_cached_scans_count_the_predicates_read(self):
+        """However many anchors and shapes are read, the scan cache holds
+        one base relation per predicate."""
+        database = _db(*[(i, (i * 7) % 50) for i in range(50)])
+        for i in range(50):
+            database.add(Atom(R, (Constant(i), Constant(i % 5))))
+        service = QueryService(database)
+        assert service.counters()["cached_scans"] == 0
+        for i in range(100):
+            service.submit(_anchored_path(i % 50, y, z))
+        assert service.counters()["cached_scans"] == 1
+        for i in range(100):
+            service.submit(
+                ConjunctiveQuery((z,), [Atom(E, (x, Constant(i % 50))), Atom(R, (x, z))])
+            )
+            service.submit(ConjunctiveQuery((x,), [Atom(R, (x, x))]))
+        assert service.counters()["cached_scans"] == 2
+        assert service.counters()["scans_built"] == 2
+
     def test_placeholders_never_reach_the_encoder_or_scan_signatures(self):
         database = _db(*[(i, (i * 7) % 50) for i in range(50)])
         service = QueryService(database)
@@ -487,10 +506,9 @@ class TestParameterisedPlans:
             return isinstance(name, tuple) and name[:1] == ("__param__",)
 
         assert not any(is_placeholder(term) for term in service.scans.encoder.terms)
-        for predicate, slots in service.scans._scans:
-            assert not any(
-                kind == "c" and is_placeholder(term) for kind, term in slots
-            )
+        # The one cached relation is the predicate's base: no anchor, real
+        # or placeholder, has a cache entry of its own.
+        assert service.counters()["cached_scans"] == 1
 
 
 @st.composite
@@ -588,7 +606,7 @@ class TestReadWrite:
     def test_verify_svc001_on_a_corrupted_stamp(self):
         service = QueryService(_db((1, 2)))
         service.submit(_path_query(x, y, z))
-        relation = next(iter(service.scans._scans.values()))
+        relation = next(iter(service.scans._bases.values()))
         relation.stamp_epoch(relation.stamped_epoch() + 7)
         codes = [d.code for d in service.verify()]
         assert "SVC001" in codes

@@ -10,8 +10,8 @@ on every streaming route with the cycle collector off and
 enumeration cursor of this package survives the requests or turns up as
 garbage.  It also requires that a cold request under tgds leaves no term
 alive: the weak intern tables of nulls and variables end at their prior
-size.  Each request runs through the engine (``evaluate_iter``) and through
-the tuple oracle, which shares the engine's routing and cursor machinery.
+size.  Each request runs through the engine (``evaluate_iter``); the tuple
+oracle under ``tests/helpers/`` is test code and is not checked here.
 """
 
 import gc
@@ -25,8 +25,6 @@ import repro
 from repro import service as service_module
 from repro.datamodel import terms as term_module
 from repro.evaluation.operators import _Enumeration, _MemoCursor
-
-from helpers import tuple_engine
 
 SOURCE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -49,10 +47,6 @@ REQUESTS = [
 ]
 
 
-#: The two ways a request is streamed: the engine, or the tuple oracle.
-STREAMS = {"columnar": repro.evaluate_iter, "tuple": tuple_engine.iter_route}
-
-
 def _ours(obj) -> bool:
     """A nested function, closure cell, cursor or enumeration of this package."""
     if isinstance(obj, (_MemoCursor, _Enumeration)):
@@ -71,8 +65,7 @@ def _ours(obj) -> bool:
     )
 
 
-@pytest.mark.parametrize("engine", ["tuple", "columnar"])
-def test_cold_evaluate_iter_leaves_no_cyclic_garbage(engine, isolated_registry):
+def test_cold_evaluate_iter_leaves_no_cyclic_garbage(isolated_registry):
     database = repro.Database(repro.parse_atom(text) for text in DATA)
     gc.collect()
     before = {id(obj) for obj in gc.get_objects() if _ours(obj)}
@@ -82,7 +75,7 @@ def test_cold_evaluate_iter_leaves_no_cyclic_garbage(engine, isolated_registry):
         for query, tgds in REQUESTS:
 
             def stream():
-                return STREAMS[engine](
+                return repro.evaluate_iter(
                     repro.parse_query(query),
                     database,
                     tgds=[repro.parse_tgd(text) for text in tgds],
@@ -168,17 +161,14 @@ def _assert_no_terms_behind(stream, monkeypatch):
     assert len(term_module._VARIABLES) == before[1]
 
 
-@pytest.mark.parametrize("engine", ["tuple", "columnar"])
-def test_cold_evaluate_iter_under_tgds_leaves_no_terms_behind(
-    engine, monkeypatch, isolated_registry
-):
+def test_cold_evaluate_iter_under_tgds_leaves_no_terms_behind(monkeypatch, isolated_registry):
     """The chase's fresh nulls and the request's variables die with it.
 
     Terms are interned in weak tables (``repro.datamodel.terms``).  A term
     that something keeps alive past its request keeps its table entry, so
     the tables' sizes show any term a cold request leaks.
     """
-    _assert_no_terms_behind(STREAMS[engine], monkeypatch)
+    _assert_no_terms_behind(repro.evaluate_iter, monkeypatch)
 
 
 def test_no_terms_behind_after_a_full_service_registry(monkeypatch):

@@ -1,19 +1,28 @@
-"""Unit tests for term relations (repro.evaluation.relation) and the
-tuple oracle's relational operators (tests/helpers/tuple_engine.py) —
-the ground truth the engine's operators are checked against."""
+"""Unit tests for term relations (repro.evaluation.relation), atom scans,
+and the tuple oracle's relational operators (tests/helpers/tuple_engine.py)
+— the ground truth the engine's operators are checked against."""
 
 import pytest
 
 from repro.datamodel import Atom, Constant, Database, Null, Predicate, Variable
-from repro.evaluation import Relation, SchemaError
+from repro.evaluation import Relation, ScanCache, SchemaError
 
-from helpers.tuple_engine import distinct, join, select, semijoin
+from helpers.tuple_engine import distinct, join, scan_atom, select, semijoin
 
 
 E = Predicate("E", 2)
 T = Predicate("T", 3)
 x, y, z, w = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")
+
+
+def from_atom(atom, database):
+    """The atom's scan through the engine's scan cache, checked against
+    the oracle's one-pass fact scan."""
+    relation = ScanCache(database).scan(atom).to_relation()
+    expected = scan_atom(atom, database)
+    assert relation.schema == expected.schema and relation == expected
+    return relation
 
 
 def edge_db(*edges):
@@ -40,17 +49,17 @@ class TestConstruction:
         assert Relation((x,), [(a,)])
 
     def test_from_atom_materialises_matching_facts(self):
-        relation = Relation.from_atom(Atom(E, (x, y)), edge_db(("a", "b"), ("c", "d")))
+        relation = from_atom(Atom(E, (x, y)), edge_db(("a", "b"), ("c", "d")))
         assert relation.schema == (x, y)
         assert set(relation.rows) == {(a, b), (c, d)}
 
     def test_from_atom_applies_constant_selections(self):
-        relation = Relation.from_atom(Atom(E, (x, b)), edge_db(("a", "b"), ("c", "d")))
+        relation = from_atom(Atom(E, (x, b)), edge_db(("a", "b"), ("c", "d")))
         assert relation.schema == (x,)
         assert set(relation.rows) == {(a,)}
 
     def test_from_atom_applies_repeated_variable_selections(self):
-        relation = Relation.from_atom(Atom(E, (x, x)), edge_db(("a", "a"), ("a", "b")))
+        relation = from_atom(Atom(E, (x, x)), edge_db(("a", "a"), ("a", "b")))
         assert relation.schema == (x,)
         assert set(relation.rows) == {(a,)}
 
@@ -62,14 +71,14 @@ class TestConstruction:
                 Atom(T, (b, b, b)),
             ]
         )
-        relation = Relation.from_atom(Atom(T, (x, b, x)), database)
+        relation = from_atom(Atom(T, (x, b, x)), database)
         assert relation.schema == (x,)
         assert set(relation.rows) == {(a,), (b,)}
 
     def test_from_atom_with_all_constants(self):
         database = edge_db(("a", "b"))
-        assert len(Relation.from_atom(Atom(E, (a, b)), database)) == 1
-        assert Relation.from_atom(Atom(E, (a, c)), database).is_empty()
+        assert len(from_atom(Atom(E, (a, b)), database)) == 1
+        assert from_atom(Atom(E, (a, c)), database).is_empty()
 
 
 class TestOperators:
