@@ -2,9 +2,10 @@
 
 On numpy storage each batch operator has two kernels: the per-row
 :class:`~repro.evaluation.encoding.EncodedRelation` loop kernel and the
-single-pass vectorised kernel of :mod:`repro.evaluation.parallel`
-(stable-argsorted build keys probed with ``searchsorted``,
-``unique``-based dedup).  Production runs the vectorised kernel whenever
+single-pass dense-code kernel of :mod:`repro.evaluation.parallel` (a
+radix-ordered build side, a code-range mask for semi-joins, ``bincount``
+blocks for joins, dedup over the radix order — no comparison sort).
+Production runs the vectorised kernel whenever
 the probe side has at least ``PARALLEL_MIN_ROWS`` rows (0: always); this
 benchmark forces each family in turn by holding that gate at 0
 (vectorised everywhere) or past every input (loop everywhere).
@@ -14,7 +15,7 @@ The database is the layered chain workload of
 storage, behind one warm :class:`ScanCache` (scans, encodings and derived
 key caches amortised, as on a serving path).  Timed runs alternate the two
 families ``REPEATS`` times; the snapshot records the median and quartiles
-of each.  *Engine* time is :meth:`PlanTree.materialize_encoded` — the part
+of each, and the host block the commit measured.  *Engine* time is :meth:`PlanTree.materialize_encoded` — the part
 the kernels execute; *end to end* is ``evaluate`` including decoding the
 answer set.  Every vectorised run is checked for bit-identical encoded
 rows against the loop kernels, and the smallest size against the tuple
@@ -36,9 +37,11 @@ from __future__ import annotations
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
-from typing import Dict, List
+from pathlib import Path
+from typing import Dict, List, Optional
 
 import pytest
 
@@ -70,6 +73,30 @@ MIN_VECTORISED_SPEEDUP = 2.0
 def _quartiles(samples: List[float]) -> Dict[str, float]:
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
+
+
+def _git_metadata() -> Dict[str, object]:
+    """The checkout's commit and whether the tracked tree differs from it
+    (``None`` for either outside a git checkout)."""
+    root = Path(__file__).resolve().parent.parent
+
+    def git(*arguments: str) -> Optional[str]:
+        try:
+            done = subprocess.run(
+                ["git", "-C", str(root), *arguments],
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": None if status is None else bool(status),
+    }
 
 
 def _sweep(size: int) -> Dict[str, object]:
@@ -173,6 +200,7 @@ def test_vectorised_vs_loop_kernels(monkeypatch):
             "python": platform.python_version(),
             "numpy": numpy.__version__,
             "machine": platform.machine(),
+            **_git_metadata(),
         },
     )
     snapshot.record("repeats", REPEATS)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-convention lint — rules a generic linter cannot know.
 
-Six rules, each encoding a convention the codebase actually relies on:
+Seven rules, each encoding a convention the codebase actually relies on:
 
 1. **Operator faces** — every concrete operator node in
    ``src/repro/evaluation/operators.py`` implements the batch faces
@@ -34,6 +34,12 @@ Six rules, each encoding a convention the codebase actually relies on:
    ``service.py``) reads facts itself: no call to ``atoms_with_predicate``
    or ``Relation.from_atom``.  Every scan goes through ``ScanCache``,
    which keeps one base relation per predicate and its epoch stamps.
+7. **Kernels sort by radix only** — in
+   ``src/repro/evaluation/parallel.py`` ``argsort`` appears only inside
+   ``_stable_order`` (the radix ordering primitive, which sorts 16-bit
+   digits), and ``unique``, ``sort``, ``lexsort`` and ``sorted`` not at
+   all, so a comparison sort cannot creep back into the dense-code
+   kernels.
 
 Exit 0 when clean, 1 with one line per violation otherwise (run via
 ``make lint``).
@@ -58,6 +64,7 @@ EVALUATION_STACK = [
         "semacyclic_eval.py",
     )
 ] + [REPO_ROOT / "src" / "repro" / "service.py"]
+KERNELS_FILE = REPO_ROOT / "src" / "repro" / "evaluation" / "parallel.py"
 BENCH_ROOT = REPO_ROOT / "benchmarks"
 
 MUTABLE_CALLS = {"list", "dict", "set"}
@@ -289,6 +296,40 @@ def check_scan_path(sources: Optional[Dict[str, str]] = None) -> List[str]:
     return violations
 
 
+# ----------------------------------------------------------------------
+# Rule 7: the dense-code kernels sort by radix only
+# ----------------------------------------------------------------------
+ORDER_PRIMITIVE = "_stable_order"
+COMPARISON_SORTS = {"unique", "sort", "lexsort", "sorted"}
+
+
+def check_kernel_sorts(source: Optional[str] = None) -> List[str]:
+    """Rule 7 over ``parallel.py`` (or over ``source``, for the tests)."""
+    if source is None:
+        source = KERNELS_FILE.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    in_primitive: Set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == ORDER_PRIMITIVE:
+            in_primitive.update(id(inner) for inner in ast.walk(node))
+    violations: List[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        else:
+            continue
+        if name in COMPARISON_SORTS or (
+            name == "argsort" and id(node) not in in_primitive
+        ):
+            violations.append(
+                f"{relative(KERNELS_FILE)}:{node.lineno}: uses {name} (order "
+                f"rows through the radix primitive {ORDER_PRIMITIVE} only)"
+            )
+    return violations
+
+
 def main() -> int:
     violations = (
         check_operator_faces()
@@ -297,6 +338,7 @@ def main() -> int:
         + check_batch_face_registry()
         + check_operator_immutability()
         + check_scan_path()
+        + check_kernel_sorts()
     )
     for violation in violations:
         print(violation)
@@ -306,7 +348,7 @@ def main() -> int:
     print(
         "lint: conventions hold "
         "(operator faces, defaults, BENCH_SMOKE, batch-face registry, "
-        "immutable operators, one scan path)"
+        "immutable operators, one scan path, radix-only kernels)"
     )
     return 0
 

@@ -27,9 +27,10 @@ planners) live under ``tests/helpers/`` and are not part of this package.
 
 On numpy storage (``REPRO_NUMPY=1``) the batch face's join, semi-join,
 projection and selection run one vectorised kernel each
-(:mod:`repro.evaluation.parallel`: sorted build keys probed with
-``searchsorted``, ``unique``-based dedup, selection masks) whenever the
-key packs into ``int64``, with answers bit-identical to the loop kernels.
+(:mod:`repro.evaluation.parallel`: dense-code kernels over radix-ordered
+build sides, code-range masks and ``bincount`` blocks, dedup over the radix
+order — no comparison sort), with answers bit-identical to the loop
+kernels.
 
 Batches of queries over one database go through :func:`evaluate_batch`
 (:mod:`repro.evaluation.batch`), which shares the phase-1 atom scans and

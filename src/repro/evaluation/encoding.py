@@ -133,12 +133,13 @@ class TermEncoder:
     retracted, so a hit is stable the moment it is visible.
     """
 
-    __slots__ = ("codes", "terms", "_lock")
+    __slots__ = ("codes", "terms", "_lock", "_term_array")
 
     def __init__(self) -> None:
         self.codes: Dict[Term, int] = {}
         self.terms: List[Term] = []
         self._lock = threading.Lock()
+        self._term_array: object = None
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -163,6 +164,31 @@ class TermEncoder:
     def decode_row(self, row: Sequence[int]) -> Row:
         terms = self.terms
         return tuple(terms[code] for code in row)
+
+    def term_array(self) -> object:
+        """The terms as a numpy object array covering every code assigned
+        so far (numpy storage's column decode gathers from it).
+
+        Cached and extended by the new terms when the encoder has grown
+        (it is append-only), so a decode costs the answer, not the encoder.
+        Each reader checks the cached array's length against the code count
+        it sampled, and a longer array is published by one reference swap,
+        so a concurrent reader never decodes through a short array.  Built
+        with ``numpy.fromiter`` (object dtype needs numpy 1.23+): slice
+        assignment probes every term as a possible sequence and is several
+        times slower (``BENCH_terms.json``).
+        """
+        count = len(self.terms)
+        cached = self._term_array
+        have = 0 if cached is None else len(cached)  # type: ignore[arg-type]
+        if have >= count:
+            return cached
+        numpy = _numpy_module()
+        grown = numpy.fromiter(self.terms[have:count], dtype=object, count=count - have)  # type: ignore[union-attr]
+        if cached is not None:
+            grown = numpy.concatenate((cached, grown))  # type: ignore[union-attr]
+        self._term_array = grown
+        return grown
 
     def dead_codes(self, live: Container[Term]) -> int:
         """Count assigned codes whose term is not in ``live``.
@@ -849,19 +875,15 @@ class EncodedRelation:
         the dominant cost at the decode boundary — and repeated positions
         (repeated head variables) are decoded once.
 
-        On numpy storage the encoder's term list is first copied into an
-        object array with ``numpy.fromiter`` (object dtype needs numpy
-        1.23+); slice assignment probes every term as a possible
-        sequence and is several times slower (``BENCH_terms.json``).  The
-        copy costs time linear in the encoder's size, not the answer's.
+        On numpy storage each column is one gather from the encoder's cached
+        term object array (:meth:`TermEncoder.term_array`), so the decode
+        costs the answer, not the encoder.
         """
         terms = self.encoder.terms
         columns = self.store.columns
-        use_numpy = self.store.use_numpy
         terms_array = None
-        if use_numpy and self.store.length:
-            numpy = _numpy_module()
-            terms_array = numpy.fromiter(terms, dtype=object, count=len(terms))  # type: ignore[union-attr]
+        if self.store.use_numpy and self.store.length:
+            terms_array = self.encoder.term_array()
         cache: Dict[int, List[Term]] = {}
         decoded = []
         for position in positions:

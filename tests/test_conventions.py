@@ -73,6 +73,24 @@ def scan(atom, database, scans):
     assert any("operators.py:4: calls from_atom" in line for line in violations)
 
 
+def test_comparison_sorts_in_the_kernels_are_flagged():
+    snippet = """
+def _stable_order(columns, base):
+    return numpy.argsort(columns[0].astype(numpy.uint16), kind="stable")
+
+def parallel_project(keys):
+    _, first = numpy.unique(keys, return_index=True)
+    first.sort()
+    return numpy.argsort(keys, kind="stable"), sorted(first)
+"""
+    violations = _lint_module().check_kernel_sorts(snippet)
+    assert len(violations) == 4
+    assert any(":6: uses unique" in line for line in violations)
+    assert any(":7: uses sort" in line for line in violations)
+    assert any(":8: uses argsort" in line for line in violations)
+    assert any(":8: uses sorted" in line for line in violations)
+
+
 def test_typecheck_wrapper_runs():
     """Exit 0 both where mypy exists (clean tree) and where it is absent
     (graceful skip) — either way the wrapper must not crash."""

@@ -14,8 +14,13 @@ with the repo's differential-oracle pattern:
   (vectorised everywhere) and past every input (loop everywhere), against
   the tuple oracle — encoded rows, per-node probe counts, answer sets,
   the plan route and streaming under ``limit=``;
-* the kernels themselves on random multi-column keys, including encoder
-  growth between calls and keys whose packing would overflow ``int64``;
+* the kernels themselves on random multi-column keys, on both sides of
+  the :data:`~repro.evaluation.parallel.DENSE_FACTOR` gate, including
+  encoder growth between calls and keys whose packing would overflow
+  ``int64``;
+* the radix ordering primitive against ``numpy.lexsort``, and whole plans
+  over an encoder past 65,536 codes, where every radix order takes two
+  16-bit digits per column;
 * client threads sharing one scan cache (``BatchEvaluator.evaluate``
   called concurrently) or one standing service (``submit`` from four
   threads) under insert/delete interleavings.
@@ -32,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
@@ -87,6 +92,23 @@ def _storage(storage, gate=VECTORISED):
             os.environ[NUMPY_ENV] = previous_env
 
 
+@contextmanager
+def _dense_factor(factor):
+    """The code-range gate of the vectorised kernels set to ``factor``:
+    ``0`` sends every join and semi-join to ``searchsorted``,
+    ``sys.maxsize`` every single-column key to the code-range kernels."""
+    previous = parallel_module.DENSE_FACTOR
+    parallel_module.DENSE_FACTOR = factor
+    try:
+        yield
+    finally:
+        parallel_module.DENSE_FACTOR = previous
+
+
+#: Both sides of the code-range gate.
+SPARSE, DENSE = 0, sys.maxsize
+
+
 def _executed(evaluator, database, gate):
     """Encoded rows, total probes and per-node probes of one fresh run."""
     parallel_module.PARALLEL_MIN_ROWS = gate
@@ -108,9 +130,12 @@ def _assert_kernels_agree(query, database):
     except AcyclicityRequired:
         return  # constant injection made the hypergraph cyclic; out of domain
     truth = oracle.evaluate(evaluator, database)
-    assert _executed(evaluator, database, VECTORISED) == _executed(
-        evaluator, database, LOOP
-    ), "vectorised kernels diverged from the loop kernels"
+    loop = _executed(evaluator, database, LOOP)
+    for factor in (SPARSE, DENSE):
+        with _dense_factor(factor):
+            assert _executed(evaluator, database, VECTORISED) == loop, (
+                "vectorised kernels diverged from the loop kernels"
+            )
     for gate in (VECTORISED, LOOP):
         parallel_module.PARALLEL_MIN_ROWS = gate
         assert evaluator.evaluate(database) == truth
@@ -177,17 +202,19 @@ def _with_probes(kernel):
     width=st.integers(min_value=1, max_value=3),
     growth=st.integers(min_value=0, max_value=300),
     code=st.integers(min_value=0, max_value=5),
+    dense=st.booleans(),
 )
 def test_vectorised_kernels_match_loop_kernels(
-    left_rows, right_rows, width, growth, code
+    left_rows, right_rows, width, growth, code, dense
 ):
     """Each kernel against its loop counterpart: rows, order and probes.
 
     ``width`` join columns are shared; the encoder grows by ``growth``
     codes between the first and second join, so keys cached at the old
-    packing base must not be served at the new one.
+    packing base must not be served at the new one.  ``dense`` puts the
+    single-column keys on the code-range kernels, or on ``searchsorted``.
     """
-    with _storage("1"):
+    with _storage("1"), _dense_factor(DENSE if dense else SPARSE):
         encoder = TermEncoder()
         xs = tuple(Variable(f"x{i}") for i in range(3))
         ys = xs[:width] + tuple(Variable(f"y{i}") for i in range(width, 3))
@@ -232,8 +259,9 @@ def test_vectorised_kernels_match_loop_kernels(
 
 
 def test_int64_overflow_declines_to_the_loop_kernel():
-    """A key whose mixed-radix packing would overflow ``int64`` declines,
-    and the operator answers through the loop kernel instead."""
+    """A join or semi-join key whose mixed-radix packing would overflow
+    ``int64`` declines, and the operator answers through the loop kernel
+    instead.  Dedup packs nothing, so the same key still projects."""
     with _storage("1"):
         # 300 distinct constants: an 8-column key packs at base 300, and
         # 300**8 > 2**62.
@@ -245,15 +273,83 @@ def test_int64_overflow_declines_to_the_loop_kernel():
         key = tuple(range(8))
         assert parallel_module.parallel_join(left, right, key, key, (), xs) is None
         assert parallel_module.parallel_semijoin(left, right, key, key) is None
-        assert parallel_module.parallel_project(left, xs, key) is None
-        # Narrower keys of the same relations still pack.
-        assert parallel_module.parallel_project(left, xs[:2], (0, 1)) is not None
+        assert parallel_module.parallel_project(left, xs, key).rows == left.distinct().rows
 
         predicate = Predicate("W", 8)
         database = Database(Atom(predicate, tuple(Constant(v) for v in row)) for row in rows)
         query = ConjunctiveQuery(xs[:1], [Atom(predicate, xs)] * 2)
         evaluator = YannakakisEvaluator(query)
         assert evaluator.evaluate(database) == oracle.evaluate(evaluator, database)
+
+
+def test_wide_projection_runs_vectorised_past_the_packing_limit():
+    """Dedup compares adjacent radix-ordered rows column by column, so a
+    key whose packing would need ``base ** 5 >= 2 ** 62`` still runs the
+    vectorised kernel, with the loop kernel's rows and order."""
+    with _storage("1"):
+        encoder = TermEncoder()
+        for value in range(2 ** 13):
+            encoder.encode(Constant(value))
+        xs = tuple(Variable(f"x{i}") for i in range(5))
+        rng = random.Random(13)
+        rows = [
+            tuple(rng.choice((0, 1, 2 ** 13 - 1)) for _ in range(5))
+            for _ in range(400)
+        ]
+        relation = _relation(xs, rows, encoder)
+        assert len(encoder) ** 5 >= 2 ** 62
+        projected = parallel_module.parallel_project(relation, xs, tuple(range(5)))
+        assert projected is not None, "vectorised dedup declined"
+        assert projected.rows == relation.distinct().rows
+        narrow = parallel_module.parallel_project(relation, xs[3:], (3, 4))
+        assert narrow.rows == relation.project(xs[3:]).rows
+
+
+@settings(max_examples=80, deadline=None)
+@example(rows=0, width=2, base=2 ** 16 + 1, seed=0)
+@example(rows=1, width=2, base=2 ** 16 + 1, seed=0)
+@given(
+    rows=st.integers(min_value=0, max_value=60),
+    width=st.integers(min_value=1, max_value=3),
+    base=st.sampled_from([2, 7, 2 ** 16, 2 ** 16 + 1, 2 ** 20, 2 ** 33]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_stable_order_matches_lexsort(rows, width, base, seed):
+    """The radix order is ``numpy.lexsort``'s (stable, first column most
+    significant), at one-digit bases and at bases past 65,536, where each
+    column takes two or more 16-bit digits; empty and one-row inputs too."""
+    numpy = pytest.importorskip("numpy")
+    rng = numpy.random.default_rng(seed)
+    # Few distinct values per column, so equal keys (and stability) occur.
+    palette = rng.integers(0, base, size=4)
+    columns = [palette[rng.integers(0, 4, size=rows)] for _ in range(width)]
+    order = parallel_module._stable_order(columns, base)
+    assert order.tolist() == numpy.lexsort(tuple(reversed(columns))).tolist()
+
+
+@pytest.mark.parametrize("factor", [SPARSE, DENSE], ids=["sparse", "dense"])
+def test_two_digit_codes_run_end_to_end(factor):
+    """Whole plans over an encoder grown past 65,536 codes before the scans
+    encode any fact: every code the kernels see needs two radix digits.
+    Encoded rows and probes match the loop kernels, answers the oracle."""
+    with _storage("1"), _dense_factor(factor):
+        query, database = skewed_scaling_workload(400, skew=2.0, seed=1)
+        evaluator = YannakakisEvaluator(query)
+        truth = oracle.evaluate(evaluator, database)
+        runs = []
+        for gate in (VECTORISED, LOOP):
+            parallel_module.PARALLEL_MIN_ROWS = gate
+            scans = ScanCache(database)
+            for value in range(2 ** 16 + 100):
+                scans.encoder.encode(Constant(f"pad{value}"))
+            plan = evaluator.compile_answer_plan()
+            context = ExecutionContext(database, scans)
+            before = Partition.total_probes
+            result = plan.materialize_encoded(context)
+            runs.append((result.rows, Partition.total_probes - before))
+            assert min(min(row) for row in result.rows) >= 2 ** 16
+            assert YannakakisEvaluator(query, scans).evaluate(database) == truth
+        assert runs[0] == runs[1]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Unit tests for the vectorised kernels and their thread-safety.
 
 Covers the seams the differential suite (``test_parallel_differential.py``)
-does not: encoder thread-safety under a hammering pool, which kernel a
-default numpy run takes, verification of a vectorised plan, probe
+does not: encoder thread-safety under a hammering pool, the encoder's
+cached decode array under growth, which kernel a default numpy run takes, verification of a vectorised plan, probe
 accounting parity, runs of one shared plan, and the committed
 ``BENCH_parallel_scaling.json`` record.
 """
@@ -61,6 +61,68 @@ def test_term_encoder_concurrent_encoding_stays_bijective():
     for codes in results:
         for code in codes:
             assert encoder.encode(encoder.decode(code)) == code
+
+
+# ----------------------------------------------------------------------
+# The decode array: cached on the encoder, extended as it grows
+# ----------------------------------------------------------------------
+def _numpy_relation(encoder, values):
+    rows = [encoder.encode_row((Constant(a), Constant(b))) for a, b in values]
+    return EncodedRelation.from_rows((Variable("x"), Variable("y")), rows, encoder)
+
+
+def test_decode_extends_the_cached_term_array(monkeypatch):
+    """Decode, grow the encoder with new constants, then decode answers
+    that use the new codes: the cached array is extended, not rebuilt."""
+    pytest.importorskip("numpy")
+    monkeypatch.setenv("REPRO_NUMPY", "1")
+    encoder = TermEncoder()
+    first = _numpy_relation(encoder, [(1, 2), (2, 3)])
+    head = (Variable("y"), Variable("x"))
+    assert first.answer_tuples(head) == {(Constant(2), Constant(1)), (Constant(3), Constant(2))}
+    cached = encoder.term_array()
+    assert len(cached) == len(encoder) == 3
+    assert encoder.term_array() is cached  # no growth, no copy
+
+    grown = _numpy_relation(encoder, [(3, 40), (41, 1)])
+    assert len(encoder) == 5
+    assert grown.answer_tuples(head) == {(Constant(40), Constant(3)), (Constant(1), Constant(41))}
+    extended = encoder.term_array()
+    assert len(extended) == 5 and extended.tolist() == encoder.terms
+    assert first.answer_tuples(head[:1]) == {(Constant(2),), (Constant(3),)}
+
+
+def test_decode_under_concurrent_growth_never_reads_a_short_array(monkeypatch):
+    """Readers decode fresh codes while a writer keeps growing the encoder."""
+    pytest.importorskip("numpy")
+    monkeypatch.setenv("REPRO_NUMPY", "1")
+    encoder = TermEncoder()
+    barrier = threading.Barrier(4)
+
+    def reader(offset):
+        barrier.wait()
+        for step in range(150):
+            value = 10_000 * offset + step
+            relation = _numpy_relation(encoder, [(value, value + 1)])
+            assert relation.answer_tuples(relation.schema) == {
+                (Constant(value), Constant(value + 1))
+            }
+
+    def writer():
+        barrier.wait()
+        for value in range(3000):
+            encoder.encode(Constant(-value - 1))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(reader, n) for n in range(1, 4)] + [pool.submit(writer)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert encoder.term_array().tolist() == encoder.terms
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +321,7 @@ def test_committed_parallel_snapshot_records_acceptance_speedup():
     snapshot = json.loads((REPO_ROOT / "BENCH_parallel_scaling.json").read_text())
     assert snapshot["vectorised_speedup"] >= 2.0
     assert snapshot["vectorised_e2e_speedup"] >= 1.5
-    assert {"cores", "python", "numpy"} <= set(snapshot["host"])
+    assert {"cores", "python", "numpy", "commit"} <= set(snapshot["host"])
     largest = max(snapshot["sweeps"], key=lambda row: row["size"])
     assert largest["speedup"] == snapshot["vectorised_speedup"]
     assert largest["e2e_speedup"] == snapshot["vectorised_e2e_speedup"]
