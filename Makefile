@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-service typecheck lint docs-check bench bench-smoke bench-enum bench-plans bench-backend bench-parallel bench-service bench-terms bench-repo bench-diff
+.PHONY: test test-service typecheck lint docs-check bench bench-smoke bench-enum bench-plans bench-backend bench-parallel bench-service bench-terms bench-semac bench-repo bench-diff
 
 ## Tier-1 verify: the command every PR must keep green.
 ## REPRO_VERIFY=1 statically re-checks every plan the engines emit.
@@ -59,6 +59,11 @@ bench-service:
 ## Term layer: interned vs value-hashed terms (hash, answer sets, decode).
 bench-terms:
 	$(PYTEST) benchmarks/bench_terms.py -s
+
+## Reformulation search: decision ms and candidates checked per shape,
+## pruned against the unpruned reference (BENCH_semac_search.json).
+bench-semac:
+	$(PYTEST) benchmarks/bench_guarded_semac.py -k search -s
 
 ## Repository benchmark: four workloads end to end (see bench/README.md).
 bench-repo:

@@ -34,14 +34,10 @@ skipped.
 
 from __future__ import annotations
 
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import pytest
 
@@ -51,7 +47,7 @@ from repro.evaluation import parallel as kernels
 from repro.evaluation.encoding import NUMPY_ENV
 from repro.reporting import BenchSnapshot
 from repro.workloads.generators import yannakakis_scaling_workload
-from conftest import print_series, scaled_sizes, smoke_mode
+from conftest import host_metadata, print_series, scaled_sizes, smoke_mode
 
 
 FULL_SIZES = [5000, 20000]
@@ -73,30 +69,6 @@ MIN_VECTORISED_SPEEDUP = 2.0
 def _quartiles(samples: List[float]) -> Dict[str, float]:
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
-
-
-def _git_metadata() -> Dict[str, object]:
-    """The checkout's commit and whether the tracked tree differs from it
-    (``None`` for either outside a git checkout)."""
-    root = Path(__file__).resolve().parent.parent
-
-    def git(*arguments: str) -> Optional[str]:
-        try:
-            done = subprocess.run(
-                ["git", "-C", str(root), *arguments],
-                capture_output=True,
-                text=True,
-                timeout=30,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        return done.stdout.strip() if done.returncode == 0 else None
-
-    status = git("status", "--porcelain", "--untracked-files=no")
-    return {
-        "commit": git("rev-parse", "HEAD"),
-        "dirty": None if status is None else bool(status),
-    }
 
 
 def _sweep(size: int) -> Dict[str, object]:
@@ -193,16 +165,7 @@ def test_vectorised_vs_loop_kernels(monkeypatch):
     )
 
     snapshot = BenchSnapshot("parallel_scaling")
-    snapshot.record(
-        "host",
-        {
-            "cores": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "machine": platform.machine(),
-            **_git_metadata(),
-        },
-    )
+    snapshot.record("host", host_metadata())
     snapshot.record("repeats", REPEATS)
     snapshot.record("seed", SEED)
     for row in rows:

@@ -29,8 +29,11 @@ tier-1 tests do.
 from __future__ import annotations
 
 import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
+from typing import Dict, Optional
 
 import pytest
 
@@ -47,6 +50,44 @@ def smoke_mode() -> bool:
 def scaled_sizes(full, smoke):
     """Return ``smoke`` sizes under ``BENCH_SMOKE=1``, else the ``full`` sizes."""
     return smoke if smoke_mode() else full
+
+
+def host_metadata() -> Dict[str, object]:
+    """The host block of a ``BENCH_*.json`` snapshot.
+
+    Cores, python, numpy (``None`` without it), machine, the checkout's
+    commit and whether the tracked tree differs from it (``None`` for
+    either outside a git checkout).
+    """
+    root = Path(__file__).resolve().parent.parent
+
+    def git(*arguments: str) -> Optional[str]:
+        try:
+            done = subprocess.run(
+                ["git", "-C", str(root), *arguments],
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    try:
+        import numpy
+    except ImportError:
+        numpy_version = None
+    else:
+        numpy_version = numpy.__version__
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "machine": platform.machine(),
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": None if status is None else bool(status),
+    }
 
 
 def print_series(title: str, rows, header=None) -> None:

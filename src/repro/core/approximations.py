@@ -124,7 +124,7 @@ def acyclic_approximations(
         if _contained(candidate, query, tgds, egds, config):
             contained_candidates.append(candidate)
 
-    for candidate in fast_candidates(query, chase_instance, answer, size_bound):
+    for candidate, _ in fast_candidates(query, chase_instance, answer, size_bound):
         if result.candidates_considered >= max_candidates:
             break
         result.candidates_considered += 1

@@ -21,12 +21,34 @@ from cheap-and-targeted to exhaustive:
 Every generator only *proposes* candidates; the deciders in
 :mod:`repro.core.semantic_acyclicity` verify equivalence under ``Σ`` before
 accepting one, so a positive answer is always certified.
+
+**The sub-instance lattice.**  Subqueries of ``q``, ``core(q)``, quotient
+images and chase sub-instances are all head-preserving sub-instances ``J``
+of ``chase(q, Σ)`` read back as queries.  :func:`fast_candidates` yields each
+with its bitmask over the sorted chase atoms (:class:`SubInstanceLattice`);
+the other candidates carry ``None``.  ``J ⊆_Σ q`` is upward-closed in ``J``,
+so once the decider refutes it for one mask, every candidate below that
+mask is skipped before its acyclicity test.  On hypergraphs of rank ≤ 2
+cyclicity is upward-closed too, so when every minimal image ``μ(q)`` is
+cyclic there, :func:`acyclic_chase_subinstances` yields nothing without
+walking the subsets.  ``docs/ARCHITECTURE.md`` gives both proofs.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..datamodel import Atom, Constant, Instance, Term, Variable, is_frozen_constant
 from ..hypergraph import (
@@ -41,13 +63,73 @@ from ..queries.core_minimization import core
 from ..queries.homomorphism import find_homomorphism, homomorphisms
 
 
-def _dedup(candidates: Iterable[ConjunctiveQuery]) -> Iterator[ConjunctiveQuery]:
-    """Drop syntactic duplicates (up to the hash/eq of ConjunctiveQuery)."""
-    seen: Set[ConjunctiveQuery] = set()
-    for candidate in candidates:
-        if candidate not in seen:
-            seen.add(candidate)
-            yield candidate
+#: A candidate with its mask in a :class:`SubInstanceLattice`, or ``None``
+#: when the candidate is not a sub-instance of the chase.
+MaskedCandidate = Tuple[ConjunctiveQuery, Optional[int]]
+
+
+class SubInstanceLattice:
+    """Sub-instances of ``chase(q, Σ)`` as bitmasks, and the refuted ones.
+
+    Bit ``i`` stands for atom ``i`` of ``chase_instance.sorted_atoms()``.
+    ``freezing`` is the decision's map from the variables of ``q`` to their
+    frozen constants: a subquery of ``q`` has the mask of its frozen atoms.
+    Without it, queries over the variables of ``q`` have no mask.  The
+    refuted masks form an antichain; :meth:`refuted` tells whether a mask
+    lies below one of them.
+    """
+
+    def __init__(
+        self,
+        chase_instance: Instance,
+        freezing: Optional[Mapping[Variable, Term]] = None,
+    ) -> None:
+        self.instance = chase_instance
+        self.atoms = chase_instance.sorted_atoms()
+        self._bit = {atom: 1 << position for position, atom in enumerate(self.atoms)}
+        self._freezing = dict(freezing or {})
+        self._query_bit: Dict[Atom, Optional[int]] = {}
+        self._refuted: List[int] = []
+
+    def mask(self, atoms: Iterable[Atom]) -> Optional[int]:
+        """The mask of ``atoms``, or ``None`` when one is not a chase atom."""
+        mask = 0
+        for atom in atoms:
+            bit = self._bit.get(atom)
+            if bit is None:
+                return None
+            mask |= bit
+        return mask
+
+    def query_bits(self, atoms: Sequence[Atom]) -> Optional[List[int]]:
+        """The bit of each atom of ``q`` once frozen (``None`` if one has none)."""
+        if not self._freezing:
+            return None
+        bits: List[int] = []
+        for atom in atoms:
+            if atom not in self._query_bit:
+                self._query_bit[atom] = self._bit.get(atom.apply(self._freezing))
+            bit = self._query_bit[atom]
+            if bit is None:
+                return None
+            bits.append(bit)
+        return bits
+
+    def query_mask(self, query: ConjunctiveQuery) -> Optional[int]:
+        """The mask of a query over the variables of ``q``: its frozen body."""
+        bits = self.query_bits(query.body)
+        return None if bits is None else sum(bits)
+
+    def refute(self, mask: int) -> None:
+        """Record that the sub-instance ``mask``, and so all below it, fails."""
+        if self.refuted(mask):
+            return
+        self._refuted = [kept for kept in self._refuted if kept | mask != mask]
+        self._refuted.append(mask)
+
+    def refuted(self, mask: int) -> bool:
+        """Whether ``mask`` lies below a refuted mask."""
+        return any(mask | kept == kept for kept in self._refuted)
 
 
 # ----------------------------------------------------------------------
@@ -57,16 +139,24 @@ def acyclic_subqueries(
     query: ConjunctiveQuery,
     min_atoms: int = 1,
     require_head: bool = True,
+    lattice: Optional[SubInstanceLattice] = None,
 ) -> Iterator[ConjunctiveQuery]:
-    """All acyclic subqueries of ``query`` (subsets of its atoms).
+    """All acyclic subqueries of ``query`` (subsets of its atoms), largest first.
 
     Subqueries that lose a free variable are skipped when ``require_head``
-    is set, because they cannot be equivalent to the original query.
+    is set, because they cannot be equivalent to the original query.  With
+    a ``lattice`` whose freezing map is that of ``query``, a subset below a
+    refuted mask is skipped before either test.
     """
     atoms = list(query.body)
     head_variables = set(query.head)
+    # Distinct atoms freeze to distinct chase atoms, so a subset's mask is
+    # the sum of its bits.
+    bits = None if lattice is None else lattice.query_bits(atoms)
     for size in range(len(atoms), min_atoms - 1, -1):
         for subset in itertools.combinations(range(len(atoms)), size):
+            if bits is not None and lattice.refuted(sum(bits[i] for i in subset)):
+                continue
             chosen = [atoms[i] for i in subset]
             if require_head:
                 available: Set[Variable] = set()
@@ -95,16 +185,31 @@ def acyclic_quotients_in_instance(
     ``q ⊆_Σ image`` (the image sits inside the chase) and ``image ⊆ q``
     (``μ`` witnesses it), so acyclic images are certified witnesses.
     """
+    lattice = SubInstanceLattice(instance)
+    for candidate, _ in _quotient_images(query, lattice, answer, max_homomorphisms):
+        yield candidate
+
+
+def _quotient_images(
+    query: ConjunctiveQuery,
+    lattice: SubInstanceLattice,
+    answer: Sequence[Constant],
+    max_homomorphisms: int = 500,
+) -> Iterator[MaskedCandidate]:
+    """:func:`acyclic_quotients_in_instance` with masks; refuted images are skipped."""
     seed = {variable: value for variable, value in zip(query.head, answer)}
     count = 0
-    for mapping in homomorphisms(query.body, instance, seed=seed):
+    for mapping in homomorphisms(query.body, lattice.instance, seed=seed):
         count += 1
         if count > max_homomorphisms:
             break
         image_atoms = sorted({atom.apply(mapping) for atom in query.body}, key=str)
+        mask = lattice.mask(image_atoms)
+        if mask is not None and lattice.refuted(mask):
+            continue
         candidate = _instance_atoms_to_query(image_atoms, answer, name=f"{query.name}_img")
         if candidate is not None and candidate.is_acyclic():
-            yield candidate
+            yield candidate, mask
 
 
 def _instance_atoms_to_query(
@@ -143,26 +248,26 @@ def _instance_atoms_to_query(
 # ----------------------------------------------------------------------
 def _minimal_hom_images(
     query: ConjunctiveQuery,
-    instance: Instance,
-    atoms: Sequence[Atom],
+    lattice: SubInstanceLattice,
     seed: Dict[Term, Term],
     max_atoms: int,
     budget: int,
 ) -> Optional[List[int]]:
-    """The minimal images ``μ(q)`` of head-preserving ``μ : q → instance``.
+    """The minimal images ``μ(q)`` of head-preserving ``μ : q → chase``.
 
-    An image is a bitmask over the positions of the instance's ``atoms``;
-    only images of at most ``max_atoms`` atoms are kept.  Returns ``None``
-    when more than ``budget`` homomorphisms would have to be enumerated.
+    An image is a mask in ``lattice``; only images of at most ``max_atoms``
+    atoms are kept.  Returns ``None`` when more than ``budget``
+    homomorphisms would have to be enumerated.
     """
-    bit = {atom: 1 << position for position, atom in enumerate(atoms)}
     images: Set[int] = set()
-    for count, mapping in enumerate(homomorphisms(query.body, instance, seed=seed), 1):
+    for count, mapping in enumerate(
+        homomorphisms(query.body, lattice.instance, seed=seed), 1
+    ):
         if count > budget:
             return None
         image = {atom.apply(mapping) for atom in query.body}
         if len(image) <= max_atoms:
-            images.add(sum(bit[atom] for atom in image))
+            images.add(lattice.mask(image))
     minimal: List[int] = []
     for image in sorted(images, key=lambda mask: bin(mask).count("1")):
         if not any(kept & image == kept for kept in minimal):
@@ -191,15 +296,36 @@ def acyclic_chase_subinstances(
     head-preserving ``μ : q → chase``, so the subsets are tested against the
     minimal such images; when enumerating the images would take more than
     ``max_candidates`` homomorphisms, each subset is searched directly.
+
+    When every chase atom has at most two connectors and every minimal
+    image is cyclic, no subset admitting the homomorphism is acyclic, so
+    the generator returns at once; the candidate space was complete, and
+    no note is added.
     """
-    atoms = chase_instance.sorted_atoms()
+    lattice = SubInstanceLattice(chase_instance)
+    for candidate, _ in _chase_subinstances(
+        query, lattice, answer, max_atoms, max_candidates, notes
+    ):
+        yield candidate
+
+
+def _chase_subinstances(
+    query: ConjunctiveQuery,
+    lattice: SubInstanceLattice,
+    answer: Sequence[Constant],
+    max_atoms: int,
+    max_candidates: int = 5_000,
+    notes: Optional[List[str]] = None,
+) -> Iterator[MaskedCandidate]:
+    """:func:`acyclic_chase_subinstances` with masks; refuted subsets are skipped."""
+    atoms = lattice.atoms
     upper = min(max_atoms, len(atoms))
     seed: Dict[Term, Term] = {
         variable: value for variable, value in zip(query.head, answer)
     }
-    images = _minimal_hom_images(
-        query, chase_instance, atoms, seed, upper, max_candidates
-    )
+    images = _minimal_hom_images(query, lattice, seed, upper, max_candidates)
+    if images is not None and _all_images_cyclic_on_a_graph(atoms, images):
+        return
     bits = [1 << position for position in range(len(atoms))]
     inspected = 0
     for size in range(1, upper + 1):
@@ -214,11 +340,14 @@ def acyclic_chase_subinstances(
                         f"{max_candidates} subsets; candidate space may be incomplete"
                     )
                 return
-            if images is not None:
-                mask = sum(subset_bits)
-                if not any(image & mask == image for image in images):
-                    continue
-            elif find_homomorphism(query.body, Instance(subset), seed=seed) is None:
+            mask = sum(subset_bits)
+            if images is not None and not any(image & mask == image for image in images):
+                continue
+            if lattice.refuted(mask):
+                continue
+            if images is None and find_homomorphism(
+                query.body, Instance(subset), seed=seed
+            ) is None:
                 continue
             # The hypergraph of ``Instance(subset)``, without building it:
             # GYO acyclicity does not depend on the order of the edges.
@@ -228,7 +357,46 @@ def acyclic_chase_subinstances(
                 list(subset), answer, name=f"{query.name}_chase_sub"
             )
             if candidate is not None:
-                yield candidate
+                yield candidate, mask
+
+
+def _all_images_cyclic_on_a_graph(atoms: Sequence[Atom], images: Sequence[int]) -> bool:
+    """Whether every atom has ≤ 2 connectors and every image in ``images`` is cyclic.
+
+    On a hypergraph of rank ≤ 2, α-acyclicity means that the 2-edges form
+    a forest, and a graph holding a cycle is cyclic: so then every subset
+    of ``atoms`` that contains one of the ``images`` is cyclic.
+    """
+    edges = [frozenset(t for t in atom.terms if instance_connectors(t)) for atom in atoms]
+    if any(len(edge) > 2 for edge in edges):
+        return False
+    return not any(
+        _is_forest(edge for position, edge in enumerate(edges) if image >> position & 1)
+        for image in images
+    )
+
+
+def _is_forest(edges: Iterable[FrozenSet[Term]]) -> bool:
+    """GYO acyclicity of a hypergraph of rank ≤ 2, by union-find.
+
+    GYO absorbs the edges of fewer than two vertices and the repeats of an
+    edge, so the hypergraph is acyclic iff its distinct 2-edges form a
+    forest.
+    """
+    parent: Dict[Term, Term] = {}
+
+    def root(term: Term) -> Term:
+        while term in parent:
+            term = parent[term]
+        return term
+
+    for edge in set(edges):
+        if len(edge) == 2:
+            left, right = (root(term) for term in edge)
+            if left == right:
+                return False
+            parent[left] = right
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -385,32 +553,51 @@ def fast_candidates(
     size_bound: int,
     rewriting_disjuncts: Sequence[ConjunctiveQuery] = (),
     notes: Optional[List[str]] = None,
-) -> Iterator[ConjunctiveQuery]:
-    """The default candidate stream used by the deciders.
+    lattice: Optional[SubInstanceLattice] = None,
+) -> Iterator[MaskedCandidate]:
+    """The default candidate stream used by the deciders, with masks.
 
     Order: subqueries of ``q``; their cores; subqueries of rewriting
     disjuncts; quotients of ``q`` in the chase; Lemma 9 compact witnesses
     (when the chase happens to be acyclic); acyclic chase sub-instances,
-    whose budget cut is reported to ``notes``.
+    whose budget cut is reported to ``notes``.  Syntactic duplicates are
+    dropped.
+
+    Each candidate comes with its mask in ``lattice``, a lattice over
+    ``chase_instance`` (``None`` for the rewriting-disjunct subqueries and
+    the Lemma 9 witnesses, which are not sub-instances of the chase).
+    Candidates below a mask the caller refutes while consuming the stream
+    are skipped.  Without a ``lattice``, subqueries of ``q`` carry no mask.
     """
-    def stream() -> Iterator[ConjunctiveQuery]:
-        yield from acyclic_subqueries(query)
+    if lattice is None:
+        lattice = SubInstanceLattice(chase_instance)
+
+    def stream() -> Iterator[MaskedCandidate]:
+        for candidate in acyclic_subqueries(query, lattice=lattice):
+            yield candidate, lattice.query_mask(candidate)
         core_query = core(query)
-        if core_query.is_acyclic():
-            yield core_query
+        core_mask = lattice.query_mask(core_query)
+        if (core_mask is None or not lattice.refuted(core_mask)) and core_query.is_acyclic():
+            yield core_query, core_mask
         for disjunct in rewriting_disjuncts:
             if len(disjunct.body) <= max(size_bound, len(query.body)):
-                yield from acyclic_subqueries(disjunct)
-        yield from acyclic_quotients_in_instance(query, chase_instance, answer)
-        yield from compact_witnesses_from_acyclic_instance(
+                for candidate in acyclic_subqueries(disjunct):
+                    yield candidate, None
+        yield from _quotient_images(query, lattice, answer)
+        for candidate in compact_witnesses_from_acyclic_instance(
             query, chase_instance, answer
-        )
-        yield from acyclic_chase_subinstances(
+        ):
+            yield candidate, None
+        yield from _chase_subinstances(
             query,
-            chase_instance,
+            lattice,
             answer,
             max_atoms=min(size_bound, 2 * len(query)),
             notes=notes,
         )
 
-    yield from _dedup(stream())
+    seen: Set[ConjunctiveQuery] = set()
+    for candidate, mask in stream():
+        if candidate not in seen:
+            seen.add(candidate)
+            yield candidate, mask

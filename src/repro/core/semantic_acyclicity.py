@@ -61,7 +61,7 @@ from ..rewriting.ucq_rewriting import (
     rewrite,
     rewriting_contained_under_tgds,
 )
-from .candidates import exhaustive_chase_candidates, fast_candidates
+from .candidates import SubInstanceLattice, exhaustive_chase_candidates, fast_candidates
 
 
 Constraints = Union[Sequence[TGD], Sequence[EGD], Sequence[FunctionalDependency]]
@@ -151,13 +151,19 @@ def decide_semantic_acyclicity_unconstrained(query: ConjunctiveQuery) -> SemAcDe
 # ----------------------------------------------------------------------
 # Verification strategies
 # ----------------------------------------------------------------------
+def _definite(holds: bool) -> ContainmentOutcome:
+    return ContainmentOutcome.TRUE if holds else ContainmentOutcome.FALSE
+
+
 class _TgdVerifier:
     """Class-aware equivalence checks ``q ≡_Σ candidate`` for tgd sets.
 
     ``query_chase`` is the decision's own chase of ``q`` (run with the
     containment budgets) and ``answer`` its frozen head ``c(x̄)``; the
     direction ``q ⊆_Σ candidate`` is read off it instead of re-chasing ``q``
-    for every candidate.
+    for every candidate.  Every check returns its own three-valued outcome;
+    ``saw_unknown`` records whether any check of the decision was
+    inconclusive.
     """
 
     def __init__(
@@ -183,30 +189,33 @@ class _TgdVerifier:
             except RewritingBudgetExceeded:
                 self.strategy = "chase"
 
-    def candidate_contained_in_query(self, candidate: ConjunctiveQuery) -> bool:
-        """``candidate ⊆_Σ q`` (definite answers only)."""
+    def candidate_contained_in_query(self, candidate: ConjunctiveQuery) -> ContainmentOutcome:
+        """``candidate ⊆_Σ q``."""
         if self.strategy == "rewriting" and self._query_rewriting is not None:
-            return rewriting_contained_under_tgds(
-                candidate,
-                self.query,
-                self.tgds,
-                config=self.config.rewriting,
-                rewriting=self._query_rewriting,
+            return _definite(
+                rewriting_contained_under_tgds(
+                    candidate,
+                    self.query,
+                    self.tgds,
+                    config=self.config.rewriting,
+                    rewriting=self._query_rewriting,
+                )
             )
         outcome = contained_under_tgds(
             candidate, self.query, self.tgds, self.config.containment_config()
         )
         if outcome is ContainmentOutcome.UNKNOWN:
             self.saw_unknown = True
-            return False
-        return bool(outcome)
+        return outcome
 
-    def query_contained_in_candidate(self, candidate: ConjunctiveQuery) -> bool:
-        """``q ⊆_Σ candidate`` (definite answers only)."""
+    def query_contained_in_candidate(self, candidate: ConjunctiveQuery) -> ContainmentOutcome:
+        """``q ⊆_Σ candidate``."""
         if self.strategy == "rewriting":
             try:
-                return rewriting_contained_under_tgds(
-                    self.query, candidate, self.tgds, config=self.config.rewriting
+                return _definite(
+                    rewriting_contained_under_tgds(
+                        self.query, candidate, self.tgds, config=self.config.rewriting
+                    )
                 )
             except RewritingBudgetExceeded:
                 self.saw_unknown = True
@@ -214,17 +223,20 @@ class _TgdVerifier:
         # holds on a chase prefix holds on every longer one, so TRUE is
         # exact on any prefix; a miss is FALSE only on a terminated chase.
         if len(candidate.head) != len(self.answer):
-            return False
+            return ContainmentOutcome.FALSE
         if candidate.holds_in(self.query_chase.instance, self.answer):
-            return True
+            return ContainmentOutcome.TRUE
         if not self.query_chase.terminated:
             self.saw_unknown = True
-        return False
+            return ContainmentOutcome.UNKNOWN
+        return ContainmentOutcome.FALSE
 
-    def equivalent(self, candidate: ConjunctiveQuery) -> bool:
-        return self.query_contained_in_candidate(candidate) and self.candidate_contained_in_query(
-            candidate
-        )
+    def equivalent(self, candidate: ConjunctiveQuery) -> ContainmentOutcome:
+        """``q ≡_Σ candidate``: TRUE if both directions are, else the first that is not."""
+        forward = self.query_contained_in_candidate(candidate)
+        if forward is not ContainmentOutcome.TRUE:
+            return forward
+        return self.candidate_contained_in_query(candidate)
 
 
 # ----------------------------------------------------------------------
@@ -295,20 +307,29 @@ def decide_semantic_acyclicity_tgds(
         except RewritingBudgetExceeded:
             notes.append("rewriting budget exceeded while generating candidates")
 
+    # A sub-instance candidate holds in the chase of q, so it fails only on
+    # ``candidate ⊆_Σ q``, which is upward-closed in the sub-instance: a
+    # definite FALSE rules out every candidate below its mask.  The chase
+    # strategy's FALSE is exact (Lemma 1 on a terminated chase); the
+    # rewriting's is only as complete as the rewriting, so it prunes nothing.
+    lattice = SubInstanceLattice(chase_result.instance, freezing)
+    prunes = verifier.strategy == "chase"
     checked = 0
-    for candidate in fast_candidates(
+    for candidate, mask in fast_candidates(
         query,
         chase_result.instance,
         answer,
         size_bound,
         rewriting_disjuncts=rewriting_disjuncts,
         notes=notes,
+        lattice=lattice,
     ):
-        checked += 1
-        if checked > config.max_candidates_checked:
+        if checked >= config.max_candidates_checked:
             notes.append("candidate budget exhausted during the fast phase")
             break
-        if verifier.equivalent(candidate):
+        checked += 1
+        outcome = verifier.equivalent(candidate)
+        if outcome is ContainmentOutcome.TRUE:
             return SemAcDecision(
                 True,
                 candidate,
@@ -318,6 +339,8 @@ def decide_semantic_acyclicity_tgds(
                 False,
                 notes,
             )
+        if prunes and mask is not None and outcome is ContainmentOutcome.FALSE:
+            lattice.refute(mask)
 
     exhaustive_complete = False
     if config.exhaustive:
@@ -336,11 +359,11 @@ def decide_semantic_acyclicity_tgds(
             max_subsets=config.exhaustive_max_subsets,
             max_generalisations_per_subset=config.exhaustive_max_generalisations,
         ):
-            checked += 1
-            if checked > config.max_candidates_checked:
+            if checked >= config.max_candidates_checked:
                 budget_hit = True
                 notes.append("candidate budget exhausted during the exhaustive phase")
                 break
+            checked += 1
             if verifier.equivalent(candidate):
                 return SemAcDecision(
                     True,
@@ -434,13 +457,13 @@ def decide_semantic_acyclicity_egds(
         )
 
     checked = 0
-    for candidate in fast_candidates(
+    for candidate, _ in fast_candidates(
         query, chase_result.instance, answer, size_bound, notes=notes
     ):
-        checked += 1
-        if checked > config.max_candidates_checked:
+        if checked >= config.max_candidates_checked:
             notes.append("candidate budget exhausted during the fast phase")
             break
+        checked += 1
         if equivalent(candidate):
             return SemAcDecision(True, candidate, "fast/egds", size_bound, checked, False, notes)
 
@@ -456,11 +479,11 @@ def decide_semantic_acyclicity_egds(
             max_subsets=config.exhaustive_max_subsets,
             max_generalisations_per_subset=config.exhaustive_max_generalisations,
         ):
-            checked += 1
-            if checked > config.max_candidates_checked:
+            if checked >= config.max_candidates_checked:
                 budget_hit = True
                 notes.append("candidate budget exhausted during the exhaustive phase")
                 break
+            checked += 1
             if equivalent(candidate):
                 return SemAcDecision(
                     True, candidate, "exhaustive/egds", size_bound, checked, False, notes

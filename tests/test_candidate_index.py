@@ -8,6 +8,10 @@ per-subset search survives as the oracle in ``tests/helpers``.  Both must
 yield the identical candidate sequence, including where the subset budget
 cuts the enumeration and where the image enumeration passes its budget and
 the generator falls back to the per-subset search.
+
+On a chase of rank ≤ 2 whose minimal images are all cyclic, the generator
+yields nothing without walking the subsets; its union-find forest test must
+agree with GYO on every hypergraph of rank ≤ 2.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +21,8 @@ import repro.core.candidates as candidates_module
 from repro.chase import chase_query
 from repro.core.candidates import acyclic_chase_subinstances
 from repro.core.semantic_acyclicity import SemAcConfig, decide_semantic_acyclicity_tgds
-from repro.datamodel import Atom, Predicate, Variable
+from repro.datamodel import Atom, Constant, Predicate, Variable, freeze_variable
+from repro.hypergraph import Hypergraph, instance_connectors, is_acyclic_hypergraph
 from repro.parser import parse_query, parse_tgd
 from repro.queries import ConjunctiveQuery
 
@@ -129,9 +134,12 @@ def test_fallback_when_image_enumeration_passes_its_budget(monkeypatch):
 
 def test_subset_budget_cut_is_reported_in_the_decision_notes():
     # An N-cycle with pendants under a rule that cannot make it acyclic:
-    # every candidate fails, so the search runs into the subset budget.
+    # every candidate fails, so the search runs into the subset budget.  The
+    # ternary T-atom gives the chase rank 3, where a cyclic image does not
+    # rule out an acyclic superset, so the subsets are walked.
     query = parse_query(
-        "q(a) :- N(a, b), N(b, c), N(c, d), N(d, e), N(e, a), N(a, p0), N(p1, b)"
+        "q(a) :- N(a, b), N(b, c), N(c, d), N(d, e), N(e, a), N(a, p0), N(p1, b), "
+        "T(b, p0, p2)"
     )
     decision = decide_semantic_acyclicity_tgds(
         query, [parse_tgd("N(x, y) -> B(x)")], SemAcConfig()
@@ -147,3 +155,50 @@ def test_uncut_enumeration_adds_no_note():
     notes = []
     assert list(acyclic_chase_subinstances(query, result.instance, (), 6, notes=notes)) == []
     assert notes == []
+
+
+def test_rank_two_chase_with_only_cyclic_images_is_not_walked(monkeypatch):
+    # Every chase atom has at most two connectors, and every homomorphism
+    # image of the cycle is cyclic: no subset can be an acyclic candidate.
+    query = parse_query(
+        "q(a) :- N(a, b), N(b, c), N(c, d), N(d, e), N(e, a), N(a, p0), N(p1, b)"
+    )
+    result, freezing = chase_query(query, [parse_tgd("N(x, y) -> B(x)")])
+    answer = (freezing[Variable("a")],)
+    gyo_calls = []
+    original = candidates_module.is_acyclic_hypergraph
+
+    def counting(hypergraph):
+        gyo_calls.append(hypergraph)
+        return original(hypergraph)
+
+    monkeypatch.setattr(candidates_module, "is_acyclic_hypergraph", counting)
+    notes = []
+    assert list(acyclic_chase_subinstances(query, result.instance, answer, 14, notes=notes)) == []
+    assert notes == []
+    assert gyo_calls == []
+    # The per-subset walk finds nothing either, up to its cut.
+    assert list(acyclic_chase_subinstances_per_subset(query, result.instance, answer, 14)) == []
+
+
+#: Frozen query variables are the connectors of a chase instance; ``k`` is
+#: a rigid constant, so ``E(k, k)`` is an edge without vertices.
+EDGE_TERMS = [freeze_variable(Variable(name)) for name in "abcde"]
+RIGID = Constant("k")
+
+
+def edge_atom(edge):
+    terms = sorted(edge, key=str) or [RIGID]
+    return Atom(E, (terms[0], terms[-1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(EDGE_TERMS), max_size=2).map(frozenset),
+        max_size=7,
+    )
+)
+def test_forest_test_agrees_with_gyo_on_rank_two(edges):
+    hypergraph = Hypergraph([edge_atom(edge) for edge in edges], instance_connectors)
+    assert candidates_module._is_forest(edges) == is_acyclic_hypergraph(hypergraph)
