@@ -3,13 +3,15 @@
 
 Seven rules, each encoding a convention the codebase actually relies on:
 
-1. **Operator faces** — every concrete operator node in
-   ``src/repro/evaluation/operators.py`` implements the batch faces
-   (``_materialize_encoded``, and ``iter_batches`` unless the base
-   chunking default serves) and ``label()``, so plans can always be
-   materialised, streamed and rendered.  No operator defines a
-   tuple-at-a-time face (``_materialize``/``iter_rows``): that engine is
-   the differential oracle in ``tests/helpers/tuple_engine.py``.
+1. **One operator face** — every concrete operator node in
+   ``src/repro/evaluation/operators.py`` implements the materialising
+   face (``_materialize_encoded``) and ``label()``, so plans can always
+   be materialised and rendered.  No operator defines a second face: not
+   the tuple-at-a-time one (``_materialize``/``iter_rows``), whose engine
+   is the differential oracle in ``tests/helpers/tuple_engine.py``, and
+   not a batch stream (``iter_batches``), since the plan route streams in
+   ``join_plans.iter_plan_answers`` and cursor plans in
+   ``CursorEnumerate.iter_rows_encoded``.
 2. **No mutable default arguments** anywhere under ``src/`` — a default
    ``[]``/``{}``/``set()`` is shared across calls; the engines pass
    relations and bindings through deep call chains where that aliasing is
@@ -19,8 +21,7 @@ Seven rules, each encoding a convention the codebase actually relies on:
    or the raw ``BENCH_SMOKE`` variable) so `make bench-smoke` and CI can
    run the whole suite in seconds.
 4. **Batch face is verifier-covered** — every operator class that
-   overrides the batch face (``iter_batches`` or ``_materialize_encoded``)
-   must be registered in the ``_BATCH_WIDTHS`` table of
+   overrides the batch face (``_materialize_encoded``) must be registered in the ``_BATCH_WIDTHS`` table of
    ``src/repro/analysis/verify_plan.py``, so the static verifier's
    batch-face width check (PLAN013/PLAN014) can recompute its output
    width instead of warning it unchecked.
@@ -75,32 +76,25 @@ def relative(path: pathlib.Path) -> str:
 
 
 # ----------------------------------------------------------------------
-# Rule 1: operator nodes implement the batch faces, and only those
+# Rule 1: operator nodes implement the materialising face, and only that
 # ----------------------------------------------------------------------
 TUPLE_FACES = ("_materialize", "iter_rows")
+STREAM_FACE = "iter_batches"
 
 
-def check_operator_faces() -> List[str]:
+def check_operator_faces(source: Optional[str] = None) -> List[str]:
+    """Rule 1 over ``operators.py`` (or over ``source``, for the tests)."""
+    if source is None:
+        source = OPERATORS_FILE.read_text(encoding="utf-8")
     violations: List[str] = []
-    tree = ast.parse(OPERATORS_FILE.read_text(encoding="utf-8"))
-    class_methods = {
-        node.name: {
-            item.name for item in node.body if isinstance(item, ast.FunctionDef)
-        }
-        for node in tree.body
-        if isinstance(node, ast.ClassDef)
-    }
-    # The streaming face of nodes that do not pipeline resolves through the
-    # base default (chunk the encoded materialisation); if that default
-    # ever goes away, every non-overriding node below becomes a violation.
-    base_has_stream_default = "iter_batches" in class_methods.get("Operator", set())
+    tree = ast.parse(source)
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
         is_node = "Operator" in _bases(node)
         if not is_node and node.name != "Operator":
             continue
-        methods = class_methods[node.name]
+        methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
         where = f"{relative(OPERATORS_FILE)}:{node.lineno}: operator {node.name}"
         for face in TUPLE_FACES:
             if face in methods:
@@ -108,12 +102,16 @@ def check_operator_faces() -> List[str]:
                     f"{where} defines the tuple face {face} (the tuple engine "
                     "is the oracle in tests/helpers/tuple_engine.py)"
                 )
+        if STREAM_FACE in methods:
+            violations.append(
+                f"{where} defines the batch stream {STREAM_FACE} (plans stream "
+                "in join_plans.iter_plan_answers and "
+                "CursorEnumerate.iter_rows_encoded)"
+            )
         if not is_node:
             continue
         if "_materialize_encoded" not in methods:
             violations.append(f"{where} has no materialising face (_materialize_encoded)")
-        if "iter_batches" not in methods and not base_has_stream_default:
-            violations.append(f"{where} has no streaming face (iter_batches)")
         if "label" not in methods:
             violations.append(f"{where} cannot be rendered (label)")
     return violations
@@ -200,7 +198,6 @@ def check_batch_face_registry() -> List[str]:
         )
         return violations
     tree = ast.parse(OPERATORS_FILE.read_text(encoding="utf-8"))
-    batch_methods = {"iter_batches", "_materialize_encoded"}
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
@@ -210,7 +207,7 @@ def check_batch_face_registry() -> List[str]:
         methods = {
             item.name for item in node.body if isinstance(item, ast.FunctionDef)
         }
-        if methods & batch_methods and node.name not in registered:
+        if "_materialize_encoded" in methods and node.name not in registered:
             violations.append(
                 f"{relative(OPERATORS_FILE)}:{node.lineno}: operator "
                 f"{node.name} overrides the batch face but is not in "

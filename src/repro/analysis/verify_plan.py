@@ -10,7 +10,7 @@ code     invariant                                                  severity
 PLAN001  the operator graph is a DAG (no cycles)                    error
 PLAN002  schemas are tuples of distinct variables                   error
 PLAN003  each operator type has its exact child count               error
-PLAN004  Project/Select/Distinct targets are bound by the input     error
+PLAN004  Project targets are bound by the input                     error
 PLAN005  join/semi-join key positions agree with both operands      error
 PLAN006  output schema matches the operator's semantics             error
 PLAN007  CursorEnumerate tree, node ops and carries are in sync     error
@@ -33,20 +33,20 @@ construction — a dropped join key, a re-rooted child, a stale projection —
 is therefore caught even though each individual attribute still "looks"
 plausible.
 
-``streaming=True`` additionally applies the streaming-face shape checks
+``streaming=True`` additionally applies the stream shape checks
 (PLAN011/PLAN012); materialising plans — e.g. the bushy Yannakakis answer
 assembly — are verified without them.
 
 The encoded columns the operators run on are covered by
 :data:`_BATCH_WIDTHS`: for every registered operator type the verifier
-recomputes the integer-column width its batch implementation produces and
-compares it with ``len(op.schema)``; given a run map (``run=``), the
+recomputes the integer-column width its ``_materialize_encoded`` produces
+and compares it with ``len(op.schema)``; given a run map (``run=``), the
 encoded result a run memoised for the node must agree with the schema too
 (PLAN014).  An operator type outside the registry cannot be checked and is
 reported as PLAN013 — :mod:`scripts.lint_conventions` enforces that every
-operator overriding the batch face is registered here.  Batch checks run
-only on nodes whose schema invariants verified clean, so a corrupted node
-reports the precise schema code rather than a duplicate.
+operator overriding ``_materialize_encoded`` is registered here.  Batch
+checks run only on nodes whose schema invariants verified clean, so a
+corrupted node reports the precise schema code rather than a duplicate.
 
 :func:`verify_or_raise` turns ERROR findings into a
 :class:`PlanVerificationError`; :func:`maybe_verify` is the ``REPRO_VERIFY``
@@ -63,13 +63,11 @@ from ..datamodel import Null, Variable
 from ..evaluation.operators import (
     BagNode,
     CursorEnumerate,
-    Distinct,
     HashJoin,
     NodeRun,
     Operator,
     Project,
     Scan,
-    Select,
     SemiJoin,
     _shared_schema,
 )
@@ -154,25 +152,21 @@ def _collect(root: Operator) -> Tuple[List[Operator], List[Diagnostic]]:
 # ----------------------------------------------------------------------
 _CHILD_COUNTS = {
     Scan: 0,
-    Select: 1,
     Project: 1,
-    Distinct: 1,
     BagNode: 1,
     SemiJoin: 2,
     HashJoin: 2,
 }
 
 #: Batch-face width registry: for each operator type, recompute the number
-#: of integer columns its ``iter_batches``/``_materialize_encoded``
-#: implementation produces, from the child schemas and the operator's own
-#: stored position arithmetic.  Keyed by exact type — a subclass may change
-#: the batch semantics, so it must register explicitly.  ``lint_conventions.py``
-#: cross-checks this registry against ``operators.py``.
+#: of integer columns its ``_materialize_encoded`` implementation produces,
+#: from the child schemas and the operator's own stored position arithmetic.
+#: Keyed by exact type — a subclass may change the batch semantics, so it
+#: must register explicitly.  ``lint_conventions.py`` cross-checks this
+#: registry against ``operators.py``.
 _BATCH_WIDTHS = {
     Scan: lambda op: len(compile_scan_pattern(op.atom.terms).variables),
-    Select: lambda op: len(op.children[0].schema),
     Project: lambda op: len(op._positions),
-    Distinct: lambda op: len(op.children[0].schema),
     SemiJoin: lambda op: len(op.children[0].schema),
     HashJoin: lambda op: len(op.children[0].schema) + len(op._right_residual),
     BagNode: lambda op: len(op.children[0].schema),
@@ -290,42 +284,6 @@ def _check_scan(operator: Scan, diagnostics: List[Diagnostic]) -> None:
         )
 
 
-def _check_select(operator: Select, diagnostics: List[Diagnostic]) -> None:
-    child = operator.children[0]
-    label = _label(operator)
-    if operator.schema != child.schema:
-        diagnostics.append(
-            Diagnostic(
-                "PLAN006",
-                Severity.ERROR,
-                "Select must preserve its input schema",
-                subject=label,
-            )
-        )
-    for position, term in operator._checks:
-        if not 0 <= position < len(child.schema):
-            diagnostics.append(
-                Diagnostic(
-                    "PLAN004",
-                    Severity.ERROR,
-                    f"selection check at position {position} is outside the "
-                    f"input schema (width {len(child.schema)})",
-                    subject=label,
-                )
-            )
-            continue
-        if operator.binding.get(child.schema[position]) != term:
-            diagnostics.append(
-                Diagnostic(
-                    "PLAN004",
-                    Severity.ERROR,
-                    f"selection check at position {position} disagrees with "
-                    f"the binding of {child.schema[position]}",
-                    subject=label,
-                )
-            )
-
-
 def _check_project(operator: Project, diagnostics: List[Diagnostic]) -> None:
     child = operator.children[0]
     label = _label(operator)
@@ -351,18 +309,6 @@ def _check_project(operator: Project, diagnostics: List[Diagnostic]) -> None:
                 f"projection positions {operator._positions} are stale "
                 f"(recomputed {expected})",
                 subject=label,
-            )
-        )
-
-
-def _check_distinct(operator: Distinct, diagnostics: List[Diagnostic]) -> None:
-    if operator.schema != operator.children[0].schema:
-        diagnostics.append(
-            Diagnostic(
-                "PLAN006",
-                Severity.ERROR,
-                "Distinct must preserve its input schema",
-                subject=_label(operator),
             )
         )
 
@@ -574,10 +520,8 @@ def _check_batch_face(operator: Operator, diagnostics: List[Diagnostic], run: Ru
             Diagnostic(
                 "PLAN013",
                 Severity.WARNING,
-                f"{type(operator).__name__} is not in the batch-face width "
-                "registry — iter_batches() falls back to the generic "
-                "encode-after-materialize path and its shape cannot be "
-                "statically checked",
+                f"{type(operator).__name__} is not in the width registry, "
+                "so its encoded output width cannot be statically checked",
                 subject=label,
             )
         )
@@ -634,12 +578,8 @@ def _check_node(operator: Operator, diagnostics: List[Diagnostic], run: Run) -> 
     try:
         if isinstance(operator, Scan):
             _check_scan(operator, diagnostics)
-        elif isinstance(operator, Select):
-            _check_select(operator, diagnostics)
         elif isinstance(operator, Project):
             _check_project(operator, diagnostics)
-        elif isinstance(operator, Distinct):
-            _check_distinct(operator, diagnostics)
         elif isinstance(operator, SemiJoin):
             _check_semijoin(operator, diagnostics)
         elif isinstance(operator, HashJoin):
@@ -732,10 +672,11 @@ def _check_streaming(
 def _materialisable_build(node: Operator) -> bool:
     """Whether a hash-join build side is a join subtree over base scans.
 
-    Streaming chains probe the build side as a materialised partition;
-    scans and (bushy) hash-join subtrees over scans materialise into one
-    cleanly, while pipelining operators (Select/Distinct/SemiJoin/...)
-    in the build side mean the partition cannot come from the cache.
+    :func:`repro.evaluation.join_plans.iter_plan_answers` materialises each
+    spine join's build side once and probes it; scans and (bushy)
+    hash-join subtrees over scans are the only build sides the join-plan
+    compiler emits, so anything else (a ``SemiJoin``, a ``Project``)
+    marks a plan that compiler did not build.
     """
     if isinstance(node, Scan):
         return True
@@ -789,9 +730,10 @@ def verify_plan(
 ) -> List[Diagnostic]:
     """Statically verify an operator DAG; return all findings (never raises).
 
-    ``streaming=True`` additionally applies the streaming-face shape checks
-    (PLAN011/PLAN012) — use it for plans meant to run on
-    :meth:`~repro.evaluation.operators.Operator.iter_batches`.  ``run`` is an
+    ``streaming=True`` additionally applies the stream shape checks
+    (PLAN011/PLAN012) — use it for plans meant to be streamed by
+    :meth:`~repro.evaluation.operators.CursorEnumerate.iter_rows_encoded` or
+    :func:`~repro.evaluation.join_plans.iter_plan_answers`.  ``run`` is an
     executed context's run map: the encoded results it memoised are
     checked against their nodes' schemas (PLAN014) and, when
     ``expected_epoch`` is given, its scan results against the database

@@ -2,18 +2,20 @@
 
 Every set-at-a-time engine compiles to the shared physical-operator IR of
 :mod:`repro.evaluation.operators` (``Scan`` / ``SemiJoin`` / ``HashJoin`` /
-``Project`` / ``Select`` / ``Distinct`` / ``CursorEnumerate``), which runs
-batch-at-a-time over dictionary-encoded integer columns
+``Project`` / ``BagNode`` / ``CursorEnumerate``), whose one face
+materialises each operator's output over dictionary-encoded integer columns
 (:mod:`repro.evaluation.encoding`) read from the scans of the
 :class:`~repro.evaluation.relation.Relation` layer, decodes terms only at
 the output boundary, and records per-operator estimated
 (statistics-calibrated :class:`CostModel`) and observed cardinalities —
 pretty-printed by the :func:`explain` API.  Every route also has a
-*streaming* face: :func:`evaluate_iter` (and
+*streaming* entry point: :func:`evaluate_iter` (and
 :meth:`YannakakisEvaluator.iter_answers`, :func:`iter_with_plan`,
 :meth:`BatchEvaluator.evaluate_iter`) yields distinct answers one at a
 time instead of materialising the output — the ``LIMIT``-style serving
-scenarios of the ROADMAP.
+scenarios of the ROADMAP.  The Yannakakis routes stream through
+:class:`CursorEnumerate`'s cursors, the plan route through
+:func:`iter_plan_answers`' pipelined join chain.
 
 Join plans come from one planner, the Selinger DP of
 :mod:`~repro.evaluation.planner_dp` (left-deep :func:`plan_dp_linear` on
@@ -25,8 +27,8 @@ oracles and ablation baselines (the tuple-at-a-time operator engine, the
 assignment-dict Yannakakis, the round-based cover game, the ablation-only
 planners) live under ``tests/helpers/`` and are not part of this package.
 
-On numpy storage (``REPRO_NUMPY=1``) the batch face's join, semi-join,
-projection and selection run one vectorised kernel each
+On numpy storage (``REPRO_NUMPY=1``) the batch face's join, semi-join and
+projection run one vectorised kernel each
 (:mod:`repro.evaluation.parallel`: dense-code kernels over radix-ordered
 build sides, code-range masks and ``bincount`` blocks, dedup over the radix
 order — no comparison sort), with answers bit-identical to the loop
@@ -46,13 +48,11 @@ from .operators import (
     CardinalityEstimate,
     CostModel,
     CursorEnumerate,
-    Distinct,
     ExecutionContext,
     HashJoin,
     Operator,
     Project,
     Scan,
-    Select,
     SemiJoin,
     Statistics,
     render_plan,
@@ -117,7 +117,6 @@ __all__ = [
     "CursorEnumerate",
     "DP_ATOM_LIMIT",
     "DecompositionEvaluator",
-    "Distinct",
     "EncodedRelation",
     "ExecutionContext",
     "HashJoin",
@@ -135,7 +134,6 @@ __all__ = [
     "ScanCache",
     "ScanProvider",
     "SchemaError",
-    "Select",
     "SemAcEvaluation",
     "SemiJoin",
     "Statistics",

@@ -18,7 +18,7 @@ module removes that constant without touching the algorithms:
 * an :class:`EncodedRelation` is the schema-carrying view over a store and
   offers the relational operators
   (``semijoin``/``join``/``project``/``select_codes``/``partition``) over
-  int keys, so the operator IR executes batch-at-a-time and decodes only
+  int keys, so the operator IR executes on int columns and decodes only
   at the output boundary.
 
 The tuple-at-a-time engine under ``tests/helpers/tuple_engine.py`` is the
@@ -676,8 +676,10 @@ class EncodedRelation:
     ) -> "EncodedRelation":
         """Project onto ``variables``, deduplicating by int keys.
 
-        ``seen`` lets the batch face carry the dedup set across batches of
-        one logical projection; when omitted a fresh set is used.
+        ``seen`` lets a stream carry the dedup set across batches of one
+        logical projection (the head of
+        :func:`repro.evaluation.join_plans.iter_plan_answers`); when omitted
+        a fresh set is used.
         """
         schema = tuple(variables)
         positions = tuple(self.position(variable) for variable in schema)
@@ -707,9 +709,6 @@ class EncodedRelation:
             _take_column(self.store.columns[p], indices, use_numpy) for p in positions
         ]
         return self._derive(schema, columns, len(indices))
-
-    def distinct(self, seen: Optional[Set[object]] = None) -> "EncodedRelation":
-        return self.project(self.schema, seen)
 
     def semijoin_index(
         self, key_positions: Sequence[int], index: IntIndex

@@ -27,11 +27,11 @@ execution faces come straight from the IR:
 * :func:`execute_plan` materialises step by step and records every
   intermediate-result size (the ablation benchmarks and the cost-model
   calibration want them);
-* :func:`iter_plan_answers` runs the *streaming* face: the whole left-deep
-  chain pipelines batch-at-a-time (each pulled row probes the next scan's
-  int index), so nothing but the base scans is ever materialised and
-  ``limit``-style consumers stop the entire chain after a bounded number
-  of batches — there is no materialised join prefix.
+* :func:`iter_plan_answers` streams: the compiled chain's left spine
+  pipelines batch-at-a-time from its leftmost scan (each pulled row probes
+  the next build side's int index), so only the build sides are ever
+  materialised and ``limit``-style consumers stop the entire chain after
+  a bounded number of batches — there is no materialised join prefix.
 
 Cardinality estimation is statistics-calibrated: the planners score
 candidate orders with the :class:`~repro.evaluation.operators.CostModel`
@@ -50,11 +50,13 @@ from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..datamodel import Atom, Instance, Term, Variable
 from ..queries.cq import ConjunctiveQuery
+from .encoding import EncodedRelation
 from .operators import (
     CardinalityEstimate,
     CostModel,
     ExecutionContext,
     HashJoin,
+    NodeRun,
     Operator,
     Project,
     Scan,
@@ -65,6 +67,11 @@ from .operators import (
     render_plan,
 )
 from .relation import Relation, ScanProvider
+
+#: Row budget of one batch of :func:`iter_plan_answers`' stream.  Large
+#: enough to amortise per-batch dispatch, small enough that ``limit=``
+#: consumers stop a pipelined chain after O(batch) extra work.
+BATCH_ROWS = 1024
 
 
 # ----------------------------------------------------------------------
@@ -416,16 +423,21 @@ def iter_plan_answers(
     scans: Optional[ScanProvider] = None,
     limit: Optional[int] = None,
 ) -> Iterator[Tuple[Term, ...]]:
-    """Stream a plan's answers through the fully pipelined operator chain.
+    """Stream a plan's answers by pipelining the compiled chain's left spine.
 
-    The streaming face of the left-deep chain: every pulled batch flows
-    from the first scan through one int-index probe per row and later
-    step, a head :class:`~repro.evaluation.operators.Project` deduplicates
-    on the fly, and nothing but the base scans is ever materialised, so
-    ``limit``-style consumption costs bucket probes proportional to the
-    batches pulled, not to the prefix size.
+    Each spine join's build side — a scan, or a join subtree of a bushy
+    plan — is materialised once, outermost first; an empty one ends the
+    stream before the leftmost scan is read.  The leftmost scan is then
+    cut into :data:`BATCH_ROWS`-row batches, and each batch flows up the
+    spine one :meth:`~repro.evaluation.encoding.EncodedRelation.join` at a
+    time, its fan-out re-sliced to :data:`BATCH_ROWS` rows after every
+    step, so ``limit``-style consumption costs bucket probes proportional
+    to the batches pulled, not to the prefix size.  The head projection
+    deduplicates across batches.
 
-    The set of yielded tuples equals ``execute_plan(...).answers`` exactly,
+    Each spine join's run record counts the rows it emits and, on a shared
+    key, one probe per batch row — the materialising face's count.  The
+    set of yielded tuples equals ``execute_plan(...).answers`` exactly,
     with no tuple yielded twice.
     """
     if limit is not None and limit <= 0:
@@ -444,11 +456,48 @@ def iter_plan_answers(
     head_positions = tuple(head_schema.index(v) for v in plan.query.head)
 
     context = ExecutionContext(database, scans)
-    produced = 0
-    # The chain pipelines batch-at-a-time; codes are decoded only here.
+    head = context.run[top]
+    head.rows = 0
+    spine: List[Tuple[HashJoin, EncodedRelation, NodeRun]] = []
+    node = top.children[0]
+    while isinstance(node, HashJoin):
+        record = context.run[node]
+        record.rows = 0
+        build = node.children[1].materialize_encoded(context)
+        if build.is_empty():
+            return
+        spine.append((node, build, record))
+        node = node.children[0]
+    spine.reverse()  # bottom-up: the order a batch meets the joins
+    leftmost = node.materialize_encoded(context)
+    if leftmost.is_empty():
+        return
+
+    seen: Set[object] = set()  # int keys of the head projection
     terms = context.encoder.terms
-    for batch in top.iter_batches(context):
-        for code_row in batch.rows:
+    produced = 0
+    # One batch iterator per spine level: level ``i`` holds batches about
+    # to meet join ``i``, and the last level batches of the full join.
+    levels: List[Iterator[EncodedRelation]] = [leftmost.chunks(BATCH_ROWS)]
+    while levels:
+        batch = next(levels[-1], None)
+        if batch is None:
+            levels.pop()
+            continue
+        depth = len(levels) - 1
+        if depth:
+            spine[depth - 1][2].rows += len(batch)  # rows the join emitted
+        if depth < len(spine):
+            join, build, record = spine[depth]
+            if join._shared:
+                join._record_probes(record, len(batch))
+            out = batch.join(build)
+            if len(out):
+                levels.append(out.chunks(BATCH_ROWS))
+            continue
+        out = batch.project(top.schema, seen)
+        head.rows += len(out)
+        for code_row in out.rows:
             yield tuple(terms[code_row[p]] for p in head_positions)
             produced += 1
             if limit is not None and produced >= limit:

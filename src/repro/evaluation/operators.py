@@ -12,21 +12,18 @@ execution substrate, one accounting scheme and one cost model:
 * an :class:`Operator` is a node of a physical plan (a DAG — reduction
   plans share sub-operators between the semi-join passes).  Every operator
   runs over dictionary-encoded integer columns
-  (:mod:`repro.evaluation.encoding`) on two faces:
-
-  - :meth:`Operator.materialize_encoded` — produce the full output
-    :class:`~repro.evaluation.encoding.EncodedRelation` (memoised per run,
-    so DAG-shared work is paid once); :meth:`Operator.materialize` decodes
-    it into a term :class:`Relation`;
-  - :meth:`Operator.iter_batches` — *stream* the output in batches of at
-    most :data:`BATCH_ROWS` rows.  Pipelining operators
-    (:class:`HashJoin`, :class:`SemiJoin`, :class:`Project`,
-    :class:`Select`, :class:`Distinct`) stream their left/only input and
-    never materialise their own output; :class:`CursorEnumerate` streams a
-    whole join tree through nested memoised cursors.
+  (:mod:`repro.evaluation.encoding`) on one face,
+  :meth:`Operator.materialize_encoded`: it produces the full output
+  :class:`~repro.evaluation.encoding.EncodedRelation`, memoised per run so
+  DAG-shared work is paid once, and :meth:`Operator.materialize` decodes
+  it into a term :class:`Relation`.  Streams come from two places outside
+  that face: :meth:`CursorEnumerate.iter_rows_encoded` enumerates a whole
+  join tree through nested memoised cursors, and
+  :func:`repro.evaluation.join_plans.iter_plan_answers` pipelines a
+  compiled join chain batch by batch.
 
   Terms are decoded only at the output boundary.  The tuple-at-a-time
-  engine these faces replaced is kept as the differential oracle under
+  engine this face replaced is kept as the differential oracle under
   ``tests/helpers/``.
 
 * a plan is a **value**: operators hold only their schema, children and
@@ -53,8 +50,9 @@ execution substrate, one accounting scheme and one cost model:
 Compilation happens in the engines: ``yannakakis.py`` emits a
 semi-join-reducer DAG topped by either a hash-join/projection tree
 (materialising phase 4) or a :class:`CursorEnumerate` (streaming phase 4),
-and ``join_plans.py`` emits left-deep :class:`HashJoin` chains whose
-streaming face pipelines the whole prefix.
+and ``join_plans.py`` emits :class:`HashJoin` chains (left-deep, or bushy
+for the materialising route) that its stream pipelines along the left
+spine.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ from typing import (
     Tuple,
 )
 
-from ..datamodel import Atom, Instance, Predicate, Term, Variable
+from ..datamodel import Atom, Instance, Predicate, Variable
 from ..hypergraph import JoinTree
 from .encoding import EncodedRelation, IntRow, TermEncoder
 from .parallel import (
@@ -90,11 +88,6 @@ from .relation import (
     SchemaError,
     compile_scan_pattern,
 )
-
-#: Row budget of one batch on the batch face (:meth:`Operator.iter_batches`).
-#: Large enough to amortise per-batch dispatch, small enough that ``limit=``
-#: consumers stop a pipelined chain after O(batch) extra work.
-BATCH_ROWS = 1024
 
 
 def first_occurrence_schema(variables: Sequence[Variable]) -> Tuple[Variable, ...]:
@@ -123,7 +116,7 @@ class NodeRun:
     """What one run observed at one plan node.
 
     ``encoded`` memoises the node's encoded output, ``rows`` is the
-    observed cardinality (rows pulled, on a streaming face) and ``probes``
+    observed cardinality (rows emitted, on a stream) and ``probes``
     the bucket probes the node issued (``None`` when it probed nothing).
     """
 
@@ -171,9 +164,8 @@ class Operator:
     """One node of a physical plan — an immutable value.
 
     Subclasses fix the static output ``schema`` at construction time (no
-    database access) and implement ``_materialize_encoded``; pipelining
-    operators additionally override :meth:`iter_batches`.  Nodes hold no
-    run state: every face writes what it computes and observes into the
+    database access) and implement ``_materialize_encoded``.  Nodes hold
+    no run state: execution writes what it computes and observes into the
     context's :class:`NodeRun` for the node, so one compiled plan can run
     against any number of contexts.
     """
@@ -207,25 +199,6 @@ class Operator:
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         raise NotImplementedError
-
-    def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        """Stream the output as encoded column batches.
-
-        Batches are small :class:`EncodedRelation` slices of at most
-        ``BATCH_ROWS`` rows.  Pipelining operators override this to stream
-        their left/only input batch-at-a-time; the base implementation
-        chunks the encoded materialisation.  Decoding happens only at the
-        consumer (the engines' answer adapters).
-        """
-        encoded = self.materialize_encoded(context)
-        if len(encoded):
-            yield from encoded.chunks(BATCH_ROWS)
-
-    def _stream_record(self, context: ExecutionContext) -> NodeRun:
-        """The record a streaming face counts into, its ``rows`` reset."""
-        record = context.run[self]
-        record.rows = 0
-        return record
 
     # -- traversal ------------------------------------------------------
     def walk(self) -> Iterator["Operator"]:
@@ -294,45 +267,6 @@ class Scan(Operator):
         return f"Scan[{self.atom}]"
 
 
-class Select(Operator):
-    """Keep the rows agreeing with a partial assignment (binding-seeded
-    evaluation; variables outside the child schema are ignored)."""
-
-    __slots__ = ("binding", "_checks")
-
-    def __init__(self, child: Operator, binding: Mapping[Variable, Term]) -> None:
-        super().__init__(child.schema, (child,))
-        self.binding = dict(binding)
-        self._checks = tuple(
-            (child.schema.index(variable), term)
-            for variable, term in self.binding.items()
-            if variable in child.schema
-        )
-
-    def _encoded_checks(self, context: ExecutionContext) -> Tuple[Tuple[int, int], ...]:
-        encode = context.encoder.encode
-        return tuple((position, encode(term)) for position, term in self._checks)
-
-    def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
-        child = self.children[0].materialize_encoded(context)
-        return child.select_codes(self._encoded_checks(context))
-
-    def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        record = self._stream_record(context)
-        checks = self._encoded_checks(context)
-        for batch in self.children[0].iter_batches(context):
-            out = batch.select_codes(checks)
-            if len(out):
-                record.rows += len(out)
-                yield out
-
-    def label(self) -> str:
-        conditions = ", ".join(
-            f"{variable}={term}" for variable, term in sorted(self.binding.items(), key=str)
-        )
-        return f"Select[{conditions}]"
-
-
 class Project(Operator):
     """Project onto distinct variables, deduplicating."""
 
@@ -350,45 +284,8 @@ class Project(Operator):
         result = parallel_project(child, self.schema, self._positions)
         return child.project(self.schema) if result is None else result
 
-    def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        record = self._stream_record(context)
-        seen: Set[object] = set()  # int keys, carried across batches
-        for batch in self.children[0].iter_batches(context):
-            out = batch.project(self.schema, seen)
-            if len(out):
-                record.rows += len(out)
-                yield out
-
     def label(self) -> str:
         return f"Project[{', '.join(str(v) for v in self.schema)}]"
-
-
-class Distinct(Operator):
-    """Remove duplicate rows (a no-op after operators that already
-    guarantee distinctness; kept explicit for plans built from raw
-    streams)."""
-
-    __slots__ = ()
-
-    def __init__(self, child: Operator) -> None:
-        super().__init__(child.schema, (child,))
-
-    def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
-        child = self.children[0].materialize_encoded(context)
-        result = parallel_project(child, self.schema, tuple(range(len(self.schema))))
-        return child.distinct() if result is None else result
-
-    def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        record = self._stream_record(context)
-        seen: Set[object] = set()
-        for batch in self.children[0].iter_batches(context):
-            out = batch.distinct(seen)
-            if len(out):
-                record.rows += len(out)
-                yield out
-
-    def label(self) -> str:
-        return "Distinct"
 
 
 # ----------------------------------------------------------------------
@@ -402,11 +299,8 @@ class SemiJoin(Operator):
     key index with each right key when the left store is long-lived (a
     cached scan) and the right side has few keys — a point query then
     costs its answer, not the left relation — and scans the left rows
-    otherwise.  Streaming face (``iter_batches``): the left input streams
-    batch-at-a-time against the right side's int index, always scanning
-    (its chunks are one-shot).  Membership checks are deliberately not
-    probe-counted, matching the reduction-pass accounting of the
-    bounded-work tests.
+    otherwise.  Membership checks are deliberately not probe-counted,
+    matching the reduction-pass accounting of the bounded-work tests.
     """
 
     __slots__ = ("_shared", "_left_key")
@@ -428,26 +322,6 @@ class SemiJoin(Operator):
         )
         return left.semijoin(right) if result is None else result
 
-    def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        record = self._stream_record(context)
-        right = self.children[1].materialize_encoded(context)
-        if right.is_empty():
-            return
-        if not self._shared:
-            for batch in self.children[0].iter_batches(context):
-                record.rows += len(batch)
-                yield batch
-            return
-        # One shared int index over the right side; each left batch is a
-        # bulk bucket intersection (membership only — never probe-counted).
-        index = right.key_index(tuple(right.position(v) for v in self._shared))
-        left_key = self._left_key
-        for batch in self.children[0].iter_batches(context):
-            out = batch.semijoin_index(left_key, index)
-            if len(out):
-                record.rows += len(out)
-                yield out
-
     def label(self) -> str:
         return f"SemiJoin[{', '.join(str(v) for v in self._shared)}]"
 
@@ -456,14 +330,11 @@ class HashJoin(Operator):
     """Natural hash join — ``left ⋈ right`` (cross product when no variable
     is shared).
 
-    Materialising face: the vectorised kernel on numpy storage, else
-    :meth:`EncodedRelation.join` (linear in the operands plus the output).
-    Streaming face (``iter_batches``): the left input streams
-    batch-at-a-time and each batch probes the right side's int index, so a
-    left-deep chain of streaming hash joins pipelines end to end — nothing
-    but the base scans is ever materialised, and ``limit``-style consumers
-    stop the whole chain early.  Either way the run record counts one
-    bucket probe per left row on a shared key.
+    The vectorised kernel on numpy storage, else :meth:`EncodedRelation.join`
+    (linear in the operands plus the output).
+    The run record counts one bucket probe per left row on a shared key;
+    :func:`repro.evaluation.join_plans.iter_plan_answers` keeps the same
+    count when it streams a chain of these joins.
     """
 
     __slots__ = ("_shared", "_left_key", "_right_residual")
@@ -496,22 +367,6 @@ class HashJoin(Operator):
             self.schema,
         )
         return left.join(right) if result is None else result
-
-    def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        record = self._stream_record(context)
-        right = self.children[1].materialize_encoded(context)
-        if right.is_empty():
-            return
-        for batch in self.children[0].iter_batches(context):
-            if self._shared:
-                self._record_probes(record, len(batch))
-            out = batch.join(right)
-            if len(out):
-                # The fan-out can outgrow the batch budget; re-slice it so a
-                # ``limit=`` consumer pays later steps only for what it pulls.
-                for chunk in out.chunks(BATCH_ROWS):
-                    record.rows += len(chunk)
-                    yield chunk
 
     def label(self) -> str:
         joined = ", ".join(str(v) for v in self._shared)
@@ -753,7 +608,8 @@ class CursorEnumerate(Operator):
         and positional indexing, so decoding is deferred entirely to the
         consumer.
         """
-        record = self._stream_record(context)
+        record = context.run[self]
+        record.rows = 0
         relations: Dict[int, EncodedRelation] = {}
         for identifier in self._bottom_up:
             relation = self.node_ops[identifier].materialize_encoded(context)
@@ -771,16 +627,6 @@ class CursorEnumerate(Operator):
             # or close leaves no cycle for the garbage collector to find.
             enumeration.memos.clear()
 
-    def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        buffer: List[IntRow] = []
-        for row in self.iter_rows_encoded(context):
-            buffer.append(row)
-            if len(buffer) >= BATCH_ROWS:
-                yield EncodedRelation.from_rows(self.schema, buffer, context.encoder)
-                buffer = []
-        if buffer:
-            yield EncodedRelation.from_rows(self.schema, buffer, context.encoder)
-
     def label(self) -> str:
         return f"CursorEnumerate[{', '.join(str(v) for v in self.schema)}]"
 
@@ -791,7 +637,7 @@ class BagNode(Operator):
     The decomposition route for cyclic queries materialises each bag of a
     tree decomposition as a ``HashJoin``/``Project`` sub-DAG and then runs
     Yannakakis over the bag tree.  ``BagNode`` wraps each bag's sub-DAG: it
-    forwards every execution face to its child unchanged, but (a) renders
+    forwards its child's output unchanged, but (a) renders
     the bag boundary in ``EXPLAIN`` and (b) declares the bag's variable set
     so the static verifier can cross-check the compiled schema against the
     decomposition tree (PLAN015).  ``node_id`` names the bag-tree node this
@@ -809,9 +655,6 @@ class BagNode(Operator):
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         return self.children[0].materialize_encoded(context)
-
-    def iter_batches(self, context: ExecutionContext) -> Iterator[EncodedRelation]:
-        return self.children[0].iter_batches(context)
 
     def label(self) -> str:
         inner = ", ".join(sorted(str(v) for v in self.bag))
@@ -946,7 +789,6 @@ class CostModel:
       (probe-weighted expected bucket size ``Σ size² / rows`` — the mean
       bucket under uniformity, more under skew), repeated-variable pairs
       cost ``1 / max(d(i), d(j))`` each;
-    * ``Select`` — ``1 / d(v)`` per bound variable;
     * ``SemiJoin`` — ``|L| · min(1, dR(V) / dL(V))`` on shared variables
       ``V`` (correlation-aware joint counts);
     * ``HashJoin`` — ``|L| · |R| / max(dL(v), dR(v))`` on a single shared
@@ -955,8 +797,8 @@ class CostModel:
       (:meth:`CardinalityEstimate.correlated_joint_distinct`), so
       correlated keys are not divided twice; the cross product when ``V``
       is empty;
-    * ``Project`` / ``Distinct`` — ``min(|input|, d(V))`` over the kept
-      variables (correlation-aware);
+    * ``Project`` — ``min(|input|, d(V))`` over the kept variables
+      (correlation-aware);
     * ``BagNode`` — pass-through (the bag boundary is presentational);
     * ``CursorEnumerate`` — the hash-join/projection estimate of its join
       tree, folded bottom-up with the formulas above.
@@ -1068,21 +910,7 @@ class CostModel:
     def _estimate(self, operator: Operator) -> CardinalityEstimate:
         if isinstance(operator, Scan):
             return self.scan_estimate(operator.atom)
-        if isinstance(operator, Select):
-            child = self.annotate(operator.children[0])
-            rows = child.rows
-            distinct = dict(child.distinct)
-            for variable in operator.binding:
-                if variable in distinct:
-                    rows /= max(distinct[variable], 1.0)
-                    distinct[variable] = 1.0
-            pairs = {
-                key: count
-                for key, count in child.pairs.items()
-                if key[0] not in operator.binding and key[1] not in operator.binding
-            }
-            return CardinalityEstimate(rows, distinct, pairs)
-        if isinstance(operator, (Project, Distinct)):
+        if isinstance(operator, Project):
             child = self.annotate(operator.children[0])
             kept = operator.schema
             rows = child.correlated_joint_distinct(kept)

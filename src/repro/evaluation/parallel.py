@@ -1,9 +1,9 @@
 """Dense-code numpy kernels for the batch face.
 
 The operator IR's batch face (:meth:`Operator.materialize_encoded`) moves
-dictionary-encoded column stores through ``Select``/``Project``/``Distinct``/
-``SemiJoin``/``HashJoin`` kernels.  On numpy storage (``REPRO_NUMPY=1``)
-each of those operators has one single-pass vectorised kernel here.
+dictionary-encoded column stores through ``Project``/``SemiJoin``/
+``HashJoin`` kernels.  On numpy storage (``REPRO_NUMPY=1``) each of those
+operators has one single-pass vectorised kernel here.
 
 **RAM-model contract.**  Dictionary codes are dense integers in
 ``[0, len(encoder))``.  Durand and Grandjean ("The complexity of acyclic
@@ -23,8 +23,10 @@ model and sort nothing by comparison:
 * :func:`parallel_project` — dedup keeps the first row of each run of
   equal keys in radix order (adjacent rows compared column by column) and
   returns the kept rows in row order through a mask;
-* selection is :meth:`EncodedRelation.select_codes`, already one mask on
-  numpy storage (:func:`parallel_select` only keeps the old name).
+* :func:`parallel_select` runs no operator: the IR has no selection
+  operator (constants are pinned by the scans), and the function is kept
+  only as a target the repository benchmark's layer trace wraps by its
+  path in :mod:`repro.evaluation.operators`.
 
 The code-range scratch arrays cost O(``len(encoder)``), and the encoder only
 grows, so they are used only while the code range is at most
@@ -283,7 +285,7 @@ def parallel_project(
     schema: Sequence[Variable],
     positions: Tuple[int, ...],
 ) -> Optional[EncodedRelation]:
-    """The vectorised dedup projection (``Project`` and ``Distinct``).
+    """The vectorised dedup projection (``Project``).
 
     In the stable radix order equal keys are adjacent and each run starts
     at its key's first occurrence; a mask over those rows hands them back
@@ -313,9 +315,7 @@ def parallel_select(
 ) -> Optional[EncodedRelation]:
     """The equality selection under the kernel gate.
 
-    ``Select`` calls :meth:`EncodedRelation.select_codes` directly — on
-    numpy storage that is one mask over the checked columns already — so
-    nothing in the engine calls this; it stays importable from
+    Nothing in the engine calls this; it stays importable from
     :mod:`repro.evaluation.operators` for the repository benchmark's layer
     trace, which wraps it by that path.
     """

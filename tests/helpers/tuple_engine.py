@@ -16,8 +16,9 @@ or batching — never in the plan both executed.
   engine does.
 * :func:`scan_atom` scans one atom's facts straight from the database:
   the oracle never reads through the engine's scan cache.
-* :func:`semijoin`, :func:`join`, :func:`select` and :func:`distinct` are
-  the single-pass hash-partitioned relational operators the faces use.
+* :func:`semijoin` and :func:`join` are the single-pass hash-partitioned
+  relational operators the faces use; :func:`select` and :func:`distinct`
+  complete the term-level algebra ``tests/test_relation.py`` checks.
 * :func:`evaluate`, :func:`iter_answers`, :func:`boolean`,
   :func:`execute_plan`, :func:`iter_with_plan`, :func:`evaluate_with_plan`,
   :func:`evaluate_route` and :func:`iter_route` mirror the engine's entry
@@ -30,7 +31,6 @@ from repro.datamodel import Atom, Instance, Term, Variable
 from repro.evaluation import (
     BagNode,
     CursorEnumerate,
-    Distinct,
     ExecutionContext,
     HashJoin,
     Operator,
@@ -38,7 +38,6 @@ from repro.evaluation import (
     Project,
     Relation,
     Scan,
-    Select,
     SemiJoin,
     compile_plan,
     resolve_planner,
@@ -158,12 +157,8 @@ def _materialize(op: Operator, context: ExecutionContext, memo: Memo) -> Relatio
         # The streamed carry tuples are distinct by construction.
         return Relation(op.schema, list(iter_rows(op, context, memo)))
     child = materialize(op.children[0], context, memo)
-    if isinstance(op, Select):
-        return select(child, op.binding)
     if isinstance(op, Project):
         return child.project(op.schema)
-    if isinstance(op, Distinct):
-        return distinct(child)
     if isinstance(op, BagNode):
         return child
     if isinstance(op, (SemiJoin, HashJoin)):
@@ -189,7 +184,7 @@ def iter_rows(
     memo = {} if memo is None else memo
     if isinstance(op, BagNode):
         return iter_rows(op.children[0], context, memo)
-    if isinstance(op, (Select, Project, Distinct, SemiJoin, HashJoin, CursorEnumerate)):
+    if isinstance(op, (Project, SemiJoin, HashJoin, CursorEnumerate)):
         return _stream(op, context, memo)
     return iter(materialize(op, context, memo).rows)
 
@@ -199,11 +194,7 @@ def _stream(op: Operator, context: ExecutionContext, memo: Memo) -> Iterator[Row
     record.rows = 0
     if isinstance(op, CursorEnumerate):
         rows = _enumerate(op, context, memo, record)
-    elif isinstance(op, Select):
-        child = iter_rows(op.children[0], context, memo)
-        checks = tuple((op.schema.index(v), t) for v, t in op.binding.items() if v in op.schema)
-        rows = (row for row in child if all(row[p] == t for p, t in checks))
-    elif isinstance(op, (Project, Distinct)):
+    elif isinstance(op, Project):
         child = iter_rows(op.children[0], context, memo)
         positions = tuple(op.children[0].schema.index(v) for v in op.schema)
         rows = _dedup(tuple(row[p] for p in positions) for row in child)

@@ -47,7 +47,7 @@ from repro.evaluation import (
     plan_greedy,
 )
 from repro.evaluation.encoding import EncodedRelation, NUMPY_ENV
-from repro.evaluation.operators import BATCH_ROWS
+from repro.evaluation.join_plans import BATCH_ROWS
 from repro.evaluation.relation import Partition
 from repro.queries.cq import ConjunctiveQuery
 from repro.workloads.generators import yannakakis_scaling_workload

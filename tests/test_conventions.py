@@ -44,7 +44,7 @@ class Counting(Operator):
         super().__init__(schema)
         self.calls = 0
 
-    def iter_batches(self, context):
+    def _materialize_encoded(self, context):
         self.calls += 1
         self.last, other = context, None
         context.run[self].rows = 0
@@ -55,9 +55,53 @@ class NotAnOperator:
 """
     violations = _lint_module().check_operator_immutability(snippet)
     assert len(violations) == 2
-    assert all("Counting.iter_batches" in line for line in violations)
+    assert all("Counting._materialize_encoded" in line for line in violations)
     assert any("self.calls" in line for line in violations)
     assert any("self.last" in line for line in violations)
+
+
+def test_second_operator_faces_are_flagged():
+    snippet = """
+class Operator:
+    def materialize_encoded(self, context):
+        return self._materialize_encoded(context)
+
+class Streaming(Operator):
+    def _materialize_encoded(self, context):
+        return context
+
+    def iter_batches(self, context):
+        yield context
+
+    def label(self):
+        return "Streaming"
+
+class Tupled(Operator):
+    def _materialize(self, context):
+        return context
+
+    def label(self):
+        return "Tupled"
+
+class Plain(Operator):
+    def _materialize_encoded(self, context):
+        return context
+
+    def label(self):
+        return "Plain"
+"""
+    violations = _lint_module().check_operator_faces(snippet)
+    assert len(violations) == 3
+    assert any(
+        ":6: operator Streaming defines the batch stream iter_batches" in line
+        for line in violations
+    )
+    assert any(
+        ":16: operator Tupled defines the tuple face _materialize" in line
+        for line in violations
+    )
+    assert any("Tupled has no materialising face" in line for line in violations)
+    assert not any("Plain" in line for line in violations)
 
 
 def test_fact_reads_outside_the_scan_cache_are_flagged():

@@ -1,12 +1,13 @@
-"""The physical-operator IR: both execution faces, cost model, EXPLAIN.
+"""The physical-operator IR: its execution face, cost model, EXPLAIN.
 
 Three layers of guarantees:
 
 1. **Operator semantics** — every operator's materialising face
-   (``materialize()``, decoded from ``materialize_encoded()``) and
-   streaming face (``iter_batches()``) agree with the tuple-at-a-time
-   oracle (``tests/helpers/tuple_engine.py``) and with each other, and
-   record their observed cardinalities.
+   (``materialize()``, decoded from ``materialize_encoded()``) agrees with
+   the tuple-at-a-time oracle (``tests/helpers/tuple_engine.py``) and
+   records its observed cardinalities; the plan route's stream
+   (``iter_plan_answers``) yields the same rows over a compiled plan and
+   counts rows and probes per join.
 
 2. **Engine ↔ IR differentials** — the plans the engines compile
    (Yannakakis' reducer + cursor/hash-join plans, the greedy left-deep
@@ -15,7 +16,7 @@ Three layers of guarantees:
    randomization including constants, repeated head variables and
    ``limit=`` semantics.
 
-3. **Bounded work** — the streaming face of the plan route pipelines its
+3. **Bounded work** — the stream of the plan route pipelines its
    whole chain: at one row per batch, ``iter_with_plan`` with a small
    ``limit`` must cost bucket probes proportional to the answers pulled,
    not to the join prefix.  Asserted with the
@@ -34,13 +35,14 @@ from repro.evaluation import (
     AcyclicityRequired,
     CostModel,
     DecompositionEvaluator,
-    Distinct,
     ExecutionContext,
     HashJoin,
+    JoinPlan,
+    PlanStep,
+    PlanTree,
     Project,
     Scan,
     ScanCache,
-    Select,
     SemiJoin,
     Statistics,
     YannakakisEvaluator,
@@ -48,12 +50,14 @@ from repro.evaluation import (
     evaluate_generic,
     evaluate_iter,
     evaluate_with_plan,
+    execute_plan,
     explain,
+    iter_plan_answers,
     iter_with_plan,
     plan_greedy,
     render_plan,
 )
-from repro.evaluation import operators
+from repro.evaluation import join_plans
 from repro.evaluation.relation import Partition
 from repro.queries.cq import ConjunctiveQuery
 from repro.workloads.generators import yannakakis_scaling_workload
@@ -81,13 +85,33 @@ def ctx(database=None):
     return ExecutionContext(database if database is not None else small_database())
 
 
-def rows_of(op, context):
-    """The decoded rows of the streaming face, in stream order."""
-    return [row for batch in op.iter_batches(context) for row in batch.decoded_rows()]
+def chain_plan(head, *atoms):
+    """A left-deep plan joining ``atoms`` in the order given."""
+    steps = [PlanStep(atom, 0, index > 0) for index, atom in enumerate(atoms)]
+    return JoinPlan(ConjunctiveQuery(head, list(atoms)), steps)
+
+
+@pytest.fixture
+def stream_contexts(monkeypatch):
+    """The execution contexts ``iter_plan_answers`` runs, in call order."""
+    contexts = []
+
+    class Recorded(ExecutionContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
+
+    monkeypatch.setattr(join_plans, "ExecutionContext", Recorded)
+    return contexts
+
+
+def stream_root(plan):
+    """The compiled chain under a streamed plan's head projection."""
+    return plan._stream_top.children[0]
 
 
 # ----------------------------------------------------------------------
-# Operator semantics: materialize() and iter_batches() agree
+# Operator semantics: materialize(), and the plan route's stream over them
 # ----------------------------------------------------------------------
 class TestOperatorFaces:
     def test_scan_materializes_the_atom_relation(self):
@@ -105,30 +129,19 @@ class TestOperatorFaces:
         assert set(repeat_scan.materialize(ctx()).rows) == {(b,)}
         assert repeat_scan.schema == (x,)
 
-    def test_select_filters_both_faces(self):
-        context = ctx()
-        op = Select(Scan(Atom(E, (x, y))), {x: b})
-        assert set(op.materialize(context).rows) == {(b, c), (b, b)}
-        streamed = rows_of(Select(Scan(Atom(E, (x, y))), {x: b}), ctx())
-        assert set(streamed) == {(b, c), (b, b)}
-
     def test_project_deduplicates_both_faces(self):
         context = ctx()
         op = Project(Scan(Atom(E, (x, y))), (x,))
         assert set(op.materialize(context).rows) == {(a,), (b,)}
-        streamed = rows_of(Project(Scan(Atom(E, (x, y))), (x,)), ctx())
+        plan = chain_plan((x,), Atom(E, (x, y)))
+        streamed = list(iter_plan_answers(plan, small_database()))
         assert sorted(streamed, key=str) == [(a,), (b,)]
-        assert len(streamed) == len(set(streamed))
 
-    def test_distinct_removes_duplicate_rows(self):
-        context = ctx()
-        # A projection done twice creates no duplicates, so feed Distinct
-        # from a join that genuinely multiplies rows.
-        join = HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z))))
-        projected = Project(join, (z,))
-        assert set(Distinct(projected).materialize(context).rows) == {(d,)}
-        streamed = rows_of(Distinct(Project(HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z)))), (z,))), ctx())
-        assert streamed == [(d,)]
+    def test_stream_head_removes_duplicate_rows(self):
+        # The join multiplies rows (three left rows reach d), so the head
+        # projection must deduplicate across them.
+        plan = chain_plan((z,), Atom(E, (x, y)), Atom(F, (y, z)))
+        assert list(iter_plan_answers(plan, small_database())) == [(d,)]
 
     def test_semijoin_keeps_matching_left_rows(self):
         context = ctx()
@@ -136,10 +149,6 @@ class TestOperatorFaces:
         assert set(op.materialize(context).rows) == {(a, b), (b, c), (b, b)}
         narrowed = SemiJoin(Scan(Atom(F, (y, z))), Scan(Atom(E, (x, y))))
         assert set(narrowed.materialize(ctx()).rows) == {(b, d), (c, d)}
-        assert set(rows_of(SemiJoin(Scan(Atom(F, (y, z))), Scan(Atom(E, (x, y)))), ctx())) == {
-            (b, d),
-            (c, d),
-        }
 
     def test_hashjoin_matches_relation_join(self):
         context = ctx()
@@ -149,9 +158,8 @@ class TestOperatorFaces:
             oracle.scan_atom(Atom(F, (y, z)), context.database),
         )
         assert op.materialize(context) == expected
-        assert set(rows_of(HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z)))), ctx())) == set(
-            expected.rows
-        )
+        plan = chain_plan((x, y, z), Atom(E, (x, y)), Atom(F, (y, z)))
+        assert set(iter_plan_answers(plan, small_database())) == set(expected.rows)
 
     def test_hashjoin_cross_product_when_no_shared_variables(self):
         context = ctx()
@@ -161,12 +169,13 @@ class TestOperatorFaces:
         assert context.run[op].rows == 6
         assert context.run[op].probes == 0  # a cross product probes nothing
 
-    def test_streaming_counts_rows_and_probes(self):
-        op = HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z))))
-        context = ctx()
-        streamed = rows_of(op, context)
-        assert context.run[op].rows == len(streamed) == 3
-        assert context.run[op].probes == 3  # one probe per left row
+    def test_streaming_counts_rows_and_probes(self, stream_contexts):
+        plan = chain_plan((x, y, z), Atom(E, (x, y)), Atom(F, (y, z)))
+        streamed = list(iter_plan_answers(plan, small_database()))
+        (context,) = stream_contexts
+        join = stream_root(plan)
+        assert context.run[join].rows == len(streamed) == 3
+        assert context.run[join].probes == 3  # one probe per left row
 
     def test_materialized_join_records_one_probe_per_left_row(self):
         op = HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z))))
@@ -175,14 +184,19 @@ class TestOperatorFaces:
         op.materialize(context)
         assert context.run[op].probes == 3 == Partition.total_probes - before
 
-    def test_runs_of_one_plan_keep_separate_records(self):
+    def test_runs_of_one_plan_keep_separate_records(self, stream_contexts):
         op = HashJoin(Scan(Atom(E, (x, y))), Scan(Atom(F, (y, z))))
         first, second = ctx(), ctx()
         assert op.materialize(first) == op.materialize(second)
         assert op.materialize_encoded(first) is not op.materialize_encoded(second)
-        rows_of(op, second)  # a streamed run re-counts only its own record
         assert first.run[op].rows == 3 and first.run[op].probes == 3
-        assert second.run[op].probes == 6
+        # Two streams of one plan each count into their own run only.
+        plan = chain_plan((x, y, z), Atom(E, (x, y)), Atom(F, (y, z)))
+        list(iter_plan_answers(plan, small_database()))
+        list(iter_plan_answers(plan, small_database()))
+        join = stream_root(plan)
+        assert [context.run[join].rows for context in stream_contexts] == [3, 3]
+        assert [context.run[join].probes for context in stream_contexts] == [3, 3]
 
     def test_materialized_results_are_cached_per_node(self):
         context = ctx()
@@ -448,7 +462,7 @@ def test_iter_with_plan_no_longer_materialises_its_join_prefix(monkeypatch):
     row per batch, where the batch bound is the per-row bound (the
     default batch size has its own bound in
     tests/test_columnar_backend.py)."""
-    monkeypatch.setattr(operators, "BATCH_ROWS", 1)
+    monkeypatch.setattr(join_plans, "BATCH_ROWS", 1)
     query, database = yannakakis_scaling_workload(600, seed=2)
     plan = plan_greedy(query, database)
     _, probes_limited = _probes(
@@ -465,7 +479,7 @@ def test_iter_with_plan_no_longer_materialises_its_join_prefix(monkeypatch):
 def test_iter_with_plan_first_answer_is_cheap_across_sizes(monkeypatch):
     """At one row per batch, probes before the first answer stay flat as
     |D| quadruples (a materialised prefix would grow linearly)."""
-    monkeypatch.setattr(operators, "BATCH_ROWS", 1)
+    monkeypatch.setattr(join_plans, "BATCH_ROWS", 1)
     first_probes = []
     for size in (300, 1200):
         query, database = yannakakis_scaling_workload(size, seed=1)
@@ -473,3 +487,75 @@ def test_iter_with_plan_first_answer_is_cheap_across_sizes(monkeypatch):
         _, probes = _probes(lambda: next(stream))
         first_probes.append(probes)
     assert first_probes[0] == first_probes[1]
+
+
+# ----------------------------------------------------------------------
+# Bushy plans: the stream materialises the spine's join build sides
+# ----------------------------------------------------------------------
+R, S, T, U = (Predicate(name, 2) for name in "RSTU")
+w, v = Variable("w"), Variable("v")
+
+
+def bushy_plan(head):
+    """``(R ⋈ S) ⋈ (T ⋈ U)`` over the path ``x-y-z-w-v``, hand-built: the
+    planners rarely choose a bushy shape on small workloads."""
+    r, s, t, u = Atom(R, (x, y)), Atom(S, (y, z)), Atom(T, (z, w)), Atom(U, (w, v))
+    tree = PlanTree(
+        left=PlanTree(left=PlanTree(atom=r), right=PlanTree(atom=s)),
+        right=PlanTree(left=PlanTree(atom=t), right=PlanTree(atom=u)),
+    )
+    # Step order follows compile_plan: the leftmost scan, then each join in
+    # post-order, named by the leftmost leaf of its right subtree.
+    steps = [PlanStep(atom, 0, index > 0) for index, atom in enumerate((r, s, u, t))]
+    return JoinPlan(ConjunctiveQuery(head, [r, s, t, u]), steps, tree)
+
+
+def bushy_database(seed):
+    import random
+
+    rng = random.Random(seed)
+    domain = [Constant(f"c{i}") for i in range(6)]
+    return Database(
+        Atom(predicate, (rng.choice(domain), rng.choice(domain)))
+        for predicate in (R, S, T, U)
+        for _ in range(14)
+    )
+
+
+@pytest.mark.parametrize("batch_rows", [1, 3, 1024])
+@pytest.mark.parametrize("seed", range(6))
+def test_bushy_plan_streams_its_answers(monkeypatch, seed, batch_rows):
+    monkeypatch.setattr(join_plans, "BATCH_ROWS", batch_rows)
+    database = bushy_database(seed)
+    for head in ((x, v), (y, w, y), (z,)):
+        plan = bushy_plan(head)
+        streamed = list(iter_plan_answers(plan, database))
+        expected = evaluate_generic(plan.query, database)
+        assert len(streamed) == len(set(streamed))
+        assert set(streamed) == execute_plan(plan, database).answers == expected
+        for k in (1, 2, 5):
+            limited = list(iter_plan_answers(plan, database, limit=k))
+            assert len(limited) == min(k, len(expected))
+            assert set(limited) <= expected
+
+
+def test_bushy_plan_compiles_a_join_build_side():
+    plan = bushy_plan((x, v))
+    list(iter_plan_answers(plan, bushy_database(0)))
+    root = stream_root(plan)
+    assert isinstance(root, HashJoin)
+    assert isinstance(root.children[0], HashJoin)
+    assert isinstance(root.children[1], HashJoin)  # the T ⋈ U build side
+
+
+def test_empty_build_side_ends_the_stream_before_the_leftmost_scan(stream_contexts):
+    database = bushy_database(1)
+    missing = Predicate("Missing", 2)
+    plan = chain_plan((x, w), Atom(R, (x, y)), Atom(missing, (y, z)), Atom(T, (z, w)))
+    before = Partition.total_probes
+    assert list(iter_plan_answers(plan, database)) == []
+    assert Partition.total_probes - before == 0
+    (context,) = stream_contexts
+    leftmost = stream_root(plan).children[0].children[0]
+    assert isinstance(leftmost, Scan) and leftmost.atom.predicate == R
+    assert leftmost not in context.run

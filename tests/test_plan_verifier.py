@@ -28,18 +28,16 @@ from repro.analysis.verify_plan import (
     verification_enabled,
     verify_or_raise,
 )
-from repro.datamodel import Atom, Constant, Null, Predicate, Variable
+from repro.datamodel import Atom, Null, Predicate, Variable
 from repro.evaluation import (
     AcyclicityRequired,
     BagNode,
     CostModel,
     DecompositionEvaluator,
-    Distinct,
     ExecutionContext,
     HashJoin,
     Project,
     Scan,
-    Select,
     SemiJoin,
     Statistics,
     YannakakisEvaluator,
@@ -57,7 +55,6 @@ E = Predicate("E", 2)
 F = Predicate("F", 2)
 G = Predicate("G", 2)
 x, y, z, w = Variable("x"), Variable("y"), Variable("z"), Variable("w")
-a, b = Constant("a"), Constant("b")
 
 
 def scan_e():
@@ -151,8 +148,8 @@ class TestEmittedPlansAreClean:
 # ----------------------------------------------------------------------
 class TestMutationCorpus:
     def test_plan001_cycle(self):
-        inner = Select(scan_e(), {})
-        outer = Select(inner, {})
+        inner = Project(scan_e(), (x, y))
+        outer = Project(inner, (x, y))
         inner.children = (outer,)  # re-root: outer -> inner -> outer
         assert "PLAN001" in codes(verify_plan(outer))
 
@@ -181,11 +178,6 @@ class TestMutationCorpus:
         project._positions = (0, 1)  # recomputation gives (1, 0)
         assert codes(verify_plan(project)) == ["PLAN004"]
 
-    def test_plan004_selection_check_out_of_range(self):
-        select = Select(scan_e(), {y: a})
-        select._checks = ((7, a),)
-        assert codes(verify_plan(select)) == ["PLAN004"]
-
     def test_plan005_dropped_join_key(self):
         join = HashJoin(scan_e(), scan_f())
         join._left_key = (0,)  # the shared variable y lives at position 1
@@ -201,10 +193,10 @@ class TestMutationCorpus:
         join.schema = (x, y)  # silently loses the residual z
         assert codes(verify_plan(join)) == ["PLAN006"]
 
-    def test_plan006_distinct_changes_schema(self):
-        distinct = Distinct(scan_e())
-        distinct.schema = (x,)
-        assert codes(verify_plan(distinct)) == ["PLAN006"]
+    def test_plan006_semijoin_changes_schema(self):
+        semi = SemiJoin(scan_e(), scan_f())
+        semi.schema = (x,)  # a semi-join keeps its left schema
+        assert codes(verify_plan(semi)) == ["PLAN006"]
 
     def test_plan007_cursor_root_carry_out_of_sync(self):
         plan = path_evaluator().compile_stream_plan()
@@ -250,7 +242,8 @@ class TestMutationCorpus:
         assert codes(verify_plan(scan)) == ["PLAN010"]
 
     def test_plan011_wrapped_cursor_plan(self):
-        wrapped = Distinct(path_evaluator().compile_stream_plan())
+        plan = path_evaluator().compile_stream_plan()
+        wrapped = Project(plan, plan.schema)
         diagnostics = verify_plan(wrapped, streaming=True)
         assert codes(diagnostics) == ["PLAN011"]
         assert diagnostics[0].severity is Severity.WARNING
@@ -261,10 +254,10 @@ class TestMutationCorpus:
 
     def test_plan012_streaming_build_side_is_not_materialisable(self):
         # A bushy join-over-scans build side is legal (the DP planner emits
-        # those); anything else — here a Distinct — still warns.
+        # those); anything else — here a SemiJoin — still warns.
         bushy = HashJoin(scan_e(), HashJoin(scan_f(), scan_g()))
         assert verify_plan(bushy, streaming=True) == []
-        lazy_build = HashJoin(scan_e(), Distinct(scan_f()))
+        lazy_build = HashJoin(scan_e(), SemiJoin(scan_f(), scan_g()))
         diagnostics = verify_plan(lazy_build, streaming=True)
         assert codes(diagnostics) == ["PLAN012"]
         assert diagnostics[0].severity is Severity.WARNING
