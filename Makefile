@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-service typecheck lint docs-check bench bench-smoke bench-enum bench-plans bench-backend bench-parallel bench-service bench-terms bench-semac bench-repo bench-diff
+.PHONY: test test-service typecheck lint docs-check bench bench-smoke bench-enum bench-plans bench-backend bench-parallel bench-service bench-terms bench-semac bench-fpt bench-repo bench-diff
 
 ## Tier-1 verify: the command every PR must keep green.
 ## REPRO_VERIFY=1 statically re-checks every plan the engines emit.
@@ -64,6 +64,11 @@ bench-terms:
 ## pruned against the unpruned reference (BENCH_semac_search.json).
 bench-semac:
 	$(PYTEST) benchmarks/bench_guarded_semac.py -k search -s
+
+## Decomposition route: Example 1 curves and the 5-cycle row (largest
+## intermediate, seconds), with host metadata (BENCH_fpt_evaluation.json).
+bench-fpt:
+	$(PYTEST) benchmarks/bench_fpt_evaluation.py -s
 
 ## Repository benchmark: four workloads end to end (see bench/README.md).
 bench-repo:

@@ -113,6 +113,15 @@ def _trigger_key(tgd_index: int, tgd: TGD, trigger: Mapping[Term, Term]) -> Tupl
     return (tgd_index, ordered)
 
 
+def _term_order_key(term: Term) -> Tuple[str, str]:
+    """A sort key for a term built from its interning key, not its identity.
+
+    Terms hash by identity, so set order changes when a term dies and is
+    interned again; the class name and the key's ``repr`` do not.
+    """
+    return (term.__class__.__name__, repr(term._key()))
+
+
 def _unify_atom(pattern: Atom, fact: Atom) -> Optional[Dict[Term, Term]]:
     """Match a (variable-carrying) body atom against a ground fact."""
     if pattern.predicate != fact.predicate:
@@ -197,6 +206,14 @@ def _chase_steps(
         added_this_round: Set[Atom] = set()
         for tgd_index, tgd in enumerate(tgds):
             triggers = _triggers_touching(tgd, result.instance, delta)
+            # Fire in an order fixed by the terms' keys: a chase cut by the
+            # step budget then stops on the same prefix in every call.
+            ordered_variables = sorted(tgd.body_variables(), key=str)
+            triggers.sort(
+                key=lambda trigger: [
+                    _term_order_key(trigger[v]) for v in ordered_variables
+                ]
+            )
             for trigger in triggers:
                 while len(result.steps) >= limit:
                     limit = yield depth_cut

@@ -34,17 +34,19 @@ so the planner falls back to :func:`plan_greedy` (left-deep, no tree).
 
 This module also hosts the decomposition-guided evaluator for cyclic
 queries (:class:`DecompositionEvaluator`): a min-fill tree decomposition
-of the query's Gaifman graph is compiled bag by bag into
-``HashJoin``/``Project`` sub-DAGs, and the Yannakakis semijoin machinery
-runs unchanged over the resulting bag tree — the FPT evaluation the
-source paper promises for bounded-width cyclic queries.
+of the query's Gaifman graph is compiled bag by bag, bottom-up, into
+``HashJoin``/``Project`` sub-DAGs — each bag is its cover joined with its
+children's separators, so it arrives already semi-joined with them — and
+the top-down semijoin pass and Yannakakis assembly run over the resulting
+bag tree: the FPT evaluation the source paper promises for bounded-width
+cyclic queries.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..datamodel import Atom, Instance, Predicate, Variable
+from ..datamodel import Atom, Instance, Predicate
 from ..hypergraph import (
     JoinTree,
     JoinTreeNode,
@@ -60,6 +62,7 @@ from .operators import (
     Operator,
     Project,
     Scan,
+    SemiJoin,
     Statistics,
     BagNode,
 )
@@ -360,16 +363,25 @@ class DecompositionEvaluator(YannakakisEvaluator):
 
     The query's Gaifman graph is decomposed (``tree_decomposition_min_fill``,
     subset bags pruned into their neighbours); each bag becomes a virtual
-    atom ``__bag<i>`` over *all* the bag's variables, materialised as a
-    ``HashJoin``/``Project`` sub-DAG over the query atoms covering the bag,
-    and wrapped in a :class:`~repro.evaluation.operators.BagNode` marker so
-    EXPLAIN and the static verifier see the bag boundary.  Because every
-    bag relation carries the full bag, the bag tree has the running
-    intersection property — a valid join tree — and the inherited
-    Yannakakis semijoin reduction, assembly and streaming faces run over
-    it unchanged.  The cost is the standard hypertree
-    bound: materialising a bag is polynomial for fixed width, everything
-    after is Yannakakis.
+    atom ``__bag<i>`` over *all* the bag's variables, and the bags form a
+    join tree (the decomposition's running intersection property).  Each
+    bag is its cover joined with its children's separators: the scans of
+    the query atoms lying wholly inside the bag, joined with the
+    projection of every child bag onto the variables it shares with this
+    one (children sharing none only gate it by a semi-join on emptiness).
+    A bag variable still uncovered — it can occur only in the parent's
+    separator — comes from a greedy guard atom projected onto the bag,
+    never joined in full.  The ``HashJoin``/``Project`` sub-DAG is wrapped
+    in a :class:`~repro.evaluation.operators.BagNode` marker so EXPLAIN
+    and the static verifier see the bag boundary.
+
+    A bag therefore arrives bottom-up reduced (``R_b ⋉ R_c1 ⋉ …``), each
+    child bag being a shared DAG node materialised once per run, and only
+    the inherited top-down semi-join pass runs over the bag tree; the
+    full reducer's output, and with it assembly and the streaming faces,
+    is exactly Yannakakis' over the bag tree.  The cost is the standard
+    hypertree bound: materialising a bag is polynomial for fixed width,
+    everything after is Yannakakis.
     """
 
     def __init__(self, query, scans=None):
@@ -391,16 +403,29 @@ class DecompositionEvaluator(YannakakisEvaluator):
             # here (an atom's variables form a Gaifman clique, so every
             # atom lands fully inside at least one bag).
             cover: List[Atom] = []
-            covered: Set[Variable] = set()
             for index, atom in enumerate(atoms):
                 if atom.variables() <= bag:
                     assigned.add(index)
                     cover.append(atom)
-                    covered |= atom.variables()
-            # Bag variables connected only by fill-in edges may not be hit
-            # by any contained atom; greedy guards (joined in full, then
-            # projected back to the bag) supply the missing columns.
-            missing = set(bag) - covered
+            self._bag_cover[node] = cover
+        uncovered = [atoms[i] for i in range(len(atoms)) if i not in assigned]
+        if uncovered:  # pragma: no cover — decomposition validity rules this out
+            raise ValueError(f"tree decomposition left atoms uncovered: {uncovered}")
+
+        super().__init__(query, scans, join_tree=self._build_bag_tree())
+
+        # Bag variables hit neither by a contained atom nor by a child's
+        # separator (variables joined into the bag only by fill-in edges,
+        # shared with the parent alone) come from greedy guards, each
+        # projected onto the bag before it is joined.
+        self._bag_guards: Dict[int, List[Atom]] = {}
+        for node in decomposition.nodes():
+            missing = set(self._node_variables[node])
+            for atom in self._bag_cover[node]:
+                missing -= atom.variables()
+            for child in self.join_tree.children(node):
+                missing -= self._node_variables[child]
+            guards: List[Atom] = []
             while missing:
                 guard = max(
                     atoms,
@@ -408,15 +433,9 @@ class DecompositionEvaluator(YannakakisEvaluator):
                 )
                 if not guard.variables() & missing:  # pragma: no cover
                     raise ValueError(f"bag variables unreachable: {missing}")
-                cover.append(guard)
+                guards.append(guard)
                 missing -= guard.variables()
-            self._bag_cover[node] = cover
-        uncovered = [atoms[i] for i in range(len(atoms)) if i not in assigned]
-        if uncovered:  # pragma: no cover — decomposition validity rules this out
-            raise ValueError(f"tree decomposition left atoms uncovered: {uncovered}")
-
-        tree = self._build_bag_tree()
-        super().__init__(query, scans, join_tree=tree)
+            self._bag_guards[node] = guards
 
     def _build_bag_tree(self) -> JoinTree:
         nodes = {
@@ -454,33 +473,64 @@ class DecompositionEvaluator(YannakakisEvaluator):
                     frontier.append(child)
         return oriented
 
-    def _leaf_op(self, node) -> Operator:
-        """Materialise one bag: joins over its cover, projected to the bag."""
-        cover = self._bag_cover[node.identifier]
-        bag_atom = self._bag_atoms[node.identifier]
-        ordered = _connected_order(cover)
-        op: Operator = Scan(ordered[0])
-        for atom in ordered[1:]:
-            op = HashJoin(op, Scan(atom))
-        op = Project(op, tuple(bag_atom.terms))
-        return BagNode(op, bag_atom.variables(), node.identifier)
+    def compile_reduction(self, *, reduce: bool = True) -> Dict[int, Operator]:
+        """The bag operators, built bottom-up, plus the top-down pass.
+
+        Every bag is materialised already semi-joined with its children,
+        so only the top-down half of the full reducer remains.  With
+        ``reduce=False`` the bag operators are returned as they are (the
+        Boolean short-circuit mode).
+        """
+        ops: Dict[int, Operator] = {}
+        for identifier in self._bottom_up:
+            ops[identifier] = self._bag_op(identifier, ops)
+        return self._reduce_top_down(ops) if reduce else ops
+
+    def _bag_op(self, identifier: int, ops: Dict[int, Operator]) -> Operator:
+        """Materialise one bag: its cover joined with its children's
+        separators, projected to the bag (``ops`` holds the child bags)."""
+        bag = self._node_variables[identifier]
+        inputs: List[Operator] = [
+            Scan(atom) for atom in sorted(self._bag_cover[identifier], key=str)
+        ]
+        disjoint_children: List[Operator] = []
+        for child in self.join_tree.children(identifier):
+            child_op = ops[child]
+            separator = tuple(v for v in child_op.schema if v in bag)
+            if separator:
+                inputs.append(Project(child_op, separator))
+            else:
+                disjoint_children.append(child_op)
+        for guard in self._bag_guards[identifier]:
+            scan = Scan(guard)
+            inputs.append(Project(scan, tuple(v for v in scan.schema if v in bag)))
+        ordered = _connected_order(inputs)
+        op = ordered[0]
+        for other in ordered[1:]:
+            op = HashJoin(op, other)
+        op = Project(op, tuple(self._bag_atoms[identifier].terms))
+        # A child sharing no variable (another connected component of the
+        # query) only empties the bag when it is empty itself.
+        for child_op in disjoint_children:
+            op = SemiJoin(op, child_op)
+        return BagNode(op, bag, identifier)
 
 
-def _connected_order(atoms: Sequence[Atom]) -> List[Atom]:
-    """Order a bag's cover so each atom shares a variable with its prefix."""
-    remaining = sorted(atoms, key=str)
+def _connected_order(inputs: Sequence[Operator]) -> List[Operator]:
+    """Order a bag's inputs so each shares a variable with its prefix."""
+    remaining = list(inputs)
     ordered = [remaining.pop(0)]
-    bound = set(ordered[0].variables())
+    bound = set(ordered[0].schema)
     while remaining:
         index = next(
             (
                 i
-                for i, atom in enumerate(remaining)
-                if atom.variables() & bound
+                for i, op in enumerate(remaining)
+                if bound.intersection(op.schema)
             ),
             0,
         )
-        atom = remaining.pop(index)
-        ordered.append(atom)
-        bound |= atom.variables()
+        op = remaining.pop(index)
+        ordered.append(op)
+        bound.update(op.schema)
     return ordered

@@ -106,7 +106,8 @@ class YannakakisEvaluator:
         self._scans = scans
         if join_tree is not None:
             # Subclass seam: a pre-built tree over virtual atoms (see
-            # DecompositionEvaluator) whose leaves compile via _leaf_op.
+            # DecompositionEvaluator, which compiles its own node operators
+            # in compile_reduction).
             self.join_tree = join_tree
         else:
             try:
@@ -154,15 +155,6 @@ class YannakakisEvaluator:
     # ------------------------------------------------------------------
     # Plan compilation (pure position arithmetic, no database work)
     # ------------------------------------------------------------------
-    def _leaf_op(self, node) -> Operator:
-        """The operator producing one join-tree node's base relation.
-
-        The seam subclasses override: the base evaluator scans the node's
-        (real) atom; :class:`repro.evaluation.planner_dp
-        .DecompositionEvaluator` materialises a decomposition bag instead.
-        """
-        return Scan(node.atom)
-
     def compile_reduction(self, *, reduce: bool = True) -> Dict[int, Operator]:
         """The per-node reduced operators: scans plus both semi-join passes.
 
@@ -172,7 +164,7 @@ class YannakakisEvaluator:
         returned (the Boolean short-circuit mode).
         """
         ops: Dict[int, Operator] = {
-            node.identifier: self._leaf_op(node) for node in self.join_tree.nodes()
+            node.identifier: Scan(node.atom) for node in self.join_tree.nodes()
         }
         if not reduce:
             return ops
@@ -180,7 +172,17 @@ class YannakakisEvaluator:
         for identifier in self._bottom_up:
             for child in self.join_tree.children(identifier):
                 ops[identifier] = SemiJoin(ops[identifier], ops[child])
-        # Top-down semi-joins (reading the parent's *final* reducer).
+        return self._reduce_top_down(ops)
+
+    def _reduce_top_down(self, ops: Dict[int, Operator]) -> Dict[int, Operator]:
+        """The top-down semi-join pass over bottom-up reduced node operators.
+
+        Each node is reduced by its parent's *final* reducer, so the result
+        is the full reducer's output once ``ops`` arrives bottom-up reduced.
+        :class:`repro.evaluation.planner_dp.DecompositionEvaluator` builds
+        its bags already semi-joined with their children and runs only
+        this half.
+        """
         for identifier in self._top_down:
             parent = self.join_tree.parent(identifier)
             if parent is not None:

@@ -1,5 +1,7 @@
 """Tests for the tgd chase, the egd chase, the guarded forest and preservation."""
 
+import gc
+
 import pytest
 
 from repro.chase import (
@@ -125,6 +127,44 @@ class TestTgdChase:
         # The generated R(y, z) keeps triggering the rule: the chase does not terminate.
         assert not result.terminated
         assert len(result.instance.atoms_with_predicate(S)) > 1
+
+    def test_truncated_chase_is_reproducible_across_reinterning(self):
+        """A chase cut by ``max_steps`` stops on the same prefix in every
+        call, even when its terms died in between and were interned again
+        under new identities (and so with new hashes and set orders)."""
+        tgd = parse_tgd("R(x, y) -> R(y, z)")
+
+        def run(reverse):
+            # Fresh constants, interned in a different order behind a
+            # different allocation pattern on each call.
+            ballast = [object() for _ in range(97 if reverse else 3)]
+            names = [(f"s{i}", f"t{i}") for i in range(12)]
+            if reverse:
+                names.reverse()
+            start = instance_of(
+                *(Atom(R, (Constant(a), Constant(b))) for a, b in names)
+            )
+            # Round 1 fires all 12 triggers, round 2 is cut after 5 of its
+            # 12 (one per fresh null, enumerated from a set of new atoms).
+            result = chase(start, [tgd], max_steps=17)
+            assert result.budget_exhausted and result.step_count == 17
+            steps = [
+                (
+                    step.tgd_index,
+                    sorted((str(v), str(t)) for v, t in step.trigger.items()),
+                    [str(atom) for atom in step.new_atoms],
+                )
+                for step in result.steps
+            ]
+            atoms = sorted(str(atom) for atom in result.instance)
+            del ballast
+            return steps, atoms
+
+        first = run(reverse=False)
+        gc.collect()
+        for reverse in (True, False, True):
+            assert run(reverse) == first
+            gc.collect()
 
 
 class TestEgdChase:

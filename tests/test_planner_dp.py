@@ -33,8 +33,12 @@ from helpers.workloads import randomized_acyclic_workload, randomized_cyclic_wor
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import (
     AcyclicityRequired,
+    BagNode,
     DP_ATOM_LIMIT,
     DecompositionEvaluator,
+    HashJoin,
+    Project,
+    Scan,
     YannakakisEvaluator,
     evaluate_generic,
     evaluate_with_plan,
@@ -46,6 +50,8 @@ from repro.evaluation import (
     resolve_planner,
 )
 from repro.evaluation.join_plans import PlanTree
+from repro.evaluation.operators import ExecutionContext
+from repro.parser import parse_query
 from repro.queries.cq import ConjunctiveQuery
 from repro.service import QueryService
 
@@ -477,6 +483,168 @@ def test_decomposition_route_agrees_with_generic_on_cyclic_workloads(seed):
     assert evaluate_with_plan(query, database, plan_dp) == expected
 
 
+def cycle_query(length, pendants=0, predicate=Predicate("E", 2), prefix="c"):
+    """A directed ``predicate``-cycle through ``{prefix}0..`` with pendant
+    edges (pendant ``i`` hangs off cycle vertex ``i mod length``, pointing
+    out for even ``i`` and in for odd ``i``); the head is ``({prefix}0)``."""
+    cycle = [Variable(f"{prefix}{i}") for i in range(length)]
+    body = [
+        Atom(predicate, (cycle[i], cycle[(i + 1) % length])) for i in range(length)
+    ]
+    for i in range(pendants):
+        vertex, pendant = cycle[i % length], Variable(f"{prefix}p{i}")
+        body.append(
+            Atom(predicate, (vertex, pendant) if i % 2 == 0 else (pendant, vertex))
+        )
+    return ConjunctiveQuery((cycle[0],), body)
+
+
+def cycle_workload(seed):
+    """A k-cycle (k = 4–7) with pendants and injected constants, sometimes
+    beside a second, disconnected cycle (its bags hang off the first
+    cycle's by empty separators), and sometimes over an empty relation."""
+    rng = random.Random(seed)
+    E, F = Predicate("E", 2), Predicate("F", 2)
+    domain = [Constant(f"n{i}") for i in range(rng.randint(4, 8))]
+    database = Database()
+    for _ in range(rng.randint(6, 18)):
+        database.add(Atom(E, (rng.choice(domain), rng.choice(domain))))
+    if rng.random() < 0.7:  # else F stays an empty relation
+        for _ in range(rng.randint(3, 15)):
+            database.add(Atom(F, (rng.choice(domain), rng.choice(domain))))
+    # The generic oracle enumerates every homomorphism, whose number
+    # multiplies across components: the two-cycle queries stay small.
+    disconnected = rng.random() < 0.4
+    query = cycle_query(
+        rng.randint(4, 5 if disconnected else 7), pendants=rng.randint(0, 2)
+    )
+    body = list(query.body)
+    if rng.random() < 0.2:
+        body.append(Atom(F, (query.head[0], Variable("f0"))))
+    if disconnected:
+        body.extend(cycle_query(3, predicate=rng.choice((E, F)), prefix="d").body)
+    variables = sorted({v for atom in body for v in atom.variables()}, key=str)
+    head_pool = [(), (query.head[0],), tuple(rng.sample(variables, 2))]
+    head = rng.choice(head_pool)
+    if head and rng.random() < 0.2:
+        head = head + head[:1]  # a repeated head variable
+    injected = []
+    for atom in body:
+        terms = tuple(
+            rng.choice(domain)
+            if term not in head and rng.random() < 0.1
+            else term
+            for term in atom.terms
+        )
+        injected.append(Atom(atom.predicate, terms))
+    return ConjunctiveQuery(head, injected), database
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_decomposition_route_agrees_with_generic_on_cycle_workloads(seed):
+    query, database = cycle_workload(seed)
+    expected = evaluate_generic(query, database)
+    evaluator = DecompositionEvaluator(query)
+    assert evaluator.evaluate(database) == expected
+    streamed = list(evaluator.iter_answers(database))
+    assert len(streamed) == len(set(streamed))
+    assert set(streamed) == expected
+    k = seed % 4
+    limited = list(evaluator.iter_answers(database, limit=k))
+    assert len(limited) == len(set(limited)) == min(k, len(expected))
+    assert set(limited) <= expected
+    assert evaluator.boolean(database) == bool(expected)
+    assert tuple_engine.evaluate(evaluator, database) == expected
+
+
+def _operators(plan):
+    """Every node of a plan DAG once, parents before children."""
+    seen = set()
+    stack = [plan]
+    while stack:
+        op = stack.pop()
+        if id(op) in seen:
+            continue
+        seen.add(id(op))
+        yield op
+        stack.extend(op.children)
+
+
+def _bag_operators(bag):
+    """The operators of one bag's own sub-DAG (child bags excluded)."""
+    stack = list(bag.children)
+    while stack:
+        op = stack.pop()
+        if isinstance(op, BagNode):
+            continue
+        yield op
+        stack.extend(op.children)
+
+
+def regular_digraph(seed, domain=60, degree=3, predicate=Predicate("N_0", 2)):
+    """The union of ``degree`` random permutations of a ``domain``-node set
+    (every node has in- and out-degree at most ``degree``)."""
+    rng = random.Random(seed)
+    targets = list(range(domain))
+    edges = set()
+    for _ in range(degree):
+        rng.shuffle(targets)
+        edges.update(enumerate(targets))
+    return Database(
+        Atom(predicate, (Constant(f"c{a}"), Constant(f"c{b}"))) for a, b in edges
+    )
+
+
+class TestFusedBagsBoundTheWork:
+    """The N_0 5-cycle, which has no acyclic reformulation: its middle bag
+    ``{v1, v2, v4}`` contains a single atom.  A bag built from a Cartesian
+    guard went through |N_0|² rows; a bag joined with its children's
+    separators stays within its reduced size times the fan-out."""
+
+    query = cycle_query(5, predicate=Predicate("N_0", 2), prefix="v")
+
+    def test_no_bag_joins_without_a_shared_variable(self):
+        plan = DecompositionEvaluator(self.query).compile_answer_plan()
+        bags = [op for op in _operators(plan) if isinstance(op, BagNode)]
+        assert len(bags) == 3
+        for bag in bags:
+            for op in _bag_operators(bag):
+                if isinstance(op, HashJoin):
+                    left, right = op.children
+                    assert set(left.schema) & set(right.schema), op.label()
+
+    @pytest.mark.parametrize("seed", [1, 2, 16])
+    def test_bag_rows_stay_within_reduced_size_times_fan_out(self, seed):
+        database = regular_digraph(seed)
+        fan_out = 3  # the digraph's maximum in- and out-degree
+        evaluator = DecompositionEvaluator(self.query)
+        plan = evaluator.compile_answer_plan()
+        context = ExecutionContext(database)
+        answers = plan.materialize_encoded(context).answer_tuples(self.query.head)
+        assert answers == evaluate_generic(self.query, database)
+        tree = evaluator.join_tree
+        for bag in (op for op in _operators(plan) if isinstance(op, BagNode)):
+            # The bag arrives bottom-up reduced: it is the projection of
+            # the join of every atom inside a bag of its subtree.
+            subtree, frontier = [], [bag.node_id]
+            while frontier:
+                node = frontier.pop()
+                subtree.extend(evaluator._bag_cover[node])
+                frontier.extend(tree.children(node))
+            head = tuple(sorted(bag.bag, key=str))
+            reduced = evaluate_generic(ConjunctiveQuery(head, subtree), database)
+            assert context.run[bag].rows == len(reduced)
+            scans = [op for op in _bag_operators(bag) if isinstance(op, Scan)]
+            largest_scan = max(context.run[op].rows for op in scans)
+            bound = fan_out * max(len(reduced), largest_scan)
+            for op in _bag_operators(bag):
+                if isinstance(op, HashJoin) or (
+                    isinstance(op, Project) and isinstance(op.children[0], HashJoin)
+                ):
+                    assert context.run[op].rows <= bound, (op.label(), bound)
+
+
 # ----------------------------------------------------------------------
 # Decomposition route: structure
 # ----------------------------------------------------------------------
@@ -502,16 +670,68 @@ class TestDecompositionStructure:
         assert evaluator.evaluate(database) == evaluate_generic(query, database)
 
     def test_bag_schemas_cover_their_bags(self):
-        query, database = randomized_cyclic_workload(7)
+        """Cover atoms ∪ child separators ⊇ bag: a bag is built from the
+        atoms inside it and its children's separators alone, so no guard
+        is needed on these shapes."""
+        queries = [
+            randomized_cyclic_workload(7)[0],
+            cycle_query(5),
+            cycle_query(6, pendants=2),
+            parse_query(
+                "q(x) :- E(x, y), E(y, z), E(z, x), F(z, w), F(w, v), F(v, z)"
+            ),
+        ]
+        for query in queries:
+            evaluator = DecompositionEvaluator(query)
+            tree = evaluator.join_tree
+            for node in evaluator.decomposition.nodes():
+                bag = frozenset(evaluator.decomposition.bag(node))
+                bag_atom = evaluator._bag_atoms[node]
+                assert frozenset(bag_atom.terms) == bag
+                covered = set()
+                for atom in evaluator._bag_cover[node]:
+                    covered |= atom.variables()
+                for child in tree.children(node):
+                    covered |= bag & frozenset(evaluator.decomposition.bag(child))
+                assert bag <= covered, query
+                assert evaluator._bag_guards[node] == [], query
+
+    def test_guards_supply_variables_shared_with_the_parent_only(self, monkeypatch):
+        """A bag variable in no contained atom and no child separator comes
+        from a guard atom projected onto the bag, never joined in full."""
+        from repro.evaluation import planner_dp
+        from repro.hypergraph import TreeDecomposition
+
+        a, b, c, d, e = (Variable(name) for name in "abcde")
+        # Valid but not minimal: bag 1 holds c only because bag 0 does.
+        decomposition = TreeDecomposition(
+            {0: {a, b, c}, 1: {a, c, d}, 2: {a, d, e}}, [(0, 1), (1, 2)]
+        )
+        monkeypatch.setattr(
+            planner_dp, "tree_decomposition_min_fill", lambda graph: decomposition
+        )
+        query = parse_query("q(a, c) :- E(a, b), E(b, c), E(a, d), E(d, e), E(e, a)")
         evaluator = DecompositionEvaluator(query)
-        for node in evaluator.decomposition.nodes():
-            bag = frozenset(evaluator.decomposition.bag(node))
-            bag_atom = evaluator._bag_atoms[node]
-            assert frozenset(bag_atom.terms) == bag
-            covered = set()
-            for atom in evaluator._bag_cover[node]:
-                covered |= atom.variables()
-            assert bag <= covered
+        assert [str(atom) for atom in evaluator._bag_guards[1]] == ["E(b, c)"]
+        plan = evaluator.compile_answer_plan()
+        guard_projections = [
+            op
+            for op in _operators(plan)
+            if isinstance(op, Project)
+            and isinstance(op.children[0], Scan)
+            and str(op.children[0].atom) == "E(b, c)"
+        ]
+        assert [op.schema for op in guard_projections] == [(c,)]
+        rng = random.Random(11)
+        E = Predicate("E", 2)
+        database = Database(
+            Atom(E, (Constant(f"n{rng.randrange(6)}"), Constant(f"n{rng.randrange(6)}")))
+            for _ in range(25)
+        )
+        expected = evaluate_generic(query, database)
+        assert evaluator.evaluate(database) == expected
+        assert set(evaluator.iter_answers(database)) == expected
+        assert tuple_engine.evaluate(evaluator, database) == expected
 
     def test_explain_renders_the_bag_boundaries(self):
         query, database = self.triangle()
