@@ -63,10 +63,10 @@ from .evaluation import (
     NotSemanticallyAcyclic,
     YannakakisEvaluator,
     evaluate_generic,
-    explain,
     iter_with_plan,
     resolve_route,
 )
+from .evaluation.semacyclic_eval import explain_route, verify_route
 
 
 Dependency = Union[TGD, EGD]
@@ -118,6 +118,25 @@ def _split_dependencies(dependencies: Sequence[Dependency]):
     tgds = [d for d in dependencies if isinstance(d, TGD)]
     egds = [d for d in dependencies if isinstance(d, EGD)]
     return tgds, egds
+
+
+def _route(query, dependencies: Sequence[Dependency], engine: str):
+    """The route ``evaluate``, ``explain`` and ``check`` all take.
+
+    :func:`resolve_route` reformulates under tgds only.  Under egds alone, a
+    cyclic query that ``auto`` would send to the decomposition route runs
+    on the egd decider's acyclic witness instead.
+    """
+    tgds, egds = _split_dependencies(dependencies)
+    try:
+        route, evaluator = resolve_route(query, tgds=tgds, engine=engine)
+    except (AcyclicityRequired, NotSemanticallyAcyclic) as error:
+        raise SystemExit(str(error))
+    if route == "decomposition" and egds and not tgds and engine == "auto":
+        witness = decide_semantic_acyclicity(query, egds).witness
+        if witness is not None:
+            return "reformulated", YannakakisEvaluator(witness)
+    return route, evaluator
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +235,6 @@ def _cmd_evaluate(args: argparse.Namespace, out: IO[str]) -> int:
     query = load_query(args.query, args.query_file)
     database = load_database(args.data)
     dependencies = load_dependencies(args.constraints, args.dependency)
-    tgds, egds = _split_dependencies(dependencies)
     limit = args.limit
 
     if args.engine == "generic":
@@ -228,18 +246,7 @@ def _cmd_evaluate(args: argparse.Namespace, out: IO[str]) -> int:
             answers = answers[: max(0, limit)]
         how = "generic"
     else:
-        try:
-            route, evaluator = resolve_route(query, tgds=tgds, engine=args.engine)
-        except (AcyclicityRequired, NotSemanticallyAcyclic) as error:
-            raise SystemExit(str(error))
-        # Egd-only constraint sets are outside resolve_route's tgd-based
-        # reformulation search; fall back to the decision procedure so the
-        # historical ``evaluate --dependency "R(x,y), R(x,z) -> y = z"``
-        # behaviour is preserved.
-        if route in ("plan", "decomposition") and egds and not tgds and args.engine == "auto":
-            decision = decide_semantic_acyclicity(query, egds)
-            if decision.semantically_acyclic and decision.witness is not None:
-                route, evaluator = "reformulated", YannakakisEvaluator(decision.witness)
+        route, evaluator = _route(query, dependencies, args.engine)
         how = "reformulated+yannakakis" if route == "reformulated" else route
         if evaluator is not None:
             stream = evaluator.iter_answers(database, limit=limit)
@@ -323,30 +330,9 @@ def _cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
     return status
 
 
-def _verification_lines(evaluator: YannakakisEvaluator) -> List[str]:
-    """The ``verification:`` block for an evaluator's two plan faces."""
-    from .analysis import verify_plan
-
-    diagnostics = list(verify_plan(evaluator.compile_answer_plan()))
-    diagnostics.extend(verify_plan(evaluator.compile_stream_plan(), streaming=True))
-    if not diagnostics:
-        return ["verification: clean"]
-    lines = [f"verification: {len(diagnostics)} diagnostic(s)"]
-    lines.extend(f"  {diagnostic.render()}" for diagnostic in diagnostics)
-    return lines
-
-
 def _cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
-    from .analysis import (
-        Diagnostic,
-        Severity,
-        errors,
-        exit_code,
-        verify_plan,
-    )
+    from .analysis import Diagnostic, Severity, errors, exit_code
     from .datamodel import Schema
-    from .evaluation.join_plans import compile_plan, resolve_planner
-    from .evaluation.operators import Project, first_occurrence_schema
 
     diagnostics: List[Diagnostic] = []
     try:
@@ -377,24 +363,8 @@ def _cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
 
     route = None
     if database is not None and queries and not errors(diagnostics):
-        tgds, _ = _split_dependencies(dependencies)
-        query = queries[0]
-        try:
-            route, evaluator = resolve_route(query, tgds=tgds, engine=args.engine)
-        except (AcyclicityRequired, NotSemanticallyAcyclic) as error:
-            raise SystemExit(str(error))
-        if evaluator is not None:
-            diagnostics.extend(verify_plan(evaluator.compile_answer_plan()))
-            diagnostics.extend(
-                verify_plan(evaluator.compile_stream_plan(), streaming=True)
-            )
-        else:
-            plan = resolve_planner(None)(query, database)
-            if plan.steps:
-                top = Project(
-                    compile_plan(plan)[-1], first_occurrence_schema(query.head)
-                )
-                diagnostics.extend(verify_plan(top, streaming=True))
+        route, evaluator = _route(queries[0], dependencies, args.engine)
+        diagnostics.extend(verify_route(queries[0], database, evaluator))
 
     code = exit_code(diagnostics)
     if args.json:
@@ -436,37 +406,15 @@ def _cmd_explain(args: argparse.Namespace, out: IO[str]) -> int:
     query = load_query(args.query, args.query_file)
     database = load_database(args.data)
     dependencies = load_dependencies(args.constraints, args.dependency)
-    tgds, egds = _split_dependencies(dependencies)
-    execute = not args.no_execute
-    try:
-        # Mirror _cmd_evaluate's egd fallback so EXPLAIN reports the route
-        # evaluate actually takes: egd-only constraint sets go through the
-        # decision procedure, not the tgd reformulation search.
-        if args.engine == "auto" and egds and not tgds and not query.is_acyclic():
-            decision = decide_semantic_acyclicity(query, egds)
-            if decision.semantically_acyclic and decision.witness is not None:
-                witness = decision.witness
-                evaluator = YannakakisEvaluator(witness)
-                lines = [
-                    f"query: {query}",
-                    "route: reformulated",
-                    f"reformulation: {witness}",
-                    evaluator.explain(database, execute=execute),
-                ]
-                if args.verify:
-                    lines.extend(_verification_lines(evaluator))
-                print("\n".join(lines), file=out)
-                return 0
-        report = explain(
-            query,
-            database,
-            tgds=tgds,
-            engine=args.engine,
-            execute=execute,
-            verify=args.verify,
-        )
-    except (AcyclicityRequired, NotSemanticallyAcyclic) as error:
-        raise SystemExit(str(error))
+    route, evaluator = _route(query, dependencies, args.engine)
+    report = explain_route(
+        query,
+        database,
+        route,
+        evaluator,
+        execute=not args.no_execute,
+        verify=args.verify,
+    )
     print(report, file=out)
     return 0
 

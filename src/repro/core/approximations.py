@@ -16,17 +16,19 @@ approximations always exist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Union
+from typing import List, Set
 
-from ..chase.egd_chase import egd_chase_query
-from ..chase.tgd_chase import chase_query
-from ..containment.constrained import ContainmentOutcome, contained_under_egds, contained_under_tgds
 from ..datamodel import Atom, Predicate, Variable
-from ..dependencies.egd import EGD
-from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
 from .candidates import fast_candidates
-from .semantic_acyclicity import DEFAULT_SEMAC_CONFIG, SemAcConfig
+from .semantic_acyclicity import (
+    DEFAULT_SEMAC_CONFIG,
+    Constraints,
+    SemAcConfig,
+    chase_of_query,
+    containment_test,
+    split_constraints,
+)
 
 
 @dataclass
@@ -63,53 +65,17 @@ def trivial_acyclic_queries(query: ConjunctiveQuery) -> List[ConjunctiveQuery]:
     return [ConjunctiveQuery((), atoms, name=f"{query.name}_trivial")]
 
 
-def _contained(
-    candidate: ConjunctiveQuery,
-    query: ConjunctiveQuery,
-    tgds: Sequence[TGD],
-    egds: Sequence[EGD],
-    config: SemAcConfig,
-) -> bool:
-    if tgds:
-        outcome = contained_under_tgds(candidate, query, tgds, config.containment_config())
-        return outcome is ContainmentOutcome.TRUE
-    if egds:
-        return contained_under_egds(candidate, query, egds)
-    from ..containment.cq_containment import cq_contained_in
-
-    return cq_contained_in(candidate, query)
-
-
 def acyclic_approximations(
     query: ConjunctiveQuery,
-    constraints: Sequence[Union[TGD, EGD]] = (),
+    constraints: Constraints = (),
     config: SemAcConfig = DEFAULT_SEMAC_CONFIG,
     max_candidates: int = 5_000,
 ) -> ApproximationResult:
     """Compute maximally contained acyclic CQs of ``query`` under ``constraints``."""
-    tgds: List[TGD] = [c for c in constraints if isinstance(c, TGD)]
-    egds: List[EGD] = [c for c in constraints if isinstance(c, EGD)]
-    if tgds and egds:
-        raise ValueError("mixing tgds and egds in one approximation call is not supported")
-
+    tgds, egds = split_constraints(constraints)
+    contained = containment_test(tgds, egds, config)
+    chase_result, _, answer = chase_of_query(query, tgds, egds, config)
     result = ApproximationResult(query=query)
-
-    # Build the candidate pool: chase-derived candidates + trivial queries +
-    # acyclic subqueries are all produced by fast_candidates / trivial list.
-    if tgds:
-        chase_result, freezing = chase_query(
-            query, tgds, max_steps=config.chase_max_steps, max_depth=config.chase_max_depth
-        )
-        chase_instance = chase_result.instance
-        answer = tuple(freezing[v] for v in query.head)
-    elif egds:
-        egd_result, freezing = egd_chase_query(query, egds, on_failure="return")
-        chase_instance = egd_result.instance
-        answer = tuple(egd_result.resolve(freezing[v]) for v in query.head)
-    else:
-        chase_instance = query.canonical_database()
-        _, freezing = query.freeze()
-        answer = tuple(freezing[v] for v in query.head)
 
     size_bound = max(2 * len(query), 2)
     contained_candidates: List[ConjunctiveQuery] = []
@@ -121,10 +87,10 @@ def acyclic_approximations(
         seen.add(candidate)
         if not candidate.is_acyclic():
             return
-        if _contained(candidate, query, tgds, egds, config):
+        if contained(candidate, query):
             contained_candidates.append(candidate)
 
-    for candidate, _ in fast_candidates(query, chase_instance, answer, size_bound):
+    for candidate, _ in fast_candidates(query, chase_result.instance, answer, size_bound):
         if result.candidates_considered >= max_candidates:
             break
         result.candidates_considered += 1
@@ -140,9 +106,7 @@ def acyclic_approximations(
         for other in contained_candidates:
             if other is candidate:
                 continue
-            if _contained(candidate, other, tgds, egds, config) and not _contained(
-                other, candidate, tgds, egds, config
-            ):
+            if contained(candidate, other) and not contained(other, candidate):
                 dominated = True
                 break
         if not dominated and candidate not in maximal:
@@ -152,14 +116,10 @@ def acyclic_approximations(
     unique: List[ConjunctiveQuery] = []
     for candidate in maximal:
         if not any(
-            _contained(candidate, kept, tgds, egds, config)
-            and _contained(kept, candidate, tgds, egds, config)
-            for kept in unique
+            contained(candidate, kept) and contained(kept, candidate) for kept in unique
         ):
             unique.append(candidate)
 
     result.approximations = unique
-    result.exact = any(
-        _contained(query, candidate, tgds, egds, config) for candidate in unique
-    )
+    result.exact = any(contained(query, candidate) for candidate in unique)
     return result

@@ -3,18 +3,33 @@
 ``SemAc(C)``: given a CQ ``q`` and a finite set ``Σ`` of constraints in the
 class ``C``, is there an acyclic CQ ``q'`` with ``q ≡_Σ q'``?
 
-The module implements the decision procedures the paper proves correct:
+Without constraints, ``q`` is semantically acyclic iff its core is acyclic
+(exact, Section 1).  Every other case runs one procedure,
+:func:`_guess_and_check`: guess an acyclic CQ within the small-query bound
+and check ``q ≡_Σ q'`` on the chase of ``q`` (Lemma 1).  Only the chase,
+the bound and the equivalence test change from class to class:
 
-* **no constraints** — ``q`` is semantically acyclic iff its core is acyclic
-  (exact, Section 1);
-* **guarded tgds** (Theorem 11) and **keys over unary/binary predicates /
-  unary FDs** (Theorem 23) — guess-and-check with the ``2·|q|`` bound of
-  Proposition 8 (acyclicity-preserving chase);
-* **non-recursive** and **sticky** sets (Theorems 18/20) — guess-and-check
-  with the ``2·f_C(q, Σ)`` bound of Proposition 15 (UCQ rewritability);
+* **guarded tgds** (Theorem 11) — the ``2·|q|`` bound of Proposition 8;
+* **non-recursive** and **sticky** sets (Theorems 18/20) — the
+  ``2·f_C(q, Σ)`` bound of Proposition 15; subqueries of the UCQ rewriting
+  of ``q`` join the candidates, and sticky sets check containment on the
+  rewriting;
+* **keys over unary/binary predicates / unary FDs** (Theorem 23) — egds,
+  whose chase always terminates, with the ``2·|q|`` bound; a failing chase
+  makes ``q`` equivalent to any acyclic CQ;
 * **full tgds** — undecidable (Theorem 7); the procedure still *searches*
   and certifies positive answers, but a negative answer carries no guarantee
   (see :mod:`repro.core.pcp` for the reduction behind the undecidability).
+
+The search runs the fast phase (:func:`~repro.core.candidates
+.fast_candidates`) and, with ``SemAcConfig.exhaustive``, the exhaustive
+phase (:func:`~repro.core.candidates.exhaustive_chase_candidates`);
+``max_candidates_checked`` bounds the two together.  In the fast phase a
+definite refutation of ``candidate ⊆_Σ q`` rules out every sub-instance
+candidate below it (:class:`~repro.core.candidates.SubInstanceLattice`).
+Only the tgd chase strategy prunes: the rewriting's refutation is only as
+complete as the rewriting, and egd merges move subqueries of ``q`` off the
+chase.
 
 Because the problem is NP-hard already for a fixed schema, the deterministic
 search is exponential.  Positive answers are always *certified*: the returned
@@ -28,9 +43,9 @@ found by the layered candidate generators".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..chase.egd_chase import egd_chase_query
+from ..chase.egd_chase import EGDChaseResult, egd_chase_query
 from ..chase.tgd_chase import ChaseResult, chase_query
 from ..containment.constrained import (
     ContainmentConfig,
@@ -38,9 +53,8 @@ from ..containment.constrained import (
     contained_under_egds,
     contained_under_tgds,
 )
-from ..datamodel import Constant, Instance
+from ..datamodel import Constant, Instance, Variable
 from ..dependencies.classification import (
-    DependencyClass,
     is_full_set,
     is_guarded_set,
     is_non_recursive_set,
@@ -50,14 +64,13 @@ from ..dependencies.egd import EGD
 from ..dependencies.fd import FunctionalDependency, fds_to_egds, is_k2_set, all_unary
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
-from ..queries.core_minimization import core, is_semantically_acyclic_unconstrained
+from ..queries.core_minimization import core
 from ..rewriting.bounds import (
     small_query_bound_guarded,
     small_query_bound_ucq_rewritable,
 )
 from ..rewriting.ucq_rewriting import (
     RewritingBudgetExceeded,
-    RewritingConfig,
     rewrite,
     rewriting_contained_under_tgds,
 )
@@ -69,31 +82,26 @@ Constraints = Union[Sequence[TGD], Sequence[EGD], Sequence[FunctionalDependency]
 
 @dataclass
 class SemAcConfig:
-    """Budgets and switches for the semantic-acyclicity search."""
+    """The budgets of the semantic-acyclicity search.
 
-    #: Chase budgets used by the chase-based containment checks.
+    The UCQ rewriting and the exhaustive enumeration run with the budgets
+    of :func:`~repro.rewriting.rewrite` and
+    :func:`~repro.core.candidates.exhaustive_chase_candidates`.
+    """
+
+    #: Step budget of the chase of ``q`` and of the chase-based containment checks.
     chase_max_steps: int = 5_000
-    chase_max_depth: Optional[int] = None
-    #: Budgets for the UCQ rewriting (sticky / non-recursive strategies).
-    rewriting: RewritingConfig = field(default_factory=RewritingConfig)
-    #: Whether to use the rewriting for candidate generation when available.
-    use_rewriting_candidates: bool = True
     #: Run the exhaustive anti-unification enumeration when the fast
     #: generators fail (only advisable for small queries/chases).
     exhaustive: bool = False
-    #: Caps for the exhaustive enumeration.
-    exhaustive_max_subsets: int = 20_000
-    exhaustive_max_generalisations: int = 500
     #: Cap on the witness size considered by the exhaustive enumeration (the
     #: theoretical bound is used when smaller).
     exhaustive_size_cap: int = 8
-    #: Cap on the number of candidates verified before giving up.
+    #: Cap on the number of candidates verified, over both phases.
     max_candidates_checked: int = 50_000
 
     def containment_config(self) -> ContainmentConfig:
-        return ContainmentConfig(
-            max_steps=self.chase_max_steps, max_depth=self.chase_max_depth
-        )
+        return ContainmentConfig(max_steps=self.chase_max_steps)
 
 
 DEFAULT_SEMAC_CONFIG = SemAcConfig()
@@ -124,23 +132,69 @@ class SemAcDecision:
 
 
 # ----------------------------------------------------------------------
+# Constraint sets of one kind
+# ----------------------------------------------------------------------
+def split_constraints(constraints: Constraints) -> Tuple[List[TGD], List[EGD]]:
+    """``Σ`` as its tgds and its egds (FDs become egds); ``Σ`` may not mix them."""
+    tgds: List[TGD] = []
+    egds: List[EGD] = []
+    for constraint in constraints:
+        if isinstance(constraint, TGD):
+            tgds.append(constraint)
+        elif isinstance(constraint, EGD):
+            egds.append(constraint)
+        elif isinstance(constraint, FunctionalDependency):
+            egds.extend(fds_to_egds([constraint]))
+        else:
+            raise TypeError(f"unsupported constraint type {type(constraint).__name__}")
+    if tgds and egds:
+        raise ValueError("mixing tgds and egds is not supported")
+    return tgds, egds
+
+
+def containment_test(
+    tgds: Sequence[TGD], egds: Sequence[EGD], config: SemAcConfig = DEFAULT_SEMAC_CONFIG
+) -> Callable[[ConjunctiveQuery, ConjunctiveQuery], bool]:
+    """``(left, right) -> left ⊆_Σ right``; an inconclusive tgd check reads ``False``.
+
+    Without constraints the egd test is plain CQ containment.
+    """
+    if tgds:
+        budgets = config.containment_config()
+        return lambda left, right: (
+            contained_under_tgds(left, right, tgds, budgets) is ContainmentOutcome.TRUE
+        )
+    return lambda left, right: contained_under_egds(left, right, egds)
+
+
+def chase_of_query(
+    query: ConjunctiveQuery,
+    tgds: Sequence[TGD],
+    egds: Sequence[EGD],
+    config: SemAcConfig = DEFAULT_SEMAC_CONFIG,
+) -> Tuple[Union[ChaseResult, EGDChaseResult], Dict[Variable, Constant], Tuple[Constant, ...]]:
+    """``chase(q, Σ)`` with the freezing map and the frozen head ``c(x̄)`` on it.
+
+    The tgd chase runs within ``config.chase_max_steps``; the egd chase
+    returns a failed result instead of raising.
+    """
+    if tgds:
+        result, freezing = chase_query(query, tgds, max_steps=config.chase_max_steps)
+        return result, freezing, tuple(freezing[v] for v in query.head)
+    result, freezing = egd_chase_query(query, egds, on_failure="return")
+    return result, freezing, tuple(result.resolve(freezing[v]) for v in query.head)
+
+
+# ----------------------------------------------------------------------
 # No constraints
 # ----------------------------------------------------------------------
 def decide_semantic_acyclicity_unconstrained(query: ConjunctiveQuery) -> SemAcDecision:
     """Exact decision in the absence of constraints: is the core acyclic?"""
     minimal = core(query)
-    if minimal.is_acyclic():
-        return SemAcDecision(
-            semantically_acyclic=True,
-            witness=minimal,
-            method="core",
-            size_bound=len(query),
-            candidates_checked=1,
-            exhaustive=True,
-        )
+    acyclic = minimal.is_acyclic()
     return SemAcDecision(
-        semantically_acyclic=False,
-        witness=None,
+        semantically_acyclic=acyclic,
+        witness=minimal if acyclic else None,
         method="core",
         size_bound=len(query),
         candidates_checked=1,
@@ -185,7 +239,7 @@ class _TgdVerifier:
         self._query_rewriting = None
         if strategy == "rewriting":
             try:
-                self._query_rewriting = rewrite(query, self.tgds, config.rewriting)
+                self._query_rewriting = rewrite(query, self.tgds)
             except RewritingBudgetExceeded:
                 self.strategy = "chase"
 
@@ -194,11 +248,7 @@ class _TgdVerifier:
         if self.strategy == "rewriting" and self._query_rewriting is not None:
             return _definite(
                 rewriting_contained_under_tgds(
-                    candidate,
-                    self.query,
-                    self.tgds,
-                    config=self.config.rewriting,
-                    rewriting=self._query_rewriting,
+                    candidate, self.query, self.tgds, rewriting=self._query_rewriting
                 )
             )
         outcome = contained_under_tgds(
@@ -213,9 +263,7 @@ class _TgdVerifier:
         if self.strategy == "rewriting":
             try:
                 return _definite(
-                    rewriting_contained_under_tgds(
-                        self.query, candidate, self.tgds, config=self.config.rewriting
-                    )
+                    rewriting_contained_under_tgds(self.query, candidate, self.tgds)
                 )
             except RewritingBudgetExceeded:
                 self.saw_unknown = True
@@ -237,6 +285,104 @@ class _TgdVerifier:
         if forward is not ContainmentOutcome.TRUE:
             return forward
         return self.candidate_contained_in_query(candidate)
+
+
+class _EgdVerifier:
+    """``q ≡_Σ candidate`` for egds, whose chase terminates: every check is definite."""
+
+    saw_unknown = False
+
+    def __init__(self, query: ConjunctiveQuery, egds: Sequence[EGD]) -> None:
+        self.query = query
+        self.egds = egds
+
+    def equivalent(self, candidate: ConjunctiveQuery) -> ContainmentOutcome:
+        return _definite(
+            contained_under_egds(self.query, candidate, self.egds)
+            and contained_under_egds(candidate, self.query, self.egds)
+        )
+
+
+# ----------------------------------------------------------------------
+# The guess-and-check search
+# ----------------------------------------------------------------------
+def _guess_and_check(
+    query: ConjunctiveQuery,
+    chase_instance: Instance,
+    answer: Sequence[Constant],
+    size_bound: int,
+    verifier: Union[_TgdVerifier, _EgdVerifier],
+    label: str,
+    notes: List[str],
+    config: SemAcConfig,
+    lattice: Optional[SubInstanceLattice] = None,
+    rewriting_disjuncts: Sequence[ConjunctiveQuery] = (),
+    chase_terminated: bool = True,
+) -> SemAcDecision:
+    """Verify candidates until one is equivalent to ``query`` under ``Σ``.
+
+    The fast phase walks :func:`fast_candidates`; given a ``lattice``, a
+    definite ``FALSE`` rules out every candidate below the refuted mask, so
+    pass one only when the verifier's ``FALSE`` is exact.  With
+    ``config.exhaustive`` the exhaustive phase follows, up to witness size
+    ``min(size_bound, config.exhaustive_size_cap)``.  The two phases share
+    ``config.max_candidates_checked``.  A negative verdict is exhaustive
+    when the exhaustive phase ran to the bound over a terminated chase and
+    every check was definite.
+    """
+    cap = min(size_bound, config.exhaustive_size_cap)
+
+    def candidates() -> Iterator[Tuple[str, ConjunctiveQuery, Optional[int]]]:
+        for candidate, mask in fast_candidates(
+            query,
+            chase_instance,
+            answer,
+            size_bound,
+            rewriting_disjuncts=rewriting_disjuncts,
+            notes=notes,
+            lattice=lattice,
+        ):
+            yield "fast", candidate, mask
+        if not config.exhaustive:
+            return
+        if cap < size_bound:
+            notes.append(
+                f"exhaustive enumeration capped at witness size {cap} "
+                f"(theoretical bound {size_bound})"
+            )
+        for candidate in exhaustive_chase_candidates(
+            query, chase_instance, answer, max_atoms=cap
+        ):
+            yield "exhaustive", candidate, None
+
+    checked = 0
+    budget_hit = False
+    for phase, candidate, mask in candidates():
+        if checked >= config.max_candidates_checked:
+            budget_hit = True
+            notes.append(f"candidate budget exhausted during the {phase} phase")
+            break
+        checked += 1
+        outcome = verifier.equivalent(candidate)
+        if outcome is ContainmentOutcome.TRUE:
+            return SemAcDecision(
+                True, candidate, f"{phase}/{label}", size_bound, checked, False, notes
+            )
+        if lattice is not None and mask is not None and outcome is ContainmentOutcome.FALSE:
+            lattice.refute(mask)
+
+    if verifier.saw_unknown:
+        notes.append("some containment checks were inconclusive (chase budget)")
+    exhaustive = (
+        config.exhaustive
+        and not budget_hit
+        and cap >= size_bound
+        and chase_terminated
+        and not verifier.saw_unknown
+    )
+    return SemAcDecision(
+        False, None, f"search/{label}", size_bound, checked, exhaustive, notes
+    )
 
 
 # ----------------------------------------------------------------------
@@ -266,9 +412,8 @@ def decide_semantic_acyclicity_tgds(
         return decide_semantic_acyclicity_unconstrained(query)
 
     strategy, class_label = _strategy_for(tgd_list)
-    if class_label in ("guarded",):
-        size_bound = small_query_bound_guarded(query)
-    elif class_label in ("non-recursive", "sticky"):
+    rewritable = class_label in ("non-recursive", "sticky")
+    if rewritable:
         size_bound = small_query_bound_ucq_rewritable(query, tgd_list)
     else:
         size_bound = small_query_bound_guarded(query)
@@ -282,116 +427,43 @@ def decide_semantic_acyclicity_tgds(
     elif class_label == "general":
         notes.append("tgd set outside the decidable classes; best-effort search")
 
-    # Quick exact check: already acyclic, or acyclic core.
     if query.is_acyclic():
         return SemAcDecision(
             True, query, f"syntactic/{class_label}", size_bound, 1, True, notes
         )
 
-    chase_result, freezing = chase_query(
-        query,
-        tgd_list,
-        max_steps=config.chase_max_steps,
-        max_depth=config.chase_max_depth,
-    )
+    chase_result, freezing, answer = chase_of_query(query, tgd_list, (), config)
     if not chase_result.terminated:
         notes.append("chase truncated by budget; candidate space may be incomplete")
-    answer = tuple(freezing[v] for v in query.head)
-
     verifier = _TgdVerifier(query, tgd_list, config, strategy, chase_result, answer)
 
     rewriting_disjuncts: Sequence[ConjunctiveQuery] = ()
-    if config.use_rewriting_candidates and class_label in ("non-recursive", "sticky"):
+    if rewritable:
         try:
-            rewriting_disjuncts = list(rewrite(query, tgd_list, config.rewriting))
+            rewriting_disjuncts = list(rewrite(query, tgd_list))
         except RewritingBudgetExceeded:
             notes.append("rewriting budget exceeded while generating candidates")
 
     # A sub-instance candidate holds in the chase of q, so it fails only on
-    # ``candidate ⊆_Σ q``, which is upward-closed in the sub-instance: a
-    # definite FALSE rules out every candidate below its mask.  The chase
-    # strategy's FALSE is exact (Lemma 1 on a terminated chase); the
-    # rewriting's is only as complete as the rewriting, so it prunes nothing.
-    lattice = SubInstanceLattice(chase_result.instance, freezing)
-    prunes = verifier.strategy == "chase"
-    checked = 0
-    for candidate, mask in fast_candidates(
+    # ``candidate ⊆_Σ q``, which is upward-closed in the sub-instance.  The
+    # chase strategy's FALSE is exact (Lemma 1 on a terminated chase), so
+    # its refutations prune; the rewriting's is only as complete as the
+    # rewriting, so it gets no lattice.
+    lattice = None
+    if verifier.strategy == "chase":
+        lattice = SubInstanceLattice(chase_result.instance, freezing)
+    return _guess_and_check(
         query,
         chase_result.instance,
         answer,
         size_bound,
-        rewriting_disjuncts=rewriting_disjuncts,
-        notes=notes,
-        lattice=lattice,
-    ):
-        if checked >= config.max_candidates_checked:
-            notes.append("candidate budget exhausted during the fast phase")
-            break
-        checked += 1
-        outcome = verifier.equivalent(candidate)
-        if outcome is ContainmentOutcome.TRUE:
-            return SemAcDecision(
-                True,
-                candidate,
-                f"fast/{class_label}",
-                size_bound,
-                checked,
-                False,
-                notes,
-            )
-        if prunes and mask is not None and outcome is ContainmentOutcome.FALSE:
-            lattice.refute(mask)
-
-    exhaustive_complete = False
-    if config.exhaustive:
-        cap = min(size_bound, config.exhaustive_size_cap)
-        if cap < size_bound:
-            notes.append(
-                f"exhaustive enumeration capped at witness size {cap} "
-                f"(theoretical bound {size_bound})"
-            )
-        budget_hit = False
-        for candidate in exhaustive_chase_candidates(
-            query,
-            chase_result.instance,
-            answer,
-            max_atoms=cap,
-            max_subsets=config.exhaustive_max_subsets,
-            max_generalisations_per_subset=config.exhaustive_max_generalisations,
-        ):
-            if checked >= config.max_candidates_checked:
-                budget_hit = True
-                notes.append("candidate budget exhausted during the exhaustive phase")
-                break
-            checked += 1
-            if verifier.equivalent(candidate):
-                return SemAcDecision(
-                    True,
-                    candidate,
-                    f"exhaustive/{class_label}",
-                    size_bound,
-                    checked,
-                    False,
-                    notes,
-                )
-        exhaustive_complete = (
-            not budget_hit
-            and chase_result.terminated
-            and not verifier.saw_unknown
-            and cap >= size_bound
-        )
-
-    if verifier.saw_unknown:
-        notes.append("some containment checks were inconclusive (chase budget)")
-
-    return SemAcDecision(
-        False,
-        None,
-        f"search/{class_label}",
-        size_bound,
-        checked,
-        exhaustive_complete,
+        verifier,
+        class_label,
         notes,
+        config,
+        lattice=lattice,
+        rewriting_disjuncts=rewriting_disjuncts,
+        chase_terminated=chase_result.terminated,
     )
 
 
@@ -441,7 +513,7 @@ def decide_semantic_acyclicity_egds(
     if query.is_acyclic():
         return SemAcDecision(True, query, "syntactic/egds", size_bound, 1, True, notes)
 
-    chase_result, freezing = egd_chase_query(query, egd_list, on_failure="return")
+    chase_result, _, answer = chase_of_query(query, (), egd_list, config)
     if chase_result.failed:
         notes.append(
             "the egd chase of the query fails; the query is unsatisfiable on "
@@ -449,49 +521,15 @@ def decide_semantic_acyclicity_egds(
         )
         trivial = _trivial_acyclic_subquery(query)
         return SemAcDecision(True, trivial, "failing-chase", size_bound, 1, True, notes)
-    answer = tuple(chase_result.resolve(freezing[v]) for v in query.head)
-
-    def equivalent(candidate: ConjunctiveQuery) -> bool:
-        return contained_under_egds(query, candidate, egd_list) and contained_under_egds(
-            candidate, query, egd_list
-        )
-
-    checked = 0
-    for candidate, _ in fast_candidates(
-        query, chase_result.instance, answer, size_bound, notes=notes
-    ):
-        if checked >= config.max_candidates_checked:
-            notes.append("candidate budget exhausted during the fast phase")
-            break
-        checked += 1
-        if equivalent(candidate):
-            return SemAcDecision(True, candidate, "fast/egds", size_bound, checked, False, notes)
-
-    exhaustive_complete = False
-    if config.exhaustive:
-        cap = min(size_bound, config.exhaustive_size_cap)
-        budget_hit = False
-        for candidate in exhaustive_chase_candidates(
-            query,
-            chase_result.instance,
-            answer,
-            max_atoms=cap,
-            max_subsets=config.exhaustive_max_subsets,
-            max_generalisations_per_subset=config.exhaustive_max_generalisations,
-        ):
-            if checked >= config.max_candidates_checked:
-                budget_hit = True
-                notes.append("candidate budget exhausted during the exhaustive phase")
-                break
-            checked += 1
-            if equivalent(candidate):
-                return SemAcDecision(
-                    True, candidate, "exhaustive/egds", size_bound, checked, False, notes
-                )
-        exhaustive_complete = not budget_hit and cap >= size_bound
-
-    return SemAcDecision(
-        False, None, "search/egds", size_bound, checked, exhaustive_complete, notes
+    return _guess_and_check(
+        query,
+        chase_result.instance,
+        answer,
+        size_bound,
+        _EgdVerifier(query, egd_list),
+        "egds",
+        notes,
+        config,
     )
 
 

@@ -16,27 +16,19 @@ disjuncts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
-from ..containment.constrained import (
-    ContainmentOutcome,
-    contained_under_egds,
-    contained_under_tgds,
-)
-from ..dependencies.egd import EGD
-from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
 from ..queries.ucq import UnionOfConjunctiveQueries
 from .semantic_acyclicity import (
     DEFAULT_SEMAC_CONFIG,
+    Constraints,
     SemAcConfig,
     SemAcDecision,
-    decide_semantic_acyclicity_egds,
-    decide_semantic_acyclicity_tgds,
+    containment_test,
+    decide_semantic_acyclicity,
+    split_constraints,
 )
-
-
-Constraint = Union[TGD, EGD]
 
 
 @dataclass
@@ -55,36 +47,14 @@ class UCQSemAcDecision:
         return self.semantically_acyclic
 
 
-def _contained(
-    left: ConjunctiveQuery,
-    right: ConjunctiveQuery,
-    tgds: Sequence[TGD],
-    egds: Sequence[EGD],
-    config: SemAcConfig,
-) -> bool:
-    if tgds:
-        return (
-            contained_under_tgds(left, right, tgds, config.containment_config())
-            is ContainmentOutcome.TRUE
-        )
-    if egds:
-        return contained_under_egds(left, right, egds)
-    from ..containment.cq_containment import cq_contained_in
-
-    return cq_contained_in(left, right)
-
-
 def decide_ucq_semantic_acyclicity(
     ucq: UnionOfConjunctiveQueries,
-    constraints: Sequence[Constraint] = (),
+    constraints: Constraints = (),
     config: SemAcConfig = DEFAULT_SEMAC_CONFIG,
 ) -> UCQSemAcDecision:
     """Decide whether a UCQ is equivalent to a union of acyclic CQs under Σ."""
     constraint_list = list(constraints)
-    tgds = [c for c in constraint_list if isinstance(c, TGD)]
-    egds = [c for c in constraint_list if isinstance(c, EGD)]
-    if tgds and egds:
-        raise ValueError("mixing tgds and egds is not supported")
+    contained = containment_test(*split_constraints(constraint_list), config)
 
     decision = UCQSemAcDecision(semantically_acyclic=True, witness=None)
     witness_disjuncts: List[ConjunctiveQuery] = []
@@ -98,7 +68,7 @@ def decide_ucq_semantic_acyclicity(
         for other_index, other in enumerate(disjuncts):
             if other_index == index or other_index in dropped:
                 continue
-            if _contained(disjunct, other, tgds, egds, config):
+            if contained(disjunct, other):
                 dropped.add(index)
                 break
 
@@ -108,14 +78,7 @@ def decide_ucq_semantic_acyclicity(
             continue
 
         # Case (i): the disjunct itself is semantically acyclic under Σ.
-        if tgds:
-            cq_decision = decide_semantic_acyclicity_tgds(disjunct, tgds, config)
-        elif egds:
-            cq_decision = decide_semantic_acyclicity_egds(disjunct, egds, config)
-        else:
-            from .semantic_acyclicity import decide_semantic_acyclicity_unconstrained
-
-            cq_decision = decide_semantic_acyclicity_unconstrained(disjunct)
+        cq_decision = decide_semantic_acyclicity(disjunct, constraint_list, config)
         decision.cq_decisions[index] = cq_decision
         if cq_decision.semantically_acyclic and cq_decision.witness is not None:
             decision.disjunct_status[index] = "acyclic-witness"
@@ -129,14 +92,7 @@ def decide_ucq_semantic_acyclicity(
             # Every disjunct was redundant in another one — this can only
             # happen through Σ-equivalences; keep one witness per equivalence
             # class by re-running the CQ decision on the first disjunct.
-            if tgds:
-                fallback = decide_semantic_acyclicity_tgds(disjuncts[0], tgds, config)
-            elif egds:
-                fallback = decide_semantic_acyclicity_egds(disjuncts[0], egds, config)
-            else:
-                from .semantic_acyclicity import decide_semantic_acyclicity_unconstrained
-
-                fallback = decide_semantic_acyclicity_unconstrained(disjuncts[0])
+            fallback = decide_semantic_acyclicity(disjuncts[0], constraint_list, config)
             if fallback.semantically_acyclic and fallback.witness is not None:
                 witness_disjuncts.append(fallback.witness)
             else:
@@ -150,7 +106,7 @@ def decide_ucq_semantic_acyclicity(
 
 def is_ucq_semantically_acyclic(
     ucq: UnionOfConjunctiveQueries,
-    constraints: Sequence[Constraint] = (),
+    constraints: Constraints = (),
     config: SemAcConfig = DEFAULT_SEMAC_CONFIG,
 ) -> bool:
     """Boolean wrapper around :func:`decide_ucq_semantic_acyclicity`."""

@@ -52,10 +52,6 @@ class Atom:
     def arity(self) -> int:
         return self.predicate.arity
 
-    @property
-    def relation_name(self) -> str:
-        return self.predicate.name
-
     def variables(self) -> Set[Variable]:
         """Return the set of variables occurring in the atom."""
         return {t for t in self.terms if isinstance(t, Variable)}
@@ -67,10 +63,6 @@ class Atom:
     def nulls(self) -> Set[Null]:
         """Return the set of nulls occurring in the atom."""
         return {t for t in self.terms if isinstance(t, Null)}
-
-    def terms_set(self) -> Set[Term]:
-        """Return the set of all terms occurring in the atom."""
-        return set(self.terms)
 
     def is_ground(self) -> bool:
         """Return ``True`` iff the atom mentions no variables."""
@@ -93,10 +85,6 @@ class Atom:
     def map_terms(self, function: Callable[[Term], Term]) -> "Atom":
         """Return the atom obtained by applying ``function`` to every term."""
         return Atom(self.predicate, tuple(function(t) for t in self.terms))
-
-    def rename_predicate(self, predicate: Predicate) -> "Atom":
-        """Return a copy of the atom over ``predicate`` (same terms)."""
-        return Atom(predicate, self.terms)
 
     # ------------------------------------------------------------------
     def __str__(self) -> str:

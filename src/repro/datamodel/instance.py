@@ -11,7 +11,18 @@ evaluated.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from .atoms import Atom, Predicate
 from .terms import Constant, GroundTerm, Null, Term, Variable
@@ -19,7 +30,7 @@ from .schema import Schema
 
 
 #: Shared empty result for index lookups that find nothing (never mutated).
-_EMPTY_ATOM_SET: FrozenSet[Atom] = frozenset()
+_NO_ATOMS: Dict[Atom, None] = {}
 
 
 class Instance:
@@ -28,6 +39,9 @@ class Instance:
     The class behaves like a set of :class:`Atom` (iteration, ``in``,
     ``len``) but also maintains an index from predicates to atoms and from
     terms to atoms, which the homomorphism search and the chase rely on.
+    The atoms and both indexes are dicts used as insertion-ordered sets:
+    terms hash by identity, so a set's order would change whenever a term
+    is interned again, and with it the homomorphism a search finds first.
 
     Every *effective* mutation (an ``add`` of a new atom, a ``discard`` of a
     present one) advances :attr:`mutation_epoch` and is appended to a
@@ -44,9 +58,9 @@ class Instance:
     JOURNAL_LIMIT = 4096
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
-        self._atoms: Set[Atom] = set()
-        self._by_predicate: Dict[Predicate, Set[Atom]] = defaultdict(set)
-        self._by_term: Dict[GroundTerm, Set[Atom]] = defaultdict(set)
+        self._atoms: Dict[Atom, None] = {}
+        self._by_predicate: Dict[Predicate, Dict[Atom, None]] = defaultdict(dict)
+        self._by_term: Dict[GroundTerm, Dict[Atom, None]] = defaultdict(dict)
         self._mutation_epoch = 0
         self._journal: List[Tuple[bool, Atom]] = []
         self._journal_base = 0
@@ -114,10 +128,10 @@ class Instance:
             raise ValueError(f"instances contain ground atoms only, got {atom}")
         if atom in self._atoms:
             return False
-        self._atoms.add(atom)
-        self._by_predicate[atom.predicate].add(atom)
+        self._atoms[atom] = None
+        self._by_predicate[atom.predicate][atom] = None
         for term in atom.terms:
-            self._by_term[term].add(atom)
+            self._by_term[term][atom] = None
         self._record_mutation(True, atom)
         return True
 
@@ -129,10 +143,10 @@ class Instance:
         """Remove ``atom`` if present; return ``True`` iff it was present."""
         if atom not in self._atoms:
             return False
-        self._atoms.discard(atom)
-        self._by_predicate[atom.predicate].discard(atom)
+        del self._atoms[atom]
+        del self._by_predicate[atom.predicate][atom]
         for term in set(atom.terms):
-            self._by_term[term].discard(atom)
+            del self._by_term[term][atom]
             if not self._by_term[term]:
                 del self._by_term[term]
         if not self._by_predicate[atom.predicate]:
@@ -154,9 +168,9 @@ class Instance:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Instance):
-            return self._atoms == other._atoms
+            return self._atoms.keys() == other._atoms.keys()
         if isinstance(other, (set, frozenset)):
-            return self._atoms == other
+            return self._atoms.keys() == other
         return NotImplemented
 
     def __hash__(self) -> int:  # pragma: no cover - rarely hashed
@@ -178,13 +192,13 @@ class Instance:
         this path is hot.
         """
         clone = self.__class__.__new__(self.__class__)
-        clone._atoms = set(self._atoms)
-        clone._by_predicate = defaultdict(set)
+        clone._atoms = dict(self._atoms)
+        clone._by_predicate = defaultdict(dict)
         for predicate, atoms in self._by_predicate.items():
-            clone._by_predicate[predicate] = set(atoms)
-        clone._by_term = defaultdict(set)
+            clone._by_predicate[predicate] = dict(atoms)
+        clone._by_term = defaultdict(dict)
         for term, atoms in self._by_term.items():
-            clone._by_term[term] = set(atoms)
+            clone._by_term[term] = dict(atoms)
         clone._mutation_epoch = self._mutation_epoch
         clone._content_token = self.content_token()
         clone._journal = []
@@ -194,15 +208,15 @@ class Instance:
     # ------------------------------------------------------------------
     # Indexed access
     # ------------------------------------------------------------------
-    def atoms_with_predicate(self, predicate: Predicate) -> Set[Atom]:
-        """Return the atoms over ``predicate``.
+    def atoms_with_predicate(self, predicate: Predicate) -> Collection[Atom]:
+        """Return the atoms over ``predicate``, in insertion order.
 
-        The returned set is the live index of the instance — callers must not
+        The returned collection is the live index of the instance — callers must not
         mutate it.  (Returning it directly, rather than a defensive copy,
         keeps the homomorphism search and the chase linear in the number of
         matching atoms rather than in the size of the whole relation.)
         """
-        return self._by_predicate.get(predicate, _EMPTY_ATOM_SET)
+        return self._by_predicate.get(predicate, _NO_ATOMS)
 
     def atoms_with_predicate_name(self, name: str) -> FrozenSet[Atom]:
         """Return the atoms whose predicate is called ``name``."""
@@ -212,13 +226,13 @@ class Instance:
                 result.update(atoms)
         return frozenset(result)
 
-    def atoms_with_term(self, term: GroundTerm) -> Set[Atom]:
-        """Return the atoms in which ``term`` occurs.
+    def atoms_with_term(self, term: GroundTerm) -> Collection[Atom]:
+        """Return the atoms in which ``term`` occurs, in insertion order.
 
         As with :meth:`atoms_with_predicate`, the live index is returned and
         must not be mutated by callers.
         """
-        return self._by_term.get(term, _EMPTY_ATOM_SET)
+        return self._by_term.get(term, _NO_ATOMS)
 
     def predicates(self) -> Set[Predicate]:
         """Return the predicates that occur in the instance."""

@@ -146,11 +146,6 @@ class TGD:
         frontier = sorted(self.frontier_variables(), key=str)
         return ConjunctiveQuery(frontier, self._body, name=f"{self.label}_body")
 
-    def head_query(self) -> ConjunctiveQuery:
-        """The CQ ``q_ψ(x̄) = ∃z̄ ψ(x̄, z̄)`` with the frontier as free variables."""
-        frontier = sorted(self.frontier_variables(), key=str)
-        return ConjunctiveQuery(frontier, self._head, name=f"{self.label}_head")
-
     def triggers(self, instance: Instance) -> Iterable[Dict[Term, Term]]:
         """Yield every homomorphism from the body into ``instance`` (the triggers)."""
         return homomorphisms(self._body, instance)

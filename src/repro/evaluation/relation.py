@@ -528,17 +528,6 @@ class Relation:
             self._stats["pair_distincts"] = cached
         return cached  # type: ignore[return-value]
 
-    def pair_distinct_count(self, left: Variable, right: Variable) -> float:
-        """The sketched distinct count of the ``(left, right)`` value pairs."""
-        i, j = self.position(left), self.position(right)
-        if i == j:
-            return float(self.distinct_count(left))
-        key = (i, j) if i < j else (j, i)
-        counts = self.key_pair_distinct_counts()
-        if key not in counts:  # empty relation / unary schema
-            return float(self.key_distinct_count((left, right)))
-        return counts[key]
-
     def encoded(self, encoder: "TermEncoder") -> "EncodedRelation":  # noqa: F821
         """This relation dictionary-encoded under ``encoder``, built once.
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..chase.egd_chase import egd_chase_query
 from ..chase.tgd_chase import chase_query
@@ -47,10 +47,13 @@ from .cover_game import (
     query_covers_database,
 )
 from .generic import membership_generic
-from .join_plans import explain_plan, iter_with_plan, resolve_planner
+from .join_plans import JoinPlan, explain_plan, iter_with_plan, resolve_planner
 from .operators import Statistics
 from .relation import Relation, ScanProvider
 from .yannakakis import AcyclicityRequired, YannakakisEvaluator
+
+if TYPE_CHECKING:
+    from ..analysis.diagnostics import Diagnostic
 
 
 class NotSemanticallyAcyclic(ValueError):
@@ -328,6 +331,22 @@ def explain(
     :func:`evaluate_iter` on impossible forced routes.
     """
     route, evaluator = resolve_route(query, tgds=tgds, engine=engine)
+    return explain_route(
+        query, database, route, evaluator, scans=scans, execute=execute, verify=verify
+    )
+
+
+def explain_route(
+    query: ConjunctiveQuery,
+    database: Instance,
+    route: str,
+    evaluator: Optional[YannakakisEvaluator],
+    *,
+    scans: Optional[ScanProvider] = None,
+    execute: bool = True,
+    verify: bool = False,
+) -> str:
+    """:func:`explain` for a route already resolved (``evaluator`` runs it)."""
     if scans is None:
         # One cache for everything explain does — statistics, planning and
         # the executed plan all draw the same base scans and partitions.
@@ -361,28 +380,42 @@ def explain(
             )
         )
     if verify:
-        from ..analysis.verify_plan import verify_plan
-
-        diagnostics = []
-        if evaluator is not None:
-            diagnostics.extend(verify_plan(evaluator.compile_answer_plan()))
-            diagnostics.extend(
-                verify_plan(evaluator.compile_stream_plan(), streaming=True)
-            )
-        elif plan is not None and plan.steps:
-            from .join_plans import compile_plan
-            from .operators import Project, first_occurrence_schema
-
-            top = Project(
-                compile_plan(plan)[-1], first_occurrence_schema(query.head)
-            )
-            diagnostics.extend(verify_plan(top, streaming=True))
+        diagnostics = verify_route(query, database, evaluator, plan)
         if diagnostics:
             lines.append(f"verification: {len(diagnostics)} diagnostic(s)")
             lines.extend(f"  {diagnostic.render()}" for diagnostic in diagnostics)
         else:
             lines.append("verification: clean")
     return "\n".join(lines)
+
+
+def verify_route(
+    query: ConjunctiveQuery,
+    database: Instance,
+    evaluator: Optional[YannakakisEvaluator],
+    plan: Optional[JoinPlan] = None,
+) -> List["Diagnostic"]:
+    """The static plan verifier's diagnostics on the plans a route runs.
+
+    An evaluator route is checked on both plan faces; the flat-plan route
+    (``evaluator`` is ``None``) on ``plan``, planned here when not given.
+    """
+    from ..analysis.verify_plan import verify_plan
+
+    if evaluator is not None:
+        return [
+            *verify_plan(evaluator.compile_answer_plan()),
+            *verify_plan(evaluator.compile_stream_plan(), streaming=True),
+        ]
+    if plan is None:
+        plan = resolve_planner(None)(query, database)
+    if not plan.steps:
+        return []
+    from .join_plans import compile_plan
+    from .operators import Project, first_occurrence_schema
+
+    top = Project(compile_plan(plan)[-1], first_occurrence_schema(query.head))
+    return list(verify_plan(top, streaming=True))
 
 
 def evaluate_batch(

@@ -124,7 +124,7 @@ class YannakakisEvaluator:
             set(self.query.head)
         )
         # Compiled plans, one per variant: "answer" for the materialising
-        # plan, (reduce, boolean) for the streaming ones.  Two threads racing
+        # plan, ("stream", boolean) for the streaming ones.  Two threads racing
         # on a miss compile equal plans and one of them is kept.
         self._plans: Dict[object, Operator] = {}
 
@@ -217,25 +217,25 @@ class YannakakisEvaluator:
         maybe_verify_plan(root, where="YannakakisEvaluator.compile_answer_plan")
         return root
 
-    def compile_stream_plan(
-        self, *, reduce: bool = True, boolean: bool = False
-    ) -> CursorEnumerate:
-        """The streaming plan: reducers (or raw scans) under a cursor tree.
+    def compile_stream_plan(self, *, boolean: bool = False) -> CursorEnumerate:
+        """The streaming plan: the reducers under a cursor tree.
 
-        ``boolean=True`` swaps in the Boolean carry schemas (connecting
-        variables only), which is how :meth:`boolean` stops at the first
-        witness combination.  Compiled once per ``(reduce, boolean)``.
+        ``boolean=True`` compiles the plan :meth:`boolean` runs instead: raw
+        scans under the Boolean carry schemas (connecting variables only),
+        so it stops at the first witness combination.  Each of the two is
+        compiled once.
         """
-        key = (reduce, boolean)
+        key = ("stream", boolean)
         if key not in self._plans:
-            self._plans[key] = self._compile_stream_plan(reduce, boolean)
+            self._plans[key] = self._compile_stream_plan(boolean)
         return self._plans[key]  # type: ignore[return-value]
 
-    def _compile_stream_plan(self, reduce: bool, boolean: bool) -> CursorEnumerate:
-        carry = self._carry_schemas(set()) if boolean else self._carry
-        plan = CursorEnumerate(
-            self.join_tree, self.compile_reduction(reduce=reduce), carry
-        )
+    def _compile_stream_plan(self, boolean: bool) -> CursorEnumerate:
+        if boolean:
+            ops, carry = self.compile_reduction(reduce=False), self._carry_schemas(set())
+        else:
+            ops, carry = self.compile_reduction(), self._carry
+        plan = CursorEnumerate(self.join_tree, ops, carry)
         maybe_verify_plan(
             plan, streaming=True, where="YannakakisEvaluator.compile_stream_plan"
         )
@@ -255,7 +255,6 @@ class YannakakisEvaluator:
         *,
         scans: Optional[ScanProvider] = None,
         limit: Optional[int] = None,
-        reduce: bool = True,
     ) -> Iterator[Tuple[Term, ...]]:
         """Stream the distinct answer tuples of ``q(D)`` one at a time.
 
@@ -269,11 +268,6 @@ class YannakakisEvaluator:
         exactly, with no tuple yielded twice.
 
         ``limit`` caps the number of answers (``None`` = all of them).
-        ``reduce=False`` skips the semi-join reducers: the cursors then run
-        directly on the raw scans, which brings the very first answer
-        forward on satisfiable instances at the price of possible
-        (memoised) dead ends during the rest of the enumeration — this is
-        the mode :meth:`boolean` uses.
 
         Memory: the memoised cursors retain the distinct partial tuples
         enumerated so far, so a *complete* run holds at most what the
@@ -282,7 +276,7 @@ class YannakakisEvaluator:
         """
         if limit is not None and limit <= 0:
             return
-        plan = self.compile_stream_plan(reduce=reduce)
+        plan = self.compile_stream_plan()
         root_carry = self._carry[self.join_tree.root]
         head_positions = tuple(root_carry.index(v) for v in self.query.head)
         context = self._context(database, scans)
@@ -313,7 +307,7 @@ class YannakakisEvaluator:
         bounds the total work by one traversal per (node, key) — the same
         order as a semi-join pass.
         """
-        plan = self.compile_stream_plan(reduce=False, boolean=True)
+        plan = self.compile_stream_plan(boolean=True)
         for _ in plan.iter_rows_encoded(self._context(database, scans)):
             return True
         return False

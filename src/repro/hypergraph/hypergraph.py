@@ -19,7 +19,7 @@ builder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from ..datamodel import Atom, Constant, Instance, Null, Term, Variable, is_frozen_constant
 
@@ -98,14 +98,6 @@ class Hypergraph:
 
     def __iter__(self) -> Iterator[HyperEdge]:
         return iter(self._edges)
-
-    def vertex_occurrences(self) -> Dict[Term, Set[int]]:
-        """Map each vertex to the indexes of the hyperedges containing it."""
-        occurrences: Dict[Term, Set[int]] = {}
-        for edge in self._edges:
-            for vertex in edge.vertices:
-                occurrences.setdefault(vertex, set()).add(edge.index)
-        return occurrences
 
     def __str__(self) -> str:
         return "Hypergraph[" + "; ".join(str(e) for e in self._edges) + "]"

@@ -111,16 +111,6 @@ class JoinTree:
             current = self._parent[current]
         return result
 
-    def descendants(self, identifier: int) -> List[int]:
-        """Return every node in the subtree rooted at ``identifier`` (excluding it)."""
-        result: List[int] = []
-        stack = list(self._children[identifier])
-        while stack:
-            node = stack.pop()
-            result.append(node)
-            stack.extend(self._children[node])
-        return result
-
     def leaves(self) -> List[int]:
         return [identifier for identifier in self._nodes if not self._children[identifier]]
 

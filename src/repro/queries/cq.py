@@ -13,8 +13,7 @@ atoms, and provides the operations the rest of the library needs:
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datamodel import (
     Atom,
@@ -122,15 +121,6 @@ class ConjunctiveQuery:
     # ------------------------------------------------------------------
     # Structural notions
     # ------------------------------------------------------------------
-    def gaifman_edges(self) -> Set[FrozenSet[Variable]]:
-        """Edges of the Gaifman graph: pairs of variables sharing an atom."""
-        edges: Set[FrozenSet[Variable]] = set()
-        for atom in self._body:
-            atom_variables = sorted(atom.variables(), key=str)
-            for left, right in itertools.combinations(atom_variables, 2):
-                edges.add(frozenset((left, right)))
-        return edges
-
     def is_connected(self) -> bool:
         """Return ``True`` iff the Gaifman graph of the query is connected.
 
@@ -209,10 +199,6 @@ class ConjunctiveQuery:
         """Return just the canonical database of the query."""
         database, _ = self.freeze()
         return database
-
-    def frozen_head(self) -> Tuple[Constant, ...]:
-        """Return the tuple ``c(x̄)`` of frozen head constants."""
-        return tuple(freeze_variable(variable) for variable in self._head)
 
     # ------------------------------------------------------------------
     # Evaluation

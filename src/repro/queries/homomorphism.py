@@ -17,7 +17,18 @@ optimisations that keep it fast on the instance sizes used here:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..datamodel import Atom, Constant, Instance, Term, Variable
 
@@ -34,10 +45,16 @@ def _as_instance(target: object) -> Instance:
 
 
 def _candidate_atoms(atom: Atom, target: Instance, assignment: Mapping[Term, Term]) -> Iterable[Atom]:
-    """Return target atoms that could be the image of ``atom`` under the partial assignment."""
+    """Return target atoms that could be the image of ``atom`` under the partial assignment.
+
+    The instance's indexes keep insertion order and the filters below keep
+    it too, so the search visits candidates, and finds its first
+    homomorphism, in an order that does not depend on term identities.
+    """
     candidates = target.atoms_with_predicate(atom.predicate)
     # Narrow down using any already-bound term (pick the most selective index).
-    best: Optional[frozenset] = None
+    best: Optional[Collection[Atom]] = None
+    anchor: Optional[Term] = None
     for term in atom.terms:
         image: Optional[Term] = None
         if isinstance(term, Constant):
@@ -47,10 +64,15 @@ def _candidate_atoms(atom: Atom, target: Instance, assignment: Mapping[Term, Ter
         if image is not None:
             narrowed = target.atoms_with_term(image)  # type: ignore[arg-type]
             if best is None or len(narrowed) < len(best):
-                best = narrowed
-    if best is not None:
-        candidates = candidates & best
-    return candidates
+                best, anchor = narrowed, image
+    if best is None:
+        return candidates
+    if len(best) < len(candidates):
+        predicate = atom.predicate
+        return [
+            fact for fact in best if fact.predicate is predicate or fact.predicate == predicate
+        ]
+    return [fact for fact in candidates if anchor in fact.terms]
 
 
 def _bind(atom: Atom, image: Atom, assignment: Homomorphism) -> Optional[List[Term]]:

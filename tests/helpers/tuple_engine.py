@@ -274,17 +274,17 @@ def answer_relation(evaluator, database: Instance, *, scans=None) -> Relation:
 
 
 def iter_answers(
-    evaluator, database: Instance, *, scans=None, limit=None, reduce=True
+    evaluator, database: Instance, *, scans=None, limit=None
 ) -> Iterator[Tuple[Term, ...]]:
     """``YannakakisEvaluator.iter_answers`` on tuples."""
-    plan = evaluator.compile_stream_plan(reduce=reduce)
+    plan = evaluator.compile_stream_plan()
     head_positions = tuple(plan.schema.index(v) for v in evaluator.query.head)
     rows = iter_rows(plan, ExecutionContext(database, scans))
     return _limited((tuple(row[p] for p in head_positions) for row in rows), limit)
 
 
 def boolean(evaluator, database: Instance, *, scans=None) -> bool:
-    plan = evaluator.compile_stream_plan(reduce=False, boolean=True)
+    plan = evaluator.compile_stream_plan(boolean=True)
     for _ in iter_rows(plan, ExecutionContext(database, scans)):
         return True
     return False

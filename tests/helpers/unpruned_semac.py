@@ -87,15 +87,13 @@ def decide_tgds_unpruned(
     if query.is_acyclic():
         return SemAcDecision(True, query, f"syntactic/{class_label}", size_bound, 1, True, notes)
 
-    chase_result, freezing = chase_query(
-        query, tgd_list, max_steps=config.chase_max_steps, max_depth=config.chase_max_depth
-    )
+    chase_result, freezing = chase_query(query, tgd_list, max_steps=config.chase_max_steps)
     answer = tuple(freezing[v] for v in query.head)
     verifier = _TgdVerifier(query, tgd_list, config, strategy, chase_result, answer)
     rewriting_disjuncts: Sequence[ConjunctiveQuery] = ()
-    if config.use_rewriting_candidates and class_label in ("non-recursive", "sticky"):
+    if class_label in ("non-recursive", "sticky"):
         try:
-            rewriting_disjuncts = list(rewrite(query, tgd_list, config.rewriting))
+            rewriting_disjuncts = list(rewrite(query, tgd_list))
         except RewritingBudgetExceeded:
             pass
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -468,3 +469,32 @@ class TestExplain:
                     "yannakakis",
                 ]
             )
+
+
+class TestOneRoute:
+    """``evaluate``, ``explain`` and ``check`` resolve the same route."""
+
+    EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "checks" / "key_collapse"
+
+    def arguments(self):
+        return [
+            "--query-file",
+            f"{self.EXAMPLE}.cq",
+            "--constraints",
+            f"{self.EXAMPLE}.rules",
+            "--data",
+            f"{self.EXAMPLE}.facts",
+        ]
+
+    def test_check_verifies_the_egd_reformulation_evaluate_runs(self):
+        code, evaluated = run_cli(["evaluate", *self.arguments()])
+        assert code == 0
+        assert "evaluation: reformulated+yannakakis" in evaluated
+        assert "answers: 2" in evaluated
+        code, explained = run_cli(["explain", "--verify", *self.arguments()])
+        assert code == 0
+        assert "route: reformulated" in explained
+        assert "verification: clean" in explained
+        code, checked = run_cli(["check", *self.arguments()])
+        assert code == 0
+        assert "plan verified: reformulated route" in checked

@@ -352,7 +352,7 @@ def test_yannakakis_plans_agree_with_ground_truth(seed):
 @pytest.mark.parametrize("evaluator_class", [YannakakisEvaluator, DecompositionEvaluator])
 def test_evaluators_compile_each_plan_variant_once(monkeypatch, evaluator_class):
     """Every entry point reuses the evaluator's compiled plans: one answer
-    plan and one streaming plan per (reduce, boolean), however often and
+    plan, one streaming plan and one Boolean plan, however often and
     against however many databases the evaluator runs."""
     calls = []
     for name in ("_compile_answer_plan", "_compile_stream_plan"):
@@ -375,15 +375,12 @@ def test_evaluators_compile_each_plan_variant_once(monkeypatch, evaluator_class)
         relation = evaluator.answer_relation(database)
         assert relation.answer_tuples(query.head) == truth
         assert set(evaluator.iter_answers(database)) == truth
-        streamed = evaluator.iter_answers(database, reduce=False)
-        assert set(streamed) == truth
         assert evaluator.boolean(database) == bool(truth)
         assert "obs=" in evaluator.explain(database)
     assert sorted(calls) == [
         ("_compile_answer_plan",),
-        ("_compile_stream_plan", False, False),
-        ("_compile_stream_plan", False, True),
-        ("_compile_stream_plan", True, False),
+        ("_compile_stream_plan", False),
+        ("_compile_stream_plan", True),
     ]
 
 

@@ -11,8 +11,7 @@ The budget tests pin ``candidates_checked`` to the number of candidates
 actually verified when the candidate budget cuts the search.
 """
 
-from contextlib import contextmanager
-from unittest import mock
+import gc
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -28,9 +27,8 @@ from repro.core.semantic_acyclicity import (
     decide_semantic_acyclicity_tgds,
 )
 from repro.datamodel import Atom, Predicate, Variable
-from repro.datamodel.terms import _InternTable
 from repro.parser import parse_query, parse_tgd
-from repro.queries import ConjunctiveQuery
+from repro.queries import ConjunctiveQuery, find_homomorphism
 from repro.workloads.paper_examples import example4_chased_shape, example4_key
 
 from helpers.unpruned_semac import decide_tgds_unpruned
@@ -100,34 +98,39 @@ def outcome_of(decision):
     return decision.semantically_acyclic, witness, decision.method
 
 
-@contextmanager
-def terms_kept_alive():
-    """Keep every term created in the block alive until it ends.
-
-    Terms hash by identity and the chase applies triggers in set order, so
-    a truncated chase may stop on a different prefix once a term has died
-    and been interned again under a new identity.  Both deciders must see
-    the same term objects for their truncated chases to agree.
-    """
-    kept = []
-    original = _InternTable.intern
-
-    def intern(table, key):
-        term = original(table, key)
-        kept.append(term)
-        return term
-
-    with mock.patch.object(_InternTable, "intern", intern):
-        yield
-
-
 def assert_agrees_with_reference(query, tgds, config):
-    with terms_kept_alive():
-        pruned = decide_semantic_acyclicity_tgds(query, tgds, config)
-        reference = decide_tgds_unpruned(query, tgds, config)
+    pruned = decide_semantic_acyclicity_tgds(query, tgds, config)
+    reference = decide_tgds_unpruned(query, tgds, config)
     assert outcome_of(pruned) == outcome_of(reference)
     assert pruned.candidates_checked <= reference.candidates_checked
     return pruned, reference
+
+
+def test_first_homomorphism_does_not_depend_on_term_identity():
+    # Terms hash by identity, so each round below re-interns the chase's
+    # terms under new identities (the garbage shifts the allocator).  The
+    # search must still find the same first homomorphism, and the decider
+    # the same Lemma 9 witness, or the two deciders could disagree.
+    tgds = [parse_tgd("E(x, y), E(y, z) -> T(x, y, z)")]
+    garbage, images, witnesses = [], set(), set()
+    for round_ in range(12):
+        garbage.append([object() for _ in range(37 * round_ + 1)])
+        gc.collect()
+        query = parse_query("h() :- E(u, v), E(v, w), E(w, u), E(x, y)")
+        chase_result, freezing = semac_module.chase_query(query, tgds)
+        mapping = find_homomorphism(query.body, chase_result.instance)
+        images.add(tuple(sorted((str(k), str(v)) for k, v in mapping.items())))
+        decision = decide_semantic_acyclicity_tgds(query, tgds, SemAcConfig(chase_max_steps=6))
+        witnesses.add(outcome_of(decision))
+        del query, chase_result, freezing, mapping, decision
+    assert len(images) == 1
+    assert witnesses == {
+        (
+            True,
+            "h_compact() :- E(W0, W1) ∧ E(W1, W2) ∧ E(W2, W0) ∧ T(W0, W1, W2) ∧ T(W2, W0, W1)",
+            "fast/non-recursive",
+        )
+    }
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

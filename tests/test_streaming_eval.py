@@ -69,8 +69,6 @@ def _assert_streams_like_sets(query, database, seed: int) -> None:
     assert set(streamed) == expected
     # evaluate_iter routes acyclic queries to the same streaming phase 4.
     assert set(evaluate_iter(query, database)) == expected
-    # The unreduced mode (dead ends possible, memoised) agrees too.
-    assert set(evaluator.iter_answers(database, reduce=False)) == expected
     # Boolean short-circuit is consistent with the answer set.
     assert evaluator.boolean(database) == bool(expected)
     # limit= yields exactly min(k, |answers|) distinct answers.
