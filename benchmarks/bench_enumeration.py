@@ -22,6 +22,15 @@ geometrically with the ray count — and reports, per size:
   the first streamed answer vs the materialising run — the timing claim,
   restated without a clock.
 
+A second series, ``head in one node``, runs the same stars with the head
+cut to the first ray, ``q(x_1)``.  That head lies inside one join-tree
+node, so the evaluator roots the tree there and both faces run one plan:
+the upward semi-join pass, projected onto the head.  It reports the
+first-answer and full-drain times and bucket probes of ``iter_answers``
+(the stream iterates the projection, so the first answer costs what the
+drain costs).  Its probes read 0: the plan has no hash join and no cursor,
+and semi-join membership checks are not probe-counted.
+
 Expected shape: ``materialise`` grows with the output while ``first`` stays
 (near-)flat and ``delay`` stays bounded, so the streaming advantage at the
 largest size is output-sized.  Every size cross-checks streamed against
@@ -44,11 +53,12 @@ from typing import Dict, List, Optional, Sequence
 import pytest
 
 from helpers import tuple_engine
-from repro.evaluation import YannakakisEvaluator
+from repro.evaluation import CursorEnumerate, YannakakisEvaluator
 from repro.evaluation.relation import Partition
 from repro.reporting import BenchSnapshot
+from repro.queries.cq import ConjunctiveQuery
 from repro.workloads.generators import wide_output_workload
-from conftest import print_series, scaled_sizes, smoke_mode
+from conftest import host_metadata, print_series, scaled_sizes, smoke_mode
 
 
 FULL_RAYS = [2, 3, 4]
@@ -85,6 +95,13 @@ def _best_of(run, repeats: int = 3) -> float:
         run()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _probed(run) -> int:
+    """The :class:`Partition` bucket probes ``run()`` issues."""
+    before = Partition.total_probes
+    run()
+    return Partition.total_probes - before
 
 
 def run_enumeration(
@@ -141,12 +158,8 @@ def run_enumeration(
         assert consumed == sample
         delay = max(0.0, sample_time - first_time) / max(1, sample - 1)
 
-        before = Partition.total_probes
-        evaluator.evaluate(database)
-        materialise_probes = Partition.total_probes - before
-        before = Partition.total_probes
-        next(evaluator.iter_answers(database))
-        first_probes = Partition.total_probes - before
+        materialise_probes = _probed(lambda: evaluator.evaluate(database))
+        first_probes = _probed(lambda: next(evaluator.iter_answers(database)))
 
         rows.append(
             {
@@ -160,6 +173,48 @@ def run_enumeration(
                 "delay": delay,
                 "materialise_probes": materialise_probes,
                 "first_probes": first_probes,
+            }
+        )
+    return rows
+
+
+def run_head_in_one_node(
+    rays_list: Sequence[int] = RAYS,
+    width: int = WIDTH,
+    seed: int = 0,
+    repeats: int = 3,
+) -> List[Dict[str, object]]:
+    """The stars of :func:`run_enumeration` with the head cut to ``(x_1)``.
+
+    The head then fits in the first ray's node, so the stream iterates the
+    answer plan (the upward pass projected onto ``x_1``), not a cursor.
+    """
+    rows: List[Dict[str, object]] = []
+    for rays in rays_list:
+        star, database = wide_output_workload(rays, width=width, seed=seed)
+        query = ConjunctiveQuery(star.head[:1], star.body, name="one_ray")
+        evaluator = YannakakisEvaluator(query)
+        plan = evaluator.compile_stream_plan()
+        assert plan is evaluator.compile_answer_plan()
+        assert not any(isinstance(op, CursorEnumerate) for op in plan.walk())
+
+        answers = evaluator.evaluate(database)
+        assert len(answers) == width
+        streamed = list(evaluator.iter_answers(database))
+        assert len(streamed) == len(answers) and set(streamed) == answers
+        rows.append(
+            {
+                "rays": rays,
+                "db": len(database),
+                "answers": len(answers),
+                "first_time": _best_of(
+                    lambda: next(evaluator.iter_answers(database)), repeats
+                ),
+                "drain_time": _best_of(
+                    lambda: list(evaluator.iter_answers(database)), repeats
+                ),
+                "first_probes": _probed(lambda: next(evaluator.iter_answers(database))),
+                "drain_probes": _probed(lambda: list(evaluator.iter_answers(database))),
             }
         )
     return rows
@@ -199,7 +254,26 @@ def test_streaming_first_answer_flat_materialising_grows():
             "probes first/mat",
         ],
     )
+    one_node = run_head_in_one_node()
+    print_series(
+        f"Head in one node: the star's head cut to x_1 (width = {WIDTH})",
+        [
+            (
+                row["rays"],
+                row["db"],
+                row["answers"],
+                _format(row["first_time"], "s"),
+                _format(row["drain_time"], "s"),
+                f"{row['first_probes']}/{row['drain_probes']}",
+            )
+            for row in one_node
+        ],
+        header=["rays", "|D|", "answers", "first answer", "drain", "probes first/drain"],
+    )
     snapshot = BenchSnapshot("enumeration")
+    snapshot.record("host", host_metadata())
+    for row in one_node:
+        snapshot.add_row("head_in_one_node", row)
     snapshot.record("rays", [row["rays"] for row in rows])
     snapshot.record("answers", [row["answers"] for row in rows])
     snapshot.record("oracle_ratios", [row["oracle_ratio"] for row in rows])

@@ -65,6 +65,7 @@ from ..dependencies.fd import FunctionalDependency, fds_to_egds, is_k2_set, all_
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
 from ..queries.core_minimization import core
+from ..queries.ucq import UnionOfConjunctiveQueries
 from ..rewriting.bounds import (
     small_query_bound_guarded,
     small_query_bound_ucq_rewritable,
@@ -215,9 +216,11 @@ class _TgdVerifier:
     ``query_chase`` is the decision's own chase of ``q`` (run with the
     containment budgets) and ``answer`` its frozen head ``c(x̄)``; the
     direction ``q ⊆_Σ candidate`` is read off it instead of re-chasing ``q``
-    for every candidate.  Every check returns its own three-valued outcome;
-    ``saw_unknown`` records whether any check of the decision was
-    inconclusive.
+    for every candidate.  ``query_rewriting`` is the decision's UCQ
+    rewriting of ``q``; the rewriting strategy falls back to the chase
+    without one (its budget was exceeded).  Every check returns its own
+    three-valued outcome; ``saw_unknown`` records whether any check of the
+    decision was inconclusive.
     """
 
     def __init__(
@@ -228,6 +231,7 @@ class _TgdVerifier:
         strategy: str,
         query_chase: ChaseResult,
         answer: Sequence[Constant],
+        query_rewriting: Optional[UnionOfConjunctiveQueries] = None,
     ) -> None:
         self.query = query
         self.tgds = list(tgds)
@@ -236,12 +240,9 @@ class _TgdVerifier:
         self.query_chase = query_chase
         self.answer = tuple(answer)
         self.saw_unknown = False
-        self._query_rewriting = None
-        if strategy == "rewriting":
-            try:
-                self._query_rewriting = rewrite(query, self.tgds)
-            except RewritingBudgetExceeded:
-                self.strategy = "chase"
+        self._query_rewriting = query_rewriting
+        if strategy == "rewriting" and query_rewriting is None:
+            self.strategy = "chase"
 
     def candidate_contained_in_query(self, candidate: ConjunctiveQuery) -> ContainmentOutcome:
         """``candidate ⊆_Σ q``."""
@@ -435,14 +436,21 @@ def decide_semantic_acyclicity_tgds(
     chase_result, freezing, answer = chase_of_query(query, tgd_list, (), config)
     if not chase_result.terminated:
         notes.append("chase truncated by budget; candidate space may be incomplete")
-    verifier = _TgdVerifier(query, tgd_list, config, strategy, chase_result, answer)
 
-    rewriting_disjuncts: Sequence[ConjunctiveQuery] = ()
+    # One rewriting of q per decision: it seeds the candidates and, under
+    # the rewriting strategy, decides ``candidate ⊆_Σ q``.
+    query_rewriting: Optional[UnionOfConjunctiveQueries] = None
     if rewritable:
         try:
-            rewriting_disjuncts = list(rewrite(query, tgd_list))
+            query_rewriting = rewrite(query, tgd_list)
         except RewritingBudgetExceeded:
             notes.append("rewriting budget exceeded while generating candidates")
+    rewriting_disjuncts: Sequence[ConjunctiveQuery] = (
+        list(query_rewriting) if query_rewriting is not None else ()
+    )
+    verifier = _TgdVerifier(
+        query, tgd_list, config, strategy, chase_result, answer, query_rewriting
+    )
 
     # A sub-instance candidate holds in the chase of q, so it fails only on
     # ``candidate ⊆_Σ q``, which is upward-closed in the sub-instance.  The
@@ -576,18 +584,20 @@ def decide_semantic_acyclicity(
     constraints: Constraints = (),
     config: SemAcConfig = DEFAULT_SEMAC_CONFIG,
 ) -> SemAcDecision:
-    """Dispatch on the constraint type (tgds, egds or FDs)."""
+    """Dispatch on the constraint type (tgds, egds or FDs).
+
+    Raises:
+        ValueError: if ``constraints`` mixes tgds with egds or FDs.
+    """
     constraint_list = list(constraints)
     if not constraint_list:
         return decide_semantic_acyclicity_unconstrained(query)
-    first = constraint_list[0]
-    if isinstance(first, TGD):
-        return decide_semantic_acyclicity_tgds(query, constraint_list, config)
-    if isinstance(first, EGD):
-        return decide_semantic_acyclicity_egds(query, constraint_list, config)
-    if isinstance(first, FunctionalDependency):
-        return decide_semantic_acyclicity_fds(query, constraint_list, config)
-    raise TypeError(f"unsupported constraint type {type(first).__name__}")
+    tgds, egds = split_constraints(constraint_list)
+    if tgds:
+        return decide_semantic_acyclicity_tgds(query, tgds, config)
+    if all(isinstance(c, FunctionalDependency) for c in constraint_list):
+        return decide_semantic_acyclicity_fds(query, constraint_list, config)  # type: ignore[arg-type]
+    return decide_semantic_acyclicity_egds(query, egds, config)
 
 
 def is_semantically_acyclic(

@@ -36,10 +36,11 @@ This module also hosts the decomposition-guided evaluator for cyclic
 queries (:class:`DecompositionEvaluator`): a min-fill tree decomposition
 of the query's Gaifman graph is compiled bag by bag, bottom-up, into
 ``HashJoin``/``Project`` sub-DAGs — each bag is its cover joined with its
-children's separators, so it arrives already semi-joined with them — and
-the top-down semijoin pass and Yannakakis assembly run over the resulting
-bag tree: the FPT evaluation the source paper promises for bounded-width
-cyclic queries.
+children's separators, so it arrives already semi-joined with them.  When
+a bag holds the whole head, the bag tree is rooted there and the root bag
+projected onto the head is the answer; otherwise the top-down semijoin
+pass and Yannakakis assembly run over the bag tree: the FPT evaluation the
+source paper promises for bounded-width cyclic queries.
 """
 
 from __future__ import annotations
@@ -376,10 +377,14 @@ class DecompositionEvaluator(YannakakisEvaluator):
     and the static verifier see the bag boundary.
 
     A bag therefore arrives bottom-up reduced (``R_b ⋉ R_c1 ⋉ …``), each
-    child bag being a shared DAG node materialised once per run, and only
-    the inherited top-down semi-join pass runs over the bag tree; the
-    full reducer's output, and with it assembly and the streaming faces,
-    is exactly Yannakakis' over the bag tree.  The cost is the standard
+    child bag being a shared DAG node materialised once per run: the bags
+    are the upward pass.  The base constructor roots the bag tree at a bag
+    holding the whole head, and the guards are chosen after it, so they
+    follow the new children; such a root bag, projected onto the head,
+    answers both faces.  Otherwise only the inherited top-down semi-join
+    pass runs over the bag tree; the full reducer's output, and with it
+    assembly and the streaming faces, is exactly Yannakakis' over the bag
+    tree.  The cost is the standard
     hypertree bound: materialising a bag is polynomial for fixed width,
     everything after is Yannakakis.
     """
@@ -476,15 +481,19 @@ class DecompositionEvaluator(YannakakisEvaluator):
     def compile_reduction(self, *, reduce: bool = True) -> Dict[int, Operator]:
         """The bag operators, built bottom-up, plus the top-down pass.
 
-        Every bag is materialised already semi-joined with its children,
-        so only the top-down half of the full reducer remains.  With
-        ``reduce=False`` the bag operators are returned as they are (the
-        Boolean short-circuit mode).
+        With ``reduce=False`` the bag operators are returned as they are
+        (the Boolean short-circuit mode).
         """
+        ops = self._reduce_bottom_up()
+        return self._reduce_top_down(ops) if reduce else ops
+
+    def _reduce_bottom_up(self) -> Dict[int, Operator]:
+        """The bag operators: every bag is materialised already semi-joined
+        with its children, so this is the whole upward pass."""
         ops: Dict[int, Operator] = {}
         for identifier in self._bottom_up:
             ops[identifier] = self._bag_op(identifier, ops)
-        return self._reduce_top_down(ops) if reduce else ops
+        return ops
 
     def _bag_op(self, identifier: int, ops: Dict[int, Operator]) -> Operator:
         """Materialise one bag: its cover joined with its children's

@@ -397,15 +397,19 @@ def verify_route(
 ) -> List["Diagnostic"]:
     """The static plan verifier's diagnostics on the plans a route runs.
 
-    An evaluator route is checked on both plan faces; the flat-plan route
-    (``evaluator`` is ``None``) on ``plan``, planned here when not given.
+    An evaluator route is checked on both plan faces (one plan when the
+    stream iterates the answer plan, which is then checked as the
+    materialising plan it is); the flat-plan route (``evaluator`` is
+    ``None``) on ``plan``, planned here when not given.
     """
     from ..analysis.verify_plan import verify_plan
 
     if evaluator is not None:
+        answer = evaluator.compile_answer_plan()
+        stream = evaluator.compile_stream_plan()
         return [
-            *verify_plan(evaluator.compile_answer_plan()),
-            *verify_plan(evaluator.compile_stream_plan(), streaming=True),
+            *verify_plan(answer),
+            *(verify_plan(stream, streaming=True) if stream is not answer else []),
         ]
     if plan is None:
         plan = resolve_planner(None)(query, database)

@@ -32,6 +32,18 @@ then answer assembly — but instead of hand-rolling the four phases it
      the delay between two distinct answers can exceed any constant,
      which is provably unavoidable.
 
+**Head-rooted plans.**  Steps 2 and 3 shrink when one node holds the whole
+head.  The evaluator then roots the join tree at that node
+(:meth:`~repro.hypergraph.JoinTree.rerooted`).  After the bottom-up pass
+alone the root is exactly the projection of the full join onto its own
+variables, since each node is then consistent with its whole subtree
+(Yannakakis 1981).  So the plan of both faces is the upward-reduced root
+projected onto the head: no top-down pass, no assembly and no cursor.
+The stream iterates that plan's encoded rows and decodes them one at a
+time.  A component sharing no variable with the root still gates it
+through the upward pass's empty-key ``SemiJoin``.  The cursor thus serves
+only streams whose head spans several nodes, plus Boolean evaluation.
+
 Boolean evaluation short-circuits on the *first* answer: it skips the
 semi-join reducers entirely and runs a ``CursorEnumerate`` directly over
 the raw scans with the Boolean carry schemas (memoising dead ends),
@@ -54,7 +66,7 @@ relations can come from a shared :class:`repro.evaluation.batch.ScanCache`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..datamodel import Instance, Term, Variable
 from ..hypergraph import JoinTree, JoinTreeError, build_join_tree, query_connectors
@@ -73,6 +85,7 @@ from .operators import (
     maybe_verify_plan,
     render_plan,
 )
+from .encoding import IntRow
 from .relation import Relation, ScanProvider
 
 
@@ -104,16 +117,26 @@ class YannakakisEvaluator:
     ) -> None:
         self.query = query
         self._scans = scans
-        if join_tree is not None:
-            # Subclass seam: a pre-built tree over virtual atoms (see
-            # DecompositionEvaluator, which compiles its own node operators
-            # in compile_reduction).
-            self.join_tree = join_tree
-        else:
+        # A given join_tree is the subclass seam: a pre-built tree over
+        # virtual atoms (see DecompositionEvaluator, which compiles its own
+        # node operators in _reduce_bottom_up).
+        if join_tree is None:
             try:
-                self.join_tree = build_join_tree(query.body, query_connectors)
+                join_tree = build_join_tree(query.body, query_connectors)
             except JoinTreeError as error:
                 raise AcyclicityRequired(str(error)) from error
+        # Root the tree at a node holding the whole head, if one does: then
+        # the upward pass alone answers the query (see compile_answer_plan).
+        head = set(query.head)
+        holders = [
+            node.identifier
+            for node in join_tree.nodes()
+            if head <= node.atom.variables()
+        ]
+        if holders and join_tree.root not in holders:
+            join_tree = join_tree.rerooted(holders[0])
+        self.join_tree = join_tree
+        self._head_rooted = bool(holders)
 
         self._bottom_up: List[int] = self.join_tree.bottom_up_order()
         self._top_down: List[int] = self.join_tree.top_down_order()
@@ -163,25 +186,33 @@ class YannakakisEvaluator:
         materialised once.  With ``reduce=False`` the raw scans are
         returned (the Boolean short-circuit mode).
         """
-        ops: Dict[int, Operator] = {
-            node.identifier: Scan(node.atom) for node in self.join_tree.nodes()
-        }
         if not reduce:
-            return ops
-        # Bottom-up semi-joins.
+            return self._node_scans()
+        return self._reduce_top_down(self._reduce_bottom_up())
+
+    def _node_scans(self) -> Dict[int, Operator]:
+        return {node.identifier: Scan(node.atom) for node in self.join_tree.nodes()}
+
+    def _reduce_bottom_up(self) -> Dict[int, Operator]:
+        """The node scans after the bottom-up semi-join pass.
+
+        Each node is then consistent with its whole subtree, so the root
+        holds exactly the projection of the full join onto its variables.
+        :class:`repro.evaluation.planner_dp.DecompositionEvaluator` builds
+        its bags already semi-joined with their children and overrides
+        this half.
+        """
+        ops = self._node_scans()
         for identifier in self._bottom_up:
             for child in self.join_tree.children(identifier):
                 ops[identifier] = SemiJoin(ops[identifier], ops[child])
-        return self._reduce_top_down(ops)
+        return ops
 
     def _reduce_top_down(self, ops: Dict[int, Operator]) -> Dict[int, Operator]:
         """The top-down semi-join pass over bottom-up reduced node operators.
 
         Each node is reduced by its parent's *final* reducer, so the result
-        is the full reducer's output once ``ops`` arrives bottom-up reduced.
-        :class:`repro.evaluation.planner_dp.DecompositionEvaluator` builds
-        its bags already semi-joined with their children and runs only
-        this half.
+        is the full reducer's output.
         """
         for identifier in self._top_down:
             parent = self.join_tree.parent(identifier)
@@ -190,45 +221,56 @@ class YannakakisEvaluator:
         return ops
 
     def compile_answer_plan(self) -> Operator:
-        """The materialising plan: reducers + bottom-up hash-join assembly.
+        """The materialising plan, compiled on first use and then shared by
+        every run.
 
-        After the semi-join passes every row of every node participates in
-        at least one answer, so each hash join is linear in its input plus
-        its output; each node projects onto its carry schema, and the root
-        projects onto the distinct head variables.  Compiled on first use,
-        then shared by every run.
+        When the root holds the whole head, the plan is the upward-reduced
+        root projected onto the head: after the bottom-up pass the root is
+        the projection of the full join onto its own variables, so neither
+        the top-down pass nor an assembly is needed.  Otherwise it is the
+        full reducer under a bottom-up hash-join assembly: after both
+        passes every row of every node participates in at least one answer,
+        so each hash join is linear in its input plus its output; each node
+        projects onto its carry schema, and the root projects onto the
+        distinct head variables.
         """
         if "answer" not in self._plans:
             self._plans["answer"] = self._compile_answer_plan()
         return self._plans["answer"]
 
     def _compile_answer_plan(self) -> Operator:
-        ops = self.compile_reduction()
-        partial: Dict[int, Operator] = {}
-        for identifier in self._bottom_up:
-            op = ops[identifier]
-            for child in self.join_tree.children(identifier):
-                op = HashJoin(op, partial[child])
-            partial[identifier] = Project(op, self._carry[identifier])
-        root = partial[self.join_tree.root]
+        if self._head_rooted:
+            root = self._reduce_bottom_up()[self.join_tree.root]
+        else:
+            ops = self.compile_reduction()
+            partial: Dict[int, Operator] = {}
+            for identifier in self._bottom_up:
+                op = ops[identifier]
+                for child in self.join_tree.children(identifier):
+                    op = HashJoin(op, partial[child])
+                partial[identifier] = Project(op, self._carry[identifier])
+            root = partial[self.join_tree.root]
         head_schema = first_occurrence_schema(self.query.head)
         if head_schema != root.schema:
             root = Project(root, head_schema)
         maybe_verify_plan(root, where="YannakakisEvaluator.compile_answer_plan")
         return root
 
-    def compile_stream_plan(self, *, boolean: bool = False) -> CursorEnumerate:
-        """The streaming plan: the reducers under a cursor tree.
+    def compile_stream_plan(self, *, boolean: bool = False) -> Operator:
+        """The plan :meth:`iter_answers` runs: the answer plan itself when
+        the root holds the head, else the reducers under a cursor tree.
 
         ``boolean=True`` compiles the plan :meth:`boolean` runs instead: raw
         scans under the Boolean carry schemas (connecting variables only),
-        so it stops at the first witness combination.  Each of the two is
+        so it stops at the first witness combination.  Each plan is
         compiled once.
         """
+        if self._head_rooted and not boolean:
+            return self.compile_answer_plan()
         key = ("stream", boolean)
         if key not in self._plans:
             self._plans[key] = self._compile_stream_plan(boolean)
-        return self._plans[key]  # type: ignore[return-value]
+        return self._plans[key]
 
     def _compile_stream_plan(self, boolean: bool) -> CursorEnumerate:
         if boolean:
@@ -259,13 +301,15 @@ class YannakakisEvaluator:
         """Stream the distinct answer tuples of ``q(D)`` one at a time.
 
         The generator runs the streaming plan (compiled once per
-        evaluator) on the first ``next()`` call: the semi-join reducers
-        execute, then the cursor tree enumerates — no intermediate relation
-        is ever materialised, so the first answer arrives after the
-        semi-join passes plus O(join-tree) bucket probes, and stopping
-        early (``limit``, or just abandoning the iterator) abandons the
-        remaining work.  The set of yielded tuples equals :meth:`evaluate`
-        exactly, with no tuple yielded twice.
+        evaluator) on the first ``next()`` call.  When the root holds the
+        head, that is the answer plan: the upward pass and the head
+        projection execute, and the rows are decoded as they are pulled.
+        Otherwise the semi-join reducers execute, then the cursor tree
+        enumerates — no intermediate relation is ever materialised, so the
+        first answer arrives after the semi-join passes plus O(join-tree)
+        bucket probes, and stopping early (``limit``, or just abandoning
+        the iterator) abandons the remaining work.  The set of yielded
+        tuples equals :meth:`evaluate` exactly, with no tuple yielded twice.
 
         ``limit`` caps the number of answers (``None`` = all of them).
 
@@ -277,14 +321,17 @@ class YannakakisEvaluator:
         if limit is not None and limit <= 0:
             return
         plan = self.compile_stream_plan()
-        root_carry = self._carry[self.join_tree.root]
-        head_positions = tuple(root_carry.index(v) for v in self.query.head)
+        head_positions = tuple(plan.schema.index(v) for v in self.query.head)
         context = self._context(database, scans)
+        if isinstance(plan, CursorEnumerate):
+            code_rows: Iterable[IntRow] = plan.iter_rows_encoded(context)
+        else:
+            code_rows = plan.materialize_encoded(context).rows
         produced = 0
-        # Enumerate dictionary codes; decode each carry row only as it
-        # crosses the output boundary.
+        # Enumerate dictionary codes; decode each row only as it crosses
+        # the output boundary.
         terms = context.encoder.terms
-        for code_row in plan.iter_rows_encoded(context):
+        for code_row in code_rows:
             yield tuple(terms[code_row[p]] for p in head_positions)
             produced += 1
             if limit is not None and produced >= limit:
@@ -308,6 +355,7 @@ class YannakakisEvaluator:
         order as a semi-join pass.
         """
         plan = self.compile_stream_plan(boolean=True)
+        assert isinstance(plan, CursorEnumerate)
         for _ in plan.iter_rows_encoded(self._context(database, scans)):
             return True
         return False

@@ -132,6 +132,20 @@ class JoinTree:
             if parent_id is not None
         ]
 
+    def rerooted(self, identifier: int) -> "JoinTree":
+        """The same tree rooted at ``identifier`` (``self`` is untouched).
+
+        Only the parent pointers on the path from the old root to the new
+        one are reversed; the edge set, and with it the join-tree property,
+        is unchanged.
+        """
+        parent = dict(self._parent)
+        path = [identifier] + self.ancestors(identifier)
+        parent[identifier] = None
+        for child, former_parent in zip(path, path[1:]):
+            parent[former_parent] = child
+        return JoinTree(self._nodes, parent)
+
     def path(self, source: int, target: int) -> List[int]:
         """Return the unique path between two nodes (inclusive)."""
         source_ancestry = [source] + self.ancestors(source)

@@ -89,13 +89,18 @@ def decide_tgds_unpruned(
 
     chase_result, freezing = chase_query(query, tgd_list, max_steps=config.chase_max_steps)
     answer = tuple(freezing[v] for v in query.head)
-    verifier = _TgdVerifier(query, tgd_list, config, strategy, chase_result, answer)
-    rewriting_disjuncts: Sequence[ConjunctiveQuery] = ()
+    query_rewriting = None
     if class_label in ("non-recursive", "sticky"):
         try:
-            rewriting_disjuncts = list(rewrite(query, tgd_list))
+            query_rewriting = rewrite(query, tgd_list)
         except RewritingBudgetExceeded:
             pass
+    rewriting_disjuncts: Sequence[ConjunctiveQuery] = (
+        list(query_rewriting) if query_rewriting is not None else ()
+    )
+    verifier = _TgdVerifier(
+        query, tgd_list, config, strategy, chase_result, answer, query_rewriting
+    )
 
     checked = 0
     for candidate in unpruned_candidates(

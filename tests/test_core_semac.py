@@ -193,6 +193,35 @@ class TestSemAcUnderEgds:
         with pytest.raises(TypeError):
             decide_semantic_acyclicity(path3_query, ["not a constraint"])
 
+    def test_dispatcher_rejects_mixed_tgds_and_egds(self, triangle_query):
+        # The tgd comes first; dispatching on it alone handed the egd to the
+        # tgd classifier, which failed with an AttributeError.
+        constraints = [
+            parse_tgd("E(x, y) -> E(y, x)"),
+            parse_egd("E(x, y), E(x, z) -> y = z"),
+        ]
+        for ordered in (constraints, constraints[::-1]):
+            with pytest.raises(ValueError, match="mixing tgds and egds"):
+                decide_semantic_acyclicity(triangle_query, ordered)
+
+
+def test_sticky_decision_rewrites_the_query_once(monkeypatch):
+    from repro.core import semantic_acyclicity as semac_module
+
+    calls = []
+    original = semac_module.rewrite
+
+    def counting(query, tgds, *args):
+        calls.append(query)
+        return original(query, tgds, *args)
+
+    monkeypatch.setattr(semac_module, "rewrite", counting)
+    query = parse_query("q(x) :- E(x, y), E(y, z), E(z, x), P(x)")
+    tgds = [parse_tgd("E(x, y), T(y, z, w) -> T(y, x, u)"), parse_tgd("E(x, y) -> P(x)")]
+    decision = decide_semantic_acyclicity_tgds(query, tgds)
+    assert "class=sticky" in decision.notes
+    assert calls == [query]
+
 
 class TestCandidates:
     def test_acyclic_subqueries_respect_head(self):

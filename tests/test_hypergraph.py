@@ -1,6 +1,8 @@
 """Tests for hypergraphs, GYO reduction, join trees and the Lemma 9 construction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datamodel import Atom, Constant, Instance, Null, Predicate, Variable, freeze_variable
 from repro.hypergraph import (
@@ -20,6 +22,7 @@ from repro.hypergraph import (
 )
 from repro.parser import parse_query
 from repro.queries import contained_in
+from repro.workloads.generators import random_acyclic_query
 
 
 E = Predicate("E", 2)
@@ -119,6 +122,22 @@ class TestJoinTrees:
         tree = join_tree_of_query_atoms(query.body)
         assert len(tree) == 3
         assert is_valid_join_tree(tree, query.body, query_connectors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000), size=st.integers(1, 7))
+    def test_rerooted_is_a_join_tree_at_every_node(self, seed, size):
+        query = random_acyclic_query(seed=seed, atom_count=size)
+        tree = join_tree_of_query_atoms(query.body)
+        root, parent_edges = tree.root, tree.edges()
+        edges = {frozenset(edge) for edge in parent_edges}
+        for node in tree.node_ids():
+            rerooted = tree.rerooted(node)
+            assert rerooted.root == node
+            assert is_valid_join_tree(rerooted, query.body, query_connectors)
+            assert {frozenset(edge) for edge in rerooted.edges()} == edges
+            assert sorted(rerooted.bottom_up_order()) == tree.node_ids()
+        # Pure: the original keeps its root and parents.
+        assert (tree.root, tree.edges()) == (root, parent_edges)
 
     def test_join_tree_navigation(self):
         query = parse_query("E(x, y), E(y, z), E(z, w), E(z, u)")

@@ -379,3 +379,126 @@ def test_boolean_is_still_correct_on_unsatisfiable_queries():
         (), [Atom(E, (x, y)), Atom(E, (y, z)), Atom(E, (z, Variable("w")))]
     )
     assert YannakakisEvaluator(path3).boolean(database) is False
+
+
+# ----------------------------------------------------------------------
+# Head-rooted plans: the upward pass alone answers a head inside one node
+# ----------------------------------------------------------------------
+_HEAD_SHAPES = ("non-root node", "one node", "across nodes")
+
+
+@st.composite
+def head_shaped_workloads(draw):
+    """A query whose head lies where ``shape`` says, plus a small database.
+
+    A random tree of binary atoms (a new atom shares one variable with an
+    earlier one, or, when ``disconnected``, sometimes none, which starts
+    another component), constants in some positions, and a head drawn with
+    repetition.  ``cyclic`` adds a constant-free triangle, so the
+    decomposition route runs; an empty relation comes from a predicate
+    with no facts.
+    """
+    shape = draw(st.sampled_from(_HEAD_SHAPES))
+    cyclic, disconnected = draw(st.booleans()), draw(st.booleans())
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    predicates = [Predicate(name, 2) for name in ("E", "F", "G")]
+    domain = [Constant(f"c{i}") for i in range(rng.randint(2, 5))]
+    names = iter(Variable(f"v{i}") for i in range(100))
+    body = [Atom(rng.choice(predicates), (next(names), next(names)))]
+    for _ in range(rng.randint(1, 4)):
+        shared = rng.choice(sorted(rng.choice(body).variables(), key=str))
+        terms = [shared, next(names)]
+        if disconnected and rng.random() < 0.4:
+            terms[0] = next(names)
+        rng.shuffle(terms)
+        body.append(Atom(rng.choice(predicates), tuple(terms)))
+    for index, atom in enumerate(body):
+        if rng.random() < 0.15:
+            terms = list(atom.terms)
+            terms[rng.randrange(2)] = rng.choice(domain)
+            body[index] = Atom(atom.predicate, tuple(terms))
+    if cyclic:
+        a, b, c = next(names), next(names), next(names)
+        hook = rng.choice(sorted({v for atom in body for v in atom.variables()}, key=str))
+        body += [Atom(predicates[0], (a, b)), Atom(predicates[0], (b, c))]
+        body += [Atom(predicates[0], (c, a)), Atom(predicates[1], (a, hook))]
+    if shape == "across nodes":
+        pool = sorted({v for atom in body for v in atom.variables()}, key=str)
+        size = rng.randint(2, 3)
+    else:
+        atoms = body[1:] if shape == "non-root node" else body
+        pool = sorted(rng.choice(atoms).variables(), key=str)
+        size = rng.randint(0, 3)
+    head = tuple(rng.choice(pool) for _ in range(size)) if pool else ()
+    empty = rng.choice(predicates) if rng.random() < 0.2 else None
+    facts = [
+        Atom(predicate, (rng.choice(domain), rng.choice(domain)))
+        for predicate in predicates
+        if predicate != empty
+        for _ in range(rng.randint(1, 12))
+    ]
+    return shape, ConjunctiveQuery(head, body, name="shaped"), Database(facts)
+
+
+@settings(max_examples=120, deadline=None)
+@given(workload=head_shaped_workloads(), k=st.integers(min_value=0, max_value=4))
+def test_head_rooted_plans_agree_with_the_oracles(workload, k):
+    from helpers import tuple_engine as oracle
+    from repro.evaluation import DecompositionEvaluator
+
+    shape, query, database = workload
+    try:
+        evaluator = YannakakisEvaluator(query)
+    except AcyclicityRequired:
+        evaluator = DecompositionEvaluator(query)
+    head = set(query.head)
+    rooted = head <= evaluator._node_variables[evaluator.join_tree.root]
+    # The root holds the head exactly when some node does.
+    assert rooted == any(head <= v for v in evaluator._node_variables.values())
+    assert (evaluator.compile_stream_plan() is evaluator.compile_answer_plan()) == rooted
+    expected = evaluate_generic(query, database)
+    assert evaluator.evaluate(database) == expected
+    assert oracle.evaluate(evaluator, database) == expected
+    streamed = list(evaluator.iter_answers(database))
+    assert len(streamed) == len(set(streamed)) and set(streamed) == expected
+    assert set(oracle.iter_answers(evaluator, database)) == expected
+    limited = list(evaluator.iter_answers(database, limit=k))
+    assert len(limited) == len(set(limited)) == min(k, len(expected))
+    assert set(limited) <= expected
+    assert evaluator.boolean(database) == oracle.boolean(evaluator, database) == bool(expected)
+
+
+def test_head_in_a_non_root_node_reroots_the_join_tree():
+    from repro.hypergraph import build_join_tree
+
+    E, F = Predicate("E", 2), Predicate("F", 2)
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    body = [Atom(E, (x, y)), Atom(F, (y, z))]
+    gyo_root = build_join_tree(body).root
+    head = tuple(sorted(body[1 - gyo_root].variables(), key=str))
+    evaluator = YannakakisEvaluator(ConjunctiveQuery(head, body))
+    assert evaluator.join_tree.root == 1 - gyo_root
+    database = Database(
+        [Atom(E, (Constant("a"), Constant("b"))), Atom(F, (Constant("b"), Constant("c")))]
+        + [Atom(F, (Constant("d"), Constant("e")))]
+    )
+    expected = evaluate_generic(evaluator.query, database)
+    assert set(evaluator.iter_answers(database)) == evaluator.evaluate(database) == expected
+
+
+def test_point_query_plan_is_the_upward_pass_alone():
+    """A 2-hop point query: one upward semi-join under the head projection,
+    no top-down pass, no assembly join and no cursor, for both faces."""
+    from repro.evaluation import CursorEnumerate, HashJoin, Project, Scan, SemiJoin
+    from repro.parser import parse_query
+
+    evaluator = YannakakisEvaluator(parse_query("q(y) :- E('a', x), F(x, y)"))
+    plan = evaluator.compile_answer_plan()
+    assert evaluator.compile_stream_plan() is plan
+    kinds = [type(op) for op in plan.walk()]
+    assert HashJoin not in kinds and CursorEnumerate not in kinds
+    assert kinds.count(SemiJoin) == 1 and kinds.count(Scan) == 2
+    assert isinstance(plan, Project)
+    (upward,) = plan.children
+    assert isinstance(upward, SemiJoin)
+    assert [str(op) for op in upward.children] == ["Scan[F(x, y)]", "Scan[E(a, x)]"]
