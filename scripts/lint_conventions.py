@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-convention lint — rules a generic linter cannot know.
 
-Seven rules, each encoding a convention the codebase actually relies on:
+Eight rules, each encoding a convention the codebase actually relies on:
 
 1. **One operator face** — every concrete operator node in
    ``src/repro/evaluation/operators.py`` implements the materialising
@@ -41,6 +41,12 @@ Seven rules, each encoding a convention the codebase actually relies on:
    digits), and ``unique``, ``sort``, ``lexsort`` and ``sorted`` not at
    all, so a comparison sort cannot creep back into the dense-code
    kernels.
+8. **Probes are counted per kernel call** — under
+   ``src/repro/evaluation/`` no ``add_probes`` call sits inside a
+   ``for``/``while`` loop or a comprehension.  The counter's lock is taken
+   once per call: a kernel counts its probes after its loop, so the
+   bookkeeping never costs per element.  ``Partition.get``'s single
+   ``add_probes(1)`` is a call of its own and stays legal.
 
 Exit 0 when clean, 1 with one line per violation otherwise (run via
 ``make lint``).
@@ -66,6 +72,7 @@ EVALUATION_STACK = [
     )
 ] + [REPO_ROOT / "src" / "repro" / "service.py"]
 KERNELS_FILE = REPO_ROOT / "src" / "repro" / "evaluation" / "parallel.py"
+EVALUATION_ROOT = REPO_ROOT / "src" / "repro" / "evaluation"
 BENCH_ROOT = REPO_ROOT / "benchmarks"
 
 MUTABLE_CALLS = {"list", "dict", "set"}
@@ -327,6 +334,64 @@ def check_kernel_sorts(source: Optional[str] = None) -> List[str]:
     return violations
 
 
+# ----------------------------------------------------------------------
+# Rule 8: probes are counted once per kernel call
+# ----------------------------------------------------------------------
+PROBE_COUNTER = "add_probes"
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _repeated_parts(node: ast.AST) -> List[ast.AST]:
+    """The parts of a loop or comprehension that run once per element."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return node.body + node.orelse
+    if isinstance(node, ast.While):
+        return [node.test] + node.body + node.orelse
+    if isinstance(node, COMPREHENSIONS):
+        # The first generator's iterable is evaluated once, outside.
+        first, *rest = node.generators
+        parts: List[ast.AST] = [first.target, *first.ifs, *rest]
+        if isinstance(node, ast.DictComp):
+            return parts + [node.key, node.value]
+        return parts + [node.elt]
+    return []
+
+
+def _callee(call: ast.Call) -> Optional[str]:
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    return None
+
+
+def check_probe_counts(sources: Optional[Dict[str, str]] = None) -> List[str]:
+    """Rule 8 over ``src/repro/evaluation/`` (or over ``sources``, name ->
+    text, for the tests)."""
+    if sources is None:
+        sources = {
+            relative(path): path.read_text(encoding="utf-8")
+            for path in sorted(EVALUATION_ROOT.rglob("*.py"))
+        }
+    violations: List[str] = []
+    for name, source in sources.items():
+        flagged: Set[int] = set()
+        for loop in ast.walk(ast.parse(source)):
+            for part in _repeated_parts(loop):
+                for node in ast.walk(part):
+                    if (
+                        isinstance(node, ast.Call)
+                        and _callee(node) == PROBE_COUNTER
+                        and id(node) not in flagged  # nested loops meet it twice
+                    ):
+                        flagged.add(id(node))
+                        violations.append(
+                            f"{name}:{node.lineno}: calls {PROBE_COUNTER} inside a "
+                            "loop (count a kernel's probes once, after its loop)"
+                        )
+    return violations
+
+
 def main() -> int:
     violations = (
         check_operator_faces()
@@ -336,6 +401,7 @@ def main() -> int:
         + check_operator_immutability()
         + check_scan_path()
         + check_kernel_sorts()
+        + check_probe_counts()
     )
     for violation in violations:
         print(violation)
@@ -345,7 +411,8 @@ def main() -> int:
     print(
         "lint: conventions hold "
         "(operator faces, defaults, BENCH_SMOKE, batch-face registry, "
-        "immutable operators, one scan path, radix-only kernels)"
+        "immutable operators, one scan path, radix-only kernels, "
+        "probes counted per kernel call)"
     )
     return 0
 

@@ -106,6 +106,8 @@ class _InternTable(Generic[_T]):
         self.refs: Dict[object, _TermRef[_T]] = {}
         self._cls = cls
         self._field = field
+        # Held here: _discard can run at exit, after module globals are cleared.
+        self._lock = _LOCK
         # One bound method serves as every entry's callback.
         self._discard_ref = self._discard
 
@@ -113,13 +115,13 @@ class _InternTable(Generic[_T]):
         return len(self.refs)
 
     def _discard(self, dead: _TermRef[_T]) -> None:
-        with _LOCK:
+        with self._lock:
             if self.refs.get(dead.key) is dead:
                 del self.refs[dead.key]
 
     def intern(self, key: object) -> _T:
         """The miss path: look again under the lock, then insert."""
-        with _LOCK:
+        with self._lock:
             ref = self.refs.get(key)
             if ref is not None:
                 term = ref()

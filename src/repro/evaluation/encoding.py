@@ -25,10 +25,10 @@ The tuple-at-a-time engine under ``tests/helpers/tuple_engine.py`` is the
 differential oracle: the operators must agree with it bit-for-bit on
 answer sets (see ``tests/test_columnar_backend.py``).
 
-Probe accounting: :meth:`IntIndex.get` (the join-probe path) increments
-the process-wide ``Partition.total_probes`` counter, while membership
-checks (the semi-join path) are deliberately uncounted — the accounting
-the bounded-work assertions in the streaming tests and benchmarks read.
+Probe accounting: a hash join adds one probe per left row to the
+process-wide ``Partition.total_probes`` counter, once per call, while
+membership checks (the semi-join path) are deliberately uncounted — the
+accounting the bounded-work assertions in the streaming tests read.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 import threading
 from array import array
+from itertools import chain
 from typing import (
     Container,
     Dict,
@@ -206,11 +207,11 @@ class IntIndex:
 
     The encoded analogue of :class:`~repro.evaluation.relation.Partition`:
     built once per (store, key columns) and cached on the store.  Every
-    bucket lists its row indices in ascending order.  ``get`` probes are
-    counted into the process-wide ``Partition.total_probes`` counter, which
-    the bounded-work assertions read; membership checks (``key in index``,
-    the semi-join path) are deliberately uncounted, mirroring
-    ``Partition.__contains__``.
+    bucket lists its row indices in ascending order.  The index counts
+    nothing itself: the join kernel that probes ``buckets`` adds its probes
+    to ``Partition.total_probes`` once per call, which the bounded-work
+    assertions read; membership checks (``key in index``, the semi-join
+    path) are deliberately uncounted, mirroring ``Partition.__contains__``.
 
     An index is never mutated once built.  A delta merge derives the
     successor store's index with :meth:`patched` instead of rebuilding it.
@@ -251,11 +252,6 @@ class IntIndex:
 
     def __len__(self) -> int:
         return len(self.buckets)
-
-    def get(self, key: object) -> Sequence[int]:
-        """The row indices carrying ``key`` (empty when none do) — counted."""
-        Partition.add_probes(1)
-        return self.buckets.get(key, _EMPTY_BUCKET)
 
     def _key_of(self, columns: Sequence[Sequence[int]], row: int) -> object:
         """The key of row ``row`` of ``columns`` as this index spells it."""
@@ -382,15 +378,20 @@ class EncodedRelation:
     # ------------------------------------------------------------------
     @staticmethod
     def build_store(rows: Sequence[Row], arity: int, encoder: TermEncoder) -> EncodedStore:
-        """Encode term rows into a fresh column store (one dict hit per cell)."""
+        """Encode term rows into a fresh column store, a column at a time:
+        each distinct term is encoded once, in row order (the codes a
+        row-by-row pass gives), then each column is mapped through
+        ``encoder.codes`` at C speed."""
         use_numpy = numpy_enabled()
-        encoded = [encoder.encode_row(row) for row in rows]
-        columns = [
-            _make_column(column, use_numpy)
-            for column in (zip(*encoded) if encoded else [() for _ in range(arity)])
+        for term in dict.fromkeys(chain.from_iterable(rows)):
+            encoder.encode(term)
+        lookup = encoder.codes.__getitem__
+        codes = [
+            list(map(lookup, column))
+            for column in (zip(*rows) if rows else [() for _ in range(arity)])
         ]
-        store = EncodedStore(columns, len(encoded), use_numpy)
-        store.caches["rows"] = encoded
+        store = EncodedStore([_make_column(c, use_numpy) for c in codes], len(rows), use_numpy)
+        store.caches["rows"] = list(zip(*codes)) if codes else [()] * len(rows)
         return store
 
     @staticmethod
@@ -738,8 +739,7 @@ class EncodedRelation:
 
         ``O(keys of index + output)`` once the key index exists.  The
         gathered row indices are sorted, so the output is row for row the
-        scan kernel's.  Both indexes are read through ``buckets``, never
-        :meth:`IntIndex.get`: membership stays uncounted.
+        scan kernel's.  Membership stays uncounted.
         """
         own = self.key_index(key_positions).buckets
         indices: List[int] = []
@@ -788,11 +788,11 @@ class EncodedRelation:
     ) -> "EncodedRelation":
         """Probe ``index`` with this relation's keys and gather matches.
 
-        One counted probe per row of ``self`` (``IntIndex.get``), then bulk
-        column gathers for both sides — the vectorized hash-join kernel.
+        One probe per row of ``self``, counted once after the loop, then
+        bulk column gathers for both sides — the loop hash-join kernel.
         """
         keys = self._key_column(tuple(key_positions))
-        get = index.get
+        get = index.buckets.get
         left_indices: List[int] = []
         right_indices: List[int] = []
         left_extend = left_indices.extend
@@ -802,6 +802,7 @@ class EncodedRelation:
             if bucket:
                 left_extend([row_index] * len(bucket))
                 right_extend(bucket)
+        Partition.add_probes(len(keys))
         use_numpy = self.store.use_numpy
         columns = [
             _take_column(column, left_indices, use_numpy)
@@ -898,9 +899,6 @@ class EncodedRelation:
                 cache[position] = column_terms
             decoded.append(column_terms)
         return decoded
-
-    def decode_row(self, row: Sequence[int]) -> Row:
-        return self.encoder.decode_row(row)
 
     def decoded_rows(self) -> Iterator[Row]:
         if not self.schema:

@@ -48,10 +48,10 @@ probe row by probe row, so a join emits "for each left row, its bucket in
 order" just like :meth:`EncodedRelation.join_index`.  Dedup keeps global
 first occurrences in row order.
 
-**Accounting.**  A hash join adds ``len(probe side)`` probes through
-:meth:`Partition.add_probes` (the loop kernel counts one ``IntIndex.get``
-per probe row); a semi-join adds none (membership is uncounted on every
-path), so the bounded-work assertions hold on either kernel.
+**Accounting.**  A hash join adds ``len(probe side)`` probes through one
+:meth:`Partition.add_probes` call, exactly as the loop kernel does after
+its loop; a semi-join adds none (membership is uncounted on every path),
+so the bounded-work assertions hold on either kernel.
 """
 
 from __future__ import annotations

@@ -193,9 +193,9 @@ class Partition:
     def add_probes(cls, count: int) -> None:
         """Add ``count`` probes to the counter, exactly.
 
-        The probe paths add one each; the vectorised join kernel
-        (:mod:`repro.evaluation.parallel`) adds one aggregate per operator,
-        so the bounded-work assertions see the same totals either way.
+        :meth:`get` adds one per probe; both join kernels over encoded
+        storage add one aggregate per call, the left rows they probed, so
+        the bounded-work assertions see the same totals on either kernel.
         """
         with cls._probe_lock:
             cls.total_probes += count

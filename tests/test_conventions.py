@@ -135,6 +135,28 @@ def parallel_project(keys):
     assert any(":8: uses sorted" in line for line in violations)
 
 
+def test_probe_counts_inside_kernel_loops_are_flagged():
+    snippet = """
+def join_index(keys, buckets):
+    for key in keys:
+        Partition.add_probes(1)
+        while buckets.get(key):
+            add_probes(1)
+    hits = [Partition.add_probes(1) for key in keys if key in buckets]
+    Partition.add_probes(len(keys))
+    return [bucket for bucket in buckets.values()], Partition.add_probes(len(hits))
+
+def get(self, key):
+    Partition.add_probes(1)
+    return self.buckets.get(key, ())
+"""
+    violations = _lint_module().check_probe_counts({"encoding.py": snippet})
+    assert len(violations) == 3
+    assert any("encoding.py:4: calls add_probes inside a loop" in line for line in violations)
+    assert any("encoding.py:6: calls add_probes" in line for line in violations)
+    assert any("encoding.py:7: calls add_probes" in line for line in violations)
+
+
 def test_typecheck_wrapper_runs():
     """Exit 0 both where mypy exists (clean tree) and where it is absent
     (graceful skip) — either way the wrapper must not crash."""

@@ -164,6 +164,22 @@ class TestTerms:
         assert ref() is None
         assert key not in table.refs
 
+    @pytest.mark.parametrize("cls", TERM_CLASSES)
+    def test_callback_survives_a_cleared_module_lock(self, cls, monkeypatch):
+        """At interpreter exit python may clear the module's globals before
+        the last terms die; their table callbacks must not read ``_LOCK``."""
+        key = f"outlives-its-module-{cls.__name__}"
+        term = cls(key)
+        ref = weakref.ref(term)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        monkeypatch.setattr(term_module, "_LOCK", None)
+        del term
+        gc.collect()
+        assert ref() is None
+        assert unraisable == []
+        assert key not in TABLES[cls].refs
+
     def test_the_table_entry_of_a_reinterned_key_survives_the_old_callback(self):
         old = Null("reinterned")
         old_entry = term_module._NULLS.refs["reinterned"]

@@ -3,11 +3,12 @@
 Covers the seams the differential suite (``test_parallel_differential.py``)
 does not: encoder thread-safety under a hammering pool, the encoder's
 cached decode array under growth, which kernel a default numpy run takes, verification of a vectorised plan, probe
-accounting parity, runs of one shared plan, and the committed
-``BENCH_parallel_scaling.json`` record.
+accounting parity, the loop join kernel's once-per-call count, runs of one
+shared plan, and the committed ``BENCH_parallel_scaling.json`` record.
 """
 
 import json
+import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import verify_plan
-from repro.datamodel import Constant, Variable
+from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import (
     ExecutionContext,
     EncodedRelation,
@@ -254,6 +255,65 @@ def test_probe_counters_are_exact_under_concurrency():
         for future in [pool.submit(hammer) for _ in range(8)]:
             future.result()
     assert Partition.total_probes - start == 8 * 5000
+
+
+E, F = Predicate("E", 2), Predicate("F", 2)
+EDGES = Atom(E, (Variable("x"), Variable("y")))
+JOINED = Atom(F, (Variable("y"), Variable("z")))
+CROSSED = Atom(F, (Variable("u"), Variable("v")))
+
+
+def _edge_database(facts, seed):
+    """Two binary predicates over twelve constants: shared keys and misses."""
+    rng = random.Random(seed)
+
+    def edge(predicate):
+        return Atom(predicate, (Constant(rng.randrange(12)), Constant(rng.randrange(12))))
+
+    return Database([edge(E) for _ in range(facts)] + [edge(F) for _ in range(facts)])
+
+
+@pytest.mark.parametrize("right", [JOINED, CROSSED], ids=["shared-key", "cross-product"])
+def test_one_join_counts_its_left_rows_once(right):
+    """One ``EncodedRelation.join`` adds ``len(left)`` probes on a shared key
+    and none on a cross product: what its ``HashJoin`` run record says."""
+    database = _edge_database(60, seed=5)
+    scans = ScanCache(database)
+    left = scans.scan(EDGES)
+    before = Partition.total_probes
+    joined = left.join(scans.scan(right))
+    counted = Partition.total_probes - before
+    assert counted == (len(left) if right is JOINED else 0)
+    join = operators_module.HashJoin(operators_module.Scan(EDGES), operators_module.Scan(right))
+    context = ExecutionContext(database, scans)
+    before = Partition.total_probes
+    assert len(join.materialize_encoded(context)) == len(joined)
+    assert context.run[join].probes == counted == Partition.total_probes - before
+
+
+def test_join_probe_counts_are_exact_under_concurrency():
+    """Joins over shared stores from 8 threads count every probe: each join
+    adds its left rows under one lock, and no update is lost."""
+    scans = ScanCache(_edge_database(60, seed=6))
+    left, right = scans.scan(EDGES), scans.scan(JOINED)
+    left.join(right)  # build the shared key index before the race
+    barrier = threading.Barrier(8)
+
+    def hammer():
+        barrier.wait()
+        for _ in range(300):
+            left.join(right)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = Partition.total_probes
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(hammer) for _ in range(8)]:
+                future.result()
+        assert Partition.total_probes - start == 8 * 300 * len(left)
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def _observed(plan, context):
