@@ -8,6 +8,7 @@ per-fact cost of (a) the one-off reformulation and (b) the linear evaluation,
 against the NP-baseline of evaluating the original cyclic query directly.
 """
 
+import gc
 import random
 import statistics
 import time
@@ -168,6 +169,9 @@ def five_cycle_row():
     plan = evaluator.compile_answer_plan()
     samples = []
     for _ in range(CYCLE_REPEATS):
+        # Collect before each repeat (the collector stays on), so a pause
+        # owed to the previous repeat's garbage does not land in this one.
+        gc.collect()
         context = ExecutionContext(database)
         started = time.perf_counter()
         answers = plan.materialize_encoded(context).answer_tuples(query.head)

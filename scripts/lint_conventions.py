@@ -9,9 +9,8 @@ Eight rules, each encoding a convention the codebase actually relies on:
    be materialised and rendered.  No operator defines a second face: not
    the tuple-at-a-time one (``_materialize``/``iter_rows``), whose engine
    is the differential oracle in ``tests/helpers/tuple_engine.py``, and
-   not a batch stream (``iter_batches``), since the plan route streams in
-   ``join_plans.iter_plan_answers`` and cursor plans in
-   ``CursorEnumerate.iter_rows_encoded``.
+   not a stream of its own (``iter_batches``/``iter_rows_encoded``), since
+   every stream runs the one batch loop ``join_plans.stream_chain``.
 2. **No mutable default arguments** anywhere under ``src/`` — a default
    ``[]``/``{}``/``set()`` is shared across calls; the engines pass
    relations and bindings through deep call chains where that aliasing is
@@ -86,7 +85,7 @@ def relative(path: pathlib.Path) -> str:
 # Rule 1: operator nodes implement the materialising face, and only that
 # ----------------------------------------------------------------------
 TUPLE_FACES = ("_materialize", "iter_rows")
-STREAM_FACE = "iter_batches"
+STREAM_FACES = ("iter_batches", "iter_rows_encoded")
 
 
 def check_operator_faces(source: Optional[str] = None) -> List[str]:
@@ -109,12 +108,12 @@ def check_operator_faces(source: Optional[str] = None) -> List[str]:
                     f"{where} defines the tuple face {face} (the tuple engine "
                     "is the oracle in tests/helpers/tuple_engine.py)"
                 )
-        if STREAM_FACE in methods:
-            violations.append(
-                f"{where} defines the batch stream {STREAM_FACE} (plans stream "
-                "in join_plans.iter_plan_answers and "
-                "CursorEnumerate.iter_rows_encoded)"
-            )
+        for face in STREAM_FACES:
+            if face in methods:
+                violations.append(
+                    f"{where} defines the stream {face} (every stream runs "
+                    "the batch loop join_plans.stream_chain)"
+                )
         if not is_node:
             continue
         if "_materialize_encoded" not in methods:

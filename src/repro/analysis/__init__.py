@@ -3,7 +3,7 @@
 Two passes over one diagnostic spine (:mod:`repro.analysis.diagnostics`):
 
 * :func:`verify_plan` — certify any physical-operator DAG *before* it runs
-  (``PLAN001``–``PLAN012``); :func:`maybe_verify` is the ``REPRO_VERIFY``
+  (``PLAN001``–``PLAN016``); :func:`maybe_verify` is the ``REPRO_VERIFY``
   environment hook the evaluation seams call on every emitted plan.
 * :func:`check_workload` / :func:`check_query` / :func:`check_dependencies`
   — certify queries and dependency sets before any database is touched

@@ -37,7 +37,9 @@ class Severity(IntEnum):
 #: Every diagnostic code either pass can emit, with a one-line meaning.
 #: ``PLAN*`` codes come from the IR plan verifier, ``WKL*`` codes from the
 #: workload analyzer.  Codes are append-only: a released code never changes
-#: meaning (tests assert exact codes against the mutation corpus).
+#: meaning (tests assert exact codes against the mutation corpus), and a
+#: retired code is not reused (PLAN007, PLAN011 and PLAN012 checked the
+#: cursor enumerator and its stream shapes, which are gone).
 CODES: Dict[str, str] = {
     "PLAN001": "cycle in the operator DAG",
     "PLAN002": "malformed operator schema (duplicate or non-variable entry)",
@@ -45,15 +47,12 @@ CODES: Dict[str, str] = {
     "PLAN004": "projection/selection target not bound by the input",
     "PLAN005": "join key positions disagree with the operand schemas",
     "PLAN006": "output schema inconsistent with the operator semantics",
-    "PLAN007": "malformed CursorEnumerate (tree/ops/carry out of sync)",
     "PLAN008": "cost estimate missing on a partially annotated plan",
     "PLAN009": "invalid cost estimate (negative or non-finite)",
     "PLAN010": "scan atom malformed (arity mismatch or null argument)",
-    "PLAN011": "streaming plan does not put CursorEnumerate at the root",
-    "PLAN012": "streaming hash-join chain is not left-deep over scans",
     "PLAN013": "operator type is outside the batch-face width registry",
     "PLAN014": "batch face out of sync (width or cached encoding vs schema)",
-    "PLAN015": "bag node out of sync (bag vs schema or vs decomposition tree)",
+    "PLAN015": "bag node out of sync (declared bag vs schema)",
     "PLAN016": "cached scan result is stamped with a stale database epoch",
     "SVC001": "service scan cache epoch desynchronised from its database",
     "SVC002": "cached plan's statistics drifted past the re-plan threshold",

@@ -13,15 +13,12 @@ PLAN003  each operator type has its exact child count               error
 PLAN004  Project targets are bound by the input                     error
 PLAN005  join/semi-join key positions agree with both operands      error
 PLAN006  output schema matches the operator's semantics             error
-PLAN007  CursorEnumerate tree, node ops and carries are in sync     error
 PLAN008  estimates present on every node once any node has one      warning
 PLAN009  estimates are finite and non-negative                      error
 PLAN010  scan atoms are well-formed (arity, no nulls)               error
-PLAN011  streaming: a cursor plan keeps CursorEnumerate at the root warning
-PLAN012  streaming: hash-join build sides are join subtrees         warning
 PLAN013  batch face: operator type is in the width registry         warning
 PLAN014  batch face: width/run's encoding agree with the schema     error
-PLAN015  bag nodes agree with their schema and decomposition tree   error
+PLAN015  bag nodes agree with their sub-plan's schema                error
 PLAN016  a run's scan results carry the expected database epoch     error
 ======== ========================================================== ========
 
@@ -32,10 +29,6 @@ result with what the node actually stores.  A plan mutated after
 construction — a dropped join key, a re-rooted child, a stale projection —
 is therefore caught even though each individual attribute still "looks"
 plausible.
-
-``streaming=True`` additionally applies the stream shape checks
-(PLAN011/PLAN012); materialising plans — e.g. the bushy Yannakakis answer
-assembly — are verified without them.
 
 The encoded columns the operators run on are covered by
 :data:`_BATCH_WIDTHS`: for every registered operator type the verifier
@@ -57,12 +50,11 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..datamodel import Null, Variable
 from ..evaluation.operators import (
     BagNode,
-    CursorEnumerate,
     HashJoin,
     NodeRun,
     Operator,
@@ -170,7 +162,6 @@ _BATCH_WIDTHS = {
     SemiJoin: lambda op: len(op.children[0].schema),
     HashJoin: lambda op: len(op.children[0].schema) + len(op._right_residual),
     BagNode: lambda op: len(op.children[0].schema),
-    CursorEnumerate: lambda op: len(op.node_carry[op.tree.root]),
 }
 
 
@@ -204,23 +195,6 @@ def _check_schema(operator: Operator, diagnostics: List[Diagnostic]) -> bool:
 
 def _check_child_count(operator: Operator, diagnostics: List[Diagnostic]) -> bool:
     label = _label(operator)
-    if isinstance(operator, CursorEnumerate):
-        try:
-            expected = len(operator.tree)
-        except Exception:
-            expected = None
-        if expected is not None and len(operator.children) != expected:
-            diagnostics.append(
-                Diagnostic(
-                    "PLAN003",
-                    Severity.ERROR,
-                    f"expected one child per join-tree node ({expected}), "
-                    f"got {len(operator.children)}",
-                    subject=label,
-                )
-            )
-            return False
-        return True
     expected = _CHILD_COUNTS.get(type(operator))
     if expected is not None and len(operator.children) != expected:
         diagnostics.append(
@@ -369,8 +343,8 @@ def _check_hashjoin(operator: HashJoin, diagnostics: List[Diagnostic]) -> None:
 
 
 def _check_bagnode(operator: BagNode, diagnostics: List[Diagnostic]) -> None:
-    """PLAN015 (node-local): a bag marker passes its child through and its
-    declared bag is exactly the schema the bag sub-plan produces."""
+    """PLAN015: a bag marker passes its child through and its declared bag
+    is exactly the schema the bag sub-plan produces."""
     label = _label(operator)
     child = operator.children[0]
     if operator.schema != child.schema:
@@ -396,114 +370,6 @@ def _check_bagnode(operator: BagNode, diagnostics: List[Diagnostic]) -> None:
                 subject=label,
             )
         )
-
-
-def _check_bag_tree_sync(
-    nodes: Sequence[Operator], diagnostics: List[Diagnostic]
-) -> None:
-    """PLAN015 (tree-level): bag operators agree with the decomposition tree.
-
-    Wherever a cursor enumeration runs over bag operators, each bag's
-    declared variables must equal the vertices of the join-tree node it
-    is plugged into — a decomposition edge or bag mutated after
-    compilation desynchronises the semijoin passes silently.  The
-    semi-join reducers wrap each node's base operator, keeping it on the
-    left spine, so the check unwraps ``SemiJoin`` chains first.
-    """
-    for node in nodes:
-        if not isinstance(node, CursorEnumerate):
-            continue
-        try:
-            tree = node.tree
-            entries = list(node.node_ops.items())
-        except Exception:
-            continue  # PLAN007 covers a malformed enumeration
-        for identifier, op in entries:
-            while isinstance(op, SemiJoin) and op.children:
-                op = op.children[0]
-            if not isinstance(op, BagNode):
-                continue
-            try:
-                vertices = frozenset(
-                    term
-                    for term in tree.node(identifier).vertices
-                    if isinstance(term, Variable)
-                )
-            except Exception:
-                continue
-            if vertices != op.bag:
-                diagnostics.append(
-                    Diagnostic(
-                        "PLAN015",
-                        Severity.ERROR,
-                        f"bag {{{', '.join(sorted(map(str, op.bag)))}}} of node "
-                        f"{identifier} disagrees with the decomposition-tree "
-                        "vertices "
-                        f"{{{', '.join(sorted(map(str, vertices)))}}}",
-                        subject=_label(op),
-                    )
-                )
-
-
-def _check_enumerate(
-    operator: CursorEnumerate, diagnostics: List[Diagnostic]
-) -> None:
-    label = _label(operator)
-
-    def report(message: str) -> None:
-        diagnostics.append(
-            Diagnostic("PLAN007", Severity.ERROR, message, subject=label)
-        )
-
-    try:
-        tree = operator.tree
-        identifiers = set(tree.node_ids())
-        if set(operator.node_ops) != identifiers:
-            report("node operators do not cover the join-tree nodes exactly")
-            return
-        if set(operator.node_carry) != identifiers:
-            report("carry schemas do not cover the join-tree nodes exactly")
-            return
-        bottom_up = tree.bottom_up_order()
-        if list(operator._bottom_up) != bottom_up:
-            report("cached bottom-up order is stale against the join tree")
-            return
-        if operator.children != tuple(operator.node_ops[i] for i in bottom_up):
-            report("children are out of sync with the node operators")
-            return
-        if operator.schema != operator.node_carry[tree.root]:
-            report("output schema differs from the root carry schema")
-            return
-        for identifier in bottom_up:
-            node_schema = set(operator.node_ops[identifier].schema)
-            probe = [
-                term
-                for term in tree.shared_with_parent(identifier)
-                if isinstance(term, Variable)
-            ]
-            missing = [v for v in probe if v not in node_schema]
-            if missing:
-                report(
-                    f"probe variable(s) {', '.join(map(str, missing))} of node "
-                    f"{identifier} are not produced by its operator"
-                )
-                return
-            child_carries: Set[Variable] = set()
-            for child in tree.children(identifier):
-                child_carries.update(operator.node_carry[child])
-            orphaned = [
-                v
-                for v in operator.node_carry[identifier]
-                if v not in node_schema and v not in child_carries
-            ]
-            if orphaned:
-                report(
-                    f"carry variable(s) {', '.join(map(str, orphaned))} of node "
-                    f"{identifier} come from neither the node nor its children"
-                )
-                return
-    except Exception as error:
-        report(f"enumeration structure could not be checked: {error}")
 
 
 def _check_batch_face(operator: Operator, diagnostics: List[Diagnostic], run: Run) -> None:
@@ -586,8 +452,6 @@ def _check_node(operator: Operator, diagnostics: List[Diagnostic], run: Run) -> 
             _check_hashjoin(operator, diagnostics)
         elif isinstance(operator, BagNode):
             _check_bagnode(operator, diagnostics)
-        elif isinstance(operator, CursorEnumerate):
-            _check_enumerate(operator, diagnostics)
     except Exception as error:  # a corrupt node must not crash the verifier
         diagnostics.append(
             Diagnostic(
@@ -635,56 +499,6 @@ def _check_estimates(
         )
 
 
-def _check_streaming(
-    root: Operator, nodes: Sequence[Operator], diagnostics: List[Diagnostic]
-) -> None:
-    has_cursor = any(isinstance(n, CursorEnumerate) for n in nodes)
-    if has_cursor and not isinstance(root, CursorEnumerate):
-        diagnostics.append(
-            Diagnostic(
-                "PLAN011",
-                Severity.WARNING,
-                "a cursor plan is wrapped by "
-                f"{type(root).__name__}, so the enumeration no longer "
-                "streams from the root",
-                subject=_label(root),
-            )
-        )
-    if has_cursor:
-        return
-    for node in nodes:
-        if isinstance(node, HashJoin) and not _materialisable_build(
-            node.children[1]
-        ):
-            diagnostics.append(
-                Diagnostic(
-                    "PLAN012",
-                    Severity.WARNING,
-                    "streaming hash join probes a "
-                    f"{type(node.children[1]).__name__} build side — not a "
-                    "join subtree over scans, so the probe side cannot be "
-                    "materialised into a cached partition",
-                    subject=_label(node),
-                )
-            )
-
-
-def _materialisable_build(node: Operator) -> bool:
-    """Whether a hash-join build side is a join subtree over base scans.
-
-    :func:`repro.evaluation.join_plans.iter_plan_answers` materialises each
-    spine join's build side once and probes it; scans and (bushy)
-    hash-join subtrees over scans are the only build sides the join-plan
-    compiler emits, so anything else (a ``SemiJoin``, a ``Project``)
-    marks a plan that compiler did not build.
-    """
-    if isinstance(node, Scan):
-        return True
-    if isinstance(node, HashJoin):
-        return all(_materialisable_build(child) for child in node.children)
-    return False
-
-
 def _check_epochs(
     nodes: List[Operator], expected_epoch: int, run: Run, diagnostics: List[Diagnostic]
 ) -> None:
@@ -723,19 +537,14 @@ def _check_epochs(
 def verify_plan(
     root: Operator,
     *,
-    streaming: bool = False,
     expected_epoch: Optional[int] = None,
     run: Optional[Run] = None,
     estimates: Optional[Mapping[Operator, float]] = None,
 ) -> List[Diagnostic]:
     """Statically verify an operator DAG; return all findings (never raises).
 
-    ``streaming=True`` additionally applies the stream shape checks
-    (PLAN011/PLAN012) — use it for plans meant to be streamed by
-    :meth:`~repro.evaluation.operators.CursorEnumerate.iter_rows_encoded` or
-    :func:`~repro.evaluation.join_plans.iter_plan_answers`.  ``run`` is an
-    executed context's run map: the encoded results it memoised are
-    checked against their nodes' schemas (PLAN014) and, when
+    ``run`` is an executed context's run map: the encoded results it
+    memoised are checked against their nodes' schemas (PLAN014) and, when
     ``expected_epoch`` is given, its scan results against the database
     mutation epoch (PLAN016).  ``estimates`` is a cost model's
     :meth:`~repro.evaluation.operators.CostModel.row_estimates`, checked
@@ -746,32 +555,25 @@ def verify_plan(
     for node in nodes:
         _check_node(node, diagnostics, run)
     _check_estimates(nodes, estimates or {}, diagnostics)
-    _check_bag_tree_sync(nodes, diagnostics)
-    if streaming:
-        _check_streaming(root, nodes, diagnostics)
     if expected_epoch is not None:
         _check_epochs(nodes, expected_epoch, run, diagnostics)
     return diagnostics
 
 
-def verify_or_raise(
-    root: Operator, *, streaming: bool = False, where: str = ""
-) -> List[Diagnostic]:
+def verify_or_raise(root: Operator, *, where: str = "") -> List[Diagnostic]:
     """Verify a plan and raise :class:`PlanVerificationError` on ERRORs.
 
     WARNING/INFO findings are returned, not raised: an emitted plan without
     cost annotations is legitimate (annotation is EXPLAIN's job).
     """
-    diagnostics = verify_plan(root, streaming=streaming)
+    diagnostics = verify_plan(root)
     fatal = errors(diagnostics)
     if fatal:
         raise PlanVerificationError(fatal, where=where)
     return diagnostics
 
 
-def maybe_verify(
-    root: Operator, *, streaming: bool = False, where: str = ""
-) -> Optional[List[Diagnostic]]:
+def maybe_verify(root: Operator, *, where: str = "") -> Optional[List[Diagnostic]]:
     """The ``REPRO_VERIFY`` hook: verify when the environment enables it.
 
     Called by the evaluation seams (:func:`repro.evaluation.semacyclic_eval
@@ -781,4 +583,4 @@ def maybe_verify(
     """
     if not verification_enabled():
         return None
-    return verify_or_raise(root, streaming=streaming, where=where)
+    return verify_or_raise(root, where=where)

@@ -2,7 +2,7 @@
 
 Every set-at-a-time engine compiles to the shared physical-operator IR of
 :mod:`repro.evaluation.operators` (``Scan`` / ``SemiJoin`` / ``HashJoin`` /
-``Project`` / ``BagNode`` / ``CursorEnumerate``), whose one face
+``Project`` / ``BagNode``), whose one face
 materialises each operator's output over dictionary-encoded integer columns
 (:mod:`repro.evaluation.encoding`) read from the scans of the
 :class:`~repro.evaluation.relation.Relation` layer, decodes terms only at
@@ -13,9 +13,11 @@ pretty-printed by the :func:`explain` API.  Every route also has a
 :meth:`YannakakisEvaluator.iter_answers`, :func:`iter_with_plan`,
 :meth:`BatchEvaluator.evaluate_iter`) yields distinct answers one at a
 time instead of materialising the output — the ``LIMIT``-style serving
-scenarios of the ROADMAP.  The Yannakakis routes stream through
-:class:`CursorEnumerate`'s cursors, the plan route through
-:func:`iter_plan_answers`' pipelined join chain.
+scenarios of the ROADMAP.  Every stream that joins runs one batch loop
+over a left-deep join chain (:func:`repro.evaluation.join_plans
+.stream_chain`): the plan route's chain of scans, and the Yannakakis
+routes' chain of reduced join-tree nodes when the head spans several
+nodes.
 
 Join plans come from one planner, the Selinger DP of
 :mod:`~repro.evaluation.planner_dp` (left-deep :func:`plan_dp_linear` on
@@ -47,7 +49,6 @@ from .operators import (
     BagNode,
     CardinalityEstimate,
     CostModel,
-    CursorEnumerate,
     ExecutionContext,
     HashJoin,
     Operator,
@@ -114,7 +115,6 @@ __all__ = [
     "CostModel",
     "CoverEngine",
     "CoverGameResult",
-    "CursorEnumerate",
     "DP_ATOM_LIMIT",
     "DecompositionEvaluator",
     "EncodedRelation",

@@ -17,7 +17,7 @@ module removes that constant without touching the algorithms:
   cached key index (an anchored atom);
 * an :class:`EncodedRelation` is the schema-carrying view over a store and
   offers the relational operators
-  (``semijoin``/``join``/``project``/``select_codes``/``partition``) over
+  (``semijoin``/``join``/``project``/``select_codes``/``slice_rows``) over
   int keys, so the operator IR executes on int columns and decodes only
   at the output boundary.
 
@@ -308,7 +308,7 @@ class EncodedStore:
 
     Mirrors the role row storage plays for :class:`Relation`: a store is
     shared by reference across :meth:`EncodedRelation.with_schema` views,
-    and all caches (row tuples, partitions, int indexes) live here so every
+    and all caches (row tuples, int indexes) live here so every
     view reuses them — caches are positional, never name-dependent.  The
     usual immutability discipline applies: columns are never mutated after
     construction.
@@ -344,11 +344,10 @@ class EncodedStore:
 class EncodedRelation:
     """A schema-carrying view over an :class:`EncodedStore`.
 
-    Mirrors the :class:`Relation` API closely enough
-    (``schema``/``rows``/``position``/``variables``/``partition``) that the
-    streaming-enumeration cursors of
-    :class:`~repro.evaluation.operators.CursorEnumerate` run on encoded
-    relations verbatim, with decoding deferred to the output boundary.
+    Mirrors the :class:`Relation` API
+    (``schema``/``rows``/``position``/``variables``) and adds the columnar
+    operators over int keys, with decoding deferred to the output
+    boundary.
     """
 
     __slots__ = ("schema", "store", "encoder", "_positions")
@@ -416,8 +415,8 @@ class EncodedRelation:
 
         Every key index of ``store`` is carried forward
         (:meth:`IntIndex.patched`), so a point read after a write probes an
-        index without rebuilding it.  The other caches (int rows,
-        partitions, packed and sorted keys) start empty.  ``store`` itself
+        index without rebuilding it.  The other caches (int rows, packed
+        and sorted keys) start empty.  ``store`` itself
         is not touched, so readers still holding it keep a consistent
         snapshot; its caches are read from a snapshot because such readers
         may add entries concurrently.
@@ -590,20 +589,6 @@ class EncodedRelation:
         if self.store.use_numpy:
             selected = [column.tolist() for column in selected]  # type: ignore[union-attr]
         return list(zip(*selected))
-
-    def partition(self, variables: Sequence[Variable]) -> Partition:
-        """A row-level :class:`Partition` over the int rows, cached per store.
-
-        This is what lets the enumeration cursors treat encoded relations
-        exactly like tuple relations — same class, same probe counters.
-        """
-        positions = tuple(self.position(variable) for variable in variables)
-        key = ("partition", positions)
-        cached = self.store.caches.get(key)
-        if cached is None:
-            cached = Partition(positions, self.rows)
-            self.store.caches[key] = cached
-        return cached  # type: ignore[return-value]
 
     def key_index(self, positions: Sequence[int]) -> IntIndex:
         """The cached :class:`IntIndex` of row indices by key columns."""
@@ -850,17 +835,16 @@ class EncodedRelation:
             schema,
         )
 
-    def chunks(self, size: int) -> Iterator["EncodedRelation"]:
-        """Slice into batches of at most ``size`` rows (column slices, O(1)
-        per column for numpy views, one copy for ``array`` slices)."""
+    def slice_rows(self, start: int, stop: int) -> "EncodedRelation":
+        """Rows ``start`` to ``stop`` (column slices, O(1) per column for
+        numpy views, one copy for ``array`` slices); the relation itself
+        when the range covers it."""
         length = self.store.length
-        if length <= size:
-            yield self
-            return
-        for start in range(0, length, size):
-            stop = min(start + size, length)
-            columns = [column[start:stop] for column in self.store.columns]
-            yield self._derive(self.schema, columns, stop - start)
+        stop = min(stop, length)
+        if start == 0 and stop == length:
+            return self
+        columns = [column[start:stop] for column in self.store.columns]
+        return self._derive(self.schema, columns, stop - start)
 
     # ------------------------------------------------------------------
     # The decode boundary

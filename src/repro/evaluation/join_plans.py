@@ -27,11 +27,13 @@ execution faces come straight from the IR:
 * :func:`execute_plan` materialises step by step and records every
   intermediate-result size (the ablation benchmarks and the cost-model
   calibration want them);
-* :func:`iter_plan_answers` streams: the compiled chain's left spine
-  pipelines batch-at-a-time from its leftmost scan (each pulled row probes
-  the next build side's int index), so only the build sides are ever
-  materialised and ``limit``-style consumers stop the entire chain after
-  a bounded number of batches — there is no materialised join prefix.
+* :func:`iter_plan_answers` streams: :func:`stream_chain` pipelines the
+  compiled chain's left spine batch-at-a-time from its leftmost scan (each
+  pulled row probes the next build side's int index), so only the build
+  sides are ever materialised and ``limit``-style consumers stop the
+  entire chain after a bounded number of batches — there is no
+  materialised join prefix.  The Yannakakis stream of a head spanning
+  several join-tree nodes runs the same loop over its reduced nodes.
 
 Cardinality estimation is statistics-calibrated: the planners score
 candidate orders with the :class:`~repro.evaluation.operators.CostModel`
@@ -68,9 +70,9 @@ from .operators import (
 )
 from .relation import Relation, ScanProvider
 
-#: Row budget of one batch of :func:`iter_plan_answers`' stream.  Large
-#: enough to amortise per-batch dispatch, small enough that ``limit=``
-#: consumers stop a pipelined chain after O(batch) extra work.
+#: The largest batch of :func:`stream_chain`; batches grow to it from one
+#: row.  Large enough to amortise per-batch dispatch, small enough that
+#: ``limit=`` consumers stop a pipelined chain after O(batch) extra work.
 BATCH_ROWS = 1024
 
 
@@ -423,21 +425,10 @@ def iter_plan_answers(
     scans: Optional[ScanProvider] = None,
     limit: Optional[int] = None,
 ) -> Iterator[Tuple[Term, ...]]:
-    """Stream a plan's answers by pipelining the compiled chain's left spine.
+    """Stream a plan's answers by pipelining the compiled chain's left spine
+    (see :func:`stream_chain`).
 
-    Each spine join's build side — a scan, or a join subtree of a bushy
-    plan — is materialised once, outermost first; an empty one ends the
-    stream before the leftmost scan is read.  The leftmost scan is then
-    cut into :data:`BATCH_ROWS`-row batches, and each batch flows up the
-    spine one :meth:`~repro.evaluation.encoding.EncodedRelation.join` at a
-    time, its fan-out re-sliced to :data:`BATCH_ROWS` rows after every
-    step, so ``limit``-style consumption costs bucket probes proportional
-    to the batches pulled, not to the prefix size.  The head projection
-    deduplicates across batches.
-
-    Each spine join's run record counts the rows it emits and, on a shared
-    key, one probe per batch row — the materialising face's count.  The
-    set of yielded tuples equals ``execute_plan(...).answers`` exactly,
+    The set of yielded tuples equals ``execute_plan(...).answers`` exactly,
     with no tuple yielded twice.
     """
     if limit is not None and limit <= 0:
@@ -446,57 +437,89 @@ def iter_plan_answers(
         if not plan.query.body:
             yield ()  # the nullary query: one empty answer over any database
         return
-
-    head_schema = first_occurrence_schema(plan.query.head)
     top = plan._stream_top
     if top is None:
-        top = Project(compile_plan(plan)[-1], head_schema)
-        maybe_verify_plan(top, streaming=True, where="join_plans.iter_plan_answers")
+        top = Project(compile_plan(plan)[-1], first_occurrence_schema(plan.query.head))
+        maybe_verify_plan(top, where="join_plans.iter_plan_answers")
         plan._stream_top = top
-    head_positions = tuple(head_schema.index(v) for v in plan.query.head)
-
     context = ExecutionContext(database, scans)
-    head = context.run[top]
-    head.rows = 0
+    yield from stream_chain(top, context, plan.query.head, limit)
+
+
+def stream_chain(
+    top: Operator,
+    context: ExecutionContext,
+    head: Sequence[Variable],
+    limit: Optional[int] = None,
+) -> Iterator[Tuple[Term, ...]]:
+    """Stream the head answers of ``top``, a projection over a hash-join
+    chain, batch by batch along the chain's left spine.
+
+    Each spine join's build side — a scan, a reduced join-tree node or a
+    join subtree of a bushy plan — is materialised once, outermost first;
+    an empty one ends the stream before the leftmost input is read.  The
+    leftmost input is then cut into batches, and each batch flows up the
+    spine one :meth:`~repro.evaluation.encoding.EncodedRelation.join` at a
+    time, its fan-out re-sliced after every step.  Every spine level keeps
+    its own batch size, which starts at one row and doubles up to
+    :data:`BATCH_ROWS`: the first answer costs one probe per spine join
+    when no batch dead-ends, and ``limit``-style consumption costs probes
+    proportional to the rows pulled, not to the prefix size.  The head
+    projection deduplicates across batches, and ``head`` (the query head,
+    repeats allowed) orders each yielded tuple.
+
+    Each spine join's run record counts the rows it emits and, on a shared
+    key, one probe per batch row — the materialising face's count.
+    """
+    record = context.run[top]
+    record.rows = 0
     spine: List[Tuple[HashJoin, EncodedRelation, NodeRun]] = []
     node = top.children[0]
     while isinstance(node, HashJoin):
-        record = context.run[node]
-        record.rows = 0
+        join_record = context.run[node]
+        join_record.rows = 0
         build = node.children[1].materialize_encoded(context)
         if build.is_empty():
             return
-        spine.append((node, build, record))
+        spine.append((node, build, join_record))
         node = node.children[0]
     spine.reverse()  # bottom-up: the order a batch meets the joins
     leftmost = node.materialize_encoded(context)
     if leftmost.is_empty():
         return
 
+    head_positions = tuple(top.schema.index(v) for v in head)
     seen: Set[object] = set()  # int keys of the head projection
     terms = context.encoder.terms
     produced = 0
-    # One batch iterator per spine level: level ``i`` holds batches about
-    # to meet join ``i``, and the last level batches of the full join.
-    levels: List[Iterator[EncodedRelation]] = [leftmost.chunks(BATCH_ROWS)]
-    while levels:
-        batch = next(levels[-1], None)
-        if batch is None:
-            levels.pop()
+    # Level ``i`` holds rows about to meet join ``i`` (the last level rows of
+    # the full join) and the offset of its next batch; ``sizes[i]`` is the
+    # level's next batch size.
+    sizes = [1] * (len(spine) + 1)
+    pending: List[EncodedRelation] = [leftmost]
+    offsets = [0]
+    while pending:
+        depth = len(pending) - 1
+        start = offsets[depth]
+        if start >= len(pending[depth]):
+            pending.pop()
+            offsets.pop()
             continue
-        depth = len(levels) - 1
+        stop = offsets[depth] = start + sizes[depth]
+        sizes[depth] = min(2 * sizes[depth], BATCH_ROWS)
+        batch = pending[depth].slice_rows(start, stop)
         if depth:
             spine[depth - 1][2].rows += len(batch)  # rows the join emitted
         if depth < len(spine):
-            join, build, record = spine[depth]
-            if join._shared:
-                join._record_probes(record, len(batch))
+            join, build, join_record = spine[depth]
+            join._record_probes(join_record, len(batch))
             out = batch.join(build)
             if len(out):
-                levels.append(out.chunks(BATCH_ROWS))
+                pending.append(out)
+                offsets.append(0)
             continue
         out = batch.project(top.schema, seen)
-        head.rows += len(out)
+        record.rows += len(out)
         for code_row in out.rows:
             yield tuple(terms[code_row[p]] for p in head_positions)
             produced += 1

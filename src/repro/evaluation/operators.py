@@ -16,11 +16,10 @@ execution substrate, one accounting scheme and one cost model:
   :meth:`Operator.materialize_encoded`: it produces the full output
   :class:`~repro.evaluation.encoding.EncodedRelation`, memoised per run so
   DAG-shared work is paid once, and :meth:`Operator.materialize` decodes
-  it into a term :class:`Relation`.  Streams come from two places outside
-  that face: :meth:`CursorEnumerate.iter_rows_encoded` enumerates a whole
-  join tree through nested memoised cursors, and
-  :func:`repro.evaluation.join_plans.iter_plan_answers` pipelines a
-  compiled join chain batch by batch.
+  it into a term :class:`Relation`.  Streams come from one place outside
+  that face: :func:`repro.evaluation.join_plans.stream_chain` pipelines a
+  compiled left-deep join chain batch by batch, for the plan route and for
+  a Yannakakis head that spans several join-tree nodes alike.
 
   Terms are decoded only at the output boundary.  The tuple-at-a-time
   engine this face replaced is kept as the differential oracle under
@@ -48,11 +47,11 @@ execution substrate, one accounting scheme and one cost model:
   :mod:`repro.evaluation.semacyclic_eval`.
 
 Compilation happens in the engines: ``yannakakis.py`` emits a
-semi-join-reducer DAG topped by either a hash-join/projection tree
-(materialising phase 4) or a :class:`CursorEnumerate` (streaming phase 4),
-and ``join_plans.py`` emits :class:`HashJoin` chains (left-deep, or bushy
-for the materialising route) that its stream pipelines along the left
-spine.
+semi-join-reducer DAG topped by a hash-join/projection tree (materialising
+phase 4) or by a left-deep hash-join chain over the reduced nodes
+(streaming phase 4), and ``join_plans.py`` emits :class:`HashJoin` chains
+(left-deep, or bushy for the materialising route).  Every stream
+pipelines its chain along the left spine.
 """
 
 from __future__ import annotations
@@ -73,8 +72,7 @@ from typing import (
 )
 
 from ..datamodel import Atom, Instance, Predicate, Variable
-from ..hypergraph import JoinTree
-from .encoding import EncodedRelation, IntRow, TermEncoder
+from .encoding import EncodedRelation, TermEncoder
 from .parallel import (
     parallel_join,
     parallel_project,
@@ -83,7 +81,6 @@ from .parallel import (
 )
 from .relation import (
     Relation,
-    Row,
     ScanProvider,
     SchemaError,
     compile_scan_pattern,
@@ -333,8 +330,8 @@ class HashJoin(Operator):
     The vectorised kernel on numpy storage, else :meth:`EncodedRelation.join`
     (linear in the operands plus the output).
     The run record counts one bucket probe per left row on a shared key;
-    :func:`repro.evaluation.join_plans.iter_plan_answers` keeps the same
-    count when it streams a chain of these joins.
+    :func:`repro.evaluation.join_plans.stream_chain` keeps the same count
+    when it streams a chain of these joins.
     """
 
     __slots__ = ("_shared", "_left_key", "_right_residual")
@@ -373,264 +370,6 @@ class HashJoin(Operator):
         return f"HashJoin[{joined or '×'}]"
 
 
-# ----------------------------------------------------------------------
-# Streaming enumeration of a whole join tree
-# ----------------------------------------------------------------------
-class _MemoCursor:
-    """A lazily-filled, shareable sequence of one node cursor's rows.
-
-    Wraps the generator producing a node's distinct partial tuples for one
-    probe key.  Consumers iterate by index into the shared ``rows`` list and
-    only the front-most consumer advances the underlying generator, so a
-    cursor that is probed with the same key by many parent rows (or resumed
-    across ``next()`` calls on the answer generator) pays for each distinct
-    tuple exactly once.  Exhaustion — including immediate exhaustion, i.e. a
-    dead end — is memoised too (``_source`` becomes ``None``).
-    """
-
-    __slots__ = ("rows", "_source")
-
-    def __init__(self, source: Iterator[Row]) -> None:
-        self.rows: List[Row] = []
-        self._source: Optional[Iterator[Row]] = source
-
-    def _pull(self) -> bool:
-        """Advance the source by one tuple; return whether one was added."""
-        if self._source is None:
-            return False
-        try:
-            row = next(self._source)
-        except StopIteration:
-            self._source = None
-            return False
-        self.rows.append(row)
-        return True
-
-    def has_any(self) -> bool:
-        """Whether the cursor yields at least one tuple (pulls at most one)."""
-        return bool(self.rows) or self._pull()
-
-    def __iter__(self) -> Iterator[Row]:
-        index = 0
-        while index < len(self.rows) or self._pull():
-            yield self.rows[index]
-            index += 1
-
-
-class _NodePlan:
-    """The compiled enumeration plan of one join-tree node (per execution).
-
-    All positions are resolved against the node's (already materialised)
-    relation schema once, so the inner enumeration loop runs on code tuples
-    and integer indexes only:
-
-    * ``probe_variables`` — the variables this node is keyed by (shared with
-      the parent atom), in this relation's schema order; the node's
-      partition on them is what the parent probes;
-    * ``children`` — per child, ``(identifier, key_positions)`` where
-      ``key_positions`` index *this* node's rows and produce the child's
-      probe key (aligned with the child's ``probe_variables`` order);
-    * ``carry`` — the projection instructions producing this node's output
-      tuple: ``(source, position)`` pairs where source ``-1`` reads the
-      node's own row and source ``j ≥ 0`` reads child ``j``'s output tuple.
-    """
-
-    __slots__ = ("relation", "probe_variables", "children", "carry")
-
-    def __init__(
-        self,
-        relation: EncodedRelation,
-        probe_variables: Tuple[Variable, ...],
-        children: Tuple[Tuple[int, Tuple[int, ...]], ...],
-        carry: Tuple[Tuple[int, int], ...],
-    ) -> None:
-        self.relation = relation
-        self.probe_variables = probe_variables
-        self.children = children
-        self.carry = carry
-
-
-class _Enumeration:
-    """One run of :meth:`CursorEnumerate.iter_rows_encoded`: the per-node plans,
-    the cursors memoised per (node, probe key) and the operator's record."""
-
-    __slots__ = ("record", "plans", "memos")
-
-    def __init__(self, record: NodeRun, plans: Dict[int, _NodePlan]) -> None:
-        self.record = record
-        self.plans = plans
-        self.memos: Dict[Tuple[int, Row], _MemoCursor] = {}
-
-    def cursor(self, identifier: int, key: Row) -> _MemoCursor:
-        memo = self.memos.get((identifier, key))
-        if memo is None:
-            memo = _MemoCursor(self.source(identifier, key))
-            self.memos[(identifier, key)] = memo
-        return memo
-
-    def source(self, identifier: int, key: Row) -> Iterator[Row]:
-        plan = self.plans[identifier]
-        if plan.probe_variables:
-            self.record.probes = (self.record.probes or 0) + 1
-            rows: Sequence[Row] = plan.relation.partition(plan.probe_variables).get(key)
-        else:
-            rows = plan.relation.rows
-        seen: Set[Row] = set()
-        assembled: List[Row] = [()] * len(plan.children)
-        for row in rows:
-            # Peek every child before combining: a dead child (possible
-            # only on unreduced relations) must not cost a scan of its
-            # siblings' cursors.
-            if all(
-                self.cursor(child_id, tuple(row[p] for p in key_positions)).has_any()
-                for child_id, key_positions in plan.children
-            ):
-                yield from self.expand(plan, row, 0, assembled, seen)
-
-    def expand(
-        self,
-        plan: _NodePlan,
-        row: Row,
-        depth: int,
-        assembled: List[Row],
-        seen: Set[Row],
-    ) -> Iterator[Row]:
-        if depth == len(plan.children):
-            out = tuple(
-                row[position] if source_index < 0 else assembled[source_index][position]
-                for source_index, position in plan.carry
-            )
-            if out not in seen:
-                seen.add(out)
-                yield out
-            return
-        child_id, key_positions = plan.children[depth]
-        for child_row in self.cursor(child_id, tuple(row[p] for p in key_positions)):
-            assembled[depth] = child_row
-            yield from self.expand(plan, row, depth + 1, assembled, seen)
-
-
-class CursorEnumerate(Operator):
-    """Streaming phase 4: a join tree compiled into nested memoised cursors.
-
-    The node inputs (one operator per join-tree node — reduced semi-join
-    DAGs for the enumeration mode, raw scans for the Boolean short-circuit
-    mode) are materialised bottom-up on the first pull; every join-tree
-    node then becomes a family of cursors, one per probe key (the values of
-    the variables shared with the parent).  A cursor iterates its bucket of
-    the node relation's cached :class:`~repro.evaluation.relation
-    .Partition`, depth-first-combines each row with the matching child
-    cursors (consistency across children needs no checks: any variable
-    shared between two subtrees occurs in this node's atom and is therefore
-    fixed by the row), and yields the *distinct* projections onto the
-    node's carry schema.  Cursors are memoised per (node, key) — including
-    dead ends — so repeated probes share one traversal.
-
-    On globally consistent inputs (after the semi-join passes) every probed
-    bucket and every child cursor is non-empty, so no work is ever
-    discarded and the first output row costs O(join-tree) bucket probes; on
-    raw scans dead ends are possible but each is explored at most once.
-    """
-
-    __slots__ = ("tree", "node_ops", "node_carry", "_bottom_up")
-
-    def __init__(
-        self,
-        tree: JoinTree,
-        node_ops: Dict[int, Operator],
-        node_carry: Dict[int, Tuple[Variable, ...]],
-    ) -> None:
-        bottom_up = tree.bottom_up_order()
-        super().__init__(
-            node_carry[tree.root], tuple(node_ops[i] for i in bottom_up)
-        )
-        self.tree = tree
-        self.node_ops = dict(node_ops)
-        self.node_carry = dict(node_carry)
-        self._bottom_up = bottom_up
-
-    def _node_plans(
-        self, relations: Dict[int, EncodedRelation]
-    ) -> Dict[int, _NodePlan]:
-        """Compile the per-node enumeration plans against concrete schemas.
-
-        Pure position arithmetic — O(query); no database work happens here.
-        """
-        tree = self.tree
-        carry = self.node_carry
-        plans: Dict[int, _NodePlan] = {}
-        for identifier in self._bottom_up:
-            relation = relations[identifier]
-            shared = tree.shared_with_parent(identifier)
-            probe_variables = tuple(v for v in relation.schema if v in shared)
-            children: List[Tuple[int, Tuple[int, ...]]] = []
-            child_ids = tree.children(identifier)
-            for child in child_ids:
-                # The child was compiled first (bottom-up order); its probe
-                # variables fix the key layout both sides agree on.
-                key_positions = tuple(
-                    relation.position(v) for v in plans[child].probe_variables
-                )
-                children.append((child, key_positions))
-            instructions: List[Tuple[int, int]] = []
-            for variable in carry[identifier]:
-                if variable in relation.variables():
-                    instructions.append((-1, relation.position(variable)))
-                    continue
-                # A carry variable outside the node's own atom lives in
-                # exactly one child subtree (two subtrees would force it
-                # into this atom by join-tree connectedness).
-                for index, child in enumerate(child_ids):
-                    child_carry = carry[child]
-                    if variable in child_carry:
-                        instructions.append((index, child_carry.index(variable)))
-                        break
-                else:  # pragma: no cover — impossible by connectedness
-                    raise AssertionError(
-                        f"carry variable {variable} unreachable at node {identifier}"
-                    )
-            plans[identifier] = _NodePlan(
-                relation, probe_variables, tuple(children), tuple(instructions)
-            )
-        return plans
-
-    def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
-        # The streamed carry tuples are distinct by construction.
-        return EncodedRelation.from_rows(
-            self.schema, list(self.iter_rows_encoded(context)), context.encoder
-        )
-
-    def iter_rows_encoded(self, context: ExecutionContext) -> Iterator[IntRow]:
-        """Stream the carry tuples as dictionary codes.
-
-        The node inputs are materialised encoded and the cursors run on
-        them: they only ever touch ``rows``, cached ``partition`` probes
-        and positional indexing, so decoding is deferred entirely to the
-        consumer.
-        """
-        record = context.run[self]
-        record.rows = 0
-        relations: Dict[int, EncodedRelation] = {}
-        for identifier in self._bottom_up:
-            relation = self.node_ops[identifier].materialize_encoded(context)
-            if relation.is_empty():
-                return
-            relations[identifier] = relation
-        enumeration = _Enumeration(record, self._node_plans(relations))
-        try:
-            for row in enumeration.cursor(self.tree.root, ()):
-                record.rows += 1
-                yield row
-        finally:
-            # The memo table and the cursors' suspended generators reference
-            # each other through the enumeration; emptying it on exhaustion
-            # or close leaves no cycle for the garbage collector to find.
-            enumeration.memos.clear()
-
-    def label(self) -> str:
-        return f"CursorEnumerate[{', '.join(str(v) for v in self.schema)}]"
-
-
 class BagNode(Operator):
     """The boundary of one materialised decomposition bag (pass-through).
 
@@ -638,10 +377,9 @@ class BagNode(Operator):
     tree decomposition as a ``HashJoin``/``Project`` sub-DAG and then runs
     Yannakakis over the bag tree.  ``BagNode`` wraps each bag's sub-DAG: it
     forwards its child's output unchanged, but (a) renders
-    the bag boundary in ``EXPLAIN`` and (b) declares the bag's variable set
-    so the static verifier can cross-check the compiled schema against the
-    decomposition tree (PLAN015).  ``node_id`` names the bag-tree node this
-    operator materialises.
+    the bag boundary in ``EXPLAIN`` and (b) declares the bag's variable set,
+    which the static verifier checks against the compiled schema (PLAN015).
+    ``node_id`` names the bag-tree node this operator materialises.
     """
 
     __slots__ = ("bag", "node_id")
@@ -799,9 +537,7 @@ class CostModel:
       is empty;
     * ``Project`` — ``min(|input|, d(V))`` over the kept variables
       (correlation-aware);
-    * ``BagNode`` — pass-through (the bag boundary is presentational);
-    * ``CursorEnumerate`` — the hash-join/projection estimate of its join
-      tree, folded bottom-up with the formulas above.
+    * ``BagNode`` — pass-through (the bag boundary is presentational).
     """
 
     def __init__(self, statistics: Statistics) -> None:
@@ -945,24 +681,7 @@ class CostModel:
                 self.annotate(operator.children[0]),
                 self.annotate(operator.children[1]),
             )
-        if isinstance(operator, CursorEnumerate):
-            return self._enumerate_estimate(operator)
         raise TypeError(f"no cost formula for {type(operator).__name__}")
-
-    def _enumerate_estimate(self, operator: CursorEnumerate) -> CardinalityEstimate:
-        tree = operator.tree
-        partial: Dict[int, CardinalityEstimate] = {}
-        for identifier in operator._bottom_up:
-            estimate = self.annotate(operator.node_ops[identifier])
-            for child in tree.children(identifier):
-                estimate = self.join_estimate(estimate, partial[child])
-            carry = operator.node_carry[identifier]
-            partial[identifier] = CardinalityEstimate(
-                estimate.correlated_joint_distinct(carry),
-                {v: estimate.distinct.get(v, 1.0) for v in carry},
-                _filter_pairs(estimate.pairs, carry),
-            )
-        return partial[tree.root]
 
 
 def _filter_pairs(
@@ -1026,10 +745,10 @@ def render_plan(
     return "\n".join(lines)
 
 
-def maybe_verify_plan(root: Operator, *, streaming: bool = False, where: str = "") -> None:
+def maybe_verify_plan(root: Operator, *, where: str = "") -> None:
     """The ``REPRO_VERIFY`` seam every plan compiler calls on what it emits
     (:func:`repro.analysis.verify_plan.maybe_verify`, imported lazily: the
     analysis layer imports this module)."""
     from ..analysis.verify_plan import maybe_verify
 
-    maybe_verify(root, streaming=streaming, where=where)
+    maybe_verify(root, where=where)

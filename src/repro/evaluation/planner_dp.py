@@ -381,12 +381,12 @@ class DecompositionEvaluator(YannakakisEvaluator):
     are the upward pass.  The base constructor roots the bag tree at a bag
     holding the whole head, and the guards are chosen after it, so they
     follow the new children; such a root bag, projected onto the head,
-    answers both faces.  Otherwise only the inherited top-down semi-join
-    pass runs over the bag tree; the full reducer's output, and with it
-    assembly and the streaming faces, is exactly Yannakakis' over the bag
-    tree.  The cost is the standard
-    hypertree bound: materialising a bag is polynomial for fixed width,
-    everything after is Yannakakis.
+    answers both faces, and the root bag alone answers :meth:`boolean`.
+    Otherwise only the inherited top-down semi-join pass runs over the bag
+    tree; the full reducer's output, and with it assembly and the stream's
+    join chain, is exactly Yannakakis' over the bag tree.  The cost is the
+    standard hypertree bound: materialising a bag is polynomial for fixed
+    width, everything after is Yannakakis.
     """
 
     def __init__(self, query, scans=None):
@@ -477,15 +477,6 @@ class DecompositionEvaluator(YannakakisEvaluator):
                     oriented.append((parent, child))
                     frontier.append(child)
         return oriented
-
-    def compile_reduction(self, *, reduce: bool = True) -> Dict[int, Operator]:
-        """The bag operators, built bottom-up, plus the top-down pass.
-
-        With ``reduce=False`` the bag operators are returned as they are
-        (the Boolean short-circuit mode).
-        """
-        ops = self._reduce_bottom_up()
-        return self._reduce_top_down(ops) if reduce else ops
 
     def _reduce_bottom_up(self) -> Dict[int, Operator]:
         """The bag operators: every bag is materialised already semi-joined

@@ -407,10 +407,7 @@ def verify_route(
     if evaluator is not None:
         answer = evaluator.compile_answer_plan()
         stream = evaluator.compile_stream_plan()
-        return [
-            *verify_plan(answer),
-            *(verify_plan(stream, streaming=True) if stream is not answer else []),
-        ]
+        return [*verify_plan(answer), *(verify_plan(stream) if stream is not answer else [])]
     if plan is None:
         plan = resolve_planner(None)(query, database)
     if not plan.steps:
@@ -419,7 +416,7 @@ def verify_route(
     from .operators import Project, first_occurrence_schema
 
     top = Project(compile_plan(plan)[-1], first_occurrence_schema(query.head))
-    return list(verify_plan(top, streaming=True))
+    return list(verify_plan(top))
 
 
 def evaluate_batch(

@@ -18,19 +18,16 @@ then answer assembly — but instead of hand-rolling the four phases it
      :class:`~repro.evaluation.operators.HashJoin` +
      :class:`~repro.evaluation.operators.Project` operators carrying each
      node's carry schema — linear in input plus output;
-   * **streaming** (:meth:`YannakakisEvaluator.iter_answers`): a
-     :class:`~repro.evaluation.operators.CursorEnumerate` operator — the
-     join tree compiled into nested per-(node, key) memoised cursors
-     probing the cached :class:`~repro.evaluation.relation.Partition`
-     buckets.  After the two semi-join passes every probed bucket is
-     non-empty (global consistency), so the enumeration never dead-ends:
-     the first answer arrives after O(join-tree) bucket probes, long
-     before the output is complete, and ``limit``-style consumers stop
-     the work early.  This is the constant-delay regime of the
-     free-connex acyclic CQ literature (Bagan–Durand–Grandjean,
-     Brault-Baron); for queries that are acyclic but *not* free-connex
-     the delay between two distinct answers can exceed any constant,
-     which is provably unavoidable.
+   * **streaming** (:meth:`YannakakisEvaluator.iter_answers`): the head
+     projection over a left-deep ``HashJoin`` chain of the reduced nodes
+     that hold the head, joined in top-down order, run by the plan
+     route's batch loop (:func:`repro.evaluation.join_plans.stream_chain`).
+     After the two semi-join passes every row of every node takes part in
+     an answer, so no batch dead-ends: the first answer arrives after one
+     bucket probe per chain join, long before the output is complete, and
+     ``limit``-style consumers stop the work early.  For a head that is
+     not free-connex no enumerator has constant delay between two distinct
+     answers (Bagan–Durand–Grandjean, Brault-Baron).
 
 **Head-rooted plans.**  Steps 2 and 3 shrink when one node holds the whole
 head.  The evaluator then roots the join tree at that node
@@ -38,16 +35,15 @@ head.  The evaluator then roots the join tree at that node
 alone the root is exactly the projection of the full join onto its own
 variables, since each node is then consistent with its whole subtree
 (Yannakakis 1981).  So the plan of both faces is the upward-reduced root
-projected onto the head: no top-down pass, no assembly and no cursor.
-The stream iterates that plan's encoded rows and decodes them one at a
-time.  A component sharing no variable with the root still gates it
-through the upward pass's empty-key ``SemiJoin``.  The cursor thus serves
-only streams whose head spans several nodes, plus Boolean evaluation.
+projected onto the head: no top-down pass and no assembly.  The stream
+iterates that plan's encoded rows and decodes them one at a time.  A
+component sharing no variable with the root still gates it through the
+upward pass's empty-key ``SemiJoin``.  The join chain thus serves only
+streams whose head spans several nodes.
 
-Boolean evaluation short-circuits on the *first* answer: it skips the
-semi-join reducers entirely and runs a ``CursorEnumerate`` directly over
-the raw scans with the Boolean carry schemas (memoising dead ends),
-stopping as soon as one witness combination exists.
+Boolean evaluation runs the upward pass alone, on any head: the query
+holds iff the upward-reduced root is non-empty, which costs
+``O(|q| · |D|)``.
 
 Because every run records each operator's observed cardinality, the same
 compiled plans back the ``explain`` API (:func:`repro.evaluation
@@ -66,14 +62,14 @@ relations can come from a shared :class:`repro.evaluation.batch.ScanCache`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..datamodel import Instance, Term, Variable
 from ..hypergraph import JoinTree, JoinTreeError, build_join_tree, query_connectors
 from ..queries.cq import ConjunctiveQuery
+from .join_plans import stream_chain
 from .operators import (
     CostModel,
-    CursorEnumerate,
     ExecutionContext,
     HashJoin,
     Operator,
@@ -85,7 +81,6 @@ from .operators import (
     maybe_verify_plan,
     render_plan,
 )
-from .encoding import IntRow
 from .relation import Relation, ScanProvider
 
 
@@ -143,13 +138,11 @@ class YannakakisEvaluator:
         self._node_variables: Dict[int, Set[Variable]] = {
             node.identifier: node.atom.variables() for node in self.join_tree.nodes()
         }
-        self._carry: Dict[int, Tuple[Variable, ...]] = self._carry_schemas(
-            set(self.query.head)
-        )
-        # Compiled plans, one per variant: "answer" for the materialising
-        # plan, ("stream", boolean) for the streaming ones.  Two threads racing
-        # on a miss compile equal plans and one of them is kept.
-        self._plans: Dict[object, Operator] = {}
+        self._carry: Dict[int, Tuple[Variable, ...]] = self._carry_schemas(head)
+        # Compiled plans, one per variant: "answer", "stream" and "boolean".
+        # Two threads racing on a miss compile equal plans and one of them
+        # is kept.
+        self._plans: Dict[str, Operator] = {}
 
     def _carry_schemas(self, free: Set[Variable]) -> Dict[int, Tuple[Variable, ...]]:
         """Per node, the variables its answer-assembly output must expose.
@@ -178,16 +171,13 @@ class YannakakisEvaluator:
     # ------------------------------------------------------------------
     # Plan compilation (pure position arithmetic, no database work)
     # ------------------------------------------------------------------
-    def compile_reduction(self, *, reduce: bool = True) -> Dict[int, Operator]:
+    def compile_reduction(self) -> Dict[int, Operator]:
         """The per-node reduced operators: scans plus both semi-join passes.
 
         Returns a DAG — the top-down pass wires every node's reducer to its
         parent's, so a parent operator is shared by all of its children and
-        materialised once.  With ``reduce=False`` the raw scans are
-        returned (the Boolean short-circuit mode).
+        materialised once.
         """
-        if not reduce:
-            return self._node_scans()
         return self._reduce_top_down(self._reduce_bottom_up())
 
     def _node_scans(self) -> Dict[int, Operator]:
@@ -220,6 +210,12 @@ class YannakakisEvaluator:
                 ops[identifier] = SemiJoin(ops[identifier], ops[parent])
         return ops
 
+    def _compiled(self, key: str, compile: Callable[[], Operator]) -> Operator:
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = compile()
+        return plan
+
     def compile_answer_plan(self) -> Operator:
         """The materialising plan, compiled on first use and then shared by
         every run.
@@ -234,9 +230,7 @@ class YannakakisEvaluator:
         projects onto its carry schema, and the root projects onto the
         distinct head variables.
         """
-        if "answer" not in self._plans:
-            self._plans["answer"] = self._compile_answer_plan()
-        return self._plans["answer"]
+        return self._compiled("answer", self._compile_answer_plan)
 
     def _compile_answer_plan(self) -> Operator:
         if self._head_rooted:
@@ -256,31 +250,57 @@ class YannakakisEvaluator:
         maybe_verify_plan(root, where="YannakakisEvaluator.compile_answer_plan")
         return root
 
-    def compile_stream_plan(self, *, boolean: bool = False) -> Operator:
+    def compile_stream_plan(self) -> Operator:
         """The plan :meth:`iter_answers` runs: the answer plan itself when
-        the root holds the head, else the reducers under a cursor tree.
-
-        ``boolean=True`` compiles the plan :meth:`boolean` runs instead: raw
-        scans under the Boolean carry schemas (connecting variables only),
-        so it stops at the first witness combination.  Each plan is
-        compiled once.
-        """
-        if self._head_rooted and not boolean:
+        the root holds the head, else the head projection over a left-deep
+        ``HashJoin`` chain of the reduced nodes in :meth:`_head_nodes`.
+        Compiled once."""
+        if self._head_rooted:
             return self.compile_answer_plan()
-        key = ("stream", boolean)
-        if key not in self._plans:
-            self._plans[key] = self._compile_stream_plan(boolean)
-        return self._plans[key]
+        return self._compiled("stream", self._compile_stream_plan)
 
-    def _compile_stream_plan(self, boolean: bool) -> CursorEnumerate:
-        if boolean:
-            ops, carry = self.compile_reduction(reduce=False), self._carry_schemas(set())
-        else:
-            ops, carry = self.compile_reduction(), self._carry
-        plan = CursorEnumerate(self.join_tree, ops, carry)
-        maybe_verify_plan(
-            plan, streaming=True, where="YannakakisEvaluator.compile_stream_plan"
-        )
+    def _compile_stream_plan(self) -> Operator:
+        ops = self.compile_reduction()
+        nodes = self._head_nodes()
+        chain = ops[nodes[0]]
+        for identifier in nodes[1:]:
+            chain = HashJoin(chain, ops[identifier])
+        plan = Project(chain, first_occurrence_schema(self.query.head))
+        maybe_verify_plan(plan, where="YannakakisEvaluator.compile_stream_plan")
+        return plan
+
+    def _head_nodes(self) -> List[int]:
+        """The smallest connected part of the join tree holding every head
+        variable, in top-down order (each node after the first has its
+        parent before it).
+
+        After both semi-join passes the nodes are globally consistent, so
+        the join of any connected part of the tree is the projection of the
+        full join onto that part's variables: the subtrees without a head
+        variable, and a top node without one that leads to a single kept
+        subtree, would only widen the joined rows.
+        """
+        head = set(self.query.head)
+        holds: Dict[int, bool] = {}
+        for identifier in self._bottom_up:
+            holds[identifier] = bool(self._node_variables[identifier] & head) or any(
+                holds[child] for child in self.join_tree.children(identifier)
+            )
+        nodes = [identifier for identifier in self._top_down if holds[identifier]]
+        while not self._node_variables[nodes[0]] & head and (
+            sum(holds[child] for child in self.join_tree.children(nodes[0])) == 1
+        ):
+            nodes.pop(0)
+        return nodes
+
+    def compile_boolean_plan(self) -> Operator:
+        """The plan :meth:`boolean` runs: the upward-reduced root, non-empty
+        exactly when the query holds.  Compiled once."""
+        return self._compiled("boolean", self._compile_boolean_plan)
+
+    def _compile_boolean_plan(self) -> Operator:
+        plan = self._reduce_bottom_up()[self.join_tree.root]
+        maybe_verify_plan(plan, where="YannakakisEvaluator.compile_boolean_plan")
         return plan
 
     def _context(
@@ -304,34 +324,29 @@ class YannakakisEvaluator:
         evaluator) on the first ``next()`` call.  When the root holds the
         head, that is the answer plan: the upward pass and the head
         projection execute, and the rows are decoded as they are pulled.
-        Otherwise the semi-join reducers execute, then the cursor tree
-        enumerates — no intermediate relation is ever materialised, so the
-        first answer arrives after the semi-join passes plus O(join-tree)
-        bucket probes, and stopping early (``limit``, or just abandoning
-        the iterator) abandons the remaining work.  The set of yielded
-        tuples equals :meth:`evaluate` exactly, with no tuple yielded twice.
+        Otherwise the semi-join reducers execute and the join chain over
+        them streams batch by batch (:func:`~repro.evaluation.join_plans
+        .stream_chain`): no join prefix is ever materialised, so the first
+        answer arrives after the semi-join passes plus one bucket probe per
+        chain join, and stopping early (``limit``, or just abandoning the
+        iterator) abandons the remaining work.  The set of yielded tuples
+        equals :meth:`evaluate` exactly, with no tuple yielded twice.
 
         ``limit`` caps the number of answers (``None`` = all of them).
-
-        Memory: the memoised cursors retain the distinct partial tuples
-        enumerated so far, so a *complete* run holds at most what the
-        materialising assembly builds; a limited run holds proportionally
-        less.
         """
         if limit is not None and limit <= 0:
             return
         plan = self.compile_stream_plan()
-        head_positions = tuple(plan.schema.index(v) for v in self.query.head)
         context = self._context(database, scans)
-        if isinstance(plan, CursorEnumerate):
-            code_rows: Iterable[IntRow] = plan.iter_rows_encoded(context)
-        else:
-            code_rows = plan.materialize_encoded(context).rows
+        if not self._head_rooted:
+            yield from stream_chain(plan, context, self.query.head, limit)
+            return
+        head_positions = tuple(plan.schema.index(v) for v in self.query.head)
         produced = 0
         # Enumerate dictionary codes; decode each row only as it crosses
         # the output boundary.
         terms = context.encoder.terms
-        for code_row in code_rows:
+        for code_row in plan.materialize_encoded(context).rows:
             yield tuple(terms[code_row[p]] for p in head_positions)
             produced += 1
             if limit is not None and produced >= limit:
@@ -345,20 +360,12 @@ class YannakakisEvaluator:
     ) -> bool:
         """Return ``True`` iff the (Boolean reading of the) query holds in ``database``.
 
-        Routed through the first-answer short-circuit of the streaming
-        plan: the semi-join reducers are skipped and the cursors run on the
-        raw scans with the Boolean carry schemas (connecting variables
-        only), stopping at the first witness combination.  On satisfiable
-        instances this touches only the buckets along one witness path
-        (plus memoised dead ends); on unsatisfiable ones the memoisation
-        bounds the total work by one traversal per (node, key) — the same
-        order as a semi-join pass.
+        Runs the upward semi-join pass alone (:meth:`compile_boolean_plan`)
+        and tests the reduced root for a row: ``O(|q| · |D|)`` on any
+        input, satisfiable or not.
         """
-        plan = self.compile_stream_plan(boolean=True)
-        assert isinstance(plan, CursorEnumerate)
-        for _ in plan.iter_rows_encoded(self._context(database, scans)):
-            return True
-        return False
+        plan = self.compile_boolean_plan()
+        return not plan.materialize_encoded(self._context(database, scans)).is_empty()
 
     def answer_relation(
         self,

@@ -85,19 +85,6 @@ class JoinTree:
     def children(self, identifier: int) -> List[int]:
         return list(self._children[identifier])
 
-    def shared_with_parent(self, identifier: int) -> FrozenSet[Term]:
-        """The connector terms a node shares with its parent (∅ at the root).
-
-        These are exactly the probe-key variables of the node in the
-        operator IR of :mod:`repro.evaluation.operators`: the parent's
-        rows fix their values, and the node's relation is partitioned by
-        them for both the semi-join reduction and the streaming cursors.
-        """
-        parent = self._parent[identifier]
-        if parent is None:
-            return frozenset()
-        return self._nodes[identifier].vertices & self._nodes[parent].vertices
-
     def __len__(self) -> int:
         return len(self._nodes)
 

@@ -4,7 +4,7 @@ The engine in :mod:`repro.evaluation.operators` runs every plan over
 dictionary-encoded integer columns.  This module runs the *same* compiled
 plans one term tuple at a time over :class:`~repro.evaluation.relation
 .Relation` objects, reading nothing but each operator's compile-time
-fields (schema, children, atom, binding, key positions, join tree), so a
+fields (schema, children, atom, key positions), so a
 disagreement between the two is a bug in the engine's kernels, encoding
 or batching — never in the plan both executed.
 
@@ -30,7 +30,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 from repro.datamodel import Atom, Instance, Term, Variable
 from repro.evaluation import (
     BagNode,
-    CursorEnumerate,
     ExecutionContext,
     HashJoin,
     Operator,
@@ -43,7 +42,7 @@ from repro.evaluation import (
     resolve_planner,
     resolve_route,
 )
-from repro.evaluation.operators import _Enumeration, first_occurrence_schema
+from repro.evaluation.operators import first_occurrence_schema
 from repro.evaluation.relation import Row, compile_scan_pattern
 from repro.queries.cq import ConjunctiveQuery
 
@@ -153,9 +152,6 @@ def materialize(
 def _materialize(op: Operator, context: ExecutionContext, memo: Memo) -> Relation:
     if isinstance(op, Scan):
         return scan_atom(op.atom, context.database)
-    if isinstance(op, CursorEnumerate):
-        # The streamed carry tuples are distinct by construction.
-        return Relation(op.schema, list(iter_rows(op, context, memo)))
     child = materialize(op.children[0], context, memo)
     if isinstance(op, Project):
         return child.project(op.schema)
@@ -184,7 +180,7 @@ def iter_rows(
     memo = {} if memo is None else memo
     if isinstance(op, BagNode):
         return iter_rows(op.children[0], context, memo)
-    if isinstance(op, (Project, SemiJoin, HashJoin, CursorEnumerate)):
+    if isinstance(op, (Project, SemiJoin, HashJoin)):
         return _stream(op, context, memo)
     return iter(materialize(op, context, memo).rows)
 
@@ -192,9 +188,7 @@ def iter_rows(
 def _stream(op: Operator, context: ExecutionContext, memo: Memo) -> Iterator[Row]:
     record = context.run[op]
     record.rows = 0
-    if isinstance(op, CursorEnumerate):
-        rows = _enumerate(op, context, memo, record)
-    elif isinstance(op, Project):
+    if isinstance(op, Project):
         child = iter_rows(op.children[0], context, memo)
         positions = tuple(op.children[0].schema.index(v) for v in op.schema)
         rows = _dedup(tuple(row[p] for p in positions) for row in child)
@@ -243,21 +237,6 @@ def _probe(op, right: Relation, left: Iterator[Row], record) -> Iterator[Row]:
             yield row + tuple(match[i] for i in residual)
 
 
-def _enumerate(op: CursorEnumerate, context: ExecutionContext, memo: Memo, record):
-    """The engine's memoised cursor enumeration, over term relations."""
-    relations: Dict[int, Relation] = {}
-    for identifier in op._bottom_up:
-        relation = materialize(op.node_ops[identifier], context, memo)
-        if relation.is_empty():
-            return
-        relations[identifier] = relation
-    enumeration = _Enumeration(record, op._node_plans(relations))
-    try:
-        yield from enumeration.cursor(op.tree.root, ())
-    finally:
-        enumeration.memos.clear()
-
-
 # ----------------------------------------------------------------------
 # Entry points, mirroring the engine's
 # ----------------------------------------------------------------------
@@ -284,10 +263,10 @@ def iter_answers(
 
 
 def boolean(evaluator, database: Instance, *, scans=None) -> bool:
-    plan = evaluator.compile_stream_plan(boolean=True)
-    for _ in iter_rows(plan, ExecutionContext(database, scans)):
-        return True
-    return False
+    """``YannakakisEvaluator.boolean`` on tuples: the upward-reduced root
+    is non-empty."""
+    plan = evaluator.compile_boolean_plan()
+    return not materialize(plan, ExecutionContext(database, scans)).is_empty()
 
 
 def _limited(answers: Iterator[Tuple[Term, ...]], limit: Optional[int]):

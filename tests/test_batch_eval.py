@@ -311,11 +311,12 @@ class TestScanCache:
 # ----------------------------------------------------------------------
 class TestPartitionSharing:
     def test_views_share_partitions(self):
+        """Schema views share their store and its positional key indexes."""
         a, b = Constant("a"), Constant("b")
         x, y, u, v = (Variable(n) for n in "xyuv")
         encoded = Relation((x, y), [(a, b), (b, a), (a, a)]).encoded(TermEncoder())
         view = encoded.with_schema((u, v))
-        assert view.partition((u,)) is encoded.partition((x,))
+        assert view.key_index((view.position(u),)) is encoded.key_index((0,))
         assert view.store is encoded.store
 
     def test_partition_is_cached_per_position_tuple(self):

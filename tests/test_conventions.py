@@ -60,6 +60,24 @@ class NotAnOperator:
     assert any("self.last" in line for line in violations)
 
 
+def test_operator_streams_of_their_own_are_flagged():
+    """An in-memory mutation of operators.py giving HashJoin a cursor-style
+    stream is flagged at its class."""
+    lint = _lint_module()
+    source = lint.OPERATORS_FILE.read_text(encoding="utf-8")
+    assert lint.check_operator_faces(source) == []
+    marker = "class HashJoin(Operator):\n"
+    assert marker in source
+    mutated = source.replace(
+        marker,
+        marker + "    def iter_rows_encoded(self, context):\n        yield from ()\n\n",
+    )
+    line = source[: source.index(marker)].count("\n") + 1
+    violations = lint.check_operator_faces(mutated)
+    assert len(violations) == 1
+    assert f":{line}: operator HashJoin defines the stream iter_rows_encoded" in violations[0]
+
+
 def test_second_operator_faces_are_flagged():
     snippet = """
 class Operator:
@@ -93,7 +111,7 @@ class Plain(Operator):
     violations = _lint_module().check_operator_faces(snippet)
     assert len(violations) == 3
     assert any(
-        ":6: operator Streaming defines the batch stream iter_batches" in line
+        ":6: operator Streaming defines the stream iter_batches" in line
         for line in violations
     )
     assert any(

@@ -10,7 +10,7 @@ Three layers of guarantees:
    counts rows and probes per join.
 
 2. **Engine ↔ IR differentials** — the plans the engines compile
-   (Yannakakis' reducer + cursor/hash-join plans, the greedy left-deep
+   (Yannakakis' reducer + join-chain/hash-join plans, the greedy left-deep
    chains) produce exactly the ground-truth answer sets of
    ``evaluate``/``evaluate_iter`` across all three routes, under hypothesis
    randomization including constants, repeated head variables and
@@ -338,7 +338,7 @@ def test_yannakakis_plans_agree_with_ground_truth(seed):
     answer_plan = evaluator.compile_answer_plan()
     relation = answer_plan.materialize(ExecutionContext(database))
     assert relation.answer_tuples(query.head) == expected
-    # Streaming face: reducers + cursor enumeration, via the public API.
+    # Streaming face: reducers + the batch loop, via the public API.
     streamed = list(evaluator.iter_answers(database))
     assert len(streamed) == len(set(streamed))
     assert set(streamed) == expected
@@ -355,7 +355,7 @@ def test_evaluators_compile_each_plan_variant_once(monkeypatch, evaluator_class)
     plan, one streaming plan and one Boolean plan, however often and
     against however many databases the evaluator runs."""
     calls = []
-    for name in ("_compile_answer_plan", "_compile_stream_plan"):
+    for name in ("_compile_answer_plan", "_compile_stream_plan", "_compile_boolean_plan"):
         original = getattr(YannakakisEvaluator, name)
 
         def counted(self, *args, _original=original, _name=name):
@@ -379,8 +379,8 @@ def test_evaluators_compile_each_plan_variant_once(monkeypatch, evaluator_class)
         assert "obs=" in evaluator.explain(database)
     assert sorted(calls) == [
         ("_compile_answer_plan",),
-        ("_compile_stream_plan", False),
-        ("_compile_stream_plan", True),
+        ("_compile_boolean_plan",),
+        ("_compile_stream_plan",),
     ]
 
 
@@ -484,6 +484,22 @@ def test_iter_with_plan_first_answer_is_cheap_across_sizes(monkeypatch):
         _, probes = _probes(lambda: next(stream))
         first_probes.append(probes)
     assert first_probes[0] == first_probes[1]
+
+
+@pytest.mark.parametrize("limit, probes", [(1, 1), (3, 3), (4, 7), (7, 7), (8, 11), (12, 15)])
+def test_stream_batches_double_up_to_batch_rows(monkeypatch, limit, probes):
+    """Each spine level's batches hold 1, 2, 4, … rows up to BATCH_ROWS
+    (here 4): with one partner per row, the ``limit``-th answer arrives
+    with the batch that holds it, and the probes are the rows batched."""
+    monkeypatch.setattr(join_plans, "BATCH_ROWS", 4)
+    constants = [Constant(f"c{i}") for i in range(16)]
+    database = Database(
+        [Atom(E, (constant, constant)) for constant in constants]
+        + [Atom(F, (constant, d)) for constant in constants]
+    )
+    plan = chain_plan((x, z), Atom(E, (x, y)), Atom(F, (y, z)))
+    answers, counted = _probes(lambda: list(iter_plan_answers(plan, database, limit=limit)))
+    assert len(answers) == limit and counted == probes
 
 
 # ----------------------------------------------------------------------

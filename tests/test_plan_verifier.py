@@ -4,8 +4,8 @@ Two halves.  The property half compiles plans the engines actually emit —
 Yannakakis answer/stream faces, greedy join chains, the reformulation
 route — over randomized workloads and asserts :func:`repro.analysis
 .verify_plan` finds nothing.  The mutation half hand-corrupts one invariant
-at a time (a dropped join key, a stale projection, a re-rooted cursor
-plan, ...) and asserts the *exact* diagnostic code fires: the corpus is what
+at a time (a dropped join key, a stale projection, a desynchronised bag,
+...) and asserts the *exact* diagnostic code fires: the corpus is what
 keeps the verifier honest, one test per PLAN code.
 """
 
@@ -103,11 +103,8 @@ class TestEmittedPlansAreClean:
         except AcyclicityRequired:
             return  # constant injection made the hypergraph cyclic
         assert verify_plan(evaluator.compile_answer_plan()) == []
-        assert verify_plan(evaluator.compile_stream_plan(), streaming=True) == []
-        assert (
-            verify_plan(evaluator.compile_stream_plan(boolean=True), streaming=True)
-            == []
-        )
+        assert verify_plan(evaluator.compile_stream_plan()) == []
+        assert verify_plan(evaluator.compile_boolean_plan()) == []
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -116,14 +113,14 @@ class TestEmittedPlansAreClean:
         ops = compile_plan(plan_greedy(query, database))
         assert verify_plan(ops[-1]) == []
         top = Project(ops[-1], first_occurrence_schema(query.head))
-        assert verify_plan(top, streaming=True) == []
+        assert verify_plan(top) == []
 
     def test_reformulation_route_verifies_clean(self, music_store):
         query, tgds, _reformulation = music_store
         route, evaluator = resolve_route(query, tgds=tgds)
         assert route == "reformulated"
         assert verify_plan(evaluator.compile_answer_plan()) == []
-        assert verify_plan(evaluator.compile_stream_plan(), streaming=True) == []
+        assert verify_plan(evaluator.compile_stream_plan()) == []
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -132,7 +129,7 @@ class TestEmittedPlansAreClean:
         ops = compile_plan(plan_dp(query, database))
         assert verify_plan(ops[-1]) == []
         top = Project(ops[-1], first_occurrence_schema(query.head))
-        assert verify_plan(top, streaming=True) == []
+        assert verify_plan(top) == []
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -140,7 +137,8 @@ class TestEmittedPlansAreClean:
         query, _database = randomized_cyclic_workload(seed)
         evaluator = DecompositionEvaluator(query)
         assert verify_plan(evaluator.compile_answer_plan()) == []
-        assert verify_plan(evaluator.compile_stream_plan(), streaming=True) == []
+        assert verify_plan(evaluator.compile_stream_plan()) == []
+        assert verify_plan(evaluator.compile_boolean_plan()) == []
 
 
 # ----------------------------------------------------------------------
@@ -198,17 +196,6 @@ class TestMutationCorpus:
         semi.schema = (x,)  # a semi-join keeps its left schema
         assert codes(verify_plan(semi)) == ["PLAN006"]
 
-    def test_plan007_cursor_root_carry_out_of_sync(self):
-        plan = path_evaluator().compile_stream_plan()
-        root = plan.tree.root
-        plan.node_carry[root] = plan.node_carry[root] + (Variable("ghost"),)
-        assert "PLAN007" in codes(verify_plan(plan, streaming=True))
-
-    def test_plan007_cursor_bottom_up_order_stale(self):
-        plan = path_evaluator().compile_stream_plan()
-        plan._bottom_up = list(reversed(plan._bottom_up))
-        assert "PLAN007" in codes(verify_plan(plan, streaming=True))
-
     def test_plan008_partial_estimates_warn(self):
         join = HashJoin(scan_e(), scan_f())
         estimates = {join: 5.0}  # children remain unannotated
@@ -240,28 +227,6 @@ class TestMutationCorpus:
         scan = scan_e()
         object.__setattr__(scan.atom, "terms", (Null("n1"), y))
         assert codes(verify_plan(scan)) == ["PLAN010"]
-
-    def test_plan011_wrapped_cursor_plan(self):
-        plan = path_evaluator().compile_stream_plan()
-        wrapped = Project(plan, plan.schema)
-        diagnostics = verify_plan(wrapped, streaming=True)
-        assert codes(diagnostics) == ["PLAN011"]
-        assert diagnostics[0].severity is Severity.WARNING
-        # warnings do not make the hook raise
-        assert verify_or_raise(wrapped, streaming=True) == diagnostics
-        # the same wrapper is legitimate on the materialising face
-        assert verify_plan(wrapped) == []
-
-    def test_plan012_streaming_build_side_is_not_materialisable(self):
-        # A bushy join-over-scans build side is legal (the DP planner emits
-        # those); anything else — here a SemiJoin — still warns.
-        bushy = HashJoin(scan_e(), HashJoin(scan_f(), scan_g()))
-        assert verify_plan(bushy, streaming=True) == []
-        lazy_build = HashJoin(scan_e(), SemiJoin(scan_f(), scan_g()))
-        diagnostics = verify_plan(lazy_build, streaming=True)
-        assert codes(diagnostics) == ["PLAN012"]
-        assert diagnostics[0].severity is Severity.WARNING
-        assert verify_plan(lazy_build) == []
 
     def test_plan013_unregistered_operator_type(self):
         class CustomScan(Scan):
@@ -316,21 +281,6 @@ class TestMutationCorpus:
         bag.schema = tuple(reversed(bag.schema))
         assert codes(verify_plan(bag)) == ["PLAN015"]
 
-    def test_plan015_decomposition_tree_edge_desync(self):
-        evaluator = self.two_bag_evaluator()
-        # The head (x) fits in one bag, so only the Boolean plan runs cursors.
-        stream = evaluator.compile_stream_plan(boolean=True)
-        assert verify_plan(stream, streaming=True) == []
-        # Mutate the decomposition tree under the compiled cursors: drop a
-        # vertex from one bag's join-tree node, as a buggy re-rooting would.
-        tree = stream.tree
-        node = tree.node(tree.root)
-        node.vertices = frozenset(sorted(node.vertices, key=str)[1:])
-        diagnostics = verify_plan(stream, streaming=True)
-        assert "PLAN015" in codes(diagnostics)
-        assert all(d.severity is Severity.ERROR for d in diagnostics)
-
-
 # ----------------------------------------------------------------------
 # The REPRO_VERIFY hook
 # ----------------------------------------------------------------------
@@ -380,11 +330,18 @@ class TestVerificationHook:
 
     def test_compile_seam_catches_corruption(self, monkeypatch):
         """A compiler whose output is tampered with mid-flight is caught at
-        the seam: simulate by corrupting the join tree carry before the
-        stream compiler runs with verification enabled."""
+        the seam: simulate by corrupting a reduced node's semi-join key
+        before the stream compiler joins it, with verification enabled."""
         monkeypatch.setenv("REPRO_VERIFY", "1")
         evaluator = path_evaluator()
-        evaluator._carry[evaluator.join_tree.root] = (Variable("ghost"),)
+        reduce = evaluator.compile_reduction
+
+        def corrupted():
+            ops = reduce()
+            ops[evaluator.join_tree.root]._left_key = (7,)
+            return ops
+
+        monkeypatch.setattr(evaluator, "compile_reduction", corrupted)
         with pytest.raises(PlanVerificationError):
             evaluator.compile_stream_plan()
 

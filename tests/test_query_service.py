@@ -354,9 +354,7 @@ class TestParameterisedPlans:
             if entry.evaluator is None:
                 continue
             assert verify_plan(entry.evaluator.compile_answer_plan()) == []
-            assert verify_plan(
-                entry.evaluator.compile_stream_plan(), streaming=True
-            ) == []
+            assert verify_plan(entry.evaluator.compile_stream_plan()) == []
 
     def test_cost_model_prices_an_anchored_scan_without_the_anchor(self):
         from repro.evaluation.operators import CostModel, Statistics

@@ -6,9 +6,8 @@ generators point back at the table survive their last use until the cycle
 collector runs, so peak memory follows GC timing.  This runs cold requests
 on every streaming route with the cycle collector off and
 ``gc.DEBUG_SAVEALL`` on (which keeps whatever the collector then finds in
-``gc.garbage``), and requires that no nested function, closure cell or
-enumeration cursor of this package survives the requests or turns up as
-garbage.  It also requires that a cold request under tgds leaves no term
+``gc.garbage``), and requires that no nested function or closure cell of
+this package survives the requests or turns up as garbage.  It also requires that a cold request under tgds leaves no term
 alive: the weak intern tables of nulls and variables end at their prior
 size.  Each request runs through the engine (``evaluate_iter``); the tuple
 oracle under ``tests/helpers/`` is test code and is not checked here.
@@ -24,7 +23,6 @@ import pytest
 import repro
 from repro import service as service_module
 from repro.datamodel import terms as term_module
-from repro.evaluation.operators import _Enumeration, _MemoCursor
 
 SOURCE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -48,16 +46,12 @@ REQUESTS = [
 
 
 def _ours(obj) -> bool:
-    """A nested function, closure cell, cursor or enumeration of this package."""
-    if isinstance(obj, (_MemoCursor, _Enumeration)):
-        return True
+    """A nested function of this package, or a closure cell holding one."""
     if isinstance(obj, types.CellType):
         try:
             obj = obj.cell_contents
         except ValueError:  # an empty cell
             return False
-        if isinstance(obj, (_MemoCursor, _Enumeration)):
-            return True
     return (
         isinstance(obj, types.FunctionType)
         and obj.__code__.co_filename.startswith(SOURCE_ROOT)

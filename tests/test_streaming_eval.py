@@ -349,9 +349,9 @@ def test_limited_enumeration_probes_scale_with_limit_not_output():
 
 
 def test_boolean_stops_after_one_answer():
-    """On a satisfiable query boolean() must not run the semi-join passes to
-    completion: with decoy-free data its probe count is the witness path —
-    constant in the width — and far below one full enumeration."""
+    """boolean() runs the upward semi-join pass alone and tests the reduced
+    root for a row.  Semi-join membership is not probe-counted, so its probe
+    meter reads 0 at every width, far below one full enumeration."""
     boolean_probes = []
     for width in (20, 80):
         query, database = wide_output_workload(3, width=width, decoys=0, seed=0)
@@ -364,6 +364,71 @@ def test_boolean_stops_after_one_answer():
         _, materialise_probes = _probes(lambda: evaluator.evaluate(database))
         assert probes * 4 <= materialise_probes
     assert boolean_probes[0] == boolean_probes[1], "boolean work grew with width"
+
+
+def test_plan_route_first_answer_costs_one_probe_per_spine_join():
+    """The plan route's batches start at one row, so the first answer of a
+    chain over raw scans probes each spine join once, at any width."""
+    first_probes = []
+    for width in (20, 80):
+        query, database = wide_output_workload(3, width=width, seed=1)
+        answers, probes = _probes(lambda: list(iter_with_plan(query, database, limit=1)))
+        assert len(answers) == 1 and set(answers) <= evaluate_generic(query, database)
+        assert probes <= len(query.body) - 1, f"first answer touched {probes} buckets"
+        first_probes.append(probes)
+    assert first_probes[0] == first_probes[1], "first-answer work grew with width"
+
+
+def _upward_pass_kinds(plan):
+    """The operator types of ``plan`` outside decomposition bags."""
+    from repro.evaluation import BagNode
+
+    kinds, stack = set(), [plan]
+    while stack:
+        node = stack.pop()
+        kinds.add(type(node))
+        if not isinstance(node, BagNode):
+            stack.extend(node.children)
+    return kinds
+
+
+def test_boolean_plan_is_the_upward_pass():
+    """boolean() compiles the upward-reduced root alone: no top-down pass,
+    no join and no projection, on the Yannakakis and decomposition routes."""
+    from repro.evaluation import BagNode, DecompositionEvaluator, Scan, SemiJoin
+    from repro.parser import parse_query
+
+    star, database = wide_output_workload(3, width=6, seed=0)
+    evaluator = YannakakisEvaluator(star)
+    plan = evaluator.compile_boolean_plan()
+    assert evaluator.compile_boolean_plan() is plan
+    assert _upward_pass_kinds(plan) == {Scan, SemiJoin}
+    assert sum(isinstance(op, SemiJoin) for op in plan.walk()) == len(star.body) - 1
+    assert evaluator.boolean(database) is True
+
+    pentagon = parse_query(
+        "q(a, c) :- E(a, b), E(b, c), E(c, d), E(d, e), E(e, a), F(c, g)"
+    )
+    evaluator = DecompositionEvaluator(pentagon)
+    plan = evaluator.compile_boolean_plan()
+    assert _upward_pass_kinds(plan) <= {SemiJoin, BagNode}
+    assert isinstance(plan, BagNode) and plan.node_id == evaluator.join_tree.root
+
+
+def test_spanning_head_stream_joins_only_the_nodes_holding_the_head():
+    """A head over two rays of a three-ray star streams one join of the two
+    reduced rays; the third ray only reduces them."""
+    from repro.evaluation import HashJoin, Project
+
+    star, database = wide_output_workload(3, width=5, seed=0)
+    query = ConjunctiveQuery(star.head[:2], star.body, name="two_rays")
+    evaluator = YannakakisEvaluator(query)
+    plan = evaluator.compile_stream_plan()
+    assert isinstance(plan, Project) and plan.schema == query.head
+    assert sum(isinstance(op, HashJoin) for op in plan.walk()) == 1
+    streamed = list(evaluator.iter_answers(database))
+    assert len(streamed) == len(set(streamed)) == 25
+    assert set(streamed) == evaluator.evaluate(database) == evaluate_generic(query, database)
 
 
 def test_boolean_is_still_correct_on_unsatisfiable_queries():
@@ -488,15 +553,15 @@ def test_head_in_a_non_root_node_reroots_the_join_tree():
 
 def test_point_query_plan_is_the_upward_pass_alone():
     """A 2-hop point query: one upward semi-join under the head projection,
-    no top-down pass, no assembly join and no cursor, for both faces."""
-    from repro.evaluation import CursorEnumerate, HashJoin, Project, Scan, SemiJoin
+    no top-down pass and no assembly join, for both faces."""
+    from repro.evaluation import HashJoin, Project, Scan, SemiJoin
     from repro.parser import parse_query
 
     evaluator = YannakakisEvaluator(parse_query("q(y) :- E('a', x), F(x, y)"))
     plan = evaluator.compile_answer_plan()
     assert evaluator.compile_stream_plan() is plan
     kinds = [type(op) for op in plan.walk()]
-    assert HashJoin not in kinds and CursorEnumerate not in kinds
+    assert HashJoin not in kinds
     assert kinds.count(SemiJoin) == 1 and kinds.count(Scan) == 2
     assert isinstance(plan, Project)
     (upward,) = plan.children
