@@ -34,6 +34,18 @@ Panels over the standing :class:`repro.service.QueryService` and its
   and neither may latency: the last segment's median ms/op must stay
   within :data:`MAX_UPTIME_SLOWDOWN` of the first's.
 
+* **Warm point reads** — the ten 2- and 3-hop path shapes of the
+  repository benchmark's ``serve_point`` workload, anchored at never-seen
+  constants, read from one service over the layered chain database
+  (``yannakakis_scaling_workload(20_000, layers=4, fanout=2, seed=1)``)
+  after each shape was planned once.  Each read is split into three timed
+  phases: parse (``repro.parse_query``), plan lookup
+  (``QueryService._entry``: the pre-key and the cache lookup) and
+  execute-and-decode (the cached evaluator's run and the decoded answer
+  set).  Headline: median µs per read per phase, with quartiles.  Every
+  answer is checked against a walk of the chain's adjacency lists, and
+  every read must hit the plan cache.
+
 * **Plan-cache hit rate** — 64 syntactically distinct, variable-renamed
   variants of one query submitted to one service; core minimisation +
   canonical relabelling must collapse them onto a single cached plan
@@ -49,20 +61,21 @@ assertions always run.
 
 from __future__ import annotations
 
-import os
-import platform
+import gc
 import random
 import statistics
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Set, Tuple
 
+import repro
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import ScanCache
 from repro.evaluation.encoding import EncodedRelation, IntIndex
 from repro.queries.cq import ConjunctiveQuery
 from repro.reporting import BenchSnapshot
 from repro.service import QueryService
-from conftest import print_series, scaled_sizes, smoke_mode
+from repro.workloads.generators import yannakakis_scaling_workload
+from conftest import host_metadata, print_series, scaled_sizes, smoke_mode
 
 
 E = Predicate("E", 2)
@@ -96,6 +109,22 @@ UPTIME_FANOUT = 3
 
 #: One write per this many operations (20% writes).
 UPTIME_WRITE_EVERY = 5
+
+#: Warm point-read panel: facts of the layered chain database (four
+#: layers, fanout 2, seed 1) and timed reads per path shape.
+POINT_FACTS = 800 if smoke_mode() else 20_000
+POINT_LAYERS = 4
+POINT_READS_PER_SHAPE = 2 if smoke_mode() else 300
+
+#: The ten 2- and 3-hop path shapes that fit in four layers, both
+#: directions: ``(start layer, forward, hops)``.
+POINT_SHAPES = tuple(
+    (start, forward, hops)
+    for hops in (2, 3)
+    for start in range(POINT_LAYERS + 1)
+    for forward in (True, False)
+    if 0 <= (start + hops if forward else start - hops) <= POINT_LAYERS
+)
 
 _CACHE: Dict[str, List[Dict[str, object]]] = {}
 
@@ -286,6 +315,102 @@ def run_long_uptime() -> Dict[str, object]:
     return row
 
 
+def _point_text(shape: Tuple[int, bool, int], anchor: int, prefix: str) -> str:
+    """The query text of one path read, as ``serve_point`` spells it."""
+    start, forward, hops = shape
+    names = [f"'L{start}_{anchor}'"] + [f"{prefix}{j}" for j in range(1, hops + 1)]
+    layers = (
+        range(start + 1, start + hops + 1) if forward else range(start, start - hops, -1)
+    )
+    atoms = []
+    for step, layer in enumerate(layers):
+        near, far = names[step], names[step + 1]
+        pair = (near, far) if forward else (far, near)
+        atoms.append(f"S{layer}({pair[0]}, {pair[1]})")
+    return f"q({names[-1]}) :- " + ", ".join(atoms)
+
+
+def _adjacency(database: Database) -> Dict[Tuple[int, bool], Dict[Constant, Set[Constant]]]:
+    """Per chain layer and direction, each node's neighbours."""
+    adjacency: Dict[Tuple[int, bool], Dict[Constant, Set[Constant]]] = {}
+    for layer in range(1, POINT_LAYERS + 1):
+        forward: Dict[Constant, Set[Constant]] = {}
+        backward: Dict[Constant, Set[Constant]] = {}
+        for fact in database.atoms_with_predicate(Predicate(f"S{layer}", 2)):
+            source, target = fact.terms
+            forward.setdefault(source, set()).add(target)
+            backward.setdefault(target, set()).add(source)
+        adjacency[(layer, True)] = forward
+        adjacency[(layer, False)] = backward
+    return adjacency
+
+
+def _point_oracle(adjacency, shape: Tuple[int, bool, int], anchor: int) -> Set[tuple]:
+    """The answers of one path read, by walking the chain's adjacency."""
+    start, forward, hops = shape
+    frontier = {Constant(f"L{start}_{anchor}")}
+    layers = (
+        range(start + 1, start + hops + 1) if forward else range(start, start - hops, -1)
+    )
+    for layer in layers:
+        step = adjacency[(layer, forward)]
+        frontier = {node for near in frontier for node in step.get(near, ())}
+    return {(node,) for node in frontier}
+
+
+def _quartiles(samples: List[float]) -> Dict[str, float]:
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def run_warm_point_reads() -> Dict[str, object]:
+    """Time the three phases of warm point reads on one service."""
+    if "points" in _CACHE:
+        return _CACHE["points"][0]
+    _, database = yannakakis_scaling_workload(POINT_FACTS, layers=POINT_LAYERS, fanout=2, seed=1)
+    width = max(1, POINT_FACTS // (POINT_LAYERS * 2))
+    service = QueryService(database)
+    adjacency = _adjacency(database)
+    rng = random.Random(1)
+    anchors = rng.sample(range(width), min(width, POINT_READS_PER_SHAPE + 1))
+    for shape in POINT_SHAPES:  # plan every shape once, at its own anchor
+        service.submit(repro.parse_query(_point_text(shape, anchors[-1], "w")))
+    reads = [(shape, anchor) for anchor in anchors[:-1] for shape in POINT_SHAPES]
+    rng.shuffle(reads)
+    hits = service.plan_hits
+    phases: Dict[str, List[float]] = {"parse": [], "plan_lookup": [], "execute_decode": []}
+    failures = 0
+    clock = time.perf_counter
+    gc.collect()
+    for request, (shape, anchor) in enumerate(reads):
+        text = _point_text(shape, anchor, f"r{request}_v")
+        started = clock()
+        query = repro.parse_query(text)
+        parsed = clock()
+        entry, params = service._entry(query, (), "auto")
+        planned = clock()
+        answers = entry.evaluator.evaluate(database, scans=service._scans_for(params))
+        done = clock()
+        phases["parse"].append((parsed - started) * 1e6)
+        phases["plan_lookup"].append((planned - parsed) * 1e6)
+        phases["execute_decode"].append((done - planned) * 1e6)
+        failures += answers != _point_oracle(adjacency, shape, anchor)
+    row: Dict[str, object] = {
+        "facts": len(database),
+        "shapes": len(POINT_SHAPES),
+        "reads": len(reads),
+        "plan_hits": service.plan_hits - hits,
+        "plan_misses": service.plan_misses,
+        "wrong_answers": failures,
+    }
+    for phase, samples in phases.items():
+        row[f"{phase}_us"] = _quartiles(samples)
+    totals = [sum(parts) for parts in zip(*phases.values())]
+    row["read_us"] = _quartiles(totals)
+    _CACHE["points"] = [row]
+    return row
+
+
 def run_plan_cache_hit_rate() -> Dict[str, object]:
     """Submit 64 renamed variants of one query to one service."""
     if "plans" in _CACHE:
@@ -333,36 +458,22 @@ def run_anchored_hit_rate() -> Dict[str, object]:
     return row
 
 
-def _numpy_version() -> Optional[str]:
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy.__version__
-
-
 def _write_snapshot() -> None:
     delta = run_delta_vs_rebuild()
     columnar = run_columnar_point_reads()
     plans = run_plan_cache_hit_rate()
     anchored = run_anchored_hit_rate()
     uptime = run_long_uptime()
+    points = run_warm_point_reads()
     snapshot = BenchSnapshot("service_cache")
-    snapshot.record(
-        "host",
-        {
-            "cores": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": _numpy_version(),
-            "machine": platform.machine(),
-        },
-    )
+    snapshot.record("host", host_metadata())
     snapshot.record("sizes", [row["size"] for row in delta])
     snapshot.record("rounds", ROUNDS)
     snapshot.record("delta_speedups", [row["speedup"] for row in delta])
     snapshot.record("plan_cache", plans)
     snapshot.record("anchored_plan_cache", anchored)
     snapshot.record("long_uptime", uptime)
+    snapshot.record("warm_point_reads", points)
     for row in delta:
         snapshot.add_row("curve", row)
     for row in columnar:
@@ -479,3 +590,24 @@ def test_plan_cache_shares_one_plan_across_anchors():
     )
     _write_snapshot()
     assert row["plan_misses"] == 1 and row["plan_hits"] == VARIANTS - 1
+
+
+def test_warm_point_reads_split_by_phase():
+    row = run_warm_point_reads()
+    phases = ("parse", "plan_lookup", "execute_decode", "read")
+    print_series(
+        "warm point reads: median µs per read by phase (quartiles)",
+        [
+            (
+                phase,
+                f"{row[f'{phase}_us']['median']:.1f}",
+                f"{row[f'{phase}_us']['q1']:.1f}-{row[f'{phase}_us']['q3']:.1f}",
+            )
+            for phase in phases
+        ],
+        header=("phase", "median µs", "quartiles"),
+    )
+    _write_snapshot()
+    assert row["wrong_answers"] == 0
+    assert row["plan_misses"] == len(POINT_SHAPES)  # one plan per shape
+    assert row["plan_hits"] == row["reads"]  # every timed read is warm

@@ -157,7 +157,7 @@ _CHILD_COUNTS = {
 #: must register explicitly.  ``lint_conventions.py`` cross-checks this
 #: registry against ``operators.py``.
 _BATCH_WIDTHS = {
-    Scan: lambda op: len(compile_scan_pattern(op.atom.terms).variables),
+    Scan: lambda op: len(compile_scan_pattern(op.atom).variables),
     Project: lambda op: len(op._positions),
     SemiJoin: lambda op: len(op.children[0].schema),
     HashJoin: lambda op: len(op.children[0].schema) + len(op._right_residual),
@@ -235,7 +235,7 @@ def _check_scan(operator: Scan, diagnostics: List[Diagnostic]) -> None:
         )
         return
     try:
-        expected = tuple(compile_scan_pattern(atom.terms).variables)
+        expected = tuple(compile_scan_pattern(atom).variables)
     except Exception as error:
         diagnostics.append(
             Diagnostic(

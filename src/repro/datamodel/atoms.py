@@ -2,22 +2,85 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Set, Tuple
+from typing import Callable, Iterable, Mapping, NoReturn, Set, Tuple
 
 from .terms import Constant, Null, Term, Variable
 
 
-@dataclass(frozen=True, order=True)
-class Predicate:
-    """A relation symbol with a fixed arity."""
+_set_field = object.__setattr__
+
+
+class _Frozen:
+    """Slotted, immutable values: fields are set once, in ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class Predicate(_Frozen):
+    """A relation symbol with a fixed arity.
+
+    Immutable, hashable and ordered by ``(name, arity)``.  The hash is
+    computed once, at construction: every dict or set lookup of a predicate
+    (and of the atoms over it) reads it.
+    """
+
+    __slots__ = ("name", "arity", "_hash")
 
     name: str
     arity: int
+    _hash: int
 
-    def __post_init__(self) -> None:
-        if self.arity < 0:
-            raise ValueError(f"arity must be non-negative, got {self.arity}")
+    def __init__(self, name: str, arity: int) -> None:
+        if arity < 0:
+            raise ValueError(f"arity must be non-negative, got {arity}")
+        _set_field(self, "name", name)
+        _set_field(self, "arity", arity)
+        _set_field(self, "_hash", hash((name, arity)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Predicate):
+            return NotImplemented
+        return self._hash == other._hash and self.name == other.name and self.arity == other.arity
+
+    def _order_key(self) -> Tuple[str, int]:
+        return (self.name, self.arity)
+
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Predicate):
+            return NotImplemented
+        return self._order_key() < other._order_key()
+
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, Predicate):
+            return NotImplemented
+        return self._order_key() <= other._order_key()
+
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, Predicate):
+            return NotImplemented
+        return self._order_key() > other._order_key()
+
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, Predicate):
+            return NotImplemented
+        return self._order_key() >= other._order_key()
+
+    def __reduce__(self) -> Tuple[type, Tuple[str, int]]:
+        return (Predicate, (self.name, self.arity))
+
+    def __repr__(self) -> str:
+        return f"Predicate(name={self.name!r}, arity={self.arity!r})"
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
@@ -27,23 +90,71 @@ class Predicate:
         return Atom(self, tuple(terms))
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class Atom(_Frozen):
     """An atom ``R(t1, ..., tn)``.
 
     Atoms are immutable and hashable so that instances can be plain Python
-    sets of atoms, exactly as in the paper.
+    sets of atoms, exactly as in the paper.  They order by
+    ``(predicate, terms)``.  The hash is computed once, at construction.
     """
+
+    __slots__ = ("predicate", "terms", "_hash")
 
     predicate: Predicate
     terms: Tuple[Term, ...]
+    _hash: int
 
-    def __post_init__(self) -> None:
-        if len(self.terms) != self.predicate.arity:
+    def __init__(self, predicate: Predicate, terms: Tuple[Term, ...]) -> None:
+        if terms.__class__ is not tuple:
+            terms = tuple(terms)
+        if len(terms) != predicate.arity:
             raise ValueError(
-                f"predicate {self.predicate} expects {self.predicate.arity} "
-                f"terms, got {len(self.terms)}"
+                f"predicate {predicate} expects {predicate.arity} "
+                f"terms, got {len(terms)}"
             )
+        _set_field(self, "predicate", predicate)
+        _set_field(self, "terms", terms)
+        _set_field(self, "_hash", hash((predicate, terms)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Atom):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.predicate == other.predicate
+            and self.terms == other.terms
+        )
+
+    def _order_key(self) -> Tuple[Predicate, Tuple[Term, ...]]:
+        return (self.predicate, self.terms)
+
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Atom):
+            return NotImplemented
+        return self._order_key() < other._order_key()
+
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, Atom):
+            return NotImplemented
+        return self._order_key() <= other._order_key()
+
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, Atom):
+            return NotImplemented
+        return self._order_key() > other._order_key()
+
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, Atom):
+            return NotImplemented
+        return self._order_key() >= other._order_key()
+
+    def __reduce__(self) -> Tuple[type, Tuple[Predicate, Tuple[Term, ...]]]:
+        return (Atom, (self.predicate, self.terms))
 
     # ------------------------------------------------------------------
     # Inspection helpers

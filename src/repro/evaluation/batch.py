@@ -57,7 +57,14 @@ from .join_plans import (
     iter_with_plan,
     resolve_planner,
 )
-from .relation import Relation, Row, ScanPattern, ScanProvider, compile_scan_pattern
+from .relation import (
+    Relation,
+    Row,
+    ScanPattern,
+    ScanProvider,
+    ScanTarget,
+    compile_scan_pattern,
+)
 from .yannakakis import YannakakisEvaluator
 
 
@@ -278,20 +285,22 @@ class ScanCache:
                 relation.stamp_epoch(self._synced_epoch)
                 self._bases[predicate] = relation
                 self.built += 1
-            else:
+            elif self._pending:
                 self._absorb(predicate, relation)
             return relation
 
-    def scan(self, atom: Atom, database: Optional[Instance] = None) -> EncodedRelation:
-        """The encoded relation of ``atom`` over the cache's database.
+    def scan(self, target: ScanTarget, database: Optional[Instance] = None) -> EncodedRelation:
+        """The encoded relation of an atom over the cache's database.
 
-        Its schema lists the atom's variables in order of first occurrence;
-        constants and repeated variables act as selections.  Cost:
-        ``O(arity)`` for an atom with only distinct variables, ``O(bucket)``
-        for an anchored one (see the class docstring), plus — only on the
-        first access after database mutations — the :meth:`sync` journal
-        replay and an ``O(delta)`` merge.  Every served store carries the
-        epoch of the base store it was read from.
+        ``target`` is the atom, or its compiled :class:`ScanPattern` (what
+        a ``Scan`` operator passes, so a cached plan compiles nothing per
+        request).  The schema lists the atom's variables in order of first
+        occurrence; constants and repeated variables act as selections.
+        Cost: ``O(arity)`` for an atom with only distinct variables,
+        ``O(bucket)`` for an anchored one (see the class docstring), plus —
+        only on the first access after database mutations — the
+        :meth:`sync` journal replay and an ``O(delta)`` merge.  Every
+        served store carries the epoch of the base store it was read from.
 
         Raises:
             CacheBindingError: if ``database`` is given and is neither the
@@ -308,14 +317,15 @@ class ScanCache:
                     "build a ScanCache(database) for the instance you are "
                     "querying, or query through the cache's own database"
                 )
-        pattern = compile_scan_pattern(atom.terms)
+        pattern = target if isinstance(target, ScanPattern) else compile_scan_pattern(target)
         with self._lock:
-            base = self.base_relation(atom.predicate).encoded(self.encoder)
+            base = self.base_relation(pattern.predicate).encoded(self.encoder)
             self.served += 1
-        variables: Sequence[Variable] = pattern.variables  # type: ignore[assignment]
         if not pattern.constant_checks and not pattern.equality_checks:
-            return base.with_schema(variables)
-        found = base.take(self._matching_rows(base, pattern), variables, pattern.output_positions)
+            return base.with_schema(pattern.variables)
+        found = base.take(
+            self._matching_rows(base, pattern), pattern.variables, pattern.output_positions
+        )
         found.store.epoch = base.store.epoch
         return found
 
@@ -324,8 +334,8 @@ class ScanCache:
 
         Constants select one bucket of the base store's key index on the
         pinned positions; repeated variables filter that bucket (or every
-        row, without constants).  Bucket lists are copied, never returned:
-        they belong to the cached index.
+        row, without constants).  A bucket is returned only to be gathered
+        from, never kept or changed: it belongs to the cached index.
         """
         rows: Sequence[int] = range(len(base))
         if pattern.constant_checks:
@@ -338,6 +348,8 @@ class ScanCache:
                 key.append(code)
             index = base.key_index(tuple(position for position, _ in pattern.constant_checks))
             rows = index.buckets.get(key[0] if len(key) == 1 else tuple(key), [])
+        if not pattern.equality_checks:
+            return rows
         columns = base.store.columns
         return [
             row

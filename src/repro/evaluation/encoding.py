@@ -38,6 +38,7 @@ import threading
 from array import array
 from itertools import chain
 from typing import (
+    Collection,
     Container,
     Dict,
     Iterable,
@@ -250,6 +251,9 @@ class IntIndex:
     def __contains__(self, key: object) -> bool:
         return key in self.buckets
 
+    def __iter__(self) -> Iterator[object]:
+        return iter(self.buckets)
+
     def __len__(self) -> int:
         return len(self.buckets)
 
@@ -358,19 +362,19 @@ class EncodedRelation:
         store: EncodedStore,
         encoder: TermEncoder,
     ) -> None:
-        self.schema: Tuple[Variable, ...] = tuple(schema)
-        if len(set(self.schema)) != len(self.schema):
-            raise SchemaError(f"duplicate variable in schema {self.schema}")
-        if len(self.schema) != len(store.columns):
+        if schema.__class__ is not tuple:
+            schema = tuple(schema)
+        width = len(schema)
+        self._positions: Dict[Variable, int] = dict(zip(schema, range(width)))
+        if len(self._positions) != width:
+            raise SchemaError(f"duplicate variable in schema {schema}")
+        if width != len(store.columns):
             raise SchemaError(
-                f"schema {self.schema} has arity {len(self.schema)}, "
-                f"store has {len(store.columns)} columns"
+                f"schema {schema} has arity {width}, store has {len(store.columns)} columns"
             )
+        self.schema: Tuple[Variable, ...] = schema  # type: ignore[assignment]
         self.store = store
         self.encoder = encoder
-        self._positions: Dict[Variable, int] = {
-            variable: index for index, variable in enumerate(self.schema)
-        }
 
     # ------------------------------------------------------------------
     # Construction
@@ -696,40 +700,55 @@ class EncodedRelation:
         ]
         return self._derive(schema, columns, len(indices))
 
+    def distinct_keys(self, positions: Tuple[int, ...]) -> Collection[object]:
+        """The distinct join keys on ``positions``, as a collection that
+        answers ``in`` at C speed.
+
+        The buckets of the cached :meth:`key_index` when the store is
+        long-lived or already has one; otherwise one ``dict.fromkeys`` pass
+        over the key column, which builds no row lists: a one-shot store's
+        keys are read once, so an index would be thrown away.
+        """
+        cached = self.store.caches.get(("index", positions))
+        if cached is None and self.store.long_lived:
+            cached = self.key_index(positions)
+        if cached is not None:
+            return cached.buckets  # type: ignore[attr-defined,no-any-return]
+        return dict.fromkeys(self._key_column(positions))
+
     def semijoin_index(
-        self, key_positions: Sequence[int], index: IntIndex
+        self, key_positions: Sequence[int], keys: Collection[object]
     ) -> "EncodedRelation":
-        """Bulk bucket intersection: keep rows whose key is in ``index``.
+        """Bulk membership: keep the rows whose key is in ``keys``.
 
         The scan kernel: one membership check per row of ``self``.
         Membership checks are uncounted (see :class:`IntIndex`).
         """
-        keys = self._key_column(tuple(key_positions))
-        buckets = index.buckets
-        if self.store.use_numpy and len(tuple(key_positions)) == 1:
+        key_positions = tuple(key_positions)
+        if self.store.use_numpy and len(key_positions) == 1:
             numpy = _numpy_module()
-            wanted = numpy.fromiter(buckets.keys(), dtype=numpy.int64, count=len(buckets))  # type: ignore[union-attr]
-            column = self.store.columns[tuple(key_positions)[0]]
+            wanted = numpy.fromiter(keys, dtype=numpy.int64, count=len(keys))  # type: ignore[union-attr]
+            column = self.store.columns[key_positions[0]]
             mask = numpy.isin(column, wanted)  # type: ignore[union-attr]
             return self.take(numpy.nonzero(mask)[0])  # type: ignore[union-attr]
-        indices = [i for i, key in enumerate(keys) if key in buckets]
-        return self.take(indices)
+        column = self._key_column(key_positions)
+        return self.take([i for i, key in enumerate(column) if key in keys])
 
     def semijoin_probe(
-        self, key_positions: Sequence[int], index: IntIndex
+        self, key_positions: Sequence[int], keys: Iterable[object]
     ) -> "EncodedRelation":
         """The probe kernel: the rows of :meth:`semijoin_index`, found by
-        looking each key of ``index`` up in this store's cached
+        looking each of ``keys`` up in this store's cached
         :meth:`key_index` instead of scanning every row.
 
-        ``O(keys of index + output)`` once the key index exists.  The
-        gathered row indices are sorted, so the output is row for row the
-        scan kernel's.  Membership stays uncounted.
+        ``O(keys + output)`` once the key index exists.  The gathered row
+        indices are sorted, so the output is row for row the scan kernel's.
+        Membership stays uncounted.
         """
         own = self.key_index(key_positions).buckets
         indices: List[int] = []
         extend = indices.extend
-        for key in index.buckets:
+        for key in keys:
             bucket = own.get(key)
             if bucket is not None:
                 extend(bucket)
@@ -737,7 +756,21 @@ class EncodedRelation:
         return self.take(indices)
 
     def semijoin(self, other: "EncodedRelation") -> "EncodedRelation":
-        """``self ⋉ other`` by variable name.
+        """``self ⋉ other`` by variable name (see :meth:`semijoin_on`)."""
+        shared = tuple(v for v in self.schema if v in other._positions)
+        return self.semijoin_on(
+            tuple(self._positions[v] for v in shared),
+            other,
+            tuple(other._positions[v] for v in shared),
+        )
+
+    def semijoin_on(
+        self,
+        key_positions: Tuple[int, ...],
+        other: "EncodedRelation",
+        other_positions: Tuple[int, ...],
+    ) -> "EncodedRelation":
+        """``self ⋉ other`` on the given key columns of each side.
 
         Probes (:meth:`semijoin_probe`) when this store is long-lived and
         ``other``'s distinct keys, times :data:`SEMIJOIN_PROBE_FACTOR`, are
@@ -745,23 +778,21 @@ class EncodedRelation:
         index) and its distinct key count (read off that index: the output
         is then a small share of the rows).  Scans (:meth:`semijoin_index`)
         otherwise, so one-shot stores never pay for an index they would use
-        once.
+        once.  No shared key: the relation itself when ``other`` has a row.
         """
-        shared = tuple(v for v in self.schema if v in other._positions)
-        if not shared:
+        if not key_positions:
             if other.is_empty():
                 return EncodedRelation.empty(self.schema, self.encoder)
             return self.fresh_copy()
-        index = other.key_index(tuple(other.position(v) for v in shared))
-        key_positions = tuple(self.position(v) for v in shared)
-        wanted = len(index) * SEMIJOIN_PROBE_FACTOR
+        keys = other.distinct_keys(other_positions)
+        wanted = len(keys) * SEMIJOIN_PROBE_FACTOR
         if (
             self.store.long_lived
             and wanted <= self.store.length
             and wanted <= len(self.key_index(key_positions))
         ):
-            return self.semijoin_probe(key_positions, index)
-        return self.semijoin_index(key_positions, index)
+            return self.semijoin_probe(key_positions, keys)
+        return self.semijoin_index(key_positions, keys)
 
     def join_index(
         self,

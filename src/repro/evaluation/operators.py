@@ -250,15 +250,17 @@ class Scan(Operator):
     pinned positions.
     """
 
-    __slots__ = ("atom",)
+    __slots__ = ("atom", "pattern")
 
     def __init__(self, atom: Atom) -> None:
-        pattern = compile_scan_pattern(atom.terms)
-        super().__init__(tuple(pattern.variables), ())  # type: ignore[arg-type]
+        pattern = compile_scan_pattern(atom)
+        super().__init__(pattern.variables, ())
         self.atom = atom
+        #: Compiled once with the plan; every run scans through it.
+        self.pattern = pattern
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
-        return context.scans.scan(self.atom, context.database)
+        return context.scans.scan(self.pattern, context.database)
 
     def label(self) -> str:
         return f"Scan[{self.atom}]"
@@ -300,24 +302,22 @@ class SemiJoin(Operator):
     matching the reduction-pass accounting of the bounded-work tests.
     """
 
-    __slots__ = ("_shared", "_left_key")
+    __slots__ = ("_shared", "_left_key", "_right_key")
 
     def __init__(self, left: Operator, right: Operator) -> None:
         super().__init__(left.schema, (left, right))
         self._shared, self._left_key, _ = _shared_schema(left, right)
+        self._right_key = tuple(right.schema.index(v) for v in self._shared)
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         left = self.children[0].materialize_encoded(context)
         if left.is_empty():
             return EncodedRelation.empty(self.schema, context.encoder)
         right = self.children[1].materialize_encoded(context)
-        result = parallel_semijoin(
-            left,
-            right,
-            self._left_key,
-            tuple(right.position(v) for v in self._shared),
-        )
-        return left.semijoin(right) if result is None else result
+        result = parallel_semijoin(left, right, self._left_key, self._right_key)
+        if result is None:
+            return left.semijoin_on(self._left_key, right, self._right_key)
+        return result
 
     def label(self) -> str:
         return f"SemiJoin[{', '.join(str(v) for v in self._shared)}]"
@@ -574,7 +574,7 @@ class CostModel:
 
     def _scan_estimate(self, atom: Atom) -> CardinalityEstimate:
         base = self.statistics.base_relation(atom.predicate)
-        pattern = compile_scan_pattern(atom.terms)
+        pattern = compile_scan_pattern(atom)
         rows = float(len(base))
         counts = base.column_distinct_counts()  # all zeros when empty
         if rows and pattern.constant_checks:

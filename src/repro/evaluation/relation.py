@@ -39,11 +39,13 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..datamodel import Atom, Constant, Instance, Predicate, Term, Variable
@@ -66,7 +68,7 @@ class ScanProvider(Protocol):
 
     encoder: "TermEncoder"
 
-    def scan(self, atom: Atom, database: Optional[Instance] = None) -> "EncodedRelation":
+    def scan(self, target: "ScanTarget", database: Optional[Instance] = None) -> "EncodedRelation":
         ...
 
     def base_relation(self, predicate: Predicate) -> "Relation":
@@ -78,48 +80,73 @@ class ScanPattern:
 
     Shared by the scan cache (:meth:`repro.evaluation.batch.ScanCache.scan`),
     the ``Scan`` operator's schema and the cost model, so atom-matching
-    semantics live in exactly one place.  All positions index into the
-    *fact* tuple.
+    semantics live in exactly one place.  A ``Scan`` operator compiles its
+    pattern once and hands it to every scan it runs, so a cached plan
+    compiles nothing per request.  All positions index into the *fact*
+    tuple.
     """
 
-    __slots__ = ("variables", "output_positions", "constant_checks", "equality_checks")
+    __slots__ = (
+        "predicate", "variables", "output_positions", "constant_checks", "equality_checks"
+    )
 
     def __init__(
         self,
-        variables: Tuple[object, ...],
+        predicate: Predicate,
+        variables: Tuple[Variable, ...],
         output_positions: Tuple[int, ...],
         constant_checks: Tuple[Tuple[int, Constant], ...],
         equality_checks: Tuple[Tuple[int, int], ...],
     ) -> None:
+        self.predicate = predicate
         self.variables = variables
         self.output_positions = output_positions
         self.constant_checks = constant_checks
         self.equality_checks = equality_checks
 
+    def bound(self, params: Mapping[Term, Term]) -> "ScanPattern":
+        """This pattern with each selected constant that ``params`` names
+        replaced by its value: how a request binds its anchors into the
+        placeholders of a cached plan.  ``O(constants)``; the pattern
+        itself when it selects no constant."""
+        if not self.constant_checks:
+            return self
+        return ScanPattern(
+            self.predicate,
+            self.variables,
+            self.output_positions,
+            tuple((position, params.get(c, c)) for position, c in self.constant_checks),  # type: ignore[misc]
+            self.equality_checks,
+        )
 
-def compile_scan_pattern(slots: Sequence[object]) -> ScanPattern:
-    """Compile the scan plan for one atom-shaped position sequence.
 
-    Each slot is either a :class:`Constant` (a selection) or any other
-    hashable value standing for a variable; equal non-constant slots induce
-    repeated-variable equality checks, and the first occurrence of each
-    distinct slot becomes an output column.  ``O(arity)``.
+#: What a scan provider scans: an atom, or the pattern compiled from one.
+ScanTarget = Union[Atom, ScanPattern]
+
+
+def compile_scan_pattern(atom: Atom) -> ScanPattern:
+    """Compile the scan plan of one atom.
+
+    Each constant of the atom is a selection; a repeated variable induces
+    an equality check against its first position, and the first occurrence
+    of each distinct variable becomes an output column.  ``O(arity)``.
     """
-    variables: List[object] = []
-    first_position: Dict[object, int] = {}
+    variables: List[Variable] = []
+    first_position: Dict[Term, int] = {}
     output_positions: List[int] = []
     constant_checks: List[Tuple[int, Constant]] = []
     equality_checks: List[Tuple[int, int]] = []
-    for position, slot in enumerate(slots):
-        if isinstance(slot, Constant):
-            constant_checks.append((position, slot))
-        elif slot in first_position:
-            equality_checks.append((position, first_position[slot]))
+    for position, term in enumerate(atom.terms):
+        if isinstance(term, Constant):
+            constant_checks.append((position, term))
+        elif term in first_position:
+            equality_checks.append((position, first_position[term]))
         else:
-            first_position[slot] = position
+            first_position[term] = position
             output_positions.append(position)
-            variables.append(slot)
+            variables.append(term)  # type: ignore[arg-type]
     return ScanPattern(
+        atom.predicate,
         tuple(variables),
         tuple(output_positions),
         tuple(constant_checks),
@@ -348,7 +375,7 @@ class Relation:
         self._stats["epoch"] = epoch
         encoded = self._stats.get("encoded")
         if encoded is not None:
-            encoded[1].epoch = epoch  # type: ignore[index]
+            encoded[1].store.epoch = epoch  # type: ignore[index]
 
     def stamped_epoch(self) -> Optional[int]:
         """The stamped mutation epoch, or ``None`` if never stamped."""
@@ -421,19 +448,17 @@ class Relation:
         if encoded is not None:
             from .encoding import EncodedRelation  # local: avoid an import cycle
 
-            encoder, store = encoded  # type: ignore[misc]
-            self._stats["encoded"] = (
-                encoder,
-                EncodedRelation.merge_store(store, encoder, inserted, gone, moves),
-            )
+            encoder, view = encoded  # type: ignore[misc]
+            store = EncodedRelation.merge_store(view.store, encoder, inserted, gone, moves)
+            self._stats["encoded"] = (encoder, EncodedRelation(self.schema, store, encoder))
 
     def _locate(self, dead: Set[Row], encoded: object) -> List[int]:
         """The row ids of the ``dead`` rows that are present."""
         if encoded is not None:
             from .encoding import EncodedRelation  # local: avoid an import cycle
 
-            encoder, store = encoded  # type: ignore[misc]
-            found = EncodedRelation.locate_rows(store, encoder, self.rows, dead)
+            encoder, view = encoded  # type: ignore[misc]
+            found = EncodedRelation.locate_rows(view.store, encoder, self.rows, dead)
             if found is not None:
                 return found
         return [index for index, row in enumerate(self.rows) if row in dead]
@@ -531,24 +556,24 @@ class Relation:
     def encoded(self, encoder: "TermEncoder") -> "EncodedRelation":  # noqa: F821
         """This relation dictionary-encoded under ``encoder``, built once.
 
-        The encoded column store is cached in ``_stats`` (keyed by encoder
-        identity, single slot), so — exactly like partitions and distinct
-        counts — it is carried forward by :meth:`apply_delta` and rebuilt
-        only on fresh row storage or a different encoder.  Being cached, the store is
-        marked ``long_lived`` (it may earn a semi-join key index).  The
-        returned :class:`~repro.evaluation.encoding.EncodedRelation` is a
-        cheap schema view over the cached store.
+        The encoded column store and one view of it over :attr:`schema` are
+        cached in ``_stats`` (keyed by encoder identity, single slot), so —
+        exactly like partitions and distinct counts — they are carried
+        forward by :meth:`apply_delta` and rebuilt only on fresh row storage
+        or a different encoder; a read returns the cached view and builds
+        nothing.  Being cached, the store is marked ``long_lived`` (it may
+        earn a semi-join key index).
         """
-        from .encoding import EncodedRelation  # local: avoid an import cycle
-
         cached = self._stats.get("encoded")
         if cached is None or cached[0] is not encoder:  # type: ignore[index]
+            from .encoding import EncodedRelation  # local: avoid an import cycle
+
             store = EncodedRelation.build_store(self.rows, len(self.schema), encoder)
             store.long_lived = True
             store.epoch = self.stamped_epoch()
-            cached = (encoder, store)
+            cached = (encoder, EncodedRelation(self.schema, store, encoder))
             self._stats["encoded"] = cached
-        return EncodedRelation(self.schema, cached[1], encoder)  # type: ignore[index]
+        return cached[1]  # type: ignore[index,no-any-return]
 
     def project(self, variables: Sequence[Variable]) -> "Relation":
         """Project onto ``variables`` (deduplicating, order preserved).

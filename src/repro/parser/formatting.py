@@ -12,11 +12,18 @@ from ..queries.ucq import UnionOfConjunctiveQueries
 
 
 def format_term(term: Term) -> str:
-    """Render a term in parser-compatible syntax."""
+    """Render a term in parser-compatible syntax.
+
+    A string constant is single-quoted, or double-quoted when it holds a
+    single quote; one holding both kinds cannot be written (the syntax has
+    no escape)."""
     if isinstance(term, Constant):
         if isinstance(term.name, int):
             return str(term.name)
-        return f"'{term.name}'"
+        name = str(term.name)
+        if "'" in name and '"' not in name:
+            return f'"{name}"'
+        return f"'{name}'"
     return str(term)
 
 

@@ -20,6 +20,7 @@ from ..datamodel import (
     Constant,
     Database,
     Instance,
+    Null,
     Predicate,
     Schema,
     Term,
@@ -47,20 +48,20 @@ class ConjunctiveQuery:
         self._validate()
 
     def _validate(self) -> None:
-        body_variables = atoms_variables(self._body)
+        body_terms = {term for atom in self._body for term in atom.terms}
         for variable in self._head:
             if not isinstance(variable, Variable):
                 raise ValueError(
                     f"head terms must be variables, got {variable!r}"
                 )
-            if variable not in body_variables:
+            if variable not in body_terms:
                 raise ValueError(
                     f"unsafe query: head variable {variable} does not occur "
                     f"in the body"
                 )
-        for atom in self._body:
-            if atom.nulls():
-                raise ValueError(f"query atoms must not contain nulls: {atom}")
+        if any(isinstance(term, Null) for term in body_terms):
+            atom = next(atom for atom in self._body if atom.nulls())
+            raise ValueError(f"query atoms must not contain nulls: {atom}")
 
     # ------------------------------------------------------------------
     # Basic accessors

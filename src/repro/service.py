@@ -78,7 +78,13 @@ from .evaluation.join_plans import (
     resolve_planner,
 )
 from .evaluation.operators import Statistics
-from .evaluation.relation import Relation, ScanProvider
+from .evaluation.relation import (
+    Relation,
+    ScanPattern,
+    ScanProvider,
+    ScanTarget,
+    compile_scan_pattern,
+)
 from .queries.core_minimization import core
 from .queries.cq import ConjunctiveQuery
 
@@ -237,10 +243,13 @@ class BoundScans:
     """One request's scan provider: the shared cache with the anchors bound.
 
     A cached plan scans the lifted query's atoms, whose anchors are
-    placeholders (:func:`parameter`).  :meth:`scan` substitutes this
-    request's binding into each atom and reads it from the shared
+    placeholders (:func:`parameter`).  :meth:`scan` maps the placeholder
+    constants of each scan's compiled pattern through this request's
+    binding (:meth:`~repro.evaluation.relation.ScanPattern.bound`) and
+    reads the bound pattern from the shared
     :class:`~repro.evaluation.batch.ScanCache`, so one compiled plan serves
-    every anchor of its shape and no placeholder reaches the encoder.
+    every anchor of its shape, no placeholder reaches the encoder and
+    nothing is compiled per request.
     ``encoder`` is the cache's own, so encodings stay shared, and base
     relations (which carry no anchors) come straight from the cache.
     """
@@ -252,8 +261,9 @@ class BoundScans:
         self.params = params
         self.encoder = scans.encoder
 
-    def scan(self, atom: Atom, database: Optional[Instance] = None) -> EncodedRelation:
-        return self.scans.scan(atom.apply(self.params), database)
+    def scan(self, target: ScanTarget, database: Optional[Instance] = None) -> EncodedRelation:
+        pattern = target if isinstance(target, ScanPattern) else compile_scan_pattern(target)
+        return self.scans.scan(pattern.bound(self.params), database)
 
     def base_relation(self, predicate: Predicate) -> Relation:
         return self.scans.base_relation(predicate)
@@ -312,7 +322,8 @@ class QueryService:
         # epoch guard.  ``_writers`` counts pending-or-active writers (new
         # readers wait while it is non-zero, so writers cannot starve);
         # ``_writing`` serialises the writers themselves.
-        self._idle = threading.Condition(threading.Lock())
+        self._idle_lock = threading.Lock()
+        self._idle = threading.Condition(self._idle_lock)
         self._in_flight = 0
         self._writers = 0
         self._writing = False
@@ -413,26 +424,26 @@ class QueryService:
     # ------------------------------------------------------------------
     # Reader-writer exclusion (writes block new reads, then drain old ones)
     # ------------------------------------------------------------------
-    @contextmanager
-    def _tracked(self):
+    def _begin_read(self) -> None:
         """Reader side: register a materialised submit as in flight.
 
-        Entering waits out pending and active writers — without that gate a
-        submit could slip in between a writer's drain and its mutation and
-        scan concurrently with the write (check-then-act), caching scans
-        whose epoch stamp disagrees with the rows actually read.
+        Waits out pending and active writers — without that gate a submit
+        could slip in between a writer's drain and its mutation and scan
+        concurrently with the write (check-then-act), caching scans whose
+        epoch stamp disagrees with the rows actually read.  Pair every call
+        with :meth:`_end_read` in a ``finally``.
         """
-        with self._idle:
+        with self._idle_lock:
             while self._writers:
                 self._idle.wait()
             self._in_flight += 1
-        try:
-            yield
-        finally:
-            with self._idle:
-                self._in_flight -= 1
-                if not self._in_flight:
-                    self._idle.notify_all()
+
+    def _end_read(self) -> None:
+        """Reader side: the submit finished; wake the writers it held up."""
+        with self._idle_lock:
+            self._in_flight -= 1
+            if not self._in_flight and self._writers:
+                self._idle.notify_all()
 
     @contextmanager
     def _write_barrier(self):
@@ -479,7 +490,8 @@ class QueryService:
         """
         entry, params = self._entry(query, tuple(tgds), engine)
         scans = self._scans_for(params)
-        with self._tracked():
+        self._begin_read()
+        try:
             if entry.evaluator is not None:  # yannakakis / reformulated / decomposition
                 return entry.evaluator.evaluate(  # type: ignore[attr-defined]
                     self.database, scans=scans
@@ -487,6 +499,8 @@ class QueryService:
             return execute_plan(
                 self._join_plan(entry, streaming=False), self.database, scans=scans
             ).answers
+        finally:
+            self._end_read()
 
     def stream(
         self,

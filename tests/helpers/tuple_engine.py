@@ -59,7 +59,7 @@ def scan_atom(atom: Atom, database: Instance) -> Relation:
     The schema lists the atom's variables in order of first occurrence;
     constants and repeated variables act as selections, checked per fact.
     """
-    pattern = compile_scan_pattern(atom.terms)
+    pattern = compile_scan_pattern(atom)
     rows: List[Row] = []
     for fact in database.atoms_with_predicate(atom.predicate):
         terms = fact.terms

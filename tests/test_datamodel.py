@@ -259,6 +259,70 @@ class TestAtoms:
         assert len({left, right}) == 1
 
 
+    def test_negative_arity_is_rejected(self):
+        with pytest.raises(ValueError):
+            Predicate("R", -1)
+
+    def test_hash_is_the_value_hash_computed_once(self):
+        R = Predicate("R", 2)
+        atom = Atom(R, (Variable("x"), Constant("a")))
+        assert hash(R) == hash(("R", 2))
+        assert hash(atom) == hash((R, (Variable("x"), Constant("a"))))
+        assert R._hash == hash(R) and atom._hash == hash(atom)
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [(Predicate("R", 1), "name"), (Atom(Predicate("R", 1), (Constant("a"),)), "terms")],
+    )
+    def test_frozen(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1  # slotted: no other attribute either
+
+    def test_order_by_value(self):
+        R1, R2, S1 = Predicate("R", 1), Predicate("R", 2), Predicate("S", 1)
+        assert sorted([S1, R2, R1]) == [R1, R2, S1]
+        assert R1 < R2 <= R2 and S1 > R2 >= R2
+        a, b = Constant("a"), Constant("b")
+        atoms = [Atom(S1, (a,)), Atom(R1, (b,)), Atom(R1, (a,))]
+        assert sorted(atoms) == [Atom(R1, (a,)), Atom(R1, (b,)), Atom(S1, (a,))]
+        with pytest.raises(TypeError):
+            R1 < Atom(R1, (a,))  # noqa: B015
+
+    def test_equality_with_other_types(self):
+        R = Predicate("R", 1)
+        atom = Atom(R, (Constant("a"),))
+        assert R != ("R", 1) and atom != (R, (Constant("a"),))
+        assert atom != Atom(Predicate("S", 1), (Constant("a"),))
+        assert atom != Atom(R, (Constant("b"),))
+
+    def test_pickle_and_copy_keep_value_and_hash(self):
+        atom = Atom(Predicate("R", 2), (Variable("x"), Constant("a")))
+        for value in (atom.predicate, atom):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                loaded = pickle.loads(pickle.dumps(value, protocol=protocol))
+                assert loaded == value and hash(loaded) == hash(value)
+            assert copy.copy(value) == value
+            assert copy.deepcopy(value) == value
+        assert copy.deepcopy(atom).terms[0] is Variable("x")
+
+    def test_repr_unchanged(self):
+        R = Predicate("R", 2)
+        assert repr(R) == "Predicate(name='R', arity=2)"
+        assert str(R) == "R/2"
+        atom = Atom(R, (Variable("x"), Constant("a")))
+        assert repr(atom) == "Atom(R, (Variable('x'), Constant('a')))"
+        assert str(atom) == "R(x, a)"
+
+    def test_terms_are_kept_as_a_tuple(self):
+        atom = Atom(Predicate("R", 2), [Variable("x"), Constant("a")])
+        assert atom.terms == (Variable("x"), Constant("a"))
+        assert atom == Atom(Predicate("R", 2), (Variable("x"), Constant("a")))
+
+
 class TestSchema:
     def test_add_and_lookup(self):
         schema = Schema([Predicate("R", 2)])

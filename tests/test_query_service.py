@@ -470,6 +470,39 @@ class TestParameterisedPlans:
         assert answers[3] == {(Constant(5),)}
         assert service.plan_misses == 2  # one shape, two engines
 
+    def test_warm_point_read_compiles_nothing_and_builds_no_index(self, monkeypatch):
+        """Bounded work: a point read of a shape already in the plan cache,
+        at an anchor never read before, compiles no scan pattern (each
+        ``Scan`` of the cached plan holds its own, and the request's anchor
+        is bound into it), builds no key index on a long-lived store, and
+        answers as the tuple oracle does."""
+        from helpers import tuple_engine
+
+        from repro.evaluation import batch, operators, relation
+        from repro.evaluation.encoding import IntIndex
+
+        database = _db(*[(i, (i * 7) % 50) for i in range(50)])
+        service = QueryService(database)
+        service.submit(_anchored_path(1, y, z))  # plans the shape, builds its indexes
+        compiled = []
+        original = relation.compile_scan_pattern
+
+        def counting(atom):
+            compiled.append(atom)
+            return original(atom)
+
+        for module in (relation, batch, operators, service_module):
+            if hasattr(module, "compile_scan_pattern"):
+                monkeypatch.setattr(module, "compile_scan_pattern", counting)
+        builds = IntIndex.long_lived_builds
+        query = _anchored_path(2, Variable("b2"), Variable("c2"))
+        answers = service.submit(query)
+        assert compiled == []
+        assert IntIndex.long_lived_builds == builds
+        assert (service.plan_hits, service.plan_misses) == (1, 1)
+        assert answers == tuple_engine.evaluate(YannakakisEvaluator(query), database)
+        assert answers == {(Constant((2 * 7 * 7) % 50),)}
+
     def test_cached_scans_count_the_predicates_read(self):
         """However many anchors and shapes are read, the scan cache holds
         one base relation per predicate."""
@@ -625,16 +658,22 @@ class TestReadWrite:
         events = []
 
         def slow_reader():
-            with service._tracked():
+            service._begin_read()
+            try:
                 reader_entered.set()
                 assert release_reader.wait(5)
                 events.append("read-finished")
+            finally:
+                service._end_read()
 
         def late_reader():
-            with service._tracked():
+            service._begin_read()
+            try:
                 # ``writes`` is bumped inside the barrier, so a reader that
                 # slipped past a merely-pending write would record 0 here.
                 events.append(("late-read", service.writes))
+            finally:
+                service._end_read()
 
         def wait_until(condition):
             deadline = time.monotonic() + 5
