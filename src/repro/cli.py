@@ -56,7 +56,7 @@ from .core import (
 )
 from .datamodel import Database
 from .dependencies import EGD, TGD, classify, describe
-from .parser import parse_atom, parse_dependency, parse_program, parse_query
+from .parser import parse_atom, parse_dependency, parse_program, parse_query, strip_comment
 from .rewriting import rewrite
 from .evaluation import (
     AcyclicityRequired,
@@ -93,7 +93,7 @@ def load_database(path: str) -> Database:
     database = Database()
     text = Path(path).read_text(encoding="utf-8")
     for raw_line in text.splitlines():
-        line = raw_line.split("%", 1)[0].strip().rstrip(".")
+        line = strip_comment(raw_line).strip().rstrip(".")
         if not line:
             continue
         database.add(parse_atom(line))
@@ -109,7 +109,7 @@ def load_query(query_text: Optional[str], query_file: Optional[str]):
         # after '%' is stripped, blank lines are dropped.
         lines = Path(query_file).read_text(encoding="utf-8").splitlines()
         query_text = " ".join(
-            stripped for line in lines if (stripped := line.split("%", 1)[0].strip())
+            stripped for line in lines if (stripped := strip_comment(line).strip())
         )
     return parse_query(query_text)
 
@@ -285,7 +285,7 @@ def _cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
     service = QueryService(database)
     text = Path(args.session).read_text(encoding="utf-8")
     for raw_line in text.splitlines():
-        line = raw_line.split("%", 1)[0].strip()
+        line = strip_comment(raw_line).strip()
         if not line:
             continue
         op, _, rest = line.partition(" ")

@@ -10,6 +10,7 @@ from .parser import (
     parse_query,
     parse_tgd,
     parse_ucq,
+    strip_comment,
 )
 from .formatting import (
     format_atom,
@@ -42,4 +43,5 @@ __all__ = [
     "parse_query",
     "parse_tgd",
     "parse_ucq",
+    "strip_comment",
 ]

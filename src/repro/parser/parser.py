@@ -20,10 +20,10 @@ and it is one token everywhere: a ``,``, ``(``, ``)``, ``:-``, ``->``,
 ``=``, ``;``, ``.`` or ``%`` inside it is part of the constant, never a
 separator.  A quote without its closing partner is a :class:`ParseError`.
 
-The parser reads each atom with one precompiled pattern matched at its
-offset, and each term with another, so a text is read in one pass; the
-top-level separators are found by a pattern that steps over quoted
-constants.
+The parser reads a text in one pass: one precompiled pattern matches each
+atom at its offset (checking its argument list on the way), and one more
+classifies the atom's terms.  The separators above the atom level are
+found by patterns that step over quoted constants.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ def _separator(pattern: str) -> "re.Pattern[str]":
     return re.compile(rf"{_QUOTED}|({pattern})")
 
 
+_COMMENT = _separator("%")
 _ARROW = _separator("->")
 _EQUALS = _separator("=")
 _DISJUNCTION = _separator(";")
@@ -92,6 +93,12 @@ def _split(text: str, separator: "re.Pattern[str]", limit: int = -1) -> List[str
         start = match.end()
     parts.append(text[start:])
     return parts
+
+
+def strip_comment(line: str) -> str:
+    """``line`` up to its ``%`` comment; a ``%`` inside a quoted constant
+    starts none."""
+    return _split(line, _COMMENT, 1)[0]
 
 
 def _terms(arguments: str) -> Tuple[Term, ...]:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, load_database, load_dependencies, load_query, main
+from repro.datamodel import Constant
 
 
 EXAMPLE1_QUERY = "q(x, y) :- Interest(x, z), Class(y, z), Owns(x, y)"
@@ -31,6 +32,15 @@ class TestInputLoading:
         data.write_text("E('a', 'b').\nE('b', 'c')\n% comment line\n\n")
         database = load_database(str(data))
         assert len(database) == 2
+
+    def test_a_percent_sign_inside_a_constant_starts_no_comment(self, tmp_path):
+        data = tmp_path / "facts.txt"
+        data.write_text("E('50%', 'b')  % it's a comment\nE('a.', 'c').\n")
+        database = load_database(str(data))
+        assert {atom.terms[0] for atom in database} == {Constant("50%"), Constant("a.")}
+        query_file = tmp_path / "query.txt"
+        query_file.write_text("q(x) :- E(x, '50%')  % anchored\n")
+        assert load_query(None, str(query_file)).body[0].terms[1] == Constant("50%")
 
     def test_load_query_requires_exactly_one_source(self, tmp_path):
         with pytest.raises(SystemExit):
