@@ -315,24 +315,31 @@ def run_long_uptime() -> Dict[str, object]:
     return row
 
 
-def _point_text(shape: Tuple[int, bool, int], anchor: int, prefix: str) -> str:
+Shape = Tuple[int, bool, int]
+Adjacency = Dict[Tuple[int, bool], Dict[Constant, Set[Constant]]]
+
+
+def _layers(shape: Shape) -> range:
+    """The chain layers (``S`` predicates) a path read crosses, in order."""
+    start, forward, hops = shape
+    return range(start + 1, start + hops + 1) if forward else range(start, start - hops, -1)
+
+
+def _point_text(shape: Shape, anchor: int, prefix: str) -> str:
     """The query text of one path read, as ``serve_point`` spells it."""
     start, forward, hops = shape
     names = [f"'L{start}_{anchor}'"] + [f"{prefix}{j}" for j in range(1, hops + 1)]
-    layers = (
-        range(start + 1, start + hops + 1) if forward else range(start, start - hops, -1)
-    )
     atoms = []
-    for step, layer in enumerate(layers):
+    for step, layer in enumerate(_layers(shape)):
         near, far = names[step], names[step + 1]
         pair = (near, far) if forward else (far, near)
         atoms.append(f"S{layer}({pair[0]}, {pair[1]})")
     return f"q({names[-1]}) :- " + ", ".join(atoms)
 
 
-def _adjacency(database: Database) -> Dict[Tuple[int, bool], Dict[Constant, Set[Constant]]]:
+def _adjacency(database: Database) -> Adjacency:
     """Per chain layer and direction, each node's neighbours."""
-    adjacency: Dict[Tuple[int, bool], Dict[Constant, Set[Constant]]] = {}
+    adjacency: Adjacency = {}
     for layer in range(1, POINT_LAYERS + 1):
         forward: Dict[Constant, Set[Constant]] = {}
         backward: Dict[Constant, Set[Constant]] = {}
@@ -345,14 +352,11 @@ def _adjacency(database: Database) -> Dict[Tuple[int, bool], Dict[Constant, Set[
     return adjacency
 
 
-def _point_oracle(adjacency, shape: Tuple[int, bool, int], anchor: int) -> Set[tuple]:
+def _point_oracle(adjacency: Adjacency, shape: Shape, anchor: int) -> Set[tuple]:
     """The answers of one path read, by walking the chain's adjacency."""
-    start, forward, hops = shape
+    start, forward, _ = shape
     frontier = {Constant(f"L{start}_{anchor}")}
-    layers = (
-        range(start + 1, start + hops + 1) if forward else range(start, start - hops, -1)
-    )
-    for layer in layers:
+    for layer in _layers(shape):
         step = adjacency[(layer, forward)]
         frontier = {node for near in frontier for node in step.get(near, ())}
     return {(node,) for node in frontier}

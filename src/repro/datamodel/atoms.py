@@ -10,10 +10,19 @@ from .terms import Constant, Null, Term, Variable
 _set_field = object.__setattr__
 
 
-class _Frozen:
-    """Slotted, immutable values: fields are set once, in ``__init__``."""
+class _Value:
+    """An immutable, slotted value, equal, hashed and ordered by its
+    ``_key()`` within its class, as a frozen ordered dataclass is by its
+    fields.  ``__init__`` sets the fields and ``_hash``, the hash of the
+    key, once: every dict or set lookup reads it.
+    """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    _hash: int
+
+    def _key(self) -> Tuple[object, ...]:
+        raise NotImplementedError
 
     def __setattr__(self, name: str, value: object) -> NoReturn:
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -21,20 +30,47 @@ class _Frozen:
     def __delattr__(self, name: str) -> NoReturn:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
+    def __reduce__(self) -> Tuple[type, Tuple[object, ...]]:
+        return (self.__class__, self._key())
 
-class Predicate(_Frozen):
-    """A relation symbol with a fixed arity.
+    def __hash__(self) -> int:
+        return self._hash
 
-    Immutable, hashable and ordered by ``(name, arity)``.  The hash is
-    computed once, at construction: every dict or set lookup of a predicate
-    (and of the atoms over it) reads it.
-    """
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _Value) or other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._key() == other._key()
 
-    __slots__ = ("name", "arity", "_hash")
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, _Value) or other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() < other._key()
+
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, _Value) or other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() <= other._key()
+
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, _Value) or other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() > other._key()
+
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, _Value) or other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() >= other._key()
+
+
+class Predicate(_Value):
+    """A relation symbol with a fixed arity."""
+
+    __slots__ = ("name", "arity")
 
     name: str
     arity: int
-    _hash: int
 
     def __init__(self, name: str, arity: int) -> None:
         if arity < 0:
@@ -43,41 +79,8 @@ class Predicate(_Frozen):
         _set_field(self, "arity", arity)
         _set_field(self, "_hash", hash((name, arity)))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Predicate):
-            return NotImplemented
-        return self._hash == other._hash and self.name == other.name and self.arity == other.arity
-
-    def _order_key(self) -> Tuple[str, int]:
+    def _key(self) -> Tuple[str, int]:
         return (self.name, self.arity)
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, Predicate):
-            return NotImplemented
-        return self._order_key() < other._order_key()
-
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, Predicate):
-            return NotImplemented
-        return self._order_key() <= other._order_key()
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, Predicate):
-            return NotImplemented
-        return self._order_key() > other._order_key()
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, Predicate):
-            return NotImplemented
-        return self._order_key() >= other._order_key()
-
-    def __reduce__(self) -> Tuple[type, Tuple[str, int]]:
-        return (Predicate, (self.name, self.arity))
 
     def __repr__(self) -> str:
         return f"Predicate(name={self.name!r}, arity={self.arity!r})"
@@ -90,19 +93,17 @@ class Predicate(_Frozen):
         return Atom(self, tuple(terms))
 
 
-class Atom(_Frozen):
+class Atom(_Value):
     """An atom ``R(t1, ..., tn)``.
 
     Atoms are immutable and hashable so that instances can be plain Python
-    sets of atoms, exactly as in the paper.  They order by
-    ``(predicate, terms)``.  The hash is computed once, at construction.
+    sets of atoms, exactly as in the paper.
     """
 
-    __slots__ = ("predicate", "terms", "_hash")
+    __slots__ = ("predicate", "terms")
 
     predicate: Predicate
     terms: Tuple[Term, ...]
-    _hash: int
 
     def __init__(self, predicate: Predicate, terms: Tuple[Term, ...]) -> None:
         if terms.__class__ is not tuple:
@@ -116,45 +117,8 @@ class Atom(_Frozen):
         _set_field(self, "terms", terms)
         _set_field(self, "_hash", hash((predicate, terms)))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Atom):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.predicate == other.predicate
-            and self.terms == other.terms
-        )
-
-    def _order_key(self) -> Tuple[Predicate, Tuple[Term, ...]]:
+    def _key(self) -> Tuple[Predicate, Tuple[Term, ...]]:
         return (self.predicate, self.terms)
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, Atom):
-            return NotImplemented
-        return self._order_key() < other._order_key()
-
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, Atom):
-            return NotImplemented
-        return self._order_key() <= other._order_key()
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, Atom):
-            return NotImplemented
-        return self._order_key() > other._order_key()
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, Atom):
-            return NotImplemented
-        return self._order_key() >= other._order_key()
-
-    def __reduce__(self) -> Tuple[type, Tuple[Predicate, Tuple[Term, ...]]]:
-        return (Atom, (self.predicate, self.terms))
 
     # ------------------------------------------------------------------
     # Inspection helpers

@@ -47,7 +47,7 @@ from typing import (
     Tuple,
 )
 
-from ..datamodel import Atom, Instance, Predicate, Term, Variable
+from ..datamodel import Instance, Predicate, Term, Variable
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
 from .encoding import EncodedRelation, TermEncoder
