@@ -42,9 +42,10 @@ Panels over the standing :class:`repro.service.QueryService` and its
   phases: parse (``repro.parse_query``), plan lookup
   (``QueryService._entry``: the pre-key and the cache lookup) and
   execute-and-decode (the cached evaluator's run and the decoded answer
-  set).  Headline: median µs per read per phase, with quartiles.  Every
-  answer is checked against a walk of the chain's adjacency lists, and
-  every read must hit the plan cache.
+  set); freeing a read's query and answers is left out of all three.
+  Headline: median µs per read per phase, with quartiles.  Every answer
+  is checked against a walk of the chain's adjacency lists, and every
+  read must hit the plan cache.
 
 * **Plan-cache hit rate** — 64 syntactically distinct, variable-renamed
   variants of one query submitted to one service; core minimisation +
@@ -399,6 +400,9 @@ def run_warm_point_reads() -> Dict[str, object]:
         phases["plan_lookup"].append((planned - parsed) * 1e6)
         phases["execute_decode"].append((done - planned) * 1e6)
         failures += answers != _point_oracle(adjacency, shape, anchor)
+        # Free this read's query and answers here, untimed, not inside the
+        # next read's phases (its variables' intern entries go with them).
+        del query, entry, params, answers
     row: Dict[str, object] = {
         "facts": len(database),
         "shapes": len(POINT_SHAPES),
