@@ -64,7 +64,7 @@ _NUMPY: object = _UNSET
 
 _EMPTY_BUCKET: Tuple[int, ...] = ()
 
-#: :meth:`EncodedRelation.semijoin` probes a long-lived left store's key
+#: :meth:`EncodedRelation.semijoin_on` probes a long-lived left store's key
 #: index instead of scanning it when the right side has at most one distinct
 #: key per this many left keys.  On the warm ``array('q')`` kernels the
 #: probe wins by 1.6–2× at that ratio for left bucket sizes 2 to 250, and

@@ -294,7 +294,7 @@ class SemiJoin(Operator):
     """``left ⋉ right``: keep the left rows with a join partner in right.
 
     Materialising face: the vectorised kernel on numpy storage, else
-    :meth:`EncodedRelation.semijoin`, which probes the left store's cached
+    :meth:`EncodedRelation.semijoin_on`, which probes the left store's cached
     key index with each right key when the left store is long-lived (a
     cached scan) and the right side has few keys — a point query then
     costs its answer, not the left relation — and scans the left rows

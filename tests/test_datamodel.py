@@ -258,7 +258,6 @@ class TestAtoms:
         assert left == right
         assert len({left, right}) == 1
 
-
     def test_negative_arity_is_rejected(self):
         with pytest.raises(ValueError):
             Predicate("R", -1)
