@@ -3,17 +3,12 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-service typecheck lint docs-check bench bench-smoke bench-enum bench-plans bench-backend bench-parallel bench-service bench-terms bench-semac bench-fpt bench-repo bench-diff
+.PHONY: test typecheck lint docs-check bench bench-smoke bench-enum bench-plans bench-backend bench-parallel bench-service bench-terms bench-semac bench-fpt bench-repo bench-diff
 
 ## Tier-1 verify: the command every PR must keep green.
 ## REPRO_VERIFY=1 statically re-checks every plan the engines emit.
 test:
 	REPRO_VERIFY=1 $(PYTEST) -x -q
-
-## Tier-1 with every evaluation entry point routed through the standing
-## QueryService (REPRO_SERVICE=1): shared scan cache + plan cache.
-test-service:
-	REPRO_VERIFY=1 REPRO_SERVICE=1 $(PYTEST) -x -q
 
 ## Static types: strict on datamodel/ and hypergraph/, permissive elsewhere.
 ## Skips gracefully (exit 0 with a notice) where mypy is not installed.

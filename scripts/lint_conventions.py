@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-convention lint — rules a generic linter cannot know.
 
-Eight rules, each encoding a convention the codebase actually relies on:
+Nine rules, each encoding a convention the codebase actually relies on:
 
 1. **One operator face** — every concrete operator node in
    ``src/repro/evaluation/operators.py`` implements the materialising
@@ -46,6 +46,12 @@ Eight rules, each encoding a convention the codebase actually relies on:
    once per call: a kernel counts its probes after its loop, so the
    bookkeeping never costs per element.  ``Partition.get``'s single
    ``add_probes(1)`` is a call of its own and stays legal.
+9. **Every environment knob is deliberate** — the ``REPRO_*`` names that
+   ``src/`` reads from the environment (``os.environ.get``/``[...]``/``in``,
+   ``os.getenv``, by literal or by a module-level string constant) are
+   exactly :data:`ENVIRONMENT_KNOBS`.  Each knob is one more execution
+   path to test, so a new one needs an edit here; a key the rule cannot
+   resolve to a string is flagged too.
 
 Exit 0 when clean, 1 with one line per violation otherwise (run via
 ``make lint``).
@@ -54,7 +60,7 @@ Exit 0 when clean, 1 with one line per violation otherwise (run via
 import ast
 import pathlib
 import sys
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OPERATORS_FILE = REPO_ROOT / "src" / "repro" / "evaluation" / "operators.py"
@@ -391,6 +397,90 @@ def check_probe_counts(sources: Optional[Dict[str, str]] = None) -> List[str]:
     return violations
 
 
+# ----------------------------------------------------------------------
+# Rule 9: the REPRO_* environment knobs src/ reads are a fixed set
+# ----------------------------------------------------------------------
+#: ``REPRO_VERIFY`` statically verifies every emitted plan;
+#: ``REPRO_NUMPY`` selects the numpy column storage.
+ENVIRONMENT_KNOBS = {"REPRO_VERIFY", "REPRO_NUMPY"}
+
+
+def _is_environ(node: ast.expr) -> bool:
+    """``os.environ`` or a bare ``environ``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "environ"
+    return isinstance(node, ast.Name) and node.id == "environ"
+
+
+def _environment_keys(tree: ast.AST) -> List[Tuple[int, ast.expr]]:
+    """``(line, key expression)`` of every environment read in ``tree``."""
+    keys: List[Tuple[int, ast.expr]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func
+            environ_get = isinstance(func, ast.Attribute) and (
+                func.attr == "get" and _is_environ(func.value)
+            )
+            if environ_get or _callee(node) == "getenv":
+                keys.append((node.lineno, node.args[0]))
+        elif isinstance(node, ast.Subscript) and _is_environ(node.value):
+            keys.append((node.lineno, node.slice))
+        elif (
+            isinstance(node, ast.Compare)
+            and isinstance(node.ops[0], (ast.In, ast.NotIn))
+            and _is_environ(node.comparators[0])
+        ):
+            keys.append((node.lineno, node.left))
+    return keys
+
+
+def check_environment_knobs(sources: Optional[Dict[str, str]] = None) -> List[str]:
+    """Rule 9 over ``src/`` (or over ``sources``, name -> text, for the tests)."""
+    if sources is None:
+        sources = {
+            relative(path): path.read_text(encoding="utf-8")
+            for path in sorted(SOURCE_ROOT.rglob("*.py"))
+        }
+    violations: List[str] = []
+    knobs: Set[str] = set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        constants = {
+            target.id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for line, key in _environment_keys(tree):
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                value: Optional[str] = key.value
+            elif isinstance(key, ast.Name):
+                value = constants.get(key.id)
+            else:
+                value = None
+            if value is None:
+                violations.append(
+                    f"{name}:{line}: reads an environment variable whose name "
+                    "is not a string constant (name it, so the knob is visible)"
+                )
+            elif value.startswith("REPRO_"):
+                knobs.add(value)
+                if value not in ENVIRONMENT_KNOBS:
+                    violations.append(
+                        f"{name}:{line}: reads the unlisted knob {value} "
+                        "(add it to ENVIRONMENT_KNOBS deliberately, or drop it)"
+                    )
+    for missing in sorted(ENVIRONMENT_KNOBS - knobs):
+        violations.append(
+            f"scripts/lint_conventions.py:1: ENVIRONMENT_KNOBS lists {missing}, "
+            "which src/ no longer reads (drop it from the set)"
+        )
+    return violations
+
+
 def main() -> int:
     violations = (
         check_operator_faces()
@@ -401,6 +491,7 @@ def main() -> int:
         + check_scan_path()
         + check_kernel_sorts()
         + check_probe_counts()
+        + check_environment_knobs()
     )
     for violation in violations:
         print(violation)
@@ -411,7 +502,7 @@ def main() -> int:
         "lint: conventions hold "
         "(operator faces, defaults, BENCH_SMOKE, batch-face registry, "
         "immutable operators, one scan path, radix-only kernels, "
-        "probes counted per kernel call)"
+        "probes counted per kernel call, environment knobs)"
     )
     return 0
 

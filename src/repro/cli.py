@@ -63,7 +63,6 @@ from .evaluation import (
     NotSemanticallyAcyclic,
     YannakakisEvaluator,
     evaluate_generic,
-    iter_with_plan,
     resolve_route,
 )
 from .evaluation.semacyclic_eval import explain_route, verify_route
@@ -248,11 +247,7 @@ def _cmd_evaluate(args: argparse.Namespace, out: IO[str]) -> int:
     else:
         route, evaluator = _route(query, dependencies, args.engine)
         how = "reformulated+yannakakis" if route == "reformulated" else route
-        if evaluator is not None:
-            stream = evaluator.iter_answers(database, limit=limit)
-        else:
-            stream = iter_with_plan(query, database, limit=limit)
-        answers = sorted(stream, key=str)
+        answers = sorted(evaluator.iter_answers(database, limit=limit), key=str)
 
     print(f"evaluation: {how}", file=out)
     if limit is not None:
@@ -364,7 +359,7 @@ def _cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
     route = None
     if database is not None and queries and not errors(diagnostics):
         route, evaluator = _route(queries[0], dependencies, args.engine)
-        diagnostics.extend(verify_route(queries[0], database, evaluator))
+        diagnostics.extend(verify_route(database, evaluator))
 
     code = exit_code(diagnostics)
     if args.json:

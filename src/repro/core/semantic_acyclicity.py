@@ -521,34 +521,46 @@ def decide_semantic_acyclicity_egds(
     if query.is_acyclic():
         return SemAcDecision(True, query, "syntactic/egds", size_bound, 1, True, notes)
 
+    verifier = _EgdVerifier(query, egd_list)
     chase_result, _, answer = chase_of_query(query, (), egd_list, config)
     if chase_result.failed:
-        notes.append(
-            "the egd chase of the query fails; the query is unsatisfiable on "
-            "consistent databases and trivially equivalent to any acyclic CQ"
-        )
-        trivial = _trivial_acyclic_subquery(query)
-        return SemAcDecision(True, trivial, "failing-chase", size_bound, 1, True, notes)
+        # q is empty on every database satisfying the egds, so it is
+        # contained in any query of its arity.  q maps onto its image with
+        # all variables collapsed into one, so that image is contained in q;
+        # and the image is acyclic, since each atom holds one variable.
+        collapsed = _collapse_variables(query)
+        if verifier.equivalent(collapsed) is ContainmentOutcome.TRUE:
+            notes.append(
+                "the egd chase of the query fails, so the query is empty on "
+                "every database satisfying the egds, as is its acyclic image "
+                "with all variables collapsed into one"
+            )
+            return SemAcDecision(
+                True, collapsed, "failing-chase", size_bound, 1, True, notes
+            )
     return _guess_and_check(
         query,
         chase_result.instance,
         answer,
         size_bound,
-        _EgdVerifier(query, egd_list),
+        verifier,
         "egds",
         notes,
         config,
     )
 
 
-def _trivial_acyclic_subquery(query: ConjunctiveQuery) -> ConjunctiveQuery:
-    """A fallback acyclic query used when the chase of the query fails."""
-    for atom in query.body:
-        candidate_atoms = [atom]
-        available = atom.variables()
-        if set(query.head) <= available:
-            return ConjunctiveQuery(query.head, candidate_atoms, name=f"{query.name}_triv")
-    return query
+def _collapse_variables(query: ConjunctiveQuery) -> ConjunctiveQuery:
+    """``query`` (which has a variable) with every variable renamed to one:
+    the first head variable, else the first body variable.  Constants are
+    kept and repeated atoms dropped."""
+    variables = list(query.head) + [
+        term for atom in query.body for term in atom.terms if isinstance(term, Variable)
+    ]
+    mapping = {variable: variables[0] for variable in variables}
+    body = list(dict.fromkeys(atom.apply(mapping) for atom in query.body))
+    head = [variables[0]] * len(query.head)
+    return ConjunctiveQuery(head, body, name=f"{query.name}_collapsed")
 
 
 def decide_semantic_acyclicity_fds(

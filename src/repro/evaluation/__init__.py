@@ -36,11 +36,18 @@ build sides, code-range masks and ``bincount`` blocks, dedup over the radix
 order — no comparison sort), with answers bit-identical to the loop
 kernels.
 
+Every entry point routes through :func:`resolve_route`, which returns the
+chosen route's evaluator — :class:`YannakakisEvaluator` (and its
+:class:`DecompositionEvaluator` subclass) or, for the flat join-plan
+route, a :class:`PlanEvaluator` — and runs it through the faces they
+share (``evaluate``, ``iter_answers``, ``boolean``, ``explain``).
+
 Batches of queries over one database go through :func:`evaluate_batch`
 (:mod:`repro.evaluation.batch`), which shares the phase-1 atom scans and
 hash partitions across the whole batch via a :class:`ScanCache`; the same
-cache can be injected into any single-query entry point through its
-``scans=`` parameter.
+cache — a standing :class:`repro.service.QueryService`'s included — can
+be injected into any single-query entry point through its ``scans=``
+parameter.
 """
 
 from .relation import Partition, Relation, ScanProvider, SchemaError
@@ -69,6 +76,7 @@ from .yannakakis import (
 from .generic import boolean_generic, evaluate_generic, membership_generic
 from .join_plans import (
     JoinPlan,
+    PlanEvaluator,
     PlanExecution,
     PlanStep,
     PlanTree,
@@ -103,7 +111,6 @@ from .semacyclic_eval import (
     membership_via_cover_game_egds,
     membership_via_cover_game_guarded,
     resolve_route,
-    service_enabled,
 )
 
 __all__ = [
@@ -125,6 +132,7 @@ __all__ = [
     "Operator",
     "PARALLEL_MIN_ROWS",
     "Partition",
+    "PlanEvaluator",
     "PlanExecution",
     "PlanStep",
     "PlanTree",
@@ -170,5 +178,4 @@ __all__ = [
     "render_plan",
     "resolve_planner",
     "resolve_route",
-    "service_enabled",
 ]

@@ -20,11 +20,12 @@ This module amortises them:
   own).  Every execution context reads its scans through a cache: an
   injected one, or one built for the run.
 
-* :class:`BatchEvaluator` routes each query of a batch to the cheapest
-  applicable engine — Yannakakis for acyclic queries, Yannakakis on an
-  acyclic reformulation (Proposition 24) when tgds make the query
-  semantically acyclic, a greedy hash-join plan otherwise — and drives all
-  of them against one shared :class:`ScanCache`.
+* :class:`BatchEvaluator` routes each query of a batch through
+  :func:`~repro.evaluation.semacyclic_eval.resolve_route` — Yannakakis for
+  acyclic queries, Yannakakis on an acyclic reformulation (Proposition 24)
+  when tgds make the query semantically acyclic, the decomposition route
+  for the other cyclic queries — and drives all of them against one shared
+  :class:`ScanCache`.
 
 The public batch entry point is
 :func:`repro.evaluation.semacyclic_eval.evaluate_batch`; the benchmark
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import threading
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -51,12 +53,6 @@ from ..datamodel import Instance, Predicate, Term, Variable
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
 from .encoding import EncodedRelation, TermEncoder
-from .join_plans import (
-    evaluate_with_plan,
-    explain_plan,
-    iter_with_plan,
-    resolve_planner,
-)
 from .relation import (
     Relation,
     Row,
@@ -65,7 +61,9 @@ from .relation import (
     ScanTarget,
     compile_scan_pattern,
 )
-from .yannakakis import YannakakisEvaluator
+
+if TYPE_CHECKING:
+    from .semacyclic_eval import RouteEvaluator
 
 
 class CacheBindingError(ValueError):
@@ -371,11 +369,12 @@ class BatchEvaluator:
     * ``"decomposition"`` — the query is cyclic with no reformulation: the
       bags of a min-fill tree decomposition are materialised and Yannakakis
       runs over the bag tree (polynomial for fixed decomposition width);
-    * ``"plan"`` — forced fallback (``engine="plan"``): a join plan picked
-      by the default planner on the Relation engine (worst-case exponential
-      in the query, as CQ evaluation must be).
+    * ``"plan"`` — the nullary query (empty body), whose one empty answer
+      the flat join-plan route gives.
 
-    :meth:`evaluate` then drives every route against one shared
+    Every route is an evaluator with the same faces, so :meth:`evaluate`,
+    :meth:`evaluate_iter` and :meth:`explain` are one loop over the routes.
+    :meth:`evaluate` drives every route against one shared
     :class:`ScanCache`, so the batch pays each base scan, key index and
     partition once;
     :meth:`evaluate_sequential` is the one-at-a-time baseline with identical
@@ -390,31 +389,16 @@ class BatchEvaluator:
     ) -> None:
         self.queries: List[ConjunctiveQuery] = list(queries)
         self.tgds: Tuple[TGD, ...] = tuple(tgds)
-        self._routes: List[Tuple[str, Optional[YannakakisEvaluator]]] = [
-            self._route(query) for query in self.queries
-        ]
-
-    def _route(self, query: ConjunctiveQuery) -> Tuple[str, Optional[YannakakisEvaluator]]:
         # Shared routing (lazy import: semacyclic_eval imports this module).
         from .semacyclic_eval import resolve_route
 
-        return resolve_route(query, tgds=self.tgds)
+        self._routes: List[Tuple[str, "RouteEvaluator"]] = [
+            resolve_route(query, tgds=self.tgds) for query in self.queries
+        ]
 
     def routes(self) -> List[str]:
         """The route chosen per query (aligned with ``self.queries``)."""
         return [kind for kind, _ in self._routes]
-
-    def _evaluate_one(
-        self,
-        query: ConjunctiveQuery,
-        route: Tuple[str, Optional[YannakakisEvaluator]],
-        database: Instance,
-        scans: Optional[ScanProvider],
-    ) -> Set[Tuple[Term, ...]]:
-        kind, evaluator = route
-        if evaluator is not None:  # "yannakakis" and "reformulated"
-            return evaluator.evaluate(database, scans=scans)
-        return evaluate_with_plan(query, database, scans=scans)
 
     def evaluate(
         self,
@@ -428,9 +412,8 @@ class BatchEvaluator:
         ``scans`` supplies one (pass an explicit cache to amortise across
         *calls* as well, e.g. for a standing query batch over a database
         that did not change).  Data complexity: each predicate's base
-        relation is scanned and encoded once, after which every acyclic (or reformulated)
-        query adds its own linear semi-join/join cost and every plan-routed
-        query its plan cost.
+        relation is scanned and encoded once, after which every query adds
+        the cost of its own route.
 
         The queries run one after another.  The shared cache is
         thread-safe (scans serialise on its lock), so client threads may
@@ -438,10 +421,7 @@ class BatchEvaluator:
         """
         if scans is None:
             scans = ScanCache(database)
-        return [
-            self._evaluate_one(query, route, database, scans)
-            for query, route in zip(self.queries, self._routes)
-        ]
+        return [evaluator.evaluate(database, scans=scans) for _, evaluator in self._routes]
 
     def evaluate_iter(
         self,
@@ -454,31 +434,19 @@ class BatchEvaluator:
 
         The streaming face of :meth:`evaluate`: the list is aligned with
         ``self.queries`` and each element lazily streams that query's
-        distinct answers — Yannakakis' streaming phase 4 for the
-        ``"yannakakis"``/``"reformulated"`` routes, the block-streamed final
-        join for the ``"plan"`` route.  Nothing touches the database until a
-        generator is pulled; the generators may be consumed in any order and
-        interleaved, and they all draw their phase-1 scans from the same
-        cache, so whichever generator first needs a predicate pays for its
-        base scan and the rest reuse it.  ``limit`` applies per query.
+        distinct answers through its route's ``iter_answers``.  Nothing
+        touches the database until a generator is pulled; the generators
+        may be consumed in any order and interleaved, and they all draw
+        their phase-1 scans from the same cache, so whichever generator
+        first needs a predicate pays for its base scan and the rest reuse
+        it.  ``limit`` applies per query.
         """
         if scans is None:
             scans = ScanCache(database)
-
-        def stream_plan(query: ConjunctiveQuery) -> Iterator[Tuple[Term, ...]]:
-            # Wrapped in a generator so even the *planning* (which scans
-            # per-predicate cardinalities) waits for the first pull.
-            yield from iter_with_plan(query, database, scans=scans, limit=limit)
-
-        iterators: List[Iterator[Tuple[Term, ...]]] = []
-        for query, (kind, evaluator) in zip(self.queries, self._routes):
-            if evaluator is not None:  # "yannakakis" and "reformulated"
-                iterators.append(
-                    evaluator.iter_answers(database, scans=scans, limit=limit)
-                )
-            else:
-                iterators.append(stream_plan(query))
-        return iterators
+        return [
+            evaluator.iter_answers(database, scans=scans, limit=limit)
+            for _, evaluator in self._routes
+        ]
 
     def explain(
         self,
@@ -489,31 +457,20 @@ class BatchEvaluator:
     ) -> List[str]:
         """Per-query ``EXPLAIN`` output over one shared :class:`ScanCache`.
 
-        Aligned with ``self.queries``; each entry names the chosen route
-        and renders the compiled operator plan with estimated vs. observed
-        cardinalities (see :func:`repro.evaluation.semacyclic_eval
-        .explain`, whose formatting this matches).  All plans draw their
-        scans and statistics from one cache, so explaining a batch costs
-        each distinct base scan once.
+        Aligned with ``self.queries``; entry ``i`` is what
+        :func:`repro.evaluation.semacyclic_eval.explain_route` reports for
+        query ``i`` and its route.  All plans draw their scans and
+        statistics from one cache, so explaining a batch costs each
+        distinct base scan once.
         """
+        from .semacyclic_eval import explain_route
+
         if scans is None:
             scans = ScanCache(database)
-        reports: List[str] = []
-        for query, (kind, evaluator) in zip(self.queries, self._routes):
-            lines = [f"query: {query}", f"route: {kind}"]
-            if evaluator is not None:  # "yannakakis" and "reformulated"
-                if kind == "reformulated":
-                    lines.append(f"reformulation: {evaluator.query}")
-                lines.append(
-                    evaluator.explain(database, scans=scans, execute=execute)
-                )
-            else:
-                plan = resolve_planner(None)(query, database, scans=scans)
-                lines.append(
-                    explain_plan(plan, database, scans=scans, execute=execute)
-                )
-            reports.append("\n".join(lines))
-        return reports
+        return [
+            explain_route(query, database, kind, evaluator, scans=scans, execute=execute)
+            for query, (kind, evaluator) in zip(self.queries, self._routes)
+        ]
 
     def evaluate_sequential(self, database: Instance) -> List[Set[Tuple[Term, ...]]]:
         """The per-query baseline: identical routing, no shared scans.
@@ -522,7 +479,4 @@ class BatchEvaluator:
         one-query-at-a-time entry points do — this is the benchmark baseline and the differential
         oracle for :meth:`evaluate`.
         """
-        return [
-            self._evaluate_one(query, route, database, None)
-            for query, route in zip(self.queries, self._routes)
-        ]
+        return [evaluator.evaluate(database) for _, evaluator in self._routes]

@@ -48,7 +48,7 @@ old heuristic and the ablation-only planners live with the tests
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..datamodel import Atom, Instance, Term, Variable
 from ..queries.cq import ConjunctiveQuery
@@ -376,6 +376,11 @@ def compile_plan(plan: JoinPlan) -> List[Operator]:
     return ops
 
 
+def _head_projection(plan: JoinPlan) -> Operator:
+    """The head projection over a non-empty plan's compiled root."""
+    return Project(compile_plan(plan)[-1], first_occurrence_schema(plan.query.head))
+
+
 def execute_plan(
     plan: JoinPlan,
     database: Instance,
@@ -439,7 +444,7 @@ def iter_plan_answers(
         return
     top = plan._stream_top
     if top is None:
-        top = Project(compile_plan(plan)[-1], first_occurrence_schema(plan.query.head))
+        top = _head_projection(plan)
         maybe_verify_plan(top, where="join_plans.iter_plan_answers")
         plan._stream_top = top
     context = ExecutionContext(database, scans)
@@ -546,8 +551,7 @@ def explain_plan(
     """
     if not plan.steps:
         return "(empty plan: the nullary query)"
-    ops = compile_plan(plan)
-    top: Operator = Project(ops[-1], first_occurrence_schema(plan.query.head))
+    top = _head_projection(plan)
     maybe_verify_plan(top, where="join_plans.explain_plan")
     model = CostModel(
         statistics if statistics is not None else Statistics(database, scans)
@@ -614,3 +618,99 @@ def boolean_with_plan(
     for _ in iter_with_plan(query, database, planner=planner, scans=scans, limit=1):
         return True
     return False
+
+
+class PlanEvaluator:
+    """The flat join-plan route, with the faces of a route evaluator.
+
+    :func:`~repro.evaluation.semacyclic_eval.resolve_route` returns one for
+    ``engine="plan"`` and for the nullary query, so every caller runs
+    ``evaluator.<face>(database, scans=...)`` whatever the route, as it
+    does on a :class:`~repro.evaluation.yannakakis.YannakakisEvaluator`.
+
+    A join plan depends on the data, so each mode — materialising (the
+    Selinger DP's bushy tree) and streaming (its left-deep restriction, see
+    :func:`resolve_planner`) — is planned on its first run, through that
+    run's scan provider, and kept: later runs reuse it, and the plan
+    compiles its operators once (see :class:`JoinPlan`).  Two threads
+    racing on a miss plan equal plans and one of them is kept.
+    """
+
+    def __init__(self, query: ConjunctiveQuery) -> None:
+        self.query = query
+        #: The join plan per mode: key ``False`` materialising, ``True`` streaming.
+        self._plans: Dict[bool, JoinPlan] = {}
+
+    def _plan(
+        self,
+        database: Optional[Instance],
+        scans: Optional[ScanProvider] = None,
+        *,
+        streaming: bool = False,
+    ) -> JoinPlan:
+        """The plan of one mode, planned over ``database`` on first use."""
+        plan = self._plans.get(streaming)
+        if plan is None:
+            if database is None:
+                raise ValueError("a join plan is planned over a database; pass one")
+            planner = resolve_planner(None, streaming=streaming)
+            plan = self._plans[streaming] = planner(self.query, database, scans=scans)
+        return plan
+
+    def evaluate(
+        self, database: Instance, *, scans: Optional[ScanProvider] = None
+    ) -> Set[Tuple[Term, ...]]:
+        """The full answer set, on the materialising plan."""
+        # One cache for the planner's statistics and the executed scans.
+        scans = default_scans(database, scans)
+        return execute_plan(self._plan(database, scans), database, scans=scans).answers
+
+    def iter_answers(
+        self,
+        database: Instance,
+        *,
+        scans: Optional[ScanProvider] = None,
+        limit: Optional[int] = None,
+    ) -> Iterator[Tuple[Term, ...]]:
+        """Stream the answers on the left-deep plan (see :func:`iter_plan_answers`).
+
+        A generator: like the Yannakakis stream, it plans nothing and reads
+        nothing before the first ``next()``.
+        """
+        scans = default_scans(database, scans)
+        plan = self._plan(database, scans, streaming=True)
+        yield from iter_plan_answers(plan, database, scans=scans, limit=limit)
+
+    def boolean(self, database: Instance, *, scans: Optional[ScanProvider] = None) -> bool:
+        """Whether the query has an answer: the stream stops at the first."""
+        for _ in self.iter_answers(database, scans=scans, limit=1):
+            return True
+        return False
+
+    def explain(
+        self,
+        database: Instance,
+        *,
+        scans: Optional[ScanProvider] = None,
+        execute: bool = True,
+    ) -> str:
+        """The materialising plan with estimated vs. observed rows (see :func:`explain_plan`)."""
+        scans = default_scans(database, scans)
+        return explain_plan(self._plan(database, scans), database, scans=scans, execute=execute)
+
+    def compile_answer_plan(self, database: Optional[Instance] = None) -> Operator:
+        """The head projection over the materialising plan's operators."""
+        return _head_projection(self._plan(database))
+
+    def compile_stream_plan(self, database: Optional[Instance] = None) -> Operator:
+        """The head projection over the streaming plan's operator chain."""
+        return _head_projection(self._plan(database, streaming=True))
+
+    def compiled_plans(self, database: Optional[Instance] = None) -> List[Operator]:
+        """Both modes' operator plans, planned over ``database`` if no run
+        has planned them yet; none for the nullary query, which runs no
+        operator."""
+        if not self.query.body:
+            return []
+        return [self.compile_answer_plan(database), self.compile_stream_plan(database)]
+

@@ -21,17 +21,19 @@ Three routes are implemented:
 
 Route selection is shared: :func:`resolve_route` picks
 Yannakakis / reformulation / decomposition / flat-plan exactly once for
-:func:`evaluate_iter`, :class:`~repro.evaluation.batch.BatchEvaluator` and
-the CLI alike, and :func:`explain` pretty-prints whichever physical
-operator plan the chosen route compiles, with the cost model's estimated
-cardinalities next to the executed, observed ones.
+:func:`evaluate_iter`, :class:`~repro.evaluation.batch.BatchEvaluator`,
+:class:`repro.service.QueryService` and the CLI alike.  Every route comes
+back as an evaluator with the same faces (the flat plan route's is a
+:class:`~repro.evaluation.join_plans.PlanEvaluator`), so callers run it
+without asking which route it is, and :func:`explain` pretty-prints
+whichever physical operator plan the chosen route compiles, with the cost
+model's estimated cardinalities next to the executed, observed ones.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..chase.egd_chase import egd_chase_query
 from ..chase.tgd_chase import chase_query
@@ -47,8 +49,7 @@ from .cover_game import (
     query_covers_database,
 )
 from .generic import membership_generic
-from .join_plans import JoinPlan, explain_plan, iter_with_plan, resolve_planner
-from .operators import Statistics
+from .join_plans import PlanEvaluator
 from .relation import Relation, ScanProvider
 from .yannakakis import AcyclicityRequired, YannakakisEvaluator
 
@@ -60,22 +61,12 @@ class NotSemanticallyAcyclic(ValueError):
     """Raised when a reformulation-based evaluator gets a non-reformulable query."""
 
 
-#: Environment variable routing the one-shot entry points through the
-#: long-lived :class:`repro.service.QueryService` registry.
-SERVICE_ENV = "REPRO_SERVICE"
-
-
-def service_enabled() -> bool:
-    """Whether ``REPRO_SERVICE`` routes evaluation through a shared service.
-
-    When enabled (set to anything but ``""``/``"0"``/``"false"``), calls to
-    :func:`evaluate_iter` and :func:`evaluate_batch` that do *not* supply
-    their own scan provider are served by the per-database
-    :func:`repro.service.shared_service` — so repeated one-shot calls gain
-    the service's epoch-aware scan cache and query-shape plan cache.
-    An explicit ``scans=`` always wins over the service seam.
-    """
-    return os.environ.get(SERVICE_ENV, "").strip().lower() not in ("", "0", "false")
+#: What :func:`resolve_route` returns to run a route: a Yannakakis-shaped
+#: evaluator (``yannakakis``, ``reformulated``, ``decomposition``) or the
+#: flat join-plan route's :class:`PlanEvaluator`.  Both have the faces
+#: ``evaluate``, ``iter_answers``, ``boolean``, ``explain`` and
+#: ``compiled_plans``.
+RouteEvaluator = Union[YannakakisEvaluator, PlanEvaluator]
 
 
 @dataclass
@@ -171,14 +162,13 @@ def _route_verified(
     eagerly here — each compiler runs the static verifier on what it emits
     (:func:`repro.analysis.verify_plan.maybe_verify`), so a plan violating
     the IR contracts fails at *routing* time, before any execution.  The
-    plan route is covered by the same hook inside
-    :mod:`repro.evaluation.join_plans` when its plans are compiled.
+    flat plan route, whose plans need the data, is covered by the same hook
+    inside :mod:`repro.evaluation.join_plans` when its plans are compiled.
     """
     from ..analysis.verify_plan import verification_enabled
 
     if verification_enabled():
-        evaluator.compile_answer_plan()
-        evaluator.compile_stream_plan()
+        evaluator.compiled_plans()
     return (route, evaluator)
 
 
@@ -187,7 +177,7 @@ def resolve_route(
     *,
     tgds: Sequence[TGD] = (),
     engine: str = "auto",
-) -> Tuple[str, Optional[YannakakisEvaluator]]:
+) -> Tuple[str, RouteEvaluator]:
     """Pick the evaluation route for ``query`` (shared by every entry point).
 
     Returns ``(route, evaluator)`` where ``route`` is one of
@@ -196,16 +186,20 @@ def resolve_route(
     reformulation), ``"decomposition"`` (cyclic query — ``evaluator`` is a
     :class:`~repro.evaluation.planner_dp.DecompositionEvaluator`
     materialising tree-decomposition bags and running Yannakakis over the
-    bag tree) or ``"plan"`` (flat join-plan fallback, ``evaluator`` is
-    ``None``; reachable only by forcing ``engine="plan"``).  ``engine``
-    forces a route the same way it does on
-    :func:`evaluate_iter`; routing work (join tree construction, the
-    reformulation search) happens here, eagerly.  With the ``REPRO_VERIFY``
-    environment variable set (to anything but ``0``/``false``/``no``), the
-    chosen evaluator's plans are compiled and statically verified here too
-    (:mod:`repro.analysis.verify_plan`), so an IR-contract violation
-    surfaces at routing time as a
-    :class:`~repro.analysis.PlanVerificationError`.
+    bag tree) or ``"plan"`` (flat join-plan fallback, ``evaluator`` is a
+    :class:`~repro.evaluation.join_plans.PlanEvaluator`, which plans on its
+    first run; reached by forcing ``engine="plan"`` and by the nullary
+    query).  Callers run every route the same way,
+    ``evaluator.<face>(database, scans=...)``.  ``engine`` forces a route
+    the same way it does on :func:`evaluate_iter`; routing work (join tree
+    construction, the reformulation search) happens here, eagerly.  With
+    the ``REPRO_VERIFY`` environment variable set (to anything but
+    ``0``/``false``/``no``), the chosen evaluator's plans are compiled and
+    statically verified here too (:mod:`repro.analysis.verify_plan`), so an
+    IR-contract violation surfaces at routing time as a
+    :class:`~repro.analysis.PlanVerificationError`.  A query without atoms
+    takes the flat plan route even under tgds: its one empty answer needs
+    no reformulation.
 
     Raises:
         ValueError: for an unknown ``engine``.
@@ -224,7 +218,7 @@ def resolve_route(
         except AcyclicityRequired:
             if engine == "yannakakis":
                 raise
-    if engine in ("auto", "reformulation") and (tgds or engine == "reformulation"):
+    if engine == "reformulation" or (engine == "auto" and tgds and query.body):
         from ..core.semantic_acyclicity import find_acyclic_reformulation_tgds
 
         reformulation = find_acyclic_reformulation_tgds(query, tgds)
@@ -238,7 +232,7 @@ def resolve_route(
         from .planner_dp import DecompositionEvaluator
 
         return _route_verified("decomposition", DecompositionEvaluator(query))
-    return ("plan", None)
+    return ("plan", PlanEvaluator(query))
 
 
 def evaluate_iter(
@@ -274,26 +268,14 @@ def evaluate_iter(
     ``limit`` caps the number of answers at ``min(limit, |q(D)|)``; ``scans``
     injects a shared scan provider (e.g. a
     :class:`~repro.evaluation.batch.ScanCache`) for phase 1.  Routing (join
-    tree / reformulation search / planning) happens eagerly at call time, so
-    route errors surface here rather than at the first ``next()``.
-
-    Under ``REPRO_SERVICE`` (see :func:`service_enabled`) a call without an
-    explicit ``scans=`` is delegated to the per-database
-    :class:`repro.service.QueryService`, gaining its epoch-aware scan cache
-    and plan cache; the stream then raises
-    :class:`repro.service.ConcurrentMutationError` if the database mutates
-    while the generator is open.
+    tree / reformulation search) happens eagerly at call time, so route
+    errors surface here rather than at the first ``next()``; the flat plan
+    route plans at the first ``next()``, over the data it then reads.  A
+    standing :class:`repro.service.QueryService` streams through the same
+    routes with a plan cache and an epoch guard.
     """
-    if scans is None and service_enabled():
-        from ..service import shared_service
-
-        return shared_service(database).stream(
-            query, tgds=tgds, engine=engine, limit=limit
-        )
-    route, evaluator = resolve_route(query, tgds=tgds, engine=engine)
-    if evaluator is not None:  # "yannakakis" and "reformulated"
-        return evaluator.iter_answers(database, scans=scans, limit=limit)
-    return iter_with_plan(query, database, scans=scans, limit=limit)
+    _, evaluator = resolve_route(query, tgds=tgds, engine=engine)
+    return evaluator.iter_answers(database, scans=scans, limit=limit)
 
 
 def explain(
@@ -340,7 +322,7 @@ def explain_route(
     query: ConjunctiveQuery,
     database: Instance,
     route: str,
-    evaluator: Optional[YannakakisEvaluator],
+    evaluator: RouteEvaluator,
     *,
     scans: Optional[ScanProvider] = None,
     execute: bool = True,
@@ -352,35 +334,18 @@ def explain_route(
         # the executed plan all draw the same base scans and partitions.
         scans = ScanCache(database)
     lines = [f"query: {query}", f"route: {route}"]
-    plan = None
-    if evaluator is not None:
-        if route == "reformulated":
-            lines.append(f"reformulation: {evaluator.query}")
-        if route == "decomposition":
-            decomposition = evaluator.decomposition
-            bags = ", ".join(
-                "{" + ", ".join(sorted(str(v) for v in decomposition.bag(node))) + "}"
-                for node in decomposition.nodes()
-            )
-            lines.append(
-                f"decomposition: width {decomposition.width}, bags {bags}"
-            )
-        lines.append(evaluator.explain(database, scans=scans, execute=execute))
-    else:
-        statistics = Statistics(database, scans)
-        planner = resolve_planner(None)
-        plan = planner(query, database, scans=scans, statistics=statistics)
-        lines.append(
-            explain_plan(
-                plan,
-                database,
-                scans=scans,
-                statistics=statistics,
-                execute=execute,
-            )
+    if route == "reformulated":
+        lines.append(f"reformulation: {evaluator.query}")
+    if route == "decomposition":
+        decomposition = evaluator.decomposition  # type: ignore[union-attr]
+        bags = ", ".join(
+            "{" + ", ".join(sorted(str(v) for v in decomposition.bag(node))) + "}"
+            for node in decomposition.nodes()
         )
+        lines.append(f"decomposition: width {decomposition.width}, bags {bags}")
+    lines.append(evaluator.explain(database, scans=scans, execute=execute))
     if verify:
-        diagnostics = verify_route(query, database, evaluator, plan)
+        diagnostics = verify_route(database, evaluator)
         if diagnostics:
             lines.append(f"verification: {len(diagnostics)} diagnostic(s)")
             lines.extend(f"  {diagnostic.render()}" for diagnostic in diagnostics)
@@ -389,34 +354,20 @@ def explain_route(
     return "\n".join(lines)
 
 
-def verify_route(
-    query: ConjunctiveQuery,
-    database: Instance,
-    evaluator: Optional[YannakakisEvaluator],
-    plan: Optional[JoinPlan] = None,
-) -> List["Diagnostic"]:
+def verify_route(database: Instance, evaluator: RouteEvaluator) -> List["Diagnostic"]:
     """The static plan verifier's diagnostics on the plans a route runs.
 
-    An evaluator route is checked on both plan faces (one plan when the
-    stream iterates the answer plan, which is then checked as the
-    materialising plan it is); the flat-plan route (``evaluator`` is
-    ``None``) on ``plan``, planned here when not given.
+    Every route is checked on both plan faces (one plan when the stream
+    iterates the answer plan); the flat plan route plans them over
+    ``database`` unless a run already has.
     """
     from ..analysis.verify_plan import verify_plan
 
-    if evaluator is not None:
-        answer = evaluator.compile_answer_plan()
-        stream = evaluator.compile_stream_plan()
-        return [*verify_plan(answer), *(verify_plan(stream) if stream is not answer else [])]
-    if plan is None:
-        plan = resolve_planner(None)(query, database)
-    if not plan.steps:
-        return []
-    from .join_plans import compile_plan
-    from .operators import Project, first_occurrence_schema
-
-    top = Project(compile_plan(plan)[-1], first_occurrence_schema(query.head))
-    return list(verify_plan(top))
+    return [
+        diagnostic
+        for plan in evaluator.compiled_plans(database)
+        for diagnostic in verify_plan(plan)
+    ]
 
 
 def evaluate_batch(
@@ -429,10 +380,10 @@ def evaluate_batch(
 ) -> List[Set[Tuple[Term, ...]]]:
     """Evaluate a batch of CQs over one database; return one answer set each.
 
-    Each query is routed to the cheapest applicable engine (Yannakakis for
-    acyclic queries, Yannakakis on an acyclic reformulation under ``tgds``
-    via Proposition 24, a greedy hash-join plan otherwise — see
-    :class:`repro.evaluation.batch.BatchEvaluator`).
+    Each query is routed by :func:`resolve_route` (Yannakakis for acyclic
+    queries, Yannakakis on an acyclic reformulation under ``tgds`` via
+    Proposition 24, the decomposition route for the remaining cyclic
+    queries — see :class:`repro.evaluation.batch.BatchEvaluator`).
 
     ``engine`` selects the phase-1 strategy:
 
@@ -460,10 +411,6 @@ def evaluate_batch(
             "scans= is meaningless with engine='sequential' (the baseline "
             "shares nothing); drop it or use engine='batch'"
         )
-    if engine == "batch" and scans is None and service_enabled():
-        from ..service import shared_service
-
-        scans = shared_service(database).scans
     batch = BatchEvaluator(queries, tgds=tgds)
     if engine == "batch":
         return batch.evaluate(database, scans=scans)

@@ -259,6 +259,14 @@ class YannakakisEvaluator:
             return self.compile_answer_plan()
         return self._compiled("stream", self._compile_stream_plan)
 
+    def compiled_plans(self, database: Optional[Instance] = None) -> List[Operator]:
+        """The distinct plans the evaluator runs: the answer plan, and the
+        stream plan when it differs.  They follow the query alone, so
+        ``database`` (which the flat plan route plans over) is unused."""
+        answer = self.compile_answer_plan()
+        stream = self.compile_stream_plan()
+        return [answer] if stream is answer else [answer, stream]
+
     def _compile_stream_plan(self) -> Operator:
         ops = self.compile_reduction()
         nodes = self._head_nodes()

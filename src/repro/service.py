@@ -8,10 +8,10 @@ requests and stay correct across writes.  :class:`QueryService` is that
 substrate:
 
 * it owns one epoch-aware :class:`~repro.evaluation.batch.ScanCache` (and
-  its append-only :class:`~repro.evaluation.encoding.TermEncoder`) plus one
-  :class:`~repro.evaluation.operators.Statistics` per database, so scans,
-  partitions, encodings, and planning statistics amortise across *requests*,
-  not just across the queries of one batch;
+  its append-only :class:`~repro.evaluation.encoding.TermEncoder`) per
+  database, so scans, partitions, encodings, and the planning statistics
+  read from them amortise across *requests*, not just across the queries
+  of one batch;
 
 * writes go through :meth:`insert`/:meth:`delete`, which bump the
   database's mutation epoch; the scan cache then absorbs the delta
@@ -24,7 +24,8 @@ substrate:
   (:func:`repro.queries.core_minimization.core`) and canonically relabelled
   (:func:`canonical_form`).  So every renamed variant *and every anchor*
   of one query shares a single cached route and evaluator — and with it
-  the evaluator's compiled plans, which each request runs in its own
+  the evaluator's compiled plans (the flat plan route's join plans too,
+  planned on its first request), which each request runs in its own
   execution context through a per-request scan provider that binds its
   anchors into every scanned atom (:class:`BoundScans`).  The lifting is
   sound because homomorphisms fix constants: an injective renaming of
@@ -42,20 +43,19 @@ substrate:
   post-mutation answers.
 
 The one-shot entry points (:func:`repro.evaluation.semacyclic_eval
-.evaluate_iter`/``evaluate_batch``) route through :func:`shared_service`
-when the ``REPRO_SERVICE`` environment variable is set, which is how the
-whole test suite can run through the service layer (the ``tier1-service``
-CI job).
+.evaluate_iter`/``evaluate_batch``) never route through a service; a
+caller that wants one holds a :class:`QueryService`, and can hand its
+:attr:`QueryService.scans` to them as ``scans=``.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Iterator,
     List,
@@ -71,13 +71,6 @@ from .datamodel import Atom, Constant, Instance, Predicate, Term, Variable
 from .dependencies.tgd import TGD
 from .evaluation.batch import ScanCache
 from .evaluation.encoding import EncodedRelation
-from .evaluation.join_plans import (
-    JoinPlan,
-    execute_plan,
-    iter_plan_answers,
-    resolve_planner,
-)
-from .evaluation.operators import Statistics
 from .evaluation.relation import (
     Relation,
     ScanPattern,
@@ -87,6 +80,9 @@ from .evaluation.relation import (
 )
 from .queries.core_minimization import core
 from .queries.cq import ConjunctiveQuery
+
+if TYPE_CHECKING:
+    from .evaluation.semacyclic_eval import RouteEvaluator
 
 
 class ConcurrentMutationError(RuntimeError):
@@ -281,13 +277,10 @@ class _PlanEntry:
     """One cached route: the canonical lifted core plus its compiled evaluator."""
 
     kind: str
-    evaluator: Optional[object]  # YannakakisEvaluator-shaped, or None ("plan")
+    evaluator: "RouteEvaluator"
     query: ConjunctiveQuery  # the canonical lifted core the route was compiled for
     planned_epoch: int
     planned_size: int
-    #: The ``"plan"`` route's join plans, planned on first use: key ``False``
-    #: for the materialising mode, ``True`` for the streaming one.
-    join_plans: Dict[bool, JoinPlan] = field(default_factory=dict)
 
 
 class QueryService:
@@ -306,9 +299,6 @@ class QueryService:
         #: Cached scans/partitions/encodings, kept fresh across writes by
         #: journal replay + in-place delta merges.
         self.scans = ScanCache(database)
-        #: Planning statistics, served through the shared scan cache and
-        #: refreshed per mutation epoch.
-        self.statistics = Statistics(database, self.scans)
         #: Relative database-size drift past which a cached plan is
         #: re-planned on next use (0.3 = 30%).
         self.replan_drift = replan_drift
@@ -393,30 +383,6 @@ class QueryService:
         self.plan_misses += 1
         return entry
 
-    def _join_plan(self, entry: _PlanEntry, streaming: bool) -> JoinPlan:
-        """The ``"plan"`` route's join plan for one mode, planned once per entry.
-
-        The plan compiles its operator chain on its first run and keeps it
-        (see :class:`~repro.evaluation.join_plans.JoinPlan`), so warm
-        requests on this route neither plan nor compile.
-
-        The planner sees the lifted query: its cost model prices an anchored
-        scan by the bucket histogram of the pinned columns, never by the
-        anchor, so the plan is right for every binding.  Two threads racing
-        on a miss plan equal plans and one of them is kept.
-        """
-        plan = entry.join_plans.get(streaming)
-        if plan is None:
-            planner = resolve_planner(None, streaming=streaming)
-            plan = planner(
-                entry.query,
-                self.database,
-                scans=self.scans,
-                statistics=self.statistics,
-            )
-            entry.join_plans[streaming] = plan
-        return plan
-
     def _scans_for(self, params: Mapping[Term, Term]) -> ScanProvider:
         """The scan provider of one request: its anchors bound, if it has any."""
         return BoundScans(self.scans, params) if params else self.scans
@@ -492,13 +458,7 @@ class QueryService:
         scans = self._scans_for(params)
         self._begin_read()
         try:
-            if entry.evaluator is not None:  # yannakakis / reformulated / decomposition
-                return entry.evaluator.evaluate(  # type: ignore[attr-defined]
-                    self.database, scans=scans
-                )
-            return execute_plan(
-                self._join_plan(entry, streaming=False), self.database, scans=scans
-            ).answers
+            return entry.evaluator.evaluate(self.database, scans=scans)
         finally:
             self._end_read()
 
@@ -520,18 +480,9 @@ class QueryService:
         backpressure knob: at most that many answers are ever computed.
         """
         entry, params = self._entry(query, tuple(tgds), engine)
-        scans = self._scans_for(params)
-        if entry.evaluator is not None:
-            inner = entry.evaluator.iter_answers(  # type: ignore[attr-defined]
-                self.database, scans=scans, limit=limit
-            )
-        else:
-            inner = iter_plan_answers(
-                self._join_plan(entry, streaming=True),
-                self.database,
-                scans=scans,
-                limit=limit,
-            )
+        inner = entry.evaluator.iter_answers(
+            self.database, scans=self._scans_for(params), limit=limit
+        )
         opened = getattr(self.database, "mutation_epoch", 0)
         return self._guarded(inner, opened)
 
@@ -638,34 +589,3 @@ class QueryService:
                 )
         return diagnostics
 
-
-# ----------------------------------------------------------------------
-# The per-database service registry (the REPRO_SERVICE seam)
-# ----------------------------------------------------------------------
-#: Most-recently-used bound on live services (each pins its database).
-SERVICE_REGISTRY_LIMIT = 64
-
-_services: "OrderedDict[int, QueryService]" = OrderedDict()
-
-
-def shared_service(database: Instance) -> QueryService:
-    """The process-wide :class:`QueryService` for ``database`` (LRU-bounded).
-
-    Keyed by object identity — the service's caches follow the instance's
-    own mutation epochs, so two equal-but-distinct instances must not share
-    one.  (The registry holds strong references, which is what makes the
-    ``id()`` key safe: a registered database cannot be collected and its id
-    recycled while its entry lives.)  The least recently used service is
-    dropped beyond :data:`SERVICE_REGISTRY_LIMIT`.
-    """
-    key = id(database)
-    service = _services.get(key)
-    if service is not None and service.database is database:
-        _services.move_to_end(key)
-        return service
-    service = QueryService(database)
-    _services[key] = service
-    _services.move_to_end(key)
-    while len(_services) > SERVICE_REGISTRY_LIMIT:
-        _services.popitem(last=False)
-    return service

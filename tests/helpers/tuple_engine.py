@@ -326,17 +326,17 @@ def evaluate_route(
     query: ConjunctiveQuery, database: Instance, *, tgds=(), engine: str = "auto"
 ) -> Answers:
     """The answer set of the route ``evaluate_iter`` picks, on tuples."""
-    _, evaluator = resolve_route(query, tgds=tgds, engine=engine)
-    if evaluator is not None:
-        return evaluate(evaluator, database)
-    return evaluate_with_plan(query, database)
+    route, evaluator = resolve_route(query, tgds=tgds, engine=engine)
+    if route == "plan":
+        return evaluate_with_plan(query, database)
+    return evaluate(evaluator, database)
 
 
 def iter_route(
     query: ConjunctiveQuery, database: Instance, *, tgds=(), engine: str = "auto"
 ) -> Iterator[Tuple[Term, ...]]:
     """The answers of the route ``evaluate_iter`` picks, streamed on tuples."""
-    _, evaluator = resolve_route(query, tgds=tgds, engine=engine)
-    if evaluator is not None:
-        return iter_answers(evaluator, database)
-    return iter_with_plan(query, database)
+    route, evaluator = resolve_route(query, tgds=tgds, engine=engine)
+    if route == "plan":
+        return iter_with_plan(query, database)
+    return iter_answers(evaluator, database)

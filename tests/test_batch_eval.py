@@ -118,6 +118,22 @@ def test_batch_matches_per_query_engines_on_random_batches(seed):
     _assert_batch_matches_oracles(queries, database)
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_service_matches_the_oracles_on_random_batches(seed):
+    """The service configuration: each query of the batch through a standing
+    QueryService, twice (cold, then warm from the plan cache), and the
+    batch evaluated over the service's scan cache."""
+    from repro.service import QueryService
+
+    queries, database = _random_batch(seed)
+    service = QueryService(database)
+    expected = [evaluate_generic(query, database) for query in queries]
+    for _ in range(2):
+        assert [service.submit(query) for query in queries] == expected
+    assert evaluate_batch(queries, database, scans=service.scans) == expected
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_batch_matches_per_query_engines_on_seeded_grid(seed):
     """A fixed, deterministic slice of the same space (fast CI signal)."""
@@ -188,6 +204,34 @@ def test_batch_without_tgds_routes_cyclic_to_decomposition():
     assert batch.routes() == ["decomposition"]
     database = music_store_database(seed=5, customers=8, records=10, styles=3)
     assert batch.evaluate(database) == [evaluate_generic(query, database)]
+
+
+@pytest.mark.parametrize("execute", [True, False])
+def test_batch_explain_is_explain_per_query_on_every_route(execute):
+    """Each entry of ``BatchEvaluator.explain`` is what ``explain`` prints
+    for its query alone, on every route: the reformulation and the
+    decomposition lines included, and the same estimates and observations
+    through the batch's shared scan cache."""
+    from repro.evaluation import explain
+    from repro.parser import parse_query
+
+    tgds = [example1_tgd()]
+    queries = [
+        parse_query("q(x, z) :- E(x, y), E(y, z)"),
+        example1_query(),
+        parse_query("q(x) :- E(x, y), E(y, z), E(z, x)"),
+        ConjunctiveQuery((), [], name="nullary"),
+    ]
+    database = music_store_database(seed=3, customers=8, records=10, styles=3)
+    for a, b in [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]:
+        database.add(Atom(Predicate("E", 2), (Constant(a), Constant(b))))
+    batch = BatchEvaluator(queries, tgds=tgds)
+    assert batch.routes() == ["yannakakis", "reformulated", "decomposition", "plan"]
+    reports = batch.explain(database, execute=execute)
+    assert reports == [
+        explain(query, database, tgds=tgds, execute=execute) for query in queries
+    ]
+    assert "decomposition: width 2, bags {x, y, z}" in reports[2].splitlines()
 
 
 # ----------------------------------------------------------------------

@@ -508,3 +508,74 @@ class TestOneRoute:
         code, checked = run_cli(["check", *self.arguments()])
         assert code == 0
         assert "plan verified: reformulated route" in checked
+
+
+class TestFlatPlanRoute:
+    """``--engine plan`` on the checked-in workloads: the EXPLAIN text (its
+    estimates, observed rows and probe counts) and the answers are pinned,
+    so a change to how the flat plan route is reached cannot change what it
+    runs."""
+
+    CHECKS = Path(__file__).resolve().parent.parent / "examples" / "checks"
+
+    EXPECTED = {
+        "anchored_path": (
+            """\
+Project[y]  (est=3, obs=3)
+  HashJoin[x]  (est=3, obs=4, probes=2)
+    Scan[S1(a, x)]  (est=2, obs=2)
+    Scan[S2(x, y)]  (est=5, obs=5)""",
+            ["(c1)", "(c2)", "(c3)"],
+        ),
+        "key_collapse": (
+            """\
+Project[x]  (est=3, obs=2)
+  HashJoin[y, z]  (est=3, obs=2, probes=3)
+    HashJoin[x]  (est=3, obs=3, probes=3)
+      Scan[R(x, y)]  (est=3, obs=3)
+      Scan[R(x, z)]  (est=3, obs=3)
+    Scan[S(y, z)]  (est=3, obs=3)""",
+            ["(a)", "(e)"],
+        ),
+        "pentagon": (
+            """\
+Project[v0]  (est=9, obs=9)
+  HashJoin[v0]  (est=72, obs=90, probes=18)
+    Scan[E(v0, p)]  (est=18, obs=18)
+    HashJoin[v0, v3]  (est=36, obs=35, probes=79)
+      HashJoin[v2]  (est=72, obs=79, probes=39)
+        HashJoin[v1]  (est=36, obs=39, probes=18)
+          Scan[E(v0, v1)]  (est=18, obs=18)
+          Scan[E(v1, v2)]  (est=18, obs=18)
+        Scan[E(v2, v3)]  (est=18, obs=18)
+      HashJoin[v4]  (est=36, obs=39, probes=18)
+        Scan[E(v3, v4)]  (est=18, obs=18)
+        Scan[E(v4, v0)]  (est=18, obs=18)""",
+            ["(a0)", "(a1)", "(a2)", "(a3)", "(a4)", "(b1)", "(b2)", "(b3)", "(b4)"],
+        ),
+    }
+
+    def arguments(self, name):
+        workload = self.CHECKS / name
+        arguments = ["--query-file", f"{workload}.cq", "--data", f"{workload}.facts"]
+        if Path(f"{workload}.rules").exists():
+            arguments += ["--constraints", f"{workload}.rules"]
+        return arguments + ["--engine", "plan"]
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_explain_and_answers_are_pinned(self, name):
+        plan, answers = self.EXPECTED[name]
+        code, explained = run_cli(["explain", "--verify", *self.arguments(name)])
+        assert code == 0
+        lines = explained.splitlines()
+        assert lines[1] == "route: plan"
+        assert "\n".join(lines[2:-1]) == plan
+        assert lines[-1] == "verification: clean"
+        code, evaluated = run_cli(["evaluate", *self.arguments(name)])
+        assert code == 0
+        assert evaluated.splitlines() == [
+            "evaluation: plan", f"answers: {len(answers)}", *answers
+        ]
+        code, checked = run_cli(["check", *self.arguments(name)])
+        assert code == 0
+        assert "plan verified: plan route" in checked

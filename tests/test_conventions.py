@@ -175,6 +175,29 @@ def get(self, key):
     assert any("encoding.py:7: calls add_probes" in line for line in violations)
 
 
+def test_environment_knobs_outside_the_fixed_set_are_flagged():
+    snippet = """
+import os
+from os import environ
+
+NUMPY = "REPRO_NUMPY"
+SNAPSHOTS = "BENCH_SNAPSHOT_DIR"
+
+def knobs(prefix):
+    numpy = os.environ.get(NUMPY, "")
+    shadow = os.environ.get("REPRO_SHADOW", "").strip()
+    fast = "REPRO_FAST" in os.environ and environ["REPRO_FAST"]
+    return numpy, shadow, fast, os.getenv(SNAPSHOTS), os.getenv(prefix + "VERIFY")
+"""
+    violations = _lint_module().check_environment_knobs({"knobs.py": snippet})
+    assert len(violations) == 5
+    assert any("knobs.py:10: reads the unlisted knob REPRO_SHADOW" in v for v in violations)
+    assert sum("knobs.py:11: reads the unlisted knob REPRO_FAST" in v for v in violations) == 2
+    assert any("knobs.py:12: reads an environment variable whose name" in v for v in violations)
+    # The snippet never reads REPRO_VERIFY, so the set names a dead knob.
+    assert any("lists REPRO_VERIFY, which src/ no longer reads" in line for line in violations)
+
+
 def test_typecheck_wrapper_runs():
     """Exit 0 both where mypy exists (clean tree) and where it is absent
     (graceful skip) — either way the wrapper must not crash."""

@@ -123,17 +123,16 @@ def test_seeded_long_interleaving(oracle):
     assert _run_interleaving(steps, oracle) > 10
 
 
-def test_open_plain_generator_survives_mutation(monkeypatch):
+def test_open_plain_generator_survives_mutation():
     """Without the service guard, an open stream must not crash on writes.
 
     The plain (non-service) ``evaluate_iter`` generators snapshot their
     scans lazily; a mutation mid-stream may or may not be visible in the
     remaining answers, but pulling the generator to exhaustion must stay
-    well-defined (no exception, distinct tuples).  The seam is pinned off:
-    under ``REPRO_SERVICE=1`` this stream would instead be guarded and
+    well-defined (no exception, distinct tuples).  A
+    :meth:`repro.service.QueryService.stream` would instead be guarded and
     fail loudly (covered by the service tests).
     """
-    monkeypatch.setenv("REPRO_SERVICE", "0")
     database = Database()
     for a, b in [(1, 2), (2, 3), (3, 4), (4, 5)]:
         database.add(Atom(E, (Constant(a), Constant(b))))

@@ -12,7 +12,9 @@ Covers the three service contracts on top of the epoch machinery:
   backpressure and the :class:`ConcurrentMutationError` stream guard),
   ``insert``/``delete``, drift-triggered re-planning, ``verify()`` with
   the SVC001/SVC002 diagnostics;
-* the ``REPRO_SERVICE`` seam and the ``repro serve`` CLI.
+* the seam between one-shot evaluation and a standing service (a caller
+  hands the service's scan cache to ``evaluate_iter``/``evaluate_batch``)
+  and the ``repro serve`` CLI.
 """
 
 import io
@@ -41,7 +43,6 @@ from repro.service import (
     lift_constants,
     parameter,
     query_shape,
-    shared_service,
 )
 
 E = Predicate("E", 2)
@@ -702,48 +703,35 @@ class TestReadWrite:
 
 
 # ----------------------------------------------------------------------
-# The shared registry and the REPRO_SERVICE seam
+# One-shot evaluation next to a standing service
 # ----------------------------------------------------------------------
 class TestServiceSeam:
-    def test_shared_service_is_per_database_identity(self):
-        first, second = _db((1, 2)), _db((1, 2))
-        assert shared_service(first) is shared_service(first)
-        assert shared_service(first) is not shared_service(second)
-
-    def test_evaluate_iter_routes_through_the_service(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE", "1")
+    def test_service_stream_fails_loudly_after_a_write(self):
         database = _db((1, 2), (2, 3))
-        service = shared_service(database)
-        before = service.plan_hits + service.plan_misses
-        assert set(evaluate_iter(_path_query(x, y, z), database)) == {
-            (Constant(1), Constant(3))
-        }
-        assert service.plan_hits + service.plan_misses == before + 1
-        # An open service stream fails loudly on a concurrent write.
-        stream = evaluate_iter(_path_query(x, y, z), database)
-        next(stream)
-        database.add(_edge(7, 8))
-        with pytest.raises(ConcurrentMutationError):
+        service = QueryService(database)
+        assert set(service.stream(_path_query(x, y, z))) == {(Constant(1), Constant(3))}
+        assert (service.plan_misses, service.plan_hits) == (1, 0)
+        # An open service stream fails loudly on a concurrent write, through
+        # the service or straight to the database.
+        for write in (lambda: service.insert(_edge(7, 8)), lambda: database.add(_edge(8, 9))):
+            stream = service.stream(_path_query(u, v, w))
             next(stream)
+            write()
+            with pytest.raises(ConcurrentMutationError):
+                next(stream)
 
-    def test_evaluate_batch_uses_the_service_scan_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE", "1")
+    def test_evaluate_batch_uses_the_service_scan_cache(self):
         database = _db((1, 2), (2, 3))
-        service = shared_service(database)
+        service = QueryService(database)
         served_before = service.scans.served
-        evaluate_batch([_path_query(x, y, z)], database)
+        answers = evaluate_batch([_path_query(x, y, z)], database, scans=service.scans)
+        assert answers == [{(Constant(1), Constant(3))}]
         assert service.scans.served > served_before
-
-    def test_explicit_scans_wins_over_the_seam(self, monkeypatch):
-        from repro.evaluation import ScanCache
-
-        monkeypatch.setenv("REPRO_SERVICE", "1")
-        database = _db((1, 2), (2, 3))
-        cache = ScanCache(database)
-        assert set(evaluate_iter(_path_query(x, y, z), database, scans=cache)) == {
+        built = service.scans.built
+        assert set(evaluate_iter(_path_query(x, y, z), database, scans=service.scans)) == {
             (Constant(1), Constant(3))
         }
-        assert cache.served > 0
+        assert service.scans.built == built  # the one-shot stream reused the base scan
 
 
 # ----------------------------------------------------------------------

@@ -9,20 +9,19 @@ on every streaming route with the cycle collector off and
 ``gc.garbage``), and requires that no nested function or closure cell of
 this package survives the requests or turns up as garbage.  It also requires that a cold request under tgds leaves no term
 alive: the weak intern tables of nulls and variables end at their prior
-size.  Each request runs through the engine (``evaluate_iter``); the tuple
-oracle under ``tests/helpers/`` is test code and is not checked here.
+size, and a standing :class:`repro.service.QueryService` keeps none of the
+chase's nulls.  Each request runs through the engine (``evaluate_iter``
+or the service); the tuple oracle under ``tests/helpers/`` is test code
+and is not checked here.
 """
 
 import gc
 import os
 import types
-from collections import OrderedDict
-
-import pytest
 
 import repro
-from repro import service as service_module
 from repro.datamodel import terms as term_module
+from repro.service import QueryService
 
 SOURCE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -59,7 +58,7 @@ def _ours(obj) -> bool:
     )
 
 
-def test_cold_evaluate_iter_leaves_no_cyclic_garbage(isolated_registry):
+def test_cold_evaluate_iter_leaves_no_cyclic_garbage():
     database = repro.Database(repro.parse_atom(text) for text in DATA)
     gc.collect()
     before = {id(obj) for obj in gc.get_objects() if _ours(obj)}
@@ -97,33 +96,13 @@ def test_cold_evaluate_iter_leaves_no_cyclic_garbage(isolated_registry):
 EXISTENTIAL_REQUEST = ("q(x, y) :- E(x, y), E(y, z), E(z, x)", ["E(x, y) -> Owns(x, w)"])
 
 
-@pytest.fixture
-def isolated_registry(monkeypatch):
-    """An empty service registry for the test.
+def _assert_no_terms_behind(stream, database, monkeypatch, release=lambda: None):
+    """Run the existential request through ``stream``; no term outlives it.
 
-    Under ``REPRO_SERVICE=1`` a cold request registers a new service; in a
-    full registry that evicts the least recently used one, and with it
-    whatever terms only that service held — the intern tables would then
-    shrink mid-test for reasons the request does not control.
+    ``release`` drops whatever the caller keeps on purpose (a standing
+    service keeps its plan, and so the query's variables) before the
+    variables are measured; the nulls are measured before it runs.
     """
-    isolate_registry(monkeypatch)
-
-
-def isolate_registry(monkeypatch):
-    monkeypatch.setattr(service_module, "_services", OrderedDict())
-
-
-def _fill_registry():
-    """Register as many services as the registry holds, each keeping the
-    variables of its own query alive — what earlier requests leave."""
-    for index in range(service_module.SERVICE_REGISTRY_LIMIT):
-        database = repro.Database([repro.parse_atom("E('a', 'b')")])
-        query = repro.parse_query(f"q(u{index}) :- E(u{index}, w{index})")
-        service_module.shared_service(database).submit(query)
-
-
-def _assert_no_terms_behind(stream, monkeypatch):
-    database = repro.Database(repro.parse_atom(text) for text in DATA)
     minted = []
     intern_null = term_module._NULLS.intern
 
@@ -144,33 +123,35 @@ def _assert_no_terms_behind(stream, monkeypatch):
     )
     assert answers
     assert minted, "the request should have minted fresh nulls"
-    # Measured while a service the request registered (REPRO_SERVICE=1) is
-    # still standing: it must keep none of the chase's fresh nulls.
     gc.collect()
     assert len(term_module._NULLS) == before[0]
-    # That service keeps its plan, and so the query's variables, by design;
-    # drop it before measuring the variables.
-    service_module._services.clear()
+    release()
     gc.collect()
     assert len(term_module._VARIABLES) == before[1]
 
 
-def test_cold_evaluate_iter_under_tgds_leaves_no_terms_behind(monkeypatch, isolated_registry):
+def test_cold_evaluate_iter_under_tgds_leaves_no_terms_behind(monkeypatch):
     """The chase's fresh nulls and the request's variables die with it.
 
     Terms are interned in weak tables (``repro.datamodel.terms``).  A term
     that something keeps alive past its request keeps its table entry, so
     the tables' sizes show any term a cold request leaks.
     """
-    _assert_no_terms_behind(repro.evaluate_iter, monkeypatch)
+    database = repro.Database(repro.parse_atom(text) for text in DATA)
+    _assert_no_terms_behind(repro.evaluate_iter, database, monkeypatch)
 
 
-def test_no_terms_behind_after_a_full_service_registry(monkeypatch):
-    """The same request through the service seam, after other services
-    filled the registry: isolating the registry keeps their eviction (and
-    the terms it frees) out of the measurement."""
-    monkeypatch.setenv("REPRO_SERVICE", "1")
-    isolate_registry(monkeypatch)
-    _fill_registry()
-    isolate_registry(monkeypatch)
-    _assert_no_terms_behind(repro.evaluate_iter, monkeypatch)
+def test_a_standing_service_keeps_no_chase_nulls(monkeypatch):
+    """The same request through a standing service, which outlives it.
+
+    The service keeps its plan entry, and with it the query's variables,
+    by design; the nulls that the chase and the reformulation search mint
+    must still die with the request.  The variables are measured once the
+    service is gone.
+    """
+    services = [QueryService(repro.Database(repro.parse_atom(text) for text in DATA))]
+
+    def stream(query, database, *, tgds):
+        return services[0].stream(query, tgds=tgds)
+
+    _assert_no_terms_behind(stream, services[0].database, monkeypatch, services.clear)

@@ -10,6 +10,11 @@ The streaming entry points (:func:`repro.evaluation.evaluate_iter`,
    ``min(k, |q(D)|)`` distinct answers.  Checked here with hypothesis over
    randomized workloads including constants and repeated head variables.
 
+   Each hypothesis differential also has a *service* configuration: the
+   same workloads and oracle through a standing
+   :class:`repro.service.QueryService` (``stream`` and ``submit``), cold
+   and then warm from its plan cache.
+
 2. **Bounded work** — the first answer is produced without touching all
    buckets, and ``boolean()`` on a satisfiable query stops after one
    answer.  Checked with the deterministic bucket-probe counters of
@@ -40,6 +45,7 @@ from repro.evaluation import (
 )
 from repro.evaluation.relation import Partition
 from repro.queries.cq import ConjunctiveQuery
+from repro.service import QueryService
 from repro.workloads.generators import (
     shared_predicate_batch_workload,
     wide_output_workload,
@@ -86,6 +92,30 @@ def test_streaming_agrees_on_randomized_acyclic_workloads(seed):
     _assert_streams_like_sets(query, database, seed)
 
 
+def _assert_service_agrees(query, database, k: int, engine: str = "auto") -> None:
+    """The service configuration of a differential: ``stream`` (whole and
+    with ``limit=k``) and ``submit`` against the generic oracle, on a cold
+    service and then warm from the one plan entry it cached."""
+    expected = evaluate_generic(query, database)
+    service = QueryService(database)
+    for _ in range(2):
+        streamed = list(service.stream(query, engine=engine))
+        assert len(streamed) == len(set(streamed)), "a tuple was yielded twice"
+        assert set(streamed) == expected
+        assert service.submit(query, engine=engine) == expected
+        limited = list(service.stream(query, engine=engine, limit=k))
+        assert len(limited) == len(set(limited)) == min(k, len(expected))
+        assert set(limited) <= expected
+    assert service.plan_misses == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_service_streams_agree_on_randomized_acyclic_workloads(seed):
+    query, database = randomized_acyclic_workload(seed)
+    _assert_service_agrees(query, database, random.Random(seed).randint(0, 4))
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_streaming_agrees_on_seeded_grid(seed):
     """A fixed, deterministic slice of the same space (fast CI signal)."""
@@ -115,6 +145,15 @@ def _assert_plan_route_streams(query, database, seed: int) -> None:
 def test_plan_streaming_agrees_on_randomized_cyclic_workloads(seed):
     query, database = randomized_cyclic_workload(seed)
     _assert_plan_route_streams(query, database, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_service_plan_streaming_agrees_on_randomized_cyclic_workloads(seed):
+    query, database = randomized_cyclic_workload(seed)
+    k = random.Random(seed).randint(0, 4)
+    for engine in ("plan", "auto"):
+        _assert_service_agrees(query, database, k, engine)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -531,6 +570,13 @@ def test_head_rooted_plans_agree_with_the_oracles(workload, k):
     assert len(limited) == len(set(limited)) == min(k, len(expected))
     assert set(limited) <= expected
     assert evaluator.boolean(database) == oracle.boolean(evaluator, database) == bool(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(workload=head_shaped_workloads(), k=st.integers(min_value=0, max_value=4))
+def test_head_shaped_queries_agree_through_the_service(workload, k):
+    _, query, database = workload
+    _assert_service_agrees(query, database, k)
 
 
 def test_head_in_a_non_root_node_reroots_the_join_tree():
