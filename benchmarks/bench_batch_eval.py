@@ -2,17 +2,20 @@
 
 The serving-path north star — many users issuing many CQs over one shared
 database — wants the phase-1 atom scans and hash partitions amortised across
-a *batch* of queries instead of rebuilt per query.  This benchmark runs
-:class:`repro.evaluation.batch.BatchEvaluator` on the anchored-star
-shared-predicate workload of
-:func:`repro.workloads.generators.shared_predicate_batch_workload` at
-doubling batch sizes over a fixed database, timing
+a *batch* of queries instead of rebuilt per query.  This benchmark routes
+every query of the anchored-star shared-predicate workload of
+:func:`repro.workloads.generators.shared_predicate_batch_workload` once
+(:func:`repro.evaluation.resolve_route`, outside the timer) and, at
+doubling batch sizes over a fixed database, times two ways to run the
+routes:
 
-* ``sequential`` — every query evaluated on its own (identical routing, no
-  shared state): phase-1 cost ``O(batch · rays · |R|)``;
-* ``batched`` — one shared :class:`~repro.evaluation.batch.ScanCache`:
-  each distinct (predicate, constant-signature) scan and each partition is
-  built once per call, phase-1 cost ``O(signatures · |R| + batch · ε)``.
+* ``sequential`` — every route over a scan cache of its own (no shared
+  state): phase-1 cost ``O(batch · rays · |R|)``;
+* ``batched`` — every route over one shared
+  :class:`~repro.evaluation.batch.ScanCache`, as
+  :func:`repro.evaluation.evaluate_batch` runs them: each predicate's base
+  scan and each key index is built once per call, phase-1 cost
+  ``O(signatures · |R| + batch · ε)``.
 
 Expected shape: the batched/sequential speedup *grows* as the batch doubles
 (the distinct-signature count saturates while the sequential re-scan count
@@ -33,10 +36,10 @@ from typing import Dict, List, Optional, Sequence
 
 import pytest
 
-from repro.evaluation import BatchEvaluator, ScanCache
+from repro.evaluation import ScanCache, resolve_route
 from repro.reporting import BenchSnapshot
 from repro.workloads.generators import shared_predicate_batch_workload
-from conftest import print_series, scaled_sizes, smoke_mode
+from conftest import host_metadata, print_series, scaled_sizes, smoke_mode
 
 
 FULL_BATCHES = [8, 16, 32, 64]
@@ -51,6 +54,18 @@ DB_SIZE = SMOKE_DB_SIZE if smoke_mode() else FULL_DB_SIZE
 #: sequential baseline at the largest batch by at least this factor, and the
 #: advantage must be larger at the largest batch than at the smallest.
 MIN_SPEEDUP = 2.0
+
+
+def _batched(routes, database, scans=None):
+    """Every route over one scan cache (``scans``, else a new one)."""
+    if scans is None:
+        scans = ScanCache(database)
+    return [evaluator.evaluate(database, scans=scans) for evaluator in routes]
+
+
+def _sequential(routes, database):
+    """Every route over a scan cache of its own: the per-query baseline."""
+    return [evaluator.evaluate(database) for evaluator in routes]
 
 
 def _best_of(run, repeats: int = 3) -> float:
@@ -81,17 +96,14 @@ def run_batches(
         queries, database = shared_predicate_batch_workload(
             batch_size, size=size, seed=seed
         )
-        evaluator = BatchEvaluator(queries)
+        routes = [resolve_route(query)[1] for query in queries]
 
         cache = ScanCache(database)
-        batched_answers = evaluator.evaluate(database, scans=cache)
-        sequential_answers = evaluator.evaluate_sequential(database)
-        assert batched_answers == sequential_answers
+        batched_answers = _batched(routes, database, cache)
+        assert batched_answers == _sequential(routes, database)
 
-        batched_time = _best_of(lambda: evaluator.evaluate(database), repeats)
-        sequential_time = _best_of(
-            lambda: evaluator.evaluate_sequential(database), repeats
-        )
+        batched_time = _best_of(lambda: _batched(routes, database), repeats)
+        sequential_time = _best_of(lambda: _sequential(routes, database), repeats)
 
         rows.append(
             {
@@ -161,6 +173,7 @@ def test_batched_evaluation_amortises_scans():
         )
 
     snapshot = BenchSnapshot("batch_eval")
+    snapshot.record("host", host_metadata())
     snapshot.record("batches", [row["batch"] for row in rows])
     snapshot.record("speedups", [row["speedup"] for row in rows])
     snapshot.record("speedup_at_largest", rows[-1]["speedup"])
@@ -188,8 +201,8 @@ def test_batched_evaluation_amortises_scans():
 @pytest.mark.parametrize("batch_size", BATCHES)
 def test_batched_throughput(benchmark, batch_size):
     queries, database = shared_predicate_batch_workload(batch_size, size=DB_SIZE)
-    evaluator = BatchEvaluator(queries)
-    answers = benchmark(lambda: evaluator.evaluate(database))
+    routes = [resolve_route(query)[1] for query in queries]
+    answers = benchmark(lambda: _batched(routes, database))
     print_series(
         f"batched evaluation, batch = {batch_size}, |D| = {len(database)}",
         [("total answers", sum(len(a) for a in answers))],
@@ -197,4 +210,4 @@ def test_batched_throughput(benchmark, batch_size):
     # Differential check at the smallest batch only — the comparison test
     # already cross-checks every batch size on the identical seed-0 workloads.
     if batch_size == min(BATCHES):
-        assert answers == evaluator.evaluate_sequential(database)
+        assert answers == _sequential(routes, database)

@@ -14,7 +14,7 @@ from repro.core import (
     decide_semantic_acyclicity_unconstrained,
 )
 from repro.containment import ContainmentOutcome, equivalent_under_tgds
-from repro.evaluation import SemAcEvaluation, evaluate_generic
+from repro.evaluation import YannakakisEvaluator, evaluate_generic
 from repro.workloads import music_store_database
 from repro.workloads.paper_examples import (
     example1_acyclic_reformulation,
@@ -50,7 +50,7 @@ def test_example1_reformulated_evaluation(benchmark, customers):
     query = example1_query()
     tgds = [example1_tgd()]
     decision = decide_semantic_acyclicity_tgds(query, tgds)
-    evaluator = SemAcEvaluation.from_reformulation(query, decision.witness)
+    evaluator = YannakakisEvaluator(decision.witness)
     database = music_store_database(seed=customers, customers=customers, records=2 * customers, styles=10)
 
     answers = benchmark(lambda: evaluator.evaluate(database))

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import decide_semantic_acyclicity_tgds
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
-from repro.evaluation import DecompositionEvaluator, SemAcEvaluation, evaluate_generic
+from repro.evaluation import DecompositionEvaluator, YannakakisEvaluator, evaluate_generic
 from repro.evaluation.operators import ExecutionContext
 from repro.queries.cq import ConjunctiveQuery
 from repro.reporting import BenchSnapshot
@@ -43,7 +43,7 @@ def test_fpt_evaluation_scales_linearly_in_the_database(benchmark, customers):
     start = time.perf_counter()
     decision = decide_semantic_acyclicity_tgds(query, tgds)
     reformulation_time = time.perf_counter() - start
-    evaluator = SemAcEvaluation.from_reformulation(query, decision.witness)
+    evaluator = YannakakisEvaluator(decision.witness)
 
     database = music_store_database(
         seed=customers, customers=customers, records=3 * customers, styles=12
@@ -77,7 +77,7 @@ def test_decomposition_route_is_the_constraint_free_fallback():
     query = example1_query()
     tgds = [example1_tgd()]
     decision = decide_semantic_acyclicity_tgds(query, tgds)
-    reformulated = SemAcEvaluation.from_reformulation(query, decision.witness)
+    reformulated = YannakakisEvaluator(decision.witness)
     rows = []
     for customers in SIZES:
         database = music_store_database(

@@ -1,12 +1,14 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module regenerates one artefact of the paper (see
-EXPERIMENTS.md).  Benchmarks both *measure* (via pytest-benchmark) and
-*print* the series the paper's artefact reports, so running
+Every benchmark module regenerates one artefact of the paper (an example,
+a figure, or the algorithmic content of a theorem).  Benchmarks both
+*measure* (via pytest-benchmark) and *print* the series the paper's
+artefact reports, so running
 
     pytest benchmarks/ --benchmark-only -s
 
-reproduces the tables recorded in EXPERIMENTS.md.
+prints every table; the ``make bench-*`` targets also persist theirs as
+``BENCH_<name>.json`` snapshots.
 
 Smoke mode
 ----------

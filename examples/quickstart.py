@@ -21,7 +21,7 @@ from repro import (
     parse_tgd,
 )
 from repro.core import decide_semantic_acyclicity_unconstrained
-from repro.evaluation import SemAcEvaluation
+from repro.evaluation import YannakakisEvaluator
 from repro.workloads import music_store_database
 
 
@@ -54,7 +54,7 @@ def main() -> None:
     print(f"Database: {len(database)} facts over Interest / Class / Owns")
 
     original_answers = evaluate_generic(query, database)
-    evaluator = SemAcEvaluation.from_reformulation(query, decision.witness)
+    evaluator = YannakakisEvaluator(decision.witness)
     reformulated_answers = evaluator.evaluate(database)
 
     print("Answers via the original (cyclic) query:  ", len(original_answers))

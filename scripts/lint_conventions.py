@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-convention lint — rules a generic linter cannot know.
 
-Nine rules, each encoding a convention the codebase actually relies on:
+Ten rules, each encoding a convention the codebase actually relies on:
 
 1. **One operator face** — every concrete operator node in
    ``src/repro/evaluation/operators.py`` implements the materialising
@@ -52,6 +52,14 @@ Nine rules, each encoding a convention the codebase actually relies on:
    exactly :data:`ENVIRONMENT_KNOBS`.  Each knob is one more execution
    path to test, so a new one needs an edit here; a key the rule cannot
    resolve to a string is flagged too.
+10. **Every export has a user** — each name in the ``__all__`` of a
+    package ``__init__`` under ``src/repro`` is referenced somewhere
+    besides its own definition and the ``__init__`` re-exports: in a
+    ``.py`` file under ``src``, ``tests``, ``benchmarks``, ``examples``,
+    ``bench`` or ``scripts``, or in ``README.md``.  A reference is the
+    name as a whole word, in code, a string or prose alike, so a name
+    that ``bench/trace.py`` wraps by path counts as used.  An export
+    nothing calls is surface to keep working for no one.
 
 Exit 0 when clean, 1 with one line per violation otherwise (run via
 ``make lint``).
@@ -59,7 +67,9 @@ Exit 0 when clean, 1 with one line per violation otherwise (run via
 
 import ast
 import pathlib
+import re
 import sys
+from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -79,6 +89,9 @@ EVALUATION_STACK = [
 KERNELS_FILE = REPO_ROOT / "src" / "repro" / "evaluation" / "parallel.py"
 EVALUATION_ROOT = REPO_ROOT / "src" / "repro" / "evaluation"
 BENCH_ROOT = REPO_ROOT / "benchmarks"
+PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
+REFERENCE_ROOTS = ("src", "tests", "benchmarks", "examples", "bench", "scripts")
+REFERENCE_DOCS = ("README.md",)
 
 MUTABLE_CALLS = {"list", "dict", "set"}
 
@@ -481,6 +494,92 @@ def check_environment_knobs(sources: Optional[Dict[str, str]] = None) -> List[st
     return violations
 
 
+# ----------------------------------------------------------------------
+# Rule 10: every name a package __init__ exports is referenced
+# ----------------------------------------------------------------------
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _exports(source: str) -> List[Tuple[int, str]]:
+    """``(line, name)`` of every string in a module's ``__all__``."""
+    exports: List[Tuple[int, str]] = []
+    for node in ast.parse(source).body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            exports.extend(
+                (item.lineno, item.value)
+                for item in node.value.elts
+                if isinstance(item, ast.Constant) and isinstance(item.value, str)
+            )
+    return exports
+
+
+def _definition_lines(source: str) -> Dict[str, Set[int]]:
+    """Top-level name -> the lines of its own ``def``/``class``/assignment."""
+    spans: Dict[str, Set[int]] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            start = node.lineno
+        else:
+            continue
+        for name in names:
+            spans.setdefault(name, set()).update(range(start, node.end_lineno + 1))
+    return spans
+
+
+def _reference_files() -> Dict[str, str]:
+    """Every file rule 10 reads references from, name -> text; the
+    package ``__init__`` files under ``src/repro`` are the re-exports."""
+    paths = [
+        path
+        for root in REFERENCE_ROOTS
+        for path in sorted((REPO_ROOT / root).rglob("*.py"))
+        if not (path.name == "__init__.py" and PACKAGE_ROOT in path.parents)
+    ] + [REPO_ROOT / name for name in REFERENCE_DOCS]
+    return {relative(path): path.read_text(encoding="utf-8") for path in paths}
+
+
+def check_unused_exports(
+    packages: Optional[Dict[str, str]] = None,
+    references: Optional[Dict[str, str]] = None,
+) -> List[str]:
+    """Rule 10 over the package ``__init__`` files under ``src/repro`` and
+    the reference files (or over ``packages`` and ``references``, name ->
+    text, for the tests).  Words inside a top-level definition under
+    ``src/`` do not count as references to that definition's own name."""
+    if packages is None:
+        packages = {
+            relative(path): path.read_text(encoding="utf-8")
+            for path in sorted(PACKAGE_ROOT.rglob("__init__.py"))
+        }
+    if references is None:
+        references = _reference_files()
+    counts: Counter = Counter()
+    for name, text in references.items():
+        own = _definition_lines(text) if name.startswith("src/") and name.endswith(".py") else {}
+        for line_number, line in enumerate(text.splitlines(), start=1):
+            for word in WORD.findall(line):
+                if line_number not in own.get(word, ()):
+                    counts[word] += 1
+    violations: List[str] = []
+    for package, source in packages.items():
+        for line, export in _exports(source):
+            if not counts[export]:
+                violations.append(
+                    f"{package}:{line}: exports {export}, which nothing references "
+                    "outside its definition (delete it, or drop the export)"
+                )
+    return violations
+
+
 def main() -> int:
     violations = (
         check_operator_faces()
@@ -492,6 +591,7 @@ def main() -> int:
         + check_kernel_sorts()
         + check_probe_counts()
         + check_environment_knobs()
+        + check_unused_exports()
     )
     for violation in violations:
         print(violation)
@@ -502,7 +602,7 @@ def main() -> int:
         "lint: conventions hold "
         "(operator faces, defaults, BENCH_SMOKE, batch-face registry, "
         "immutable operators, one scan path, radix-only kernels, "
-        "probes counted per kernel call, environment knobs)"
+        "probes counted per kernel call, environment knobs, used exports)"
     )
     return 0
 

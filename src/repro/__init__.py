@@ -49,7 +49,6 @@ from .containment import (
 )
 from .rewriting import rewrite, ucq_rewritable_height_bound
 from .evaluation import (
-    BatchEvaluator,
     Relation,
     ScanCache,
     YannakakisEvaluator,
@@ -115,7 +114,6 @@ __all__ = [
     "TGD",
     "UnionOfConjunctiveQueries",
     "Variable",
-    "BatchEvaluator",
     "ScanCache",
     "YannakakisEvaluator",
     "acyclic_approximations",

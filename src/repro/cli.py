@@ -10,7 +10,7 @@ of :mod:`repro.parser`:
 * ``repro approximate`` — compute acyclic approximations (Section 8.2);
 * ``repro evaluate``    — evaluate a CQ over a data file.  ``--engine``
   picks the route (``auto`` | ``yannakakis`` | ``reformulation`` |
-  ``plan`` | ``generic``) and ``--limit N`` streams only the first ``N``
+  ``decomposition`` | ``plan`` | ``generic``) and ``--limit N`` streams only the first ``N``
   answers through :func:`repro.evaluation.evaluate_iter`;
 * ``repro explain``     — print the chosen physical plan with estimated
   vs. observed cardinalities per operator (the EXPLAIN of the

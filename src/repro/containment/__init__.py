@@ -6,7 +6,6 @@ from .cq_containment import (
     cq_contained_in_ucq,
     cq_equivalent,
     ucq_contained_in_ucq,
-    ucq_equivalent,
 )
 from .constrained import (
     ContainmentConfig,
@@ -19,9 +18,7 @@ from .constrained import (
     equivalent_under_tgds,
 )
 from .ucq_containment import (
-    ucq_contained_under_egds,
     ucq_contained_under_tgds,
-    ucq_equivalent_under_egds,
     ucq_equivalent_under_tgds,
 )
 from .implication import (
@@ -47,9 +44,6 @@ __all__ = [
     "equivalent_under_egds",
     "equivalent_under_tgds",
     "ucq_contained_in_ucq",
-    "ucq_contained_under_egds",
     "ucq_contained_under_tgds",
-    "ucq_equivalent",
-    "ucq_equivalent_under_egds",
     "ucq_equivalent_under_tgds",
 ]

@@ -51,10 +51,3 @@ def ucq_contained_in_ucq(
 ) -> bool:
     """``Q ⊆ Q'`` for UCQs: every disjunct of ``Q`` is contained in ``Q'``."""
     return all(cq_contained_in_ucq(disjunct, right) for disjunct in left)
-
-
-def ucq_equivalent(
-    left: UnionOfConjunctiveQueries, right: UnionOfConjunctiveQueries
-) -> bool:
-    """``Q ≡ Q'`` for UCQs over all databases."""
-    return ucq_contained_in_ucq(left, right) and ucq_contained_in_ucq(right, left)

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
 from ..queries.ucq import UnionOfConjunctiveQueries
 from .constrained import (
     ContainmentConfig,
     ContainmentOutcome,
     DEFAULT_CONFIG,
-    contained_under_egds,
     cq_contained_in_ucq_under_tgds,
 )
 
@@ -56,40 +54,3 @@ def ucq_equivalent_under_tgds(
     if forward is ContainmentOutcome.TRUE and backward is ContainmentOutcome.TRUE:
         return ContainmentOutcome.TRUE
     return ContainmentOutcome.UNKNOWN
-
-
-def ucq_contained_under_egds(
-    left: UnionOfConjunctiveQueries,
-    right: UnionOfConjunctiveQueries,
-    egds: Sequence[EGD],
-) -> bool:
-    """Decide ``Q ⊆_Σ Q'`` under a set of egds (always terminating)."""
-    for left_disjunct in left:
-        if not any(
-            contained_under_egds(left_disjunct, right_disjunct, egds)
-            for right_disjunct in right
-        ):
-            # Fall back to the precise check: containment of a CQ in a UCQ is
-            # not equivalent to containment in some disjunct in general, but
-            # under egds the chase of the left disjunct is a single finite
-            # instance, so we check the UCQ against it directly.
-            from ..chase.egd_chase import egd_chase_query
-
-            result, freezing = egd_chase_query(left_disjunct, egds, on_failure="return")
-            if result.failed:
-                continue
-            answer = tuple(result.resolve(freezing[v]) for v in left_disjunct.head)
-            if not right.holds_in(result.instance, answer):
-                return False
-    return True
-
-
-def ucq_equivalent_under_egds(
-    left: UnionOfConjunctiveQueries,
-    right: UnionOfConjunctiveQueries,
-    egds: Sequence[EGD],
-) -> bool:
-    """Decide ``Q ≡_Σ Q'`` under a set of egds."""
-    return ucq_contained_under_egds(left, right, egds) and ucq_contained_under_egds(
-        right, left, egds
-    )

@@ -11,7 +11,6 @@ from .semantic_acyclicity import (
     decide_semantic_acyclicity_unconstrained,
     find_acyclic_reformulation_tgds,
     is_semantically_acyclic,
-    is_semantically_acyclic_under_tgds,
 )
 from .approximations import (
     ApproximationResult,
@@ -21,12 +20,9 @@ from .approximations import (
 from .ucq_acyclicity import (
     UCQSemAcDecision,
     decide_ucq_semantic_acyclicity,
-    is_ucq_semantically_acyclic,
 )
 from .pcp import (
     PCPInstance,
-    ReductionCheck,
-    check_reduction,
     pcp_query,
     pcp_tgds,
     solution_path_query,
@@ -48,14 +44,12 @@ __all__ = [
     "DEFAULT_SEMAC_CONFIG",
     "PCPInstance",
     "Proposition5Instance",
-    "ReductionCheck",
     "SemAcConfig",
     "SemAcDecision",
     "SemAcReduction",
     "UCQSemAcDecision",
     "acyclic_approximations",
     "candidates",
-    "check_reduction",
     "containment_via_proposition5",
     "decide_semantic_acyclicity",
     "decide_semantic_acyclicity_egds",
@@ -67,8 +61,6 @@ __all__ = [
     "direct_containment",
     "find_acyclic_reformulation_tgds",
     "is_semantically_acyclic",
-    "is_semantically_acyclic_under_tgds",
-    "is_ucq_semantically_acyclic",
     "pcp_query",
     "pcp_tgds",
     "proposition5_instance",

@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..containment.constrained import ContainmentConfig, equivalent_under_tgds
 from ..datamodel import Atom, Predicate, Variable
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
@@ -233,56 +232,3 @@ def word_path_query(word: str) -> ConjunctiveQuery:
     atoms.append(Atom(END, (nxt,)))
     return ConjunctiveQuery((), atoms, name=f"path_{word}")
 
-
-# ----------------------------------------------------------------------
-# Validating the reduction (bounded, for the benchmark / tests)
-# ----------------------------------------------------------------------
-@dataclass
-class ReductionCheck:
-    """Outcome of validating the reduction on one PCP instance."""
-
-    instance: PCPInstance
-    solution: Optional[Tuple[int, ...]]
-    equivalent_path_found: bool
-    tested_words: int
-
-
-def check_reduction(
-    instance: PCPInstance,
-    max_solution_indices: int = 4,
-    max_word_length: int = 8,
-    chase_max_steps: int = 20_000,
-) -> ReductionCheck:
-    """Empirically validate the reduction on a small PCP instance.
-
-    * If the instance has a (bounded-length) solution, the corresponding path
-      query must be equivalent to ``q`` under ``Σ``.
-    * Conversely, the check scans all candidate words up to
-      ``max_word_length`` and reports whether any path query is equivalent to
-      ``q`` — for unsolvable instances none should be.
-    """
-    query = pcp_query()
-    tgds = pcp_tgds(instance)
-    config = ContainmentConfig(max_steps=chase_max_steps)
-
-    solution = instance.has_solution_bounded(max_solution_indices)
-
-    equivalent_found = False
-    tested = 0
-    for length in range(1, max_word_length + 1):
-        for letters in itertools.product("ab", repeat=length):
-            word = "".join(letters)
-            tested += 1
-            candidate = word_path_query(word)
-            if bool(equivalent_under_tgds(query, candidate, tgds, config)):
-                equivalent_found = True
-                break
-        if equivalent_found:
-            break
-
-    return ReductionCheck(
-        instance=instance,
-        solution=solution,
-        equivalent_path_found=equivalent_found,
-        tested_words=tested,
-    )

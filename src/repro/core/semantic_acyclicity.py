@@ -485,15 +485,6 @@ def find_acyclic_reformulation_tgds(
     return decision.witness
 
 
-def is_semantically_acyclic_under_tgds(
-    query: ConjunctiveQuery,
-    tgds: Sequence[TGD],
-    config: SemAcConfig = DEFAULT_SEMAC_CONFIG,
-) -> bool:
-    """Boolean convenience wrapper around :func:`decide_semantic_acyclicity_tgds`."""
-    return decide_semantic_acyclicity_tgds(query, tgds, config).semantically_acyclic
-
-
 # ----------------------------------------------------------------------
 # SemAc under egds
 # ----------------------------------------------------------------------

@@ -102,12 +102,3 @@ def decide_ucq_semantic_acyclicity(
                 witness_disjuncts, name=f"{ucq.name}_acyclic"
             )
     return decision
-
-
-def is_ucq_semantically_acyclic(
-    ucq: UnionOfConjunctiveQueries,
-    constraints: Constraints = (),
-    config: SemAcConfig = DEFAULT_SEMAC_CONFIG,
-) -> bool:
-    """Boolean wrapper around :func:`decide_ucq_semantic_acyclicity`."""
-    return decide_ucq_semantic_acyclicity(ucq, constraints, config).semantically_acyclic

@@ -7,23 +7,18 @@ from .terms import (
     Term,
     TermFactory,
     Variable,
-    constants_of,
     freeze_variable,
     fresh_null,
     fresh_variable,
     is_frozen_constant,
     is_ground,
-    nulls_of,
     unfreeze_constant,
-    variables_of,
 )
 from .atoms import (
     Atom,
     Predicate,
     atoms_constants,
-    atoms_nulls,
     atoms_predicates,
-    atoms_terms,
     atoms_variables,
 )
 from .schema import Schema
@@ -42,18 +37,13 @@ __all__ = [
     "TermFactory",
     "Variable",
     "atoms_constants",
-    "atoms_nulls",
     "atoms_predicates",
-    "atoms_terms",
     "atoms_variables",
-    "constants_of",
     "freeze_variable",
     "fresh_null",
     "fresh_variable",
     "instance_from_tuples",
     "is_frozen_constant",
     "is_ground",
-    "nulls_of",
     "unfreeze_constant",
-    "variables_of",
 ]

@@ -170,14 +170,6 @@ class Atom(_Value):
         return f"Atom({self.predicate.name}, {self.terms!r})"
 
 
-def atoms_terms(atoms: Iterable[Atom]) -> Set[Term]:
-    """Return the set of all terms occurring in ``atoms``."""
-    result: Set[Term] = set()
-    for atom in atoms:
-        result.update(atom.terms)
-    return result
-
-
 def atoms_variables(atoms: Iterable[Atom]) -> Set[Variable]:
     """Return the set of all variables occurring in ``atoms``."""
     result: Set[Variable] = set()
@@ -191,14 +183,6 @@ def atoms_constants(atoms: Iterable[Atom]) -> Set[Constant]:
     result: Set[Constant] = set()
     for atom in atoms:
         result.update(atom.constants())
-    return result
-
-
-def atoms_nulls(atoms: Iterable[Atom]) -> Set[Null]:
-    """Return the set of all nulls occurring in ``atoms``."""
-    result: Set[Null] = set()
-    for atom in atoms:
-        result.update(atom.nulls())
     return result
 
 

@@ -43,7 +43,7 @@ import functools
 import itertools
 import threading
 import weakref
-from typing import Dict, Generic, Iterable, List, NoReturn, Set, Tuple, Type, TypeVar, Union
+from typing import Dict, Generic, List, NoReturn, Tuple, Type, TypeVar, Union
 
 _T = TypeVar("_T", bound="_InternedTerm")
 
@@ -355,21 +355,6 @@ def is_frozen_constant(term: Term) -> bool:
         and len(term.name) == 2
         and term.name[0] == "__frozen__"
     )
-
-
-def constants_of(terms: Iterable[Term]) -> Set[Constant]:
-    """Return the set of constants occurring in ``terms``."""
-    return {t for t in terms if isinstance(t, Constant)}
-
-
-def nulls_of(terms: Iterable[Term]) -> Set[Null]:
-    """Return the set of nulls occurring in ``terms``."""
-    return {t for t in terms if isinstance(t, Null)}
-
-
-def variables_of(terms: Iterable[Term]) -> Set[Variable]:
-    """Return the set of variables occurring in ``terms``."""
-    return {t for t in terms if isinstance(t, Variable)}
 
 
 def is_ground(term: Term) -> bool:

@@ -94,11 +94,6 @@ def classify(tgds: Sequence[TGD]) -> Set[DependencyClass]:
     return {cls for cls, check in _CHECKS.items() if check(tgd_list)}
 
 
-def belongs_to(tgds: Sequence[TGD], dependency_class: DependencyClass) -> bool:
-    """Return ``True`` iff the set belongs to the requested class."""
-    return _CHECKS[dependency_class](list(tgds))
-
-
 def decidable_semac_classes(tgds: Sequence[TGD]) -> Set[DependencyClass]:
     """Classes of the set for which the paper proves SemAc decidable.
 

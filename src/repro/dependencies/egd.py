@@ -116,22 +116,3 @@ class EGD:
 
     def __repr__(self) -> str:
         return f"EGD({self})"
-
-
-def egd_set_predicates(egds: Iterable[EGD]) -> Set[Predicate]:
-    """All predicates used across a set of egds."""
-    result: Set[Predicate] = set()
-    for egd in egds:
-        result.update(egd.predicates())
-    return result
-
-
-def egd_set_schema(egds: Iterable[EGD]) -> Schema:
-    """The schema induced by a set of egds."""
-    return Schema(egd_set_predicates(egds))
-
-
-def max_arity_of(egds: Iterable[EGD]) -> int:
-    """Maximum predicate arity across a set of egds (0 when empty)."""
-    predicates = egd_set_predicates(egds)
-    return max((p.arity for p in predicates), default=0)

@@ -210,15 +210,6 @@ class TGD:
         return f"TGD({self})"
 
 
-def tgd_set_variables(tgds: Iterable[TGD]) -> Set[Variable]:
-    """All variables used across a set of tgds."""
-    result: Set[Variable] = set()
-    for tgd in tgds:
-        result.update(tgd.body_variables())
-        result.update(tgd.head_variables())
-    return result
-
-
 def tgd_set_predicates(tgds: Iterable[TGD]) -> Set[Predicate]:
     """All predicates used across a set of tgds."""
     result: Set[Predicate] = set()
@@ -230,9 +221,3 @@ def tgd_set_predicates(tgds: Iterable[TGD]) -> Set[Predicate]:
 def tgd_set_schema(tgds: Iterable[TGD]) -> Schema:
     """The schema induced by a set of tgds."""
     return Schema(tgd_set_predicates(tgds))
-
-
-def max_body_size(tgds: Iterable[TGD]) -> int:
-    """The maximum number of body atoms over the set (the ``b_Σ`` of Section 5.1)."""
-    sizes = [len(tgd.body) for tgd in tgds]
-    return max(sizes) if sizes else 0

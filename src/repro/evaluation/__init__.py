@@ -1,4 +1,4 @@
-"""Evaluation engines: Yannakakis, generic join, cover game, SemAcEval, batch.
+"""Evaluation engines: Yannakakis, generic join, cover game, routing, batch.
 
 Every set-at-a-time engine compiles to the shared physical-operator IR of
 :mod:`repro.evaluation.operators` (``Scan`` / ``SemiJoin`` / ``HashJoin`` /
@@ -10,10 +10,9 @@ the output boundary, and records per-operator estimated
 (statistics-calibrated :class:`CostModel`) and observed cardinalities —
 pretty-printed by the :func:`explain` API.  Every route also has a
 *streaming* entry point: :func:`evaluate_iter` (and
-:meth:`YannakakisEvaluator.iter_answers`, :func:`iter_with_plan`,
-:meth:`BatchEvaluator.evaluate_iter`) yields distinct answers one at a
-time instead of materialising the output — the ``LIMIT``-style serving
-scenarios of the ROADMAP.  Every stream that joins runs one batch loop
+:meth:`YannakakisEvaluator.iter_answers`, :func:`iter_with_plan`)
+yields distinct answers one at a time instead of materialising the
+output — the ``LIMIT``-style serving scenarios of the ROADMAP.  Every stream that joins runs one batch loop
 over a left-deep join chain (:func:`repro.evaluation.join_plans
 .stream_chain`): the plan route's chain of scans, and the Yannakakis
 routes' chain of reduced join-tree nodes when the head spans several
@@ -42,9 +41,10 @@ chosen route's evaluator — :class:`YannakakisEvaluator` (and its
 route, a :class:`PlanEvaluator` — and runs it through the faces they
 share (``evaluate``, ``iter_answers``, ``boolean``, ``explain``).
 
-Batches of queries over one database go through :func:`evaluate_batch`
-(:mod:`repro.evaluation.batch`), which shares the phase-1 atom scans and
-hash partitions across the whole batch via a :class:`ScanCache`; the same
+Batches of queries over one database go through :func:`evaluate_batch`,
+which routes every query and runs the routes over one :class:`ScanCache`
+(:mod:`repro.evaluation.batch`), so the batch shares its phase-1 atom
+scans and hash partitions; the same
 cache — a standing :class:`repro.service.QueryService`'s included — can
 be injected into any single-query entry point through its ``scans=``
 parameter.
@@ -66,14 +66,14 @@ from .operators import (
     render_plan,
 )
 from .parallel import PARALLEL_MIN_ROWS
-from .batch import BatchEvaluator, CacheBindingError, ScanCache
+from .batch import CacheBindingError, ScanCache
 from .yannakakis import (
     AcyclicityRequired,
     YannakakisEvaluator,
     boolean_acyclic,
     evaluate_acyclic,
 )
-from .generic import boolean_generic, evaluate_generic, membership_generic
+from .generic import evaluate_generic, membership_generic
 from .join_plans import (
     JoinPlan,
     PlanEvaluator,
@@ -101,7 +101,6 @@ from .cover_game import (
 )
 from .semacyclic_eval import (
     NotSemanticallyAcyclic,
-    SemAcEvaluation,
     evaluate_batch,
     evaluate_iter,
     evaluate_via_reformulation,
@@ -116,7 +115,6 @@ from .semacyclic_eval import (
 __all__ = [
     "AcyclicityRequired",
     "BagNode",
-    "BatchEvaluator",
     "CacheBindingError",
     "CardinalityEstimate",
     "CostModel",
@@ -142,13 +140,11 @@ __all__ = [
     "ScanCache",
     "ScanProvider",
     "SchemaError",
-    "SemAcEvaluation",
     "SemiJoin",
     "Statistics",
     "TermEncoder",
     "YannakakisEvaluator",
     "boolean_acyclic",
-    "boolean_generic",
     "boolean_with_plan",
     "compile_plan",
     "estimated_intermediate_sizes",

@@ -1,4 +1,4 @@
-"""Batched multi-query evaluation over one scan cache per database.
+"""The scan layer: one scan cache per database, shared by every query over it.
 
 The serving-path scenario of the ROADMAP — many users issuing many CQs over
 one shared database — repeats an enormous amount of phase-1 work when the
@@ -6,29 +6,21 @@ queries are evaluated one at a time: every evaluator call re-scans each body
 atom's relation and re-encodes it.  Across a batch of queries over
 overlapping predicates those scans are overwhelmingly identical.
 
-This module amortises them:
+:class:`ScanCache` amortises them; it is the one scan path of the engine.
+It caches exactly one base :class:`Relation` per predicate — its rows, its
+partitions and its dictionary-encoded store with the store's key indexes —
+and serves every atom over that predicate from it.  An atom with only
+distinct variables is an ``O(1)`` schema view of the base store; an atom
+with constants or repeated variables is a lookup in the base store's cached
+key index on the pinned positions, filtered by the repeated-variable
+equalities and gathered into a one-shot store (Durand–Grandjean's RAM
+model, where an anchored atom is an index lookup, not a relation of its
+own).  Every execution context reads its scans through a cache: an
+injected one, or one built for the run.
 
-* :class:`ScanCache` is the one scan path of the engine.  It caches exactly
-  one base :class:`Relation` per predicate — its rows, its partitions and
-  its dictionary-encoded store with the store's key indexes — and serves
-  every atom over that predicate from it.  An atom with only distinct
-  variables is an ``O(1)`` schema view of the base store; an atom with
-  constants or repeated variables is a lookup in the base store's cached
-  key index on the pinned positions, filtered by the repeated-variable
-  equalities and gathered into a one-shot store (Durand–Grandjean's RAM
-  model, where an anchored atom is an index lookup, not a relation of its
-  own).  Every execution context reads its scans through a cache: an
-  injected one, or one built for the run.
-
-* :class:`BatchEvaluator` routes each query of a batch through
-  :func:`~repro.evaluation.semacyclic_eval.resolve_route` — Yannakakis for
-  acyclic queries, Yannakakis on an acyclic reformulation (Proposition 24)
-  when tgds make the query semantically acyclic, the decomposition route
-  for the other cyclic queries — and drives all of them against one shared
-  :class:`ScanCache`.
-
-The public batch entry point is
-:func:`repro.evaluation.semacyclic_eval.evaluate_batch`; the benchmark
+The batch entry point is
+:func:`repro.evaluation.semacyclic_eval.evaluate_batch`, which runs every
+query's route over one cache; the benchmark
 ``benchmarks/bench_batch_eval.py`` measures the amortisation on the
 shared-predicate workload of
 :func:`repro.workloads.generators.shared_predicate_batch_workload`.
@@ -37,33 +29,17 @@ shared-predicate workload of
 from __future__ import annotations
 
 import threading
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..datamodel import Instance, Predicate, Term, Variable
-from ..dependencies.tgd import TGD
-from ..queries.cq import ConjunctiveQuery
+from ..datamodel import Instance, Predicate, Variable
 from .encoding import EncodedRelation, TermEncoder
 from .relation import (
     Relation,
     Row,
     ScanPattern,
-    ScanProvider,
     ScanTarget,
     compile_scan_pattern,
 )
-
-if TYPE_CHECKING:
-    from .semacyclic_eval import RouteEvaluator
 
 
 class CacheBindingError(ValueError):
@@ -354,129 +330,3 @@ class ScanCache:
             for row in rows
             if all(columns[p][row] == columns[first][row] for p, first in pattern.equality_checks)
         ]
-
-
-class BatchEvaluator:
-    """Evaluate a batch of CQs over one database with shared phase-1 work.
-
-    Per query, the constructor picks a route (query-only work, paid once):
-
-    * ``"yannakakis"`` — the query is acyclic: Yannakakis' four phases
-      (linear data complexity);
-    * ``"reformulated"`` — the query is cyclic but ``tgds`` admit an acyclic
-      reformulation (Proposition 24): Yannakakis on the reformulation — the
-      fpt route, sound on every database satisfying the tgds;
-    * ``"decomposition"`` — the query is cyclic with no reformulation: the
-      bags of a min-fill tree decomposition are materialised and Yannakakis
-      runs over the bag tree (polynomial for fixed decomposition width);
-    * ``"plan"`` — the nullary query (empty body), whose one empty answer
-      the flat join-plan route gives.
-
-    Every route is an evaluator with the same faces, so :meth:`evaluate`,
-    :meth:`evaluate_iter` and :meth:`explain` are one loop over the routes.
-    :meth:`evaluate` drives every route against one shared
-    :class:`ScanCache`, so the batch pays each base scan, key index and
-    partition once;
-    :meth:`evaluate_sequential` is the one-at-a-time baseline with identical
-    routing, used by the differential tests and the benchmark.
-    """
-
-    def __init__(
-        self,
-        queries: Iterable[ConjunctiveQuery],
-        *,
-        tgds: Sequence[TGD] = (),
-    ) -> None:
-        self.queries: List[ConjunctiveQuery] = list(queries)
-        self.tgds: Tuple[TGD, ...] = tuple(tgds)
-        # Shared routing (lazy import: semacyclic_eval imports this module).
-        from .semacyclic_eval import resolve_route
-
-        self._routes: List[Tuple[str, "RouteEvaluator"]] = [
-            resolve_route(query, tgds=self.tgds) for query in self.queries
-        ]
-
-    def routes(self) -> List[str]:
-        """The route chosen per query (aligned with ``self.queries``)."""
-        return [kind for kind, _ in self._routes]
-
-    def evaluate(
-        self,
-        database: Instance,
-        *,
-        scans: Optional[ScanProvider] = None,
-    ) -> List[Set[Tuple[Term, ...]]]:
-        """Return ``[q(D) for q in queries]`` with shared phase-1 work.
-
-        A fresh :class:`ScanCache` for ``database`` is created unless
-        ``scans`` supplies one (pass an explicit cache to amortise across
-        *calls* as well, e.g. for a standing query batch over a database
-        that did not change).  Data complexity: each predicate's base
-        relation is scanned and encoded once, after which every query adds
-        the cost of its own route.
-
-        The queries run one after another.  The shared cache is
-        thread-safe (scans serialise on its lock), so client threads may
-        call :meth:`evaluate` concurrently over one cache.
-        """
-        if scans is None:
-            scans = ScanCache(database)
-        return [evaluator.evaluate(database, scans=scans) for _, evaluator in self._routes]
-
-    def evaluate_iter(
-        self,
-        database: Instance,
-        *,
-        scans: Optional[ScanProvider] = None,
-        limit: Optional[int] = None,
-    ) -> List[Iterator[Tuple[Term, ...]]]:
-        """Per-query answer *generators* over one shared :class:`ScanCache`.
-
-        The streaming face of :meth:`evaluate`: the list is aligned with
-        ``self.queries`` and each element lazily streams that query's
-        distinct answers through its route's ``iter_answers``.  Nothing
-        touches the database until a generator is pulled; the generators
-        may be consumed in any order and interleaved, and they all draw
-        their phase-1 scans from the same cache, so whichever generator
-        first needs a predicate pays for its base scan and the rest reuse
-        it.  ``limit`` applies per query.
-        """
-        if scans is None:
-            scans = ScanCache(database)
-        return [
-            evaluator.iter_answers(database, scans=scans, limit=limit)
-            for _, evaluator in self._routes
-        ]
-
-    def explain(
-        self,
-        database: Instance,
-        *,
-        scans: Optional[ScanProvider] = None,
-        execute: bool = True,
-    ) -> List[str]:
-        """Per-query ``EXPLAIN`` output over one shared :class:`ScanCache`.
-
-        Aligned with ``self.queries``; entry ``i`` is what
-        :func:`repro.evaluation.semacyclic_eval.explain_route` reports for
-        query ``i`` and its route.  All plans draw their scans and
-        statistics from one cache, so explaining a batch costs each
-        distinct base scan once.
-        """
-        from .semacyclic_eval import explain_route
-
-        if scans is None:
-            scans = ScanCache(database)
-        return [
-            explain_route(query, database, kind, evaluator, scans=scans, execute=execute)
-            for query, (kind, evaluator) in zip(self.queries, self._routes)
-        ]
-
-    def evaluate_sequential(self, database: Instance) -> List[Set[Tuple[Term, ...]]]:
-        """The per-query baseline: identical routing, no shared scans.
-
-        Every query scans through a cache of its own, exactly as the
-        one-query-at-a-time entry points do — this is the benchmark baseline and the differential
-        oracle for :meth:`evaluate`.
-        """
-        return [evaluator.evaluate(database) for _, evaluator in self._routes]

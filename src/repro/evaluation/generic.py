@@ -19,11 +19,6 @@ def evaluate_generic(query: ConjunctiveQuery, database: Instance) -> Set[Tuple[T
     return query.evaluate(database)
 
 
-def boolean_generic(query: ConjunctiveQuery, database: Instance) -> bool:
-    """Boolean evaluation by homomorphism search."""
-    return query.holds_in(database)
-
-
 def membership_generic(
     query: ConjunctiveQuery, database: Instance, answer: Tuple[Term, ...]
 ) -> bool:

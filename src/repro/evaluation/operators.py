@@ -72,6 +72,7 @@ from typing import (
 )
 
 from ..datamodel import Atom, Instance, Predicate, Variable
+from .batch import ScanCache
 from .encoding import EncodedRelation, TermEncoder
 from .parallel import (
     parallel_join,
@@ -104,8 +105,6 @@ def default_scans(database: Instance, scans: Optional[ScanProvider]) -> ScanProv
     ``database`` when none is given: every scan goes through a cache."""
     if scans is not None:
         return scans
-    from .batch import ScanCache  # lazy: batch imports the engines
-
     return ScanCache(database)
 
 

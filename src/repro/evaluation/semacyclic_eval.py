@@ -14,25 +14,22 @@ Three routes are implemented:
   For egd classes whose chase is polynomial (e.g. functional dependencies)
   the same holds after chasing the query first (Proposition 31).
 
-* **Batched evaluation** (:func:`evaluate_batch`): many CQs against one
-  database at once, sharing the phase-1 atom scans and hash partitions
-  through a :class:`repro.evaluation.batch.ScanCache` — the serving-path
-  amortisation for query batches over overlapping predicates.
-
 Route selection is shared: :func:`resolve_route` picks
 Yannakakis / reformulation / decomposition / flat-plan exactly once for
-:func:`evaluate_iter`, :class:`~repro.evaluation.batch.BatchEvaluator`,
+:func:`evaluate_iter`, :func:`evaluate_batch`,
 :class:`repro.service.QueryService` and the CLI alike.  Every route comes
 back as an evaluator with the same faces (the flat plan route's is a
 :class:`~repro.evaluation.join_plans.PlanEvaluator`), so callers run it
 without asking which route it is, and :func:`explain` pretty-prints
 whichever physical operator plan the chosen route compiles, with the cost
 model's estimated cardinalities next to the executed, observed ones.
+:func:`evaluate_batch` runs many routes over one
+:class:`~repro.evaluation.batch.ScanCache`, so a batch over overlapping
+predicates pays each base scan once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..chase.egd_chase import egd_chase_query
@@ -41,7 +38,7 @@ from ..datamodel import GroundTerm, Instance, Term
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
-from .batch import BatchEvaluator, ScanCache
+from .batch import ScanCache
 from .cover_game import (
     CoverEngine,
     existential_one_cover,
@@ -50,7 +47,7 @@ from .cover_game import (
 )
 from .generic import membership_generic
 from .join_plans import PlanEvaluator
-from .relation import Relation, ScanProvider
+from .relation import ScanProvider
 from .yannakakis import AcyclicityRequired, YannakakisEvaluator
 
 if TYPE_CHECKING:
@@ -67,69 +64,6 @@ class NotSemanticallyAcyclic(ValueError):
 #: ``evaluate``, ``iter_answers``, ``boolean``, ``explain`` and
 #: ``compiled_plans``.
 RouteEvaluator = Union[YannakakisEvaluator, PlanEvaluator]
-
-
-@dataclass
-class SemAcEvaluation:
-    """A reusable evaluator built from an acyclic reformulation of a query."""
-
-    original: ConjunctiveQuery
-    reformulation: ConjunctiveQuery
-    _evaluator: YannakakisEvaluator
-
-    @classmethod
-    def from_reformulation(
-        cls, original: ConjunctiveQuery, reformulation: ConjunctiveQuery
-    ) -> "SemAcEvaluation":
-        return cls(original, reformulation, YannakakisEvaluator(reformulation))
-
-    def evaluate(
-        self,
-        database: Instance,
-        *,
-        scans: Optional[ScanProvider] = None,
-    ) -> Set[Tuple[Term, ...]]:
-        """Return ``q(D)`` (equal to ``q'(D)`` on every ``D ⊨ Σ``)."""
-        return self._evaluator.evaluate(database, scans=scans)
-
-    def answer_relation(
-        self,
-        database: Instance,
-        *,
-        scans: Optional[ScanProvider] = None,
-    ) -> Relation:
-        """Return ``q(D)`` as a :class:`Relation` over the free variables.
-
-        The relation comes straight from the Yannakakis phase-4 join on the
-        reformulation, so callers that post-process answers (batching,
-        further joins) can stay inside the hash-relation engine instead of
-        round-tripping through Python sets of tuples.
-        """
-        return self._evaluator.answer_relation(database, scans=scans)
-
-    def iter_answers(
-        self,
-        database: Instance,
-        *,
-        scans: Optional[ScanProvider] = None,
-        limit: Optional[int] = None,
-    ) -> Iterator[Tuple[Term, ...]]:
-        """Stream ``q(D)`` one answer at a time through the reformulation.
-
-        Delegates to the streaming phase 4 of the underlying Yannakakis
-        evaluator (:meth:`~repro.evaluation.yannakakis.YannakakisEvaluator
-        .iter_answers`), so the first answer arrives after the semi-join
-        passes instead of after the whole output.
-        """
-        return self._evaluator.iter_answers(database, scans=scans, limit=limit)
-
-    def boolean(
-        self,
-        database: Instance,
-        *,
-        scans: Optional[ScanProvider] = None,
-    ) -> bool:
-        return self._evaluator.boolean(database, scans=scans)
 
 
 def evaluate_via_reformulation(
@@ -150,7 +84,7 @@ def evaluate_via_reformulation(
         raise NotSemanticallyAcyclic(
             f"{query.name} is not semantically acyclic under the given tgds"
         )
-    return SemAcEvaluation.from_reformulation(query, reformulation).evaluate(database)
+    return YannakakisEvaluator(reformulation).evaluate(database)
 
 
 def _route_verified(
@@ -198,8 +132,8 @@ def resolve_route(
     statically verified here too (:mod:`repro.analysis.verify_plan`), so an
     IR-contract violation surfaces at routing time as a
     :class:`~repro.analysis.PlanVerificationError`.  A query without atoms
-    takes the flat plan route even under tgds: its one empty answer needs
-    no reformulation.
+    takes the flat plan route whatever ``engine`` forces and whatever the
+    tgds: its one empty answer needs no join tree and no reformulation.
 
     Raises:
         ValueError: for an unknown ``engine``.
@@ -212,13 +146,15 @@ def resolve_route(
             f"unknown evaluation engine {engine!r} "
             "(use 'auto', 'yannakakis', 'reformulation', 'decomposition' or 'plan')"
         )
+    if not query.body:
+        return ("plan", PlanEvaluator(query))
     if engine in ("auto", "yannakakis"):
         try:
             return _route_verified("yannakakis", YannakakisEvaluator(query))
         except AcyclicityRequired:
             if engine == "yannakakis":
                 raise
-    if engine == "reformulation" or (engine == "auto" and tgds and query.body):
+    if engine == "reformulation" or (engine == "auto" and tgds):
         from ..core.semantic_acyclicity import find_acyclic_reformulation_tgds
 
         reformulation = find_acyclic_reformulation_tgds(query, tgds)
@@ -228,7 +164,7 @@ def resolve_route(
             raise NotSemanticallyAcyclic(
                 f"{query.name} is not semantically acyclic under the given tgds"
             )
-    if engine in ("auto", "decomposition") and query.body:
+    if engine in ("auto", "decomposition"):
         from .planner_dp import DecompositionEvaluator
 
         return _route_verified("decomposition", DecompositionEvaluator(query))
@@ -251,8 +187,8 @@ def evaluate_iter(
     and ``set(evaluate_iter(...))`` always equals the corresponding full
     evaluation.  ``engine`` selects the route:
 
-    * ``"auto"`` (default) — the same routing as
-      :class:`~repro.evaluation.batch.BatchEvaluator`: Yannakakis' streaming
+    * ``"auto"`` (default) — the same routing as :func:`evaluate_batch`
+      and :class:`repro.service.QueryService`: Yannakakis' streaming
       phase 4 for acyclic queries, Yannakakis on an acyclic reformulation
       when ``tgds`` make the query semantically acyclic (Proposition 24),
       and otherwise the decomposition route (bags of a min-fill tree
@@ -375,46 +311,27 @@ def evaluate_batch(
     database: Instance,
     *,
     tgds: Sequence[TGD] = (),
-    engine: str = "batch",
     scans: Optional[ScanProvider] = None,
 ) -> List[Set[Tuple[Term, ...]]]:
     """Evaluate a batch of CQs over one database; return one answer set each.
 
-    Each query is routed by :func:`resolve_route` (Yannakakis for acyclic
-    queries, Yannakakis on an acyclic reformulation under ``tgds`` via
-    Proposition 24, the decomposition route for the remaining cyclic
-    queries — see :class:`repro.evaluation.batch.BatchEvaluator`).
-
-    ``engine`` selects the phase-1 strategy:
-
-    * ``"batch"`` (default) — all queries share one
-      :class:`~repro.evaluation.batch.ScanCache`, so each predicate's base
-      scan, key index and hash partition is built at most once for the
-      whole batch;
-    * ``"sequential"`` — the one-query-at-a-time baseline (identical
-      routing, no sharing), kept for benchmarking and differential testing.
-
-    ``scans`` optionally supplies the cache to use with ``engine="batch"``,
-    which amortises the *scan layer* across calls over an unchanged
-    database.  Note that this convenience function re-routes the queries
-    (join trees, and under ``tgds`` the reformulation search — usually the
-    dominant per-query setup cost) on every call; a standing batch should
-    construct one :class:`~repro.evaluation.batch.BatchEvaluator` and call
-    its :meth:`~repro.evaluation.batch.BatchEvaluator.evaluate` repeatedly.
+    Every query is routed by :func:`resolve_route` first (Yannakakis for
+    acyclic queries, Yannakakis on an acyclic reformulation under ``tgds``
+    via Proposition 24, the decomposition route for the remaining cyclic
+    queries), so a route error surfaces before any query runs.  The routes
+    then run one after another over one
+    :class:`~repro.evaluation.batch.ScanCache` — ``scans`` if given, else a
+    new one for ``database`` — so each predicate's base scan, key index and
+    partition is built at most once for the whole batch.  Passing the same
+    cache to several calls amortises the scan layer across calls too; the
+    cache is thread-safe, so client threads may share one.  A standing
+    batch, routed once and run many times, is a
+    :class:`repro.service.QueryService`.
     """
-    if engine not in ("batch", "sequential"):
-        raise ValueError(
-            f"unknown batch engine {engine!r} (use 'batch' or 'sequential')"
-        )
-    if engine == "sequential" and scans is not None:
-        raise ValueError(
-            "scans= is meaningless with engine='sequential' (the baseline "
-            "shares nothing); drop it or use engine='batch'"
-        )
-    batch = BatchEvaluator(queries, tgds=tgds)
-    if engine == "batch":
-        return batch.evaluate(database, scans=scans)
-    return batch.evaluate_sequential(database)
+    routes = [resolve_route(query, tgds=tgds) for query in queries]
+    if scans is None:
+        scans = ScanCache(database)
+    return [evaluator.evaluate(database, scans=scans) for _, evaluator in routes]
 
 
 def membership_via_cover_game_guarded(

@@ -40,11 +40,6 @@ def instance_connectors(term: Term) -> bool:
     return isinstance(term, Constant) and is_frozen_constant(term)
 
 
-def all_term_connectors(term: Term) -> bool:
-    """Connector policy that treats every term as a vertex."""
-    return True
-
-
 @dataclass(frozen=True)
 class HyperEdge:
     """A hyperedge: the originating atom plus its connector-vertex set."""

@@ -2,7 +2,6 @@
 
 from .homomorphism import (
     Homomorphism,
-    apply_homomorphism,
     compose,
     find_homomorphism,
     has_homomorphism,
@@ -25,7 +24,6 @@ from .gaifman import (
     edge_count,
     gaifman_graph_of_atoms,
     gaifman_graph_of_instance,
-    is_connected_graph,
     max_clique_lower_bound,
     treewidth_upper_bound,
 )
@@ -35,7 +33,6 @@ __all__ = [
     "Homomorphism",
     "UCQ",
     "UnionOfConjunctiveQueries",
-    "apply_homomorphism",
     "boolean_query",
     "compose",
     "connected_components",
@@ -50,7 +47,6 @@ __all__ = [
     "has_homomorphism",
     "homomorphically_equivalent",
     "homomorphisms",
-    "is_connected_graph",
     "is_core",
     "is_homomorphism",
     "is_semantically_acyclic_unconstrained",

@@ -49,11 +49,6 @@ def gaifman_graph_of_instance(instance: Instance) -> AdjacencyGraph:
     return gaifman_graph_of_atoms(instance, use_all_terms=True)
 
 
-def is_connected_graph(graph: AdjacencyGraph) -> bool:
-    """Return ``True`` iff ``graph`` has at most one connected component."""
-    return len(connected_components(graph)) <= 1
-
-
 def connected_components(graph: AdjacencyGraph) -> List[Set[Hashable]]:
     """Return the connected components of an adjacency graph."""
     remaining = set(graph)

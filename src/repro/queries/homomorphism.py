@@ -196,11 +196,6 @@ def has_homomorphism(
     return find_homomorphism(source, target, seed=seed) is not None
 
 
-def apply_homomorphism(mapping: Mapping[Term, Term], atoms: Iterable[Atom]) -> List[Atom]:
-    """Return the image of ``atoms`` under ``mapping`` (identity where unbound)."""
-    return [atom.apply(mapping) for atom in atoms]
-
-
 def compose(first: Mapping[Term, Term], second: Mapping[Term, Term]) -> Homomorphism:
     """Return the composition ``second ∘ first`` restricted to ``first``'s domain.
 

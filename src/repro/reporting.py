@@ -8,8 +8,8 @@ the rows/series it measured.  This module keeps that output uniform:
 * :class:`Series` — a named sequence of ``(x, y)`` measurements with a
   compact rendering (used for scaling experiments);
 * :class:`ExperimentRecord` — one paper-artefact-versus-measured entry, plus
-  :func:`render_experiment_records` which produces the markdown blocks that
-  ``EXPERIMENTS.md`` is assembled from;
+  :func:`render_experiment_records` which renders a list of them as
+  markdown sections;
 * :class:`BenchSnapshot` — the persisted perf trajectory: each
   ``make bench-*`` run writes one ``BENCH_<name>.json`` with the measured
   series (sizes, growth factors, probe counts, backend ratios), so
@@ -99,7 +99,7 @@ class Table:
         return "\n".join(lines)
 
     def to_markdown(self) -> str:
-        """GitHub-flavoured markdown rendering (used to assemble EXPERIMENTS.md)."""
+        """GitHub-flavoured markdown rendering."""
         lines: List[str] = []
         if self.title:
             lines.append(f"**{self.title}**")

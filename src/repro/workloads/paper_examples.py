@@ -1,8 +1,8 @@
 """Every worked example of the paper as ready-made objects.
 
 The objects below are used by the tests (to validate the library against the
-paper's own claims) and by the benchmark harness (each experiment of
-EXPERIMENTS.md regenerates one of these constructions).
+paper's own claims) and by the benchmark harness (each benchmark under
+``benchmarks/`` regenerates one of these constructions).
 """
 
 from __future__ import annotations

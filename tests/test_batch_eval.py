@@ -2,8 +2,9 @@
 
 The contract of :func:`repro.evaluation.evaluate_batch` is that sharing
 phase-1 scans and partitions across a batch changes *nothing* about the
-answers: for every query the batched result must equal the one-at-a-time
-result of the matching single-query engine (``evaluate_acyclic`` for
+answers: for every query the batched result must equal its route's
+evaluation without a shared cache, the result of the matching
+single-query engine (``evaluate_acyclic`` for
 acyclic queries, the plan executor for cyclic ones, the reformulation route
 under tgds) and the generic homomorphism oracle.  The :class:`ScanCache`
 is additionally pinned down by counting: each predicate's base relation
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import (
-    BatchEvaluator,
     Relation,
     ScanCache,
     TermEncoder,
@@ -27,8 +27,10 @@ from repro.evaluation import (
     evaluate_generic,
     evaluate_via_reformulation,
     evaluate_with_plan,
+    resolve_route,
 )
 from repro.evaluation.encoding import NUMPY_ENV, IntIndex
+from repro.evaluation.semacyclic_eval import explain_route
 from repro.queries.cq import ConjunctiveQuery
 from repro.workloads.generators import (
     random_acyclic_query,
@@ -100,9 +102,8 @@ def _random_batch(seed: int):
 
 
 def _assert_batch_matches_oracles(queries, database):
-    batched = evaluate_batch(queries, database, engine="batch")
-    sequential = evaluate_batch(queries, database, engine="sequential")
-    assert batched == sequential
+    batched = evaluate_batch(queries, database)
+    assert batched == [resolve_route(query)[1].evaluate(database) for query in queries]
     for query, answers in zip(queries, batched):
         assert answers == evaluate_generic(query, database)
         if query.is_acyclic():
@@ -156,10 +157,9 @@ def test_batch_reformulates_cyclic_queries_under_tgds():
     database = music_store_database(seed=3, customers=12, records=15, styles=4)
 
     assert not query.is_acyclic()
-    batch = BatchEvaluator([query], tgds=[tgd])
-    assert batch.routes() == ["reformulated"]
+    assert resolve_route(query, tgds=[tgd])[0] == "reformulated"
 
-    [answers] = batch.evaluate(database)
+    [answers] = evaluate_batch([query], database, tgds=[tgd])
     assert answers == evaluate_via_reformulation(query, [tgd], database)
     assert answers == evaluate_generic(query, database)
 
@@ -188,10 +188,11 @@ def test_batch_reformulation_route_on_random_satisfying_databases(seed):
     database = Database()
     database.add_all(result.instance)
 
-    batch = BatchEvaluator([cyclic_query, acyclic_probe], tgds=tgds)
-    assert batch.routes() == ["reformulated", "yannakakis"]
-    answers = batch.evaluate(database)
-    assert answers == batch.evaluate_sequential(database)
+    queries = [cyclic_query, acyclic_probe]
+    routes = [resolve_route(query, tgds=tgds) for query in queries]
+    assert [kind for kind, _ in routes] == ["reformulated", "yannakakis"]
+    answers = evaluate_batch(queries, database, tgds=tgds)
+    assert answers == [evaluator.evaluate(database) for _, evaluator in routes]
     assert answers == [
         evaluate_generic(cyclic_query, database),
         evaluate_generic(acyclic_probe, database),
@@ -200,18 +201,17 @@ def test_batch_reformulation_route_on_random_satisfying_databases(seed):
 
 def test_batch_without_tgds_routes_cyclic_to_decomposition():
     query = example1_query()
-    batch = BatchEvaluator([query])
-    assert batch.routes() == ["decomposition"]
+    assert resolve_route(query)[0] == "decomposition"
     database = music_store_database(seed=5, customers=8, records=10, styles=3)
-    assert batch.evaluate(database) == [evaluate_generic(query, database)]
+    assert evaluate_batch([query], database) == [evaluate_generic(query, database)]
 
 
 @pytest.mark.parametrize("execute", [True, False])
 def test_batch_explain_is_explain_per_query_on_every_route(execute):
-    """Each entry of ``BatchEvaluator.explain`` is what ``explain`` prints
-    for its query alone, on every route: the reformulation and the
-    decomposition lines included, and the same estimates and observations
-    through the batch's shared scan cache."""
+    """``explain_route`` over one shared scan cache prints, for each query
+    of a batch, what ``explain`` prints for that query alone, on every
+    route: the reformulation and the decomposition lines included, and the
+    same estimates and observations through the shared cache."""
     from repro.evaluation import explain
     from repro.parser import parse_query
 
@@ -225,9 +225,13 @@ def test_batch_explain_is_explain_per_query_on_every_route(execute):
     database = music_store_database(seed=3, customers=8, records=10, styles=3)
     for a, b in [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]:
         database.add(Atom(Predicate("E", 2), (Constant(a), Constant(b))))
-    batch = BatchEvaluator(queries, tgds=tgds)
-    assert batch.routes() == ["yannakakis", "reformulated", "decomposition", "plan"]
-    reports = batch.explain(database, execute=execute)
+    routes = [resolve_route(query, tgds=tgds) for query in queries]
+    assert [kind for kind, _ in routes] == ["yannakakis", "reformulated", "decomposition", "plan"]
+    shared = ScanCache(database)
+    reports = [
+        explain_route(query, database, kind, evaluator, scans=shared, execute=execute)
+        for query, (kind, evaluator) in zip(queries, routes)
+    ]
     assert reports == [
         explain(query, database, tgds=tgds, execute=execute) for query in queries
     ]
@@ -389,25 +393,12 @@ def test_empty_batch():
     assert evaluate_batch([], Database()) == []
 
 
-def test_unknown_engine_is_rejected():
-    with pytest.raises(ValueError):
-        evaluate_batch([], Database(), engine="warp")
-
-
-def test_sequential_engine_rejects_a_scan_cache():
-    """A supplied cache must never be silently dropped."""
-    database = Database()
-    with pytest.raises(ValueError):
-        evaluate_batch([], database, engine="sequential", scans=ScanCache(database))
-
-
 def test_explicit_cache_amortises_across_calls():
     queries, database = shared_predicate_batch_workload(6, size=120, seed=1)
-    batch = BatchEvaluator(queries)
     cache = ScanCache(database)
-    first = batch.evaluate(database, scans=cache)
+    first = evaluate_batch(queries, database, scans=cache)
     built_after_first = cache.built
-    second = batch.evaluate(database, scans=cache)
+    second = evaluate_batch(queries, database, scans=cache)
     assert first == second
     assert cache.built == built_after_first  # second call: all cache hits
 

@@ -3,7 +3,7 @@
 The tuple-at-a-time engine (``tests/helpers/tuple_engine.py``) is the
 differential oracle: for every route (``yannakakis``, ``reformulated``,
 ``plan``) and every entry point (``evaluate``, ``iter_answers``/
-``iter_with_plan`` with and without ``limit=``, ``BatchEvaluator``), the
+``iter_with_plan`` with and without ``limit=``, ``evaluate_batch``), the
 engine must produce exactly the same answer set — including the corners where representations
 historically diverge: injected constants, repeated head variables, empty
 predicates, and terms with colliding string forms.
@@ -36,15 +36,16 @@ from hypothesis import strategies as st
 from repro.datamodel import Atom, Constant, Database, Null, Predicate, Variable
 from repro.evaluation import (
     AcyclicityRequired,
-    BatchEvaluator,
     Relation,
     ScanCache,
     TermEncoder,
     YannakakisEvaluator,
+    evaluate_batch,
     evaluate_iter,
     evaluate_with_plan,
     iter_with_plan,
     plan_greedy,
+    resolve_route,
 )
 from repro.evaluation.encoding import EncodedRelation, NUMPY_ENV
 from repro.evaluation.join_plans import BATCH_ROWS
@@ -134,14 +135,13 @@ def test_reformulated_route_backends_agree():
     tgd = example1_tgd()
     database = music_store_database(seed=3, customers=12, records=15, styles=4)
 
-    batch = BatchEvaluator([query], tgds=[tgd])
-    assert batch.routes() == ["reformulated"]
+    route, evaluator = resolve_route(query, tgds=[tgd])
+    assert route == "reformulated"
     expected = oracle.evaluate_route(query, database, tgds=[tgd])
-    [columnar] = batch.evaluate(database)
+    [columnar] = evaluate_batch([query], database, tgds=[tgd])
     assert columnar == expected
 
-    [stream] = batch.evaluate_iter(database)
-    streamed = list(stream)
+    streamed = list(evaluator.iter_answers(database))
     assert len(set(streamed)) == len(streamed)
     assert set(streamed) == expected
 

@@ -198,6 +198,49 @@ def knobs(prefix):
     assert any("lists REPRO_VERIFY, which src/ no longer reads" in line for line in violations)
 
 
+def test_exports_nothing_references_are_flagged():
+    init = """
+from .mod import CONSTANT, Used, traced, unused
+
+__all__ = [
+    "CONSTANT",
+    "Used",
+    "traced",
+    "unused",
+]
+"""
+    module = """
+CONSTANT = 3
+
+
+class Used:
+    pass
+
+
+def traced():
+    return 1
+
+
+def unused(depth):
+    \"\"\"unused calls itself, which is no reference from outside.\"\"\"
+    return unused(depth - 1) if depth else CONSTANT
+"""
+    references = {
+        "src/repro/pkg/mod.py": module,
+        "tests/test_pkg.py": "from repro.pkg import Used\n\nassert Used()\n",
+        "bench/trace.py": 'TARGETS = ["repro.pkg.mod.traced"]\n',
+    }
+    lint = _lint_module()
+    violations = lint.check_unused_exports({"src/repro/pkg/__init__.py": init}, references)
+    assert violations == [
+        "src/repro/pkg/__init__.py:8: exports unused, which nothing references "
+        "outside its definition (delete it, or drop the export)"
+    ]
+    # A README mention is a reference too.
+    references["README.md"] = "Call `unused(0)` for the constant.\n"
+    assert lint.check_unused_exports({"src/repro/pkg/__init__.py": init}, references) == []
+
+
 def test_typecheck_wrapper_runs():
     """Exit 0 both where mypy exists (clean tree) and where it is absent
     (graceful skip) — either way the wrapper must not crash."""

@@ -7,7 +7,6 @@ from repro.datamodel import Atom, Constant, Database, Instance, Predicate, Varia
 from repro.evaluation import (
     AcyclicityRequired,
     NotSemanticallyAcyclic,
-    SemAcEvaluation,
     YannakakisEvaluator,
     boolean_acyclic,
     evaluate_acyclic,
@@ -299,7 +298,7 @@ class TestSemAcEval:
     def test_semac_evaluation_wrapper(self):
         query = example1_query()
         reformulation = parse_query("q(x, y) :- Interest(x, z), Class(y, z)")
-        evaluator = SemAcEvaluation.from_reformulation(query, reformulation)
+        evaluator = YannakakisEvaluator(reformulation)
         database = music_store_database(seed=11, customers=8, records=10, styles=3)
         assert evaluator.evaluate(database) == evaluate_generic(query, database)
         assert evaluator.boolean(database)

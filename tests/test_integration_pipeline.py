@@ -21,7 +21,7 @@ from repro.containment import equivalent_under_egds, equivalent_under_tgds
 from repro.core import acyclic_approximations, decide_semantic_acyclicity_egds
 from repro.dependencies import DependencyClass, classify
 from repro.evaluation import (
-    SemAcEvaluation,
+    YannakakisEvaluator,
     evaluate_via_reformulation,
     evaluate_with_plan,
     membership_baseline,
@@ -77,7 +77,7 @@ class TestExample1Pipeline:
         query = example1_query()
         tgds = [example1_tgd()]
         decision = decide_semantic_acyclicity(query, tgds)
-        evaluator = SemAcEvaluation.from_reformulation(query, decision.witness)
+        evaluator = YannakakisEvaluator(decision.witness)
         for seed in (1, 2):
             database = music_store_database(seed=seed, customers=8, records=10)
             assert evaluator.evaluate(database) == evaluate_generic(query, database)

@@ -21,8 +21,8 @@ with the repo's differential-oracle pattern:
 * the radix ordering primitive against ``numpy.lexsort``, and whole plans
   over an encoder past 65,536 codes, where every radix order takes two
   16-bit digits per column;
-* client threads sharing one scan cache (``BatchEvaluator.evaluate``
-  called concurrently) or one standing service (``submit`` from four
+* client threads sharing one scan cache (``evaluate_batch(...,
+  scans=shared)`` called concurrently) or one standing service (``submit`` from four
   threads) under insert/delete interleavings.
 
 The storage-parametrised tests also run on the pure-python ``array('q')``
@@ -43,13 +43,14 @@ from hypothesis import strategies as st
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import (
     AcyclicityRequired,
-    BatchEvaluator,
     EncodedRelation,
     ExecutionContext,
     ScanCache,
     TermEncoder,
     YannakakisEvaluator,
+    evaluate_batch,
     evaluate_with_plan,
+    resolve_route,
 )
 from repro.evaluation import parallel as parallel_module
 from repro.evaluation.encoding import NUMPY_ENV
@@ -389,18 +390,17 @@ def _check_batch_evaluator():
     for database in databases:
         for atom in database.atoms():
             merged.add(atom)
-    evaluator = BatchEvaluator(queries)
-    serial = evaluator.evaluate(merged)
+    serial = evaluate_batch(queries, merged)
     # Four client threads evaluate the batch at once over one shared cache.
     shared = ScanCache(merged)
     with _switching_often(), ThreadPoolExecutor(max_workers=4) as clients:
         runs = [
-            clients.submit(evaluator.evaluate, merged, scans=shared)
+            clients.submit(evaluate_batch, queries, merged, scans=shared)
             for _ in range(4)
         ]
         concurrent = [run.result(timeout=60) for run in runs]
     assert concurrent == [serial] * 4
-    assert evaluator.evaluate_sequential(merged) == serial
+    assert [resolve_route(query)[1].evaluate(merged) for query in queries] == serial
 
 
 E = Predicate("E", 2)

@@ -39,6 +39,7 @@ from repro.evaluation import (
     HashJoin,
     Project,
     Scan,
+    ScanCache,
     YannakakisEvaluator,
     evaluate_generic,
     evaluate_with_plan,
@@ -48,6 +49,7 @@ from repro.evaluation import (
     plan_dp_linear,
     plan_greedy,
     resolve_planner,
+    resolve_route,
 )
 from repro.evaluation.join_plans import PlanTree
 from repro.evaluation.operators import ExecutionContext
@@ -374,20 +376,13 @@ def _past_the_dp_limit():
 
 
 def _batch_plan_route(query, database, stream):
-    from repro.evaluation import BatchEvaluator, semacyclic_eval
-
-    with pytest.MonkeyPatch.context() as patch:
-        route = semacyclic_eval.resolve_route
-        patch.setattr(
-            semacyclic_eval,
-            "resolve_route",
-            lambda q, tgds=(): route(q, tgds=tgds, engine="plan"),
-        )
-        batch = BatchEvaluator([query])
-    assert batch.routes() == ["plan"]
+    """The flat plan route run as a batch runs it: over a shared scan cache."""
+    route, evaluator = resolve_route(query, engine="plan")
+    assert route == "plan"
+    shared = ScanCache(database)
     if stream:
-        return set(batch.evaluate_iter(database)[0])
-    return batch.evaluate(database)[0]
+        return set(evaluator.iter_answers(database, scans=shared))
+    return evaluator.evaluate(database, scans=shared)
 
 
 PLAN_ENTRY_POINTS = {

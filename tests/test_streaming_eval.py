@@ -1,8 +1,9 @@
 """Streaming answer enumeration: differential equality and bounded work.
 
 The streaming entry points (:func:`repro.evaluation.evaluate_iter`,
-:meth:`YannakakisEvaluator.iter_answers`, :func:`iter_with_plan`,
-:meth:`BatchEvaluator.evaluate_iter`) promise two things:
+:meth:`YannakakisEvaluator.iter_answers`, :func:`iter_with_plan`, and the
+``iter_answers`` face of every evaluator :func:`resolve_route` returns)
+promise two things:
 
 1. **Same answers** — for every route (Yannakakis / reformulation-under-tgds
    / plan) the set of streamed tuples equals the materialising evaluation,
@@ -32,16 +33,16 @@ from helpers.workloads import randomized_acyclic_workload, randomized_cyclic_wor
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import (
     AcyclicityRequired,
-    BatchEvaluator,
     NotSemanticallyAcyclic,
     ScanCache,
-    SemAcEvaluation,
     YannakakisEvaluator,
+    evaluate_batch,
     evaluate_generic,
     evaluate_iter,
     evaluate_via_reformulation,
     evaluate_with_plan,
     iter_with_plan,
+    resolve_route,
 )
 from repro.evaluation.relation import Partition
 from repro.queries.cq import ConjunctiveQuery
@@ -204,7 +205,7 @@ def test_semac_evaluation_iter_answers_matches_evaluate():
     from repro.core.semantic_acyclicity import find_acyclic_reformulation_tgds
 
     reformulation = find_acyclic_reformulation_tgds(query, [tgd])
-    evaluation = SemAcEvaluation.from_reformulation(query, reformulation)
+    evaluation = YannakakisEvaluator(reformulation)
     streamed = list(evaluation.iter_answers(database))
     assert len(streamed) == len(set(streamed))
     assert set(streamed) == answers
@@ -237,6 +238,21 @@ def test_nullary_query_streams_one_empty_answer():
     assert list(iter_with_plan(empty_body, Database())) == [()]
 
 
+@pytest.mark.parametrize("with_tgd", [False, True], ids=["no-tgds", "tgd"])
+@pytest.mark.parametrize(
+    "engine", ["auto", "yannakakis", "reformulation", "decomposition", "plan"]
+)
+def test_nullary_query_takes_the_plan_route_under_every_engine(engine, with_tgd):
+    """A query without atoms has one empty answer on every database; no
+    forced engine needs a join tree or a reformulation to give it."""
+    empty_body = ConjunctiveQuery((), [], name="nullary")
+    tgds = [example1_tgd()] if with_tgd else []
+    route, evaluator = resolve_route(empty_body, tgds=tgds, engine=engine)
+    assert route == "plan"
+    assert evaluator.evaluate(Database()) == {()}
+    assert list(evaluate_iter(empty_body, Database(), tgds=tgds, engine=engine)) == [()]
+
+
 def test_streaming_empty_results():
     E = Predicate("E", 2)
     x, y = Variable("x"), Variable("y")
@@ -262,14 +278,14 @@ def test_limit_zero_and_negative_yield_nothing():
 
 
 # ----------------------------------------------------------------------
-# Batch streaming: per-query generators over one shared cache
+# Batch streaming: one route per query, streams over one shared cache
 # ----------------------------------------------------------------------
 def test_batch_evaluate_iter_matches_evaluate():
     queries, database = shared_predicate_batch_workload(10, size=200, seed=3)
-    batch = BatchEvaluator(queries)
-    expected = batch.evaluate(database)
+    routes = [resolve_route(query)[1] for query in queries]
+    expected = evaluate_batch(queries, database)
     cache = ScanCache(database)
-    results = [list(stream) for stream in batch.evaluate_iter(database, scans=cache)]
+    results = [list(evaluator.iter_answers(database, scans=cache)) for evaluator in routes]
     for streamed, answers in zip(results, expected):
         assert len(streamed) == len(set(streamed))
         assert set(streamed) == answers
@@ -289,7 +305,7 @@ def test_batch_evaluate_iter_mixed_routes_and_limit():
         name="probe",
     )
     # A triangle over a predicate the tgds never mention: no reformulation
-    # exists, so the batch must fall back to the (block-streamed) plan.
+    # exists, so it takes the decomposition route.
     T = Predicate("StreamT", 2)
     triangle = ConjunctiveQuery(
         (Variable("a"),),
@@ -315,13 +331,18 @@ def test_batch_evaluate_iter_mixed_routes_and_limit():
     for _ in range(18):
         database.add(Atom(T, (rng.choice(nodes), rng.choice(nodes))))
 
-    batch = BatchEvaluator([cyclic_query, acyclic_probe, triangle], tgds=tgds)
-    assert batch.routes() == ["reformulated", "yannakakis", "decomposition"]
-    expected = batch.evaluate(database)
-    results = [list(stream) for stream in batch.evaluate_iter(database)]
+    queries = [cyclic_query, acyclic_probe, triangle]
+    routes = [resolve_route(query, tgds=tgds) for query in queries]
+    assert [kind for kind, _ in routes] == ["reformulated", "yannakakis", "decomposition"]
+    expected = evaluate_batch(queries, database, tgds=tgds)
+    shared = ScanCache(database)
+    results = [list(evaluator.iter_answers(database, scans=shared)) for _, evaluator in routes]
     assert [set(streamed) for streamed in results] == expected
 
-    limited = [list(stream) for stream in batch.evaluate_iter(database, limit=2)]
+    limited = [
+        list(evaluator.iter_answers(database, scans=shared, limit=2))
+        for _, evaluator in routes
+    ]
     for streamed, answers in zip(limited, expected):
         assert len(streamed) == min(2, len(answers))
         assert set(streamed) <= answers
@@ -329,9 +350,11 @@ def test_batch_evaluate_iter_mixed_routes_and_limit():
 
 def test_batch_evaluate_iter_generators_interleave():
     queries, database = shared_predicate_batch_workload(6, size=150, seed=7)
-    batch = BatchEvaluator(queries)
-    expected = batch.evaluate(database)
-    streams = batch.evaluate_iter(database)
+    expected = evaluate_batch(queries, database)
+    shared = ScanCache(database)
+    streams = [
+        resolve_route(query)[1].iter_answers(database, scans=shared) for query in queries
+    ]
     collected = [[] for _ in streams]
     # Round-robin consumption: one answer from each live generator per turn.
     live = list(range(len(streams)))
