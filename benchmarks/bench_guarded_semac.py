@@ -7,14 +7,17 @@ benchmark measures acyclicity preservation over random acyclic queries and
 the decision procedure over a growing guarded instance family, and runs the
 restricted-vs-oblivious chase ablation called out in DESIGN.md.
 
-The search benchmark (``make bench-semac``) times the decision on three
+The search benchmark (``make bench-semac``) times the decision on four
 families of cyclic shapes: ``guarded`` E-triangles with pendants that a
 self-loop rule folds, ``closing`` k-cycles whose first k-1 edges imply the
-closing one, and ``plain`` N-cycles with pendants that no rule can make
-acyclic (every candidate fails).  For each shape it records the decision
-time (median and quartiles) and ``candidates_checked`` of the decider and
-of the unpruned reference in ``tests/helpers/unpruned_semac.py``, with the
-host, into ``BENCH_semac_search.json``.  ``BENCH_SMOKE=1`` keeps one shape
+closing one, ``plain`` N-cycles with pendants that no rule can make
+acyclic (every candidate fails), and ``unreachable``, the same N-cycles
+under a rule that derives only unary atoms outside the query's
+predicates, so the core decides them without a search.  For each shape it
+records the decision time (median and quartiles) and
+``candidates_checked`` of the decider and of the unpruned reference in
+``tests/helpers/unpruned_semac.py``, with the host, into
+``BENCH_semac_search.json``.  ``BENCH_SMOKE=1`` keeps one shape
 per family and two repeats, and writes no snapshot.
 """
 
@@ -102,7 +105,7 @@ def test_ablation_restricted_vs_oblivious_chase(benchmark, variant):
 
 
 # ----------------------------------------------------------------------
-# The reformulation search on guarded, closing and plain shapes
+# The reformulation search on guarded, closing, plain and unreachable shapes
 # ----------------------------------------------------------------------
 SEARCH_REPEATS = 2 if smoke_mode() else 7
 
@@ -112,7 +115,8 @@ SEARCH_TGDS = {
         ", ".join(f"R{k}_{i}(x{i}, x{i + 1})" for i in range(1, k)) + f" -> R{k}_{k}(x{k}, x1)"
         for k in (3, 4, 5)
     ),
-    "plain": ("N(x, y) -> B(x)",),
+    "plain": ("N(x, y) -> T(x, y, z)",),
+    "unreachable": ("N(x, y) -> B(x)",),
 }
 
 
@@ -136,14 +140,17 @@ def search_shapes() -> List[Tuple[str, str, str]]:
     """(family, name, query text) of every shape, one per family when smoke."""
     guarded = [("guarded", f"triangle+{p}", _cycle_with_pendants("E", 3, p)) for p in (0, 2, 4)]
     closing = [("closing", f"{k}-cycle", _closing_cycle(k)) for k in (3, 4, 5)]
-    plain = [
-        ("plain", f"{k}-cycle+{p}", _cycle_with_pendants("N", k, p))
-        for k in (3, 4, 5)
-        for p in (0, 1, 2)
-    ]
+    plain, unreachable = (
+        [
+            (family, f"{k}-cycle+{p}", _cycle_with_pendants("N", k, p))
+            for k in (3, 4, 5)
+            for p in (0, 1, 2)
+        ]
+        for family in ("plain", "unreachable")
+    )
     if smoke_mode():
-        return [guarded[0], closing[0], plain[0]]
-    return guarded + closing + plain
+        return [guarded[0], closing[0], plain[0], unreachable[0]]
+    return guarded + closing + plain + unreachable
 
 
 def _timed(run) -> Tuple[Dict[str, float], object]:
@@ -168,7 +175,10 @@ def test_semac_search_on_guarded_closing_and_plain_shapes():
         config = SemAcConfig()
         pruned_ms, pruned = _timed(lambda: decide_semantic_acyclicity_tgds(query, tgds, config))
         reference_ms, reference = _timed(lambda: decide_tgds_unpruned(query, tgds, config))
-        assert pruned.semantically_acyclic == reference.semantically_acyclic == (family != "plain")
+        acyclic = family in ("guarded", "closing")
+        assert pruned.semantically_acyclic == reference.semantically_acyclic == acyclic
+        if family == "unreachable":
+            assert (pruned.method, pruned.candidates_checked, pruned.exhaustive) == ("core", 1, True)
         assert str(pruned.witness) == str(reference.witness)
         assert pruned.candidates_checked <= reference.candidates_checked
         rows.append(

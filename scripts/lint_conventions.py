@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-convention lint — rules a generic linter cannot know.
 
-Ten rules, each encoding a convention the codebase actually relies on:
+Eleven rules, each encoding a convention the codebase actually relies on:
 
 1. **One operator face** — every concrete operator node in
    ``src/repro/evaluation/operators.py`` implements the materialising
@@ -60,6 +60,12 @@ Ten rules, each encoding a convention the codebase actually relies on:
     name as a whole word, in code, a string or prose alike, so a name
     that ``bench/trace.py`` wraps by path counts as used.  An export
     nothing calls is surface to keep working for no one.
+11. **No unused imports** — every name that a module under ``src/repro``
+    other than a package ``__init__`` imports at module level (in its body
+    or in a top-level ``if``) occurs in that module as a name.  An import
+    line that says ``noqa`` is exempt: ``operators.py`` keeps
+    ``parallel_select`` there because ``bench/trace.py`` wraps it by path.
+    An unused import is a dependency the reader must trace for nothing.
 
 Exit 0 when clean, 1 with one line per violation otherwise (run via
 ``make lint``).
@@ -580,6 +586,69 @@ def check_unused_exports(
     return violations
 
 
+# ----------------------------------------------------------------------
+# Rule 11: no unused module-level imports
+# ----------------------------------------------------------------------
+def _module_imports(tree: ast.Module, lines: List[str]) -> List[Tuple[int, str]]:
+    """``(line, bound name)`` of the imports in the body of ``tree`` and in
+    its top-level ``if`` statements, ``from __future__`` aside.  The line is
+    the name's own in a statement over several lines (found by search where
+    ``ast.alias`` has no ``lineno``, before Python 3.10)."""
+    statements = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.If):
+            statements.extend(node.body + node.orelse)
+    imports: List[Tuple[int, str]] = []
+    for node in statements:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                line = getattr(alias, "lineno", None) or next(
+                    number
+                    for number in range(node.end_lineno, node.lineno - 1, -1)
+                    if bound in WORD.findall(lines[number - 1])
+                )
+                imports.append((line, bound))
+    return imports
+
+
+def _used_names(tree: ast.Module) -> Set[str]:
+    """The names ``tree`` mentions, in code or in a quoted annotation."""
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    used.update(WORD.findall(part.value))
+    return used
+
+
+def check_unused_imports(sources: Optional[Dict[str, str]] = None) -> List[str]:
+    """Rule 11 over the non-``__init__`` modules under ``src/repro`` (or
+    over ``sources``, name -> text, for the tests)."""
+    if sources is None:
+        sources = {
+            relative(path): path.read_text(encoding="utf-8")
+            for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+            if path.name != "__init__.py"
+        }
+    violations: List[str] = []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        used = _used_names(tree)
+        for line, imported in _module_imports(tree, lines):
+            if imported not in used and "noqa" not in lines[line - 1]:
+                violations.append(
+                    f"{name}:{line}: imports {imported}, which the module never uses"
+                )
+    return violations
+
+
 def main() -> int:
     violations = (
         check_operator_faces()
@@ -592,6 +661,7 @@ def main() -> int:
         + check_probe_counts()
         + check_environment_knobs()
         + check_unused_exports()
+        + check_unused_imports()
     )
     for violation in violations:
         print(violation)
@@ -602,7 +672,8 @@ def main() -> int:
         "lint: conventions hold "
         "(operator faces, defaults, BENCH_SMOKE, batch-face registry, "
         "immutable operators, one scan path, radix-only kernels, "
-        "probes counted per kernel call, environment knobs, used exports)"
+        "probes counted per kernel call, environment knobs, used exports, "
+        "used imports)"
     )
     return 0
 

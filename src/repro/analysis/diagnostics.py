@@ -18,7 +18,7 @@ surface the tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Dict, Iterable, List
 

@@ -14,14 +14,13 @@ distinct terms) and is unique up to null renaming, so no budgets are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..datamodel import (
     Atom,
     Constant,
     GroundTerm,
     Instance,
-    Null,
     Term,
     Variable,
     is_frozen_constant,

@@ -18,9 +18,9 @@ Proposition 12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..datamodel import Atom, Constant, Instance, Variable
+from ..datamodel import Atom, Constant, Variable
 from ..dependencies.tgd import TGD
 from ..dependencies.classification import is_guarded_set
 from ..hypergraph import (

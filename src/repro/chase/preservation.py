@@ -15,14 +15,14 @@ generated sets preserve acyclicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
 from ..hypergraph import is_acyclic_instance
 from ..queries.cq import ConjunctiveQuery
-from .egd_chase import EGDChaseResult, egd_chase_query
-from .tgd_chase import ChaseResult, chase_query
+from .egd_chase import egd_chase_query
+from .tgd_chase import chase_query
 
 
 @dataclass

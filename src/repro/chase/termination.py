@@ -26,7 +26,7 @@ applies", never "the chase diverges".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..datamodel import Instance
 from ..dependencies.predicate_graph import (

@@ -32,15 +32,7 @@ from typing import (
     Tuple,
 )
 
-from ..datamodel import (
-    Atom,
-    Constant,
-    Database,
-    Instance,
-    Term,
-    TermFactory,
-    Variable,
-)
+from ..datamodel import Atom, Constant, Instance, Term, TermFactory, Variable
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
 from ..queries.homomorphism import homomorphisms

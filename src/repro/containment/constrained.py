@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from ..chase.egd_chase import egd_chase_query
 from ..chase.tgd_chase import ChaseRun

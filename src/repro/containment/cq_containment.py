@@ -9,7 +9,7 @@ reduces containment under Σ to UCQ evaluation over canonical databases).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 from ..datamodel import Constant, Database
 from ..queries.cq import ConjunctiveQuery

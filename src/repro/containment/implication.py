@@ -20,7 +20,7 @@ outcome is three-valued, like the containment checks it generalises.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..chase.egd_chase import egd_chase
 from ..chase.tgd_chase import chase

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Set
 
-from ..datamodel import Atom, Predicate, Variable
+from ..datamodel import Atom, Variable
 from ..queries.cq import ConjunctiveQuery
 from .candidates import fast_candidates
 from .semantic_acyclicity import (

@@ -58,7 +58,7 @@ from ..hypergraph import (
     is_acyclic_hypergraph,
     is_acyclic_instance,
 )
-from ..queries.cq import ConjunctiveQuery, query_from_instance
+from ..queries.cq import ConjunctiveQuery
 from ..queries.core_minimization import core
 from ..queries.homomorphism import find_homomorphism, homomorphisms
 

@@ -24,7 +24,7 @@ the constructions against the direct chase-based containment procedures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..containment.constrained import ContainmentOutcome, contained_under_tgds
 from ..dependencies.classification import is_body_connected_set

@@ -15,11 +15,25 @@ the bound and the equivalence test change from class to class:
   of ``q`` join the candidates, and sticky sets check containment on the
   rewriting;
 * **keys over unary/binary predicates / unary FDs** (Theorem 23) — egds,
-  whose chase always terminates, with the ``2·|q|`` bound; a failing chase
-  makes ``q`` equivalent to any acyclic CQ;
+  whose chase always terminates, with the ``2·|q|`` bound; when the chase
+  fails, the witness is ``q`` with all its variables collapsed into one,
+  checked equivalent to ``q`` before it is returned;
 * **full tgds** — undecidable (Theorem 7); the procedure still *searches*
   and certifies positive answers, but a negative answer carries no guarantee
   (see :mod:`repro.core.pcp` for the reduction behind the undecidability).
+
+Under tgds only ``Σ_q``, the tgds reachable from the predicates ``P`` of
+``q``, matter: a witness maps into the chase of ``q``, so both containments
+fire tgds of ``Σ_q`` only.  When no tgd of ``Σ_q`` has a head predicate in
+``P`` and every head atom of ``Σ_q`` has at most two variables, the core
+decides exactly, with no search.  A witness ``q'`` is then equivalent,
+without constraints, to its atoms over ``P``, which hold a copy of the core
+of ``q``.  Restricted to the variables of that copy, every other atom of
+``q'`` lies inside an atom of the copy or holds at most two of its
+variables.  Restricting to vertices keeps ``q'`` acyclic, and α-acyclic
+means chordal and conformal, so an edge of at most two vertices that no
+other edge covers is a bridge, and dropping it keeps the hypergraph
+acyclic: the core is acyclic.
 
 The search runs the fast phase (:func:`~repro.core.candidates
 .fast_candidates`) and, with ``SemAcConfig.exhaustive``, the exhaustive
@@ -402,15 +416,50 @@ def _strategy_for(tgds: Sequence[TGD]) -> Tuple[str, str]:
     return "chase", "general"
 
 
+def _reachable_tgds(query: ConjunctiveQuery, tgds: Sequence[TGD]) -> List[TGD]:
+    """``Σ_q``: the tgds of ``tgds`` reachable from the predicates of ``query``.
+
+    A tgd is reachable when one of its body predicates is a predicate of
+    ``query`` or a head predicate of a reachable tgd; the others can fire in
+    neither the chase of ``query`` nor that of a CQ mapping into it.
+    """
+    reached = query.predicates()
+    chosen = [False] * len(tgds)
+    grew = True
+    while grew:
+        grew = False
+        for index, tgd in enumerate(tgds):
+            if not chosen[index] and not reached.isdisjoint(tgd.body_predicates()):
+                chosen[index] = grew = True
+                reached |= tgd.head_predicates()
+    return [tgd for tgd, keep in zip(tgds, chosen) if keep]
+
+
+def _core_decides(query: ConjunctiveQuery, reachable: Sequence[TGD]) -> bool:
+    """No tgd of ``Σ_q`` derives an atom over a predicate of ``query``, and
+    every head atom of ``Σ_q`` has at most two distinct variables."""
+    predicates = query.predicates()
+    return all(
+        predicates.isdisjoint(tgd.head_predicates())
+        and all(len(atom.variables()) <= 2 for atom in tgd.head)
+        for tgd in reachable
+    )
+
+
 def decide_semantic_acyclicity_tgds(
     query: ConjunctiveQuery,
     tgds: Sequence[TGD],
     config: SemAcConfig = DEFAULT_SEMAC_CONFIG,
 ) -> SemAcDecision:
-    """Decide whether ``query`` is semantically acyclic under a set of tgds."""
+    """Decide whether ``query`` is semantically acyclic under a set of tgds.
+
+    Only ``Σ_q`` (:func:`_reachable_tgds`) is used: every witness maps into
+    the chase of ``query``, so both containments fire tgds of ``Σ_q`` only.
+    """
     tgd_list = list(tgds)
     if not tgd_list:
         return decide_semantic_acyclicity_unconstrained(query)
+    tgd_list = _reachable_tgds(query, tgd_list)
 
     strategy, class_label = _strategy_for(tgd_list)
     rewritable = class_label in ("non-recursive", "sticky")
@@ -432,6 +481,13 @@ def decide_semantic_acyclicity_tgds(
         return SemAcDecision(
             True, query, f"syntactic/{class_label}", size_bound, 1, True, notes
         )
+    if _core_decides(query, tgd_list):
+        decision = decide_semantic_acyclicity_unconstrained(query)
+        decision.notes = notes + [
+            "no reachable tgd derives an atom over the query's predicates or "
+            "one with more than two variables, so the core decides"
+        ]
+        return decision
 
     chase_result, freezing, answer = chase_of_query(query, tgd_list, (), config)
     if not chase_result.terminated:

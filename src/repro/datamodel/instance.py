@@ -25,7 +25,7 @@ from typing import (
 )
 
 from .atoms import Atom, Predicate
-from .terms import Constant, GroundTerm, Null, Term, Variable
+from .terms import Constant, GroundTerm, Null, Term
 from .schema import Schema
 
 

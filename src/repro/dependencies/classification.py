@@ -12,7 +12,7 @@ SemAc dispatcher.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Sequence, Set
 
 from .marking import is_sticky
 from .predicate_graph import (

@@ -18,7 +18,7 @@ instances for the benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..datamodel import Atom, Predicate, Variable
 from ..queries.cq import ConjunctiveQuery

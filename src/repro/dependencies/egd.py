@@ -7,7 +7,7 @@ subsume functional dependencies and keys; those higher-level notions live in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..datamodel import (
     Atom,

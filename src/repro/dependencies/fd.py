@@ -11,7 +11,7 @@ Theorem 23) and unary FDs (FDs with ``|A| = 1``, the Figueira extension).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List
 
 from ..datamodel import Atom, Predicate, Variable
 from .egd import EGD

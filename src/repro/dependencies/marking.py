@@ -26,7 +26,7 @@ are available in :mod:`repro.workloads.paper_examples` and the benchmark
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..datamodel import Predicate, Variable
 from .tgd import TGD

@@ -19,7 +19,7 @@ and weak stickiness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..datamodel import Predicate, Variable
 from .tgd import TGD

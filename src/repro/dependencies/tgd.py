@@ -9,11 +9,10 @@ logical reading used by the chase (applicability and satisfaction).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..datamodel import (
     Atom,
-    Constant,
     Instance,
     Predicate,
     Schema,

@@ -45,7 +45,7 @@ source paper promises for bounded-width cyclic queries.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..datamodel import Atom, Instance, Predicate
 from ..hypergraph import (

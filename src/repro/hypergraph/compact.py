@@ -21,7 +21,7 @@ The construction follows the paper:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from ..datamodel import (
     Atom,

@@ -23,14 +23,12 @@ be measured uniformly.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from ..datamodel import Atom, Instance
 from ..queries.gaifman import gaifman_graph_of_atoms, gaifman_graph_of_instance
-from .hypergraph import ConnectorPolicy, Hypergraph, hypergraph_of_query_atoms, query_connectors
-from .gyo import gyo_reduction
+from .hypergraph import ConnectorPolicy, Hypergraph, query_connectors
 from .join_tree import JoinTree, JoinTreeError, build_join_tree
 
 

@@ -20,15 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..datamodel import Atom, Instance, Term
-from .hypergraph import (
-    ConnectorPolicy,
-    HyperEdge,
-    Hypergraph,
-    hypergraph_of_instance,
-    hypergraph_of_query_atoms,
-    instance_connectors,
-    query_connectors,
-)
+from .hypergraph import Hypergraph, hypergraph_of_instance, hypergraph_of_query_atoms
 
 
 @dataclass

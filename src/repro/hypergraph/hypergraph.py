@@ -18,8 +18,8 @@ builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from ..datamodel import Atom, Constant, Instance, Null, Term, Variable, is_frozen_constant
 

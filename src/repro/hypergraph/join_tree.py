@@ -11,19 +11,17 @@ Yannakakis' algorithm need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..datamodel import Atom, Instance, Term
 from .hypergraph import (
     ConnectorPolicy,
     Hypergraph,
-    hypergraph_of_instance,
-    hypergraph_of_query_atoms,
     instance_connectors,
     query_connectors,
 )
-from .gyo import GYOResult, gyo_reduction
+from .gyo import gyo_reduction
 
 
 class JoinTreeError(ValueError):

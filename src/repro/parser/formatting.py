@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from ..datamodel import Atom, Constant, Instance, Term, Variable
+from ..datamodel import Atom, Constant, Instance, Term
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery

@@ -14,9 +14,9 @@ as the input (the CQ) is small").
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Optional, Set
 
-from ..datamodel import Atom, Constant, Term, Variable, freeze_variable, is_frozen_constant, unfreeze_constant
+from ..datamodel import Atom, Term, freeze_variable, is_frozen_constant, unfreeze_constant
 from .cq import ConjunctiveQuery
 from .homomorphism import Homomorphism, homomorphisms
 

@@ -30,7 +30,7 @@ from ..datamodel import (
     atoms_variables,
     freeze_variable,
 )
-from .homomorphism import Homomorphism, find_homomorphism, homomorphisms
+from .homomorphism import find_homomorphism, homomorphisms
 
 
 class ConjunctiveQuery:

@@ -11,7 +11,7 @@ which yields an upper bound) grows with n.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Set
 
 from ..datamodel import Atom, Instance
 

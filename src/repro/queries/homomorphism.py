@@ -26,11 +26,10 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
-from ..datamodel import Atom, Constant, Instance, Term, Variable
+from ..datamodel import Atom, Constant, Instance, Term
 
 
 #: A homomorphism is represented as a dictionary from terms to terms.  It is

@@ -7,9 +7,6 @@ the rows/series it measured.  This module keeps that output uniform:
 * :class:`Table` — a fixed-column ASCII/markdown table with typed cells;
 * :class:`Series` — a named sequence of ``(x, y)`` measurements with a
   compact rendering (used for scaling experiments);
-* :class:`ExperimentRecord` — one paper-artefact-versus-measured entry, plus
-  :func:`render_experiment_records` which renders a list of them as
-  markdown sections;
 * :class:`BenchSnapshot` — the persisted perf trajectory: each
   ``make bench-*`` run writes one ``BENCH_<name>.json`` with the measured
   series (sizes, growth factors, probe counts, backend ratios), so
@@ -26,7 +23,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 
 Cell = Union[str, int, float, bool, None]
@@ -143,36 +140,6 @@ class Series:
 
     def __str__(self) -> str:
         return self.render()
-
-
-@dataclass
-class ExperimentRecord:
-    """One paper artefact together with what the harness measured."""
-
-    experiment_id: str
-    paper_artifact: str
-    paper_claim: str
-    measured: str
-    matches: bool
-    bench_target: str
-
-    def to_markdown(self) -> str:
-        status = "reproduced" if self.matches else "NOT reproduced"
-        return "\n".join(
-            [
-                f"### {self.experiment_id} — {self.paper_artifact}",
-                "",
-                f"* **Paper claim:** {self.paper_claim}",
-                f"* **Measured:** {self.measured}",
-                f"* **Status:** {status}",
-                f"* **Bench target:** `{self.bench_target}`",
-            ]
-        )
-
-
-def render_experiment_records(records: Iterable[ExperimentRecord]) -> str:
-    """Render a sequence of experiment records as markdown sections."""
-    return "\n\n".join(record.to_markdown() for record in records)
 
 
 #: Environment override for where :class:`BenchSnapshot` files land.  Also

@@ -14,7 +14,7 @@ the SemAc procedures must guess.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Set
+from typing import Sequence, Set
 
 from ..datamodel import Predicate
 from ..dependencies.tgd import TGD, tgd_set_predicates

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..datamodel import Atom, Constant, Term, Variable
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
-from ..queries.homomorphism import homomorphisms
 from ..queries.ucq import UnionOfConjunctiveQueries
 
 

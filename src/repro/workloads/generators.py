@@ -10,7 +10,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..chase.tgd_chase import chase
-from ..datamodel import Atom, Constant, Database, Instance, Predicate, Schema, Variable
+from ..datamodel import Atom, Constant, Database, Predicate, Schema, Variable
 from ..dependencies.egd import EGD
 from ..dependencies.fd import FunctionalDependency, key
 from ..dependencies.tgd import TGD

@@ -7,11 +7,10 @@ paper's own claims) and by the benchmark harness (each benchmark under
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..datamodel import Atom, Constant, Predicate, Variable
 from ..dependencies.egd import EGD
-from ..dependencies.fd import FunctionalDependency, key
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
 

@@ -17,7 +17,7 @@ and the benchmark feed into it:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.pcp import PCPInstance
 

@@ -28,6 +28,7 @@ from repro.core.semantic_acyclicity import (
     DEFAULT_SEMAC_CONFIG,
     SemAcConfig,
     SemAcDecision,
+    _reachable_tgds,
     _strategy_for,
     _TgdVerifier,
 )
@@ -76,8 +77,12 @@ def decide_tgds_unpruned(
     tgds: Sequence[TGD],
     config: SemAcConfig = DEFAULT_SEMAC_CONFIG,
 ) -> SemAcDecision:
-    """The tgd decider's fast phase with every proposed candidate verified."""
-    tgd_list = list(tgds)
+    """The tgd decider's fast phase with every proposed candidate verified.
+
+    Like the decider, it searches under the tgds reachable from the query's
+    predicates; unlike it, it never lets the core decide alone.
+    """
+    tgd_list = _reachable_tgds(query, list(tgds))
     strategy, class_label = _strategy_for(tgd_list)
     if class_label in ("non-recursive", "sticky"):
         size_bound = small_query_bound_ucq_rewritable(query, tgd_list)

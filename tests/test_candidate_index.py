@@ -142,7 +142,7 @@ def test_subset_budget_cut_is_reported_in_the_decision_notes():
         "T(b, p0, p2)"
     )
     decision = decide_semantic_acyclicity_tgds(
-        query, [parse_tgd("N(x, y) -> B(x)")], SemAcConfig()
+        query, [parse_tgd("N(x, y) -> T(x, y, z)")], SemAcConfig()
     )
     assert not decision.semantically_acyclic
     assert any("stopped after 5000 subsets" in note for note in decision.notes)

@@ -241,6 +241,35 @@ def unused(depth):
     assert lint.check_unused_exports({"src/repro/pkg/__init__.py": init}, references) == []
 
 
+def test_unused_imports_are_flagged():
+    module = """
+from __future__ import annotations
+
+import itertools
+from typing import TYPE_CHECKING, Dict, List
+
+from .kernels import parallel_select  # noqa: F401  (wrapped by path)
+from .hypergraph import (
+    Hypergraph,
+    query_connectors,
+)
+
+if TYPE_CHECKING:
+    from .encoding import TermEncoder, Unused
+
+
+def width(graph: Hypergraph, encoder: "TermEncoder") -> List[int]:
+    return [len(edge) for edge in graph.edges]
+"""
+    violations = _lint_module().check_unused_imports({"src/repro/pkg/mod.py": module})
+    assert violations == [
+        "src/repro/pkg/mod.py:4: imports itertools, which the module never uses",
+        "src/repro/pkg/mod.py:5: imports Dict, which the module never uses",
+        "src/repro/pkg/mod.py:10: imports query_connectors, which the module never uses",
+        "src/repro/pkg/mod.py:14: imports Unused, which the module never uses",
+    ]
+
+
 def test_typecheck_wrapper_runs():
     """Exit 0 both where mypy exists (clean tree) and where it is absent
     (graceful skip) — either way the wrapper must not crash."""

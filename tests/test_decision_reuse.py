@@ -58,7 +58,7 @@ CASES = {
     # sub-instances and ends negative.
     "marked_cycle": lambda: (
         parse_query("q(a) :- N(a, b), N(b, c), N(c, d), N(d, a), N(a, p), N(r, b)"),
-        [parse_tgd("N(x, y) -> B(x)")],
+        [parse_tgd("N(x, y) -> T(x, y, z)")],
     ),
     # A guarded set whose chase never terminates: every containment on
     # the query side is read off a truncated chase.

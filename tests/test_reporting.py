@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.reporting import (
-    ExperimentRecord,
-    Series,
-    Table,
-    format_cell,
-    render_experiment_records,
-)
+from repro.reporting import Series, Table, format_cell
 
 
 class TestFormatCell:
@@ -104,29 +98,3 @@ class TestSeries:
     def test_monotonicity_ignores_non_numeric_values(self):
         mixed = Series("mixed", [(1, "n/a"), (2, 1), (3, 2)])
         assert mixed.is_monotone_nondecreasing()
-
-
-class TestExperimentRecords:
-    def record(self, matches=True):
-        return ExperimentRecord(
-            experiment_id="E1",
-            paper_artifact="Example 1",
-            paper_claim="the query becomes acyclic under the tgd",
-            measured="witness found and verified",
-            matches=matches,
-            bench_target="benchmarks/bench_example1_reformulation.py",
-        )
-
-    def test_markdown_includes_all_fields(self):
-        markdown = self.record().to_markdown()
-        assert "E1" in markdown
-        assert "Example 1" in markdown
-        assert "reproduced" in markdown
-        assert "bench_example1_reformulation" in markdown
-
-    def test_markdown_flags_mismatches(self):
-        assert "NOT reproduced" in self.record(matches=False).to_markdown()
-
-    def test_render_multiple_records(self):
-        text = render_experiment_records([self.record(), self.record(False)])
-        assert text.count("### E1") == 2
