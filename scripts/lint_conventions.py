@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-convention lint — rules a generic linter cannot know.
 
-Eleven rules, each encoding a convention the codebase actually relies on:
+Twelve rules, each encoding a convention the codebase actually relies on:
 
 1. **One operator face** — every concrete operator node in
    ``src/repro/evaluation/operators.py`` implements the materialising
@@ -66,6 +66,12 @@ Eleven rules, each encoding a convention the codebase actually relies on:
     line that says ``noqa`` is exempt: ``operators.py`` keeps
     ``parallel_select`` there because ``bench/trace.py`` wraps it by path.
     An unused import is a dependency the reader must trace for nothing.
+12. **Equality comes with its hash** — a class under ``src/repro`` that
+    defines ``__eq__`` also sets ``__hash__`` in the same class body (a
+    ``def``, or an assignment such as ``__hash__ = None`` for a mutable
+    class).  Python clears ``__hash__`` in a class that defines ``__eq__``
+    without it, so an inherited hash silently disappears and the values
+    stop working as dict keys.
 
 Exit 0 when clean, 1 with one line per violation otherwise (run via
 ``make lint``).
@@ -649,6 +655,42 @@ def check_unused_imports(sources: Optional[Dict[str, str]] = None) -> List[str]:
     return violations
 
 
+# ----------------------------------------------------------------------
+# Rule 12: a class that defines __eq__ sets __hash__ beside it
+# ----------------------------------------------------------------------
+def _sets_name(statement: ast.stmt, name: str) -> bool:
+    """``statement`` defines ``name`` in its class body (``def`` or assignment)."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return statement.name == name
+    if isinstance(statement, ast.Assign):
+        return any(isinstance(t, ast.Name) and t.id == name for t in statement.targets)
+    if isinstance(statement, ast.AnnAssign):
+        return isinstance(statement.target, ast.Name) and statement.target.id == name
+    return False
+
+
+def check_eq_without_hash(sources: Optional[Dict[str, str]] = None) -> List[str]:
+    """Rule 12 over every module under ``src/repro`` (or over ``sources``,
+    name -> text, for the tests)."""
+    if sources is None:
+        sources = {
+            relative(path): path.read_text(encoding="utf-8")
+            for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        }
+    violations: List[str] = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if any(_sets_name(statement, "__eq__") for statement in node.body) and not any(
+                _sets_name(statement, "__hash__") for statement in node.body
+            ):
+                violations.append(
+                    f"{name}:{node.lineno}: {node.name} defines __eq__ but not __hash__"
+                )
+    return violations
+
+
 def main() -> int:
     violations = (
         check_operator_faces()
@@ -662,6 +704,7 @@ def main() -> int:
         + check_environment_knobs()
         + check_unused_exports()
         + check_unused_imports()
+        + check_eq_without_hash()
     )
     for violation in violations:
         print(violation)
@@ -673,7 +716,7 @@ def main() -> int:
         "(operator faces, defaults, BENCH_SMOKE, batch-face registry, "
         "immutable operators, one scan path, radix-only kernels, "
         "probes counted per kernel call, environment knobs, used exports, "
-        "used imports)"
+        "used imports, hash beside equality)"
     )
     return 0
 

@@ -91,6 +91,9 @@ def _frontier_binding(tgd: TGD, trigger: Mapping[Term, Term]) -> Dict[Term, Term
 
 
 def _head_satisfied(tgd: TGD, instance: Instance, trigger: Mapping[Term, Term]) -> bool:
+    if not tgd.existential_variables():
+        # A full head is ground under the trigger: membership decides.
+        return all(atom.apply(trigger) in instance for atom in tgd.head)
     seed = _frontier_binding(tgd, trigger)
     for _ in homomorphisms(tgd.head, instance, seed=seed):
         return True
@@ -149,8 +152,16 @@ def _triggers_touching(
         return list(homomorphisms(tgd.body, instance))
 
     triggers: List[Dict[Term, Term]] = []
-    seen: Set[Tuple] = set()
     body = tgd.body
+    if len(body) == 1:
+        # The unified fact is the premise, and distinct facts unify to
+        # distinct bindings: each binding is a trigger, once.
+        for fact in delta:
+            trigger = _unify_atom(body[0], fact)
+            if trigger is not None:
+                triggers.append(trigger)
+        return triggers
+    seen: Set[Tuple] = set()
     ordered_variables = sorted(tgd.body_variables(), key=str)
     for position, pattern in enumerate(body):
         for fact in delta:

@@ -141,6 +141,10 @@ class SemAcDecision:
     exhaustive: bool = False
     #: Free-form diagnostic notes (budget exhaustion, unknown containments…).
     notes: List[str] = field(default_factory=list)
+    #: The core of the input when the verdict came from it (method
+    #: ``core``): equivalent to the input on every database, so a cyclic
+    #: core can be evaluated in its place.  ``None`` on every other path.
+    core: Optional[ConjunctiveQuery] = None
 
     def __bool__(self) -> bool:
         return self.semantically_acyclic
@@ -214,6 +218,7 @@ def decide_semantic_acyclicity_unconstrained(query: ConjunctiveQuery) -> SemAcDe
         size_bound=len(query),
         candidates_checked=1,
         exhaustive=True,
+        core=minimal,
     )
 
 

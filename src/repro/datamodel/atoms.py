@@ -14,7 +14,9 @@ class _Value:
     """An immutable, slotted value, equal, hashed and ordered by its
     ``_key()`` within its class, as a frozen ordered dataclass is by its
     fields.  ``__init__`` sets the fields and ``_hash``, the hash of the
-    key, once: every dict or set lookup reads it.
+    key, once: every dict or set lookup reads it.  Each subclass compares
+    its own fields in ``__eq__`` (a dict hit calls it, and building two
+    key tuples there costs more than the comparison).
     """
 
     __slots__ = ("_hash",)
@@ -35,13 +37,6 @@ class _Value:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, _Value) or other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self._key() == other._key()
 
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, _Value) or other.__class__ is not self.__class__:
@@ -82,6 +77,15 @@ class Predicate(_Value):
     def _key(self) -> Tuple[str, int]:
         return (self.name, self.arity)
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Predicate) or other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.name == other.name and self.arity == other.arity
+
+    __hash__ = _Value.__hash__
+
     def __repr__(self) -> str:
         return f"Predicate(name={self.name!r}, arity={self.arity!r})"
 
@@ -119,6 +123,19 @@ class Atom(_Value):
 
     def _key(self) -> Tuple[Predicate, Tuple[Term, ...]]:
         return (self.predicate, self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Atom) or other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.predicate == other.predicate
+            and self.terms == other.terms
+        )
+
+    __hash__ = _Value.__hash__
 
     # ------------------------------------------------------------------
     # Inspection helpers

@@ -86,6 +86,8 @@ class Schema:
             return NotImplemented
         return self._predicates == other._predicates
 
+    __hash__ = None  # type: ignore[assignment]  # a schema grows with add()
+
     def predicates(self) -> List[Predicate]:
         """Return the predicates of the schema in a deterministic order."""
         return sorted(self._predicates.values())

@@ -9,7 +9,7 @@ logical reading used by the chase (applicability and satisfaction).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..datamodel import (
     Atom,
@@ -44,6 +44,12 @@ class TGD:
         for atom in self._body + self._head:
             if atom.nulls():
                 raise ValueError(f"tgds must not contain nulls: {atom}")
+        # The chase reads these on every trigger; a tgd is immutable, so
+        # they are computed once and handed out as frozen sets.
+        self._body_variables = frozenset(atoms_variables(self._body))
+        self._head_variables = frozenset(atoms_variables(self._head))
+        self._frontier_variables = self._body_variables & self._head_variables
+        self._existential_variables = self._head_variables - self._body_variables
 
     # ------------------------------------------------------------------
     # Structure
@@ -56,21 +62,21 @@ class TGD:
     def head(self) -> Tuple[Atom, ...]:
         return self._head
 
-    def body_variables(self) -> Set[Variable]:
+    def body_variables(self) -> FrozenSet[Variable]:
         """Variables occurring in the body (the ``x̄ ∪ ȳ`` of the definition)."""
-        return atoms_variables(self._body)
+        return self._body_variables
 
-    def head_variables(self) -> Set[Variable]:
+    def head_variables(self) -> FrozenSet[Variable]:
         """Variables occurring in the head."""
-        return atoms_variables(self._head)
+        return self._head_variables
 
-    def frontier_variables(self) -> Set[Variable]:
+    def frontier_variables(self) -> FrozenSet[Variable]:
         """Variables shared between body and head (the ``x̄``)."""
-        return self.body_variables() & self.head_variables()
+        return self._frontier_variables
 
-    def existential_variables(self) -> Set[Variable]:
+    def existential_variables(self) -> FrozenSet[Variable]:
         """Head variables that do not occur in the body (the ``z̄``)."""
-        return self.head_variables() - self.body_variables()
+        return self._existential_variables
 
     def predicates(self) -> Set[Predicate]:
         return atoms_predicates(self._body + self._head)

@@ -157,6 +157,24 @@ class TermEncoder:
                     self.codes[term] = code
         return code
 
+    def encode_all(self, terms: Iterable[Term]) -> None:
+        """Assign codes to the terms of ``terms`` not encoded yet, in their
+        order of first occurrence (the codes :meth:`encode` would give them
+        one by one), under one lock.
+
+        The new terms are appended to :attr:`terms` before they enter
+        :attr:`codes`, so a lock-free reader that finds a code can decode it.
+        """
+        codes = self.codes
+        new = [term for term in dict.fromkeys(terms) if term not in codes]
+        if not new:
+            return
+        with self._lock:
+            new = [term for term in new if term not in codes]
+            start = len(self.terms)
+            self.terms.extend(new)
+            codes.update(zip(new, range(start, start + len(new))))
+
     def encode_row(self, row: Row) -> IntRow:
         return tuple(map(self.encode, row))
 
@@ -382,12 +400,11 @@ class EncodedRelation:
     @staticmethod
     def build_store(rows: Sequence[Row], arity: int, encoder: TermEncoder) -> EncodedStore:
         """Encode term rows into a fresh column store, a column at a time:
-        each distinct term is encoded once, in row order (the codes a
-        row-by-row pass gives), then each column is mapped through
-        ``encoder.codes`` at C speed."""
+        the new terms are encoded in one step, in row order (the codes a
+        row-by-row pass gives, :meth:`TermEncoder.encode_all`), then each
+        column is mapped through ``encoder.codes`` at C speed."""
         use_numpy = numpy_enabled()
-        for term in dict.fromkeys(chain.from_iterable(rows)):
-            encoder.encode(term)
+        encoder.encode_all(chain.from_iterable(rows))
         lookup = encoder.codes.__getitem__
         codes = [
             list(map(lookup, column))

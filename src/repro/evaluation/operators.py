@@ -266,9 +266,18 @@ class Scan(Operator):
 
 
 class Project(Operator):
-    """Project onto distinct variables, deduplicating."""
+    """Project onto distinct variables, deduplicating.
 
-    __slots__ = ("_positions",)
+    Every operator's encoded output has distinct rows: a :class:`Scan`
+    reads a set-valued base relation, a :class:`SemiJoin` keeps a subset
+    of its left input, a :class:`HashJoin` of two distinct inputs is
+    distinct, a :class:`BagNode` forwards its child, and a ``Project``
+    that drops a column deduplicates.  So a ``Project`` that keeps every
+    column of its child removes no row: it is a column view, on both
+    storages, sharing the child's (immutable) columns in its own order.
+    """
+
+    __slots__ = ("_positions", "_keeps_all")
 
     def __init__(self, child: Operator, variables: Sequence[Variable]) -> None:
         variables = tuple(variables)
@@ -276,9 +285,13 @@ class Project(Operator):
             raise SchemaError(f"duplicate variable in projection {variables}")
         super().__init__(variables, (child,))
         self._positions = tuple(child.schema.index(v) for v in variables)
+        self._keeps_all = len(variables) == len(child.schema)
 
     def _materialize_encoded(self, context: ExecutionContext) -> EncodedRelation:
         child = self.children[0].materialize_encoded(context)
+        if self._keeps_all:
+            columns = child.store.columns
+            return child._derive(self.schema, [columns[p] for p in self._positions], len(child))
         result = parallel_project(child, self.schema, self._positions)
         return child.project(self.schema) if result is None else result
 

@@ -507,7 +507,13 @@ class DecompositionEvaluator(YannakakisEvaluator):
         ordered = _connected_order(inputs)
         op = ordered[0]
         for other in ordered[1:]:
-            op = HashJoin(op, other)
+            # An input whose variables are all bound adds no column: on a
+            # distinct right side the semi-join keeps the join's rows, in
+            # the join's order, without counting probes.
+            if set(other.schema) <= set(op.schema):
+                op = SemiJoin(op, other)
+            else:
+                op = HashJoin(op, other)
         op = Project(op, tuple(self._bag_atoms[identifier].terms))
         # A child sharing no variable (another connected component of the
         # query) only empties the bag when it is empty itself.

@@ -48,7 +48,7 @@ from .cover_game import (
 from .generic import membership_generic
 from .join_plans import PlanEvaluator
 from .relation import ScanProvider
-from .yannakakis import AcyclicityRequired, YannakakisEvaluator
+from .yannakakis import YannakakisEvaluator
 
 if TYPE_CHECKING:
     from ..analysis.diagnostics import Diagnostic
@@ -120,7 +120,9 @@ def resolve_route(
     reformulation), ``"decomposition"`` (cyclic query — ``evaluator`` is a
     :class:`~repro.evaluation.planner_dp.DecompositionEvaluator`
     materialising tree-decomposition bags and running Yannakakis over the
-    bag tree) or ``"plan"`` (flat join-plan fallback, ``evaluator`` is a
+    bag tree; it evaluates the query's core when the decision under the
+    tgds computed one, which is equivalent to the query on every database)
+    or ``"plan"`` (flat join-plan fallback, ``evaluator`` is a
     :class:`~repro.evaluation.join_plans.PlanEvaluator`, which plans on its
     first run; reached by forcing ``engine="plan"`` and by the nullary
     query).  Callers run every route the same way,
@@ -148,26 +150,28 @@ def resolve_route(
         )
     if not query.body:
         return ("plan", PlanEvaluator(query))
-    if engine in ("auto", "yannakakis"):
-        try:
-            return _route_verified("yannakakis", YannakakisEvaluator(query))
-        except AcyclicityRequired:
-            if engine == "yannakakis":
-                raise
+    if engine == "yannakakis" or (engine == "auto" and query.is_acyclic()):
+        return _route_verified("yannakakis", YannakakisEvaluator(query))
+    # A decision that came from the core carries it: the core is equivalent
+    # to the query on every database and smaller, so the decomposition
+    # route evaluates it instead.
+    core: Optional[ConjunctiveQuery] = None
     if engine == "reformulation" or (engine == "auto" and tgds):
-        from ..core.semantic_acyclicity import find_acyclic_reformulation_tgds
+        from ..core.semantic_acyclicity import decide_semantic_acyclicity_tgds
 
-        reformulation = find_acyclic_reformulation_tgds(query, tgds)
-        if reformulation is not None:
-            return _route_verified("reformulated", YannakakisEvaluator(reformulation))
+        decision = decide_semantic_acyclicity_tgds(query, tgds)
+        if decision.witness is not None:
+            return _route_verified("reformulated", YannakakisEvaluator(decision.witness))
         if engine == "reformulation":
             raise NotSemanticallyAcyclic(
                 f"{query.name} is not semantically acyclic under the given tgds"
             )
+        core = decision.core
     if engine in ("auto", "decomposition"):
         from .planner_dp import DecompositionEvaluator
 
-        return _route_verified("decomposition", DecompositionEvaluator(query))
+        evaluated = query if core is None else core
+        return _route_verified("decomposition", DecompositionEvaluator(evaluated))
     return ("plan", PlanEvaluator(query))
 
 

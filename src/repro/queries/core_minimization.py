@@ -14,41 +14,11 @@ as the input (the CQ) is small").
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
-from ..datamodel import Atom, Term, freeze_variable, is_frozen_constant, unfreeze_constant
+from ..datamodel import Instance, Term, freeze_variable, is_frozen_constant, unfreeze_constant
 from .cq import ConjunctiveQuery
-from .homomorphism import Homomorphism, homomorphisms
-
-
-def _retraction_onto(
-    query: ConjunctiveQuery,
-    kept_atoms: Set[Atom],
-) -> Optional[Homomorphism]:
-    """Find an endomorphism of ``query`` whose image lies within ``kept_atoms``.
-
-    The endomorphism must be the identity on the free variables (otherwise
-    the folded query would not be equivalent).  Returns the mapping, or
-    ``None`` if no such fold exists.
-    """
-    # The homomorphism search works over ground targets, so the kept atoms
-    # are frozen first and the found mapping is thawed back to variables.
-    freezing: Dict[Term, Term] = {
-        variable: freeze_variable(variable) for variable in query.variables()
-    }
-    target = [atom.apply(freezing) for atom in kept_atoms]
-    seed: Dict[Term, Term] = {
-        variable: freeze_variable(variable) for variable in query.head
-    }
-    for mapping in homomorphisms(query.body, target, seed=seed):
-        thawed: Homomorphism = {}
-        for source, image in mapping.items():
-            if is_frozen_constant(image):
-                thawed[source] = unfreeze_constant(image)
-            else:
-                thawed[source] = image
-        return thawed
-    return None
+from .homomorphism import Homomorphism, find_homomorphism
 
 
 def fold_once(query: ConjunctiveQuery) -> Optional[ConjunctiveQuery]:
@@ -58,16 +28,33 @@ def fold_once(query: ConjunctiveQuery) -> Optional[ConjunctiveQuery]:
     already a core.  The fold removes one atom at a time, which is sufficient:
     if the query retracts onto any proper subset it also retracts onto a
     subset missing a single atom.
+
+    A fold is an endomorphism that is the identity on the free variables.
+    The homomorphism search works over ground targets, so the body is frozen
+    once, into one instance in body order; each attempt takes one frozen
+    atom out of it for its search and puts it back, and the found mapping is
+    thawed back to variables.  Attempts run in the order of the atoms'
+    text, so which fold is found does not depend on term identities.
     """
-    atoms = set(query.body)
-    for atom in sorted(atoms, key=str):
-        candidate_atoms = atoms - {atom}
-        if not candidate_atoms and query.head:
-            continue
-        mapping = _retraction_onto(query, candidate_atoms)
+    freezing: Dict[Term, Term] = {
+        variable: freeze_variable(variable) for variable in query.variables()
+    }
+    seed = {variable: freezing[variable] for variable in query.head}
+    frozen = {atom: atom.apply(freezing) for atom in query.body}
+    target = Instance(frozen.values())
+    for atom in sorted(frozen, key=str):
+        target.discard(frozen[atom])
+        try:
+            mapping = find_homomorphism(query.body, target, seed=seed)
+        finally:
+            target.add(frozen[atom])
         if mapping is None:
             continue
-        image_atoms = {a.apply(mapping) for a in query.body}
+        thawed: Homomorphism = {
+            source: unfreeze_constant(image) if is_frozen_constant(image) else image
+            for source, image in mapping.items()
+        }
+        image_atoms = {a.apply(thawed) for a in query.body}
         return ConjunctiveQuery(query.head, sorted(image_atoms, key=str), name=query.name)
     return None
 

@@ -45,6 +45,7 @@ class ConjunctiveQuery:
         self._head: Tuple[Variable, ...] = tuple(head)
         self._body: Tuple[Atom, ...] = tuple(body)
         self.name = name
+        self._acyclic: Optional[bool] = None
         self._validate()
 
     def _validate(self) -> None:
@@ -175,11 +176,14 @@ class ConjunctiveQuery:
         Acyclicity is decided with the GYO reduction on the hypergraph whose
         vertices are the query variables and whose hyperedges are the
         variable sets of the atoms (constants are ignored, mirroring the
-        definition that freezes variables into nulls).
+        definition that freezes variables into nulls).  The answer is
+        computed once per query: the query is immutable.
         """
-        from ..hypergraph import is_acyclic_atoms
+        if self._acyclic is None:
+            from ..hypergraph import is_acyclic_atoms
 
-        return is_acyclic_atoms(self._body)
+            self._acyclic = is_acyclic_atoms(self._body)
+        return self._acyclic
 
     # ------------------------------------------------------------------
     # Canonical database (freezing)

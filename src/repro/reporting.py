@@ -5,8 +5,6 @@ Every benchmark in ``benchmarks/`` regenerates one of the paper's artefacts
 the rows/series it measured.  This module keeps that output uniform:
 
 * :class:`Table` — a fixed-column ASCII/markdown table with typed cells;
-* :class:`Series` — a named sequence of ``(x, y)`` measurements with a
-  compact rendering (used for scaling experiments);
 * :class:`BenchSnapshot` — the persisted perf trajectory: each
   ``make bench-*`` run writes one ``BENCH_<name>.json`` with the measured
   series (sizes, growth factors, probe counts, backend ratios), so
@@ -21,9 +19,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 
 Cell = Union[str, int, float, bool, None]
@@ -106,37 +103,6 @@ class Table:
         for row in self._rows:
             lines.append("| " + " | ".join(row) + " |")
         return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-@dataclass
-class Series:
-    """A named series of ``(x, y)`` measurements (scaling experiments)."""
-
-    name: str
-    points: List[Tuple[Cell, Cell]] = field(default_factory=list)
-
-    def add(self, x: Cell, y: Cell) -> None:
-        self.points.append((x, y))
-
-    def xs(self) -> List[Cell]:
-        return [x for x, _ in self.points]
-
-    def ys(self) -> List[Cell]:
-        return [y for _, y in self.points]
-
-    def render(self) -> str:
-        body = ", ".join(
-            f"{format_cell(x)}→{format_cell(y)}" for x, y in self.points
-        )
-        return f"{self.name}: {body}"
-
-    def is_monotone_nondecreasing(self) -> bool:
-        """``True`` iff the numeric ``y`` values never decrease (trend check)."""
-        numeric = [y for _, y in self.points if isinstance(y, (int, float))]
-        return all(later >= earlier for earlier, later in zip(numeric, numeric[1:]))
 
     def __str__(self) -> str:
         return self.render()

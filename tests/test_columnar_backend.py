@@ -27,6 +27,8 @@ Beyond route equality the suite pins down:
 """
 
 import os
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -281,6 +283,71 @@ def test_encoder_is_a_dense_bijection():
     assert [encoder.encode(term) for term in terms] == codes  # stable
     assert [encoder.decode(code) for code in codes] == terms
     assert len(encoder) == 4
+
+
+@pytest.mark.parametrize("use_numpy", ["0", "1"])
+@settings(max_examples=40, deadline=None)
+@given(
+    known=st.lists(_terms, max_size=6),
+    rows=st.lists(st.tuples(_terms, _terms), min_size=0, max_size=25),
+)
+def test_bulk_store_encoding_assigns_the_row_by_row_codes(use_numpy, known, rows):
+    """``build_store`` encodes a store's new terms in one step; the codes,
+    and the encoder after it, are those of encoding row by row, on top of
+    whatever the encoder already knew."""
+    if use_numpy == "1":
+        pytest.importorskip("numpy")
+    bulk, row_by_row = TermEncoder(), TermEncoder()
+    for term in known:
+        bulk.encode(term)
+        row_by_row.encode(term)
+    expected = [row_by_row.encode_row(row) for row in rows]
+    with mock.patch.dict(os.environ, {NUMPY_ENV: use_numpy}):
+        store = EncodedRelation.build_store(rows, 2, bulk)
+    assert [tuple(map(int, column)) for column in store.columns] == [
+        tuple(row[position] for row in expected) for position in range(2)
+    ]
+    assert bulk.terms == row_by_row.terms and bulk.codes == row_by_row.codes
+
+
+def test_concurrent_store_builds_keep_the_encoder_a_bijection():
+    """Threads building overlapping stores under one fresh encoder per
+    round, at a tiny switch interval: every term gets one code, and every
+    store decodes back to its rows."""
+    encoders = [TermEncoder() for _ in range(5)]
+    batches = [
+        [
+            (Constant(f"t{(slot * 37 + i) % 3000}"), Constant(f"t{(i * 11) % 3000}"))
+            for i in range(2000)
+        ]
+        for slot in range(8)
+    ]
+    stores = [[] for _ in batches]
+    barrier = threading.Barrier(len(batches))
+
+    def build(slot):
+        for encoder in encoders:
+            barrier.wait(timeout=30)
+            stores[slot].append(EncodedRelation.build_store(batches[slot], 2, encoder))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(len(batches))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    schema = (Variable("u"), Variable("v"))
+    for round_, encoder in enumerate(encoders):
+        assert len(encoder.terms) == len(encoder.codes) == len(set(encoder.terms))
+        assert all(encoder.codes[term] == code for code, term in enumerate(encoder.terms))
+        for rows, built in zip(batches, stores):
+            relation = EncodedRelation(schema, built[round_], encoder)
+            assert list(relation.decoded_rows()) == rows
 
 
 # ----------------------------------------------------------------------

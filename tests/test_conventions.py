@@ -270,6 +270,45 @@ def width(graph: Hypergraph, encoder: "TermEncoder") -> List[int]:
     ]
 
 
+def test_eq_without_hash_is_flagged():
+    module = """
+class Value:
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0
+
+
+class Child(Value):
+    def __eq__(self, other):
+        return False
+
+
+class Mutable:
+    def __eq__(self, other):
+        return False
+
+    __hash__ = None
+
+
+class Plain:
+    def __hash__(self):
+        return 1
+
+
+def outer():
+    class Local:
+        __eq__ = lambda self, other: True
+    return Local
+"""
+    violations = _lint_module().check_eq_without_hash({"src/repro/pkg/mod.py": module})
+    assert violations == [
+        "src/repro/pkg/mod.py:10: Child defines __eq__ but not __hash__",
+        "src/repro/pkg/mod.py:28: Local defines __eq__ but not __hash__",
+    ]
+
+
 def test_typecheck_wrapper_runs():
     """Exit 0 both where mypy exists (clean tree) and where it is absent
     (graceful skip) — either way the wrapper must not crash."""

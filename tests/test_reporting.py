@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.reporting import Series, Table, format_cell
+from repro.reporting import Table, format_cell
 
 
 class TestFormatCell:
@@ -73,28 +73,3 @@ class TestTable:
         table = Table(["a"])
         table.add_row(1)
         assert str(table) == table.render()
-
-
-class TestSeries:
-    def test_add_and_accessors(self):
-        series = Series("scaling")
-        series.add(1, 10)
-        series.add(2, 20)
-        assert series.xs() == [1, 2]
-        assert series.ys() == [10, 20]
-
-    def test_render_mentions_name_and_points(self):
-        series = Series("sizes", [(1, 2), (3, 4)])
-        rendered = series.render()
-        assert "sizes" in rendered
-        assert "1→2" in rendered
-
-    def test_monotonicity_check(self):
-        increasing = Series("up", [(1, 1), (2, 2), (3, 2)])
-        decreasing = Series("down", [(1, 3), (2, 1)])
-        assert increasing.is_monotone_nondecreasing()
-        assert not decreasing.is_monotone_nondecreasing()
-
-    def test_monotonicity_ignores_non_numeric_values(self):
-        mixed = Series("mixed", [(1, "n/a"), (2, 1), (3, 2)])
-        assert mixed.is_monotone_nondecreasing()
