@@ -13,7 +13,9 @@ field (the shape the term classes had before interning):
 * **Answer set** — ``set(pairs)`` over 40k answer pairs drawn from 12.5k
   terms, the shape of a ``serve_scan`` answer.
 * **Decode** — ``EncodedRelation.answer_tuples`` over the same 40k rows on
-  ``array('q')`` columns and on numpy columns, and the object array the
+  ``array('q')`` columns and on numpy columns, with the cyclic-collector
+  runs that start inside one call (counted through ``gc.callbacks``; the
+  decode pauses the collector, so this reads 0), and the object array the
   numpy decode first builds from the encoder's term list
   (``numpy.fromiter``) against slice assignment.
 
@@ -25,19 +27,17 @@ noise-dominated).
 from __future__ import annotations
 
 import gc
-import os
-import platform
 import random
 import statistics
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.datamodel import Constant, Null, Variable
 from repro.evaluation.encoding import EncodedRelation, EncodedStore, TermEncoder
 from repro.reporting import BenchSnapshot
-from conftest import print_series, scaled_sizes, smoke_mode
+from conftest import host_metadata, print_series, scaled_sizes, smoke_mode
 
 #: Distinct terms, and answer pairs drawn from them (a ``serve_scan``
 #: answer: ~40k pairs over the ~12.5k terms of its encoder).
@@ -82,6 +82,28 @@ def _time(run: Callable[[], object], per: int = 1) -> Dict[str, float]:
         samples.append((time.perf_counter() - started) / per)
     quartiles = statistics.quantiles(samples, n=4) if len(samples) > 1 else samples * 3
     return {"median": statistics.median(samples), "q1": quartiles[0], "q3": quartiles[-1]}
+
+
+def _collections(run: Callable[[], object]) -> float:
+    """Median count of collector runs that start inside one call, over
+    ``REPEATS`` calls each made right after a full collection."""
+    started = []
+
+    def count(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            started.append(info["generation"])
+
+    counts = []
+    gc.callbacks.append(count)
+    try:
+        for _ in range(REPEATS):
+            gc.collect()
+            del started[:]
+            run()
+            counts.append(len(started))
+    finally:
+        gc.callbacks.remove(count)
+    return statistics.median(counts)
 
 
 def _scaled(timing: Dict[str, float], factor: float) -> Dict[str, float]:
@@ -155,6 +177,9 @@ def run_decode() -> Dict[str, object]:
         "answer_tuples_array_ms": _scaled(
             _time(lambda: array_relation.answer_tuples(head)), 1e3
         ),
+        "answer_tuples_array_collections": _collections(
+            lambda: array_relation.answer_tuples(head)
+        ),
     }
     numpy = _numpy()
     if numpy is not None:
@@ -170,6 +195,9 @@ def run_decode() -> Dict[str, object]:
         row["answer_tuples_numpy_ms"] = _scaled(
             _time(lambda: numpy_relation.answer_tuples(head)), 1e3
         )
+        row["answer_tuples_numpy_collections"] = _collections(
+            lambda: numpy_relation.answer_tuples(head)
+        )
         row["fromiter_ms"] = _scaled(
             _time(lambda: numpy.fromiter(terms, dtype=object, count=len(terms))), 1e3
         )
@@ -181,22 +209,9 @@ def run_decode() -> Dict[str, object]:
     return row
 
 
-def _numpy_version() -> Optional[str]:
-    numpy = _numpy()
-    return None if numpy is None else numpy.__version__
-
-
 def _write_snapshot() -> None:
     snapshot = BenchSnapshot("terms")
-    snapshot.record(
-        "host",
-        {
-            "cores": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": _numpy_version(),
-            "machine": platform.machine(),
-        },
-    )
+    snapshot.record("host", host_metadata())
     snapshot.record("repeats", REPEATS)
     snapshot.record("term_operations", run_term_operations())
     snapshot.record("decode", run_decode())
@@ -241,12 +256,20 @@ def test_decode_builds_its_term_array_with_fromiter():
         f"decode of {row['rows']} answer pairs, encoder of {row['terms']} terms "
         f"(median of {REPEATS}, ms)",
         [
-            ("answer_tuples, array('q')", _median(row, "answer_tuples_array_ms", 2)),
-            ("answer_tuples, numpy", _median(row, "answer_tuples_numpy_ms", 2)),
-            ("term array, numpy.fromiter", _median(row, "fromiter_ms", 3)),
-            ("term array, slice assignment", _median(row, "slice_assign_ms", 3)),
+            (
+                "answer_tuples, array('q')",
+                _median(row, "answer_tuples_array_ms", 2),
+                row["answer_tuples_array_collections"],
+            ),
+            (
+                "answer_tuples, numpy",
+                _median(row, "answer_tuples_numpy_ms", 2),
+                row.get("answer_tuples_numpy_collections", "-"),
+            ),
+            ("term array, numpy.fromiter", _median(row, "fromiter_ms", 3), "-"),
+            ("term array, slice assignment", _median(row, "slice_assign_ms", 3), "-"),
         ],
-        header=("step", "ms"),
+        header=("step", "ms", "collections per call"),
     )
     _write_snapshot()
     if smoke_mode() or "fromiter_speedup" not in row:

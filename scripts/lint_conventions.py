@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-convention lint — rules a generic linter cannot know.
 
-Twelve rules, each encoding a convention the codebase actually relies on:
+Thirteen rules, each encoding a convention the codebase actually relies on:
 
 1. **One operator face** — every concrete operator node in
    ``src/repro/evaluation/operators.py`` implements the materialising
@@ -72,6 +72,12 @@ Twelve rules, each encoding a convention the codebase actually relies on:
     class).  Python clears ``__hash__`` in a class that defines ``__eq__``
     without it, so an inherited hash silently disappears and the values
     stop working as dict keys.
+13. **One collector pause** — under ``src/repro``, ``gc.disable``,
+    ``gc.enable`` and ``gc.freeze`` are called only inside
+    ``_collector_paused`` in ``src/repro/evaluation/encoding.py``, which
+    pauses the cycle collector around large decodes and keeps the pause
+    consistent across threads.  A second switch would re-enable the
+    collector under a pause, or leave it off after one.
 
 Exit 0 when clean, 1 with one line per violation otherwise (run via
 ``make lint``).
@@ -691,6 +697,53 @@ def check_eq_without_hash(sources: Optional[Dict[str, str]] = None) -> List[str]
     return violations
 
 
+# ----------------------------------------------------------------------
+# Rule 13: the cycle collector is switched only by the one pause helper
+# ----------------------------------------------------------------------
+COLLECTOR_SWITCHES = {"disable", "enable", "freeze"}
+PAUSE_HOME = ("src/repro/evaluation/encoding.py", "_collector_paused")
+
+
+def check_collector_switches(sources: Optional[Dict[str, str]] = None) -> List[str]:
+    """Rule 13 over every module under ``src/repro`` (or over ``sources``,
+    name -> text, for the tests)."""
+    if sources is None:
+        sources = {
+            relative(path): path.read_text(encoding="utf-8")
+            for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        }
+    violations: List[str] = []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        allowed: Set[int] = set()
+        if name == PAUSE_HOME[0]:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == PAUSE_HOME[1]:
+                    allowed.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                switches = sorted(
+                    alias.name for alias in node.names if alias.name in COLLECTOR_SWITCHES
+                )
+                if switches:
+                    violations.append(
+                        f"{name}:{node.lineno}: imports gc.{', gc.'.join(switches)} "
+                        f"(switch the collector only in {PAUSE_HOME[1]})"
+                    )
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "gc"
+                and node.attr in COLLECTOR_SWITCHES
+                and id(node) not in allowed
+            ):
+                violations.append(
+                    f"{name}:{node.lineno}: uses gc.{node.attr} outside "
+                    f"{PAUSE_HOME[1]} in {PAUSE_HOME[0]}"
+                )
+    return violations
+
+
 def main() -> int:
     violations = (
         check_operator_faces()
@@ -705,6 +758,7 @@ def main() -> int:
         + check_unused_exports()
         + check_unused_imports()
         + check_eq_without_hash()
+        + check_collector_switches()
     )
     for violation in violations:
         print(violation)
@@ -716,7 +770,7 @@ def main() -> int:
         "(operator faces, defaults, BENCH_SMOKE, batch-face registry, "
         "immutable operators, one scan path, radix-only kernels, "
         "probes counted per kernel call, environment knobs, used exports, "
-        "used imports, hash beside equality)"
+        "used imports, hash beside equality, one collector pause)"
     )
     return 0
 

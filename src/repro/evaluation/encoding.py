@@ -33,11 +33,13 @@ accounting the bounded-work assertions in the streaming tests read.
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 from array import array
 from itertools import chain
 from typing import (
+    Callable,
     Collection,
     Container,
     Dict,
@@ -48,6 +50,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
 )
 
 from ..datamodel import Term, Variable
@@ -63,6 +66,8 @@ _UNSET = object()
 _NUMPY: object = _UNSET
 
 _EMPTY_BUCKET: Tuple[int, ...] = ()
+
+_Built = TypeVar("_Built")
 
 #: :meth:`EncodedRelation.semijoin_on` probes a long-lived left store's key
 #: index instead of scanning it when the right side has at most one distinct
@@ -97,6 +102,44 @@ def numpy_enabled() -> bool:
     if value in ("", "0", "false", "no", "off"):
         return False
     return _numpy_module() is not None
+
+
+_pause_lock = threading.Lock()
+_pausing = 0
+_paused = False
+
+
+def _collector_paused(rows: int, build: Callable[[], _Built]) -> _Built:
+    """``build()``, run with the cyclic garbage collector paused when it
+    decodes at least ``gc.get_threshold()[0]`` rows.
+
+    A decode builds one tuple of interned terms per row.  Such tuples can
+    never form a cycle, but they are GC-tracked (terms are), so a large
+    decode would trigger a young collection every threshold rows and
+    repeated full ones.  A smaller decode triggers at most one, and runs
+    unpaused.  Threads that overlap share one pause: the first one in
+    disables the collector if it is enabled, and the last one out
+    re-enables it only if the pause disabled it, also when ``build``
+    raises.  A caller that switched the collector off keeps it off.  The
+    collector is process-wide, so the pause count is module state.
+    Streams are never paused: a suspended generator would hold the pause.
+    """
+    if rows < gc.get_threshold()[0]:
+        return build()
+    global _pausing, _paused
+    with _pause_lock:
+        if _pausing == 0 and gc.isenabled():
+            gc.disable()
+            _paused = True
+        _pausing += 1
+    try:
+        return build()
+    finally:
+        with _pause_lock:
+            _pausing -= 1
+            if _pausing == 0 and _paused:
+                _paused = False
+                gc.enable()
 
 
 def _make_column(values: Iterable[int], use_numpy: bool) -> Sequence[int]:
@@ -938,12 +981,18 @@ class EncodedRelation:
         return zip(*self._decoded_columns(range(len(self.schema))))
 
     def to_relation(self) -> Relation:
-        """Decode into a tuple-engine :class:`Relation` (the output boundary)."""
-        return Relation(self.schema, self.decoded_rows())
+        """Decode into a tuple-engine :class:`Relation` (the output boundary),
+        with the collector paused for a large decode."""
+        return _collector_paused(
+            self.store.length, lambda: Relation(self.schema, self.decoded_rows())
+        )
 
     def answer_tuples(self, head: Sequence[Variable]) -> Set[Row]:
-        """The decoded answer set over ``head`` (repeated variables allowed)."""
+        """The decoded answer set over ``head`` (repeated variables allowed),
+        built with the collector paused for a large decode."""
         positions = tuple(self.position(variable) for variable in head)
         if not positions:
             return {()} if self.store.length else set()
-        return set(zip(*self._decoded_columns(positions)))
+        return _collector_paused(
+            self.store.length, lambda: set(zip(*self._decoded_columns(positions)))
+        )

@@ -65,7 +65,10 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..datamodel import Instance, Term, Variable
-from ..hypergraph import JoinTree, JoinTreeError, build_join_tree, query_connectors
+from ..hypergraph import (
+    JoinTree,
+    build_join_tree,  # noqa: F401  (unused; the layer trace wraps it here)
+)
 from ..queries.cq import ConjunctiveQuery
 from .join_plans import stream_chain
 from .operators import (
@@ -116,10 +119,9 @@ class YannakakisEvaluator:
         # virtual atoms (see DecompositionEvaluator, which compiles its own
         # node operators in _reduce_bottom_up).
         if join_tree is None:
-            try:
-                join_tree = build_join_tree(query.body, query_connectors)
-            except JoinTreeError as error:
-                raise AcyclicityRequired(str(error)) from error
+            join_tree = query.join_tree()
+            if join_tree is None:
+                raise AcyclicityRequired(f"{query.name} has a cyclic or empty body")
         # Root the tree at a node holding the whole head, if one does: then
         # the upward pass alone answers the query (see compile_answer_plan).
         head = set(query.head)

@@ -13,7 +13,18 @@ atoms, and provides the operations the rest of the library needs:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..datamodel import (
     Atom,
@@ -32,6 +43,9 @@ from ..datamodel import (
 )
 from .homomorphism import find_homomorphism, homomorphisms
 
+if TYPE_CHECKING:
+    from ..hypergraph import JoinTree
+
 
 class ConjunctiveQuery:
     """A conjunctive query with free variables ``head`` and body ``atoms``."""
@@ -46,6 +60,7 @@ class ConjunctiveQuery:
         self._body: Tuple[Atom, ...] = tuple(body)
         self.name = name
         self._acyclic: Optional[bool] = None
+        self._join_tree: Optional[JoinTree] = None
         self._validate()
 
     def _validate(self) -> None:
@@ -177,13 +192,37 @@ class ConjunctiveQuery:
         vertices are the query variables and whose hyperedges are the
         variable sets of the atoms (constants are ignored, mirroring the
         definition that freezes variables into nulls).  The answer is
-        computed once per query: the query is immutable.
+        computed once per query, by the same reduction that builds
+        :meth:`join_tree`: the query is immutable.
         """
         if self._acyclic is None:
-            from ..hypergraph import is_acyclic_atoms
-
-            self._acyclic = is_acyclic_atoms(self._body)
+            return self._reduce()
         return self._acyclic
+
+    def join_tree(self) -> Optional[JoinTree]:
+        """A join tree of the body (variables as connectors), or ``None``
+        when the body is cyclic or empty.
+
+        Built once per query, by the one GYO reduction that also answers
+        :meth:`is_acyclic`, and shared by every caller: a join tree is never
+        mutated (re-rooting builds a new one).
+        """
+        if self._acyclic is None:
+            self._reduce()
+        return self._join_tree
+
+    def _reduce(self) -> bool:
+        """Run the GYO reduction, keeping the join tree it yields."""
+        from ..hypergraph import JoinTreeError, build_join_tree, query_connectors
+
+        acyclic = True
+        if self._body:
+            try:
+                self._join_tree = build_join_tree(self._body, query_connectors)
+            except JoinTreeError:
+                acyclic = False
+        self._acyclic = acyclic
+        return acyclic
 
     # ------------------------------------------------------------------
     # Canonical database (freezing)

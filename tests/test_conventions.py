@@ -309,6 +309,37 @@ def outer():
     ]
 
 
+def test_collector_switches_outside_the_pause_helper_are_flagged():
+    """The real encoding module is clean; a stray switch planted in it, in
+    a nested helper of another module or by a ``from gc import`` is not."""
+    lint = _lint_module()
+    home, helper = lint.PAUSE_HOME
+    source = (lint.REPO_ROOT / home).read_text(encoding="utf-8")
+    assert f"def {helper}(" in source
+    assert lint.check_collector_switches({home: source}) == []
+    marker = "def _make_column("
+    stray = "def _stray():\n    gc.freeze()\n\n\n"
+    line = source[: source.index(marker)].count("\n") + 2
+    violations = lint.check_collector_switches({home: source.replace(marker, stray + marker)})
+    assert violations == [f"{home}:{line}: uses gc.freeze outside {helper} in {home}"]
+    other = """
+import gc
+from gc import collect, disable
+
+
+def _collector_paused(build):
+    def run():
+        gc.enable()
+    return run
+"""
+    violations = lint.check_collector_switches({"src/repro/service.py": other})
+    assert violations == [
+        "src/repro/service.py:3: imports gc.disable (switch the collector only in "
+        f"{helper})",
+        f"src/repro/service.py:8: uses gc.enable outside {helper} in {home}",
+    ]
+
+
 def test_typecheck_wrapper_runs():
     """Exit 0 both where mypy exists (clean tree) and where it is absent
     (graceful skip) — either way the wrapper must not crash."""

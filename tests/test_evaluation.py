@@ -53,6 +53,29 @@ class TestYannakakis:
         with pytest.raises(AcyclicityRequired):
             YannakakisEvaluator(triangle_query)
 
+    def test_routing_an_acyclic_query_runs_one_gyo_reduction(self, monkeypatch):
+        """``resolve_route`` decides acyclicity and the evaluator builds its
+        join tree from the one reduction cached on the query."""
+        from repro.evaluation.semacyclic_eval import resolve_route
+        from repro.hypergraph import gyo, join_tree
+
+        calls = []
+        original = gyo.gyo_reduction
+
+        def counting(hypergraph):
+            calls.append(hypergraph)
+            return original(hypergraph)
+
+        monkeypatch.setattr(gyo, "gyo_reduction", counting)
+        monkeypatch.setattr(join_tree, "gyo_reduction", counting)
+        query = parse_query("q(x, w) :- E(x, y), E(y, z), E(z, w)")
+        route, evaluator = resolve_route(query)
+        assert route == "yannakakis"
+        assert len(calls) == 1
+        assert query.is_acyclic() and len(calls) == 1
+        database = edge_db(("a", "b"), ("b", "c"), ("c", "d"))
+        assert evaluator.evaluate(database) == {(Constant("a"), Constant("d"))}
+
     def test_boolean_path_query(self, path3_query):
         database = edge_db(("a", "b"), ("b", "c"), ("c", "d"))
         assert boolean_acyclic(path3_query, database)
