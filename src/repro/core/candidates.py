@@ -28,10 +28,12 @@ of ``chase(q, Σ)`` read back as queries.  :func:`fast_candidates` yields each
 with its bitmask over the sorted chase atoms (:class:`SubInstanceLattice`);
 the other candidates carry ``None``.  ``J ⊆_Σ q`` is upward-closed in ``J``,
 so once the decider refutes it for one mask, every candidate below that
-mask is skipped before its acyclicity test.  On hypergraphs of rank ≤ 2
-cyclicity is upward-closed too, so when every minimal image ``μ(q)`` is
-cyclic there, :func:`acyclic_chase_subinstances` yields nothing without
-walking the subsets.  ``docs/ARCHITECTURE.md`` gives both proofs.
+mask is skipped before its acyclicity test.  That test is the GYO kernel
+(:func:`~repro.hypergraph.gyo_parents`) on the subset's vertex masks, run
+before any query is built.  On hypergraphs of rank ≤ 2 cyclicity is
+upward-closed too, so when every minimal image ``μ(q)`` is cyclic there,
+:func:`acyclic_chase_subinstances` yields nothing without walking the
+subsets.  ``docs/ARCHITECTURE.md`` gives both proofs.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from __future__ import annotations
 import itertools
 from typing import (
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -52,11 +53,12 @@ from typing import (
 
 from ..datamodel import Atom, Constant, Instance, Term, Variable, is_frozen_constant
 from ..hypergraph import (
-    Hypergraph,
+    build_join_tree,
     compact_acyclic_query,
+    gyo_parents,
     instance_connectors,
-    is_acyclic_hypergraph,
-    is_acyclic_instance,
+    query_connectors,
+    vertex_masks,
 )
 from ..queries.cq import ConjunctiveQuery
 from ..queries.core_minimization import core
@@ -76,7 +78,8 @@ class SubInstanceLattice:
     frozen constants: a subquery of ``q`` has the mask of its frozen atoms.
     Without it, queries over the variables of ``q`` have no mask.  The
     refuted masks form an antichain; :meth:`refuted` tells whether a mask
-    lies below one of them.
+    lies below one of them.  :meth:`edge_masks` holds the hyperedge of each
+    chase atom for the GYO kernel.
     """
 
     def __init__(
@@ -90,6 +93,24 @@ class SubInstanceLattice:
         self._freezing = dict(freezing or {})
         self._query_bit: Dict[Atom, Optional[int]] = {}
         self._refuted: List[int] = []
+        self._edge_masks: Optional[List[int]] = None
+
+    def edge_masks(self) -> List[int]:
+        """The vertex mask of each chase atom under ``instance_connectors``,
+        built on the first call."""
+        if self._edge_masks is None:
+            self._edge_masks = vertex_masks(self.atoms, instance_connectors)
+        return self._edge_masks
+
+    def is_acyclic(self, mask: int) -> bool:
+        """Whether the sub-instance ``mask`` is acyclic."""
+        edges = self.edge_masks()
+        chosen: List[int] = []
+        while mask:
+            low = mask & -mask
+            chosen.append(edges[low.bit_length() - 1])
+            mask ^= low
+        return gyo_parents(chosen) is not None
 
     def mask(self, atoms: Iterable[Atom]) -> Optional[int]:
         """The mask of ``atoms``, or ``None`` when one is not a chase atom."""
@@ -153,6 +174,7 @@ def acyclic_subqueries(
     # Distinct atoms freeze to distinct chase atoms, so a subset's mask is
     # the sum of its bits.
     bits = None if lattice is None else lattice.query_bits(atoms)
+    edges = vertex_masks(atoms, query_connectors)
     for size in range(len(atoms), min_atoms - 1, -1):
         for subset in itertools.combinations(range(len(atoms)), size):
             if bits is not None and lattice.refuted(sum(bits[i] for i in subset)):
@@ -164,9 +186,8 @@ def acyclic_subqueries(
                     available |= atom.variables()
                 if not head_variables <= available:
                     continue
-            candidate = ConjunctiveQuery(query.head, chosen, name=f"{query.name}_sub")
-            if candidate.is_acyclic():
-                yield candidate
+            if gyo_parents([edges[i] for i in subset]) is not None:
+                yield ConjunctiveQuery(query.head, chosen, name=f"{query.name}_sub")
 
 
 # ----------------------------------------------------------------------
@@ -204,11 +225,13 @@ def _quotient_images(
         if count > max_homomorphisms:
             break
         image_atoms = sorted({atom.apply(mapping) for atom in query.body}, key=str)
+        # ``mapping`` maps ``q`` into the lattice's instance, so the image
+        # has a mask.
         mask = lattice.mask(image_atoms)
-        if mask is not None and lattice.refuted(mask):
+        if mask is None or lattice.refuted(mask) or not lattice.is_acyclic(mask):
             continue
         candidate = _instance_atoms_to_query(image_atoms, answer, name=f"{query.name}_img")
-        if candidate is not None and candidate.is_acyclic():
+        if candidate is not None:
             yield candidate, mask
 
 
@@ -324,13 +347,14 @@ def _chase_subinstances(
         variable: value for variable, value in zip(query.head, answer)
     }
     images = _minimal_hom_images(query, lattice, seed, upper, max_candidates)
-    if images is not None and _all_images_cyclic_on_a_graph(atoms, images):
+    if images is not None and _all_images_cyclic_on_a_graph(lattice, images):
         return
     bits = [1 << position for position in range(len(atoms))]
     inspected = 0
     for size in range(1, upper + 1):
-        for subset, subset_bits in zip(
-            itertools.combinations(atoms, size), itertools.combinations(bits, size)
+        for positions, subset_bits in zip(
+            itertools.combinations(range(len(atoms)), size),
+            itertools.combinations(bits, size),
         ):
             inspected += 1
             if inspected > max_candidates:
@@ -343,60 +367,31 @@ def _chase_subinstances(
             mask = sum(subset_bits)
             if images is not None and not any(image & mask == image for image in images):
                 continue
-            if lattice.refuted(mask):
+            if lattice.refuted(mask) or not lattice.is_acyclic(mask):
                 continue
+            subset = [atoms[position] for position in positions]
             if images is None and find_homomorphism(
                 query.body, Instance(subset), seed=seed
             ) is None:
                 continue
-            # The hypergraph of ``Instance(subset)``, without building it:
-            # GYO acyclicity does not depend on the order of the edges.
-            if not is_acyclic_hypergraph(Hypergraph(subset, instance_connectors)):
-                continue
             candidate = _instance_atoms_to_query(
-                list(subset), answer, name=f"{query.name}_chase_sub"
+                subset, answer, name=f"{query.name}_chase_sub"
             )
             if candidate is not None:
                 yield candidate, mask
 
 
-def _all_images_cyclic_on_a_graph(atoms: Sequence[Atom], images: Sequence[int]) -> bool:
-    """Whether every atom has ≤ 2 connectors and every image in ``images`` is cyclic.
+def _all_images_cyclic_on_a_graph(lattice: SubInstanceLattice, images: Sequence[int]) -> bool:
+    """Whether every chase atom has ≤ 2 connectors and every image in
+    ``images`` is cyclic.
 
     On a hypergraph of rank ≤ 2, α-acyclicity means that the 2-edges form
     a forest, and a graph holding a cycle is cyclic: so then every subset
-    of ``atoms`` that contains one of the ``images`` is cyclic.
+    of the chase atoms that contains one of the ``images`` is cyclic.
     """
-    edges = [frozenset(t for t in atom.terms if instance_connectors(t)) for atom in atoms]
-    if any(len(edge) > 2 for edge in edges):
+    if any(bin(edge).count("1") > 2 for edge in lattice.edge_masks()):
         return False
-    return not any(
-        _is_forest(edge for position, edge in enumerate(edges) if image >> position & 1)
-        for image in images
-    )
-
-
-def _is_forest(edges: Iterable[FrozenSet[Term]]) -> bool:
-    """GYO acyclicity of a hypergraph of rank ≤ 2, by union-find.
-
-    GYO absorbs the edges of fewer than two vertices and the repeats of an
-    edge, so the hypergraph is acyclic iff its distinct 2-edges form a
-    forest.
-    """
-    parent: Dict[Term, Term] = {}
-
-    def root(term: Term) -> Term:
-        while term in parent:
-            term = parent[term]
-        return term
-
-    for edge in set(edges):
-        if len(edge) == 2:
-            left, right = (root(term) for term in edge)
-            if left == right:
-                return False
-            parent[left] = right
-    return True
+    return not any(lattice.is_acyclic(image) for image in images)
 
 
 # ----------------------------------------------------------------------
@@ -408,11 +403,10 @@ def compact_witnesses_from_acyclic_instance(
     answer: Sequence[Constant],
 ) -> Iterator[ConjunctiveQuery]:
     """Apply Lemma 9 to ``query`` over an acyclic instance, if possible."""
-    if not is_acyclic_instance(instance):
-        return
     try:
+        join_tree = build_join_tree(instance.sorted_atoms(), instance_connectors)
         candidate = compact_acyclic_query(
-            query, instance, answer=answer, name=f"{query.name}_compact"
+            query, instance, answer=answer, join_tree=join_tree, name=f"{query.name}_compact"
         )
     except ValueError:
         return

@@ -1,20 +1,19 @@
-"""Hypergraph machinery: acyclicity (GYO), join trees, compact queries, decompositions."""
+"""Acyclicity (GYO), join trees, compact queries and decompositions of atom sets.
 
-from .hypergraph import (
-    ConnectorPolicy,
-    HyperEdge,
-    Hypergraph,
-    hypergraph_of_instance,
-    hypergraph_of_query_atoms,
-    instance_connectors,
-    query_connectors,
-)
+A hypergraph is never an object here: :func:`vertex_masks` turns atoms into
+one int mask of connector bits per atom, and the GYO kernel
+:func:`gyo_parents` decides acyclicity on those masks and returns the join
+tree's parents, which :func:`join_tree_from_parents` labels with the atoms.
+"""
+
 from .gyo import (
-    GYOResult,
-    gyo_reduction,
+    ConnectorPolicy,
+    gyo_parents,
+    instance_connectors,
     is_acyclic_atoms,
-    is_acyclic_hypergraph,
     is_acyclic_instance,
+    query_connectors,
+    vertex_masks,
 )
 from .join_tree import (
     JoinTree,
@@ -22,6 +21,7 @@ from .join_tree import (
     JoinTreeNode,
     build_join_tree,
     is_valid_join_tree,
+    join_tree_from_parents,
     join_tree_of_instance,
     join_tree_of_query_atoms,
 )
@@ -47,9 +47,6 @@ from .decompositions import (
 
 __all__ = [
     "ConnectorPolicy",
-    "GYOResult",
-    "HyperEdge",
-    "Hypergraph",
     "HypertreeDecomposition",
     "HypertreeNode",
     "JoinTree",
@@ -60,9 +57,7 @@ __all__ = [
     "compact_acyclic_query",
     "compact_acyclic_subinstance",
     "decomposition_from_elimination_order",
-    "gyo_reduction",
-    "hypergraph_of_instance",
-    "hypergraph_of_query_atoms",
+    "gyo_parents",
     "hypertree_decomposition_of_atoms",
     "hypertree_from_join_tree",
     "hypertree_from_tree_decomposition",
@@ -70,9 +65,9 @@ __all__ = [
     "instance_connectors",
     "instance_treewidth",
     "is_acyclic_atoms",
-    "is_acyclic_hypergraph",
     "is_acyclic_instance",
     "is_valid_join_tree",
+    "join_tree_from_parents",
     "join_tree_of_instance",
     "join_tree_of_query_atoms",
     "min_degree_order",
@@ -83,4 +78,5 @@ __all__ = [
     "tree_decomposition_min_fill",
     "treewidth_exact",
     "treewidth_upper_bound",
+    "vertex_masks",
 ]

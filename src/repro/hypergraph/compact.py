@@ -33,7 +33,7 @@ from ..datamodel import (
 )
 from ..queries.cq import ConjunctiveQuery
 from ..queries.homomorphism import find_homomorphism
-from .hypergraph import instance_connectors
+from .gyo import instance_connectors
 from .join_tree import JoinTree, JoinTreeError, build_join_tree
 
 

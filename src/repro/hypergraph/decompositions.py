@@ -16,9 +16,9 @@ This module provides the machinery those observations need:
   from their join tree.
 
 Everything works on the ``AdjacencyGraph`` dictionaries produced by
-:mod:`repro.queries.gaifman` and the :class:`~repro.hypergraph.Hypergraph`
-objects produced from atoms, so queries, instances and chase results can all
-be measured uniformly.
+:mod:`repro.queries.gaifman` and on ``(atom, connector set)`` pairs read off
+the atoms under a connector policy, so queries, instances and chase results
+can all be measured uniformly.
 """
 
 from __future__ import annotations
@@ -26,14 +26,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
 
-from ..datamodel import Atom, Instance
+from ..datamodel import Atom, Instance, Term
 from ..queries.gaifman import gaifman_graph_of_atoms, gaifman_graph_of_instance
-from .hypergraph import ConnectorPolicy, Hypergraph, query_connectors
+from .gyo import ConnectorPolicy, query_connectors
 from .join_tree import JoinTree, JoinTreeError, build_join_tree
 
 
 #: Adjacency representation shared with :mod:`repro.queries.gaifman`.
 AdjacencyGraph = Dict[Hashable, Set[Hashable]]
+
+#: An atom with the set of its connector terms (its hyperedge).
+ConnectorEdge = Tuple[Atom, FrozenSet[Term]]
+
+
+def _connector_edges(
+    atoms: Iterable[Atom], connector_policy: ConnectorPolicy
+) -> List[ConnectorEdge]:
+    """Each atom with its connector terms under ``connector_policy``."""
+    return [
+        (atom, frozenset(t for t in atom.terms if connector_policy(t))) for atom in atoms
+    ]
+
+
+def _connector_graph(
+    atoms: Iterable[Atom], connector_policy: ConnectorPolicy
+) -> AdjacencyGraph:
+    """The Gaifman graph of the atoms' connector sets."""
+    graph: AdjacencyGraph = {}
+    for _, vertices in _connector_edges(atoms, connector_policy):
+        members = sorted(vertices, key=str)
+        for vertex in members:
+            graph.setdefault(vertex, set())
+        for i, left in enumerate(members):
+            for right in members[i + 1:]:
+                graph[left].add(right)
+                graph[right].add(left)
+    return graph
 
 
 # ----------------------------------------------------------------------
@@ -408,20 +436,11 @@ class HypertreeDecomposition:
     ) -> bool:
         """Check bag validity against the Gaifman graph and guard coverage."""
         atom_list = list(atoms)
-        hypergraph = Hypergraph(atom_list, connector_policy)
-        graph: AdjacencyGraph = {}
-        for edge in hypergraph.edges:
-            members = sorted(edge.vertices, key=str)
-            for vertex in members:
-                graph.setdefault(vertex, set())
-            for i, left in enumerate(members):
-                for right in members[i + 1:]:
-                    graph[left].add(right)
-                    graph[right].add(left)
+        graph = _connector_graph(atom_list, connector_policy)
         if not self._tree.is_valid_for(graph):
             return False
         # Guard coverage: each bag must be covered by its guards' vertices,
-        # and each guard must be one of the hypergraph's atoms.
+        # and each guard must be one of the atoms.
         available = set(atom_list)
         for node in self._nodes.values():
             if any(guard not in available for guard in node.guards):
@@ -439,20 +458,20 @@ class HypertreeDecomposition:
 
 def _cover_bag_greedily(
     bag: FrozenSet[Hashable],
-    hypergraph: Hypergraph,
+    edges: Sequence[ConnectorEdge],
 ) -> Tuple[Atom, ...]:
     """Greedy set cover of a bag by hyperedges (guards)."""
     uncovered = set(bag)
     guards: List[Atom] = []
-    edges = sorted(hypergraph.edges, key=lambda e: str(e.atom))
+    by_text = sorted(edges, key=lambda edge: str(edge[0]))
     while uncovered:
-        best_edge = max(edges, key=lambda e: len(e.vertices & uncovered))
-        gained = best_edge.vertices & uncovered
+        best_atom, best_vertices = max(by_text, key=lambda edge: len(edge[1] & uncovered))
+        gained = best_vertices & uncovered
         if not gained:
             # Bag vertices not present in any hyperedge (cannot happen for
             # Gaifman graphs of the same atoms, but keep the loop safe).
             break
-        guards.append(best_edge.atom)
+        guards.append(best_atom)
         uncovered -= gained
     return tuple(guards)
 
@@ -464,14 +483,14 @@ def hypertree_from_tree_decomposition(
 ) -> HypertreeDecomposition:
     """Turn a tree decomposition into a generalized hypertree decomposition.
 
-    Each bag is covered greedily by hyperedges of the atoms' hypergraph; the
+    Each bag is covered greedily by the atoms' connector sets; the
     result is a valid generalized hypertree decomposition whose width is an
     upper bound on the generalized hypertree width.
     """
-    hypergraph = Hypergraph(list(atoms), connector_policy)
+    edges = _connector_edges(atoms, connector_policy)
     nodes: Dict[int, HypertreeNode] = {}
     for identifier, bag in decomposition.bags.items():
-        guards = _cover_bag_greedily(bag, hypergraph)
+        guards = _cover_bag_greedily(bag, edges)
         nodes[identifier] = HypertreeNode(identifier, bag, guards)
     return HypertreeDecomposition(nodes, decomposition.edges())
 
@@ -509,16 +528,7 @@ def hypertree_decomposition_of_atoms(
     else:
         return hypertree_from_join_tree(join_tree)
 
-    hypergraph = Hypergraph(atom_list, connector_policy)
-    graph: AdjacencyGraph = {}
-    for edge in hypergraph.edges:
-        members = sorted(edge.vertices, key=str)
-        for vertex in members:
-            graph.setdefault(vertex, set())
-        for i, left in enumerate(members):
-            for right in members[i + 1:]:
-                graph[left].add(right)
-                graph[right].add(left)
+    graph = _connector_graph(atom_list, connector_policy)
     decomposition = tree_decomposition_min_fill(graph)
     return hypertree_from_tree_decomposition(atom_list, decomposition, connector_policy)
 

@@ -1,124 +1,116 @@
-"""GYO reduction: deciding (alpha-)acyclicity and extracting join forests.
+"""The GYO kernel: (alpha-)acyclicity and join trees over int vertex masks.
 
-The Graham / Yu–Özsoyoğlu reduction repeatedly applies two operations to a
-hypergraph until neither applies:
+The hypergraph of a set of atoms has one hyperedge per atom; the vertices of
+a hyperedge are the atom's *connector* terms.  Which terms count as
+connectors depends on the context (Section 2):
 
-1. delete a vertex that occurs in exactly one hyperedge (an *ear vertex*);
-2. delete a hyperedge whose (remaining) vertex set is contained in another
-   hyperedge, recording that other hyperedge as the *witness*.
+* for a **query** body, the connectors are the variables — constants are
+  rigid and need not induce connected subtrees of a join tree;
+* for an **instance**, the connectors are the labelled nulls — and, when the
+  instance is the chase of a query, also the frozen constants ``c(x)`` that
+  stand for the query's variables (they were variables before freezing and
+  are "treated as nulls", as the paper puts it).
 
-The hypergraph is acyclic iff the reduction ends with at most one non-empty
-hyperedge per connected component (equivalently: every hyperedge is
-eventually deleted or reduced to the empty vertex set).  The recorded
-witnesses induce a join forest, which :mod:`repro.hypergraph.join_tree`
-assembles into an explicit join tree.
+:func:`vertex_masks` gives every connector a dense id and every atom the int
+mask of its connectors' bits; :func:`gyo_parents` runs the Graham /
+Yu–Özsoyoğlu reduction on those masks.  Each pass of the reduction
+
+1. deletes every *ear vertex* (a bit set in exactly one remaining edge), then
+2. absorbs the lowest-index edge contained in another remaining edge into
+   the lowest-index such container, which becomes its parent.
+
+The hypergraph is acyclic iff at most one edge survives.  When two or more
+survive, none is contained in another and no vertex is an ear, so the
+hypergraph is cyclic, whether or not it is connected.  The parents form a
+join tree rooted at the survivor, which :mod:`repro.hypergraph.join_tree`
+labels with the atoms.  Every acyclicity verdict of the library, and every
+join tree, comes from this one kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..datamodel import Atom, Instance, Term
-from .hypergraph import Hypergraph, hypergraph_of_instance, hypergraph_of_query_atoms
+from ..datamodel import Atom, Constant, Instance, Null, Term, Variable, is_frozen_constant
 
 
-@dataclass
-class GYOResult:
-    """Outcome of running the GYO reduction on a hypergraph."""
+#: A connector policy decides which terms of an atom act as hypergraph vertices.
+ConnectorPolicy = Callable[[Term], bool]
 
-    #: Whether the hypergraph is acyclic.
-    acyclic: bool
-    #: For each deleted hyperedge index, the index of the witness edge it was
-    #: absorbed into (the parent in the join forest).  Surviving edges (the
-    #: forest roots) are absent from this mapping.
-    parents: Dict[int, int] = field(default_factory=dict)
-    #: The indexes of the edges that survived the reduction (forest roots).
-    roots: List[int] = field(default_factory=list)
-    #: The order in which edges were deleted (children before parents).
-    elimination_order: List[int] = field(default_factory=list)
+#: The parent index of each edge in a join tree (``None`` for the root).
+GYOParents = List[Optional[int]]
 
 
-def gyo_reduction(hypergraph: Hypergraph) -> GYOResult:
-    """Run the GYO reduction and report acyclicity plus the join forest."""
-    edges: Dict[int, Set[Term]] = {
-        edge.index: set(edge.vertices) for edge in hypergraph.edges
-    }
-    original: Dict[int, FrozenSet[Term]] = {
-        edge.index: edge.vertices for edge in hypergraph.edges
-    }
-    parents: Dict[int, int] = {}
-    elimination: List[int] = []
-
-    changed = True
-    while changed and len(edges) > 1:
-        changed = False
-
-        # Step 1: drop ear vertices (vertices occurring in a single edge).
-        occurrences: Dict[Term, List[int]] = {}
-        for index, vertices in edges.items():
-            for vertex in vertices:
-                occurrences.setdefault(vertex, []).append(index)
-        for vertex, where in occurrences.items():
-            if len(where) == 1:
-                edges[where[0]].discard(vertex)
-                changed = True
-
-        # Step 2: absorb an edge contained in another edge.
-        indexes = sorted(edges)
-        absorbed: Optional[Tuple[int, int]] = None
-        for child in indexes:
-            for parent in indexes:
-                if child == parent:
-                    continue
-                if edges[child] <= edges[parent]:
-                    absorbed = (child, parent)
-                    break
-            if absorbed:
-                break
-        if absorbed:
-            child, parent = absorbed
-            parents[child] = parent
-            elimination.append(child)
-            del edges[child]
-            changed = True
-
-    # The hypergraph is acyclic iff every surviving edge has an empty vertex
-    # set or there is a single survivor whose vertices are all private now.
-    roots = sorted(edges)
-    if len(edges) <= 1:
-        acyclic = True
-    else:
-        # More than one survivor: acyclic only if all survivors are pairwise
-        # vertex-disjoint *and* each is itself fully reduced (no shared
-        # vertices remain at all, i.e. every remaining vertex occurs once).
-        remaining_occurrences: Dict[Term, int] = {}
-        for vertices in edges.values():
-            for vertex in vertices:
-                remaining_occurrences[vertex] = remaining_occurrences.get(vertex, 0) + 1
-        acyclic = all(count == 1 for count in remaining_occurrences.values())
-        if acyclic:
-            # Disconnected acyclic components; nothing more to reduce.
-            pass
-
-    return GYOResult(
-        acyclic=acyclic,
-        parents=parents,
-        roots=roots,
-        elimination_order=elimination,
-    )
+def query_connectors(term: Term) -> bool:
+    """Connector policy for query bodies: variables (and stray nulls)."""
+    return isinstance(term, (Variable, Null))
 
 
-def is_acyclic_hypergraph(hypergraph: Hypergraph) -> bool:
-    """Return ``True`` iff ``hypergraph`` passes the GYO reduction."""
-    return gyo_reduction(hypergraph).acyclic
+def instance_connectors(term: Term) -> bool:
+    """Connector policy for instances: nulls and frozen query variables."""
+    if isinstance(term, Null):
+        return True
+    return isinstance(term, Constant) and is_frozen_constant(term)
+
+
+def vertex_masks(atoms: Iterable[Atom], connector_policy: ConnectorPolicy) -> List[int]:
+    """One int per atom: the bits of its connector terms, numbered densely
+    in order of first occurrence."""
+    bits: Dict[Term, int] = {}
+    masks: List[int] = []
+    for atom in atoms:
+        mask = 0
+        for term in atom.terms:
+            if connector_policy(term):
+                bit = bits.get(term)
+                if bit is None:
+                    bit = bits[term] = 1 << len(bits)
+                mask |= bit
+        masks.append(mask)
+    return masks
+
+
+def gyo_parents(masks: Sequence[int]) -> Optional[GYOParents]:
+    """The GYO reduction of the edges ``masks``: ``None`` when they are
+    cyclic, otherwise the parent index of every edge (``None`` for the
+    root)."""
+    edges = list(masks)
+    parents: GYOParents = [None] * len(edges)
+    alive = list(range(len(edges)))
+    while len(alive) > 1:
+        seen = twice = 0
+        for index in alive:
+            twice |= seen & edges[index]
+            seen |= edges[index]
+        ears = seen & ~twice
+        if ears:
+            for index in alive:
+                edges[index] &= ~ears
+        absorbed = _absorbable(edges, alive)
+        if absorbed is None:
+            return None
+        child, parent = absorbed
+        parents[child] = parent
+        alive.remove(child)
+    return parents
+
+
+def _absorbable(edges: Sequence[int], alive: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The lowest-index alive edge contained in another alive edge, with the
+    lowest-index such container."""
+    for child in alive:
+        mask = edges[child]
+        for parent in alive:
+            if parent != child and not mask & ~edges[parent]:
+                return child, parent
+    return None
 
 
 def is_acyclic_atoms(atoms: Iterable[Atom]) -> bool:
     """Acyclicity of a query body (variables are the connectors)."""
-    return is_acyclic_hypergraph(hypergraph_of_query_atoms(list(atoms)))
+    return gyo_parents(vertex_masks(atoms, query_connectors)) is not None
 
 
 def is_acyclic_instance(instance: Instance) -> bool:
     """Acyclicity of an instance (nulls / frozen constants are the connectors)."""
-    return is_acyclic_hypergraph(hypergraph_of_instance(instance))
+    return gyo_parents(vertex_masks(instance, instance_connectors)) is not None

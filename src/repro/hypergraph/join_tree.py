@@ -3,25 +3,27 @@
 A join tree of an instance ``I`` (Section 2) is a tree whose nodes are
 labelled with the atoms of ``I`` such that every atom labels some node and,
 for every connector term (null / variable), the nodes containing that term
-form a connected subtree.  This module builds join trees out of the GYO
-reduction, verifies the join-tree property explicitly (used by the property
-based tests) and offers the rooted-tree navigation that Lemma 9 and
-Yannakakis' algorithm need.
+form a connected subtree.  This module labels the parents that the GYO
+kernel (:func:`~repro.hypergraph.gyo.gyo_parents`) returns with the atoms,
+verifies the join-tree property explicitly (used by the property based
+tests) and offers the rooted-tree navigation that Lemma 9 and Yannakakis'
+algorithm need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..datamodel import Atom, Instance, Term
-from .hypergraph import (
+from .gyo import (
     ConnectorPolicy,
-    Hypergraph,
+    GYOParents,
+    gyo_parents,
     instance_connectors,
     query_connectors,
+    vertex_masks,
 )
-from .gyo import gyo_reduction
 
 
 class JoinTreeError(ValueError):
@@ -177,28 +179,26 @@ def build_join_tree(
     atom_list = list(atoms)
     if not atom_list:
         raise JoinTreeError("cannot build a join tree for an empty set of atoms")
-    hypergraph = Hypergraph(atom_list, connector_policy)
-    result = gyo_reduction(hypergraph)
-    if not result.acyclic:
+    parents = gyo_parents(vertex_masks(atom_list, connector_policy))
+    if parents is None:
         raise JoinTreeError("the atom collection is cyclic")
+    return join_tree_from_parents(atom_list, parents, connector_policy)
 
-    nodes: Dict[int, JoinTreeNode] = {
-        edge.index: JoinTreeNode(edge.index, edge.atom, edge.vertices)
-        for edge in hypergraph.edges
+
+def join_tree_from_parents(
+    atoms: Sequence[Atom],
+    parents: GYOParents,
+    connector_policy: ConnectorPolicy,
+) -> JoinTree:
+    """The join tree whose node ``i`` holds ``atoms[i]`` under the GYO
+    parents of the atoms' vertex masks (see :func:`gyo_parents`)."""
+    nodes = {
+        index: JoinTreeNode(
+            index, atom, frozenset(t for t in atom.terms if connector_policy(t))
+        )
+        for index, atom in enumerate(atoms)
     }
-    parent: Dict[int, Optional[int]] = {index: None for index in nodes}
-    for child, witness in result.parents.items():
-        parent[child] = witness
-
-    # If several components survive (disconnected acyclic hypergraph), chain
-    # their roots: the roots share no connector vertices, so attaching one
-    # root under another preserves the join-tree property.
-    roots = [index for index, parent_id in parent.items() if parent_id is None]
-    roots.sort()
-    for previous, current in zip(roots, roots[1:]):
-        parent[current] = previous
-
-    return JoinTree(nodes, parent)
+    return JoinTree(nodes, dict(enumerate(parents)))
 
 
 def join_tree_of_query_atoms(atoms: Iterable[Atom]) -> JoinTree:

@@ -59,6 +59,7 @@ class ConjunctiveQuery:
         self._head: Tuple[Variable, ...] = tuple(head)
         self._body: Tuple[Atom, ...] = tuple(body)
         self.name = name
+        self._gyo_parents: Optional[List[Optional[int]]] = None
         self._acyclic: Optional[bool] = None
         self._join_tree: Optional[JoinTree] = None
         self._validate()
@@ -188,41 +189,35 @@ class ConjunctiveQuery:
     def is_acyclic(self) -> bool:
         """Return ``True`` iff the query hypergraph is (alpha-)acyclic.
 
-        Acyclicity is decided with the GYO reduction on the hypergraph whose
+        Acyclicity is decided by the GYO kernel on the hypergraph whose
         vertices are the query variables and whose hyperedges are the
         variable sets of the atoms (constants are ignored, mirroring the
-        definition that freezes variables into nulls).  The answer is
-        computed once per query, by the same reduction that builds
-        :meth:`join_tree`: the query is immutable.
+        definition that freezes variables into nulls).  The kernel runs
+        once per query, and its parents are kept for :meth:`join_tree`:
+        the query is immutable.
         """
         if self._acyclic is None:
-            return self._reduce()
+            from ..hypergraph import gyo_parents, query_connectors, vertex_masks
+
+            self._gyo_parents = gyo_parents(vertex_masks(self._body, query_connectors))
+            self._acyclic = self._gyo_parents is not None
         return self._acyclic
 
     def join_tree(self) -> Optional[JoinTree]:
         """A join tree of the body (variables as connectors), or ``None``
         when the body is cyclic or empty.
 
-        Built once per query, by the one GYO reduction that also answers
-        :meth:`is_acyclic`, and shared by every caller: a join tree is never
-        mutated (re-rooting builds a new one).
+        Built on the first call from the parents that :meth:`is_acyclic`
+        kept, and shared by every caller: a join tree is never mutated
+        (re-rooting builds a new one).
         """
-        if self._acyclic is None:
-            self._reduce()
+        if self._join_tree is None and self._body and self.is_acyclic():
+            from ..hypergraph import join_tree_from_parents, query_connectors
+
+            self._join_tree = join_tree_from_parents(
+                self._body, self._gyo_parents, query_connectors
+            )
         return self._join_tree
-
-    def _reduce(self) -> bool:
-        """Run the GYO reduction, keeping the join tree it yields."""
-        from ..hypergraph import JoinTreeError, build_join_tree, query_connectors
-
-        acyclic = True
-        if self._body:
-            try:
-                self._join_tree = build_join_tree(self._body, query_connectors)
-            except JoinTreeError:
-                acyclic = False
-        self._acyclic = acyclic
-        return acyclic
 
     # ------------------------------------------------------------------
     # Canonical database (freezing)

@@ -10,8 +10,8 @@ cuts the enumeration and where the image enumeration passes its budget and
 the generator falls back to the per-subset search.
 
 On a chase of rank ≤ 2 whose minimal images are all cyclic, the generator
-yields nothing without walking the subsets; its union-find forest test must
-agree with GYO on every hypergraph of rank ≤ 2.
+yields nothing without walking the subsets: the GYO kernel runs on the
+minimal images and on no subset of the walk.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -19,10 +19,13 @@ from hypothesis import strategies as st
 
 import repro.core.candidates as candidates_module
 from repro.chase import chase_query
-from repro.core.candidates import acyclic_chase_subinstances
+from repro.core.candidates import (
+    SubInstanceLattice,
+    _minimal_hom_images,
+    acyclic_chase_subinstances,
+)
 from repro.core.semantic_acyclicity import SemAcConfig, decide_semantic_acyclicity_tgds
-from repro.datamodel import Atom, Constant, Predicate, Variable, freeze_variable
-from repro.hypergraph import Hypergraph, instance_connectors, is_acyclic_hypergraph
+from repro.datamodel import Atom, Predicate, Variable
 from repro.parser import parse_query, parse_tgd
 from repro.queries import ConjunctiveQuery
 
@@ -165,40 +168,24 @@ def test_rank_two_chase_with_only_cyclic_images_is_not_walked(monkeypatch):
     )
     result, freezing = chase_query(query, [parse_tgd("N(x, y) -> B(x)")])
     answer = (freezing[Variable("a")],)
-    gyo_calls = []
-    original = candidates_module.is_acyclic_hypergraph
+    lattice = SubInstanceLattice(result.instance)
+    images = _minimal_hom_images(query, lattice, dict(zip(query.head, answer)), 14, 5_000)
+    image_edges = sorted(
+        sorted(lattice.edge_masks()[p] for p in range(len(lattice.atoms)) if image >> p & 1)
+        for image in images
+    )
+    kernel_calls = []
+    original = candidates_module.gyo_parents
 
-    def counting(hypergraph):
-        gyo_calls.append(hypergraph)
-        return original(hypergraph)
+    def counting(masks):
+        kernel_calls.append(sorted(masks))
+        return original(masks)
 
-    monkeypatch.setattr(candidates_module, "is_acyclic_hypergraph", counting)
+    monkeypatch.setattr(candidates_module, "gyo_parents", counting)
     notes = []
     assert list(acyclic_chase_subinstances(query, result.instance, answer, 14, notes=notes)) == []
     assert notes == []
-    assert gyo_calls == []
+    # The kernel ran once per minimal image, and on no subset of the walk.
+    assert images and sorted(kernel_calls) == image_edges
     # The per-subset walk finds nothing either, up to its cut.
     assert list(acyclic_chase_subinstances_per_subset(query, result.instance, answer, 14)) == []
-
-
-#: Frozen query variables are the connectors of a chase instance; ``k`` is
-#: a rigid constant, so ``E(k, k)`` is an edge without vertices.
-EDGE_TERMS = [freeze_variable(Variable(name)) for name in "abcde"]
-RIGID = Constant("k")
-
-
-def edge_atom(edge):
-    terms = sorted(edge, key=str) or [RIGID]
-    return Atom(E, (terms[0], terms[-1]))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.sampled_from(EDGE_TERMS), max_size=2).map(frozenset),
-        max_size=7,
-    )
-)
-def test_forest_test_agrees_with_gyo_on_rank_two(edges):
-    hypergraph = Hypergraph([edge_atom(edge) for edge in edges], instance_connectors)
-    assert candidates_module._is_forest(edges) == is_acyclic_hypergraph(hypergraph)

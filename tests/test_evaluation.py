@@ -55,24 +55,25 @@ class TestYannakakis:
 
     def test_routing_an_acyclic_query_runs_one_gyo_reduction(self, monkeypatch):
         """``resolve_route`` decides acyclicity and the evaluator builds its
-        join tree from the one reduction cached on the query."""
+        join tree from the GYO parents cached on the query."""
+        import repro.hypergraph
         from repro.evaluation.semacyclic_eval import resolve_route
         from repro.hypergraph import gyo, join_tree
 
         calls = []
-        original = gyo.gyo_reduction
+        original = gyo.gyo_parents
 
-        def counting(hypergraph):
-            calls.append(hypergraph)
-            return original(hypergraph)
+        def counting(masks):
+            calls.append(masks)
+            return original(masks)
 
-        monkeypatch.setattr(gyo, "gyo_reduction", counting)
-        monkeypatch.setattr(join_tree, "gyo_reduction", counting)
+        for module in (repro.hypergraph, gyo, join_tree):
+            monkeypatch.setattr(module, "gyo_parents", counting)
         query = parse_query("q(x, w) :- E(x, y), E(y, z), E(z, w)")
         route, evaluator = resolve_route(query)
         assert route == "yannakakis"
         assert len(calls) == 1
-        assert query.is_acyclic() and len(calls) == 1
+        assert query.is_acyclic() and query.join_tree() is not None and len(calls) == 1
         database = edge_db(("a", "b"), ("b", "c"), ("c", "d"))
         assert evaluator.evaluate(database) == {(Constant("a"), Constant("d"))}
 

@@ -1,4 +1,4 @@
-"""Tests for hypergraphs, GYO reduction, join trees and the Lemma 9 construction."""
+"""Tests for the GYO kernel, join trees and the Lemma 9 construction."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +9,7 @@ from repro.hypergraph import (
     JoinTreeError,
     build_join_tree,
     compact_acyclic_query,
-    gyo_reduction,
-    hypergraph_of_instance,
-    hypergraph_of_query_atoms,
+    gyo_parents,
     instance_connectors,
     is_acyclic_atoms,
     is_acyclic_instance,
@@ -19,10 +17,13 @@ from repro.hypergraph import (
     join_tree_of_instance,
     join_tree_of_query_atoms,
     query_connectors,
+    vertex_masks,
 )
 from repro.parser import parse_query
 from repro.queries import contained_in
 from repro.workloads.generators import random_acyclic_query
+
+from helpers.gyo_reference import gyo_reduction
 
 
 E = Predicate("E", 2)
@@ -41,10 +42,8 @@ class TestConnectorPolicies:
         assert not instance_connectors(Constant("a"))
 
     def test_hypergraph_edges_mirror_atoms(self):
-        query = parse_query("E(x, y), S(x, y, z)")
-        hypergraph = hypergraph_of_query_atoms(query.body)
-        assert len(hypergraph) == 2
-        assert hypergraph.vertices() == {Variable("x"), Variable("y"), Variable("z")}
+        query = parse_query("E(x, y), S(x, y, z), E(z, 'c'), E('c', 'd')")
+        assert vertex_masks(query.body, query_connectors) == [0b011, 0b111, 0b100, 0]
 
 
 class TestGYO:
@@ -96,10 +95,59 @@ class TestGYO:
 
     def test_gyo_reports_parents_for_acyclic_inputs(self):
         query = parse_query("E(x, y), E(y, z)")
-        result = gyo_reduction(hypergraph_of_query_atoms(query.body))
-        assert result.acyclic
-        assert len(result.roots) == 1
-        assert len(result.parents) == 1
+        assert gyo_parents(vertex_masks(query.body, query_connectors)) == [1, None]
+
+    @pytest.mark.parametrize(
+        "text", ["E(x, y), E(u, v)", "E('c', 'd'), E(x, y)"], ids=["disconnected", "ground"]
+    )
+    def test_one_survivor_roots_a_disconnected_or_ground_body(self, text):
+        # Atoms sharing no connector reduce to empty edges, and an empty
+        # edge is absorbed: the reduction never stops with several roots.
+        query = parse_query(text)
+        parents = gyo_parents(vertex_masks(query.body, query_connectors))
+        assert parents is not None and parents.count(None) == 1
+        tree = build_join_tree(query.body)
+        assert len(tree) == 2 and tree.parent(tree.root) is None
+        assert is_valid_join_tree(tree, query.body, query_connectors)
+
+
+#: Connectors under one policy or the other, and the rigid constants ``k``
+#: and ``m``, which make atoms without connectors.
+POOL = (
+    [Variable(name) for name in "uvwx"]
+    + [Null("n0"), Null("n1")]
+    + [freeze_variable(Variable(name)) for name in "ab"]
+    + [Constant("k"), Constant("m")]
+)
+
+
+def bodies(max_arity):
+    rows = st.lists(
+        st.lists(st.sampled_from(POOL), min_size=1, max_size=max_arity), max_size=8
+    )
+    return rows.map(
+        lambda rows: [Atom(Predicate(f"R{len(row)}", len(row)), tuple(row)) for row in rows]
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    atoms=st.one_of(bodies(2), bodies(4)),
+    policy=st.sampled_from([query_connectors, instance_connectors]),
+)
+def test_kernel_agrees_with_the_reference_reduction(atoms, policy):
+    """The int-mask kernel and the dict-of-sets reduction it replaced give
+    the same verdict and the same parent for every edge, on bodies of rank
+    ≤ 2 and ≤ 4 with repeated edges, edges without connectors and several
+    components."""
+    parents = gyo_parents(vertex_masks(atoms, policy))
+    reference = gyo_reduction([frozenset(t for t in a.terms if policy(t)) for a in atoms])
+    assert (parents is not None) == reference.acyclic
+    if parents is not None:
+        assert parents == [reference.parents.get(index) for index in range(len(atoms))]
+        assert len(reference.roots) == min(len(atoms), 1)
+        if atoms:
+            assert is_valid_join_tree(build_join_tree(atoms, policy), atoms, policy)
 
 
 class TestJoinTrees:
