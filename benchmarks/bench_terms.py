@@ -15,9 +15,13 @@ field (the shape the term classes had before interning):
 * **Decode** — ``EncodedRelation.answer_tuples`` over the same 40k rows on
   ``array('q')`` columns and on numpy columns, with the cyclic-collector
   runs that start inside one call (counted through ``gc.callbacks``; the
-  decode pauses the collector, so this reads 0), and the object array the
-  numpy decode first builds from the encoder's term list
-  (``numpy.fromiter``) against slice assignment.
+  decode pauses the collector, so this reads 0) and in a gen-0 threshold
+  of allocations after it returns, while its answer set is alive (the
+  pause credits the set to the threshold, so this reads 0 too; the few
+  allocations the call makes outside the pause are left out, see
+  ``CALL_ALLOCATIONS``), and the object array the numpy decode first
+  builds from the encoder's term list (``numpy.fromiter``) against slice
+  assignment.
 
 Results land in ``BENCH_terms.json``.  ``BENCH_SMOKE=1`` shrinks sizes and
 repeats to milliseconds and skips the timing assertions (tiny inputs are
@@ -32,7 +36,7 @@ import statistics
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 from repro.datamodel import Constant, Null, Variable
 from repro.evaluation.encoding import EncodedRelation, EncodedStore, TermEncoder
@@ -49,6 +53,12 @@ REPEATS = 2 if smoke_mode() else 9
 #: Acceptance bars outside smoke mode (ratios reference / interned).
 MIN_SET_SPEEDUP = 2.0
 MIN_FROMITER_SPEEDUP = 2.0
+
+#: Tracked objects a decode call allocates outside its pause (its closure,
+#: the head positions, the threshold reads): they use up the caller's
+#: gen-0 headroom as any allocation does, so the allocations counted after
+#: a call are the gen-0 threshold less these.
+CALL_ALLOCATIONS = 32
 
 _CACHE: Dict[str, Dict[str, object]] = {}
 
@@ -84,26 +94,32 @@ def _time(run: Callable[[], object], per: int = 1) -> Dict[str, float]:
     return {"median": statistics.median(samples), "q1": quartiles[0], "q3": quartiles[-1]}
 
 
-def _collections(run: Callable[[], object]) -> float:
-    """Median count of collector runs that start inside one call, over
-    ``REPEATS`` calls each made right after a full collection."""
+def _collections(run: Callable[[], object]) -> Tuple[float, float]:
+    """Median counts of collector runs that start inside one call, and in
+    the ``gc.get_threshold()[0] - CALL_ALLOCATIONS`` tracked allocations
+    right after it with its result alive, over ``REPEATS`` calls each made
+    right after a full collection."""
     started = []
 
     def count(phase: str, info: Dict[str, int]) -> None:
         if phase == "start":
             started.append(info["generation"])
 
-    counts = []
+    inside, after = [], []
     gc.callbacks.append(count)
     try:
         for _ in range(REPEATS):
             gc.collect()
+            allocations = gc.get_threshold()[0] - CALL_ALLOCATIONS
             del started[:]
-            run()
-            counts.append(len(started))
+            result = run()
+            inside.append(len(started))
+            kept = [[] for _ in range(allocations)]
+            after.append(len(started) - inside[-1])
+            del result, kept
     finally:
         gc.callbacks.remove(count)
-    return statistics.median(counts)
+    return statistics.median(inside), statistics.median(after)
 
 
 def _scaled(timing: Dict[str, float], factor: float) -> Dict[str, float]:
@@ -177,10 +193,11 @@ def run_decode() -> Dict[str, object]:
         "answer_tuples_array_ms": _scaled(
             _time(lambda: array_relation.answer_tuples(head)), 1e3
         ),
-        "answer_tuples_array_collections": _collections(
-            lambda: array_relation.answer_tuples(head)
-        ),
     }
+    (
+        row["answer_tuples_array_collections"],
+        row["answer_tuples_array_collections_after"],
+    ) = _collections(lambda: array_relation.answer_tuples(head))
     numpy = _numpy()
     if numpy is not None:
         numpy_relation = _answer_relation(use_numpy=True)
@@ -195,9 +212,10 @@ def run_decode() -> Dict[str, object]:
         row["answer_tuples_numpy_ms"] = _scaled(
             _time(lambda: numpy_relation.answer_tuples(head)), 1e3
         )
-        row["answer_tuples_numpy_collections"] = _collections(
-            lambda: numpy_relation.answer_tuples(head)
-        )
+        (
+            row["answer_tuples_numpy_collections"],
+            row["answer_tuples_numpy_collections_after"],
+        ) = _collections(lambda: numpy_relation.answer_tuples(head))
         row["fromiter_ms"] = _scaled(
             _time(lambda: numpy.fromiter(terms, dtype=object, count=len(terms))), 1e3
         )
@@ -260,16 +278,18 @@ def test_decode_builds_its_term_array_with_fromiter():
                 "answer_tuples, array('q')",
                 _median(row, "answer_tuples_array_ms", 2),
                 row["answer_tuples_array_collections"],
+                row["answer_tuples_array_collections_after"],
             ),
             (
                 "answer_tuples, numpy",
                 _median(row, "answer_tuples_numpy_ms", 2),
                 row.get("answer_tuples_numpy_collections", "-"),
+                row.get("answer_tuples_numpy_collections_after", "-"),
             ),
-            ("term array, numpy.fromiter", _median(row, "fromiter_ms", 3), "-"),
-            ("term array, slice assignment", _median(row, "slice_assign_ms", 3), "-"),
+            ("term array, numpy.fromiter", _median(row, "fromiter_ms", 3), "-", "-"),
+            ("term array, slice assignment", _median(row, "slice_assign_ms", 3), "-", "-"),
         ],
-        header=("step", "ms", "collections per call"),
+        header=("step", "ms", "collections per call", "collections after"),
     )
     _write_snapshot()
     if smoke_mode() or "fromiter_speedup" not in row:

@@ -73,11 +73,14 @@ Thirteen rules, each encoding a convention the codebase actually relies on:
     without it, so an inherited hash silently disappears and the values
     stop working as dict keys.
 13. **One collector pause** — under ``src/repro``, ``gc.disable``,
-    ``gc.enable`` and ``gc.freeze`` are called only inside
-    ``_collector_paused`` in ``src/repro/evaluation/encoding.py``, which
-    pauses the cycle collector around large decodes and keeps the pause
-    consistent across threads.  A second switch would re-enable the
-    collector under a pause, or leave it off after one.
+    ``gc.enable``, ``gc.freeze``, ``gc.unfreeze``, ``gc.set_threshold``
+    and ``gc.callbacks`` are used only inside ``_collector_paused`` in
+    ``src/repro/evaluation/encoding.py``, which pauses the cycle collector
+    around large decodes and keeps the pause consistent across threads,
+    and inside ``_clear_credit``, its one hook that restores the caller's
+    thresholds at the next collection.  A second switch would re-enable
+    the collector under a pause, leave it off after one, or clobber the
+    thresholds the pause raised or restored.
 
 Exit 0 when clean, 1 with one line per violation otherwise (run via
 ``make lint``).
@@ -698,10 +701,11 @@ def check_eq_without_hash(sources: Optional[Dict[str, str]] = None) -> List[str]
 
 
 # ----------------------------------------------------------------------
-# Rule 13: the cycle collector is switched only by the one pause helper
+# Rule 13: the cycle collector is switched only by the pause helper and its hook
 # ----------------------------------------------------------------------
-COLLECTOR_SWITCHES = {"disable", "enable", "freeze"}
-PAUSE_HOME = ("src/repro/evaluation/encoding.py", "_collector_paused")
+COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "unfreeze", "set_threshold", "callbacks"}
+PAUSE_HOME = "src/repro/evaluation/encoding.py"
+PAUSE_FUNCTIONS = ("_collector_paused", "_clear_credit")
 
 
 def check_collector_switches(sources: Optional[Dict[str, str]] = None) -> List[str]:
@@ -716,9 +720,9 @@ def check_collector_switches(sources: Optional[Dict[str, str]] = None) -> List[s
     for name, source in sources.items():
         tree = ast.parse(source)
         allowed: Set[int] = set()
-        if name == PAUSE_HOME[0]:
+        if name == PAUSE_HOME:
             for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == PAUSE_HOME[1]:
+                if isinstance(node, ast.FunctionDef) and node.name in PAUSE_FUNCTIONS:
                     allowed.update(id(inner) for inner in ast.walk(node))
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "gc":
@@ -728,7 +732,7 @@ def check_collector_switches(sources: Optional[Dict[str, str]] = None) -> List[s
                 if switches:
                     violations.append(
                         f"{name}:{node.lineno}: imports gc.{', gc.'.join(switches)} "
-                        f"(switch the collector only in {PAUSE_HOME[1]})"
+                        f"(switch the collector only in {' or '.join(PAUSE_FUNCTIONS)})"
                     )
             elif (
                 isinstance(node, ast.Attribute)
@@ -739,7 +743,7 @@ def check_collector_switches(sources: Optional[Dict[str, str]] = None) -> List[s
             ):
                 violations.append(
                     f"{name}:{node.lineno}: uses gc.{node.attr} outside "
-                    f"{PAUSE_HOME[1]} in {PAUSE_HOME[0]}"
+                    f"{' or '.join(PAUSE_FUNCTIONS)} in {PAUSE_HOME}"
                 )
     return violations
 

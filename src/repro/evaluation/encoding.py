@@ -107,30 +107,53 @@ def numpy_enabled() -> bool:
 _pause_lock = threading.Lock()
 _pausing = 0
 _paused = False
+#: The young count when the current pause began, and the live credit: the
+#: tracked objects the last pause added to generation 0, by which the
+#: caller's thresholds ``_base`` were raised to ``_raised``.
+_count_at_pause = 0
+_credit = 0
+_base: Tuple[int, ...] = ()
+_raised: Tuple[int, ...] = ()
 
 
 def _collector_paused(rows: int, build: Callable[[], _Built]) -> _Built:
     """``build()``, run with the cyclic garbage collector paused when it
-    decodes at least ``gc.get_threshold()[0]`` rows.
+    decodes at least the caller's gen-0 threshold of rows.
 
     A decode builds one tuple of interned terms per row.  Such tuples can
     never form a cycle, but they are GC-tracked (terms are), so a large
     decode would trigger a young collection every threshold rows and
     repeated full ones.  A smaller decode triggers at most one, and runs
-    unpaused.  Threads that overlap share one pause: the first one in
-    disables the collector if it is enabled, and the last one out
-    re-enables it only if the pause disabled it, also when ``build``
-    raises.  A caller that switched the collector off keeps it off.  The
-    collector is process-wide, so the pause count is module state.
-    Streams are never paused: a suspended generator would hold the pause.
+    unpaused; so does every decode under a threshold of 0, which is the
+    application's way of turning automatic collection off.  Threads that
+    overlap share one pause: the first one in disables the collector if it
+    is enabled, and the last one out re-enables it only if the pause
+    disabled it, also when ``build`` raises.  A caller that switched the
+    collector off keeps it off.  The collector is process-wide, so the
+    pause count is module state.  Streams are never paused: a suspended
+    generator would hold the pause.
+
+    The answer set is still alive when the pause ends, and still counted
+    in generation 0, so the first allocation after ``gc.enable()`` would
+    run a young collection that walks all of it.  The last thread out
+    therefore raises the gen-0 threshold by a credit: the tracked objects
+    the pause added.  The caller's thresholds come back at the next pause
+    or at the start of the next collection (:func:`_clear_credit`),
+    unless the application has set its own meanwhile.
     """
-    if rows < gc.get_threshold()[0]:
+    global _pausing, _paused, _count_at_pause, _credit, _base, _raised
+    threshold = gc.get_threshold()
+    base = _base if _credit and threshold == _raised else threshold
+    if not 0 < base[0] <= rows:
         return build()
-    global _pausing, _paused
     with _pause_lock:
         if _pausing == 0 and gc.isenabled():
             gc.disable()
             _paused = True
+            if _credit and gc.get_threshold() == _raised:
+                gc.set_threshold(*_base)
+            _credit = 0
+            _count_at_pause = gc.get_count()[0]
         _pausing += 1
     try:
         return build()
@@ -139,7 +162,35 @@ def _collector_paused(rows: int, build: Callable[[], _Built]) -> _Built:
             _pausing -= 1
             if _pausing == 0 and _paused:
                 _paused = False
+                credit = gc.get_count()[0] - _count_at_pause
+                if credit > 0:
+                    _base = gc.get_threshold()
+                    _raised = (_base[0] + credit,) + _base[1:]
+                    gc.set_threshold(*_raised)
+                    _credit = credit
+                    if _clear_credit not in gc.callbacks:
+                        gc.callbacks.append(_clear_credit)
                 gc.enable()
+
+
+def _clear_credit(phase: str, info: Dict[str, int]) -> None:
+    """The collector hook that ends a live credit when a collection starts.
+
+    It restores the caller's thresholds only if they still read the raised
+    ones, so an application's own ``gc.set_threshold`` wins.  A collection
+    can start in any thread, so the hook only tries ``_pause_lock``: a
+    thread that holds it is about to end the credit at a pause's start or
+    replace it at a pause's end.
+    """
+    global _credit
+    if not _credit or phase != "start" or not _pause_lock.acquire(blocking=False):
+        return
+    try:
+        if _credit and gc.get_threshold() == _raised:
+            gc.set_threshold(*_base)
+        _credit = 0
+    finally:
+        _pause_lock.release()
 
 
 def _make_column(values: Iterable[int], use_numpy: bool) -> Sequence[int]:
@@ -983,6 +1034,9 @@ class EncodedRelation:
     def to_relation(self) -> Relation:
         """Decode into a tuple-engine :class:`Relation` (the output boundary),
         with the collector paused for a large decode."""
+        # The caller's gen-0 threshold: a live credit is subtracted back out.
+        if self.store.length < gc.get_threshold()[0] - _credit:
+            return Relation(self.schema, self.decoded_rows())
         return _collector_paused(
             self.store.length, lambda: Relation(self.schema, self.decoded_rows())
         )
@@ -993,6 +1047,8 @@ class EncodedRelation:
         positions = tuple(self.position(variable) for variable in head)
         if not positions:
             return {()} if self.store.length else set()
+        if self.store.length < gc.get_threshold()[0] - _credit:
+            return set(zip(*self._decoded_columns(positions)))
         return _collector_paused(
             self.store.length, lambda: set(zip(*self._decoded_columns(positions)))
         )

@@ -310,21 +310,31 @@ def outer():
 
 
 def test_collector_switches_outside_the_pause_helper_are_flagged():
-    """The real encoding module is clean; a stray switch planted in it, in
-    a nested helper of another module or by a ``from gc import`` is not."""
+    """The real encoding module is clean; a stray switch planted in it
+    (a freeze, a threshold change, a collector hook), in a nested helper of
+    another module or by a ``from gc import`` is not."""
     lint = _lint_module()
-    home, helper = lint.PAUSE_HOME
+    home, helpers = lint.PAUSE_HOME, lint.PAUSE_FUNCTIONS
+    allowed = " or ".join(helpers)
     source = (lint.REPO_ROOT / home).read_text(encoding="utf-8")
-    assert f"def {helper}(" in source
+    for helper in helpers:
+        assert f"def {helper}(" in source
     assert lint.check_collector_switches({home: source}) == []
     marker = "def _make_column("
-    stray = "def _stray():\n    gc.freeze()\n\n\n"
     line = source[: source.index(marker)].count("\n") + 2
-    violations = lint.check_collector_switches({home: source.replace(marker, stray + marker)})
-    assert violations == [f"{home}:{line}: uses gc.freeze outside {helper} in {home}"]
+    for stray, switch in (
+        ("gc.freeze()", "freeze"),
+        ("gc.set_threshold(10_000)", "set_threshold"),
+        ("gc.callbacks.append(print)", "callbacks"),
+    ):
+        planted = f"def _stray():\n    {stray}\n\n\n"
+        violations = lint.check_collector_switches(
+            {home: source.replace(marker, planted + marker)}
+        )
+        assert violations == [f"{home}:{line}: uses gc.{switch} outside {allowed} in {home}"]
     other = """
 import gc
-from gc import collect, disable
+from gc import collect, disable, unfreeze
 
 
 def _collector_paused(build):
@@ -334,9 +344,9 @@ def _collector_paused(build):
 """
     violations = lint.check_collector_switches({"src/repro/service.py": other})
     assert violations == [
-        "src/repro/service.py:3: imports gc.disable (switch the collector only in "
-        f"{helper})",
-        f"src/repro/service.py:8: uses gc.enable outside {helper} in {home}",
+        "src/repro/service.py:3: imports gc.disable, gc.unfreeze (switch the collector "
+        f"only in {allowed})",
+        f"src/repro/service.py:8: uses gc.enable outside {allowed} in {home}",
     ]
 
 
