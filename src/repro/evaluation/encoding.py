@@ -139,7 +139,10 @@ def _collector_paused(rows: int, build: Callable[[], _Built]) -> _Built:
     therefore raises the gen-0 threshold by a credit: the tracked objects
     the pause added.  The caller's thresholds come back at the next pause
     or at the start of the next collection (:func:`_clear_credit`),
-    unless the application has set its own meanwhile.
+    unless the application has set its own meanwhile.  A credit covers the
+    latest pause's set only: while an earlier credited set is still alive,
+    the next large decode ends its credit, and a young collection walks
+    both sets soon after that decode.
     """
     global _pausing, _paused, _count_at_pause, _credit, _base, _raised
     threshold = gc.get_threshold()
@@ -1034,9 +1037,6 @@ class EncodedRelation:
     def to_relation(self) -> Relation:
         """Decode into a tuple-engine :class:`Relation` (the output boundary),
         with the collector paused for a large decode."""
-        # The caller's gen-0 threshold: a live credit is subtracted back out.
-        if self.store.length < gc.get_threshold()[0] - _credit:
-            return Relation(self.schema, self.decoded_rows())
         return _collector_paused(
             self.store.length, lambda: Relation(self.schema, self.decoded_rows())
         )
@@ -1047,8 +1047,6 @@ class EncodedRelation:
         positions = tuple(self.position(variable) for variable in head)
         if not positions:
             return {()} if self.store.length else set()
-        if self.store.length < gc.get_threshold()[0] - _credit:
-            return set(zip(*self._decoded_columns(positions)))
         return _collector_paused(
             self.store.length, lambda: set(zip(*self._decoded_columns(positions)))
         )

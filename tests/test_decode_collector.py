@@ -302,6 +302,25 @@ def test_a_dropped_answer_set_is_collected_on_time(storage):
 
 
 @pytest.mark.parametrize("storage", STORAGES)
+def test_a_credit_covers_only_the_latest_answer_set(storage):
+    """A large decode made while an earlier credited set is alive ends the
+    earlier credit and takes its own, for the new set alone.  The young
+    count still holds both sets, so one young collection starts within the
+    call's own few allocations after the pause: the caller keeps its
+    headroom only when no earlier credited set is alive."""
+    relation = _credited(storage)
+    base = gc.get_threshold()
+    first = relation.answer_tuples(HEAD)
+    assert gc.get_threshold() != base
+    with _collections() as started:
+        second = relation.answer_tuples(HEAD)
+        _allocate(OWN_ALLOCATIONS, started)
+    assert started == [0]
+    assert gc.get_threshold() == base
+    assert len(first) == len(second) == len(relation)
+
+
+@pytest.mark.parametrize("storage", STORAGES)
 def test_credits_leak_no_cycles_and_freeze_nothing(storage):
     """300 large decodes, each followed by a garbage cycle: the cycles
     still alive at the end are at most what one deferred young collection
