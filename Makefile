@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test typecheck lint docs-check bench bench-smoke bench-enum bench-plans bench-backend bench-parallel bench-service bench-terms bench-semac bench-fpt bench-repo bench-diff
+.PHONY: test typecheck lint docs-check bench bench-smoke bench-enum bench-plans bench-backend bench-parallel bench-service bench-terms bench-semac bench-fpt bench-treewidth bench-repo bench-diff
 
 ## Tier-1 verify: the command every PR must keep green.
 ## REPRO_VERIFY=1 statically re-checks every plan the engines emit.
@@ -15,7 +15,11 @@ test:
 typecheck:
 	python scripts/run_typecheck.py
 
-## Repository conventions: operator faces, mutable defaults, BENCH_SMOKE.
+## Repository conventions, the 13 rules of scripts/lint_conventions.py:
+## operator faces, mutable defaults, BENCH_SMOKE, batch-face registry,
+## immutable operators, one scan path, radix-only kernels, probes counted
+## per kernel call, environment knobs, used exports, used imports, hash
+## beside equality, one collector pause.
 lint:
 	python scripts/lint_conventions.py
 
@@ -64,6 +68,12 @@ bench-semac:
 ## intermediate, seconds), with host metadata (BENCH_fpt_evaluation.json).
 bench-fpt:
 	$(PYTEST) benchmarks/bench_fpt_evaluation.py -s
+
+## Structural widths before and after the chase, exact vs heuristic
+## treewidth, and the decomposition route's width and bag count on growing
+## cycles, with host metadata (BENCH_treewidth_decompositions.json).
+bench-treewidth:
+	$(PYTEST) benchmarks/bench_treewidth_decompositions.py -s
 
 ## Repository benchmark: four workloads end to end (see bench/README.md).
 bench-repo:

@@ -11,7 +11,8 @@ import pytest
 
 from repro.chase import chase_query, tgd_chase_preserves_acyclicity
 from repro.dependencies import classify, DependencyClass
-from repro.queries import gaifman_graph_of_instance, max_clique_lower_bound, treewidth_upper_bound
+from repro.hypergraph import treewidth_upper_bound
+from repro.queries import gaifman_graph_of_instance, max_clique_lower_bound
 from repro.workloads.paper_examples import example2_query, example2_tgd
 from conftest import print_series, scaled_sizes
 

@@ -12,8 +12,8 @@ with a scalable cycle length.
 import pytest
 
 from repro.chase import egd_chase_preserves_acyclicity, egd_chase_query
-from repro.hypergraph import is_acyclic_instance
-from repro.queries import gaifman_graph_of_instance, treewidth_upper_bound
+from repro.hypergraph import is_acyclic_instance, treewidth_upper_bound
+from repro.queries import gaifman_graph_of_instance
 from repro.workloads import binary_keys, random_acyclic_query, random_schema
 from repro.workloads.paper_examples import (
     example4_key,

@@ -11,7 +11,7 @@ import pytest
 
 from repro.datamodel import Constant
 from repro.hypergraph import compact_acyclic_query, is_acyclic_instance
-from repro.queries import contained_in
+from repro.containment import cq_contained_in
 from repro.workloads import random_acyclic_query, random_schema
 from repro.workloads.generators import path_query
 from conftest import print_series, scaled_sizes
@@ -33,12 +33,12 @@ def test_compact_query_size_is_independent_of_instance_size(benchmark, instance_
             ("compact witness size", len(compact)),
             ("bound 2|q|", 2 * len(query)),
             ("witness acyclic", compact.is_acyclic()),
-            ("witness ⊆ q", contained_in(compact, query)),
+            ("witness ⊆ q", cq_contained_in(compact, query)),
         ],
     )
     assert len(compact) <= 2 * len(query)
     assert compact.is_acyclic()
-    assert contained_in(compact, query)
+    assert cq_contained_in(compact, query)
 
 
 @pytest.mark.parametrize("seed", scaled_sizes([1, 2, 3, 4, 5], [1, 2]))
@@ -60,10 +60,10 @@ def test_compact_query_on_random_acyclic_instances(benchmark, seed):
                 ("witness size", len(compact)),
                 ("bound 2|q|", 2 * len(query)),
                 ("witness acyclic", compact.is_acyclic()),
-                ("witness ⊆ q", contained_in(compact, query)),
+                ("witness ⊆ q", cq_contained_in(compact, query)),
             ]
         )
         assert len(compact) <= 2 * len(query)
         assert compact.is_acyclic()
-        assert contained_in(compact, query)
+        assert cq_contained_in(compact, query)
     print_series(f"E4: random instance (seed {seed})", rows)

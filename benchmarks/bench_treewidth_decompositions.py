@@ -32,7 +32,7 @@ from repro.workloads.paper_examples import (
     example4_key,
     example4_scaled_query,
 )
-from conftest import print_series, scaled_sizes
+from conftest import host_metadata, print_series, scaled_sizes
 
 
 @pytest.mark.parametrize("n", scaled_sizes([3, 5, 7], [3]))
@@ -151,6 +151,7 @@ def test_decomposition_route_width_stays_constant_on_growing_cycles():
         header=("cycle length", "route width", "bags", "facts"),
     )
     snapshot = BenchSnapshot("treewidth_decompositions")
+    snapshot.record("host", host_metadata())
     snapshot.record("cycle_lengths", [row["length"] for row in rows])
     snapshot.record("route_widths", [row["width"] for row in rows])
     for row in rows:

@@ -8,32 +8,52 @@ guarded tgds over bounded-arity schemas *preserve* bounded hypertree width.
 This module provides the machinery those observations need:
 
 * :class:`TreeDecomposition` — a tree of bags over the Gaifman graph, with a
-  full validity check (vertex coverage, edge coverage, running intersection);
-* elimination-order construction (min-fill and min-degree heuristics, plus an
-  exact branch-and-bound search for small graphs);
+  full validity check (vertex coverage, edge coverage, and the running
+  intersection check that :func:`~repro.hypergraph.join_tree.is_valid_join_tree`
+  shares);
+* elimination orders: one greedy loop, :func:`_greedy_order`, eliminates a
+  vertex of least cost at each step (fill-in for min-fill, degree for
+  min-degree; ties go to the least vertex in ``str`` order), plus an exact
+  branch-and-bound search for small graphs;
 * :class:`HypertreeDecomposition` — bags guarded by hyperedge covers, giving
   the generalized hypertree width; acyclic hypergraphs get width 1 straight
   from their join tree.
 
-Everything works on the ``AdjacencyGraph`` dictionaries produced by
-:mod:`repro.queries.gaifman` and on ``(atom, connector set)`` pairs read off
-the atoms under a connector policy, so queries, instances and chase results
-can all be measured uniformly.
+Every graph here is an ``AdjacencyGraph`` built by the one Gaifman builder,
+:func:`~repro.queries.gaifman.gaifman_graph_of_atoms`, under a connector
+policy; the guards read ``(atom, connector set)`` pairs off the same atoms.
+So queries, instances and chase results are all measured uniformly, and
+:func:`treewidth_upper_bound` is the library's one treewidth bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..datamodel import Atom, Instance, Term
-from ..queries.gaifman import gaifman_graph_of_atoms, gaifman_graph_of_instance
+from ..queries.gaifman import AdjacencyGraph, gaifman_graph_of_atoms, gaifman_graph_of_instance
 from .gyo import ConnectorPolicy, query_connectors
-from .join_tree import JoinTree, JoinTreeError, build_join_tree
+from .join_tree import (
+    JoinTree,
+    JoinTreeError,
+    build_join_tree,
+    has_connected_holders,
+    is_connected_within,
+)
 
-
-#: Adjacency representation shared with :mod:`repro.queries.gaifman`.
-AdjacencyGraph = Dict[Hashable, Set[Hashable]]
 
 #: An atom with the set of its connector terms (its hyperedge).
 ConnectorEdge = Tuple[Atom, FrozenSet[Term]]
@@ -46,22 +66,6 @@ def _connector_edges(
     return [
         (atom, frozenset(t for t in atom.terms if connector_policy(t))) for atom in atoms
     ]
-
-
-def _connector_graph(
-    atoms: Iterable[Atom], connector_policy: ConnectorPolicy
-) -> AdjacencyGraph:
-    """The Gaifman graph of the atoms' connector sets."""
-    graph: AdjacencyGraph = {}
-    for _, vertices in _connector_edges(atoms, connector_policy):
-        members = sorted(vertices, key=str)
-        for vertex in members:
-            graph.setdefault(vertex, set())
-        for i, left in enumerate(members):
-            for right in members[i + 1:]:
-                graph[left].add(right)
-                graph[right].add(left)
-    return graph
 
 
 # ----------------------------------------------------------------------
@@ -142,21 +146,10 @@ class TreeDecomposition:
 
     # ------------------------------------------------------------------
     def _is_tree(self) -> bool:
-        if len(self._bags) == 1:
-            return not any(self._adjacency.values())
         edge_count = sum(len(n) for n in self._adjacency.values()) // 2
-        if edge_count != len(self._bags) - 1:
-            return False
-        start = next(iter(self._bags))
-        seen = {start}
-        stack = [start]
-        while stack:
-            current = stack.pop()
-            for neighbour in self._adjacency[current]:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    stack.append(neighbour)
-        return len(seen) == len(self._bags)
+        return edge_count == len(self._bags) - 1 and is_connected_within(
+            self._adjacency, set(self._bags)
+        )
 
     def is_valid_for(self, graph: AdjacencyGraph) -> bool:
         """Check the three tree-decomposition conditions against ``graph``."""
@@ -171,20 +164,7 @@ class TreeDecomposition:
                 ):
                     return False
         # (3) Running intersection: the bags containing a vertex are connected.
-        for vertex in self.vertices():
-            holding = {node for node, bag in self._bags.items() if vertex in bag}
-            start = next(iter(holding))
-            seen = {start}
-            stack = [start]
-            while stack:
-                current = stack.pop()
-                for neighbour in self._adjacency[current]:
-                    if neighbour in holding and neighbour not in seen:
-                        seen.add(neighbour)
-                        stack.append(neighbour)
-            if seen != holding:
-                return False
-        return True
+        return has_connected_holders(self._adjacency, self._bags)
 
     def __str__(self) -> str:
         parts = []
@@ -200,38 +180,46 @@ class TreeDecomposition:
 # ----------------------------------------------------------------------
 # Elimination orders
 # ----------------------------------------------------------------------
-def min_degree_order(graph: AdjacencyGraph) -> List[Hashable]:
-    """Elimination order choosing, at each step, a vertex of minimum degree."""
+def _degree(working: AdjacencyGraph, node: Hashable) -> int:
+    return len(working[node])
+
+
+def _fill_in(working: AdjacencyGraph, node: Hashable) -> int:
+    """The number of edges missing from ``node``'s neighbourhood."""
+    neighbours = list(working[node])
+    missing = 0
+    for i, left in enumerate(neighbours):
+        for right in neighbours[i + 1:]:
+            if right not in working[left]:
+                missing += 1
+    return missing
+
+
+def _greedy_order(
+    graph: AdjacencyGraph, cost: Callable[[AdjacencyGraph, Hashable], int]
+) -> List[Hashable]:
+    """Eliminate, at each step, a vertex of least ``cost``; ties go to the
+    least vertex in ``str`` order."""
     working = {node: set(neighbours) for node, neighbours in graph.items()}
     order: List[Hashable] = []
     while working:
-        node = min(sorted(working, key=str), key=lambda n: len(working[n]))
+        node = min(sorted(working, key=str), key=partial(cost, working))
         order.append(node)
         _eliminate(working, node)
     return order
+
+
+def min_degree_order(graph: AdjacencyGraph) -> List[Hashable]:
+    """Elimination order choosing, at each step, a vertex of minimum degree."""
+    return _greedy_order(graph, _degree)
 
 
 def min_fill_order(graph: AdjacencyGraph) -> List[Hashable]:
     """Elimination order choosing, at each step, a vertex of minimum fill-in."""
-    working = {node: set(neighbours) for node, neighbours in graph.items()}
-    order: List[Hashable] = []
-    while working:
-        def fill_in(node: Hashable) -> int:
-            neighbours = list(working[node])
-            missing = 0
-            for i, left in enumerate(neighbours):
-                for right in neighbours[i + 1:]:
-                    if right not in working[left]:
-                        missing += 1
-            return missing
-
-        node = min(sorted(working, key=str), key=fill_in)
-        order.append(node)
-        _eliminate(working, node)
-    return order
+    return _greedy_order(graph, _fill_in)
 
 
-def _eliminate(working: Dict[Hashable, Set[Hashable]], node: Hashable) -> None:
+def _eliminate(working: AdjacencyGraph, node: Hashable) -> None:
     """Eliminate ``node`` in place: connect its neighbourhood, then remove it."""
     neighbours = list(working[node])
     for i, left in enumerate(neighbours):
@@ -281,15 +269,11 @@ def decomposition_from_elimination_order(
 
 def tree_decomposition_min_fill(graph: AdjacencyGraph) -> TreeDecomposition:
     """Tree decomposition via the min-fill heuristic (good general-purpose bound)."""
-    if not graph:
-        return TreeDecomposition({0: frozenset()})
     return decomposition_from_elimination_order(graph, min_fill_order(graph))
 
 
 def tree_decomposition_min_degree(graph: AdjacencyGraph) -> TreeDecomposition:
     """Tree decomposition via the min-degree heuristic (cheaper, often wider)."""
-    if not graph:
-        return TreeDecomposition({0: frozenset()})
     return decomposition_from_elimination_order(graph, min_degree_order(graph))
 
 
@@ -436,7 +420,7 @@ class HypertreeDecomposition:
     ) -> bool:
         """Check bag validity against the Gaifman graph and guard coverage."""
         atom_list = list(atoms)
-        graph = _connector_graph(atom_list, connector_policy)
+        graph = gaifman_graph_of_atoms(atom_list, connector_policy)
         if not self._tree.is_valid_for(graph):
             return False
         # Guard coverage: each bag must be covered by its guards' vertices,
@@ -528,7 +512,7 @@ def hypertree_decomposition_of_atoms(
     else:
         return hypertree_from_join_tree(join_tree)
 
-    graph = _connector_graph(atom_list, connector_policy)
+    graph = gaifman_graph_of_atoms(atom_list, connector_policy)
     decomposition = tree_decomposition_min_fill(graph)
     return hypertree_from_tree_decomposition(atom_list, decomposition, connector_policy)
 

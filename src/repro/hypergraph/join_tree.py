@@ -13,7 +13,18 @@ algorithm need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..datamodel import Atom, Instance, Term
 from .gyo import (
@@ -230,28 +241,38 @@ def is_valid_join_tree(
     if not set(atom_list) <= labelled:
         return False
 
-    # Connectivity of each connector term.
-    term_nodes: Dict[Term, Set[int]] = {}
-    for node in tree.nodes():
-        for term in node.atom.terms:
-            if connector_policy(term):
-                term_nodes.setdefault(term, set()).add(node.identifier)
-
     adjacency: Dict[int, Set[int]] = {identifier: set() for identifier in tree.node_ids()}
     for parent_id, child_id in tree.edges():
         adjacency[parent_id].add(child_id)
         adjacency[child_id].add(parent_id)
+    connectors = {
+        node.identifier: [t for t in node.atom.terms if connector_policy(t)]
+        for node in tree.nodes()
+    }
+    return has_connected_holders(adjacency, connectors)
 
-    for term, wanted in term_nodes.items():
-        start = next(iter(wanted))
-        seen = {start}
-        stack = [start]
-        while stack:
-            current = stack.pop()
-            for neighbour in adjacency[current]:
-                if neighbour in wanted and neighbour not in seen:
-                    seen.add(neighbour)
-                    stack.append(neighbour)
-        if seen != wanted:
-            return False
-    return True
+
+def is_connected_within(adjacency: Mapping[int, Iterable[int]], nodes: Set[int]) -> bool:
+    """Whether the non-empty ``nodes`` induce a connected subgraph of ``adjacency``."""
+    start = next(iter(nodes))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for neighbour in adjacency[stack.pop()]:
+            if neighbour in nodes and neighbour not in seen:
+                seen.add(neighbour)
+                stack.append(neighbour)
+    return len(seen) == len(nodes)
+
+
+def has_connected_holders(
+    adjacency: Mapping[int, Iterable[int]], labels: Mapping[int, Iterable[Hashable]]
+) -> bool:
+    """The running-intersection check shared by join trees and tree
+    decompositions: for every label, the nodes holding it form a connected
+    subtree of ``adjacency``."""
+    holders: Dict[Hashable, Set[int]] = {}
+    for node, node_labels in labels.items():
+        for label in node_labels:
+            holders.setdefault(label, set()).add(node)
+    return all(is_connected_within(adjacency, nodes) for nodes in holders.values())

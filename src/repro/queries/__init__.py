@@ -12,20 +12,15 @@ from .homomorphism import (
 from .cq import ConjunctiveQuery, boolean_query, query_from_instance
 from .ucq import UCQ, UnionOfConjunctiveQueries
 from .core_minimization import (
-    contained_in,
     core,
-    equivalent_queries,
     fold_once,
     is_core,
     is_semantically_acyclic_unconstrained,
 )
 from .gaifman import (
-    connected_components,
-    edge_count,
     gaifman_graph_of_atoms,
     gaifman_graph_of_instance,
     max_clique_lower_bound,
-    treewidth_upper_bound,
 )
 
 __all__ = [
@@ -35,11 +30,7 @@ __all__ = [
     "UnionOfConjunctiveQueries",
     "boolean_query",
     "compose",
-    "connected_components",
-    "contained_in",
     "core",
-    "edge_count",
-    "equivalent_queries",
     "find_homomorphism",
     "fold_once",
     "gaifman_graph_of_atoms",
@@ -52,6 +43,4 @@ __all__ = [
     "is_semantically_acyclic_unconstrained",
     "max_clique_lower_bound",
     "query_from_instance",
-    "treewidth_upper_bound",
-    "equivalent_queries",
 ]

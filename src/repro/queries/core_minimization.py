@@ -79,25 +79,6 @@ def is_core(query: ConjunctiveQuery) -> bool:
     return fold_once(query) is None
 
 
-def equivalent_queries(left: ConjunctiveQuery, right: ConjunctiveQuery) -> bool:
-    """Return ``True`` iff the two CQs are equivalent over all databases.
-
-    Classical Chandra–Merlin test: ``left ⊆ right`` iff the frozen head of
-    ``left`` is an answer of ``right`` over the canonical database of
-    ``left``; equivalence is containment both ways.
-    """
-    return contained_in(left, right) and contained_in(right, left)
-
-
-def contained_in(left: ConjunctiveQuery, right: ConjunctiveQuery) -> bool:
-    """Return ``True`` iff ``left ⊆ right`` over all databases (no constraints)."""
-    if len(left.head) != len(right.head):
-        return False
-    database, freezing = left.freeze()
-    answer = tuple(freezing[v] for v in left.head)
-    return right.holds_in(database, answer)
-
-
 def is_semantically_acyclic_unconstrained(query: ConjunctiveQuery) -> bool:
     """Semantic acyclicity in the absence of constraints.
 

@@ -1,76 +1,63 @@
-"""Gaifman graphs of queries and instances, plus a treewidth upper bound.
+"""Gaifman graphs of queries and instances.
 
 The Gaifman graph of a CQ has the query variables as nodes, with an edge
-between two variables iff they co-occur in some atom (Section 3.2).  Besides
-connectivity (used by Proposition 5), the benchmarks use the Gaifman graph to
-demonstrate how the chase can destroy structural properties: Example 2 turns
-an acyclic query into an n-clique and Example 5 produces an n×n grid, so the
-treewidth (estimated here with the classical min-fill elimination heuristic,
-which yields an upper bound) grows with n.
+between two variables iff they co-occur in some atom (Section 3.2).  The
+benchmarks use it to demonstrate how the chase can destroy structural
+properties: Example 2 turns an acyclic query into an n-clique and Example 5
+produces an n×n grid, so the treewidth (bounded by
+:func:`repro.hypergraph.treewidth_upper_bound`) grows with n.
+
+:func:`gaifman_graph_of_atoms` is the one builder of the library: a vertex
+policy (a predicate on terms, such as the connector policies of
+:mod:`repro.hypergraph.gyo`) picks the terms that become nodes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Set
+from typing import Callable, Dict, Hashable, Iterable, Set
 
-from ..datamodel import Atom, Instance
+from ..datamodel import Atom, Instance, Term, Variable
 
 
 AdjacencyGraph = Dict[Hashable, Set[Hashable]]
 
+#: Decides which terms of an atom are nodes of the Gaifman graph.
+VertexPolicy = Callable[[Term], bool]
 
-def gaifman_graph_of_atoms(atoms: Iterable[Atom], use_all_terms: bool = False) -> AdjacencyGraph:
+
+def _is_variable(term: Term) -> bool:
+    return isinstance(term, Variable)
+
+
+def _every_term(term: Term) -> bool:
+    return True
+
+
+def gaifman_graph_of_atoms(
+    atoms: Iterable[Atom], vertex_policy: VertexPolicy = _is_variable
+) -> AdjacencyGraph:
     """Build the Gaifman graph of a set of atoms.
 
     Args:
         atoms: the atoms (of a query body or an instance).
-        use_all_terms: if ``True`` all terms are nodes; otherwise only
-            variables (for query bodies) — for ground instances pass
-            ``True`` so that constants/nulls become the nodes.
+        vertex_policy: the terms that become nodes; by default the
+            variables (for query bodies).
     """
     graph: AdjacencyGraph = {}
     for atom in atoms:
-        if use_all_terms:
-            nodes = list(dict.fromkeys(atom.terms))
-        else:
-            nodes = sorted(atom.variables(), key=str)
+        nodes = sorted({t for t in atom.terms if vertex_policy(t)}, key=str)
         for node in nodes:
             graph.setdefault(node, set())
         for i, left in enumerate(nodes):
             for right in nodes[i + 1:]:
-                if left != right:
-                    graph[left].add(right)
-                    graph[right].add(left)
+                graph[left].add(right)
+                graph[right].add(left)
     return graph
 
 
 def gaifman_graph_of_instance(instance: Instance) -> AdjacencyGraph:
     """Gaifman graph of an instance: nodes are all terms of the active domain."""
-    return gaifman_graph_of_atoms(instance, use_all_terms=True)
-
-
-def connected_components(graph: AdjacencyGraph) -> List[Set[Hashable]]:
-    """Return the connected components of an adjacency graph."""
-    remaining = set(graph)
-    components: List[Set[Hashable]] = []
-    while remaining:
-        start = remaining.pop()
-        component = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for neighbour in graph[node]:
-                if neighbour not in component:
-                    component.add(neighbour)
-                    frontier.append(neighbour)
-        remaining -= component
-        components.append(component)
-    return components
-
-
-def edge_count(graph: AdjacencyGraph) -> int:
-    """Number of undirected edges of the graph."""
-    return sum(len(neighbours) for neighbours in graph.values()) // 2
+    return gaifman_graph_of_atoms(instance, _every_term)
 
 
 def max_clique_lower_bound(graph: AdjacencyGraph) -> int:
@@ -89,38 +76,3 @@ def max_clique_lower_bound(graph: AdjacencyGraph) -> int:
             candidates &= graph[next_node]
         best = max(best, len(clique))
     return best
-
-
-def treewidth_upper_bound(graph: AdjacencyGraph) -> int:
-    """Upper bound on the treewidth via min-fill elimination.
-
-    The heuristic eliminates, at each step, the vertex whose neighbourhood
-    needs the fewest fill-in edges, records the size of the bag it creates
-    and returns (max bag size) - 1.  For trees the bound is exact (1); for
-    n-cliques it is n - 1; for n×n grids it is close to n.
-    """
-    working: Dict[Hashable, Set[Hashable]] = {
-        node: set(neighbours) for node, neighbours in graph.items()
-    }
-    width = 0
-    while working:
-        def fill_in(node: Hashable) -> int:
-            neighbours = list(working[node])
-            missing = 0
-            for i, left in enumerate(neighbours):
-                for right in neighbours[i + 1:]:
-                    if right not in working[left]:
-                        missing += 1
-            return missing
-
-        node = min(sorted(working, key=str), key=fill_in)
-        neighbours = list(working[node])
-        width = max(width, len(neighbours))
-        for i, left in enumerate(neighbours):
-            for right in neighbours[i + 1:]:
-                working[left].add(right)
-                working[right].add(left)
-        for neighbour in neighbours:
-            working[neighbour].discard(node)
-        del working[node]
-    return max(width, 0)

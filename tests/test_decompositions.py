@@ -1,8 +1,23 @@
 """Tests for tree and hypertree decompositions (repro.hypergraph.decompositions)."""
 
-import pytest
+from unittest import mock
 
-from repro.datamodel import Atom, Constant, Instance, Null, Predicate, Variable
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import elimination_reference as reference
+from repro.datamodel import (
+    Atom,
+    Constant,
+    Database,
+    Instance,
+    Null,
+    Predicate,
+    Variable,
+    freeze_variable,
+)
+from repro.evaluation import DecompositionEvaluator
 from repro.hypergraph import (
     HypertreeDecomposition,
     HypertreeNode,
@@ -12,10 +27,12 @@ from repro.hypergraph import (
     hypertree_from_join_tree,
     hypertree_from_tree_decomposition,
     hypertree_width_upper_bound,
+    instance_connectors,
     instance_treewidth,
     join_tree_of_query_atoms,
     min_degree_order,
     min_fill_order,
+    query_connectors,
     query_treewidth,
     tree_decomposition_min_degree,
     tree_decomposition_min_fill,
@@ -23,7 +40,7 @@ from repro.hypergraph import (
     treewidth_upper_bound,
 )
 from repro.parser import parse_query
-from repro.queries import gaifman_graph_of_atoms
+from repro.queries import ConjunctiveQuery, gaifman_graph_of_atoms, gaifman_graph_of_instance
 from repro.workloads.generators import cycle_query, path_query, star_query
 
 
@@ -329,3 +346,122 @@ class TestHypertreeDecompositions:
         underlying = decomposition.tree_decomposition()
         assert isinstance(underlying, TreeDecomposition)
         assert len(underlying) == len(decomposition)
+
+
+# ----------------------------------------------------------------------
+# The one builder and the one greedy loop against the code they replaced
+# ----------------------------------------------------------------------
+@st.composite
+def graphs(draw):
+    """Graphs over up to 12 int vertices: empty, sparse (isolated vertices,
+    many degree and fill-in ties) or dense.  Past 9 vertices ``str`` order
+    ("10" < "2") differs from int order, so the tie-break is exercised."""
+    size = draw(st.integers(0, 12))
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    graph = {vertex: set() for vertex in range(size)}
+    for left, right in chosen:
+        graph[left].add(right)
+        graph[right].add(left)
+    return graph
+
+
+def _same_decomposition(ours, theirs):
+    return ours.bags == theirs.bags and ours.edges() == theirs.edges()
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=graphs(), data=st.data())
+def test_elimination_agrees_with_the_reference_loops(graph, data):
+    """Min-fill and min-degree orders, and the bags and edges built from
+    them or from any order, are those of the two loops the greedy loop
+    replaced."""
+    for order_of, reference_order_of, decompose in (
+        (min_fill_order, reference.min_fill_order, tree_decomposition_min_fill),
+        (min_degree_order, reference.min_degree_order, tree_decomposition_min_degree),
+    ):
+        order = order_of(graph)
+        assert order == reference_order_of(graph)
+        expected = reference.decomposition_from_elimination_order(graph, order)
+        assert _same_decomposition(decompose(graph), expected)
+    shuffled = data.draw(st.permutations(sorted(graph)))
+    assert _same_decomposition(
+        decomposition_from_elimination_order(graph, shuffled),
+        reference.decomposition_from_elimination_order(graph, shuffled),
+    )
+
+
+#: Variables, nulls, frozen query variables and plain constants.
+TERM_POOL = (
+    [Variable(name) for name in "uvwxy"]
+    + [Null("n0"), Null("n1")]
+    + [freeze_variable(Variable(name)) for name in "ab"]
+    + [Constant("k"), Constant("m")]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.sampled_from(TERM_POOL), min_size=1, max_size=4), max_size=8)
+)
+def test_gaifman_builder_agrees_with_both_reference_builders(rows):
+    atoms = [Atom(Predicate(f"R{len(row)}", len(row)), tuple(row)) for row in rows]
+    assert gaifman_graph_of_atoms(atoms) == reference.gaifman_graph_of_atoms(atoms)
+    ground = [atom for atom in atoms if not atom.variables()]
+    assert gaifman_graph_of_instance(Instance(ground)) == reference.gaifman_graph_of_atoms(
+        Instance(ground), use_all_terms=True
+    )
+    for policy in (query_connectors, instance_connectors):
+        assert gaifman_graph_of_atoms(atoms, policy) == reference.connector_graph(atoms, policy)
+
+
+T3 = Predicate("T", 3)
+_ORACLE_DATABASE = Database(
+    [Atom(E, (Constant(f"c{i % 5}"), Constant(f"c{(i * 3 + 1) % 5}"))) for i in range(12)]
+    + [Atom(R, (Constant(f"c{i % 4}"), Constant(f"c{(i + 2) % 5}"))) for i in range(8)]
+    + [
+        Atom(T3, (Constant(f"c{i % 3}"), Constant(f"c{i % 5}"), Constant(f"c{(i + 1) % 4}")))
+        for i in range(10)
+    ]
+)
+
+
+@st.composite
+def cyclic_queries(draw):
+    """Random cyclic CQs of 3–7 binary and ternary atoms over 6 variables."""
+    variables = [Variable(f"x{i}") for i in range(6)]
+    body = []
+    for _ in range(draw(st.integers(3, 7))):
+        predicate = draw(st.sampled_from([E, R, T3]))
+        terms = tuple(draw(st.sampled_from(variables)) for _ in range(predicate.arity))
+        body.append(Atom(predicate, terms))
+    used = sorted({v for atom in body for v in atom.variables()}, key=str)
+    head = draw(st.lists(st.sampled_from(used), max_size=2))
+    query = ConjunctiveQuery(tuple(head), body)
+    assume(not query.is_acyclic())
+    return query
+
+
+def _reference_min_fill(graph):
+    return reference.decomposition_from_elimination_order(graph, reference.min_fill_order(graph))
+
+
+@settings(max_examples=80, deadline=None)
+@given(query=cyclic_queries())
+def test_decomposition_route_agrees_with_the_reference_loops(query):
+    """``DecompositionEvaluator`` builds the same bag tree (parents and the
+    order of children) and prints the same EXPLAIN, probes included, as
+    with the reference builder and min-fill loop in its place."""
+    ours = DecompositionEvaluator(query)
+    with mock.patch(
+        "repro.evaluation.planner_dp.gaifman_graph_of_atoms", reference.gaifman_graph_of_atoms
+    ), mock.patch(
+        "repro.evaluation.planner_dp.tree_decomposition_min_fill", _reference_min_fill
+    ):
+        theirs = DecompositionEvaluator(query)
+    assert _same_decomposition(ours.decomposition, theirs.decomposition)
+    assert ours.join_tree.root == theirs.join_tree.root
+    for node in ours.join_tree.node_ids():
+        assert ours.join_tree.parent(node) == theirs.join_tree.parent(node)
+        assert ours.join_tree.children(node) == theirs.join_tree.children(node)
+    assert ours.explain(_ORACLE_DATABASE) == theirs.explain(_ORACLE_DATABASE)

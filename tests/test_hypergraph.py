@@ -20,7 +20,7 @@ from repro.hypergraph import (
     vertex_masks,
 )
 from repro.parser import parse_query
-from repro.queries import contained_in
+from repro.containment import cq_contained_in
 from repro.workloads.generators import random_acyclic_query
 
 from helpers.gyo_reference import gyo_reduction
@@ -227,7 +227,7 @@ class TestCompactAcyclicQuery:
         assert compact is not None
         assert compact.is_acyclic()
         assert len(compact) <= 2 * len(query)
-        assert contained_in(compact, query)
+        assert cq_contained_in(compact, query)
 
     def test_lemma9_respects_answers(self):
         query = parse_query("q(x) :- E(x, y), E(y, z)")
@@ -237,7 +237,7 @@ class TestCompactAcyclicQuery:
         compact = compact_acyclic_query(query, instance, answer=answer)
         assert compact is not None
         assert len(compact.head) == 1
-        assert contained_in(compact, query)
+        assert cq_contained_in(compact, query)
 
     def test_lemma9_returns_none_when_query_does_not_hold(self):
         query = parse_query("E(x, x)")
@@ -254,4 +254,4 @@ class TestCompactAcyclicQuery:
         compact = compact_acyclic_query(query, star.canonical_database())
         assert compact is not None
         assert len(compact) <= 2 * len(query)
-        assert contained_in(compact, query)
+        assert cq_contained_in(compact, query)

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chase import chase, egd_chase
-from repro.containment import cq_contained_in
+from repro.containment import cq_contained_in, cq_equivalent
 from repro.datamodel import Atom, Constant, Instance, Predicate, Variable
 from repro.dependencies import EGD, TGD
 from repro.hypergraph import (
@@ -18,9 +18,7 @@ from repro.hypergraph import (
 )
 from repro.queries import (
     ConjunctiveQuery,
-    contained_in,
     core,
-    equivalent_queries,
     find_homomorphism,
     has_homomorphism,
     homomorphisms,
@@ -105,14 +103,14 @@ def test_evaluation_matches_homomorphism_existence(query, instance):
 @SETTINGS
 @given(boolean_queries())
 def test_containment_is_reflexive(query):
-    assert contained_in(query, query)
+    assert cq_contained_in(query, query)
 
 
 @SETTINGS
 @given(boolean_queries(), boolean_queries(), boolean_queries())
 def test_containment_is_transitive(first, second, third):
-    if contained_in(first, second) and contained_in(second, third):
-        assert contained_in(first, third)
+    if cq_contained_in(first, second) and cq_contained_in(second, third):
+        assert cq_contained_in(first, third)
 
 
 @SETTINGS
@@ -120,7 +118,7 @@ def test_containment_is_transitive(first, second, third):
 def test_core_is_equivalent_and_no_larger(query):
     minimal = core(query)
     assert len(minimal) <= len(query)
-    assert equivalent_queries(query, minimal)
+    assert cq_equivalent(query, minimal)
 
 
 @SETTINGS
@@ -129,7 +127,7 @@ def test_dropping_atoms_generalises(query):
     if len(query.body) < 2:
         return
     smaller = ConjunctiveQuery((), query.body[:-1], name="smaller")
-    assert contained_in(query, smaller)
+    assert cq_contained_in(query, smaller)
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 from repro.chase import chase, egd_chase_query
 from repro.datamodel import Predicate
 from repro.dependencies import classify, DependencyClass, is_guarded_set, is_k2_set
-from repro.hypergraph import is_acyclic_instance
-from repro.queries import treewidth_upper_bound, gaifman_graph_of_instance, max_clique_lower_bound
+from repro.hypergraph import is_acyclic_instance, treewidth_upper_bound
+from repro.queries import gaifman_graph_of_instance, max_clique_lower_bound
 from repro.workloads import (
     binary_keys,
     chain_non_recursive_tgds,
