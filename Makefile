@@ -55,7 +55,9 @@ bench-parallel:
 bench-service:
 	$(PYTEST) benchmarks/bench_service_cache.py -s
 
-## Term layer: interned vs value-hashed terms (hash, answer sets, decode).
+## Term layer: interned vs value-hashed terms (hash, answer sets, decode),
+## and fact ingestion: Instance.add with the per-term index built on first
+## read vs the eager one (BENCH_terms.json).
 bench-terms:
 	$(PYTEST) benchmarks/bench_terms.py -s
 

@@ -22,6 +22,13 @@ field (the shape the term classes had before interning):
   ``CALL_ALLOCATIONS``), and the object array the numpy decode first
   builds from the encoder's term list (``numpy.fromiter``) against slice
   assignment.
+* **Ingest** — µs per ``Instance.add`` while loading the facts of the
+  repository benchmark (``bench/workloads.py``): the ``serve_*`` chain
+  database and the ``cold_tgds`` database, into a ``Database``, whose
+  per-term index is built on first read, and into the eagerly indexed
+  reference (``helpers.instance_reference``); and the ``tracemalloc`` peak
+  of loading the chain database into each.  The index must be unbuilt
+  after loading: this count is all the panel asserts in smoke mode.
 
 Results land in ``BENCH_terms.json``.  ``BENCH_SMOKE=1`` shrinks sizes and
 repeats to milliseconds and skips the timing assertions (tiny inputs are
@@ -31,14 +38,19 @@ noise-dominated).
 from __future__ import annotations
 
 import gc
+import importlib.util
 import random
 import statistics
+import sys
 import time
+import tracemalloc
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Tuple
 
-from repro.datamodel import Constant, Null, Variable
+from helpers import instance_reference
+from repro.datamodel import Atom, Constant, Database, Null, Variable
 from repro.evaluation.encoding import EncodedRelation, EncodedStore, TermEncoder
 from repro.reporting import BenchSnapshot
 from conftest import host_metadata, print_series, scaled_sizes, smoke_mode
@@ -53,6 +65,10 @@ REPEATS = 2 if smoke_mode() else 9
 #: Acceptance bars outside smoke mode (ratios reference / interned).
 MIN_SET_SPEEDUP = 2.0
 MIN_FROMITER_SPEEDUP = 2.0
+MIN_INGEST_SPEEDUP = 1.2
+
+#: The repository benchmark's workload module, which draws its facts.
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 #: Tracked objects a decode call allocates outside its pause (its closure,
 #: the head positions, the threshold reads): they use up the caller's
@@ -227,12 +243,82 @@ def run_decode() -> Dict[str, object]:
     return row
 
 
+def _workload_facts() -> Dict[str, List[Atom]]:
+    """The facts ``serve_scan`` and ``cold_tgds`` load, seed 1 (smoke sizes
+    under ``BENCH_SMOKE=1``)."""
+    workloads = sys.modules.get("_bench_workloads")
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location("_bench_workloads", BENCH_WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        # Registered first: its dataclasses look their module up by name.
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+    sizes = workloads.SMOKE if smoke_mode() else workloads.FULL
+    return {
+        "chain": workloads.ChainSession(1, sizes).atoms,
+        "cold_tgds": workloads.ColdTgds(1, sizes).atoms,
+    }
+
+
+def _load(make: Callable[[], object], atoms: List[Atom]) -> object:
+    database = make()
+    add = database.add
+    for atom in atoms:
+        add(atom)
+    return database
+
+
+def _traced_peak_mb(run: Callable[[], object]) -> float:
+    """The ``tracemalloc`` peak of one call, its result alive, in MB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del kept
+    return peak / 1e6
+
+
+def run_ingest() -> Dict[str, object]:
+    """``Instance.add`` while loading, lazy term index vs the eager one."""
+    if "ingest" in _CACHE:
+        return _CACHE["ingest"]
+    makers = {"lazy": Database, "eager": instance_reference.Instance}
+    row: Dict[str, object] = {}
+    for name, atoms in _workload_facts().items():
+        loaded = _load(Database, atoms)
+        row[f"{name}_facts"] = len(loaded)
+        row[f"{name}_index_built_after_load"] = loaded._by_term is not None
+        for kind, make in makers.items():
+            row[f"{name}_{kind}_us_per_add"] = _scaled(
+                _time(lambda: _load(make, atoms), len(atoms)), 1e6
+            )
+        row[f"{name}_speedup"] = (
+            row[f"{name}_eager_us_per_add"]["median"] / row[f"{name}_lazy_us_per_add"]["median"]
+        )
+        if name == "chain":
+            for kind, make in makers.items():
+                row[f"chain_{kind}_peak_mb"] = _traced_peak_mb(lambda: _load(make, atoms))
+
+            def built() -> object:
+                database = _load(Database, atoms)
+                database.atoms_with_term(atoms[0].terms[0])
+                return database
+
+            row["chain_lazy_indexed_peak_mb"] = _traced_peak_mb(built)
+    _CACHE["ingest"] = row
+    return row
+
+
 def _write_snapshot() -> None:
     snapshot = BenchSnapshot("terms")
     snapshot.record("host", host_metadata())
     snapshot.record("repeats", REPEATS)
     snapshot.record("term_operations", run_term_operations())
     snapshot.record("decode", run_decode())
+    snapshot.record("ingest", run_ingest())
     snapshot.write()
 
 
@@ -298,3 +384,40 @@ def test_decode_builds_its_term_array_with_fromiter():
         f"numpy.fromiter should build the decode array {MIN_FROMITER_SPEEDUP}x "
         f"faster than slice assignment, got {row['fromiter_speedup']:.2f}x"
     )
+
+
+def test_loading_leaves_the_term_index_unbuilt():
+    row = run_ingest()
+    print_series(
+        f"ingest, µs per Instance.add (median of {REPEATS}) and tracemalloc peak",
+        [
+            (
+                f"{name}, {row[f'{name}_facts']} facts",
+                _median(row, f"{name}_lazy_us_per_add", 2),
+                _median(row, f"{name}_eager_us_per_add", 2),
+                "µs",
+            )
+            for name in ("chain", "cold_tgds")
+        ]
+        + [
+            (
+                "chain, loaded",
+                f"{row['chain_lazy_peak_mb']:.1f}",
+                f"{row['chain_eager_peak_mb']:.1f}",
+                "MB",
+            ),
+            ("chain, loaded and indexed", f"{row['chain_lazy_indexed_peak_mb']:.1f}", "-", "MB"),
+        ],
+        header=("load", "lazy term index", "eager term index", "unit"),
+    )
+    _write_snapshot()
+    assert not row["chain_index_built_after_load"]
+    assert not row["cold_tgds_index_built_after_load"]
+    if smoke_mode():
+        return
+    for name in ("chain", "cold_tgds"):
+        assert row[f"{name}_speedup"] >= MIN_INGEST_SPEEDUP, (
+            f"loading {name} facts without the term index should be "
+            f"{MIN_INGEST_SPEEDUP}x faster per add, got {row[f'{name}_speedup']:.2f}x"
+        )
+    assert row["chain_lazy_peak_mb"] < row["chain_eager_peak_mb"]

@@ -25,7 +25,7 @@ from typing import (
 )
 
 from .atoms import Atom, Predicate
-from .terms import Constant, GroundTerm, Null, Term
+from .terms import Constant, GroundTerm, Null, Term, Variable
 from .schema import Schema
 
 
@@ -34,14 +34,30 @@ _NO_ATOMS: Dict[Atom, None] = {}
 
 
 class Instance:
-    """A finite instance: a set of ground atoms with per-predicate indexes.
+    """A finite instance: a set of ground atoms with per-predicate and
+    per-term indexes.
 
     The class behaves like a set of :class:`Atom` (iteration, ``in``,
-    ``len``) but also maintains an index from predicates to atoms and from
-    terms to atoms, which the homomorphism search and the chase rely on.
-    The atoms and both indexes are dicts used as insertion-ordered sets:
-    terms hash by identity, so a set's order would change whenever a term
-    is interned again, and with it the homomorphism a search finds first.
+    ``len``) but also keeps an index from predicates to atoms and one from
+    terms to atoms.  The predicate index is maintained on every write.  The
+    term index serves only the homomorphism search, the chase and the
+    domain readers (:meth:`atoms_with_term`, :meth:`active_domain`,
+    :meth:`constants`, :meth:`nulls`, :meth:`is_database`), so it is built
+    on the first such read, in one pass over the atoms, and maintained by
+    later writes only once it exists: loading a database that is only ever
+    evaluated by predicate never pays for it.  The atoms and both indexes
+    are dicts used as insertion-ordered sets: terms hash by identity, so a
+    set's order would change whenever a term is interned again, and with it
+    the homomorphism a search finds first.  A built index lists each term's
+    atoms in the instance's own order, which is the order they were added
+    in, so it equals the index that maintaining it on every write gives.
+
+    An instance is not safe for a read concurrent with a write: the live
+    index dicts the readers return change under a write, and a first read
+    that builds the term index while a write runs could miss that write.
+    :class:`repro.service.QueryService` keeps its reads and writes apart.
+    Concurrent reads are safe: two first reads may both build the index,
+    and either build is complete.
 
     Every *effective* mutation (an ``add`` of a new atom, a ``discard`` of a
     present one) advances :attr:`mutation_epoch` and is appended to a
@@ -60,7 +76,8 @@ class Instance:
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
         self._atoms: Dict[Atom, None] = {}
         self._by_predicate: Dict[Predicate, Dict[Atom, None]] = defaultdict(dict)
-        self._by_term: Dict[GroundTerm, Dict[Atom, None]] = defaultdict(dict)
+        # Built by the first read that needs it (see _term_index).
+        self._by_term: Optional[Dict[GroundTerm, Dict[Atom, None]]] = None
         self._mutation_epoch = 0
         self._journal: List[Tuple[bool, Atom]] = []
         self._journal_base = 0
@@ -122,16 +139,24 @@ class Instance:
         """Add ``atom``; return ``True`` iff it was not already present.
 
         Raises:
-            ValueError: if the atom contains variables (instances are ground).
+            ValueError: if the atom contains variables (instances are
+                ground); the instance is then left unchanged.
         """
-        if not atom.is_ground():
-            raise ValueError(f"instances contain ground atoms only, got {atom}")
-        if atom in self._atoms:
+        terms = atom.terms
+        for term in terms:
+            if isinstance(term, Variable):
+                raise ValueError(f"instances contain ground atoms only, got {atom}")
+        # One lookup both tests membership and inserts.
+        atoms = self._atoms
+        size = len(atoms)
+        atoms.setdefault(atom)
+        if len(atoms) == size:
             return False
-        self._atoms[atom] = None
         self._by_predicate[atom.predicate][atom] = None
-        for term in atom.terms:
-            self._by_term[term][atom] = None
+        by_term = self._by_term
+        if by_term is not None:
+            for term in terms:
+                by_term[term][atom] = None
         self._record_mutation(True, atom)
         return True
 
@@ -145,10 +170,12 @@ class Instance:
             return False
         del self._atoms[atom]
         del self._by_predicate[atom.predicate][atom]
-        for term in set(atom.terms):
-            del self._by_term[term][atom]
-            if not self._by_term[term]:
-                del self._by_term[term]
+        by_term = self._by_term
+        if by_term is not None:
+            for term in set(atom.terms):
+                del by_term[term][atom]
+                if not by_term[term]:
+                    del by_term[term]
         if not self._by_predicate[atom.predicate]:
             del self._by_predicate[atom.predicate]
         self._record_mutation(False, atom)
@@ -189,16 +216,20 @@ class Instance:
 
         The indexes are copied set-by-set instead of being re-derived atom by
         atom — the chase snapshots its input with ``copy()`` on every run, so
-        this path is hot.
+        this path is hot.  The term index is copied only if it was built;
+        otherwise the clone builds its own on its first read.
         """
         clone = self.__class__.__new__(self.__class__)
         clone._atoms = dict(self._atoms)
         clone._by_predicate = defaultdict(dict)
         for predicate, atoms in self._by_predicate.items():
             clone._by_predicate[predicate] = dict(atoms)
-        clone._by_term = defaultdict(dict)
-        for term, atoms in self._by_term.items():
-            clone._by_term[term] = dict(atoms)
+        by_term = self._by_term
+        clone._by_term = None
+        if by_term is not None:
+            clone._by_term = defaultdict(
+                dict, {term: dict(atoms) for term, atoms in by_term.items()}
+            )
         clone._mutation_epoch = self._mutation_epoch
         clone._content_token = self.content_token()
         clone._journal = []
@@ -226,13 +257,29 @@ class Instance:
                 result.update(atoms)
         return frozenset(result)
 
+    def _term_index(self) -> Dict[GroundTerm, Dict[Atom, None]]:
+        """The per-term index, built in one pass over the atoms on first use."""
+        by_term = self._by_term
+        if by_term is None:
+            by_term = defaultdict(dict)
+            for atom in self._atoms:
+                for term in atom.terms:
+                    by_term[term][atom] = None
+            self._by_term = by_term
+        return by_term
+
     def atoms_with_term(self, term: GroundTerm) -> Collection[Atom]:
         """Return the atoms in which ``term`` occurs, in insertion order.
 
         As with :meth:`atoms_with_predicate`, the live index is returned and
-        must not be mutated by callers.
+        must not be mutated by callers.  The first call builds the index.
         """
-        return self._by_term.get(term, _NO_ATOMS)
+        # The homomorphism search calls this per extension step: once the
+        # index exists, no further call.
+        by_term = self._by_term
+        if by_term is None:
+            by_term = self._term_index()
+        return by_term.get(term, _NO_ATOMS)
 
     def predicates(self) -> Set[Predicate]:
         """Return the predicates that occur in the instance."""
@@ -247,15 +294,15 @@ class Instance:
     # ------------------------------------------------------------------
     def active_domain(self) -> Set[GroundTerm]:
         """Return the set of terms (constants and nulls) occurring in the instance."""
-        return set(self._by_term)
+        return set(self._term_index())
 
     def constants(self) -> Set[Constant]:
         """Return the constants occurring in the instance."""
-        return {t for t in self._by_term if isinstance(t, Constant)}
+        return {t for t in self._term_index() if isinstance(t, Constant)}
 
     def nulls(self) -> Set[Null]:
         """Return the labelled nulls occurring in the instance."""
-        return {t for t in self._by_term if isinstance(t, Null)}
+        return {t for t in self._term_index() if isinstance(t, Null)}
 
     def is_database(self) -> bool:
         """Return ``True`` iff the instance is null-free (a plain database)."""

@@ -398,10 +398,16 @@ class YannakakisEvaluator:
         *,
         scans: Optional[ScanProvider] = None,
     ) -> Set[Tuple[Term, ...]]:
-        """Return the full answer set ``q(D)``."""
+        """Return the full answer set ``q(D)``.
+
+        Runs the answer plan below its root chain of ``Project`` operators
+        and decodes the head straight into the answer set: the set
+        deduplicates, so a root ``Project`` would only deduplicate first.
+        """
         plan = self.compile_answer_plan()
-        # Decode straight into the answer set: the whole plan ran on int
-        # columns and only the head projection touches terms.
+        while isinstance(plan, Project):
+            plan = plan.children[0]
+        # The whole plan runs on int columns; only the decode touches terms.
         encoded = plan.materialize_encoded(self._context(database, scans))
         return encoded.answer_tuples(self.query.head)
 

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import tuple_engine
 from helpers.workloads import randomized_acyclic_workload, randomized_cyclic_workload
 from repro import parse_query, parse_tgd
 from repro.datamodel import Atom, Constant, Database, Predicate
-from repro.evaluation import evaluate_generic
+from repro.evaluation import Project, YannakakisEvaluator, evaluate_generic, operators
+from repro.evaluation.encoding import EncodedRelation
 from repro.evaluation.operators import ExecutionContext
 from repro.evaluation.semacyclic_eval import resolve_route
 from repro.service import QueryService
@@ -170,3 +172,104 @@ def test_core_route_answers_on_a_database_violating_the_tgd():
     assert expected
     assert evaluator.evaluate(database) == expected
     assert set(evaluator.iter_answers(database)) == expected
+
+
+def projects(plan):
+    """The distinct ``Project`` operators of a plan DAG."""
+    seen, stack = {}, [plan]
+    while stack:
+        op = stack.pop()
+        if op not in seen:
+            seen[op] = None
+            stack.extend(op.children)
+    return [op for op in seen if isinstance(op, Project)]
+
+
+def drops(op):
+    return len(op.schema) < len(op.children[0].schema)
+
+
+def root_chain(plan):
+    chain = []
+    while isinstance(plan, Project):
+        chain.append(plan)
+        plan = plan.children[0]
+    return chain
+
+
+def chain_database(width=12, fanout=3, seed=5):
+    rng = random.Random(seed)
+    facts = []
+    for layer in (1, 2, 3):
+        predicate = Predicate(f"S{layer}", 2)
+        for _ in range(width * fanout):
+            facts.append(
+                Atom(
+                    predicate,
+                    (Constant(f"L{layer - 1}_{rng.randrange(width)}"),
+                     Constant(f"L{layer}_{rng.randrange(width)}")),
+                )
+            )
+    return Database(facts)
+
+
+CHAIN = "S1(x0, x1), S2(x1, x2), S3(x2, x3)"
+
+
+@pytest.mark.parametrize("numpy_storage", ["0", "1"])
+def test_evaluate_skips_the_root_projects_dedup(numpy_storage, monkeypatch):
+    if numpy_storage == "1":
+        pytest.importorskip("numpy")
+    monkeypatch.setenv("REPRO_NUMPY", numpy_storage)
+    calls = []
+    project, parallel_project = EncodedRelation.project, operators.parallel_project
+
+    def counted_project(self, *args, **kwargs):
+        calls.append("project")
+        return project(self, *args, **kwargs)
+
+    def counted_parallel(*args, **kwargs):
+        result = parallel_project(*args, **kwargs)
+        if result is not None:
+            calls.append("parallel_project")
+        return result
+
+    monkeypatch.setattr(EncodedRelation, "project", counted_project)
+    monkeypatch.setattr(operators, "parallel_project", counted_parallel)
+
+    database = chain_database()
+    evaluator = YannakakisEvaluator(parse_query(f"q(x0, x3) :- {CHAIN}"))
+    plan = evaluator.compile_answer_plan()
+    dropping = [op for op in projects(plan) if drops(op)]
+    assert [op for op in root_chain(plan) if drops(op)] == [plan]
+    answers = evaluator.evaluate(database)
+    assert len(calls) == len(dropping) - 1
+    if numpy_storage == "1":
+        assert set(calls) == {"parallel_project"}
+    assert answers == tuple_engine.evaluate(evaluator, database)
+    assert answers == set(evaluator.iter_answers(database))
+
+
+@pytest.mark.parametrize("numpy_storage", ["0", "1"])
+@pytest.mark.parametrize(
+    "text, tgds, route",
+    [
+        (f"q(x0, x3, x0) :- {CHAIN}", [], "yannakakis"),
+        (f"q(x1, x1) :- {CHAIN}", [], "yannakakis"),
+        ("q(x1) :- S1(x0, x1), S2(x1, x2)", [], "yannakakis"),
+        ("q(x0, x2) :- S1(x0, x1), S2(x1, x2), S1(x0, x2)", [], "decomposition"),
+        ("q(x0, x0) :- S1(x0, x1), S2(x1, x2), S1(x0, x2)", [], "decomposition"),
+    ],
+)
+def test_evaluate_equals_the_tuple_oracle(numpy_storage, text, tgds, route, monkeypatch):
+    if numpy_storage == "1":
+        pytest.importorskip("numpy")
+    monkeypatch.setenv("REPRO_NUMPY", numpy_storage)
+    database = chain_database()
+    query = parse_query(text)
+    found, evaluator = resolve_route(query, tgds=tgds)
+    assert found == route
+    answers = evaluator.evaluate(database)
+    assert answers == tuple_engine.evaluate(evaluator, database)
+    assert answers == set(evaluator.iter_answers(database))
+    assert answers == query.evaluate(database)
