@@ -37,6 +37,7 @@ noise-dominated).
 
 from __future__ import annotations
 
+import functools
 import gc
 import importlib.util
 import random
@@ -94,20 +95,34 @@ def _numpy():
     return numpy
 
 
-def _time(run: Callable[[], object], per: int = 1) -> Dict[str, float]:
-    """Median and quartiles over ``REPEATS`` runs, in seconds per ``per``.
+def _interleaved(
+    runs: Dict[str, Callable[[], object]], per: int = 1
+) -> Dict[str, List[float]]:
+    """``REPEATS`` samples of each run, in seconds per ``per``.
 
-    Each run starts right after a full collection, so a collection left
-    over from the previous run does not land in it.
+    Every repeat takes the runs in turn, so a change of the host's speed
+    lands on all of them alike.  Each run starts right after a full
+    collection, so a collection left over from the previous run does not
+    land in it.
     """
-    samples = []
+    samples: Dict[str, List[float]] = {name: [] for name in runs}
     for _ in range(REPEATS):
-        gc.collect()
-        started = time.perf_counter()
-        run()
-        samples.append((time.perf_counter() - started) / per)
+        for name, run in runs.items():
+            gc.collect()
+            started = time.perf_counter()
+            run()
+            samples[name].append((time.perf_counter() - started) / per)
+    return samples
+
+
+def _summary(samples: List[float]) -> Dict[str, float]:
     quartiles = statistics.quantiles(samples, n=4) if len(samples) > 1 else samples * 3
     return {"median": statistics.median(samples), "q1": quartiles[0], "q3": quartiles[-1]}
+
+
+def _time(run: Callable[[], object], per: int = 1) -> Dict[str, float]:
+    """Median and quartiles over ``REPEATS`` runs, in seconds per ``per``."""
+    return _summary(_interleaved({"run": run}, per)["run"])
 
 
 def _collections(run: Callable[[], object]) -> Tuple[float, float]:
@@ -291,12 +306,16 @@ def run_ingest() -> Dict[str, object]:
         loaded = _load(Database, atoms)
         row[f"{name}_facts"] = len(loaded)
         row[f"{name}_index_built_after_load"] = loaded._by_term is not None
-        for kind, make in makers.items():
-            row[f"{name}_{kind}_us_per_add"] = _scaled(
-                _time(lambda: _load(make, atoms), len(atoms)), 1e6
-            )
-        row[f"{name}_speedup"] = (
-            row[f"{name}_eager_us_per_add"]["median"] / row[f"{name}_lazy_us_per_add"]["median"]
+        samples = _interleaved(
+            {kind: functools.partial(_load, make, atoms) for kind, make in makers.items()},
+            len(atoms),
+        )
+        for kind, taken in samples.items():
+            row[f"{name}_{kind}_us_per_add"] = _scaled(_summary(taken), 1e6)
+        # The median of the per-repeat ratios: each pair of loads ran back
+        # to back, so the host's speed drifts out of the ratio.
+        row[f"{name}_speedup"] = statistics.median(
+            eager / lazy for eager, lazy in zip(samples["eager"], samples["lazy"])
         )
         if name == "chain":
             for kind, make in makers.items():

@@ -105,6 +105,9 @@ def egd_chase(
             two genuine constants must be identified; ``"return"`` returns a
             result with ``failed=True`` instead.
     """
+    # The search reads the copy's term index: build it on the input, where
+    # later chases of the same input find it.
+    instance.index_terms()
     result = EGDChaseResult(instance=instance.copy())
 
     changed = True

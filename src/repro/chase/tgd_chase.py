@@ -299,6 +299,9 @@ class ChaseRun:
     ) -> None:
         if variant not in ("restricted", "oblivious"):
             raise ValueError(f"unknown chase variant {variant!r}")
+        # Every search of the copy reads the term index: build it on the
+        # input, where later chases of the same input find it.
+        instance.index_terms()
         self.result = ChaseResult(instance=instance.copy(), terminated=False)
         for atom in self.result.instance:
             self.result.atom_depth[atom] = 0

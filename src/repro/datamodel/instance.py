@@ -217,7 +217,10 @@ class Instance:
         The indexes are copied set-by-set instead of being re-derived atom by
         atom — the chase snapshots its input with ``copy()`` on every run, so
         this path is hot.  The term index is copied only if it was built;
-        otherwise the clone builds its own on its first read.
+        otherwise the clone builds its own on its first read.  The chase
+        therefore calls :meth:`index_terms` on its input first: the input
+        builds the index once, and every later copy of it takes the cheap
+        dict copies.
         """
         clone = self.__class__.__new__(self.__class__)
         clone._atoms = dict(self._atoms)
@@ -267,6 +270,14 @@ class Instance:
                     by_term[term][atom] = None
             self._by_term = by_term
         return by_term
+
+    def index_terms(self) -> None:
+        """Build the per-term index now, unless a read already built it.
+
+        For a caller that copies an instance and searches each copy by term,
+        as the chase does with its input on every run.
+        """
+        self._term_index()
 
     def atoms_with_term(self, term: GroundTerm) -> Collection[Atom]:
         """Return the atoms in which ``term`` occurs, in insertion order.

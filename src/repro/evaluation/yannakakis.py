@@ -398,16 +398,14 @@ class YannakakisEvaluator:
         *,
         scans: Optional[ScanProvider] = None,
     ) -> Set[Tuple[Term, ...]]:
-        """Return the full answer set ``q(D)``.
-
-        Runs the answer plan below its root chain of ``Project`` operators
-        and decodes the head straight into the answer set: the set
-        deduplicates, so a root ``Project`` would only deduplicate first.
-        """
+        """Return the full answer set ``q(D)``."""
         plan = self.compile_answer_plan()
-        while isinstance(plan, Project):
-            plan = plan.children[0]
-        # The whole plan runs on int columns; only the decode touches terms.
+        # Decode straight into the answer set: the whole plan ran on int
+        # columns and only the head projection touches terms.  The root
+        # Project's dedup stays although the set deduplicates too: when it
+        # drops join variables, many joined rows can repeat one answer, and
+        # on numpy storage its int-code kernel costs less than decoding and
+        # hashing every repeat.
         encoded = plan.materialize_encoded(self._context(database, scans))
         return encoded.answer_tuples(self.query.head)
 

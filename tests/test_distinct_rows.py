@@ -217,7 +217,10 @@ CHAIN = "S1(x0, x1), S2(x1, x2), S3(x2, x3)"
 
 
 @pytest.mark.parametrize("numpy_storage", ["0", "1"])
-def test_evaluate_skips_the_root_projects_dedup(numpy_storage, monkeypatch):
+def test_evaluate_deduplicates_at_the_root_project_before_decoding(numpy_storage, monkeypatch):
+    """On a chain with many paths per answer the root ``Project`` drops most
+    joined rows; ``evaluate`` runs it on int codes instead of decoding every
+    repeat into the answer set."""
     if numpy_storage == "1":
         pytest.importorskip("numpy")
     monkeypatch.setenv("REPRO_NUMPY", numpy_storage)
@@ -237,15 +240,17 @@ def test_evaluate_skips_the_root_projects_dedup(numpy_storage, monkeypatch):
     monkeypatch.setattr(EncodedRelation, "project", counted_project)
     monkeypatch.setattr(operators, "parallel_project", counted_parallel)
 
-    database = chain_database()
+    database = chain_database(fanout=8)
     evaluator = YannakakisEvaluator(parse_query(f"q(x0, x3) :- {CHAIN}"))
     plan = evaluator.compile_answer_plan()
     dropping = [op for op in projects(plan) if drops(op)]
     assert [op for op in root_chain(plan) if drops(op)] == [plan]
     answers = evaluator.evaluate(database)
-    assert len(calls) == len(dropping) - 1
+    assert len(calls) == len(dropping)
     if numpy_storage == "1":
         assert set(calls) == {"parallel_project"}
+    joined = plan.children[0].materialize_encoded(ExecutionContext(database))
+    assert len(joined) > 2 * len(answers)
     assert answers == tuple_engine.evaluate(evaluator, database)
     assert answers == set(evaluator.iter_answers(database))
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import instance_reference as reference
-from repro import evaluate_iter, parse_query, parse_tgd
+from repro import chase, egd_chase, evaluate_iter, parse_egd, parse_query, parse_tgd
 from repro.datamodel import Atom, Constant, Database, Instance, Null, Predicate, Variable
 from repro.evaluation.semacyclic_eval import resolve_route
 from repro.service import QueryService
@@ -165,6 +165,22 @@ def test_a_copy_of_a_built_index_is_independent():
     assert list(original.atoms_with_term(a)) == [Atom(R, (a, b))]
     assert list(clone.atoms_with_term(a)) == [Atom(U, (a,))]
     assert list(clone.atoms_with_term(b)) == []
+
+
+def test_the_chase_builds_its_inputs_index_once_and_copies_it():
+    """The chase searches a copy of its input by term on every run: the
+    input builds the index on the first run, and later runs copy it."""
+    a, b, c = GROUND[:3]
+    database = Database([Atom(R, (a, b)), Atom(R, (b, c)), Atom(R, (a, c))])
+    assert not term_index_built(database)
+    first = chase(database, [parse_tgd("R(x, y), R(y, z) -> U(x)")]).instance
+    assert term_index_built(database)
+    index = database._by_term
+    key = parse_egd("R(x, y), R(x, z) -> y = z")
+    assert term_index_built(egd_chase(database, [key], on_failure="return").instance)
+    assert database._by_term is index
+    assert list(first.atoms_with_term(a)) == [Atom(R, (a, b)), Atom(R, (a, c)), Atom(U, (a,))]
+    assert list(database.atoms_with_term(a)) == [Atom(R, (a, b)), Atom(R, (a, c))]
 
 
 # ----------------------------------------------------------------------
