@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test typecheck lint docs-check bench bench-smoke bench-enum bench-plans bench-backend bench-parallel bench-service bench-terms bench-semac bench-fpt bench-treewidth bench-repo bench-diff
+.PHONY: test typecheck lint docs-check bench bench-smoke bench-batch bench-cover bench-enum bench-plans bench-yannakakis bench-backend bench-parallel bench-service bench-terms bench-semac bench-fpt bench-treewidth bench-repo bench-diff
 
 ## Tier-1 verify: the command every PR must keep green.
 ## REPRO_VERIFY=1 statically re-checks every plan the engines emit.
@@ -35,6 +35,16 @@ bench:
 bench-smoke:
 	BENCH_SMOKE=1 $(PYTEST) benchmarks/ -q
 
+## Batched vs one-at-a-time evaluation over one shared scan cache
+## (BENCH_batch_eval.json).
+bench-batch:
+	$(PYTEST) benchmarks/bench_batch_eval.py -s
+
+## Cover game: worklist engine vs the round-based fixpoint, growth per
+## doubling (BENCH_cover_game_scaling.json).
+bench-cover:
+	$(PYTEST) benchmarks/bench_cover_game_scaling.py -s
+
 ## Streaming enumeration: time-to-first-answer / delay vs materialising.
 bench-enum:
 	$(PYTEST) benchmarks/bench_enumeration.py -s
@@ -43,7 +53,14 @@ bench-enum:
 bench-plans:
 	$(PYTEST) benchmarks/bench_plan_quality.py -s
 
-## Columnar engine vs the tuple-at-a-time oracle on the Yannakakis scaling workload.
+## Yannakakis scaling: hash relations vs assignment dicts, growth per
+## doubling (BENCH_yannakakis_scaling.json; bench-backend runs the
+## same file's columnar panel).
+bench-yannakakis:
+	$(PYTEST) benchmarks/bench_yannakakis_scaling.py -k "not backend" -s
+
+## Columnar engine vs the tuple-at-a-time oracle on the Yannakakis scaling
+## workload (BENCH_backend_scaling.json).
 bench-backend:
 	$(PYTEST) benchmarks/bench_yannakakis_scaling.py -k backend -s
 

@@ -31,15 +31,13 @@ that mode to keep this file executable in CI.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import pytest
 
 from repro.evaluation import ScanCache, resolve_route
-from repro.reporting import BenchSnapshot
 from repro.workloads.generators import shared_predicate_batch_workload
-from conftest import host_metadata, print_series, scaled_sizes, smoke_mode
+from conftest import BenchSnapshot, fmt, growth, print_series, scaled_sizes, smoke_mode, timed
 
 
 FULL_BATCHES = [8, 16, 32, 64]
@@ -68,16 +66,6 @@ def _sequential(routes, database):
     return [evaluator.evaluate(database) for evaluator in routes]
 
 
-def _best_of(run, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall time of ``run()`` (seconds)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def run_batches(
     batch_sizes: Sequence[int] = BATCHES,
     size: int = DB_SIZE,
@@ -102,8 +90,8 @@ def run_batches(
         batched_answers = _batched(routes, database, cache)
         assert batched_answers == _sequential(routes, database)
 
-        batched_time = _best_of(lambda: _batched(routes, database), repeats)
-        sequential_time = _best_of(lambda: _sequential(routes, database), repeats)
+        batched_time = timed(lambda: _batched(routes, database), repeats)["min"]
+        sequential_time = timed(lambda: _sequential(routes, database), repeats)["min"]
 
         rows.append(
             {
@@ -120,24 +108,10 @@ def run_batches(
     return rows
 
 
-def _growth(rows: List[Dict[str, object]], key: str) -> List[Optional[float]]:
-    factors: List[Optional[float]] = [None]
-    for previous, current in zip(rows, rows[1:]):
-        if previous[key] and current[key] is not None:
-            factors.append(current[key] / previous[key])  # type: ignore[operator]
-        else:
-            factors.append(None)
-    return factors
-
-
-def _format(value: Optional[float], unit: str = "") -> str:
-    return "—" if value is None else f"{value:.4f}{unit}"
-
-
 def test_batched_evaluation_amortises_scans():
     rows = run_batches()
-    sequential_growth = _growth(rows, "sequential_time")
-    batched_growth = _growth(rows, "batched_time")
+    sequential_growth = growth(rows, "sequential_time")
+    batched_growth = growth(rows, "batched_time")
     print_series(
         "Batched vs sequential evaluation (shared-predicate workload, "
         f"|D| ≈ {rows[0]['db']})",
@@ -146,11 +120,11 @@ def test_batched_evaluation_amortises_scans():
                 row["batch"],
                 row["answers"],
                 f"{row['scans_built']}/{row['scans_served']}",
-                _format(row["sequential_time"], "s"),
-                _format(sg, "×"),
-                _format(row["batched_time"], "s"),
-                _format(bg, "×"),
-                _format(row["speedup"], "×"),
+                fmt(row["sequential_time"], "s"),
+                fmt(sg, "×"),
+                fmt(row["batched_time"], "s"),
+                fmt(bg, "×"),
+                fmt(row["speedup"], "×"),
             )
             for row, sg, bg in zip(rows, sequential_growth, batched_growth)
         ],
@@ -173,7 +147,6 @@ def test_batched_evaluation_amortises_scans():
         )
 
     snapshot = BenchSnapshot("batch_eval")
-    snapshot.record("host", host_metadata())
     snapshot.record("batches", [row["batch"] for row in rows])
     snapshot.record("speedups", [row["speedup"] for row in rows])
     snapshot.record("speedup_at_largest", rows[-1]["speedup"])

@@ -40,9 +40,16 @@ from helpers.cover_game_naive import existential_one_cover_naive
 from repro.datamodel import Atom, Constant, Predicate, Variable
 from repro.evaluation import membership_generic, membership_via_cover_game_guarded
 from repro.queries.cq import ConjunctiveQuery
-from repro.reporting import BenchSnapshot
 from repro.workloads.generators import cover_game_scaling_workload
-from conftest import print_series, scaled_sizes, smoke_mode
+from conftest import (
+    BenchSnapshot,
+    fmt,
+    growth,
+    print_series,
+    scaled_sizes,
+    smoke_mode,
+    timed,
+)
 
 
 FULL_SIZES = [400, 800, 1600, 3200]
@@ -89,16 +96,6 @@ def _probe_queries(layers: int = LAYERS) -> List[Tuple[str, ConjunctiveQuery]]:
     ]
 
 
-def _best_of(run, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall time of ``run()`` (seconds)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def run_scaling(
     sizes: Sequence[int] = SIZES,
     layers: int = LAYERS,
@@ -121,10 +118,9 @@ def run_scaling(
             size, layers=layers, fanout=fanout, seed=seed
         )
         wins = membership_via_cover_game_guarded(query, database)
-        worklist_time = _best_of(
-            lambda: membership_via_cover_game_guarded(query, database),
-            repeats,
-        )
+        worklist_time = timed(
+            lambda: membership_via_cover_game_guarded(query, database), repeats
+        )["min"]
 
         naive_time: Optional[float] = None
         answers_agree = True
@@ -164,34 +160,20 @@ def run_scaling(
     return rows
 
 
-def _growth(rows: List[Dict[str, object]], key: str) -> List[Optional[float]]:
-    factors: List[Optional[float]] = [None]
-    for previous, current in zip(rows, rows[1:]):
-        if previous[key] and current[key] is not None:
-            factors.append(current[key] / previous[key])  # type: ignore[operator]
-        else:
-            factors.append(None)
-    return factors
-
-
-def _format(value: Optional[float], unit: str = "") -> str:
-    return "—" if value is None else f"{value:.4f}{unit}"
-
-
 def test_worklist_engine_outgrows_naive_engine():
     rows = run_scaling()
-    worklist_growth = _growth(rows, "worklist_time")
-    naive_growth = _growth(rows, "naive_time")
+    worklist_growth = growth(rows, "worklist_time")
+    naive_growth = growth(rows, "naive_time")
     print_series(
         "E12b: cover-game scaling (worklist supports vs round-based fixpoint)",
         [
             (
                 row["size"],
                 row["wins"],
-                _format(row["worklist_time"], "s"),
-                _format(wg, "×"),
-                _format(row["naive_time"], "s"),
-                _format(ng, "×"),
+                fmt(row["worklist_time"], "s"),
+                fmt(wg, "×"),
+                fmt(row["naive_time"], "s"),
+                fmt(ng, "×"),
             )
             for row, wg, ng in zip(rows, worklist_growth, naive_growth)
         ],

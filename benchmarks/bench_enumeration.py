@@ -49,17 +49,16 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import pytest
 
 from helpers import tuple_engine
 from repro.evaluation import YannakakisEvaluator
 from repro.evaluation.relation import Partition
-from repro.reporting import BenchSnapshot
 from repro.queries.cq import ConjunctiveQuery
 from repro.workloads.generators import wide_output_workload
-from conftest import host_metadata, print_series, scaled_sizes, smoke_mode
+from conftest import BenchSnapshot, fmt, print_series, scaled_sizes, smoke_mode, timed
 
 
 FULL_RAYS = [2, 3, 4]
@@ -86,16 +85,6 @@ DELAY_SAMPLE = 1_000
 MAX_FIRST_ANSWER_GROWTH = 5.0
 MIN_MATERIALISE_GROWTH = 20.0
 MIN_FIRST_ANSWER_SPEEDUP = 10.0
-
-
-def _best_of(run, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall time of ``run()`` (seconds)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _probed(run) -> int:
@@ -138,17 +127,13 @@ def run_enumeration(
         limited = list(evaluator.iter_answers(database, limit=5))
         assert len(limited) == min(5, len(answers))
 
-        materialise_time = _best_of(lambda: evaluator.evaluate(database), repeats)
-        first_time = _best_of(
-            lambda: next(evaluator.iter_answers(database)), repeats
-        )
+        materialise_time = timed(lambda: evaluator.evaluate(database), repeats)["min"]
+        first_time = timed(lambda: next(evaluator.iter_answers(database)), repeats)["min"]
 
         # The tuple oracle on the same materialising plan: cross-checks the
         # answers and measures what the columnar engine saves.
         assert tuple_engine.evaluate(evaluator, database) == answers
-        tuple_time = _best_of(
-            lambda: tuple_engine.evaluate(evaluator, database), repeats
-        )
+        tuple_time = timed(lambda: tuple_engine.evaluate(evaluator, database), repeats)["min"]
 
         sample = min(DELAY_SAMPLE, len(answers))
         start = time.perf_counter()
@@ -158,7 +143,7 @@ def run_enumeration(
         sample_time = time.perf_counter() - start
         assert consumed == sample
         delay = max(0.0, sample_time - first_time) / max(1, sample - 1)
-        drain_time = _best_of(lambda: list(evaluator.iter_answers(database)), repeats)
+        drain_time = timed(lambda: list(evaluator.iter_answers(database)), repeats)["min"]
 
         materialise_probes = _probed(lambda: evaluator.evaluate(database))
         first_probes = _probed(lambda: next(evaluator.iter_answers(database)))
@@ -208,21 +193,17 @@ def run_head_in_one_node(
                 "rays": rays,
                 "db": len(database),
                 "answers": len(answers),
-                "first_time": _best_of(
+                "first_time": timed(
                     lambda: next(evaluator.iter_answers(database)), repeats
-                ),
-                "drain_time": _best_of(
+                )["min"],
+                "drain_time": timed(
                     lambda: list(evaluator.iter_answers(database)), repeats
-                ),
+                )["min"],
                 "first_probes": _probed(lambda: next(evaluator.iter_answers(database))),
                 "drain_probes": _probed(lambda: list(evaluator.iter_answers(database))),
             }
         )
     return rows
-
-
-def _format(value: Optional[float], unit: str = "") -> str:
-    return "—" if value is None else f"{value:.6f}{unit}"
 
 
 def test_streaming_first_answer_flat_materialising_grows():
@@ -234,12 +215,12 @@ def test_streaming_first_answer_flat_materialising_grows():
                 row["rays"],
                 row["db"],
                 row["answers"],
-                _format(row["materialise_time"], "s"),
-                _format(row["tuple_time"], "s"),
+                fmt(row["materialise_time"], "s", 6),
+                fmt(row["tuple_time"], "s", 6),
                 f"{row['oracle_ratio']:.2f}×",
-                _format(row["first_time"], "s"),
-                _format(row["delay"], "s"),
-                _format(row["drain_time"], "s"),
+                fmt(row["first_time"], "s", 6),
+                fmt(row["delay"], "s", 6),
+                fmt(row["drain_time"], "s", 6),
                 f"{row['first_probes']}/{row['materialise_probes']}",
             )
             for row in rows
@@ -265,8 +246,8 @@ def test_streaming_first_answer_flat_materialising_grows():
                 row["rays"],
                 row["db"],
                 row["answers"],
-                _format(row["first_time"], "s"),
-                _format(row["drain_time"], "s"),
+                fmt(row["first_time"], "s", 6),
+                fmt(row["drain_time"], "s", 6),
                 f"{row['first_probes']}/{row['drain_probes']}",
             )
             for row in one_node
@@ -274,7 +255,6 @@ def test_streaming_first_answer_flat_materialising_grows():
         header=["rays", "|D|", "answers", "first answer", "drain", "probes first/drain"],
     )
     snapshot = BenchSnapshot("enumeration")
-    snapshot.record("host", host_metadata())
     for row in one_node:
         snapshot.add_row("head_in_one_node", row)
     snapshot.record("rays", [row["rays"] for row in rows])

@@ -8,9 +8,7 @@ per-fact cost of (a) the one-off reformulation and (b) the linear evaluation,
 against the NP-baseline of evaluating the original cyclic query directly.
 """
 
-import gc
 import random
-import statistics
 import time
 
 import pytest
@@ -20,10 +18,9 @@ from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import DecompositionEvaluator, YannakakisEvaluator, evaluate_generic
 from repro.evaluation.operators import ExecutionContext
 from repro.queries.cq import ConjunctiveQuery
-from repro.reporting import BenchSnapshot
 from repro.workloads import music_store_database
 from repro.workloads.paper_examples import example1_query, example1_tgd
-from conftest import host_metadata, print_series, scaled_sizes
+from conftest import BenchSnapshot, print_series, scaled_sizes, timed
 
 
 SIZES = scaled_sizes([20, 60, 180], [20])
@@ -135,7 +132,6 @@ def test_decomposition_route_is_the_constraint_free_fallback():
         ],
     )
     snapshot = BenchSnapshot("fpt_evaluation")
-    snapshot.record("host", host_metadata())
     snapshot.record("five_cycle", cycle)
     snapshot.record("sizes", [row["customers"] for row in rows])
     snapshot.record("route_width", rows[-1]["width"])
@@ -167,28 +163,21 @@ def five_cycle_row():
     query = ConjunctiveQuery((v[0],), [Atom(N, (v[i], v[(i + 1) % 5])) for i in range(5)])
     evaluator = DecompositionEvaluator(query)
     plan = evaluator.compile_answer_plan()
-    samples = []
-    for _ in range(CYCLE_REPEATS):
-        # Collect before each repeat (the collector stays on), so a pause
-        # owed to the previous repeat's garbage does not land in this one.
-        gc.collect()
-        context = ExecutionContext(database)
-        started = time.perf_counter()
-        answers = plan.materialize_encoded(context).answer_tuples(query.head)
-        samples.append(time.perf_counter() - started)
+    context = ExecutionContext(database)
+    answers = plan.materialize_encoded(context).answer_tuples(query.head)
     assert answers == evaluate_generic(query, database)
     largest = max(record.rows or 0 for record in context.run.values())
     assert largest < len(edges) ** 2
-    if len(samples) > 1:
-        q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    else:
-        q1 = median = q3 = samples[0]
+    seconds = timed(
+        lambda: plan.materialize_encoded(ExecutionContext(database)).answer_tuples(query.head),
+        CYCLE_REPEATS,
+    )
     return {
         "nodes": CYCLE_NODES,
         "facts": len(edges),
         "answers": len(answers),
         "width": evaluator.decomposition.width,
         "largest_intermediate_rows": largest,
-        "seconds": {"q1": q1, "median": median, "q3": q3},
+        "seconds": seconds,
         "repeats": CYCLE_REPEATS,
     }

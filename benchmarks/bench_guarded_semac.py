@@ -21,9 +21,7 @@ records the decision time (median and quartiles) and
 per family and two repeats, and writes no snapshot.
 """
 
-import statistics
-import time
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import pytest
 
@@ -31,9 +29,16 @@ from repro.chase import chase_query, guarded_chase_join_tree, tgd_chase_preserve
 from repro.core import SemAcConfig, decide_semantic_acyclicity_tgds
 from repro.hypergraph import instance_connectors, is_valid_join_tree
 from repro.parser import parse_query, parse_tgd
-from repro.reporting import BenchSnapshot
 from repro.workloads import random_acyclic_query, random_guarded_tgds, random_schema
-from conftest import host_metadata, print_series, scaled_sizes, smoke_mode
+from conftest import (
+    BenchSnapshot,
+    fmt,
+    interleaved,
+    print_series,
+    scaled_sizes,
+    smoke_mode,
+    summary,
+)
 from helpers.unpruned_semac import decide_tgds_unpruned
 
 
@@ -153,28 +158,22 @@ def search_shapes() -> List[Tuple[str, str, str]]:
     return guarded + closing + plain + unreachable
 
 
-def _timed(run) -> Tuple[Dict[str, float], object]:
-    samples = []
-    result = None
-    for _ in range(SEARCH_REPEATS):
-        started = time.perf_counter()
-        result = run()
-        samples.append((time.perf_counter() - started) * 1e3)
-    if len(samples) > 1:
-        q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    else:
-        q1 = median = q3 = samples[0]
-    return {"q1": q1, "median": median, "q3": q3}, result
-
-
 def test_semac_search_on_guarded_closing_and_plain_shapes():
     rows = []
     for family, name, text in search_shapes():
         query = parse_query(text)
         tgds = [parse_tgd(rule) for rule in SEARCH_TGDS[family]]
         config = SemAcConfig()
-        pruned_ms, pruned = _timed(lambda: decide_semantic_acyclicity_tgds(query, tgds, config))
-        reference_ms, reference = _timed(lambda: decide_tgds_unpruned(query, tgds, config))
+        pruned = decide_semantic_acyclicity_tgds(query, tgds, config)
+        reference = decide_tgds_unpruned(query, tgds, config)
+        samples = interleaved(
+            {
+                "pruned": lambda: decide_semantic_acyclicity_tgds(query, tgds, config),
+                "reference": lambda: decide_tgds_unpruned(query, tgds, config),
+            },
+            SEARCH_REPEATS,
+            per=1e-3,
+        )
         acyclic = family in ("guarded", "closing")
         assert pruned.semantically_acyclic == reference.semantically_acyclic == acyclic
         if family == "unreachable":
@@ -186,9 +185,9 @@ def test_semac_search_on_guarded_closing_and_plain_shapes():
                 "family": family,
                 "shape": name,
                 "atoms": len(query),
-                "decision_ms": pruned_ms,
+                "decision_ms": summary(samples["pruned"]),
                 "candidates_checked": pruned.candidates_checked,
-                "unpruned_decision_ms": reference_ms,
+                "unpruned_decision_ms": summary(samples["reference"]),
                 "unpruned_candidates_checked": reference.candidates_checked,
             }
         )
@@ -199,9 +198,9 @@ def test_semac_search_on_guarded_closing_and_plain_shapes():
             (
                 row["family"],
                 row["shape"],
-                f"{row['decision_ms']['median']:.2f}",
+                fmt(row["decision_ms"]["median"], digits=2),
                 row["candidates_checked"],
-                f"{row['unpruned_decision_ms']['median']:.2f}",
+                fmt(row["unpruned_decision_ms"]["median"], digits=2),
                 row["unpruned_candidates_checked"],
             )
             for row in rows
@@ -209,7 +208,6 @@ def test_semac_search_on_guarded_closing_and_plain_shapes():
         header=("family", "shape", "ms", "checked", "unpruned ms", "unpruned checked"),
     )
     snapshot = BenchSnapshot("semac_search")
-    snapshot.record("host", host_metadata())
     snapshot.record("repeats", SEARCH_REPEATS)
     for row in rows:
         snapshot.add_row("shapes", row)

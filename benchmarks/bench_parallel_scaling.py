@@ -34,7 +34,6 @@ skipped.
 
 from __future__ import annotations
 
-import statistics
 import sys
 import time
 from typing import Dict, List
@@ -45,9 +44,8 @@ from helpers import tuple_engine
 from repro.evaluation import ExecutionContext, ScanCache, YannakakisEvaluator
 from repro.evaluation import parallel as kernels
 from repro.evaluation.encoding import NUMPY_ENV
-from repro.reporting import BenchSnapshot
 from repro.workloads.generators import yannakakis_scaling_workload
-from conftest import host_metadata, print_series, scaled_sizes, smoke_mode
+from conftest import BenchSnapshot, print_series, scaled_sizes, smoke_mode, summary
 
 
 FULL_SIZES = [5000, 20000]
@@ -64,11 +62,6 @@ GATES = {"loop": sys.maxsize, "vectorised": 0}
 #: Acceptance threshold: vectorised vs loop engine time, numpy storage,
 #: largest non-smoke size.
 MIN_VECTORISED_SPEEDUP = 2.0
-
-
-def _quartiles(samples: List[float]) -> Dict[str, float]:
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"q1": q1, "median": median, "q3": q3}
 
 
 def _sweep(size: int) -> Dict[str, object]:
@@ -110,8 +103,8 @@ def _sweep(size: int) -> Dict[str, object]:
                 assert answers == reference
     finally:
         kernels.PARALLEL_MIN_ROWS = previous_gate
-    engine_stats = {name: _quartiles(times) for name, times in engine_times.items()}
-    e2e_stats = {name: _quartiles(times) for name, times in e2e_times.items()}
+    engine_stats = {name: summary(times) for name, times in engine_times.items()}
+    e2e_stats = {name: summary(times) for name, times in e2e_times.items()}
     return {
         "size": len(database),
         "answers": len(reference),
@@ -165,7 +158,6 @@ def test_vectorised_vs_loop_kernels(monkeypatch):
     )
 
     snapshot = BenchSnapshot("parallel_scaling")
-    snapshot.record("host", host_metadata())
     snapshot.record("repeats", REPEATS)
     snapshot.record("seed", SEED)
     for row in rows:

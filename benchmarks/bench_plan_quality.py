@@ -52,9 +52,8 @@ from repro.evaluation import (
     plan_dp,
     plan_greedy,
 )
-from repro.reporting import BenchSnapshot
 from repro.workloads.generators import fanout_cycles_workload, plan_quality_workload
-from conftest import print_series, scaled_sizes, smoke_mode
+from conftest import BenchSnapshot, print_series, scaled_sizes, smoke_mode
 
 
 FULL_SIZES = [400, 800, 1600, 3200]

@@ -73,10 +73,9 @@ from repro.datamodel import Atom, Constant, Database, Predicate, Variable
 from repro.evaluation import ScanCache
 from repro.evaluation.encoding import EncodedRelation, IntIndex
 from repro.queries.cq import ConjunctiveQuery
-from repro.reporting import BenchSnapshot
 from repro.service import QueryService
 from repro.workloads.generators import yannakakis_scaling_workload
-from conftest import host_metadata, print_series, scaled_sizes, smoke_mode
+from conftest import BenchSnapshot, print_series, scaled_sizes, smoke_mode, summary
 
 
 E = Predicate("E", 2)
@@ -363,11 +362,6 @@ def _point_oracle(adjacency: Adjacency, shape: Shape, anchor: int) -> Set[tuple]
     return {(node,) for node in frontier}
 
 
-def _quartiles(samples: List[float]) -> Dict[str, float]:
-    q1, median, q3 = statistics.quantiles(samples, n=4)
-    return {"q1": q1, "median": median, "q3": q3}
-
-
 def run_warm_point_reads() -> Dict[str, object]:
     """Time the three phases of warm point reads on one service."""
     if "points" in _CACHE:
@@ -412,9 +406,9 @@ def run_warm_point_reads() -> Dict[str, object]:
         "wrong_answers": failures,
     }
     for phase, samples in phases.items():
-        row[f"{phase}_us"] = _quartiles(samples)
+        row[f"{phase}_us"] = summary(samples)
     totals = [sum(parts) for parts in zip(*phases.values())]
-    row["read_us"] = _quartiles(totals)
+    row["read_us"] = summary(totals)
     _CACHE["points"] = [row]
     return row
 
@@ -474,7 +468,6 @@ def _write_snapshot() -> None:
     uptime = run_long_uptime()
     points = run_warm_point_reads()
     snapshot = BenchSnapshot("service_cache")
-    snapshot.record("host", host_metadata())
     snapshot.record("sizes", [row["size"] for row in delta])
     snapshot.record("rounds", ROUNDS)
     snapshot.record("delta_speedups", [row["speedup"] for row in delta])

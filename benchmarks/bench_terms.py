@@ -30,6 +30,9 @@ field (the shape the term classes had before interning):
   of loading the chain database into each.  The index must be unbuilt
   after loading: this count is all the panel asserts in smoke mode.
 
+Each panel takes the runs it compares in turn (``interleaved`` of
+``benchmarks/conftest.py``), and its speedups are medians of the
+per-repeat ratios, so a drift of the host's speed lands on both sides.
 Results land in ``BENCH_terms.json``.  ``BENCH_SMOKE=1`` shrinks sizes and
 repeats to milliseconds and skips the timing assertions (tiny inputs are
 noise-dominated).
@@ -43,7 +46,6 @@ import importlib.util
 import random
 import statistics
 import sys
-import time
 import tracemalloc
 from array import array
 from dataclasses import dataclass
@@ -53,8 +55,16 @@ from typing import Callable, Dict, List, Tuple
 from helpers import instance_reference
 from repro.datamodel import Atom, Constant, Database, Null, Variable
 from repro.evaluation.encoding import EncodedRelation, EncodedStore, TermEncoder
-from repro.reporting import BenchSnapshot
-from conftest import host_metadata, print_series, scaled_sizes, smoke_mode
+from conftest import (
+    BenchSnapshot,
+    fmt,
+    interleaved,
+    median_ratio,
+    print_series,
+    scaled_sizes,
+    smoke_mode,
+    summary,
+)
 
 #: Distinct terms, and answer pairs drawn from them (a ``serve_scan``
 #: answer: ~40k pairs over the ~12.5k terms of its encoder).
@@ -95,36 +105,6 @@ def _numpy():
     return numpy
 
 
-def _interleaved(
-    runs: Dict[str, Callable[[], object]], per: int = 1
-) -> Dict[str, List[float]]:
-    """``REPEATS`` samples of each run, in seconds per ``per``.
-
-    Every repeat takes the runs in turn, so a change of the host's speed
-    lands on all of them alike.  Each run starts right after a full
-    collection, so a collection left over from the previous run does not
-    land in it.
-    """
-    samples: Dict[str, List[float]] = {name: [] for name in runs}
-    for _ in range(REPEATS):
-        for name, run in runs.items():
-            gc.collect()
-            started = time.perf_counter()
-            run()
-            samples[name].append((time.perf_counter() - started) / per)
-    return samples
-
-
-def _summary(samples: List[float]) -> Dict[str, float]:
-    quartiles = statistics.quantiles(samples, n=4) if len(samples) > 1 else samples * 3
-    return {"median": statistics.median(samples), "q1": quartiles[0], "q3": quartiles[-1]}
-
-
-def _time(run: Callable[[], object], per: int = 1) -> Dict[str, float]:
-    """Median and quartiles over ``REPEATS`` runs, in seconds per ``per``."""
-    return _summary(_interleaved({"run": run}, per)["run"])
-
-
 def _collections(run: Callable[[], object]) -> Tuple[float, float]:
     """Median counts of collector runs that start inside one call, and in
     the ``gc.get_threshold()[0] - CALL_ALLOCATIONS`` tracked allocations
@@ -153,10 +133,6 @@ def _collections(run: Callable[[], object]) -> Tuple[float, float]:
     return statistics.median(inside), statistics.median(after)
 
 
-def _scaled(timing: Dict[str, float], factor: float) -> Dict[str, float]:
-    return {key: value * factor for key, value in timing.items()}
-
-
 def run_term_operations() -> Dict[str, object]:
     """Construction, hash and answer-set build: interned vs reference."""
     if "ops" in _CACHE:
@@ -175,23 +151,26 @@ def run_term_operations() -> Dict[str, object]:
         for index in range(TERMS):
             Null(prefix + str(index))
 
-    ns = 1e9
-    row: Dict[str, object] = {
-        "terms": TERMS,
-        "pairs": PAIRS,
-        "hit_ns": _scaled(_time(lambda: [Constant(name) for name in names], TERMS), ns),
-        "miss_ns": _scaled(_time(misses, TERMS), ns),
-        "reference_construct_ns": _scaled(
-            _time(lambda: [ValueConstant(name) for name in names], TERMS), ns
-        ),
-        "hash_ns": _scaled(_time(lambda: [hash(term) for term in interned], TERMS), ns),
-        "reference_hash_ns": _scaled(
-            _time(lambda: [hash(term) for term in reference], TERMS), ns
-        ),
-        "set_ms": _scaled(_time(lambda: set(interned_pairs)), 1e3),
-        "reference_set_ms": _scaled(_time(lambda: set(reference_pairs)), 1e3),
-    }
-    row["set_speedup"] = row["reference_set_ms"]["median"] / row["set_ms"]["median"]
+    per_term = interleaved(
+        {
+            "hit_ns": lambda: [Constant(name) for name in names],
+            "reference_construct_ns": lambda: [ValueConstant(name) for name in names],
+            "miss_ns": misses,
+            "hash_ns": lambda: [hash(term) for term in interned],
+            "reference_hash_ns": lambda: [hash(term) for term in reference],
+        },
+        REPEATS,
+        per=TERMS * 1e-9,
+    )
+    sets = interleaved(
+        {"set_ms": lambda: set(interned_pairs), "reference_set_ms": lambda: set(reference_pairs)},
+        REPEATS,
+        per=1e-3,
+    )
+    row: Dict[str, object] = {"terms": TERMS, "pairs": PAIRS}
+    for samples in (per_term, sets):
+        row.update((name, summary(taken)) for name, taken in samples.items())
+    row["set_speedup"] = median_ratio(sets["reference_set_ms"], sets["set_ms"])
     _CACHE["ops"] = row
     return row
 
@@ -218,13 +197,8 @@ def run_decode() -> Dict[str, object]:
         return _CACHE["decode"]
     head = (Variable("x"), Variable("y"))
     array_relation = _answer_relation(use_numpy=False)
-    row: Dict[str, object] = {
-        "terms": TERMS,
-        "rows": PAIRS,
-        "answer_tuples_array_ms": _scaled(
-            _time(lambda: array_relation.answer_tuples(head)), 1e3
-        ),
-    }
+    runs = {"answer_tuples_array_ms": lambda: array_relation.answer_tuples(head)}
+    row: Dict[str, object] = {"terms": TERMS, "rows": PAIRS}
     (
         row["answer_tuples_array_collections"],
         row["answer_tuples_array_collections_after"],
@@ -240,20 +214,17 @@ def run_decode() -> Dict[str, object]:
             built[:] = terms
             return built
 
-        row["answer_tuples_numpy_ms"] = _scaled(
-            _time(lambda: numpy_relation.answer_tuples(head)), 1e3
-        )
+        runs["answer_tuples_numpy_ms"] = lambda: numpy_relation.answer_tuples(head)
+        runs["fromiter_ms"] = lambda: numpy.fromiter(terms, dtype=object, count=len(terms))
+        runs["slice_assign_ms"] = slice_assigned
         (
             row["answer_tuples_numpy_collections"],
             row["answer_tuples_numpy_collections_after"],
         ) = _collections(lambda: numpy_relation.answer_tuples(head))
-        row["fromiter_ms"] = _scaled(
-            _time(lambda: numpy.fromiter(terms, dtype=object, count=len(terms))), 1e3
-        )
-        row["slice_assign_ms"] = _scaled(_time(slice_assigned), 1e3)
-        row["fromiter_speedup"] = (
-            row["slice_assign_ms"]["median"] / row["fromiter_ms"]["median"]
-        )
+    samples = interleaved(runs, REPEATS, per=1e-3)
+    row.update((name, summary(taken)) for name, taken in samples.items())
+    if numpy is not None:
+        row["fromiter_speedup"] = median_ratio(samples["slice_assign_ms"], samples["fromiter_ms"])
     _CACHE["decode"] = row
     return row
 
@@ -306,17 +277,14 @@ def run_ingest() -> Dict[str, object]:
         loaded = _load(Database, atoms)
         row[f"{name}_facts"] = len(loaded)
         row[f"{name}_index_built_after_load"] = loaded._by_term is not None
-        samples = _interleaved(
+        samples = interleaved(
             {kind: functools.partial(_load, make, atoms) for kind, make in makers.items()},
-            len(atoms),
+            REPEATS,
+            per=len(atoms) * 1e-6,
         )
         for kind, taken in samples.items():
-            row[f"{name}_{kind}_us_per_add"] = _scaled(_summary(taken), 1e6)
-        # The median of the per-repeat ratios: each pair of loads ran back
-        # to back, so the host's speed drifts out of the ratio.
-        row[f"{name}_speedup"] = statistics.median(
-            eager / lazy for eager, lazy in zip(samples["eager"], samples["lazy"])
-        )
+            row[f"{name}_{kind}_us_per_add"] = summary(taken)
+        row[f"{name}_speedup"] = median_ratio(samples["eager"], samples["lazy"])
         if name == "chain":
             for kind, make in makers.items():
                 row[f"chain_{kind}_peak_mb"] = _traced_peak_mb(lambda: _load(make, atoms))
@@ -333,7 +301,6 @@ def run_ingest() -> Dict[str, object]:
 
 def _write_snapshot() -> None:
     snapshot = BenchSnapshot("terms")
-    snapshot.record("host", host_metadata())
     snapshot.record("repeats", REPEATS)
     snapshot.record("term_operations", run_term_operations())
     snapshot.record("decode", run_decode())
@@ -341,25 +308,23 @@ def _write_snapshot() -> None:
     snapshot.write()
 
 
-def _median(row: Dict[str, object], key: str, digits: int = 1) -> str:
-    timing = row.get(key)
-    return "-" if timing is None else f"{timing['median']:.{digits}f}"
-
-
 def test_interned_terms_hash_and_build_answer_sets_faster():
     row = run_term_operations()
     print_series(
         f"term operations over {row['terms']} terms (median of {REPEATS})",
         [
-            ("construct hit", _median(row, "hit_ns"), _median(row, "reference_construct_ns"), "ns"),
-            ("construct miss", _median(row, "miss_ns"), "-", "ns"),
-            ("hash", _median(row, "hash_ns"), _median(row, "reference_hash_ns"), "ns"),
             (
-                f"set of {row['pairs']} pairs",
-                _median(row, "set_ms", 2),
-                _median(row, "reference_set_ms", 2),
-                "ms",
-            ),
+                operation,
+                fmt(row[interned]["median"], digits=digits),
+                "-" if reference is None else fmt(row[reference]["median"], digits=digits),
+                unit,
+            )
+            for operation, interned, reference, digits, unit in (
+                ("construct hit", "hit_ns", "reference_construct_ns", 1, "ns"),
+                ("construct miss", "miss_ns", None, 1, "ns"),
+                ("hash", "hash_ns", "reference_hash_ns", 1, "ns"),
+                (f"set of {row['pairs']} pairs", "set_ms", "reference_set_ms", 2, "ms"),
+            )
         ],
         header=("operation", "interned", "value-hashed", "unit"),
     )
@@ -381,18 +346,28 @@ def test_decode_builds_its_term_array_with_fromiter():
         [
             (
                 "answer_tuples, array('q')",
-                _median(row, "answer_tuples_array_ms", 2),
+                fmt(row["answer_tuples_array_ms"]["median"], digits=2),
                 row["answer_tuples_array_collections"],
                 row["answer_tuples_array_collections_after"],
             ),
             (
                 "answer_tuples, numpy",
-                _median(row, "answer_tuples_numpy_ms", 2),
+                fmt(row.get("answer_tuples_numpy_ms", {}).get("median"), digits=2),
                 row.get("answer_tuples_numpy_collections", "-"),
                 row.get("answer_tuples_numpy_collections_after", "-"),
             ),
-            ("term array, numpy.fromiter", _median(row, "fromiter_ms", 3), "-", "-"),
-            ("term array, slice assignment", _median(row, "slice_assign_ms", 3), "-", "-"),
+            (
+                "term array, numpy.fromiter",
+                fmt(row.get("fromiter_ms", {}).get("median"), digits=3),
+                "-",
+                "-",
+            ),
+            (
+                "term array, slice assignment",
+                fmt(row.get("slice_assign_ms", {}).get("median"), digits=3),
+                "-",
+                "-",
+            ),
         ],
         header=("step", "ms", "collections per call", "collections after"),
     )
@@ -412,8 +387,8 @@ def test_loading_leaves_the_term_index_unbuilt():
         [
             (
                 f"{name}, {row[f'{name}_facts']} facts",
-                _median(row, f"{name}_lazy_us_per_add", 2),
-                _median(row, f"{name}_eager_us_per_add", 2),
+                fmt(row[f"{name}_lazy_us_per_add"]["median"], digits=2),
+                fmt(row[f"{name}_eager_us_per_add"]["median"], digits=2),
                 "µs",
             )
             for name in ("chain", "cold_tgds")
@@ -421,11 +396,11 @@ def test_loading_leaves_the_term_index_unbuilt():
         + [
             (
                 "chain, loaded",
-                f"{row['chain_lazy_peak_mb']:.1f}",
-                f"{row['chain_eager_peak_mb']:.1f}",
+                fmt(row["chain_lazy_peak_mb"], digits=1),
+                fmt(row["chain_eager_peak_mb"], digits=1),
                 "MB",
             ),
-            ("chain, loaded and indexed", f"{row['chain_lazy_indexed_peak_mb']:.1f}", "-", "MB"),
+            ("chain, loaded and indexed", fmt(row["chain_lazy_indexed_peak_mb"], digits=1), "-", "MB"),
         ],
         header=("load", "lazy term index", "eager term index", "unit"),
     )

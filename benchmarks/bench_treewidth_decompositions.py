@@ -24,7 +24,6 @@ from repro.hypergraph import (
     treewidth_exact,
 )
 from repro.queries import gaifman_graph_of_instance
-from repro.reporting import BenchSnapshot
 from repro.workloads.generators import cycle_query
 from repro.workloads.paper_examples import (
     example2_query,
@@ -32,7 +31,7 @@ from repro.workloads.paper_examples import (
     example4_key,
     example4_scaled_query,
 )
-from conftest import host_metadata, print_series, scaled_sizes
+from conftest import BenchSnapshot, print_series, scaled_sizes
 
 
 @pytest.mark.parametrize("n", scaled_sizes([3, 5, 7], [3]))
@@ -151,7 +150,6 @@ def test_decomposition_route_width_stays_constant_on_growing_cycles():
         header=("cycle length", "route width", "bags", "facts"),
     )
     snapshot = BenchSnapshot("treewidth_decompositions")
-    snapshot.record("host", host_metadata())
     snapshot.record("cycle_lengths", [row["length"] for row in rows])
     snapshot.record("route_widths", [row["width"] for row in rows])
     for row in rows:

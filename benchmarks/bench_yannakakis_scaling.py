@@ -36,9 +36,17 @@ from helpers import tuple_engine
 from helpers.yannakakis_dict import DictYannakakisEvaluator
 from repro.evaluation import ScanCache, YannakakisEvaluator
 from repro.evaluation.relation import Partition
-from repro.reporting import BenchSnapshot
 from repro.workloads.generators import yannakakis_scaling_workload
-from conftest import print_series, scaled_sizes, smoke_mode
+from conftest import (
+    BenchSnapshot,
+    fmt,
+    growth,
+    interleaved,
+    print_series,
+    scaled_sizes,
+    smoke_mode,
+    timed,
+)
 
 
 FULL_SIZES = [250, 500, 1000, 2000]
@@ -54,16 +62,6 @@ MAX_LINEAR_GROWTH = 3.0
 #: The columnar engine must beat the tuple-at-a-time oracle by at least
 #: this factor at the largest non-smoke size.
 MIN_BACKEND_SPEEDUP = 3.0
-
-
-def _best_of(run, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall time of ``run()`` (seconds)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def run_scaling(
@@ -86,7 +84,7 @@ def run_scaling(
         )
         hash_evaluator = YannakakisEvaluator(query)
         answers = hash_evaluator.evaluate(database)
-        hash_time = _best_of(lambda: hash_evaluator.evaluate(database), repeats)
+        hash_time = timed(lambda: hash_evaluator.evaluate(database), repeats)["min"]
 
         dict_time: Optional[float] = None
         if include_dict:
@@ -110,34 +108,20 @@ def run_scaling(
     return rows
 
 
-def _growth(rows: List[Dict[str, object]], key: str) -> List[Optional[float]]:
-    factors: List[Optional[float]] = [None]
-    for previous, current in zip(rows, rows[1:]):
-        if previous[key] and current[key] is not None:
-            factors.append(current[key] / previous[key])  # type: ignore[operator]
-        else:
-            factors.append(None)
-    return factors
-
-
-def _format(value: Optional[float], unit: str = "") -> str:
-    return "—" if value is None else f"{value:.4f}{unit}"
-
-
 def test_hash_engine_linear_dict_engine_quadratic():
     rows = run_scaling()
-    hash_growth = _growth(rows, "hash_time")
-    dict_growth = _growth(rows, "dict_time")
+    hash_growth = growth(rows, "hash_time")
+    dict_growth = growth(rows, "dict_time")
     print_series(
         "E15b: Yannakakis scaling (hash relations vs assignment dicts)",
         [
             (
                 row["size"],
                 row["answers"],
-                _format(row["hash_time"], "s"),
-                _format(hg, "×"),
-                _format(row["dict_time"], "s"),
-                _format(dg, "×"),
+                fmt(row["hash_time"], "s"),
+                fmt(hg, "×"),
+                fmt(row["dict_time"], "s"),
+                fmt(dg, "×"),
             )
             for row, hg, dg in zip(rows, hash_growth, dict_growth)
         ],
@@ -188,12 +172,14 @@ def test_columnar_backend_speedup():
         engine_answers = evaluator.evaluate(database, scans=scans)
         engine_probes = Partition.total_probes - before
         assert engine_answers == answers  # differential oracle
-        oracle_time = _best_of(
-            lambda: tuple_engine.evaluate(evaluator, database), repeats=5
+        samples = interleaved(
+            {
+                "oracle": lambda: tuple_engine.evaluate(evaluator, database),
+                "engine": lambda: evaluator.evaluate(database, scans=scans),
+            },
+            repeats=5,
         )
-        engine_time = _best_of(
-            lambda: evaluator.evaluate(database, scans=scans), repeats=5
-        )
+        oracle_time, engine_time = min(samples["oracle"]), min(samples["engine"])
         rows.append(
             {
                 "size": len(database),
@@ -210,9 +196,9 @@ def test_columnar_backend_speedup():
             (
                 row["size"],
                 row["answers"],
-                _format(row["oracle_time"], "s"),
-                _format(row["engine_time"], "s"),
-                _format(row["ratio"], "×"),
+                fmt(row["oracle_time"], "s"),
+                fmt(row["engine_time"], "s"),
+                fmt(row["ratio"], "×"),
                 row["engine_probes"],
             )
             for row in rows
@@ -224,8 +210,8 @@ def test_columnar_backend_speedup():
     snapshot.record("sizes", [row["size"] for row in rows])
     snapshot.record("oracle_ratios", [row["ratio"] for row in rows])
     snapshot.record("ratio_at_largest", rows[-1]["ratio"])
-    snapshot.record("oracle_growth", _growth(rows, "oracle_time"))
-    snapshot.record("engine_growth", _growth(rows, "engine_time"))
+    snapshot.record("oracle_growth", growth(rows, "oracle_time"))
+    snapshot.record("engine_growth", growth(rows, "engine_time"))
     for row in rows:
         snapshot.add_row("curve", row)
     snapshot.write()

@@ -46,10 +46,10 @@ Thirteen rules, each encoding a convention the codebase actually relies on:
    once per call: a kernel counts its probes after its loop, so the
    bookkeeping never costs per element.  ``Partition.get``'s single
    ``add_probes(1)`` is a call of its own and stays legal.
-9. **Every environment knob is deliberate** — the ``REPRO_*`` names that
-   ``src/`` reads from the environment (``os.environ.get``/``[...]``/``in``,
-   ``os.getenv``, by literal or by a module-level string constant) are
-   exactly :data:`ENVIRONMENT_KNOBS`.  Each knob is one more execution
+9. **Every environment knob is deliberate** — the names that ``src/``
+   reads from the environment (``os.environ.get``/``[...]``/``in``,
+   ``os.getenv``, by literal or by a module-level string constant), under
+   any prefix, are exactly :data:`ENVIRONMENT_KNOBS`.  Each knob is one more execution
    path to test, so a new one needs an edit here; a key the rule cannot
    resolve to a string is flagged too.
 10. **Every export has a user** — each name in the ``__all__`` of a
@@ -432,7 +432,7 @@ def check_probe_counts(sources: Optional[Dict[str, str]] = None) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# Rule 9: the REPRO_* environment knobs src/ reads are a fixed set
+# Rule 9: the environment variables src/ reads are a fixed set
 # ----------------------------------------------------------------------
 #: ``REPRO_VERIFY`` statically verifies every emitted plan;
 #: ``REPRO_NUMPY`` selects the numpy column storage.
@@ -500,7 +500,7 @@ def check_environment_knobs(sources: Optional[Dict[str, str]] = None) -> List[st
                     f"{name}:{line}: reads an environment variable whose name "
                     "is not a string constant (name it, so the knob is visible)"
                 )
-            elif value.startswith("REPRO_"):
+            else:
                 knobs.add(value)
                 if value not in ENVIRONMENT_KNOBS:
                     violations.append(

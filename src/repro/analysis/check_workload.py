@@ -109,7 +109,8 @@ def _special_edge_cycle(graph: PositionGraph) -> Optional[List[Position]]:
     return None
 
 
-def _split(dependencies: Sequence[Dependency]) -> Tuple[List[TGD], List[EGD]]:
+def split_dependencies(dependencies: Sequence[Dependency]) -> Tuple[List[TGD], List[EGD]]:
+    """The tgds and the egds of ``dependencies``, each in their order."""
     tgds = [d for d in dependencies if isinstance(d, TGD)]
     egds = [d for d in dependencies if isinstance(d, EGD)]
     return tgds, egds
@@ -260,7 +261,7 @@ def check_dependencies(
 ) -> List[Diagnostic]:
     """All dependency-level diagnostics: arities, termination, stickiness."""
     diagnostics: List[Diagnostic] = []
-    tgds, _ = _split(dependencies)
+    tgds, _ = split_dependencies(dependencies)
     diagnostics.extend(
         _check_arity_clashes(
             [_dependency_atoms(d) for d in dependencies], context="dependencies"
@@ -337,7 +338,7 @@ def check_workload(
     query atoms clashing with each other — so the per-query/per-dependency
     passes skip their local WKL002 re-detection here.
     """
-    _, egds = _split(dependencies)
+    _, egds = split_dependencies(dependencies)
     groups: List[List[Atom]] = [list(q.body) for q in queries]
     groups.extend(_dependency_atoms(d) for d in dependencies)
     diagnostics = _check_arity_clashes(groups, context="workload")

@@ -48,6 +48,7 @@ import sys
 from pathlib import Path
 from typing import IO, List, Optional, Sequence, Union
 
+from .analysis.check_workload import split_dependencies
 from .chase import chase, chase_query, egd_chase, egd_chase_query
 from .core import (
     SemAcConfig,
@@ -113,12 +114,6 @@ def load_query(query_text: Optional[str], query_file: Optional[str]):
     return parse_query(query_text)
 
 
-def _split_dependencies(dependencies: Sequence[Dependency]):
-    tgds = [d for d in dependencies if isinstance(d, TGD)]
-    egds = [d for d in dependencies if isinstance(d, EGD)]
-    return tgds, egds
-
-
 def _route(query, dependencies: Sequence[Dependency], engine: str):
     """The route ``evaluate``, ``explain`` and ``check`` all take.
 
@@ -126,7 +121,7 @@ def _route(query, dependencies: Sequence[Dependency], engine: str):
     cyclic query that ``auto`` would send to the decomposition route runs
     on the egd decider's acyclic witness instead.
     """
-    tgds, egds = _split_dependencies(dependencies)
+    tgds, egds = split_dependencies(dependencies)
     try:
         route, evaluator = resolve_route(query, tgds=tgds, engine=engine)
     except (AcyclicityRequired, NotSemanticallyAcyclic) as error:
@@ -146,7 +141,7 @@ def _cmd_classify(args: argparse.Namespace, out: IO[str]) -> int:
     if not dependencies:
         print("no dependencies given", file=out)
         return 1
-    tgds, egds = _split_dependencies(dependencies)
+    tgds, egds = split_dependencies(dependencies)
     if tgds:
         classes = classify(tgds)
         print(f"tgds: {len(tgds)}", file=out)
@@ -160,7 +155,7 @@ def _cmd_classify(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_decide(args: argparse.Namespace, out: IO[str]) -> int:
     query = load_query(args.query, args.query_file)
     dependencies = load_dependencies(args.constraints, args.dependency)
-    tgds, egds = _split_dependencies(dependencies)
+    tgds, egds = split_dependencies(dependencies)
     if tgds and egds:
         raise SystemExit("mixing tgds and egds in one decision is not supported")
     config = SemAcConfig(exhaustive=args.exhaustive)
@@ -177,7 +172,7 @@ def _cmd_decide(args: argparse.Namespace, out: IO[str]) -> int:
 
 def _cmd_chase(args: argparse.Namespace, out: IO[str]) -> int:
     dependencies = load_dependencies(args.constraints, args.dependency)
-    tgds, egds = _split_dependencies(dependencies)
+    tgds, egds = split_dependencies(dependencies)
     if args.data:
         source: Union[Database, None] = load_database(args.data)
         if tgds:
@@ -207,7 +202,7 @@ def _cmd_chase(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_rewrite(args: argparse.Namespace, out: IO[str]) -> int:
     query = load_query(args.query, args.query_file)
     dependencies = load_dependencies(args.constraints, args.dependency)
-    tgds, egds = _split_dependencies(dependencies)
+    tgds, egds = split_dependencies(dependencies)
     if egds:
         raise SystemExit("rewriting is defined for tgds only")
     rewriting = rewrite(query, tgds)
@@ -221,7 +216,7 @@ def _cmd_rewrite(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_approximate(args: argparse.Namespace, out: IO[str]) -> int:
     query = load_query(args.query, args.query_file)
     dependencies = load_dependencies(args.constraints, args.dependency)
-    tgds, _ = _split_dependencies(dependencies)
+    tgds, _ = split_dependencies(dependencies)
     result = acyclic_approximations(query, tgds)
     approximations = list(result.approximations)
     print(f"approximations: {len(approximations)}", file=out)
@@ -276,7 +271,7 @@ def _cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
 
     database = load_database(args.data)
     dependencies = load_dependencies(args.constraints, args.dependency)
-    tgds, _ = _split_dependencies(dependencies)
+    tgds, _ = split_dependencies(dependencies)
     service = QueryService(database)
     text = Path(args.session).read_text(encoding="utf-8")
     for raw_line in text.splitlines():

@@ -235,10 +235,12 @@ class ScanCache:
         retracting them, keeping every cached encoded store valid — so this
         sweep exists to make the drift observable.  Terms encoded from query
         constants that never occurred in the database also count as dead.
-        ``O(encoded terms)``; bumps ``dead_code_sweeps``.
+        ``O(facts + encoded terms)``: the live terms come from one pass over
+        the facts, so the sweep builds no per-term index.  Bumps
+        ``dead_code_sweeps``.
         """
         self.dead_code_sweeps += 1
-        return self.encoder.dead_codes(self.database.active_domain())
+        return self.encoder.dead_codes({term for atom in self.database for term in atom.terms})
 
     # ------------------------------------------------------------------
     def base_relation(self, predicate: Predicate) -> Relation:

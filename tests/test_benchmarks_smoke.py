@@ -5,10 +5,13 @@ are named ``bench_*.py``), so an import error or a stale API use in a
 benchmark would only surface at the next explicit benchmark run.  This
 module imports every benchmark with ``BENCH_SMOKE=1`` (see
 ``benchmarks/conftest.py``) and executes the scaling benchmark's measurement
-loop at toy sizes, keeping the whole check well under a second.
+loop at toy sizes, keeping the whole check well under a second.  It also
+pins the harness's snapshot writer, ``BenchSnapshot``: silent in smoke
+runs, and a stable file with a host block otherwise.
 """
 
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
@@ -65,6 +68,52 @@ def smoke_benchmarks(monkeypatch):
             sys.modules["conftest"] = saved
         else:
             sys.modules.pop("conftest", None)
+
+
+@pytest.fixture
+def harness(smoke_benchmarks, monkeypatch, tmp_path):
+    """``benchmarks/conftest.py`` in smoke mode, run from an empty directory
+    and with no snapshot directory set."""
+    monkeypatch.delenv("BENCH_SNAPSHOT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    return sys.modules["conftest"]
+
+
+def _snapshot(harness):
+    snapshot = harness.BenchSnapshot("probe")
+    snapshot.record("sizes", [3, 1, 2])
+    snapshot.add_row("curve", {"size": 1, "time": 0.5})
+    return snapshot
+
+
+def test_smoke_runs_write_no_snapshot(harness, tmp_path):
+    assert _snapshot(harness).write() is None
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_snapshot_carries_its_host_with_sorted_keys(harness, monkeypatch, tmp_path):
+    monkeypatch.setenv("BENCH_SNAPSHOT_DIR", str(tmp_path / "snapshots"))
+    path = _snapshot(harness).write()
+    assert path == tmp_path / "snapshots" / "BENCH_probe.json"
+    text = path.read_text()
+    payload = json.loads(text)
+    assert text.endswith("}\n")
+    assert set(payload["host"]) == {"cores", "python", "numpy", "machine", "commit", "dirty"}
+    for block in (payload, payload["host"], payload["curve"][0]):
+        assert list(block) == sorted(block)
+    assert payload["sizes"] == [3, 1, 2]
+
+
+def test_two_writes_of_one_payload_are_byte_identical(harness, tmp_path):
+    snapshot = _snapshot(harness)
+    first = snapshot.write(tmp_path / "a").read_bytes()
+    assert snapshot.write(tmp_path / "b").read_bytes() == first
+
+
+@pytest.mark.parametrize("name", ["a/b", "a\\b", ""])
+def test_a_snapshot_name_with_a_path_separator_raises(harness, name):
+    with pytest.raises(ValueError):
+        harness.BenchSnapshot(name)
 
 
 def test_benchmark_directory_is_nonempty():

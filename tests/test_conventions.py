@@ -190,9 +190,11 @@ def knobs(prefix):
     return numpy, shadow, fast, os.getenv(SNAPSHOTS), os.getenv(prefix + "VERIFY")
 """
     violations = _lint_module().check_environment_knobs({"knobs.py": snippet})
-    assert len(violations) == 5
+    assert len(violations) == 6
     assert any("knobs.py:10: reads the unlisted knob REPRO_SHADOW" in v for v in violations)
     assert sum("knobs.py:11: reads the unlisted knob REPRO_FAST" in v for v in violations) == 2
+    # Any prefix counts: a BENCH_* read under src/ is a knob too.
+    assert any("knobs.py:12: reads the unlisted knob BENCH_SNAPSHOT_DIR" in v for v in violations)
     assert any("knobs.py:12: reads an environment variable whose name" in v for v in violations)
     # The snippet never reads REPRO_VERIFY, so the set names a dead knob.
     assert any("lists REPRO_VERIFY, which src/ no longer reads" in line for line in violations)

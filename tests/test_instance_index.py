@@ -11,7 +11,9 @@ These tests pin that:
   and after the writes;
 * a loaded database served by ``QueryService`` and ``evaluate_iter`` under
   tgds never builds the index, and a first read afterwards sees every
-  write, a discard followed by a re-add of the same atom included.
+  write, a discard followed by a re-add of the same atom included;
+* the service's dead-code sweep counts what the eager active domain
+  counts, and builds no index either.
 """
 
 import random
@@ -240,3 +242,21 @@ def test_serving_a_loaded_database_leaves_the_term_index_unbuilt():
     }
     assert database.active_domain() == eager.active_domain()
     assert list(database.atoms_with_term(moved.terms[0]))[-1] == moved
+
+
+def test_the_dead_code_sweep_leaves_the_term_index_unbuilt():
+    facts = closed_graph()
+    database = Database(facts)
+    service = QueryService(database)
+    path = parse_query("q(x, z) :- E(x, y), N_0(y, z)")
+    service.submit(path)
+    gone = facts[0].terms[0]
+    eager = reference.Instance(facts)
+    for atom in facts:
+        if gone in atom.terms:
+            assert service.delete(atom)
+            eager.discard(atom)
+    service.submit(path)
+    dead = service.scans.dead_codes()
+    assert not term_index_built(database)
+    assert dead == service.scans.encoder.dead_codes(eager.active_domain()) > 0
