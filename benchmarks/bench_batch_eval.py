@@ -37,7 +37,15 @@ import pytest
 
 from repro.evaluation import ScanCache, resolve_route
 from repro.workloads.generators import shared_predicate_batch_workload
-from conftest import BenchSnapshot, fmt, growth, print_series, scaled_sizes, smoke_mode, timed
+from conftest import (
+    BenchSnapshot,
+    fmt,
+    growth,
+    print_series,
+    scaled_sizes,
+    smoke_mode,
+    timed,
+)
 
 
 FULL_BATCHES = [8, 16, 32, 64]

@@ -164,16 +164,12 @@ def test_semac_search_on_guarded_closing_and_plain_shapes():
         query = parse_query(text)
         tgds = [parse_tgd(rule) for rule in SEARCH_TGDS[family]]
         config = SemAcConfig()
-        pruned = decide_semantic_acyclicity_tgds(query, tgds, config)
-        reference = decide_tgds_unpruned(query, tgds, config)
-        samples = interleaved(
-            {
-                "pruned": lambda: decide_semantic_acyclicity_tgds(query, tgds, config),
-                "reference": lambda: decide_tgds_unpruned(query, tgds, config),
-            },
-            SEARCH_REPEATS,
-            per=1e-3,
-        )
+        runs = {
+            "pruned": lambda: decide_semantic_acyclicity_tgds(query, tgds, config),
+            "reference": lambda: decide_tgds_unpruned(query, tgds, config),
+        }
+        pruned, reference = runs["pruned"](), runs["reference"]()
+        samples = interleaved(runs, SEARCH_REPEATS, per=1e-3)
         acyclic = family in ("guarded", "closing")
         assert pruned.semantically_acyclic == reference.semantically_acyclic == acyclic
         if family == "unreachable":

@@ -400,7 +400,12 @@ def test_loading_leaves_the_term_index_unbuilt():
                 fmt(row["chain_eager_peak_mb"], digits=1),
                 "MB",
             ),
-            ("chain, loaded and indexed", fmt(row["chain_lazy_indexed_peak_mb"], digits=1), "-", "MB"),
+            (
+                "chain, loaded and indexed",
+                fmt(row["chain_lazy_indexed_peak_mb"], digits=1),
+                "-",
+                "MB",
+            ),
         ],
         header=("load", "lazy term index", "eager term index", "unit"),
     )

@@ -49,9 +49,9 @@ Thirteen rules, each encoding a convention the codebase actually relies on:
 9. **Every environment knob is deliberate** — the names that ``src/``
    reads from the environment (``os.environ.get``/``[...]``/``in``,
    ``os.getenv``, by literal or by a module-level string constant), under
-   any prefix, are exactly :data:`ENVIRONMENT_KNOBS`.  Each knob is one more execution
-   path to test, so a new one needs an edit here; a key the rule cannot
-   resolve to a string is flagged too.
+   any prefix, are exactly :data:`ENVIRONMENT_KNOBS`.  Each knob is one
+   more execution path to test, so a new one needs an edit here; a key
+   the rule cannot resolve to a string is flagged too.
 10. **Every export has a user** — each name in the ``__all__`` of a
     package ``__init__`` under ``src/repro`` is referenced somewhere
     besides its own definition and the ``__init__`` re-exports: in a
