@@ -77,8 +77,6 @@ from .core import (
     decide_semantic_acyclicity_fds,
     decide_semantic_acyclicity_tgds,
     decide_ucq_semantic_acyclicity,
-    find_acyclic_reformulation_tgds,
-    is_semantically_acyclic,
 )
 from .parser import (
     parse_atom,
@@ -142,10 +140,8 @@ __all__ = [
     "evaluate_generic",
     "evaluate_iter",
     "explain",
-    "find_acyclic_reformulation_tgds",
     "is_guarded_set",
     "is_non_recursive_set",
-    "is_semantically_acyclic",
     "is_sticky_set",
     "parse_atom",
     "parse_dependency",

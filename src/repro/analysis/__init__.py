@@ -7,7 +7,9 @@ Two passes over one diagnostic spine (:mod:`repro.analysis.diagnostics`):
   environment hook the evaluation seams call on every emitted plan.
 * :func:`check_workload` / :func:`check_query` / :func:`check_dependencies`
   — certify queries and dependency sets before any database is touched
-  (``WKL001``–``WKL008``), with explained chase-termination verdicts.
+  (``WKL001``–``WKL008``), with explained chase-termination verdicts;
+  ``repro check --data`` reports a query the router cannot route as
+  ``WKL009``.
 
 Both surface through the ``repro check`` CLI subcommand and the
 ``explain --verify`` flag.

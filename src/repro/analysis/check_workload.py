@@ -34,24 +34,21 @@ and never raise; ``repro check`` maps the worst severity to its exit code.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..chase.egd_chase import EGDChaseFailure, egd_chase_query
 from ..chase.termination import certify_termination
 from ..datamodel import Atom, Predicate, Schema
 from ..dependencies.egd import EGD
+from ..dependencies.fd import Dependency, split_constraints
 from ..dependencies.marking import compute_marking
 from ..dependencies.predicate_graph import (
     Position,
     PositionGraph,
     position_dependency_graph,
 )
-from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
 from .diagnostics import Diagnostic, Severity
-
-Dependency = Union[TGD, EGD]
-
 
 def _format_position(position: Position) -> str:
     predicate, index = position
@@ -107,19 +104,6 @@ def _special_edge_cycle(graph: PositionGraph) -> Optional[List[Position]]:
         path.reverse()  # target … back to source
         return [source] + path
     return None
-
-
-def split_dependencies(dependencies: Sequence[Dependency]) -> Tuple[List[TGD], List[EGD]]:
-    """The tgds and the egds of ``dependencies``, each in their order."""
-    tgds = [d for d in dependencies if isinstance(d, TGD)]
-    egds = [d for d in dependencies if isinstance(d, EGD)]
-    return tgds, egds
-
-
-def _dependency_atoms(dependency: Dependency) -> List[Atom]:
-    if isinstance(dependency, TGD):
-        return list(dependency.body) + list(dependency.head)
-    return list(dependency.body)
 
 
 # ----------------------------------------------------------------------
@@ -261,16 +245,16 @@ def check_dependencies(
 ) -> List[Diagnostic]:
     """All dependency-level diagnostics: arities, termination, stickiness."""
     diagnostics: List[Diagnostic] = []
-    tgds, _ = split_dependencies(dependencies)
+    tgds, _ = split_constraints(dependencies)
     diagnostics.extend(
         _check_arity_clashes(
-            [_dependency_atoms(d) for d in dependencies], context="dependencies"
+            [d.atoms() for d in dependencies], context="dependencies"
         )
     )
     if schema is not None:
         for dependency in dependencies:
             diagnostics.extend(
-                _check_against_schema(_dependency_atoms(dependency), schema)
+                _check_against_schema(dependency.atoms(), schema)
             )
     if tgds:
         certificate = certify_termination(tgds)
@@ -338,9 +322,9 @@ def check_workload(
     query atoms clashing with each other — so the per-query/per-dependency
     passes skip their local WKL002 re-detection here.
     """
-    _, egds = split_dependencies(dependencies)
-    groups: List[List[Atom]] = [list(q.body) for q in queries]
-    groups.extend(_dependency_atoms(d) for d in dependencies)
+    _, egds = split_constraints(dependencies)
+    groups: List[Sequence[Atom]] = [q.body for q in queries]
+    groups.extend(d.atoms() for d in dependencies)
     diagnostics = _check_arity_clashes(groups, context="workload")
     for query in queries:
         diagnostics.extend(

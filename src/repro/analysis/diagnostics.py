@@ -64,6 +64,7 @@ CODES: Dict[str, str] = {
     "WKL006": "chase termination certified",
     "WKL007": "tgd set is not sticky",
     "WKL008": "query body is disconnected (cross product)",
+    "WKL009": "no evaluation route (mixed tgds and egds, or an impossible forced route)",
 }
 
 

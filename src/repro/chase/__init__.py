@@ -16,7 +16,6 @@ from .egd_chase import (
     chased_query,
     egd_chase,
     egd_chase_query,
-    fd_chase_query,
 )
 from .guarded_forest import (
     GuardedChaseForest,
@@ -60,7 +59,6 @@ __all__ = [
     "egd_chase",
     "egd_chase_query",
     "egd_chase_preserves_acyclicity",
-    "fd_chase_query",
     "full_chase_size_bound",
     "guarded_chase_forest",
     "guarded_chase_join_tree",

@@ -14,7 +14,7 @@ distinct terms) and is unique up to null renaming, so no budgets are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..datamodel import (
     Atom,
@@ -26,7 +26,6 @@ from ..datamodel import (
     is_frozen_constant,
 )
 from ..dependencies.egd import EGD
-from ..dependencies.fd import FunctionalDependency, fds_to_egds
 from ..queries.cq import ConjunctiveQuery
 from ..queries.homomorphism import homomorphisms
 
@@ -157,15 +156,6 @@ def egd_chase_query(
     database, freezing = query.freeze()
     result = egd_chase(database, egds, on_failure=on_failure)
     return result, freezing
-
-
-def fd_chase_query(
-    query: ConjunctiveQuery,
-    fds: Iterable[FunctionalDependency],
-    on_failure: str = "raise",
-) -> Tuple[EGDChaseResult, Dict[Variable, Constant]]:
-    """Convenience wrapper: chase a CQ with functional dependencies."""
-    return egd_chase_query(query, fds_to_egds(fds), on_failure=on_failure)
 
 
 def chased_query(

@@ -46,30 +46,21 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import IO, List, Optional, Sequence, Union
+from typing import IO, List, Optional, Sequence
 
-from .analysis.check_workload import split_dependencies
-from .chase import chase, chase_query, egd_chase, egd_chase_query
+from .chase import chase, egd_chase
 from .core import (
     SemAcConfig,
     acyclic_approximations,
     decide_semantic_acyclicity,
 )
-from .datamodel import Database
-from .dependencies import EGD, TGD, classify, describe
+from .core.semantic_acyclicity import one_class
+from .datamodel import Database, Instance
+from .dependencies import Dependency, classify, describe, split_constraints
 from .parser import parse_atom, parse_dependency, parse_program, parse_query, strip_comment
 from .rewriting import rewrite
-from .evaluation import (
-    AcyclicityRequired,
-    NotSemanticallyAcyclic,
-    YannakakisEvaluator,
-    evaluate_generic,
-    resolve_route,
-)
+from .evaluation import evaluate_generic, resolve_route
 from .evaluation.semacyclic_eval import explain_route, verify_route
-
-
-Dependency = Union[TGD, EGD]
 
 
 # ----------------------------------------------------------------------
@@ -85,6 +76,13 @@ def load_dependencies(
         dependencies.extend(parse_program(text))
     for line in inline:
         dependencies.append(parse_dependency(line))
+    return dependencies
+
+
+def load_constraints(args: argparse.Namespace) -> List[Dependency]:
+    """Σ from ``--constraints`` and ``--dependency``; ``ValueError`` on a mix."""
+    dependencies = load_dependencies(args.constraints, args.dependency)
+    one_class(dependencies)
     return dependencies
 
 
@@ -114,25 +112,6 @@ def load_query(query_text: Optional[str], query_file: Optional[str]):
     return parse_query(query_text)
 
 
-def _route(query, dependencies: Sequence[Dependency], engine: str):
-    """The route ``evaluate``, ``explain`` and ``check`` all take.
-
-    :func:`resolve_route` reformulates under tgds only.  Under egds alone, a
-    cyclic query that ``auto`` would send to the decomposition route runs
-    on the egd decider's acyclic witness instead.
-    """
-    tgds, egds = split_dependencies(dependencies)
-    try:
-        route, evaluator = resolve_route(query, tgds=tgds, engine=engine)
-    except (AcyclicityRequired, NotSemanticallyAcyclic) as error:
-        raise SystemExit(str(error))
-    if route == "decomposition" and egds and not tgds and engine == "auto":
-        witness = decide_semantic_acyclicity(query, egds).witness
-        if witness is not None:
-            return "reformulated", YannakakisEvaluator(witness)
-    return route, evaluator
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
@@ -141,7 +120,7 @@ def _cmd_classify(args: argparse.Namespace, out: IO[str]) -> int:
     if not dependencies:
         print("no dependencies given", file=out)
         return 1
-    tgds, egds = split_dependencies(dependencies)
+    tgds, egds = split_constraints(dependencies)
     if tgds:
         classes = classify(tgds)
         print(f"tgds: {len(tgds)}", file=out)
@@ -155,11 +134,8 @@ def _cmd_classify(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_decide(args: argparse.Namespace, out: IO[str]) -> int:
     query = load_query(args.query, args.query_file)
     dependencies = load_dependencies(args.constraints, args.dependency)
-    tgds, egds = split_dependencies(dependencies)
-    if tgds and egds:
-        raise SystemExit("mixing tgds and egds in one decision is not supported")
     config = SemAcConfig(exhaustive=args.exhaustive)
-    decision = decide_semantic_acyclicity(query, tgds or egds, config)
+    decision = decide_semantic_acyclicity(query, dependencies, config)
     print(f"query: {query}", file=out)
     print(f"semantically acyclic: {decision.semantically_acyclic}", file=out)
     print(f"method: {decision.method}", file=out)
@@ -171,26 +147,17 @@ def _cmd_decide(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_chase(args: argparse.Namespace, out: IO[str]) -> int:
-    dependencies = load_dependencies(args.constraints, args.dependency)
-    tgds, egds = split_dependencies(dependencies)
+    tgds, egds = one_class(load_dependencies(args.constraints, args.dependency))
     if args.data:
-        source: Union[Database, None] = load_database(args.data)
-        if tgds:
-            result = chase(source, tgds, variant=args.variant, max_steps=args.max_steps)
-            instance, terminated = result.instance, result.terminated
-        else:
-            result = egd_chase(source, egds, on_failure="return")
-            instance, terminated = result.instance, not result.failed
+        source: Instance = load_database(args.data)
     else:
-        query = load_query(args.query, args.query_file)
-        if tgds:
-            result, _ = chase_query(
-                query, tgds, variant=args.variant, max_steps=args.max_steps
-            )
-            instance, terminated = result.instance, result.terminated
-        else:
-            result, _ = egd_chase_query(query, egds, on_failure="return")
-            instance, terminated = result.instance, not result.failed
+        source, _ = load_query(args.query, args.query_file).freeze()
+    if tgds:
+        result = chase(source, tgds, variant=args.variant, max_steps=args.max_steps)
+        instance, terminated = result.instance, result.terminated
+    else:
+        egd_result = egd_chase(source, egds, on_failure="return")
+        instance, terminated = egd_result.instance, not egd_result.failed
     print(f"terminated: {terminated}", file=out)
     print(f"atoms: {len(instance)}", file=out)
     if args.print_atoms:
@@ -202,7 +169,7 @@ def _cmd_chase(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_rewrite(args: argparse.Namespace, out: IO[str]) -> int:
     query = load_query(args.query, args.query_file)
     dependencies = load_dependencies(args.constraints, args.dependency)
-    tgds, egds = split_dependencies(dependencies)
+    tgds, egds = split_constraints(dependencies)
     if egds:
         raise SystemExit("rewriting is defined for tgds only")
     rewriting = rewrite(query, tgds)
@@ -216,8 +183,7 @@ def _cmd_rewrite(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_approximate(args: argparse.Namespace, out: IO[str]) -> int:
     query = load_query(args.query, args.query_file)
     dependencies = load_dependencies(args.constraints, args.dependency)
-    tgds, _ = split_dependencies(dependencies)
-    result = acyclic_approximations(query, tgds)
+    result = acyclic_approximations(query, dependencies)
     approximations = list(result.approximations)
     print(f"approximations: {len(approximations)}", file=out)
     for approximation in approximations:
@@ -228,7 +194,7 @@ def _cmd_approximate(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_evaluate(args: argparse.Namespace, out: IO[str]) -> int:
     query = load_query(args.query, args.query_file)
     database = load_database(args.data)
-    dependencies = load_dependencies(args.constraints, args.dependency)
+    dependencies = load_constraints(args)
     limit = args.limit
 
     if args.engine == "generic":
@@ -240,7 +206,7 @@ def _cmd_evaluate(args: argparse.Namespace, out: IO[str]) -> int:
             answers = answers[: max(0, limit)]
         how = "generic"
     else:
-        route, evaluator = _route(query, dependencies, args.engine)
+        route, evaluator = resolve_route(query, tgds=dependencies, engine=args.engine)
         how = "reformulated+yannakakis" if route == "reformulated" else route
         answers = sorted(evaluator.iter_answers(database, limit=limit), key=str)
 
@@ -270,8 +236,7 @@ def _cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
     from .service import QueryService
 
     database = load_database(args.data)
-    dependencies = load_dependencies(args.constraints, args.dependency)
-    tgds, _ = split_dependencies(dependencies)
+    dependencies = load_constraints(args)
     service = QueryService(database)
     text = Path(args.session).read_text(encoding="utf-8")
     for raw_line in text.splitlines():
@@ -283,7 +248,7 @@ def _cmd_serve(args: argparse.Namespace, out: IO[str]) -> int:
         if op == "?":
             query = parse_query(rest)
             answers = sorted(
-                service.stream(query, tgds=tgds, limit=args.limit),
+                service.stream(query, tgds=dependencies, limit=args.limit),
                 key=str,
             )
             print(f"? {query}", file=out)
@@ -353,8 +318,12 @@ def _cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
 
     route = None
     if database is not None and queries and not errors(diagnostics):
-        route, evaluator = _route(queries[0], dependencies, args.engine)
-        diagnostics.extend(verify_route(database, evaluator))
+        try:
+            route, evaluator = resolve_route(queries[0], tgds=dependencies, engine=args.engine)
+        except ValueError as error:
+            diagnostics.append(Diagnostic("WKL009", Severity.ERROR, f"no route: {error}"))
+        else:
+            diagnostics.extend(verify_route(database, evaluator))
 
     code = exit_code(diagnostics)
     if args.json:
@@ -395,8 +364,8 @@ def _cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_explain(args: argparse.Namespace, out: IO[str]) -> int:
     query = load_query(args.query, args.query_file)
     database = load_database(args.data)
-    dependencies = load_dependencies(args.constraints, args.dependency)
-    route, evaluator = _route(query, dependencies, args.engine)
+    dependencies = load_constraints(args)
+    route, evaluator = resolve_route(query, tgds=dependencies, engine=args.engine)
     report = explain_route(
         query,
         database,
@@ -572,11 +541,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None, out: Optional[IO[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    A ``ValueError`` from the library (a forced route that does not exist,
+    a Σ mixing tgds and egds, input that does not parse) exits with its
+    message.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     stream = out if out is not None else sys.stdout
-    return args.handler(args, stream)
+    try:
+        return args.handler(args, stream)
+    except ValueError as error:
+        raise SystemExit(str(error))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,18 +20,16 @@ outcome is three-valued, like the containment checks it generalises.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from ..chase.egd_chase import egd_chase
 from ..chase.tgd_chase import chase
 from ..datamodel import Constant, Instance, TermFactory, Variable, freeze_variable
 from ..dependencies.egd import EGD
+from ..dependencies.fd import Dependency, split_constraints
 from ..dependencies.tgd import TGD
 from ..queries.homomorphism import find_homomorphism
 from .constrained import ContainmentConfig, ContainmentOutcome, DEFAULT_CONFIG
-
-
-Dependency = Union[TGD, EGD]
 
 
 def _frozen_body(dependency: Dependency) -> Tuple[Instance, Dict[Variable, Constant]]:
@@ -117,8 +115,7 @@ def dependency_implied(
     the candidate's body is unsatisfiable on databases satisfying ``Σ``, so
     the implication holds vacuously.
     """
-    tgds = [d for d in sigma if isinstance(d, TGD)]
-    egds = [d for d in sigma if isinstance(d, EGD)]
+    tgds, egds = split_constraints(sigma)
     body_instance, freezing = _frozen_body(candidate)
     chased, substitution, failed, exhausted = _saturate(body_instance, tgds, egds, config)
     if failed:

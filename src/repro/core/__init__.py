@@ -9,8 +9,6 @@ from .semantic_acyclicity import (
     decide_semantic_acyclicity_fds,
     decide_semantic_acyclicity_tgds,
     decide_semantic_acyclicity_unconstrained,
-    find_acyclic_reformulation_tgds,
-    is_semantically_acyclic,
 )
 from .approximations import (
     ApproximationResult,
@@ -59,8 +57,6 @@ __all__ = [
     "decide_semantic_acyclicity_unconstrained",
     "decide_ucq_semantic_acyclicity",
     "direct_containment",
-    "find_acyclic_reformulation_tgds",
-    "is_semantically_acyclic",
     "pcp_query",
     "pcp_tgds",
     "proposition5_instance",

@@ -27,7 +27,7 @@ from .semantic_acyclicity import (
     SemAcConfig,
     chase_of_query,
     containment_test,
-    split_constraints,
+    one_class,
 )
 
 
@@ -72,7 +72,7 @@ def acyclic_approximations(
     max_candidates: int = 5_000,
 ) -> ApproximationResult:
     """Compute maximally contained acyclic CQs of ``query`` under ``constraints``."""
-    tgds, egds = split_constraints(constraints)
+    tgds, egds = one_class(constraints)
     contained = containment_test(tgds, egds, config)
     chase_result, _, answer = chase_of_query(query, tgds, egds, config)
     result = ApproximationResult(query=query)

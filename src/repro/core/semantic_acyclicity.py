@@ -75,7 +75,14 @@ from ..dependencies.classification import (
     is_sticky_set,
 )
 from ..dependencies.egd import EGD
-from ..dependencies.fd import FunctionalDependency, fds_to_egds, is_k2_set, all_unary
+from ..dependencies.fd import (
+    Constraints,
+    FunctionalDependency,
+    all_unary,
+    fds_to_egds,
+    is_k2_set,
+    split_constraints,
+)
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
 from ..queries.core_minimization import core
@@ -90,9 +97,6 @@ from ..rewriting.ucq_rewriting import (
     rewriting_contained_under_tgds,
 )
 from .candidates import SubInstanceLattice, exhaustive_chase_candidates, fast_candidates
-
-
-Constraints = Union[Sequence[TGD], Sequence[EGD], Sequence[FunctionalDependency]]
 
 
 @dataclass
@@ -153,21 +157,12 @@ class SemAcDecision:
 # ----------------------------------------------------------------------
 # Constraint sets of one kind
 # ----------------------------------------------------------------------
-def split_constraints(constraints: Constraints) -> Tuple[List[TGD], List[EGD]]:
-    """``Σ`` as its tgds and its egds (FDs become egds); ``Σ`` may not mix them."""
-    tgds: List[TGD] = []
-    egds: List[EGD] = []
-    for constraint in constraints:
-        if isinstance(constraint, TGD):
-            tgds.append(constraint)
-        elif isinstance(constraint, EGD):
-            egds.append(constraint)
-        elif isinstance(constraint, FunctionalDependency):
-            egds.extend(fds_to_egds([constraint]))
-        else:
-            raise TypeError(f"unsupported constraint type {type(constraint).__name__}")
+def one_class(constraints: Constraints) -> Tuple[List[TGD], List[EGD]]:
+    """:func:`~repro.dependencies.split_constraints` for a decision, which
+    takes one class: ``ValueError`` if ``Σ`` mixes tgds with egds or FDs."""
+    tgds, egds = split_constraints(constraints)
     if tgds and egds:
-        raise ValueError("mixing tgds and egds is not supported")
+        raise ValueError("mixing tgds and egds in one decision is not supported")
     return tgds, egds
 
 
@@ -536,16 +531,6 @@ def decide_semantic_acyclicity_tgds(
     )
 
 
-def find_acyclic_reformulation_tgds(
-    query: ConjunctiveQuery,
-    tgds: Sequence[TGD],
-    config: SemAcConfig = DEFAULT_SEMAC_CONFIG,
-) -> Optional[ConjunctiveQuery]:
-    """Return a verified acyclic CQ equivalent to ``query`` under ``tgds`` (or ``None``)."""
-    decision = decide_semantic_acyclicity_tgds(query, tgds, config)
-    return decision.witness
-
-
 # ----------------------------------------------------------------------
 # SemAc under egds
 # ----------------------------------------------------------------------
@@ -656,18 +641,9 @@ def decide_semantic_acyclicity(
     constraint_list = list(constraints)
     if not constraint_list:
         return decide_semantic_acyclicity_unconstrained(query)
-    tgds, egds = split_constraints(constraint_list)
+    tgds, egds = one_class(constraint_list)
     if tgds:
         return decide_semantic_acyclicity_tgds(query, tgds, config)
     if all(isinstance(c, FunctionalDependency) for c in constraint_list):
         return decide_semantic_acyclicity_fds(query, constraint_list, config)  # type: ignore[arg-type]
     return decide_semantic_acyclicity_egds(query, egds, config)
-
-
-def is_semantically_acyclic(
-    query: ConjunctiveQuery,
-    constraints: Constraints = (),
-    config: SemAcConfig = DEFAULT_SEMAC_CONFIG,
-) -> bool:
-    """Boolean convenience wrapper around :func:`decide_semantic_acyclicity`."""
-    return decide_semantic_acyclicity(query, constraints, config).semantically_acyclic

@@ -27,7 +27,7 @@ from .semantic_acyclicity import (
     SemAcDecision,
     containment_test,
     decide_semantic_acyclicity,
-    split_constraints,
+    one_class,
 )
 
 
@@ -54,7 +54,7 @@ def decide_ucq_semantic_acyclicity(
 ) -> UCQSemAcDecision:
     """Decide whether a UCQ is equivalent to a union of acyclic CQs under Σ."""
     constraint_list = list(constraints)
-    contained = containment_test(*split_constraints(constraint_list), config)
+    contained = containment_test(*one_class(constraint_list), config)
 
     decision = UCQSemAcDecision(semantically_acyclic=True, witness=None)
     witness_disjuncts: List[ConjunctiveQuery] = []

@@ -62,6 +62,10 @@ class EGD:
     def right(self) -> Variable:
         return self._right
 
+    def atoms(self) -> Tuple[Atom, ...]:
+        """The body atoms: the head is an equality, not an atom."""
+        return self._body
+
     def body_variables(self) -> Set[Variable]:
         return atoms_variables(self._body)
 

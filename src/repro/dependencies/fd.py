@@ -11,10 +11,11 @@ Theorem 23) and unary FDs (FDs with ``|A| = 1``, the Figueira extension).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List
+from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from ..datamodel import Atom, Predicate, Variable
 from .egd import EGD
+from .tgd import TGD
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,31 @@ def fds_to_egds(fds: Iterable[FunctionalDependency]) -> List[EGD]:
     for fd in fds:
         egds.extend(fd.to_egds())
     return egds
+
+
+#: One parsed dependency: a tgd or an egd.
+Dependency = Union[TGD, EGD]
+#: A constraint set Σ: tgds, or egds and FDs.
+Constraints = Union[Sequence[TGD], Sequence[EGD], Sequence[FunctionalDependency]]
+
+
+def split_constraints(constraints: Constraints) -> Tuple[List[TGD], List[EGD]]:
+    """``Σ`` as its tgds and its egds, each in order; FDs become their egds.
+
+    A mix comes back as is; ``TypeError`` on anything else.
+    """
+    tgds: List[TGD] = []
+    egds: List[EGD] = []
+    for constraint in constraints:
+        if isinstance(constraint, TGD):
+            tgds.append(constraint)
+        elif isinstance(constraint, EGD):
+            egds.append(constraint)
+        elif isinstance(constraint, FunctionalDependency):
+            egds.extend(constraint.to_egds())
+        else:
+            raise TypeError(f"unsupported constraint type {type(constraint).__name__}")
+    return tgds, egds
 
 
 def all_keys(fds: Iterable[FunctionalDependency]) -> bool:

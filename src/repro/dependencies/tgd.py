@@ -62,6 +62,10 @@ class TGD:
     def head(self) -> Tuple[Atom, ...]:
         return self._head
 
+    def atoms(self) -> Tuple[Atom, ...]:
+        """The body atoms, then the head atoms."""
+        return self._body + self._head
+
     def body_variables(self) -> FrozenSet[Variable]:
         """Variables occurring in the body (the ``x̄ ∪ ȳ`` of the definition)."""
         return self._body_variables
@@ -79,7 +83,7 @@ class TGD:
         return self._existential_variables
 
     def predicates(self) -> Set[Predicate]:
-        return atoms_predicates(self._body + self._head)
+        return atoms_predicates(self.atoms())
 
     def body_predicates(self) -> Set[Predicate]:
         return atoms_predicates(self._body)

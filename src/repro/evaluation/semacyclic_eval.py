@@ -17,7 +17,9 @@ Three routes are implemented:
 Route selection is shared: :func:`resolve_route` picks
 Yannakakis / reformulation / decomposition / flat-plan exactly once for
 :func:`evaluate_iter`, :func:`evaluate_batch`,
-:class:`repro.service.QueryService` and the CLI alike.  Every route comes
+:class:`repro.service.QueryService` and the CLI alike, under tgds, egds
+or FDs (Theorem 23 makes queries semantically acyclic under keys that are
+not acyclic otherwise).  Every route comes
 back as an evaluator with the same faces (the flat plan route's is a
 :class:`~repro.evaluation.join_plans.PlanEvaluator`), so callers run it
 without asking which route it is, and :func:`explain` pretty-prints
@@ -36,6 +38,7 @@ from ..chase.egd_chase import egd_chase_query
 from ..chase.tgd_chase import chase_query
 from ..datamodel import GroundTerm, Instance, Term
 from ..dependencies.egd import EGD
+from ..dependencies.fd import Constraints
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
 from .batch import ScanCache
@@ -68,23 +71,19 @@ RouteEvaluator = Union[YannakakisEvaluator, PlanEvaluator]
 
 def evaluate_via_reformulation(
     query: ConjunctiveQuery,
-    tgds: Sequence[TGD],
+    tgds: Constraints,
     database: Instance,
 ) -> Set[Tuple[Term, ...]]:
-    """The fpt algorithm of Proposition 24: reformulate, then run Yannakakis.
+    """The fpt algorithm of Proposition 24: reformulate under Σ (tgds, or
+    egds and FDs), then run Yannakakis; :func:`resolve_route`'s
+    ``engine="reformulation"``.
 
     Raises:
         NotSemanticallyAcyclic: if ``query`` has no acyclic reformulation
-            under ``tgds``.
+            under Σ.
     """
-    from ..core.semantic_acyclicity import find_acyclic_reformulation_tgds
-
-    reformulation = find_acyclic_reformulation_tgds(query, tgds)
-    if reformulation is None:
-        raise NotSemanticallyAcyclic(
-            f"{query.name} is not semantically acyclic under the given tgds"
-        )
-    return YannakakisEvaluator(reformulation).evaluate(database)
+    _, evaluator = resolve_route(query, tgds=tgds, engine="reformulation")
+    return evaluator.evaluate(database)
 
 
 def _route_verified(
@@ -109,19 +108,21 @@ def _route_verified(
 def resolve_route(
     query: ConjunctiveQuery,
     *,
-    tgds: Sequence[TGD] = (),
+    tgds: Constraints = (),
     engine: str = "auto",
 ) -> Tuple[str, RouteEvaluator]:
     """Pick the evaluation route for ``query`` (shared by every entry point).
 
-    Returns ``(route, evaluator)`` where ``route`` is one of
+    ``tgds`` is Σ: tgds, or egds and FDs.  Returns ``(route, evaluator)``
+    where ``route`` is one of
     ``"yannakakis"`` (the query is acyclic — ``evaluator`` runs it),
     ``"reformulated"`` (Proposition 24 — ``evaluator`` runs the acyclic
-    reformulation), ``"decomposition"`` (cyclic query — ``evaluator`` is a
+    reformulation, which equals the query on databases that satisfy Σ),
+    ``"decomposition"`` (cyclic query — ``evaluator`` is a
     :class:`~repro.evaluation.planner_dp.DecompositionEvaluator`
     materialising tree-decomposition bags and running Yannakakis over the
-    bag tree; it evaluates the query's core when the decision under the
-    tgds computed one, which is equivalent to the query on every database)
+    bag tree; it evaluates the query's core when the decision under Σ
+    computed one, which is equivalent to the query on every database)
     or ``"plan"`` (flat join-plan fallback, ``evaluator`` is a
     :class:`~repro.evaluation.join_plans.PlanEvaluator`, which plans on its
     first run; reached by forcing ``engine="plan"`` and by the nullary
@@ -134,14 +135,15 @@ def resolve_route(
     statically verified here too (:mod:`repro.analysis.verify_plan`), so an
     IR-contract violation surfaces at routing time as a
     :class:`~repro.analysis.PlanVerificationError`.  A query without atoms
-    takes the flat plan route whatever ``engine`` forces and whatever the
-    tgds: its one empty answer needs no join tree and no reformulation.
+    takes the flat plan route whatever ``engine`` forces and whatever Σ:
+    its one empty answer needs no join tree and no reformulation.
 
     Raises:
-        ValueError: for an unknown ``engine``.
+        ValueError: for an unknown ``engine``, and for a Σ mixing tgds
+            with egds or FDs when the route needs a decision.
         AcyclicityRequired: for ``engine="yannakakis"`` on a cyclic query.
-        NotSemanticallyAcyclic: for ``engine="reformulation"`` when the
-            tgds admit no acyclic reformulation.
+        NotSemanticallyAcyclic: for ``engine="reformulation"`` when Σ
+            admits no acyclic reformulation.
     """
     if engine not in ("auto", "yannakakis", "reformulation", "decomposition", "plan"):
         raise ValueError(
@@ -157,14 +159,14 @@ def resolve_route(
     # route evaluates it instead.
     core: Optional[ConjunctiveQuery] = None
     if engine == "reformulation" or (engine == "auto" and tgds):
-        from ..core.semantic_acyclicity import decide_semantic_acyclicity_tgds
+        from ..core.semantic_acyclicity import decide_semantic_acyclicity
 
-        decision = decide_semantic_acyclicity_tgds(query, tgds)
+        decision = decide_semantic_acyclicity(query, tgds)
         if decision.witness is not None:
             return _route_verified("reformulated", YannakakisEvaluator(decision.witness))
         if engine == "reformulation":
             raise NotSemanticallyAcyclic(
-                f"{query.name} is not semantically acyclic under the given tgds"
+                f"{query.name} is not semantically acyclic under the given constraints"
             )
         core = decision.core
     if engine in ("auto", "decomposition"):
@@ -179,7 +181,7 @@ def evaluate_iter(
     query: ConjunctiveQuery,
     database: Instance,
     *,
-    tgds: Sequence[TGD] = (),
+    tgds: Constraints = (),
     engine: str = "auto",
     scans: Optional[ScanProvider] = None,
     limit: Optional[int] = None,
@@ -194,13 +196,14 @@ def evaluate_iter(
     * ``"auto"`` (default) — the same routing as :func:`evaluate_batch`
       and :class:`repro.service.QueryService`: Yannakakis' streaming
       phase 4 for acyclic queries, Yannakakis on an acyclic reformulation
-      when ``tgds`` make the query semantically acyclic (Proposition 24),
-      and otherwise the decomposition route (bags of a min-fill tree
+      when Σ (``tgds``: tgds, or egds and FDs) makes the query semantically
+      acyclic (Proposition 24; sound on databases that satisfy Σ), and
+      otherwise the decomposition route (bags of a min-fill tree
       decomposition materialised, Yannakakis over the bag tree);
     * ``"yannakakis"`` — require the acyclic route
       (raises :class:`~repro.evaluation.yannakakis.AcyclicityRequired`);
     * ``"reformulation"`` — require the Proposition 24 route (raises
-      :class:`NotSemanticallyAcyclic` when ``tgds`` admit no acyclic
+      :class:`NotSemanticallyAcyclic` when Σ admits no acyclic
       reformulation);
     * ``"decomposition"`` — force the decomposition route;
     * ``"plan"`` — force the flat block-streaming join-plan route.
@@ -222,7 +225,7 @@ def explain(
     query: ConjunctiveQuery,
     database: Instance,
     *,
-    tgds: Sequence[TGD] = (),
+    tgds: Constraints = (),
     engine: str = "auto",
     scans: Optional[ScanProvider] = None,
     execute: bool = True,
@@ -244,6 +247,7 @@ def explain(
           ...
             Scan[S1(x, y)]  (est=300, obs=300)
 
+    ``tgds`` is Σ (tgds, or egds and FDs), as on :func:`evaluate_iter`;
     ``engine`` forces a route; ``scans`` injects a shared
     :class:`~repro.evaluation.batch.ScanCache` (the statistics then reuse
     its base scans).  ``verify=True`` additionally runs the static plan
@@ -314,16 +318,16 @@ def evaluate_batch(
     queries: Iterable[ConjunctiveQuery],
     database: Instance,
     *,
-    tgds: Sequence[TGD] = (),
+    tgds: Constraints = (),
     scans: Optional[ScanProvider] = None,
 ) -> List[Set[Tuple[Term, ...]]]:
     """Evaluate a batch of CQs over one database; return one answer set each.
 
     Every query is routed by :func:`resolve_route` first (Yannakakis for
-    acyclic queries, Yannakakis on an acyclic reformulation under ``tgds``
-    via Proposition 24, the decomposition route for the remaining cyclic
-    queries), so a route error surfaces before any query runs.  The routes
-    then run one after another over one
+    acyclic queries, Yannakakis on an acyclic reformulation under Σ
+    (``tgds``) via Proposition 24, the decomposition route for the
+    remaining cyclic queries), so a route error surfaces before any query
+    runs.  The routes then run one after another over one
     :class:`~repro.evaluation.batch.ScanCache` — ``scans`` if given, else a
     new one for ``database`` — so each predicate's base scan, key index and
     partition is built at most once for the whole batch.  Passing the same

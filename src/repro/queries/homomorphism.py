@@ -9,10 +9,13 @@ source into the target.
 The search is a straightforward backtracking join with two standard
 optimisations that keep it fast on the instance sizes used here:
 
-* atoms are processed most-constrained-first (fewest unbound terms, rarest
-  predicate first), recomputed greedily as the partial assignment grows;
+* atoms are sorted once, before the search, by the number of target atoms
+  over their predicate and then by their number of non-constant terms
+  (:func:`_order_atoms`), and :func:`_search` binds them in that fixed
+  order; the order does not change as the partial assignment grows;
 * candidate target atoms are looked up through the per-predicate index of
-  :class:`repro.datamodel.Instance`.
+  :class:`repro.datamodel.Instance`, or through its per-term index of the
+  most selective term already bound.
 """
 
 from __future__ import annotations

@@ -33,9 +33,10 @@ substrate:
   acyclicity under Σ, and the cost model prices an anchored scan without
   looking at the anchor.  A bounded memo from the request's structural
   pre-key (one linear pass) to its plan key lets a warm request skip
-  ``core``, ``canonical_form``, routing and compilation altogether.  Entries are
-  re-planned when the database size drifts past ``replan_drift`` of the
-  size they were planned at;
+  ``core``, ``canonical_form``, routing and compilation altogether.  Flat
+  plan route entries, the only ones planned over the data, are re-planned
+  when the database size drifts past ``replan_drift`` of the size they
+  were planned at;
 
 * :meth:`stream` wraps the streaming evaluators with an epoch guard: an
   open answer stream observes a concurrent write *before the next pull*
@@ -61,14 +62,13 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
 
 from .analysis.diagnostics import Diagnostic, Severity
 from .datamodel import Atom, Constant, Instance, Predicate, Term, Variable
-from .dependencies.tgd import TGD
+from .dependencies.fd import Constraints, Dependency, split_constraints
 from .evaluation.batch import ScanCache
 from .evaluation.encoding import EncodedRelation
 from .evaluation.relation import (
@@ -166,22 +166,25 @@ def parameter(index: int) -> Constant:
     return Constant(("__param__", index))
 
 
+#: Σ as the service keys it: its tgds, then its egds (FDs as their egds).
+Sigma = Tuple[Dependency, ...]
+
 #: A request's structural pre-key: head and body with variables renamed to
 #: first-occurrence numbers and lifted constants to placeholders, plus the
-#: routing inputs (tgds and the forced engine).
-PreKey = Tuple[tuple, tuple, Tuple[TGD, ...], str]
+#: routing inputs (Σ and the forced engine).
+PreKey = Tuple[tuple, tuple, Sigma, str]
 
 
 def query_shape(
-    query: ConjunctiveQuery, tgds: Tuple[TGD, ...] = (), engine: str = "auto"
+    query: ConjunctiveQuery, sigma: Sigma = (), engine: str = "auto"
 ) -> Tuple[PreKey, Dict[Term, Term]]:
     """One linear pass: the request's pre-key and its parameter binding.
 
     Variables become their first-occurrence number (head first, then the
-    body in order).  Each constant that no tgd names becomes
-    :func:`parameter` ``i``, numbered by first occurrence, so equal
+    body in order).  Each constant that no dependency of ``sigma`` names
+    becomes :func:`parameter` ``i``, numbered by first occurrence, so equal
     constants share an index and the equality pattern is kept; constants
-    named in ``tgds`` stay literal.  The binding maps each placeholder back
+    named in ``sigma`` stay literal.  The binding maps each placeholder back
     to the request's constant — the run state a shared plan executes with.
 
     Equal pre-keys mean the two queries are isomorphic under a variable
@@ -190,8 +193,8 @@ def query_shape(
     """
     literal = {
         term
-        for tgd in tgds
-        for atom in tgd.body + tgd.head
+        for dependency in sigma
+        for atom in dependency.atoms()
         for term in atom.terms
         if isinstance(term, Constant)
     }
@@ -218,7 +221,7 @@ def query_shape(
             terms.append(slot)
         body.append((atom.predicate, tuple(terms)))
     head = tuple(slots[variable] for variable in query.head)
-    return (head, tuple(body), tgds, engine), params
+    return (head, tuple(body), sigma, engine), params
 
 
 def lift_constants(
@@ -229,10 +232,8 @@ def lift_constants(
 
 
 #: A plan-cache key: the canonical core's head and body, plus the routing
-#: inputs that shape the plan (tgds and the forced engine).
-PlanKey = Tuple[
-    Tuple[Variable, ...], frozenset, Tuple[TGD, ...], str
-]
+#: inputs that shape the plan (Σ and the forced engine).
+PlanKey = Tuple[Tuple[Variable, ...], frozenset, Sigma, str]
 
 
 class BoundScans:
@@ -299,8 +300,8 @@ class QueryService:
         #: Cached scans/partitions/encodings, kept fresh across writes by
         #: journal replay + in-place delta merges.
         self.scans = ScanCache(database)
-        #: Relative database-size drift past which a cached plan is
-        #: re-planned on next use (0.3 = 30%).
+        #: Relative database-size drift past which a cached flat plan
+        #: route entry is re-planned on next use (0.3 = 30%).
         self.replan_drift = replan_drift
         # Plan-cache and pre-key-memo guard: submits from concurrent client
         # threads route through one consistent cache.
@@ -327,7 +328,7 @@ class QueryService:
         self.plan_hits = 0
         #: Requests that routed + compiled a fresh plan entry.
         self.plan_misses = 0
-        #: Cached entries discarded for statistics drift.
+        #: Cached flat plan route entries discarded for statistics drift.
         self.replans = 0
         #: Effective database writes through :meth:`insert`/:meth:`delete`.
         self.writes = 0
@@ -336,27 +337,34 @@ class QueryService:
     # Plan cache
     # ------------------------------------------------------------------
     def _drifted(self, entry: _PlanEntry, size: int) -> bool:
-        return abs(size - entry.planned_size) > self.replan_drift * max(
-            entry.planned_size, 1
-        )
+        """Only the flat plan route plans over the data; every other route
+        compiles from the query alone, so a re-plan would rebuild it as is."""
+        return entry.kind == "plan" and abs(
+            size - entry.planned_size
+        ) > self.replan_drift * max(entry.planned_size, 1)
 
     def _entry(
-        self, query: ConjunctiveQuery, tgds: Tuple[TGD, ...], engine: str
+        self, query: ConjunctiveQuery, constraints: Constraints, engine: str
     ) -> Tuple[_PlanEntry, Dict[Term, Term]]:
         """The request's cached plan entry plus its parameter binding."""
-        shape, params = query_shape(query, tgds, engine)
+        sigma: Sigma = ()
+        if constraints:
+            # FDs as their egds, so an FD and its egds share one entry.
+            tgds, egds = split_constraints(constraints)
+            sigma = (*tgds, *egds)
+        shape, params = query_shape(query, sigma, engine)
         with self._plan_lock:
             return self._entry_locked(query, shape, params), params
 
     def _entry_locked(
         self, query: ConjunctiveQuery, shape: PreKey, params: Dict[Term, Term]
     ) -> _PlanEntry:
-        _, _, tgds, engine = shape
+        _, _, sigma, engine = shape
         key = self._shapes.get(shape)
         canonical = None  # only needed on a miss
         if key is None:
             canonical = canonical_form(core(lift_constants(query, params)))
-            key = (canonical.head, frozenset(canonical.body), tgds, engine)
+            key = (canonical.head, frozenset(canonical.body), sigma, engine)
             _remember(self._shapes, shape, key)
         entry = self._plans.get(key)
         size = len(self.database)
@@ -371,7 +379,7 @@ class QueryService:
 
         if canonical is None:
             canonical = canonical_form(core(lift_constants(query, params)))
-        kind, evaluator = resolve_route(canonical, tgds=tgds, engine=engine)
+        kind, evaluator = resolve_route(canonical, tgds=sigma, engine=engine)
         entry = _PlanEntry(
             kind,
             evaluator,
@@ -441,11 +449,13 @@ class QueryService:
         self,
         query: ConjunctiveQuery,
         *,
-        tgds: Sequence[TGD] = (),
+        tgds: Constraints = (),
         engine: str = "auto",
     ) -> Set[Tuple[Term, ...]]:
         """The full answer set of ``query`` over the current database state.
 
+        ``tgds`` is Σ (tgds, or egds and FDs) and routes as on
+        :func:`~repro.evaluation.semacyclic_eval.resolve_route`.
         Routed through the plan cache (the canonical lifted core's cached
         evaluator answers for every isomorphic variant and every anchor of
         the shape, with this request's constants bound as run state —
@@ -454,7 +464,7 @@ class QueryService:
         incrementally before the scans are served).  Writes arriving while
         the submit runs wait for it (see :meth:`insert`).
         """
-        entry, params = self._entry(query, tuple(tgds), engine)
+        entry, params = self._entry(query, tgds, engine)
         scans = self._scans_for(params)
         self._begin_read()
         try:
@@ -466,7 +476,7 @@ class QueryService:
         self,
         query: ConjunctiveQuery,
         *,
-        tgds: Sequence[TGD] = (),
+        tgds: Constraints = (),
         engine: str = "auto",
         limit: Optional[int] = None,
     ) -> Iterator[Tuple[Term, ...]]:
@@ -479,7 +489,7 @@ class QueryService:
         pre- and post-mutation answers.  ``limit`` is the per-client
         backpressure knob: at most that many answers are ever computed.
         """
-        entry, params = self._entry(query, tuple(tgds), engine)
+        entry, params = self._entry(query, tgds, engine)
         inner = entry.evaluator.iter_answers(
             self.database, scans=self._scans_for(params), limit=limit
         )
@@ -557,8 +567,9 @@ class QueryService:
         the scan cache's synced epoch without a pending delta to close the
         gap — the stale-answer condition the epoch machinery must make
         impossible.
-        SVC002 (WARNING): a cached plan's planning-time statistics drifted
-        past ``replan_drift`` (it will be re-planned on next use).
+        SVC002 (WARNING): a cached flat plan route entry's planning-time
+        statistics drifted past ``replan_drift`` (it will be re-planned on
+        next use); no other route reads the data when it compiles.
         """
         self.scans.sync()
         diagnostics: List[Diagnostic] = []

@@ -7,12 +7,13 @@ The generators are deliberately seeded (every function takes an explicit
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..chase.tgd_chase import chase
 from ..datamodel import Atom, Constant, Database, Predicate, Schema, Variable
 from ..dependencies.egd import EGD
-from ..dependencies.fd import FunctionalDependency, key
+from ..core.semantic_acyclicity import one_class
+from ..dependencies.fd import Constraints, FunctionalDependency, key
 from ..dependencies.tgd import TGD
 from ..queries.cq import ConjunctiveQuery
 
@@ -470,23 +471,34 @@ def random_database(
 
 
 def database_satisfying(
-    tgds: Sequence[TGD],
+    constraints: Constraints,
     seed=0,
     schema: Optional[Schema] = None,
     facts_per_predicate: int = 20,
     domain_size: int = 15,
     max_steps: int = 20_000,
 ) -> Database:
-    """A random database completed by the chase so that it satisfies ``tgds``.
+    """A random database that satisfies Σ (tgds, or egds and FDs).
 
-    The chase of a finite database under arbitrary tgds may not terminate;
-    the function raises ``ValueError`` when the step budget is exhausted so
-    that benchmarks never silently use an inconsistent database.
+    Under tgds the random database is completed by the chase.  The chase of
+    a finite database under arbitrary tgds may not terminate; the function
+    raises ``ValueError`` when the step budget is exhausted so that
+    benchmarks never silently use an inconsistent database.  Under egds a
+    random fact is kept only if it violates no egd together with the facts
+    kept before it.
     """
     base = random_database(
         seed, schema=schema, facts_per_predicate=facts_per_predicate, domain_size=domain_size
     )
-    result = chase(base, list(tgds), max_steps=max_steps)
+    tgds, egds = one_class(constraints)
+    if egds:
+        database = Database()
+        for atom in base:
+            database.add(atom)
+            if not all(egd.is_satisfied_by(database) for egd in egds):
+                database.discard(atom)
+        return database
+    result = chase(base, tgds, max_steps=max_steps)
     if not result.terminated:
         raise ValueError("the chase of the random database did not terminate in budget")
     database = Database()

@@ -14,13 +14,12 @@ from repro.chase import (
     egd_chase,
     egd_chase_query,
     egd_chase_preserves_acyclicity,
-    fd_chase_query,
     guarded_chase_forest,
     guarded_chase_join_tree,
     tgd_chase_preserves_acyclicity,
 )
 from repro.datamodel import Atom, Constant, Instance, Predicate, Variable
-from repro.dependencies import FunctionalDependency, key
+from repro.dependencies import FunctionalDependency, fds_to_egds, key
 from repro.hypergraph import instance_connectors, is_acyclic_instance, is_valid_join_tree
 from repro.parser import parse_egd, parse_query, parse_tgd
 from repro.workloads.paper_examples import (
@@ -210,7 +209,7 @@ class TestEgdChase:
     def test_fd_chase_query(self):
         query = parse_query("R(x, y), R(x, z)")
         fd = key(R, {1})
-        result, _ = fd_chase_query(query, [fd])
+        result, _ = egd_chase_query(query, fds_to_egds([fd]))
         assert len(result.instance) == 1
 
     def test_chased_query_example4(self):

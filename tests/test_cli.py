@@ -7,6 +7,8 @@ import pytest
 
 from repro.cli import build_parser, load_database, load_dependencies, load_query, main
 from repro.datamodel import Constant
+from repro.evaluation import evaluate_generic, resolve_route
+from repro.service import QueryService
 
 
 EXAMPLE1_QUERY = "q(x, y) :- Interest(x, z), Class(y, z), Owns(x, y)"
@@ -508,6 +510,87 @@ class TestOneRoute:
         code, checked = run_cli(["check", *self.arguments()])
         assert code == 0
         assert "plan verified: reformulated route" in checked
+
+    def test_the_library_and_the_service_take_the_route_the_cli_takes(self):
+        query = load_query(None, f"{self.EXAMPLE}.cq")
+        keys = load_dependencies(f"{self.EXAMPLE}.rules", [])
+        database = load_database(f"{self.EXAMPLE}.facts")
+        route, evaluator = resolve_route(query, tgds=keys)
+        assert route == "reformulated"
+        service = QueryService(database)
+        answers = service.submit(query, tgds=keys)
+        assert [entry.kind for entry in service._plans.values()] == ["reformulated"]
+        assert answers == evaluator.evaluate(database) == evaluate_generic(query, database)
+
+    def test_approximate_keeps_the_egds(self):
+        code, output = run_cli(
+            [
+                "approximate",
+                "--query-file",
+                f"{self.EXAMPLE}.cq",
+                "--constraints",
+                f"{self.EXAMPLE}.rules",
+            ]
+        )
+        assert code == 0
+        assert output.splitlines() == [
+            "approximations: 1",
+            "q_img(Q0) :- R(Q0, Q1) ∧ S(Q1, Q1)",
+        ]
+
+
+class TestMixedConstraints:
+    """A Σ mixing tgds and egds is refused with one message by every
+    subcommand that takes one class; ``classify`` and ``check`` accept it."""
+
+    EXAMPLE = TestOneRoute.EXAMPLE
+    MESSAGE = "mixing tgds and egds in one decision is not supported"
+
+    @pytest.fixture
+    def rules(self, tmp_path):
+        rules = tmp_path / "mixed.rules"
+        key = Path(f"{self.EXAMPLE}.rules").read_text(encoding="utf-8")
+        rules.write_text(key + "S(x, y) -> T(x)\n", encoding="utf-8")
+        return str(rules)
+
+    @pytest.mark.parametrize(
+        "command", ["decide", "chase", "approximate", "evaluate", "explain", "serve"]
+    )
+    def test_one_class_subcommands_exit_with_one_message(self, command, rules, tmp_path):
+        data = ["--data", f"{self.EXAMPLE}.facts"]
+        if command == "serve":
+            session = tmp_path / "session.txt"
+            query = Path(f"{self.EXAMPLE}.cq").read_text(encoding="utf-8").splitlines()[-1]
+            session.write_text(f"? {query}\n", encoding="utf-8")
+            arguments = [*data, "--session", str(session)]
+        else:
+            arguments = ["--query-file", f"{self.EXAMPLE}.cq"]
+            if command in ("evaluate", "explain"):
+                arguments += data
+        with pytest.raises(SystemExit, match=self.MESSAGE):
+            run_cli([command, *arguments, "--constraints", rules])
+
+    def test_classify_accepts_the_mix(self, rules):
+        code, output = run_cli(["classify", "--constraints", rules])
+        assert code == 0
+        assert "tgds: 1" in output and "egds: 1" in output
+
+    def test_check_reports_the_mix_after_its_workload_diagnostics(self, rules):
+        code, output = run_cli(
+            [
+                "check",
+                "--query-file",
+                f"{self.EXAMPLE}.cq",
+                "--data",
+                f"{self.EXAMPLE}.facts",
+                "--constraints",
+                rules,
+            ]
+        )
+        assert code == 2
+        assert "WKL006 info" in output
+        assert f"WKL009 error: no route: {self.MESSAGE}" in output
+        assert "plan verified" not in output
 
 
 class TestFlatPlanRoute:

@@ -17,7 +17,6 @@ from repro.core import (
     decide_semantic_acyclicity_tgds,
     decide_semantic_acyclicity_unconstrained,
     decide_ucq_semantic_acyclicity,
-    is_semantically_acyclic,
     pcp_query,
     pcp_tgds,
     solution_path_query,
@@ -61,7 +60,7 @@ class TestUnconstrainedSemAc:
         assert decision.semantically_acyclic
 
     def test_dispatcher_with_no_constraints(self, triangle_query):
-        assert not is_semantically_acyclic(triangle_query)
+        assert not decide_semantic_acyclicity(triangle_query)
         assert not decide_semantic_acyclicity(triangle_query, []).semantically_acyclic
 
 

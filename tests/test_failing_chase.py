@@ -17,7 +17,7 @@ from repro import cli
 from repro.containment import contained_under_egds
 from repro.core import decide_semantic_acyclicity
 from repro.datamodel import Atom, Constant, Database, Predicate, Variable
-from repro.evaluation import YannakakisEvaluator, evaluate_generic
+from repro.evaluation import YannakakisEvaluator, evaluate_generic, resolve_route
 from repro.parser import parse_egd, parse_query
 from repro.queries.cq import ConjunctiveQuery
 
@@ -105,6 +105,6 @@ def test_failing_chase_witness_agrees_with_the_generic_oracle(workload):
     witness = _assert_equivalent_acyclic_witness(query, EGDS)
     expected = evaluate_generic(query, database)
     assert YannakakisEvaluator(witness).evaluate(database) == expected
-    route, evaluator = cli._route(query, EGDS, "auto")
+    route, evaluator = resolve_route(query, tgds=EGDS)
     assert route == "reformulated"
     assert set(evaluator.iter_answers(database)) == expected

@@ -10,7 +10,8 @@ Covers the three service contracts on top of the epoch machinery:
   request's anchors at run time;
 * the read/write surface — ``submit``/``stream`` (with ``limit=``
   backpressure and the :class:`ConcurrentMutationError` stream guard),
-  ``insert``/``delete``, drift-triggered re-planning, ``verify()`` with
+  ``insert``/``delete``, drift-triggered re-planning of flat plan route
+  entries, ``verify()`` with
   the SVC001/SVC002 diagnostics;
 * the seam between one-shot evaluation and a standing service (a caller
   hands the service's scan cache to ``evaluate_iter``/``evaluate_batch``)
@@ -223,12 +224,34 @@ class TestPlanCache:
         database = _db((1, 2), (2, 3))
         service = QueryService(database, replan_drift=0.5)
         query = _path_query(x, y, z)
+        service.submit(query, engine="plan")
+        for i in range(10, 16):  # grow |D| past 50%
+            service.insert(_edge(i, i + 1))
+        service.submit(query, engine="plan")
+        assert service.replans == 1
+        assert service.plan_misses == 2
+
+    def test_a_drifted_yannakakis_entry_is_reused(self, monkeypatch):
+        """Only the flat plan route plans over the data: a Yannakakis entry
+        compiles from the query alone, so drift keeps it."""
+        compiled = []
+        original = YannakakisEvaluator._compile_answer_plan
+
+        def counted(self, *args):
+            compiled.append(self.query)
+            return original(self, *args)
+
+        monkeypatch.setattr(YannakakisEvaluator, "_compile_answer_plan", counted)
+        database = _db((1, 2), (2, 3))
+        service = QueryService(database, replan_drift=0.5)
+        query = _path_query(x, y, z)
         service.submit(query)
         for i in range(10, 16):  # grow |D| past 50%
             service.insert(_edge(i, i + 1))
-        service.submit(query)
-        assert service.replans == 1
-        assert service.plan_misses == 2
+        assert service.submit(query) == evaluate_generic(query, database)
+        assert service.plan_misses == 1 and service.plan_hits == 1
+        assert service.replans == 0 and len(compiled) == 1
+        assert service.verify() == []
 
 
 # ----------------------------------------------------------------------
@@ -628,7 +651,7 @@ class TestReadWrite:
 
     def test_verify_clean_then_svc002_on_drift(self):
         service = QueryService(_db((1, 2), (2, 3)), replan_drift=0.5)
-        service.submit(_path_query(x, y, z))
+        service.submit(_path_query(x, y, z), engine="plan")
         assert service.verify() == []
         for i in range(10, 16):
             service.insert(_edge(i, i + 1))

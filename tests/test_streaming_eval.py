@@ -45,6 +45,7 @@ from repro.evaluation import (
     resolve_route,
 )
 from repro.evaluation.relation import Partition
+from repro.core import decide_semantic_acyclicity_tgds
 from repro.queries.cq import ConjunctiveQuery
 from repro.service import QueryService
 from repro.workloads.generators import (
@@ -202,9 +203,7 @@ def test_semac_evaluation_iter_answers_matches_evaluate():
     database = music_store_database(seed=11, customers=10, records=12, styles=4)
     answers = evaluate_via_reformulation(query, [tgd], database)
 
-    from repro.core.semantic_acyclicity import find_acyclic_reformulation_tgds
-
-    reformulation = find_acyclic_reformulation_tgds(query, [tgd])
+    reformulation = decide_semantic_acyclicity_tgds(query, [tgd]).witness
     evaluation = YannakakisEvaluator(reformulation)
     streamed = list(evaluation.iter_answers(database))
     assert len(streamed) == len(set(streamed))
