@@ -50,6 +50,7 @@ from ..dependencies.predicate_graph import (
 from ..queries.cq import ConjunctiveQuery
 from .diagnostics import Diagnostic, Severity
 
+
 def _format_position(position: Position) -> str:
     predicate, index = position
     return f"{predicate.name}[{index}]"

@@ -127,7 +127,7 @@ def fds_to_egds(fds: Iterable[FunctionalDependency]) -> List[EGD]:
 #: One parsed dependency: a tgd or an egd.
 Dependency = Union[TGD, EGD]
 #: A constraint set Σ: tgds, or egds and FDs.
-Constraints = Union[Sequence[TGD], Sequence[EGD], Sequence[FunctionalDependency]]
+Constraints = Sequence[Union[TGD, EGD, FunctionalDependency]]
 
 
 def split_constraints(constraints: Constraints) -> Tuple[List[TGD], List[EGD]]:
